@@ -1,30 +1,33 @@
 //! Kernel benchmarks: every conv variant (direct oracle, packed GEMM on the
-//! scalar and SIMD micro-kernel arms, Winograd F(2×2,3×3)) plus end-to-end
-//! runtime throughput.
+//! scalar and SIMD micro-kernel arms, Winograd F(2×2,3×3), int8), the FC
+//! head's GEMV kernels against the `n = 1` GEMM path they replaced, and
+//! max-pooling.
 //!
 //! Emits `BENCH_kernels.json` at the workspace root with per-shape,
-//! per-variant timings and GFLOP/s (filters prepacked outside the timed
-//! region — packing is deploy-time work), and end-to-end IPS for the
-//! `tiny_vgg` test model and the paper-scale `vgg11` on the packed runtime.
+//! per-variant timings (filters prepacked outside the timed region —
+//! packing is deploy-time work).  Convolutions are compute-bound and report
+//! GFLOP/s; FC layers and pooling are bandwidth-bound and report GB/s — of
+//! weight bytes streamed for FC, of input plus output bytes for pooling.
+//! End-to-end numbers live in the `e2e/` benchmark (`vgg11_inproc`), not
+//! here.
 //! All GFLOP/s figures are *effective* rates against the direct-conv flop
 //! count (`2·f²·c_in·c_out·h·w`), so Winograd's multiply savings show up as
 //! a higher rate through the same roof-line lens.  The acceptance bar
 //! tracked across commits: the VGG 3×3 `c64` shape's packed-SIMD rate ≥ 2×
 //! the scalar baseline this ladder started from (18 GFLOP/s).
 
-use cnn_model::exec::{deterministic_input, ModelWeights};
-use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use edge_runtime::runtime::{execute_in_process, RuntimeOptions};
-use edgesim::ExecutionPlan;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
+use tensor::ops::gemm::{gemm_bias_act_into, NR};
+use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_winograd,
-    im2col_weight_len, kernel_arch, maxpool2d, pack_conv_filter, pack_conv_filter_with,
-    qkernel_arch, quant_scale, set_kernel_override, set_qkernel_override, winograd_preferred,
-    Activation, KernelArch, QKernelArch,
+    im2col_weight_len, kernel_arch, linear_packed, linear_q8, maxpool2d, pack_conv_filter,
+    pack_conv_filter_with, pack_linear_filter, qkernel_arch, quant_byte, quant_scale,
+    set_kernel_override, set_qkernel_override, winograd_preferred, Activation, KernelArch,
+    PackedFilter, QKernelArch, QuantizedFilter, QuantizedLinearFilter,
 };
 use tensor::Tensor;
 
@@ -60,20 +63,38 @@ struct ConvShape {
     int8_simd_gops: f64,
     /// Effective int8 rate over the f32 SIMD GEMM rate on the same shape.
     int8_vs_f32_simd: f64,
-    /// Legacy trajectory fields (packed = the SIMD GEMM path).
-    packed_ns: f64,
-    speedup: f64,
-    packed_gflops: f64,
 }
 
-/// One end-to-end runtime measurement on the packed path.
+/// One FC layer: the `n = 1` GEMM path (one lane of sixteen) against the
+/// row-vectorised GEMV kernel, f32 and int8.  Rates are GB/s of packed
+/// weight bytes streamed (`in·out·4` for f32, `in·out` for int8) — an FC
+/// layer reads every weight once per frame and does two flops with it.
 #[derive(Serialize)]
-struct EndToEnd {
-    model: String,
-    devices: usize,
-    images: usize,
-    ips: f64,
-    mean_latency_ms: f64,
+struct FcShape {
+    label: String,
+    in_features: usize,
+    out_features: usize,
+    gemm_n1_ns: f64,
+    gemm_n1_gbps: f64,
+    gemv_ns: f64,
+    gemv_gbps: f64,
+    int8_gemm_n1_ns: f64,
+    int8_gemm_n1_gbps: f64,
+    int8_gemv_ns: f64,
+    int8_gemv_gbps: f64,
+}
+
+/// One max-pool shape; the rate is GB/s of input plus output bytes.
+#[derive(Serialize)]
+struct PoolShape {
+    label: String,
+    c: usize,
+    h: usize,
+    w: usize,
+    f: usize,
+    stride: usize,
+    ns: f64,
+    gbps: f64,
 }
 
 #[derive(Serialize)]
@@ -84,14 +105,15 @@ struct KernelBench {
     qkernel_arch: String,
     /// Per-shape, per-variant timings.
     conv: Vec<ConvShape>,
+    /// VGG's FC head, layer by layer (bandwidth-bound).
+    fc: Vec<FcShape>,
+    /// VGG-11's first (largest) pool (bandwidth-bound).
+    pool: PoolShape,
     /// The acceptance shape's direct→packed-SIMD speedup.
     vgg_3x3_c64_speedup: f64,
     /// Int8 acceptance: effective int8 GOP/s over f32 SIMD GFLOP/s on the
     /// deep 3×3 c512 shape (the bar is ≥ 1.5×).
     deep_3x3_c512_int8_vs_f32: f64,
-    /// End-to-end IPS through the runtime (deploy-time packing, three
-    /// providers).
-    end_to_end: Vec<EndToEnd>,
 }
 
 fn conv_input(c_in: usize, h: usize, w: usize) -> Tensor {
@@ -248,9 +270,6 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
             } else {
                 0.0
             },
-            packed_ns: packed_simd_ns,
-            speedup: direct_ns / packed_simd_ns,
-            packed_gflops: gflops(packed_simd_ns),
         });
         group.bench_with_input(BenchmarkId::new("packed_simd", label), &label, |b, _| {
             b.iter(run_gemm)
@@ -260,67 +279,118 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
     out
 }
 
-fn three_device_plan(model: &Model) -> ExecutionPlan {
-    let scheme = PartitionScheme::single_volume(model);
-    let splits: Vec<VolumeSplit> = scheme
-        .volumes()
-        .iter()
-        .map(|v| {
-            let h = v.last_output_height(model);
-            VolumeSplit::new(vec![h / 2, 3 * h / 4], h)
-        })
-        .collect();
-    ExecutionPlan::from_splits(model, &scheme, &splits, 3).unwrap()
+/// The FC product as it ran before the GEMV kernels: an `n = 1` GEMM over
+/// `MR`-row panels with `x` in lane 0 of the one B panel.
+fn linear_via_gemm(x: &[f32], filter: &PackedFilter, bias: &[f32]) -> Vec<f32> {
+    let fill = |k0: usize, k1: usize, _j0: usize, _j1: usize, buf: &mut [f32]| {
+        for (kk, &v) in x[k0..k1].iter().enumerate() {
+            buf[kk * NR] = v;
+        }
+    };
+    let mut out = vec![0.0f32; filter.m()];
+    gemm_bias_act_into(filter, bias, Activation::Relu, 1, &fill, &mut out).unwrap();
+    out
 }
 
-fn end_to_end(model: &Model, images: usize) -> EndToEnd {
-    let weights = ModelWeights::deterministic(model, 7);
-    let plan = three_device_plan(model);
-    let batch: Vec<Tensor> = (0..images)
-        .map(|i| deterministic_input(model, i as u64))
-        .collect();
-    let outcome = execute_in_process(
-        model,
-        &plan,
-        &weights,
-        &batch,
-        &RuntimeOptions::default().with_max_in_flight(2),
-    )
-    .unwrap();
-    EndToEnd {
-        model: model.name().to_string(),
-        devices: 3,
-        images,
-        ips: outcome.report.measured_ips,
-        mean_latency_ms: outcome.report.sim.mean_latency_ms,
+/// The int8 FC product as it ran before the GEMV kernels.
+fn linear_via_qgemm(x: &[f32], filter: &QuantizedFilter, scale_in: f32, bias: &[f32]) -> Vec<f32> {
+    let fill = |k0: usize, k1: usize, _j0: usize, _j1: usize, buf: &mut [u8]| {
+        for (kk, &v) in x[k0..k1].iter().enumerate() {
+            buf[(kk / QK) * NR * QK + (kk % QK)] = quant_byte(v, scale_in);
+        }
+    };
+    let mut out = vec![0.0f32; filter.m()];
+    qgemm_bias_act_into(filter, bias, Activation::Relu, scale_in, 1, &fill, &mut out).unwrap();
+    out
+}
+
+fn bench_fc_paths() -> Vec<FcShape> {
+    // VGG's head: the three matrices every image streams once.
+    let shapes: &[(&str, usize, usize)] = &[
+        ("vgg_fc1_25088_to_4096", 25088, 4096),
+        ("vgg_fc2_4096_to_4096", 4096, 4096),
+        ("vgg_fc3_4096_to_1000", 4096, 1000),
+    ];
+    let mut out = Vec::new();
+    for &(label, in_features, out_features) in shapes {
+        let input = Tensor::from_fn([in_features, 1, 1], |c, _, _| (c % 13) as f32 * 0.1 - 0.6);
+        let weights: Vec<f32> = (0..in_features * out_features)
+            .map(|i| ((i % 1013) as f32 - 506.0) * 1e-4)
+            .collect();
+        let bias = vec![0.01; out_features];
+        let scale_in = quant_scale(input.data());
+        let x = input.data();
+        // One layout resident at a time: FC1 is 411 MB in f32.
+        let gemm_n1_ns = {
+            let filter = PackedFilter::pack(&weights, out_features, in_features).unwrap();
+            time_ns(5, || linear_via_gemm(x, &filter, &bias))
+        };
+        let gemv_ns = {
+            let filter = pack_linear_filter(&weights, in_features, out_features).unwrap();
+            time_ns(5, || {
+                linear_packed(&input, &filter, &bias, Activation::Relu).unwrap()
+            })
+        };
+        let int8_gemm_n1_ns = {
+            let filter = QuantizedFilter::pack(&weights, out_features, in_features).unwrap();
+            time_ns(5, || linear_via_qgemm(x, &filter, scale_in, &bias))
+        };
+        let int8_gemv_ns = {
+            let filter = QuantizedLinearFilter::pack(&weights, out_features, in_features).unwrap();
+            time_ns(5, || {
+                linear_q8(&input, &filter, scale_in, &bias, Activation::Relu).unwrap()
+            })
+        };
+        let weight_count = (in_features * out_features) as f64;
+        out.push(FcShape {
+            label: label.to_string(),
+            in_features,
+            out_features,
+            gemm_n1_ns,
+            gemm_n1_gbps: 4.0 * weight_count / gemm_n1_ns,
+            gemv_ns,
+            gemv_gbps: 4.0 * weight_count / gemv_ns,
+            int8_gemm_n1_ns,
+            int8_gemm_n1_gbps: weight_count / int8_gemm_n1_ns,
+            int8_gemv_ns,
+            int8_gemv_gbps: weight_count / int8_gemv_ns,
+        });
     }
+    out
 }
 
-fn bench_pool(c: &mut Criterion) {
+fn bench_pool(c: &mut Criterion) -> PoolShape {
+    let (ch, hw, f, stride) = (64, 224, 2, 2);
+    let input = Tensor::from_fn([ch, hw, hw], |c, y, x| ((c + y + x) % 7) as f32);
+    let ns = time_ns(10, || maxpool2d(black_box(&input), f, stride));
     let mut group = c.benchmark_group("maxpool2d");
     group.sample_size(10);
-    let input = Tensor::from_fn([32, 64, 64], |c, y, x| ((c + y + x) % 7) as f32);
-    group.bench_function("2x2_stride2", |b| {
-        b.iter(|| black_box(maxpool2d(black_box(&input), 2, 2)))
+    group.bench_function("vgg_pool1_2x2_stride2", |b| {
+        b.iter(|| black_box(maxpool2d(black_box(&input), f, stride)))
     });
     group.finish();
+    let bytes = 4.0 * (ch * hw * hw + ch * (hw / stride) * (hw / stride)) as f64;
+    PoolShape {
+        label: "vgg_pool1_c64_224".to_string(),
+        c: ch,
+        h: hw,
+        w: hw,
+        f,
+        stride,
+        ns,
+        gbps: bytes / ns,
+    }
 }
 
 fn bench_kernels(c: &mut Criterion) {
     let conv = bench_conv_paths(c);
-    bench_pool(c);
-
-    // End-to-end packed-runtime throughput: the tiny test model and the
-    // paper-scale VGG-11 (which the direct kernels could not serve at all).
-    let e2e = vec![
-        end_to_end(&zoo::tiny_vgg(), 8),
-        end_to_end(&zoo::vgg11(), 2),
-    ];
+    let fc = bench_fc_paths();
+    let pool = bench_pool(c);
 
     let vgg_3x3_c64_speedup = conv
         .iter()
         .find(|s| s.label == "vgg_3x3_c64_56")
-        .map(|s| s.speedup)
+        .map(|s| s.direct_ns / s.packed_simd_ns)
         .unwrap_or(0.0);
     let deep_3x3_c512_int8_vs_f32 = conv
         .iter()
@@ -331,9 +401,10 @@ fn bench_kernels(c: &mut Criterion) {
         simd_arch: kernel_arch().label().to_string(),
         qkernel_arch: qkernel_arch().label().to_string(),
         conv,
+        fc,
+        pool,
         vgg_3x3_c64_speedup,
         deep_3x3_c512_int8_vs_f32,
-        end_to_end: e2e,
     };
     println!(
         "micro-kernel arm: {} (int8: {})",
@@ -352,12 +423,24 @@ fn bench_kernels(c: &mut Criterion) {
             s.int8_vs_f32_simd,
         );
     }
-    for e in &out.end_to_end {
+    for s in &out.fc {
         println!(
-            "e2e  {:<24} {} images on {} devices: {:.2} IPS ({:.0} ms mean latency)",
-            e.model, e.images, e.devices, e.ips, e.mean_latency_ms
+            "fc   {:<24} f32 gemm n=1 {:>5.1} -> gemv {:>5.1}   int8 gemm n=1 {:>5.1} -> gemv {:>5.1}  GB/s of weights ({:.2} / {:.2} ms)",
+            s.label,
+            s.gemm_n1_gbps,
+            s.gemv_gbps,
+            s.int8_gemm_n1_gbps,
+            s.int8_gemv_gbps,
+            s.gemv_ns / 1e6,
+            s.int8_gemv_ns / 1e6,
         );
     }
+    println!(
+        "pool {:<24} {:.2} ms, {:.1} GB/s in+out",
+        out.pool.label,
+        out.pool.ns / 1e6,
+        out.pool.gbps
+    );
     let json = serde_json::to_string(&out).unwrap();
     // Anchor at the workspace root so the artifact lands in one place no
     // matter what cwd cargo runs the bench with.

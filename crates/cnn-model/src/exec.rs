@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use tensor::ops::{
     conv2d_rows, conv2d_rows_packed, linear, linear_packed, linear_q8, maxpool2d_rows,
     pack_conv_filter_with, pack_linear_filter, quant_scale, Activation, PackedConvFilter,
-    PackedFilter, QuantizedFilter,
+    PackedLinearFilter, QuantizedLinearFilter,
 };
 use tensor::slice::slice_rows;
 use tensor::{Shape, Tensor};
@@ -186,7 +186,8 @@ impl QuantSpec {
     }
 }
 
-/// One layer's weights in GEMM-panel form.
+/// One layer's weights in kernel-panel form — each layer's single resident
+/// copy.
 #[derive(Debug, Clone)]
 pub enum PackedLayerWeights {
     /// A conv layer packed for every path its geometry can take: the im2col
@@ -198,17 +199,17 @@ pub enum PackedLayerWeights {
         /// One bias entry per output channel.
         bias: Vec<f32>,
     },
-    /// An FC layer packed into `[out] × [in]` GEMM panels.
+    /// An FC layer packed into `[out] × [in]` GEMV row panels.
     Fc {
-        /// Prepacked GEMM panels.
-        filter: PackedFilter,
+        /// Prepacked GEMV panels.
+        filter: PackedLinearFilter,
         /// One bias entry per output feature.
         bias: Vec<f32>,
     },
-    /// An FC layer packed into int8 quad panels for the quantized path.
+    /// An FC layer packed into int8 GEMV quad panels for the quantized path.
     QFc {
         /// Prepacked int8 panels with per-row corrections.
-        filter: QuantizedFilter,
+        filter: QuantizedLinearFilter,
         /// Calibrated input-activation scale.
         scale_in: f32,
         /// One bias entry per output feature.
@@ -308,7 +309,7 @@ impl PackedModelWeights {
                 if w.is_empty() && b.is_empty() {
                     PackedLayerWeights::Absent
                 } else if let Some(scale_in) = scale_in {
-                    let filter = QuantizedFilter::pack(w, out_features, layer.input.volume())
+                    let filter = QuantizedLinearFilter::pack(w, out_features, layer.input.volume())
                         .map_err(geometry_err)?;
                     PackedLayerWeights::QFc {
                         filter,
@@ -914,6 +915,32 @@ mod tests {
         let a = run_part_on_band_packed(&m, &packed, &plan, band.clone()).unwrap();
         let b = run_part_on_band_packed(&m, &full_pack, &plan, band).unwrap();
         assert_eq!(a, b);
+        // An FC layer installed from a delta shard is the full pack's layer
+        // bit for bit: same panels, same head output.
+        packed
+            .install_layer(&m, 4, &w.layers[4].0, &w.layers[4].1)
+            .unwrap();
+        match (&packed.layers()[4], &full_pack.layers()[4]) {
+            (
+                PackedLayerWeights::Fc {
+                    filter: a,
+                    bias: ba,
+                },
+                PackedLayerWeights::Fc {
+                    filter: b,
+                    bias: bb,
+                },
+            ) => {
+                assert_eq!(a, b);
+                assert_eq!(ba, bb);
+            }
+            other => panic!("layer 4 must pack as Fc on both sides, got {other:?}"),
+        }
+        let prefix_out = &run_full(&m, &w, &input).unwrap()[m.distributable_len() - 1];
+        assert_eq!(
+            run_head_packed(&m, &packed, prefix_out).unwrap(),
+            run_head_packed(&m, &full_pack, prefix_out).unwrap()
+        );
         // Out-of-range installs are rejected.
         assert!(packed.install_layer(&m, 99, &[], &[]).is_err());
     }

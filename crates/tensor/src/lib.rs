@@ -9,12 +9,14 @@
 //! tensor type and the convolution / pooling / linear kernels needed for
 //! that verification, plus the runnable examples.
 //!
-//! Convolutions and linear layers execute on a packed im2col + blocked-GEMM
-//! path ([`ops::gemm`]): weights are repacked into register-tile panels
-//! (once, at deploy time, via [`ops::pack_conv_filter`] /
-//! [`ops::pack_linear_filter`]), the im2col lowering is built one
-//! cache-sized panel slice at a time, and rayon parallelises over output
-//! row tiles.  The clarity-first direct kernels remain as oracles
+//! Convolutions execute on a packed im2col + blocked-GEMM path
+//! ([`ops::gemm`]): weights are repacked into register-tile panels (once,
+//! at deploy time, via [`ops::pack_conv_filter`]), the im2col lowering is
+//! built one cache-sized panel slice at a time, and rayon parallelises over
+//! output row tiles.  Linear layers are bandwidth-bound matrix-vector
+//! products and stream weights prepacked by [`ops::pack_linear_filter`]
+//! through the row-vectorised kernels in [`ops::gemv`].  The clarity-first
+//! direct kernels remain as oracles
 //! ([`ops::conv2d_direct`], [`ops::linear_direct`]) that the fast path is
 //! validated against.
 //!

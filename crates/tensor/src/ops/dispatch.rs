@@ -19,6 +19,11 @@
 //! mix of machines.  The register-tile widening (and the 512-bit arm)
 //! recovers the throughput that fusing would have bought.
 //!
+//! The FC GEMV kernels ([`super::gemv`]) are a second kernel family on the
+//! same arms and the same contract: 4 `zmm` / 8 `ymm` accumulators or a
+//! scalar lane loop over a 64-row panel, f32 under [`KernelArch`], int8
+//! under [`QKernelArch`].
+//!
 //! Selection is per *process*: detected once from CPUID, overridable for
 //! tests and benches via [`set_kernel_override`] or the environment
 //! (`DISTREDGE_FORCE_SCALAR=1`, or `DISTREDGE_KERNEL=scalar|avx2|avx512`).
@@ -106,7 +111,7 @@ fn env_request() -> Option<KernelArch> {
 /// Programmatic override: 0 = none, else `KernelArch as u8 + 1`.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// Forces every subsequent GEMM call in this process onto `arch` (clamped
+/// Forces every subsequent GEMM / GEMV call in this process onto `arch` (clamped
 /// to what the hardware supports), or restores automatic selection with
 /// `None`.  Test and bench plumbing — takes precedence over the
 /// environment.  The choice is read once per GEMM entry call and passed

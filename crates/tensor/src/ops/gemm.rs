@@ -1,11 +1,13 @@
 //! Cache-blocked, register-tiled f32 GEMM with fused bias + activation —
-//! the compute core of the packed convolution and linear paths.
+//! the compute core of the packed convolution paths (im2col and Winograd).
+//! Linear layers are matrix-vector products and run on the row-vectorised
+//! kernels in [`super::gemv`] instead, under the same numerical contract.
 //!
 //! The kernel computes `C[r][j] = act(bias[r] + Σ_k A[r][k] · B[k][j])`
 //! where `A` is a weight matrix prepacked into [`PackedFilter`] row panels
 //! (ideally once, at deploy time) and `B` is produced on the fly in column
 //! panels by a caller-supplied filler — the im2col lowering for
-//! convolutions, a trivial copy for linear layers.
+//! convolutions.
 //!
 //! Three levels of blocking:
 //!
@@ -16,9 +18,9 @@
 //!   while every A panel streams over it;
 //! * **parallel tiles** — wide outputs are split into *column tiles* (for
 //!   convolutions these are row bands of the output image) processed by
-//!   rayon tasks; narrow outputs (the FC head, where `n` is 1) parallelise
-//!   over row-panel groups instead, because column tiling would starve
-//!   every core but one.
+//!   rayon tasks; narrow outputs (a thin conv band of fewer than
+//!   `4·NR` pixels) parallelise over row-panel groups instead, because
+//!   column tiling would starve every core but one.
 //!
 //! Numerical contract: for a given output element, additions happen in
 //! exactly the order `bias, k=0, 1, …, K-1` — a single accumulator, never
@@ -77,8 +79,7 @@ impl PackedFilter {
             let rows = (m - p * MR).min(MR);
             let base = p * k * MR;
             // Row-outer order: each source row is read contiguously and the
-            // panel written at stride MR — cache-friendly for the ~100 M
-            // element FC matrices packed at deploy.
+            // panel written at stride MR.
             for r in 0..rows {
                 let row = &weights[(p * MR + r) * k..(p * MR + r + 1) * k];
                 for (kk, &v) in row.iter().enumerate() {
@@ -230,14 +231,14 @@ pub fn gemm_bias_act_into<F: PanelFill>(
             }
         }
     } else {
-        // Narrow output (the FC / GEMV case): one shared B, parallelise
-        // over row-panel groups writing disjoint chunks of `out` in place.
+        // Narrow output (a thin conv band): one shared B, parallelise over
+        // row-panel groups writing disjoint chunks of `out` in place.
         let panels = n.div_ceil(NR);
         let mut bbuf = vec![0.0f32; panels * k * NR];
         // The narrow-path B is laid out whole-k (panel stride k*NR), so
         // fill per slice into a staging view with the sliced layout, then
-        // interleave.  With panels == 1 (n <= NR, the common FC case) the
-        // layouts coincide and no staging is needed.
+        // interleave.  With panels == 1 (n <= NR) the layouts coincide and
+        // no staging is needed.
         let mut stage = vec![
             0.0f32;
             if panels > 1 {

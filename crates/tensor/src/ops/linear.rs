@@ -1,16 +1,16 @@
 //! Fully-connected (linear) layer kernel.
 //!
-//! Routed through the same packed GEMM micro-kernel as the convolutions
-//! (with `n = 1`, the driver parallelises over row-panel groups — the FC
-//! head of a classification model dominates head-device time, and the old
-//! serial dot-product loop left every core but one idle).
-//! [`linear_packed`] consumes a filter prepacked at deploy time;
-//! [`linear`] packs per call and is bit-identical.  [`linear_direct`] is
-//! the serial oracle.
+//! An FC layer is a matrix-vector product: bandwidth-bound, one pass over
+//! the weights per frame.  It runs on the row-vectorised GEMV kernels in
+//! [`super::gemv`], which keep the GEMM path's numerical contract bit for
+//! bit (see there).  [`linear_packed`] / [`linear_q8`] consume a filter
+//! prepacked at deploy time; [`linear`] packs per call and is
+//! bit-identical.  [`linear_direct`] is the serial oracle.
 
 use super::activation::Activation;
-use super::gemm::{gemm_bias_act_into, PackedFilter, NR};
-use super::qgemm::{qgemm_bias_act_into, quant_byte, QuantizedFilter, QK};
+use super::gemv::{
+    gemv_bias_act_into, qgemv_bias_act_into, PackedLinearFilter, QuantizedLinearFilter,
+};
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::{Result, Tensor};
@@ -30,21 +30,14 @@ fn validate(in_features: usize, w_len: usize, bias_len: usize, out_features: usi
     Ok(())
 }
 
-/// Packs `[out][in]` linear weights into GEMM panels (the deploy-time half
+/// Packs `[out][in]` linear weights into GEMV panels (the deploy-time half
 /// of the packed FC path).
 pub fn pack_linear_filter(
     weights: &[f32],
     in_features: usize,
     out_features: usize,
-) -> Result<PackedFilter> {
-    if weights.len() != in_features * out_features {
-        return Err(TensorError::KernelConfig(format!(
-            "linear weights length {} != out*in = {}",
-            weights.len(),
-            in_features * out_features
-        )));
-    }
-    PackedFilter::pack(weights, out_features, in_features)
+) -> Result<PackedLinearFilter> {
+    PackedLinearFilter::pack(weights, out_features, in_features)
 }
 
 /// Fully-connected layer: `out[o] = act(bias[o] + sum_i w[o][i] * in[i])`.
@@ -59,7 +52,7 @@ pub fn linear(
     out_features: usize,
     act: Activation,
 ) -> Result<Tensor> {
-    // Packing validates the weight length; the GEMM driver validates bias.
+    // Packing validates the weight length; the GEMV driver validates bias.
     let filter = pack_linear_filter(weights, input.len(), out_features)?;
     linear_packed(input, &filter, bias, act)
 }
@@ -67,58 +60,30 @@ pub fn linear(
 /// Fully-connected layer over a prepacked filter — the per-frame hot path.
 pub fn linear_packed(
     input: &Tensor,
-    filter: &PackedFilter,
+    filter: &PackedLinearFilter,
     bias: &[f32],
     act: Activation,
 ) -> Result<Tensor> {
-    if filter.k() != input.len() {
-        return Err(TensorError::KernelConfig(format!(
-            "packed linear filter expects {} inputs, got {}",
-            filter.k(),
-            input.len()
-        )));
-    }
-    let x = input.data();
-    // The B matrix is the input vector itself: one column, panel 0.
-    let fill = move |k0: usize, k1: usize, _j0: usize, _j1: usize, buf: &mut [f32]| {
-        for (kk, &v) in x[k0..k1].iter().enumerate() {
-            buf[kk * NR] = v;
-        }
-    };
     let mut out = vec![0.0f32; filter.m()];
-    gemm_bias_act_into(filter, bias, act, 1, &fill, &mut out)?;
+    gemv_bias_act_into(filter, input.data(), bias, act, &mut out)?;
     Tensor::from_vec(Shape::new(filter.m(), 1, 1), out)
 }
 
 /// Fully-connected layer on the **int8 quantized** path over a prepacked
-/// [`QuantizedFilter`]: the input vector is quantized against the
-/// calibrated `scale_in` as the single B column is filled, multiplied in
-/// i32, and dequantized in the fused epilogue.  Same result on every int8
-/// dispatch arm; accuracy against [`linear_packed`] is bounded by the
-/// quantization step (see `ops::qgemm`).
+/// [`QuantizedLinearFilter`]: the input vector is quantized against the
+/// calibrated `scale_in`, multiplied in i32, and dequantized in the fused
+/// epilogue.  Same result on every int8 dispatch arm; accuracy against
+/// [`linear_packed`] is bounded by the quantization step (see
+/// `ops::qgemm`).
 pub fn linear_q8(
     input: &Tensor,
-    filter: &QuantizedFilter,
+    filter: &QuantizedLinearFilter,
     scale_in: f32,
     bias: &[f32],
     act: Activation,
 ) -> Result<Tensor> {
-    if filter.k() != input.len() {
-        return Err(TensorError::KernelConfig(format!(
-            "quantized linear filter expects {} inputs, got {}",
-            filter.k(),
-            input.len()
-        )));
-    }
-    let x = input.data();
-    // One quantized column: element k lives at quad k/QK, byte lane k%QK.
-    let fill = move |k0: usize, k1: usize, _j0: usize, _j1: usize, buf: &mut [u8]| {
-        for (kk, &v) in x[k0..k1].iter().enumerate() {
-            buf[(kk / QK) * NR * QK + (kk % QK)] = quant_byte(v, scale_in);
-        }
-    };
     let mut out = vec![0.0f32; filter.m()];
-    qgemm_bias_act_into(filter, bias, act, scale_in, 1, &fill, &mut out)?;
+    qgemv_bias_act_into(filter, input.data(), scale_in, bias, act, &mut out)?;
     Tensor::from_vec(Shape::new(filter.m(), 1, 1), out)
 }
 
@@ -176,8 +141,8 @@ mod tests {
 
     #[test]
     fn gemm_path_matches_direct_oracle() {
-        // Sizes past the K block and the MR panel edge.
-        for &(inf, outf) in &[(7usize, 3usize), (300, 17), (1024, 33)] {
+        // Sizes past one panel and off the lane edge.
+        for &(inf, outf) in &[(7usize, 3usize), (300, 17), (1024, 133)] {
             let input = Tensor::from_vec(
                 [inf, 1, 1],
                 (0..inf).map(|i| ((i % 13) as f32) * 0.1 - 0.6).collect(),
@@ -230,7 +195,7 @@ mod tests {
                 .collect();
             let bias: Vec<f32> = (0..outf).map(|i| (i as f32) * 0.02 - 0.1).collect();
             let scale_in = quant_scale(input.data());
-            let filter = QuantizedFilter::pack(&weights, outf, inf).unwrap();
+            let filter = QuantizedLinearFilter::pack(&weights, outf, inf).unwrap();
             let q = linear_q8(&input, &filter, scale_in, &bias, Activation::None).unwrap();
             let oracle = linear_direct(&input, &weights, &bias, outf, Activation::None).unwrap();
             // |Δ| ≤ s_w/2·Σ|x| + s_a/2·Σ|w| + K·s_a·s_w/4 per output.

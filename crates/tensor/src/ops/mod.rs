@@ -1,9 +1,10 @@
 //! Compute kernels: convolution, pooling, activation, and linear layers.
 //!
-//! Convolutions and linear layers route through the packed im2col + blocked
-//! GEMM path in [`gemm`] — with stride-1 3×3 convolutions taking the
-//! Winograd F(2×2,3×3) shortcut in [`winograd`] — behind the runtime
-//! micro-kernel dispatch in [`dispatch`].  The direct loop-nest kernels
+//! Convolutions route through the packed im2col + blocked GEMM path in
+//! [`gemm`] — with stride-1 3×3 convolutions taking the Winograd
+//! F(2×2,3×3) shortcut in [`winograd`] — and linear layers through the
+//! bandwidth-bound row-vectorised GEMV kernels in [`gemv`], all behind the
+//! runtime micro-kernel dispatch in [`dispatch`].  The direct loop-nest kernels
 //! ([`conv2d_direct`] / [`conv2d_rows_direct`] / [`linear_direct`]) remain
 //! as the oracles the fast paths are validated against.
 
@@ -11,6 +12,7 @@ mod activation;
 mod conv;
 pub mod dispatch;
 pub mod gemm;
+pub mod gemv;
 mod linear;
 mod pool;
 pub mod qgemm;
@@ -26,6 +28,7 @@ pub use dispatch::{
     KernelArch, QKernelArch,
 };
 pub use gemm::PackedFilter;
+pub use gemv::{PackedLinearFilter, QuantizedLinearFilter};
 pub use linear::{linear, linear_direct, linear_packed, linear_q8, pack_linear_filter};
 pub use pool::{maxpool2d, maxpool2d_rows};
 pub use qgemm::{

@@ -1,5 +1,7 @@
 //! Int8 quantized GEMM with fused dequantize + bias + activation — the
-//! compute core of the quantized convolution and linear paths.
+//! compute core of the quantized convolution path.  Quantized linear layers
+//! run on the int8 GEMV kernel in [`super::gemv`], which shares this
+//! module's quantization scheme and epilogue.
 //!
 //! The kernel computes
 //! `C[r][j] = act(bias[r] + (Σ_k qa[k][j] · qw[r][k]) · s_a · s_w)`
@@ -7,7 +9,7 @@
 //! `qa = round(a / s_a)`, both clamped to `[-127, 127]`.  The weight side
 //! is prepacked into [`QuantizedFilter`] panels at deploy time; the
 //! activation side is produced on the fly by a [`QPanelFill`] — the im2col
-//! lowering for convolutions, a straight copy for linear layers.
+//! lowering for convolutions.
 //!
 //! **Unsigned-offset trick.**  The AVX-512 VNNI instruction (`vpdpbusd`)
 //! multiplies *unsigned* bytes by signed bytes, so activations are stored
@@ -307,7 +309,7 @@ pub fn qgemm_bias_act_into<F: QPanelFill>(
             }
         }
     } else {
-        // Narrow output (the FC / GEMV case): one shared whole-k B,
+        // Narrow output (a thin conv band): one shared whole-k B,
         // parallelise over row-panel groups writing disjoint chunks of
         // `out` in place.
         let panels = n.div_ceil(NR);

@@ -15,13 +15,19 @@
 //!   per layer geometry), computing a band split and stitching is
 //!   *bit-exact* against the full-output call, for any cut points.  This
 //!   is the stronger property the distributed runtime's bit-exactness
-//!   tests rely on.
+//!   tests rely on;
+//! * **FC packing** — the k-blocked transposing pack of the GEMV filters
+//!   (f32 and int8) lays out exactly what the naive element-by-element
+//!   pack of the documented layout does.
 
 use proptest::prelude::*;
+use tensor::ops::gemv::{LANES, PANEL_ROWS};
+use tensor::ops::qgemm::QK;
 use tensor::ops::{
     conv2d_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len,
     linear_direct, linear_packed, pack_conv_filter, pack_conv_filter_with, pack_linear_filter,
-    qkernel_arch, quant_scale, set_qkernel_override, Activation, QKernelArch,
+    qkernel_arch, quant_scale, quantize_i8, set_qkernel_override, Activation, QKernelArch,
+    QuantizedLinearFilter,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -319,8 +325,7 @@ proptest! {
         }
     }
 
-    /// GEMM-routed linear ≡ serial oracle within 1e-4, and prepacked ≡
-    /// per-call packing bit-exactly.
+    /// GEMV-routed linear ≡ serial oracle within 1e-4.
     #[test]
     fn gemm_linear_matches_direct_oracle(
         in_features in 1usize..600,
@@ -337,6 +342,51 @@ proptest! {
         let filter = pack_linear_filter(&weights, in_features, out_features).unwrap();
         let fast = linear_packed(&input, &filter, &bias, Activation::Relu).unwrap();
         let diff = fast.max_abs_diff(&oracle).unwrap();
-        prop_assert!(diff <= 1e-4, "linear GEMM vs direct diff {diff}");
+        prop_assert!(diff <= 1e-4, "linear GEMV vs direct diff {diff}");
+    }
+
+    /// The blocked FC packs equal the naive pack of the documented layout:
+    /// full `PANEL_ROWS` panels, a last panel padded to `LANES`, k-major
+    /// (int8: quad-major), zero padding.  `k` reaches past the pack's K
+    /// block so blocks and quads meet every edge.
+    #[test]
+    fn blocked_fc_pack_equals_naive_pack(
+        m in 1usize..150,
+        k in 1usize..300,
+        seed in any::<u64>(),
+    ) {
+        let weights = pseudo_weights(m * k, seed);
+        let panel_of = |r: usize| {
+            let p = r / PANEL_ROWS;
+            let h = (m.next_multiple_of(LANES) - p * PANEL_ROWS).min(PANEL_ROWS);
+            (p, h, r % PANEL_ROWS)
+        };
+
+        let packed = pack_linear_filter(&weights, k, m).unwrap();
+        let mut naive = vec![0.0f32; m.next_multiple_of(LANES) * k];
+        for r in 0..m {
+            let (p, h, rr) = panel_of(r);
+            for kk in 0..k {
+                naive[p * PANEL_ROWS * k + kk * h + rr] = weights[r * k + kk];
+            }
+        }
+        prop_assert!(packed.data() == naive.as_slice(), "f32 pack differs ({m}x{k})");
+
+        let qpacked = QuantizedLinearFilter::pack(&weights, m, k).unwrap();
+        let scale = quant_scale(&weights);
+        let kq = k.div_ceil(QK);
+        let mut qnaive = vec![0i8; m.next_multiple_of(LANES) * kq * QK];
+        let mut corr = vec![0i32; m];
+        for r in 0..m {
+            let (p, h, rr) = panel_of(r);
+            for kk in 0..k {
+                let q = quantize_i8(weights[r * k + kk], scale);
+                qnaive[p * PANEL_ROWS * kq * QK + ((kk / QK) * h + rr) * QK + kk % QK] = q;
+                corr[r] += 128 * q as i32;
+            }
+        }
+        prop_assert_eq!(qpacked.scale(), scale);
+        prop_assert!(qpacked.data() == qnaive.as_slice(), "int8 pack differs ({m}x{k})");
+        prop_assert!(qpacked.row_corr() == corr.as_slice(), "row corrections differ");
     }
 }

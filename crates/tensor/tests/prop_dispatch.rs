@@ -3,7 +3,10 @@
 //! Every arm (scalar / AVX2 / AVX-512) implements the identical per-element
 //! op sequence — separate multiply and add, ascending `k` — so forcing the
 //! scalar fallback must reproduce the auto-dispatched output *bitwise*, on
-//! the GEMM conv path, the Winograd path and the FC path alike.  This is
+//! the GEMM conv path, the Winograd path and the FC GEMV path alike — and
+//! the GEMV kernels must reproduce, bit for bit, the `n = 1` GEMM product
+//! they replaced (f32 over `PackedFilter`, int8 over `QuantizedFilter`,
+//! both kept as the oracle).  This is
 //! the property that lets a heterogeneous device fleet (or a CI box without
 //! AVX) interoperate with bit-exact distributed execution, and it is what
 //! the `DISTREDGE_FORCE_SCALAR` CI job leans on.
@@ -12,9 +15,13 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
+use tensor::ops::gemm::{gemm_bias_act_into, NR};
+use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len, kernel_arch, linear_packed,
-    pack_conv_filter, pack_linear_filter, set_kernel_override, Activation, KernelArch,
+    linear_q8, pack_conv_filter, pack_linear_filter, qkernel_arch, quant_byte, quant_scale,
+    set_kernel_override, set_qkernel_override, Activation, KernelArch, PackedFilter, QKernelArch,
+    QuantizedFilter, QuantizedLinearFilter,
 };
 use tensor::shape::conv_out_dim;
 use tensor::Tensor;
@@ -39,6 +46,67 @@ fn with_each_arm<T>(mut body: impl FnMut(KernelArch) -> T) -> Vec<(KernelArch, T
     }
     set_kernel_override(None);
     out
+}
+
+/// [`with_each_arm`] for the int8 family.
+fn with_each_qarm<T>(mut body: impl FnMut(QKernelArch) -> T) -> Vec<(QKernelArch, T)> {
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    set_qkernel_override(None);
+    let top = qkernel_arch();
+    let mut out = Vec::new();
+    for arm in [QKernelArch::Scalar, QKernelArch::Avx2, QKernelArch::Vnni] {
+        if arm > top {
+            break;
+        }
+        set_qkernel_override(Some(arm));
+        out.push((arm, body(arm)));
+    }
+    set_qkernel_override(None);
+    out
+}
+
+/// The FC product as it ran before the GEMV kernels: an `n = 1` GEMM over
+/// `MR`-row panels, `x` in lane 0 of the one B panel.
+fn linear_via_gemm(x: &[f32], filter: &PackedFilter, bias: &[f32], act: Activation) -> Vec<f32> {
+    let fill = |k0: usize, k1: usize, _j0: usize, _j1: usize, buf: &mut [f32]| {
+        for (kk, &v) in x[k0..k1].iter().enumerate() {
+            buf[kk * NR] = v;
+        }
+    };
+    let mut out = vec![0.0f32; filter.m()];
+    gemm_bias_act_into(filter, bias, act, 1, &fill, &mut out).unwrap();
+    out
+}
+
+/// The int8 FC product as it ran before the GEMV kernels.
+fn linear_via_qgemm(
+    x: &[f32],
+    filter: &QuantizedFilter,
+    scale_in: f32,
+    bias: &[f32],
+    act: Activation,
+) -> Vec<f32> {
+    let fill = |k0: usize, k1: usize, _j0: usize, _j1: usize, buf: &mut [u8]| {
+        for (kk, &v) in x[k0..k1].iter().enumerate() {
+            buf[(kk / QK) * NR * QK + (kk % QK)] = quant_byte(v, scale_in);
+        }
+    };
+    let mut out = vec![0.0f32; filter.m()];
+    qgemm_bias_act_into(filter, bias, act, scale_in, 1, &fill, &mut out).unwrap();
+    out
+}
+
+/// Maps a free `(m, k)` draw onto an FC shape; half the cases pin an edge
+/// random draws rarely hit: fewer rows than a vector, `k = 1`, whole panels
+/// only, `k` off the vector and quad edges.
+fn fc_shape(case: usize, m: usize, k: usize) -> (usize, usize) {
+    match case {
+        0 => (m % 15 + 1, k),
+        1 => (m, 1),
+        2 => (64 * (m % 2 + 1), k),
+        3 => (m, k | 1),
+        _ => (m, k),
+    }
 }
 
 fn pseudo_tensor(c: usize, h: usize, w: usize, seed: u64) -> Tensor {
@@ -117,14 +185,16 @@ proptest! {
         }
     }
 
-    /// The FC path (narrow GEMV route through the same micro-kernel) is
-    /// bit-identical across every dispatch arm.
+    /// The FC GEMV kernel is bit-identical across every dispatch arm, and on
+    /// every arm to the `n = 1` GEMM product over the old `PackedFilter`.
     #[test]
     fn linear_is_bit_exact_across_dispatch_arms(
-        in_features in 1usize..600,
-        out_features in 1usize..40,
+        case in 0usize..8,
+        m in 1usize..200,
+        k in 1usize..600,
         seed in any::<u64>(),
     ) {
+        let (out_features, in_features) = fc_shape(case, m, k);
         let input = Tensor::from_vec(
             [in_features, 1, 1],
             pseudo_weights(in_features, seed),
@@ -132,13 +202,61 @@ proptest! {
         let weights = pseudo_weights(in_features * out_features, seed ^ 0x777);
         let bias = pseudo_weights(out_features, seed ^ 0x888);
         let filter = pack_linear_filter(&weights, in_features, out_features).unwrap();
+        let oracle_filter = PackedFilter::pack(&weights, out_features, in_features).unwrap();
 
         let runs = with_each_arm(|_| {
-            linear_packed(&input, &filter, &bias, Activation::Relu).unwrap()
+            let gemv = linear_packed(&input, &filter, &bias, Activation::Tanh).unwrap();
+            let gemm = linear_via_gemm(input.data(), &oracle_filter, &bias, Activation::Tanh);
+            (gemv, gemm)
         });
-        let (_, baseline) = &runs[0];
-        for (arm, out) in &runs[1..] {
-            prop_assert!(out == baseline, "{} arm diverged from scalar", arm.label());
+        let (_, (baseline, _)) = &runs[0];
+        for (arm, (gemv, gemm)) in &runs {
+            prop_assert!(gemv == baseline, "{} arm diverged from scalar", arm.label());
+            prop_assert!(
+                gemv.data() == gemm.as_slice(),
+                "{} arm: GEMV diverged from the n = 1 GEMM path ({}x{})",
+                arm.label(), out_features, in_features
+            );
+        }
+    }
+
+    /// The int8 FC GEMV kernel is bit-identical across every int8 arm, and
+    /// on every arm to `qgemm_bias_act_into` at `n = 1`.
+    #[test]
+    fn linear_q8_is_bit_exact_across_dispatch_arms(
+        case in 0usize..8,
+        m in 1usize..200,
+        k in 1usize..600,
+        seed in any::<u64>(),
+    ) {
+        let (out_features, in_features) = fc_shape(case, m, k);
+        let input = Tensor::from_vec(
+            [in_features, 1, 1],
+            pseudo_weights(in_features, seed),
+        ).unwrap();
+        let weights = pseudo_weights(in_features * out_features, seed ^ 0x777);
+        let bias = pseudo_weights(out_features, seed ^ 0x888);
+        let scale_in = quant_scale(input.data());
+        let filter = QuantizedLinearFilter::pack(&weights, out_features, in_features).unwrap();
+        let oracle_filter = QuantizedFilter::pack(&weights, out_features, in_features).unwrap();
+        prop_assert_eq!(filter.scale(), oracle_filter.scale());
+
+        let runs = with_each_qarm(|_| {
+            let gemv =
+                linear_q8(&input, &filter, scale_in, &bias, Activation::LeakyRelu).unwrap();
+            let gemm = linear_via_qgemm(
+                input.data(), &oracle_filter, scale_in, &bias, Activation::LeakyRelu,
+            );
+            (gemv, gemm)
+        });
+        let (_, (baseline, _)) = &runs[0];
+        for (arm, (gemv, gemm)) in &runs {
+            prop_assert!(gemv == baseline, "{} arm diverged from scalar", arm.label());
+            prop_assert!(
+                gemv.data() == gemm.as_slice(),
+                "{} arm: int8 GEMV diverged from the n = 1 qgemm path ({}x{})",
+                arm.label(), out_features, in_features
+            );
         }
     }
 }

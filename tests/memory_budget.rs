@@ -103,6 +103,43 @@ fn quantized_pack_shrinks_resident_weights_about_4x() {
     );
 }
 
+/// Resident bytes of an f32 pack of `model`'s FC head alone over the raw
+/// bytes of the same layers: what the GEMV panels' row padding costs.
+fn fc_head_pack_inflation(model: &cnn_model::Model) -> f64 {
+    use cnn_model::exec::{ModelWeights, PackedModelWeights};
+    use cnn_model::LayerOp;
+    let layers = model
+        .layers()
+        .iter()
+        .map(|layer| match layer.op {
+            LayerOp::Fc { out_features } => (
+                vec![0.01f32; out_features * layer.input.volume()],
+                vec![0.0f32; out_features],
+            ),
+            _ => (Vec::new(), Vec::new()),
+        })
+        .collect();
+    let head = ModelWeights { layers };
+    let pack = PackedModelWeights::pack(model, &head).unwrap();
+    pack.resident_bytes() as f64 / head.resident_bytes() as f64
+}
+
+#[test]
+fn fc_row_panels_inflate_resident_weights_by_less_than_1_percent() {
+    // Panels are 64 rows tall, but the last one only as tall as it needs to
+    // be (a multiple of 16): tiny-vgg's ten-class head from 64 inputs would
+    // grow 1.3 % if it were padded to a whole panel, VGG-11's 1000-class one
+    // not at all either way.
+    for model in [cnn_model::zoo::tiny_vgg(), cnn_model::zoo::vgg11()] {
+        let inflation = fc_head_pack_inflation(&model);
+        assert!(
+            (1.0..1.01).contains(&inflation),
+            "{}: FC pack is {inflation:.4}x the raw weights",
+            model.name()
+        );
+    }
+}
+
 #[test]
 fn quantized_frames_cut_per_image_wire_bytes_at_least_3x() {
     use cnn_model::exec::{deterministic_input, ModelWeights};
