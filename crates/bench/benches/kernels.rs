@@ -24,10 +24,10 @@ use tensor::ops::gemm::{gemm_bias_act_into, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_winograd,
-    im2col_weight_len, kernel_arch, linear_packed, linear_q8, maxpool2d, pack_conv_filter,
-    pack_conv_filter_with, pack_linear_filter, qkernel_arch, quant_byte, quant_scale,
-    set_kernel_override, set_qkernel_override, winograd_preferred, Activation, KernelArch,
-    PackedFilter, QKernelArch, QuantizedFilter, QuantizedLinearFilter,
+    im2col_weight_len, kernel_arch, linear_packed, linear_q8, maxpool2d, pack_conv_filter_with,
+    pack_linear_filter, qkernel_arch, quant_byte, quant_scale, set_kernel_override,
+    set_qkernel_override, winograd_eligible, winograd_preferred, Activation, KernelArch,
+    PackedFilter, QKernelArch, QuantizedFilter, QuantizedLinearFilter, WinogradFilter,
 };
 use tensor::Tensor;
 
@@ -155,7 +155,11 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
     for &(label, c_in, c_out, hw, f) in shapes {
         let input = conv_input(c_in, hw, hw);
         let (weights, bias) = conv_weights(c_in, c_out, f);
-        let filter = pack_conv_filter(&weights, c_in, c_out, f, 1).unwrap();
+        // Each f32 route is pinned by packing its panel form directly: a
+        // routed `pack_conv_filter` holds only the form the layer routes to.
+        let gemm_filter = PackedFilter::pack(&weights, c_out, c_in * f * f).unwrap();
+        let wino_filter =
+            winograd_eligible(f, 1).then(|| WinogradFilter::pack(&weights, c_in, c_out).unwrap());
         let run_direct = || {
             conv2d_rows_direct(
                 &input,
@@ -180,7 +184,7 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
                 hw,
                 0,
                 hw,
-                filter.gemm().unwrap(),
+                &gemm_filter,
                 &bias,
                 f,
                 1,
@@ -199,7 +203,7 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
                 hw,
                 0,
                 hw,
-                filter.winograd().unwrap(),
+                wino_filter.as_ref().unwrap(),
                 &bias,
                 1,
                 Activation::Relu,
@@ -234,7 +238,7 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
         let packed_scalar_ns = time_ns(10, run_gemm);
         set_kernel_override(None);
         let packed_simd_ns = time_ns(10, run_gemm);
-        let winograd_ns = if filter.winograd().is_some() {
+        let winograd_ns = if wino_filter.is_some() {
             time_ns(10, run_winograd)
         } else {
             0.0
@@ -260,7 +264,7 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
             packed_simd_gflops: gflops(packed_simd_ns),
             winograd_ns,
             winograd_gflops: gflops(winograd_ns),
-            winograd_routed: filter.winograd().is_some() && winograd_preferred(c_in, c_out),
+            winograd_routed: wino_filter.is_some() && winograd_preferred(c_in, c_out),
             int8_scalar_ns,
             int8_scalar_gops: gflops(int8_scalar_ns),
             int8_simd_ns,

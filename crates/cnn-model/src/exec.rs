@@ -13,6 +13,13 @@
 //! once at deploy and runs [`run_part_on_band_packed`] /
 //! [`run_head_packed`] per frame — bit-identical outputs, zero per-frame
 //! packing.
+//!
+//! Every weight exists **once** between the caller and the kernel panels:
+//! [`ModelWeights`] layers are shared immutable storage (`Arc<[f32]>`), so
+//! cloning a weight set, cutting a per-device [`ModelWeights::shard`] and
+//! the session's retained copy for swap deltas are refcount bumps, and
+//! [`PackedModelWeights::pack_owned`] releases each raw layer as soon as
+//! its panels exist.
 
 use crate::layer::{Layer, LayerOp};
 use crate::model::Model;
@@ -20,6 +27,7 @@ use crate::volume::PartPlan;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use tensor::ops::{
     conv2d_rows, conv2d_rows_packed, linear, linear_packed, linear_q8, maxpool2d_rows,
     pack_conv_filter_with, pack_linear_filter, quant_scale, Activation, PackedConvFilter,
@@ -28,21 +36,30 @@ use tensor::ops::{
 use tensor::slice::slice_rows;
 use tensor::{Shape, Tensor};
 
+/// One layer's raw `(weights, bias)` in shared immutable storage; both are
+/// empty for pooling layers and for layers sharded out of a device's set.
+pub type LayerWeights = (Arc<[f32]>, Arc<[f32]>);
+
 /// Deterministic weights for every layer of a model.
+///
+/// Layers are shared immutable storage: `clone()` and [`ModelWeights::shard`]
+/// bump refcounts instead of copying, so a deploy holds each layer's raw
+/// values once per process however many devices and sessions reference them.
 #[derive(Debug, Clone)]
 pub struct ModelWeights {
-    /// Per-layer `(weights, bias)`; pooling layers have empty vectors.
-    pub layers: Vec<(Vec<f32>, Vec<f32>)>,
+    /// Per-layer `(weights, bias)`; pooling layers have empty slices.
+    pub layers: Vec<LayerWeights>,
 }
 
 impl ModelWeights {
     /// Keeps only the layers whose index is in `keep`, replacing the rest
-    /// with empty vectors.  The layer count (and indexing) is preserved, so
+    /// with empty slices.  The layer count (and indexing) is preserved, so
     /// sharded weights drop into every `run_*` entry point unchanged — the
     /// caller just must never execute a dropped layer.  This is how the
-    /// runtime ships each provider only the layers its assigned split-parts
+    /// runtime hands each provider only the layers its assigned split-parts
     /// (plus, for the head device, the FC head) actually run, instead of
-    /// preloading the full model everywhere.
+    /// preloading the full model everywhere.  Kept layers share storage
+    /// with `self`: no weight is copied.
     pub fn shard(&self, keep: &std::collections::HashSet<usize>) -> Self {
         let layers = self
             .layers
@@ -52,7 +69,7 @@ impl ModelWeights {
                 if keep.contains(&i) {
                     layer.clone()
                 } else {
-                    (Vec::new(), Vec::new())
+                    LayerWeights::default()
                 }
             })
             .collect();
@@ -62,9 +79,16 @@ impl ModelWeights {
     /// Bytes of weights and biases actually resident in this set (dropped
     /// layers contribute nothing).
     pub fn resident_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|(w, b)| (w.len() + b.len()) * std::mem::size_of::<f32>())
+        self.layers.iter().map(layer_bytes).sum()
+    }
+
+    /// Bytes of weights and biases of the given layers — what
+    /// `self.shard(layers).resident_bytes()` would report, without
+    /// building the shard.
+    pub fn resident_bytes_of<'a>(&self, layers: impl IntoIterator<Item = &'a usize>) -> usize {
+        layers
+            .into_iter()
+            .map(|&l| layer_bytes(&self.layers[l]))
             .sum()
     }
 
@@ -79,12 +103,18 @@ impl ModelWeights {
                 LayerOp::MaxPool { .. } => (0, 0),
                 LayerOp::Fc { out_features } => (out_features * layer.input.volume(), out_features),
             };
-            let w: Vec<f32> = (0..w_len).map(|_| rng.gen_range(-0.2..0.2)).collect();
-            let b: Vec<f32> = (0..b_len).map(|_| rng.gen_range(-0.1..0.1)).collect();
+            // Collected straight into the shared storage (the ranges are
+            // exact-size, so each layer is allocated once).
+            let w: Arc<[f32]> = (0..w_len).map(|_| rng.gen_range(-0.2..0.2)).collect();
+            let b: Arc<[f32]> = (0..b_len).map(|_| rng.gen_range(-0.1..0.1)).collect();
             layers.push((w, b));
         }
         Self { layers }
     }
+}
+
+fn layer_bytes((w, b): &LayerWeights) -> usize {
+    (w.len() + b.len()) * std::mem::size_of::<f32>()
 }
 
 /// Per-layer activation scales for int8 quantized serving.
@@ -99,6 +129,9 @@ impl ModelWeights {
 pub struct QuantSpec {
     scales: Vec<f32>,
 }
+
+/// Seeds of the probe inputs calibration pushes through the model.
+const CALIBRATION_SEEDS: [u64; 3] = [0xCA11, 0xCA12, 0xCA13];
 
 impl QuantSpec {
     /// Minimum GEMM depth `c_in·f·f` for a conv layer to take the int8
@@ -118,9 +151,56 @@ impl QuantSpec {
     /// quantizable layer's input range.  Requires the *full* weights —
     /// this runs on the deploying device, never on a provider holding a
     /// shard.
+    ///
+    /// Goes layer at a time: layer `i` is packed once, every probe
+    /// activation is pushed through it, and its panels are dropped before
+    /// layer `i + 1` packs — one packing pass and one layer's panels alive
+    /// at a time, with scales bit-identical to running the whole model per
+    /// probe (same kernels, same routes).
     pub fn calibrate(model: &Model, weights: &ModelWeights) -> Result<Self> {
+        check_layer_count(model, weights)?;
+        let mut acts: Vec<Tensor> = CALIBRATION_SEEDS
+            .iter()
+            .map(|&seed| deterministic_input(model, seed))
+            .collect();
         let mut max_abs = vec![0.0f32; model.len()];
-        for seed in [0xCA11u64, 0xCA12, 0xCA13] {
+        for (layer, (w, b)) in model.layers().iter().zip(&weights.layers) {
+            let m = &mut max_abs[layer.index];
+            for v in acts.iter().flat_map(|t| t.data()) {
+                *m = m.max(v.abs());
+            }
+            let packed = PackedModelWeights::pack_layer(layer, w, b, None)?;
+            for act in &mut acts {
+                *act = run_layer_rows_packed(layer, &packed, act, 0, 0, layer.output.h)?;
+            }
+        }
+        Ok(Self::from_input_ranges(model, &max_abs))
+    }
+
+    /// Turns per-layer input ranges into scales under the routing policy.
+    fn from_input_ranges(model: &Model, max_abs: &[f32]) -> Self {
+        let scales = model
+            .layers()
+            .iter()
+            .zip(max_abs)
+            .map(|(layer, &m)| {
+                if Self::layer_is_quantizable(layer) {
+                    quant_scale(&[m])
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        Self { scales }
+    }
+
+    /// The whole-model-per-probe calibration [`QuantSpec::calibrate`]
+    /// replaced, kept as its oracle: three `run_full` passes, each packing
+    /// every layer per call.
+    #[cfg(test)]
+    fn calibrate_via_run_full(model: &Model, weights: &ModelWeights) -> Result<Self> {
+        let mut max_abs = vec![0.0f32; model.len()];
+        for seed in CALIBRATION_SEEDS {
             let input = deterministic_input(model, seed);
             let outs = run_full(model, weights, &input)?;
             for i in 0..model.len() {
@@ -130,19 +210,7 @@ impl QuantSpec {
                 }
             }
         }
-        let scales = model
-            .layers()
-            .iter()
-            .zip(&max_abs)
-            .map(|(layer, &m)| {
-                if Self::layer_is_quantizable(layer) {
-                    quant_scale(&[m])
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Ok(Self { scales })
+        Ok(Self::from_input_ranges(model, &max_abs))
     }
 
     /// Whether the routing policy sends this layer to the int8 kernels.
@@ -188,13 +256,13 @@ impl QuantSpec {
 
 /// One layer's weights in kernel-panel form — each layer's single resident
 /// copy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PackedLayerWeights {
-    /// A conv layer packed for every path its geometry can take: the im2col
-    /// `[c_out] × [c_in·f·f]` panels always, plus the Winograd-transformed
-    /// panels for stride-1 3×3 layers (see [`tensor::ops::PackedConvFilter`]).
+    /// A conv layer packed in the one panel form its geometry routes to:
+    /// Winograd-transformed panels, im2col `[c_out] × [c_in·f·f]` GEMM
+    /// panels, or int8 panels (see [`tensor::ops::PackedConvFilter`]).
     Conv {
-        /// Prepacked conv panels (GEMM + Winograd where eligible).
+        /// Prepacked conv panels (exactly one of GEMM / Winograd / int8).
         filter: PackedConvFilter,
         /// One bias entry per output channel.
         bias: Vec<f32>,
@@ -229,7 +297,7 @@ pub enum PackedLayerWeights {
 /// layer-by-layer via [`PackedModelWeights::install_layer`] when a
 /// `Reconfigure` delta shard arrives — so a plan swap repacks only the
 /// layers that actually shipped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedModelWeights {
     layers: Vec<PackedLayerWeights>,
     quant: Option<QuantSpec>,
@@ -242,34 +310,48 @@ impl PackedModelWeights {
         Self::pack_with(model, weights, None)
     }
 
-    /// [`PackedModelWeights::pack`] with an optional quantization spec:
-    /// layers the spec covers are packed **int8-only** (quad panels plus a
-    /// per-layer weight scale — no f32 panels kept, which is where the ~4×
-    /// resident-weight shrink comes from); the rest pack exactly as the
-    /// f32 path does.  The spec is retained so `Reconfigure` delta shards
-    /// repack the same way via [`PackedModelWeights::install_layer`].
+    /// [`PackedModelWeights::pack_owned`] for a caller that keeps its
+    /// weights: the clone it consumes is refcount bumps, so nothing is
+    /// copied and the caller's layers simply stay alive.
     pub fn pack_with(
         model: &Model,
         weights: &ModelWeights,
         quant: Option<&QuantSpec>,
     ) -> Result<Self> {
-        if weights.layers.len() != model.len() {
-            return Err(crate::ModelError::InvalidGeometry {
-                layer: 0,
-                reason: format!(
-                    "weights cover {} layers, model has {}",
-                    weights.layers.len(),
-                    model.len()
-                ),
-            });
-        }
+        Self::pack_owned(model, weights.clone(), quant)
+    }
+
+    /// Packs every resident layer of `weights`, **consuming** them layer by
+    /// layer: a layer is packed, its raw handle dropped, then the next one
+    /// starts — so a caller that solely owns its shard (a provider after
+    /// deploy, a cluster node after bootstrap) peaks at *panels + the
+    /// largest raw layer*, not *panels + the whole shard*.
+    ///
+    /// Layers the optional quantization spec covers are packed
+    /// **int8-only** (quad panels plus a per-layer weight scale — no f32
+    /// panels kept, which is where the ~4× resident-weight shrink comes
+    /// from); the rest pack on the f32 paths.  The spec is retained so
+    /// `Reconfigure` delta shards repack the same way via
+    /// [`PackedModelWeights::install_layer`].
+    pub fn pack_owned(
+        model: &Model,
+        weights: ModelWeights,
+        quant: Option<&QuantSpec>,
+    ) -> Result<Self> {
+        check_layer_count(model, &weights)?;
         let layers = model
             .layers()
             .iter()
-            .zip(&weights.layers)
-            .enumerate()
-            .map(|(i, (layer, (w, b)))| {
-                Self::pack_layer(layer, w, b, quant.and_then(|q| q.layer_scale(i)))
+            .zip(weights.layers)
+            .map(|(layer, (w, b))| {
+                // `w` and `b` die at the end of this call: the raw layer is
+                // released before the next one packs.
+                Self::pack_layer(
+                    layer,
+                    &w,
+                    &b,
+                    quant.and_then(|q| q.layer_scale(layer.index)),
+                )
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
@@ -404,6 +486,20 @@ impl PackedModelWeights {
     }
 }
 
+fn check_layer_count(model: &Model, weights: &ModelWeights) -> Result<()> {
+    if weights.layers.len() != model.len() {
+        return Err(crate::ModelError::InvalidGeometry {
+            layer: 0,
+            reason: format!(
+                "weights cover {} layers, model has {}",
+                weights.layers.len(),
+                model.len()
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Generates a deterministic input tensor for a model.
 pub fn deterministic_input(model: &Model, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -411,7 +507,7 @@ pub fn deterministic_input(model: &Model, seed: u64) -> Tensor {
     Tensor::from_fn([s.c, s.h, s.w], |_, _, _| rng.gen_range(-1.0..1.0))
 }
 
-fn run_layer_full(layer: &Layer, weights: &(Vec<f32>, Vec<f32>), input: &Tensor) -> Result<Tensor> {
+fn run_layer_full(layer: &Layer, weights: &LayerWeights, input: &Tensor) -> Result<Tensor> {
     run_layer_rows(layer, weights, input, 0, 0, layer.output.h)
 }
 
@@ -421,7 +517,7 @@ fn run_layer_full(layer: &Layer, weights: &(Vec<f32>, Vec<f32>), input: &Tensor)
 /// `[out_lo, out_hi)` (full-layer coordinates) are produced.
 fn run_layer_rows(
     layer: &Layer,
-    weights: &(Vec<f32>, Vec<f32>),
+    weights: &LayerWeights,
     input: &Tensor,
     in_row_offset: usize,
     out_lo: usize,
@@ -574,10 +670,33 @@ pub fn run_full_packed(
     packed: &PackedModelWeights,
     input: &Tensor,
 ) -> Result<Tensor> {
-    let mut current = input.clone();
-    for layer in model.layers() {
-        let w = &packed.layers()[layer.index];
-        current = run_layer_rows_packed(layer, w, &current, 0, 0, layer.output.h)?;
+    run_layers_packed(model.layers(), packed, input)
+}
+
+/// Chains whole-layer packed execution over `layers`.  The first layer
+/// reads `input` in place — no copy before the first kernel; an empty
+/// chain returns the input unchanged.
+fn run_layers_packed(
+    layers: &[Layer],
+    packed: &PackedModelWeights,
+    input: &Tensor,
+) -> Result<Tensor> {
+    let run = |layer: &Layer, x: &Tensor| {
+        run_layer_rows_packed(
+            layer,
+            &packed.layers()[layer.index],
+            x,
+            0,
+            0,
+            layer.output.h,
+        )
+    };
+    let Some((first, rest)) = layers.split_first() else {
+        return Ok(input.clone());
+    };
+    let mut current = run(first, input)?;
+    for layer in rest {
+        current = run(layer, &current)?;
     }
     Ok(current)
 }
@@ -695,12 +814,7 @@ pub fn run_head_packed(
     packed: &PackedModelWeights,
     stitched: &Tensor,
 ) -> Result<Tensor> {
-    let mut current = stitched.clone();
-    for layer in model.head_layers() {
-        let w = &packed.layers()[layer.index];
-        current = run_layer_rows_packed(layer, w, &current, 0, 0, layer.output.h)?;
-    }
-    Ok(current)
+    run_layers_packed(model.head_layers(), packed, stitched)
 }
 
 /// Shape of the model input as a tensor shape (convenience for examples).
@@ -973,6 +1087,79 @@ mod tests {
         let sw = ModelWeights::deterministic(&shallow, 41);
         let sspec = QuantSpec::calibrate(&shallow, &sw).unwrap();
         assert!(sspec.layer_scale(0).is_none());
+    }
+
+    #[test]
+    fn layerwise_calibration_is_bit_identical_to_the_run_full_oracle() {
+        for (m, seed) in [(quantizable_model(), 41u64), (crate::zoo::tiny_vgg(), 7)] {
+            let w = ModelWeights::deterministic(&m, seed);
+            let spec = QuantSpec::calibrate(&m, &w).unwrap();
+            let oracle = QuantSpec::calibrate_via_run_full(&m, &w).unwrap();
+            assert!(spec.quantized_layer_count() > 0, "{}", m.name());
+            let bits = |s: &QuantSpec| s.scales().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&spec), bits(&oracle), "{}", m.name());
+        }
+    }
+
+    #[test]
+    fn shards_and_clones_share_storage_with_the_source() {
+        use std::collections::HashSet;
+        let m = small_model();
+        let w = ModelWeights::deterministic(&m, 23);
+        let keep: HashSet<usize> = [0, 3].into_iter().collect();
+        let shard = w.shard(&keep);
+        assert!(Arc::ptr_eq(&shard.layers[0].0, &w.layers[0].0));
+        assert!(Arc::ptr_eq(&shard.layers[3].1, &w.layers[3].1));
+        assert!(Arc::ptr_eq(&w.clone().layers[4].0, &w.layers[4].0));
+        assert_eq!(w.resident_bytes_of(&keep), shard.resident_bytes());
+        let all: Vec<usize> = (0..m.len()).collect();
+        assert_eq!(w.resident_bytes_of(&all), w.resident_bytes());
+    }
+
+    #[test]
+    fn pack_owned_equals_pack_with_and_releases_each_raw_layer() {
+        for (m, quantize) in [(small_model(), false), (quantizable_model(), true)] {
+            let w = ModelWeights::deterministic(&m, 37);
+            let spec = quantize.then(|| QuantSpec::calibrate(&m, &w).unwrap());
+            let borrowed = PackedModelWeights::pack_with(&m, &w, spec.as_ref()).unwrap();
+            // A solely-owned copy: every layer must be dead after the pack.
+            let owned_raw = ModelWeights {
+                layers: w
+                    .layers
+                    .iter()
+                    .map(|(w, b)| (Arc::from(&w[..]), Arc::from(&b[..])))
+                    .collect(),
+            };
+            let handles: Vec<_> = owned_raw
+                .layers
+                .iter()
+                .map(|(w, _)| Arc::downgrade(w))
+                .collect();
+            let owned = PackedModelWeights::pack_owned(&m, owned_raw, spec.as_ref()).unwrap();
+            assert_eq!(owned, borrowed, "one packing implementation, equal panels");
+            assert_eq!(owned.resident_bytes(), borrowed.resident_bytes());
+            assert!(handles.iter().all(|h| h.upgrade().is_none()));
+            // `pack_with` left the caller's layers alive and untouched.
+            assert_eq!(w.layers.len(), m.len());
+            assert!(w.layers.iter().all(|(w, _)| Arc::strong_count(w) == 1));
+        }
+    }
+
+    #[test]
+    fn install_layer_matches_a_fresh_pack_layer_for_layer() {
+        use std::collections::HashSet;
+        for (m, quantize) in [(small_model(), false), (quantizable_model(), true)] {
+            let w = ModelWeights::deterministic(&m, 39);
+            let spec = quantize.then(|| QuantSpec::calibrate(&m, &w).unwrap());
+            let full = PackedModelWeights::pack_with(&m, &w, spec.as_ref()).unwrap();
+            let mut grown =
+                PackedModelWeights::pack_owned(&m, w.shard(&HashSet::new()), spec.as_ref())
+                    .unwrap();
+            for (i, (lw, lb)) in w.layers.iter().enumerate() {
+                grown.install_layer(&m, i, lw, lb).unwrap();
+            }
+            assert_eq!(grown, full);
+        }
     }
 
     #[test]

@@ -69,8 +69,8 @@ impl HandshakeSource {
             .into_iter()
             .map(|layer| WeightDelta {
                 layer,
-                weights: self.weights.layers[layer].0.clone(),
-                bias: self.weights.layers[layer].1.clone(),
+                weights: Arc::clone(&self.weights.layers[layer].0),
+                bias: Arc::clone(&self.weights.layers[layer].1),
             })
             .collect();
         Ok(Hello {

@@ -23,7 +23,7 @@ use crate::backoff::BackoffPolicy;
 use crate::config::NodeConfig;
 use crate::proto::{self, Hello, Welcome, PREAMBLE_HELLO, PREAMBLE_LINK};
 use crate::{ClusterError, Result};
-use cnn_model::exec::ModelWeights;
+use cnn_model::exec::{LayerWeights, ModelWeights};
 use edge_runtime::provider::{spawn_provider, Shared};
 use edge_runtime::routing::{EpochSlot, PlanEpoch};
 use edge_runtime::transport::{read_raw_frame, FrameTx};
@@ -176,6 +176,12 @@ impl FrameTx for CoordTx {
 /// Halo frames → one peer node.  Dials the peer's listener lazily and
 /// re-dials with exponential backoff on a broken pipe, so a peer that is
 /// restarting mid-stream costs retries, not the session.
+///
+/// A cached link is probed before every write ([`peer_closed`]): the first
+/// write onto a connection whose peer has died still succeeds (the reset
+/// only comes back afterwards), so without the probe the first frame sent
+/// after a peer's restart — a new-epoch halo band nobody will re-send — can
+/// vanish into the dead process's socket.
 struct PeerTx {
     from: usize,
     to: usize,
@@ -201,11 +207,25 @@ impl PeerTx {
     }
 }
 
+/// Whether the peer has closed (or reset) a send-only link.  Nothing is
+/// ever sent back on one, so anything but "no data yet" on a non-blocking
+/// peek — EOF, an error, stray bytes — means the connection is done for.
+fn peer_closed(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let idle = matches!(
+        stream.peek(&mut [0u8; 1]),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+    );
+    !idle || stream.set_nonblocking(false).is_err()
+}
+
 impl FrameTx for PeerTx {
     fn send(&mut self, frame: &Frame) -> edge_runtime::Result<usize> {
         let bytes = frame.encode();
         if let Some(stream) = &mut self.stream {
-            if stream.write_all(&bytes).is_ok() {
+            if !peer_closed(stream) && stream.write_all(&bytes).is_ok() {
                 return Ok(bytes.len());
             }
             self.stream = None;
@@ -349,8 +369,10 @@ fn bootstrap(
     let model = hello.model;
     let n_layers = model.len();
 
-    // Materialise this device's weight shard from the payload deltas.
-    let mut layers = vec![(Vec::new(), Vec::new()); n_layers];
+    // Materialise this device's weight shard from the payload deltas.  The
+    // decoded layers move in as they are, and this node is their only
+    // owner: the provider's packing pass frees each one as it is packed.
+    let mut layers = vec![LayerWeights::default(); n_layers];
     for delta in hello.payload.delta {
         if delta.layer >= n_layers {
             return Err(ClusterError::Runtime(RuntimeError::transport_protocol(

@@ -26,15 +26,19 @@
 //! is always a protocol violation, never a race.
 //!
 //! Weights are resident as a **deploy-time packed artifact**: the compute
-//! thread packs its sharded raw weights into GEMM panels
-//! ([`cnn_model::exec::PackedModelWeights`]) once at spawn and discards the
-//! raw copies; a `Reconfigure` delta repacks only the layers that actually
-//! shipped.  The per-frame kernels consume the packed panels directly — no
-//! frame ever pays packing cost ([`ComputeStats::layers_packed`] is the
-//! observable proof: it moves at deploy and swap time only).  The compute
-//! thread signals [`ProviderHandle::wait_ready`] once its pack completes,
-//! so deploy — and the session's throughput clock — finishes only after
-//! every provider can serve its first frame at full speed.
+//! thread packs its sharded raw weights into kernel panels
+//! ([`cnn_model::exec::PackedModelWeights::pack_owned`]) once at spawn,
+//! releasing its handle on each raw layer as soon as that layer's panels
+//! exist (the shard shares storage with the deployer's weights, so nothing
+//! was copied to begin with; a provider that solely owns its shard — a
+//! cluster node — frees it layer by layer); a `Reconfigure` delta repacks
+//! only the layers that actually shipped.  The per-frame kernels consume
+//! the packed panels directly — no frame ever pays packing cost
+//! ([`ComputeStats::layers_packed`] is the observable proof: it moves at
+//! deploy and swap time only).  The compute thread signals
+//! [`ProviderHandle::wait_ready`] once its pack completes, so deploy — and
+//! the session's throughput clock — finishes only after every provider can
+//! serve its first frame at full speed.
 
 use crate::report::DeviceMetrics;
 use crate::routing::{overlap, EpochSlot, PlanEpoch};
@@ -228,8 +232,9 @@ impl ProviderStats {
 /// [`PackedModelWeights`] artifact across every provider of every replica
 /// via `Arc` — K replicas cost one packing pass and one resident copy.
 pub enum ProviderWeights {
-    /// This device's sharded raw weights; the compute thread packs them
-    /// into GEMM panels at spawn and drops the raw copy.
+    /// This device's sharded raw weights (shared storage, not a copy); the
+    /// compute thread packs them into kernel panels at spawn, dropping its
+    /// handle on each raw layer as that layer is packed.
     Sharded(ModelWeights),
     /// A full-model packed artifact shared with other providers (and other
     /// replica sessions).  No packing happens at spawn, and
@@ -358,10 +363,11 @@ enum OutMsg {
 
 /// Spawns the three threads of provider `d`.  On the
 /// [`ProviderWeights::Sharded`] path only the layers `d`'s parts need are
-/// resident; the compute thread packs them into GEMM panels once at spawn
-/// (then drops the raw copy) and grows the packed set on `Reconfigure`
-/// deltas.  On the [`ProviderWeights::Prepacked`] path the worker shares an
-/// immutable full-model pack and never packs anything itself.
+/// resident; the compute thread packs them into kernel panels once at
+/// spawn (consuming the shard layer by layer) and grows the packed set on
+/// `Reconfigure` deltas.  On the [`ProviderWeights::Prepacked`] path the
+/// worker shares an immutable full-model pack and never packs anything
+/// itself.
 pub fn spawn_provider(
     d: usize,
     shared: Arc<Shared>,
@@ -493,13 +499,12 @@ fn compute_loop(
     rec: Recorder,
 ) -> Result<()> {
     let resident = match weights {
-        // Deploy-time packing: turn the sharded raw weights into GEMM
-        // panels once, before the first frame, and drop the raw copies.
-        // From here on the only packing this worker ever does is per-layer
-        // `Reconfigure` delta installs.
+        // Deploy-time packing: turn the sharded raw weights into kernel
+        // panels once, before the first frame, releasing each raw layer as
+        // it is packed.  From here on the only packing this worker ever
+        // does is per-layer `Reconfigure` delta installs.
         ProviderWeights::Sharded(raw) => {
-            let packed = PackedModelWeights::pack_with(&shared.model, &raw, shared.quant.as_ref())?;
-            drop(raw);
+            let packed = PackedModelWeights::pack_owned(&shared.model, raw, shared.quant.as_ref())?;
             {
                 let mut comp = stats.comp.lock().expect("comp stats poisoned");
                 comp.layers_packed += packed.packed_layer_count() as u64;

@@ -110,6 +110,9 @@ impl Runtime {
         options: &RuntimeOptions,
         telemetry: &Telemetry,
     ) -> Result<Session> {
+        // The session's retained set (the delta source of plan swaps) shares
+        // the caller's storage: this clone bumps refcounts, it copies no
+        // weight.
         Self::deploy_impl(
             model,
             plan,
@@ -190,7 +193,7 @@ impl Runtime {
         let keep_sets: Vec<HashSet<usize>> = (0..n).map(|d| route.keep_layers(model, d)).collect();
         let resident_bytes: Vec<usize> = keep_sets
             .iter()
-            .map(|k| weights.shard(k).resident_bytes())
+            .map(|k| weights.resident_bytes_of(k))
             .collect();
         let requester_inbox = transport.inbox(Endpoint::Requester)?;
         let requester_txs: Vec<Box<dyn FrameTx>> = (0..n)
@@ -269,9 +272,13 @@ impl Runtime {
             DeployWeights::Sharded(raw) => {
                 let keep: Vec<HashSet<usize>> =
                     (0..n).map(|d| route.keep_layers(model, d)).collect();
-                let sharded: Vec<ModelWeights> = keep.iter().map(|k| raw.shard(k)).collect();
-                let bytes: Vec<usize> = sharded.iter().map(ModelWeights::resident_bytes).collect();
-                let pw = sharded.into_iter().map(ProviderWeights::Sharded).collect();
+                // Shards share the caller's storage: cutting them copies
+                // no weight, and each provider drops its handles as it packs.
+                let bytes: Vec<usize> = keep.iter().map(|k| raw.resident_bytes_of(k)).collect();
+                let pw = keep
+                    .iter()
+                    .map(|k| ProviderWeights::Sharded(raw.shard(k)))
+                    .collect();
                 (keep, pw, bytes, raw)
             }
             DeployWeights::Prepacked { raw, packed } => {
@@ -1099,18 +1106,14 @@ impl Session {
                     .iter()
                     .map(|&layer| WeightDelta {
                         layer,
-                        weights: self.weights.layers[layer].0.clone(),
-                        bias: self.weights.layers[layer].1.clone(),
+                        weights: Arc::clone(&self.weights.layers[layer].0),
+                        bias: Arc::clone(&self.weights.layers[layer].1),
                     })
                     .collect();
                 delta_bytes[d] = delta.iter().map(WeightDelta::bytes).sum();
-                reused_bytes[d] = needed
-                    .intersection(&ps.keep[d])
-                    .map(|&l| {
-                        (self.weights.layers[l].0.len() + self.weights.layers[l].1.len())
-                            * std::mem::size_of::<f32>()
-                    })
-                    .sum();
+                reused_bytes[d] = self
+                    .weights
+                    .resident_bytes_of(needed.intersection(&ps.keep[d]));
                 payloads.push(ReconfigurePayload {
                     plan: plan.clone(),
                     delta,
@@ -1197,14 +1200,7 @@ impl Session {
             ps.plan = plan.clone();
             ps.resident_bytes = new_keep
                 .iter()
-                .map(|k| {
-                    k.iter()
-                        .map(|&l| {
-                            (self.weights.layers[l].0.len() + self.weights.layers[l].1.len())
-                                * std::mem::size_of::<f32>()
-                        })
-                        .sum()
-                })
+                .map(|k| self.weights.resident_bytes_of(k))
                 .collect();
             ps.keep = new_keep;
         }
@@ -1293,13 +1289,7 @@ impl Session {
             };
             for &d in rejoined {
                 let keep = route.keep_layers(&self.model, d);
-                ps.resident_bytes[d] = keep
-                    .iter()
-                    .map(|&l| {
-                        (self.weights.layers[l].0.len() + self.weights.layers[l].1.len())
-                            * std::mem::size_of::<f32>()
-                    })
-                    .sum();
+                ps.resident_bytes[d] = self.weights.resident_bytes_of(&keep);
                 ps.keep[d] = keep;
             }
             (

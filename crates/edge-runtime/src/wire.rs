@@ -40,6 +40,7 @@ use crate::{Result, RuntimeError};
 use cnn_model::exec::QuantSpec;
 use edgesim::ExecutionPlan;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use tensor::ops::{dequantize_slice, quant_scale, quantize_slice};
 use tensor::{slab, Tensor};
 
@@ -386,14 +387,18 @@ impl Frame {
 
 /// One layer's weights shipped in a plan swap: a layer the receiving device
 /// needs under the new plan but does not hold resident from earlier epochs.
+///
+/// The values are the same shared storage [`cnn_model::exec::ModelWeights`]
+/// holds: building a delta from a session's weights is a refcount bump, and
+/// a decoded delta moves into a node's weight shard without another copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightDelta {
     /// Model-wide index of the layer.
     pub layer: usize,
     /// The layer's weights.
-    pub weights: Vec<f32>,
+    pub weights: Arc<[f32]>,
     /// The layer's bias.
-    pub bias: Vec<f32>,
+    pub bias: Arc<[f32]>,
 }
 
 impl WeightDelta {
@@ -445,10 +450,7 @@ impl ReconfigurePayload {
             out.extend_from_slice(&(d.layer as u32).to_le_bytes());
             out.extend_from_slice(&(d.weights.len() as u32).to_le_bytes());
             out.extend_from_slice(&(d.bias.len() as u32).to_le_bytes());
-            for v in &d.weights {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for v in &d.bias {
+            for v in d.weights.iter().chain(d.bias.iter()) {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -478,7 +480,10 @@ impl ReconfigurePayload {
             *at = end;
             Ok(v)
         };
-        let read_f32s = |bytes: &[u8], at: &mut usize, n: usize| -> Result<Vec<f32>> {
+        // Collects straight into the caller's container: `chunks_exact` is
+        // exact-size, so an `Arc<[f32]>` target is allocated once and
+        // filled in place — no `Vec` → `Arc` re-copy of a weight layer.
+        fn read_f32s<C: FromIterator<f32>>(bytes: &[u8], at: &mut usize, n: usize) -> Result<C> {
             let end = *at + n * 4;
             if end > bytes.len() {
                 return Err(RuntimeError::Wire("reconfigure payload truncated".into()));
@@ -489,7 +494,7 @@ impl ReconfigurePayload {
                 .collect();
             *at = end;
             Ok(out)
-        };
+        }
 
         let plan_len = read_u32(bytes, &mut at)? as usize;
         if at + plan_len > bytes.len() {
@@ -704,13 +709,13 @@ mod tests {
             delta: vec![
                 WeightDelta {
                     layer: 0,
-                    weights: vec![0.5, -0.25, 3.0],
-                    bias: vec![0.125],
+                    weights: vec![0.5, -0.25, 3.0].into(),
+                    bias: vec![0.125].into(),
                 },
                 WeightDelta {
                     layer: 2,
-                    weights: vec![],
-                    bias: vec![1.0, 2.0],
+                    weights: vec![].into(),
+                    bias: vec![1.0, 2.0].into(),
                 },
             ],
             quant: None,
@@ -739,8 +744,8 @@ mod tests {
             plan: sample_plan(),
             delta: vec![WeightDelta {
                 layer: 1,
-                weights: vec![9.0; 8],
-                bias: vec![-1.0],
+                weights: vec![9.0; 8].into(),
+                bias: vec![-1.0].into(),
             }],
             quant: None,
         };
@@ -757,8 +762,8 @@ mod tests {
             plan: sample_plan(),
             delta: vec![WeightDelta {
                 layer: 0,
-                weights: vec![1.0, 2.0],
-                bias: vec![],
+                weights: vec![1.0, 2.0].into(),
+                bias: vec![].into(),
             }],
             quant: None,
         };

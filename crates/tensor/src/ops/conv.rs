@@ -16,11 +16,15 @@
 //!   are validated against (within `1e-4` for GEMM, a relative `1e-3` for
 //!   Winograd, whose summation order differs by construction).
 //!
-//! [`pack_conv_filter`] builds a [`PackedConvFilter`] carrying the GEMM
-//! panels plus, when the geometry is Winograd-eligible, the transformed
-//! Winograd panels; [`conv2d_rows_packed`] then routes each call by layer
-//! geometry alone.  [`conv2d_rows`] / [`conv2d`] pack per call and take the
-//! identical route, so prepacked and per-call execution stay bit-identical.
+//! [`pack_conv_filter`] builds a [`PackedConvFilter`] carrying **exactly
+//! one** panel form — the one [`conv2d_rows_packed`] routes the layer to:
+//! Winograd panels when the geometry is Winograd-eligible *and* its
+//! channel counts are `winograd_preferred`, the im2col GEMM panels
+//! otherwise, the int8 panels when the deploy quantized the layer.  The
+//! route is a pure function of `(c_in, c_out, f, stride, quant)`, decided
+//! at pack time, so no panel is ever resident that no call reads.
+//! [`conv2d_rows`] / [`conv2d`] pack per call and take the identical
+//! route, so prepacked and per-call execution stay bit-identical.
 //!
 //! All paths implement the same *row band* contract: the input tensor may
 //! carry only a band of the original input rows (plus halo), zero padding
@@ -48,24 +52,32 @@ pub const fn im2col_weight_len(c_in: usize, c_out: usize, f: usize) -> usize {
     c_out * c_in * f * f
 }
 
-/// A convolution filter prepacked for the kernel path chosen for its
-/// layer: the f32 im2col GEMM panels (plus the Winograd-transformed panels
-/// when the layer is stride-1 3×3, see [`winograd_eligible`]), **or** the
-/// int8 quantized panels when the deploy opted the layer into the
-/// quantized path — quantized layers carry *only* the i8 panels, which is
-/// what drops resident weight bytes ~4×.
+/// The one panel form a [`PackedConvFilter`] holds.
+#[derive(Debug, Clone, PartialEq)]
+enum ConvPanels {
+    Gemm(PackedFilter),
+    Winograd(WinogradFilter),
+    /// The int8 panels plus the calibrated input-activation scale they
+    /// were packed against.
+    Quant(QuantizedFilter, f32),
+}
+
+/// A convolution filter prepacked for the kernel path its layer routes to,
+/// and for that path only: the Winograd-transformed panels when the layer
+/// is stride-1 3×3 with enough channels to amortise the transforms (see
+/// [`winograd_eligible`] / [`winograd_preferred`]), the f32 im2col GEMM
+/// panels for every other f32 layer, **or** the int8 quantized panels when
+/// the deploy opted the layer into the quantized path (~4× fewer resident
+/// weight bytes).
 ///
 /// Built once at deploy time by [`pack_conv_filter`] /
 /// [`pack_conv_filter_with`]; consumed per frame by
 /// [`conv2d_rows_packed`], which routes on what was packed — so every band
 /// of a layer, on any device, takes the same path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedConvFilter {
     c_out: usize,
-    gemm: Option<PackedFilter>,
-    wino: Option<WinogradFilter>,
-    quant: Option<QuantizedFilter>,
-    scale_in: f32,
+    panels: ConvPanels,
     f: usize,
     stride: usize,
 }
@@ -76,37 +88,51 @@ impl PackedConvFilter {
         self.c_out
     }
 
-    /// The f32 im2col GEMM panels (absent on quantized-only packs).
+    /// The f32 im2col GEMM panels, if this layer routes to the GEMM path.
     pub fn gemm(&self) -> Option<&PackedFilter> {
-        self.gemm.as_ref()
+        match &self.panels {
+            ConvPanels::Gemm(p) => Some(p),
+            _ => None,
+        }
     }
 
-    /// The Winograd-transformed panels, if the geometry is eligible.
+    /// The Winograd-transformed panels, if this layer routes to Winograd.
     pub fn winograd(&self) -> Option<&WinogradFilter> {
-        self.wino.as_ref()
+        match &self.panels {
+            ConvPanels::Winograd(p) => Some(p),
+            _ => None,
+        }
     }
 
     /// The int8 quantized panels, if this layer was packed quantized.
     pub fn quant(&self) -> Option<&QuantizedFilter> {
-        self.quant.as_ref()
+        match &self.panels {
+            ConvPanels::Quant(p, _) => Some(p),
+            _ => None,
+        }
     }
 
     /// The calibrated input-activation scale the quantized panels expect
     /// (`1.0` on f32 packs).
     pub fn scale_in(&self) -> f32 {
-        self.scale_in
+        match self.panels {
+            ConvPanels::Quant(_, scale_in) => scale_in,
+            _ => 1.0,
+        }
     }
 
-    /// Bytes resident across every packed form.
+    /// Bytes of the resident panel form.
     pub fn bytes(&self) -> usize {
-        self.gemm.as_ref().map_or(0, PackedFilter::bytes)
-            + self.wino.as_ref().map_or(0, WinogradFilter::bytes)
-            + self.quant.as_ref().map_or(0, QuantizedFilter::bytes)
+        match &self.panels {
+            ConvPanels::Gemm(p) => p.bytes(),
+            ConvPanels::Winograd(p) => p.bytes(),
+            ConvPanels::Quant(p, _) => p.bytes(),
+        }
     }
 }
 
-/// Packs `[c_out][c_in][f][f]` convolution weights into every f32 panel
-/// form the layer geometry can use (see [`PackedConvFilter`]).
+/// Packs `[c_out][c_in][f][f]` convolution weights into the f32 panel form
+/// the layer geometry routes to (see [`PackedConvFilter`]).
 ///
 /// This is the deploy-time half of the packed conv path: the result drops
 /// into [`conv2d_rows_packed`] for every subsequent frame.
@@ -120,11 +146,13 @@ pub fn pack_conv_filter(
     pack_conv_filter_with(weights, c_in, c_out, f, stride, None)
 }
 
-/// Packs convolution weights, choosing the panel form from the quantization
-/// decision: `quant_scale_in: Some(s_in)` packs **only** the int8 panels
-/// (against the calibrated input-activation scale `s_in`), `None` packs the
-/// f32 forms exactly like [`pack_conv_filter`].  What gets packed here is
-/// what [`conv2d_rows_packed`] routes to.
+/// Packs convolution weights into exactly the panel form
+/// [`conv2d_rows_packed`] will route to: `quant_scale_in: Some(s_in)` packs
+/// the int8 panels (against the calibrated input-activation scale `s_in`);
+/// `None` packs Winograd panels iff the layer is [`winograd_eligible`] and
+/// [`winograd_preferred`], the im2col GEMM panels otherwise.  To pin a
+/// route regardless of the policy, pack the form directly
+/// ([`PackedFilter::pack`] / [`WinogradFilter::pack`]) and call its kernel.
 pub fn pack_conv_filter_with(
     weights: &[f32],
     c_in: usize,
@@ -140,30 +168,19 @@ pub fn pack_conv_filter_with(
             im2col_weight_len(c_in, c_out, f)
         )));
     }
-    if let Some(scale_in) = quant_scale_in {
-        let quant = QuantizedFilter::pack(weights, c_out, c_in * f * f)?;
-        return Ok(PackedConvFilter {
-            c_out,
-            gemm: None,
-            wino: None,
-            quant: Some(quant),
+    let panels = if let Some(scale_in) = quant_scale_in {
+        ConvPanels::Quant(
+            QuantizedFilter::pack(weights, c_out, c_in * f * f)?,
             scale_in,
-            f,
-            stride,
-        });
-    }
-    let gemm = PackedFilter::pack(weights, c_out, c_in * f * f)?;
-    let wino = if winograd_eligible(f, stride) {
-        Some(WinogradFilter::pack(weights, c_in, c_out)?)
+        )
+    } else if winograd_eligible(f, stride) && winograd_preferred(c_in, c_out) {
+        ConvPanels::Winograd(WinogradFilter::pack(weights, c_in, c_out)?)
     } else {
-        None
+        ConvPanels::Gemm(PackedFilter::pack(weights, c_out, c_in * f * f)?)
     };
     Ok(PackedConvFilter {
         c_out,
-        gemm: Some(gemm),
-        wino,
-        quant: None,
-        scale_in: 1.0,
+        panels,
         f,
         stride,
     })
@@ -331,27 +348,22 @@ pub fn conv2d_rows_packed(
             filter.f, filter.stride
         )));
     }
-    if let Some(quant) = filter.quant() {
-        return conv2d_rows_q8(
+    match &filter.panels {
+        ConvPanels::Quant(quant, scale_in) => conv2d_rows_q8(
             input,
             in_row_offset,
             orig_h_in,
             out_start,
             out_end,
             quant,
-            filter.scale_in,
+            *scale_in,
             bias,
             f,
             stride,
             padding,
             act,
-        );
-    }
-    if let Some(wino) = filter
-        .winograd()
-        .filter(|w| winograd_preferred(w.c_in(), w.c_out()))
-    {
-        return conv2d_rows_winograd(
+        ),
+        ConvPanels::Winograd(wino) => conv2d_rows_winograd(
             input,
             in_row_offset,
             orig_h_in,
@@ -361,24 +373,21 @@ pub fn conv2d_rows_packed(
             bias,
             padding,
             act,
-        );
+        ),
+        ConvPanels::Gemm(gemm) => conv2d_rows_gemm(
+            input,
+            in_row_offset,
+            orig_h_in,
+            out_start,
+            out_end,
+            gemm,
+            bias,
+            f,
+            stride,
+            padding,
+            act,
+        ),
     }
-    let gemm = filter.gemm().ok_or_else(|| {
-        TensorError::KernelConfig("packed filter carries no f32 GEMM panels".into())
-    })?;
-    conv2d_rows_gemm(
-        input,
-        in_row_offset,
-        orig_h_in,
-        out_start,
-        out_end,
-        gemm,
-        bias,
-        f,
-        stride,
-        padding,
-        act,
-    )
 }
 
 /// Convolution of a row band on the im2col GEMM path over prepacked GEMM
@@ -832,6 +841,7 @@ mod tests {
         let weights = det_weights(c_in, c_out, 3);
         let bias: Vec<f32> = (0..c_out).map(|i| (i as f32) * 0.01 - 0.05).collect();
         let filter = pack_conv_filter(&weights, c_in, c_out, 3, 1).unwrap();
+        assert!(filter.winograd().is_some() && filter.gemm().is_none());
         let routed = conv2d_rows_packed(
             &input,
             0,
@@ -846,19 +856,10 @@ mod tests {
             Activation::Relu,
         )
         .unwrap();
-        // The routed output is the Winograd path's output, bitwise.
-        let wino = conv2d_rows_winograd(
-            &input,
-            0,
-            h,
-            0,
-            h,
-            filter.winograd().unwrap(),
-            &bias,
-            1,
-            Activation::Relu,
-        )
-        .unwrap();
+        // The routed output is the pinned Winograd path's output, bitwise.
+        let pinned = WinogradFilter::pack(&weights, c_in, c_out).unwrap();
+        let wino =
+            conv2d_rows_winograd(&input, 0, h, 0, h, &pinned, &bias, 1, Activation::Relu).unwrap();
         assert_eq!(routed, wino, "preferred channels must route to Winograd");
         let oracle = conv2d_direct(&input, &weights, &bias, c_out, 3, 1, 1, Activation::Relu);
         assert_close_rel(&routed, &oracle, 1e-3, "routed winograd c128");

@@ -78,9 +78,10 @@ const SCRATCH_FLOATS: usize = 512 * 1024;
 /// `U = G g Gᵀ` values at tile position `t = 4·r + c`.
 ///
 /// Built once at deploy time (inside
-/// [`super::conv::pack_conv_filter`]); ~16/9 the resident bytes of the
-/// im2col panels for the same layer.
-#[derive(Debug, Clone)]
+/// [`super::conv::pack_conv_filter`], for the layers the route sends
+/// here — it then is the layer's only resident form); ~16/9 the bytes of
+/// the im2col panels the same layer would otherwise hold.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WinogradFilter {
     c_in: usize,
     u: Vec<PackedFilter>,

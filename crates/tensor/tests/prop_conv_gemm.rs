@@ -16,6 +16,9 @@
 //!   *bit-exact* against the full-output call, for any cut points.  This
 //!   is the stronger property the distributed runtime's bit-exactness
 //!   tests rely on;
+//! * **one routed form** — a routed pack carries exactly one of the GEMM /
+//!   Winograd / int8 panel forms, the one the route function names, and its
+//!   output is bit-identical to that form packed and called directly;
 //! * **FC packing** — the k-blocked transposing pack of the GEMV filters
 //!   (f32 and int8) lays out exactly what the naive element-by-element
 //!   pack of the documented layout does.
@@ -24,10 +27,11 @@ use proptest::prelude::*;
 use tensor::ops::gemv::{LANES, PANEL_ROWS};
 use tensor::ops::qgemm::QK;
 use tensor::ops::{
-    conv2d_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len,
-    linear_direct, linear_packed, pack_conv_filter, pack_conv_filter_with, pack_linear_filter,
-    qkernel_arch, quant_scale, quantize_i8, set_qkernel_override, Activation, QKernelArch,
-    QuantizedLinearFilter,
+    conv2d_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_q8, conv2d_rows_winograd,
+    im2col_weight_len, linear_direct, linear_packed, pack_conv_filter, pack_conv_filter_with,
+    pack_linear_filter, qkernel_arch, quant_scale, quantize_i8, set_qkernel_override,
+    winograd_eligible, winograd_preferred, Activation, PackedFilter, QKernelArch, QuantizedFilter,
+    QuantizedLinearFilter, WinogradFilter,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -78,11 +82,12 @@ proptest! {
         prop_assume!(conv_out_dim(w, f, stride, padding).is_some());
 
         let oracle = conv2d_direct(&input, &weights, &bias, c_out, f, stride, padding, Activation::Relu);
-        // Pin the GEMM path (the router would send stride-1 3×3 draws to
-        // Winograd, which has its own tolerance and property below).
-        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride).unwrap();
+        // Pin the GEMM path by packing its panels directly (a routed pack
+        // holds whichever single form the layer routes to; Winograd has its
+        // own tolerance and property below).
+        let filter = PackedFilter::pack(&weights, c_out, c_in * f * f).unwrap();
         let fast = conv2d_rows_gemm(
-            &input, 0, h, 0, oracle.height(), filter.gemm().unwrap(), &bias, f, stride, padding,
+            &input, 0, h, 0, oracle.height(), &filter, &bias, f, stride, padding,
             Activation::Relu,
         ).unwrap();
         prop_assert_eq!(fast.shape(), oracle.shape());
@@ -162,9 +167,7 @@ proptest! {
         let input = pseudo_tensor(c_in, h, w, seed);
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0xbeef);
         let bias = pseudo_weights(c_out, seed ^ 0xfeed);
-        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride).unwrap();
-        prop_assert!(filter.winograd().is_some(), "stride-1 3x3 must pack winograd panels");
-        let wino = filter.winograd().unwrap();
+        let wino = &WinogradFilter::pack(&weights, c_in, c_out).unwrap();
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
         prop_assume!(out_h >= 3);
 
@@ -388,5 +391,67 @@ proptest! {
         prop_assert_eq!(qpacked.scale(), scale);
         prop_assert!(qpacked.data() == qnaive.as_slice(), "int8 pack differs ({m}x{k})");
         prop_assert!(qpacked.row_corr() == corr.as_slice(), "row corrections differ");
+    }
+}
+
+/// Channel counts on both sides of the `winograd_preferred` threshold.
+const ROUTE_CHANNELS: [usize; 3] = [3, 128, 130];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A routed pack holds **exactly one** panel form — int8 when
+    /// quantized, Winograd iff eligible and preferred, GEMM otherwise —
+    /// and the routed call's output is that pinned form's output, bitwise.
+    #[test]
+    fn routed_pack_holds_one_form_and_equals_the_pinned_form(
+        ci in 0usize..3,
+        co in 0usize..3,
+        h in 6usize..12,
+        w in 4usize..9,
+        shape in 0usize..3,
+        f in 1usize..4,
+        stride in 1usize..3,
+        quantized in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (c_in, c_out) = (ROUTE_CHANNELS[ci], ROUTE_CHANNELS[co]);
+        // Two draws in three take the Winograd-eligible stride-1 3×3 shape,
+        // so all three routes are met within the case budget.
+        let (f, stride) = if shape == 0 { (f, stride) } else { (3, 1) };
+        let padding = f / 2;
+        prop_assume!(conv_out_dim(h, f, stride, padding).is_some());
+        prop_assume!(conv_out_dim(w, f, stride, padding).is_some());
+        let out_h = conv_out_dim(h, f, stride, padding).unwrap();
+        let input = pseudo_tensor(c_in, h, w, seed);
+        let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x70e);
+        let bias = pseudo_weights(c_out, seed ^ 0xb1a5);
+        let scale_in = quantized.then(|| quant_scale(input.data()));
+        let filter = pack_conv_filter_with(&weights, c_in, c_out, f, stride, scale_in).unwrap();
+
+        let forms = [filter.gemm().is_some(), filter.winograd().is_some(), filter.quant().is_some()];
+        prop_assert_eq!(forms.iter().filter(|&&x| x).count(), 1);
+        let to_winograd = winograd_eligible(f, stride) && winograd_preferred(c_in, c_out);
+        prop_assert_eq!(forms, [!quantized && !to_winograd, !quantized && to_winograd, quantized]);
+
+        let routed = conv2d_rows_packed(
+            &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::Relu,
+        ).unwrap();
+        let k = c_in * f * f;
+        let pinned = if let Some(scale_in) = scale_in {
+            let q = QuantizedFilter::pack(&weights, c_out, k).unwrap();
+            conv2d_rows_q8(
+                &input, 0, h, 0, out_h, &q, scale_in, &bias, f, stride, padding, Activation::Relu,
+            )
+        } else if to_winograd {
+            let wino = WinogradFilter::pack(&weights, c_in, c_out).unwrap();
+            conv2d_rows_winograd(&input, 0, h, 0, out_h, &wino, &bias, padding, Activation::Relu)
+        } else {
+            let gemm = PackedFilter::pack(&weights, c_out, k).unwrap();
+            conv2d_rows_gemm(
+                &input, 0, h, 0, out_h, &gemm, &bias, f, stride, padding, Activation::Relu,
+            )
+        }.unwrap();
+        prop_assert!(routed == pinned, "routed output differs from the pinned form's");
     }
 }

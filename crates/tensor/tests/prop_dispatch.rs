@@ -20,8 +20,8 @@ use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len, kernel_arch, linear_packed,
     linear_q8, pack_conv_filter, pack_linear_filter, qkernel_arch, quant_byte, quant_scale,
-    set_kernel_override, set_qkernel_override, Activation, KernelArch, PackedFilter, QKernelArch,
-    QuantizedFilter, QuantizedLinearFilter,
+    set_kernel_override, set_qkernel_override, winograd_eligible, Activation, KernelArch,
+    PackedFilter, QKernelArch, QuantizedFilter, QuantizedLinearFilter, WinogradFilter,
 };
 use tensor::shape::conv_out_dim;
 use tensor::Tensor;
@@ -156,13 +156,17 @@ proptest! {
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x51ac);
         let bias = pseudo_weights(c_out, seed ^ 0xd15b);
         let filter = pack_conv_filter(&weights, c_in, c_out, f, stride).unwrap();
+        // The routed pack holds one form only; the Winograd form is packed
+        // on its own to pin that path.
+        let pinned_wino = winograd_eligible(f, stride)
+            .then(|| WinogradFilter::pack(&weights, c_in, c_out).unwrap());
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
 
         let runs = with_each_arm(|_| {
             let routed = conv2d_rows_packed(
                 &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::Relu,
             ).unwrap();
-            let wino = filter.winograd().map(|w| {
+            let wino = pinned_wino.as_ref().map(|w| {
                 conv2d_rows_winograd(
                     &input, 0, h, 0, out_h, w, &bias, padding, Activation::Relu,
                 ).unwrap()

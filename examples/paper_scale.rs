@@ -13,6 +13,11 @@
 //! ```text
 //! cargo run --release --example paper_scale
 //! ```
+//!
+//! It also prints the deploy-memory account — the caller's raw weights,
+//! each device's share of them (`Session::resident_weight_bytes`, held as
+//! kernel panels) and the process's peak RSS (`VmHWM`) — so "one copy of
+//! every weight" is visible outside the benchmark.
 
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{zoo, PartitionScheme, VolumeSplit};
@@ -21,6 +26,18 @@ use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 use std::time::Instant;
 use tensor::Tensor;
+
+fn mib(bytes: usize) -> f64 {
+    bytes as f64 / (1 << 20) as f64
+}
+
+/// `VmHWM` of this process in MiB (Linux only).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
 
 fn main() {
     let model = zoo::vgg11();
@@ -50,8 +67,9 @@ fn main() {
         .collect();
     let plan = ExecutionPlan::from_splits(&model, &scheme, &splits, devices).unwrap();
 
-    // Deploy: weights are sharded per device and packed into GEMM panels
-    // once, before the first frame.
+    // Deploy: weights are sharded per device (handles on the caller's
+    // storage, no copy) and packed into kernel panels once, before the
+    // first frame.
     let t0 = Instant::now();
     let session = Runtime::deploy_in_process(
         &model,
@@ -61,6 +79,15 @@ fn main() {
     )
     .unwrap();
     println!("deployed (sharded + packed) in {:.2?}", t0.elapsed());
+    let resident = session.resident_weight_bytes();
+    println!(
+        "memory: caller holds {:.0} MiB of raw weights; devices pack {:?} MiB of them \
+         ({:.0} MiB total); peak RSS (VmHWM) {} MiB",
+        mib(weights.resident_bytes()),
+        resident.iter().map(|&b| mib(b).round()).collect::<Vec<_>>(),
+        mib(resident.iter().sum()),
+        peak_rss_mib().map_or("n/a".to_string(), |m| format!("{m:.0}")),
+    );
 
     // Stream a small batch through the resident cluster.
     let images: Vec<Tensor> = (0..3)
