@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use tensor::ops::NUMERICS_CONTRACT;
 use tensor::Tensor;
 
 /// Everything a re-handshake must ship: the model and full weights stay
@@ -74,6 +75,7 @@ impl HandshakeSource {
             })
             .collect();
         Ok(Hello {
+            numerics: NUMERICS_CONTRACT,
             device: d,
             epoch,
             peers: peers.to_vec(),
@@ -227,7 +229,10 @@ fn handshake_once(shared: &ClusterShared, link: &PeerLink) -> edge_runtime::Resu
         .hello_for(d, &shared.peers)
         .map_err(|e| RuntimeError::Execution(e.to_string()))?;
     let sent = proto::write_hello(&mut stream, &hello)?;
-    let welcome = proto::read_welcome(&mut stream)?;
+    let welcome = proto::read_welcome(&mut stream, hello.numerics).map_err(|e| match e {
+        RuntimeError::Transport(t) => RuntimeError::Transport(t.at(Endpoint::Device(d))),
+        other => other,
+    })?;
     if welcome.device != d {
         return Err(RuntimeError::transport_protocol(format!(
             "node at {} answered as device {}, expected {d}",

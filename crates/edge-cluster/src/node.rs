@@ -9,6 +9,8 @@
 //!
 //! * repeat `Hello` (coordinator reconnect) → re-attach the socket, reply
 //!   with the installed epoch; the provider itself never restarts,
+//! * any `Hello` from a build with a different numerics contract → a
+//!   refusal instead of `Welcome`, nothing installed or re-attached,
 //! * `Link` preamble (peer halo connection) → pump frames into the
 //!   provider inbox,
 //! * provider exit (a `Halt` frame, or a worker error) → the runloop
@@ -38,6 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use tensor::ops::NUMERICS_CONTRACT;
 
 /// Tuning knobs of the node runloop.
 #[derive(Debug, Clone, Copy)]
@@ -293,6 +296,12 @@ pub fn run_node_with(cfg: &NodeConfig, options: &NodeOptions, telemetry: &Teleme
                     Ok(h) => h,
                     Err(_) => continue, // corrupt handshake: drop, coordinator retries
                 };
+                if hello.numerics != NUMERICS_CONTRACT {
+                    // A coordinator from a build with other kernel numerics:
+                    // install nothing, say why, keep listening for ours.
+                    let _ = proto::write_numerics_refusal(&mut stream);
+                    continue;
+                }
                 match &running {
                     None => {
                         let node = bootstrap(

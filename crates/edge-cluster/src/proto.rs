@@ -4,13 +4,18 @@
 //! who is dialing:
 //!
 //! * [`PREAMBLE_HELLO`] — the coordinator.  A [`Hello`] follows: the
-//!   node's device id, the current epoch, the full peer address table,
-//!   the model (JSON), and the epoch's `ExecutionPlan` + this device's
-//!   weight shard as raw [`ReconfigurePayload`] bytes — the same codec a
-//!   live plan swap uses, so bootstrap and reconfiguration share one
-//!   wire format.  The node installs everything and replies [`Welcome`];
-//!   the connection then carries scatter frames coordinator→node and
-//!   result frames node→coordinator.
+//!   coordinator's numerics contract, the node's device id, the current
+//!   epoch, the full peer address table, the model (JSON), and the epoch's
+//!   `ExecutionPlan` + this device's weight shard as raw
+//!   [`ReconfigurePayload`] bytes — the same codec a live plan swap uses,
+//!   so bootstrap and reconfiguration share one wire format.  The node
+//!   installs everything and replies [`Welcome`]; the connection then
+//!   carries scatter frames coordinator→node and result frames
+//!   node→coordinator.  A node whose kernels compute under a different
+//!   numerics contract installs nothing and replies with a refusal, which
+//!   the coordinator reads as a typed, non-retryable error
+//!   ([`numerics_mismatch`]): its bands would differ from everyone else's
+//!   in the last bit, and nothing downstream could tell.
 //! * [`PREAMBLE_LINK`] — a peer node.  A device id follows; the
 //!   connection then carries halo-exchange frames from that peer.
 //!
@@ -22,11 +27,18 @@ use cnn_model::Model;
 use edge_runtime::wire::check_frame_len;
 use edge_runtime::{ReconfigurePayload, Result, RuntimeError};
 use std::io::{Read, Write};
+use tensor::ops::NUMERICS_CONTRACT;
 
 /// First byte of a coordinator connection.
 pub const PREAMBLE_HELLO: u8 = 0x01;
 /// First byte of a peer halo link.
 pub const PREAMBLE_LINK: u8 = 0x02;
+
+/// First byte of a node's handshake reply when a [`Welcome`] follows.
+const REPLY_WELCOME: u8 = 0x01;
+/// First byte of a node's handshake reply when it refuses the coordinator's
+/// numerics contract; the node's own contract byte follows.
+const REPLY_REFUSED_NUMERICS: u8 = 0x02;
 
 /// Longest accepted peer address string.
 const MAX_ADDR_LEN: usize = 1024;
@@ -36,6 +48,9 @@ const MAX_PEERS: usize = 4096;
 /// The coordinator's bootstrap message to one node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
+    /// The f32 numerical contract the coordinator's build computes under
+    /// ([`tensor::ops::NUMERICS_CONTRACT`]); the node refuses any other.
+    pub numerics: u8,
     /// Device index the receiving node serves.
     pub device: usize,
     /// The coordinator's current epoch.
@@ -57,6 +72,17 @@ pub struct Welcome {
     /// The epoch the node is running (equals the Hello epoch after a
     /// bootstrap; an already-running node reports what it has).
     pub epoch: u64,
+}
+
+/// The error for a coordinator and a node built under different numerics
+/// contracts.  A topology mistake, not a link fault: reconnecting to the
+/// same binary cannot clear it, so it is not retryable.
+pub fn numerics_mismatch(coordinator: u8, node: u8) -> RuntimeError {
+    RuntimeError::transport_config(format!(
+        "numerics contract mismatch: the coordinator computes under contract {coordinator}, \
+         the node under contract {node}; their bands would differ in the last bit — \
+         run the same build on every machine"
+    ))
 }
 
 fn io_err(what: &str, e: std::io::Error) -> RuntimeError {
@@ -90,6 +116,7 @@ pub fn write_hello(w: &mut impl Write, hello: &Hello) -> Result<usize> {
 
     let mut head = Vec::with_capacity(64);
     head.push(PREAMBLE_HELLO);
+    head.push(hello.numerics);
     head.extend_from_slice(&(hello.device as u32).to_le_bytes());
     head.extend_from_slice(&hello.epoch.to_le_bytes());
     head.extend_from_slice(&(hello.peers.len() as u32).to_le_bytes());
@@ -108,12 +135,13 @@ pub fn write_hello(w: &mut impl Write, hello: &Hello) -> Result<usize> {
 /// Reads a `Hello` (the preamble byte has already been consumed by the
 /// accept loop's dispatch).
 pub fn read_hello(r: &mut impl Read) -> Result<Hello> {
-    let mut fixed = [0u8; 16];
+    let mut fixed = [0u8; 17];
     r.read_exact(&mut fixed)
         .map_err(|e| io_err("read hello header", e))?;
-    let device = u32::from_le_bytes(fixed[0..4].try_into().expect("4 bytes")) as usize;
-    let epoch = u64::from_le_bytes(fixed[4..12].try_into().expect("8 bytes"));
-    let n_peers = u32::from_le_bytes(fixed[12..16].try_into().expect("4 bytes")) as usize;
+    let numerics = fixed[0];
+    let device = u32::from_le_bytes(fixed[1..5].try_into().expect("4 bytes")) as usize;
+    let epoch = u64::from_le_bytes(fixed[5..13].try_into().expect("8 bytes"));
+    let n_peers = u32::from_le_bytes(fixed[13..17].try_into().expect("4 bytes")) as usize;
     if n_peers > MAX_PEERS {
         return Err(RuntimeError::transport_protocol(format!(
             "hello enumerates {n_peers} peers (cap {MAX_PEERS})"
@@ -146,6 +174,7 @@ pub fn read_hello(r: &mut impl Read) -> Result<Hello> {
     let payload_bytes = read_block(r, "payload")?;
     let payload = ReconfigurePayload::decode(&payload_bytes)?;
     Ok(Hello {
+        numerics,
         device,
         epoch,
         peers,
@@ -156,23 +185,49 @@ pub fn read_hello(r: &mut impl Read) -> Result<Hello> {
 
 /// Writes a `Welcome`.
 pub fn write_welcome(w: &mut impl Write, welcome: &Welcome) -> Result<()> {
-    let mut buf = [0u8; 12];
-    buf[0..4].copy_from_slice(&(welcome.device as u32).to_le_bytes());
-    buf[4..12].copy_from_slice(&welcome.epoch.to_le_bytes());
+    let mut buf = [0u8; 13];
+    buf[0] = REPLY_WELCOME;
+    buf[1..5].copy_from_slice(&(welcome.device as u32).to_le_bytes());
+    buf[5..13].copy_from_slice(&welcome.epoch.to_le_bytes());
     w.write_all(&buf)
         .and_then(|()| w.flush())
         .map_err(|e| io_err("write welcome", e))
 }
 
-/// Reads a `Welcome`.
-pub fn read_welcome(r: &mut impl Read) -> Result<Welcome> {
-    let mut buf = [0u8; 12];
-    r.read_exact(&mut buf)
-        .map_err(|e| io_err("read welcome", e))?;
-    Ok(Welcome {
-        device: u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize,
-        epoch: u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes")),
-    })
+/// Writes the node's refusal of a `Hello` whose numerics contract is not
+/// this build's.
+pub fn write_numerics_refusal(w: &mut impl Write) -> Result<()> {
+    w.write_all(&[REPLY_REFUSED_NUMERICS, NUMERICS_CONTRACT])
+        .and_then(|()| w.flush())
+        .map_err(|e| io_err("write numerics refusal", e))
+}
+
+/// Reads the node's reply to a `Hello` that carried contract `sent`: the
+/// `Welcome`, or [`numerics_mismatch`] if the node refused.
+pub fn read_welcome(r: &mut impl Read, sent: u8) -> Result<Welcome> {
+    let mut tag = [0u8; 1];
+    r.read_exact(&mut tag)
+        .map_err(|e| io_err("read handshake reply", e))?;
+    match tag[0] {
+        REPLY_WELCOME => {
+            let mut buf = [0u8; 12];
+            r.read_exact(&mut buf)
+                .map_err(|e| io_err("read welcome", e))?;
+            Ok(Welcome {
+                device: u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize,
+                epoch: u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes")),
+            })
+        }
+        REPLY_REFUSED_NUMERICS => {
+            let mut node = [0u8; 1];
+            r.read_exact(&mut node)
+                .map_err(|e| io_err("read numerics refusal", e))?;
+            Err(numerics_mismatch(sent, node[0]))
+        }
+        other => Err(RuntimeError::transport_protocol(format!(
+            "unknown handshake reply tag {other:#04x}"
+        ))),
+    }
 }
 
 /// Writes the preamble byte + device id of a peer halo link.
@@ -228,6 +283,7 @@ mod tests {
             })
             .collect();
         let hello = Hello {
+            numerics: NUMERICS_CONTRACT,
             device: 1,
             epoch: 7,
             peers: vec![(0, "127.0.0.1:7700".into()), (1, "127.0.0.1:7701".into())],
@@ -258,7 +314,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            read_welcome(&mut &buf[..]).unwrap(),
+            read_welcome(&mut &buf[..], NUMERICS_CONTRACT).unwrap(),
             Welcome {
                 device: 2,
                 epoch: 9
@@ -276,6 +332,7 @@ mod tests {
         let (model, weights) = tiny();
         let plan = edgesim::ExecutionPlan::offload(&model, 0, 2).unwrap();
         let hello = Hello {
+            numerics: NUMERICS_CONTRACT,
             device: 0,
             epoch: 0,
             peers: vec![(0, "a".into())],

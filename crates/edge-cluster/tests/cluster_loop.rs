@@ -6,11 +6,13 @@
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_cluster::coordinator::ClusterCoordinator;
-use edge_cluster::{BackoffPolicy, ClusterConfig, NodeConfig, PeerSpec};
-use edge_runtime::RuntimeOptions;
+use edge_cluster::proto::{read_welcome, write_hello};
+use edge_cluster::{BackoffPolicy, ClusterConfig, Hello, NodeConfig, PeerSpec};
+use edge_runtime::{ReconfigurePayload, RuntimeOptions, TransportErrorKind};
 use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
+use tensor::ops::NUMERICS_CONTRACT;
 use tensor::Shape;
 
 fn test_model() -> Model {
@@ -173,6 +175,78 @@ fn cluster_survives_a_hot_plan_swap() {
     for node in nodes {
         node.join().unwrap().unwrap();
     }
+}
+
+/// A coordinator and a node from builds with different kernel numerics
+/// must not serve together: their bands would differ in the last bit and
+/// stitch into a silently wrong tensor.  The foreign build is played by a
+/// hand-written `Hello` carrying another contract byte; the node answers
+/// with the typed mismatch error instead of `Welcome`, installs nothing,
+/// and then serves a coordinator of its own build bit-exactly.
+#[test]
+fn node_refuses_a_coordinator_with_another_numerics_contract() {
+    let model = test_model();
+    let plan = ExecutionPlan::offload(&model, 0, 1).unwrap();
+    let weights = ModelWeights::deterministic(&model, 31);
+    let addrs = free_addrs(1);
+    let cfg = NodeConfig {
+        device: 0,
+        listen: addrs[0].clone(),
+        profile: None,
+    };
+    let node = std::thread::spawn(move || edge_cluster::run_node(&cfg));
+
+    let foreign = NUMERICS_CONTRACT.wrapping_add(1);
+    // The node thread may not be listening yet: dial the way a coordinator
+    // does.
+    let (mut stream, _attempts) = BackoffPolicy::fast()
+        .retry(
+            || false,
+            |_: &std::io::Error| true,
+            || TcpStream::connect(&addrs[0]),
+        )
+        .unwrap();
+    let hello = Hello {
+        numerics: foreign,
+        device: 0,
+        epoch: 0,
+        peers: vec![(0, addrs[0].clone())],
+        model: model.clone(),
+        // No shard: had the node installed this, it could not serve below.
+        payload: ReconfigurePayload {
+            plan: plan.clone(),
+            delta: Vec::new(),
+            quant: None,
+        },
+    };
+    write_hello(&mut stream, &hello).unwrap();
+    let err = read_welcome(&mut stream, foreign).unwrap_err();
+    let t = err.as_transport().expect("typed transport error");
+    assert_eq!(t.kind, TransportErrorKind::Config, "got: {err}");
+    assert!(!t.is_retryable());
+    assert!(
+        t.detail.contains(&format!("contract {foreign}"))
+            && t.detail.contains(&format!("contract {NUMERICS_CONTRACT}")),
+        "the error names both contracts: {err}"
+    );
+    drop(stream);
+
+    let session = ClusterCoordinator::serve(
+        &model,
+        &plan,
+        weights.clone(),
+        &cluster_config(&addrs),
+        &RuntimeOptions::default(),
+        &BackoffPolicy::fast(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
+    let image = deterministic_input(&model, 2);
+    let expected = run_full(&model, &weights, &image).unwrap().pop().unwrap();
+    let ticket = session.submit(&image).unwrap();
+    assert_eq!(session.wait(ticket).unwrap().data(), expected.data());
+    session.shutdown().unwrap();
+    node.join().unwrap().unwrap();
 }
 
 #[test]

@@ -4,10 +4,28 @@
 //! .collect()` (index-parallel tasks) and `slice.par_chunks_mut(len)
 //! .enumerate().for_each(f)` (disjoint in-place writes into one pre-sized
 //! buffer) — so the shim implements exactly those, with real
-//! `std::thread::scope` parallelism, chunked over the available cores,
-//! preserving output order.
+//! `std::thread::scope` parallelism, chunked over
+//! [`current_num_threads`] workers, preserving output order.
 
 use std::ops::Range;
+use std::sync::OnceLock;
+
+/// Number of workers a parallel call fans out to: the cores available to
+/// the process, read **once** — as real rayon sizes its global pool once.
+/// `available_parallelism()` is a `sched_getaffinity` call plus cgroup file
+/// reads (~11 µs); per call it was the largest fixed cost of a small GEMM.
+/// A process that narrows its affinity must do so before its first
+/// parallel call for the narrower count to apply.
+pub fn current_num_threads() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    // The one cached call site `clippy.toml` exempts.
+    #[allow(clippy::disallowed_methods)]
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
 
 pub mod prelude {
     //! Drop-in for `rayon::prelude::*`.
@@ -79,10 +97,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
+    let workers = current_num_threads().min(n);
     if workers <= 1 {
         return range.map(f).collect();
     }
@@ -175,10 +190,7 @@ where
     if n == 0 {
         return;
     }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
+    let workers = current_num_threads().min(n);
     if workers <= 1 {
         for (i, chunk) in slice.chunks_mut(chunk_size).enumerate() {
             f(i, chunk);
@@ -209,6 +221,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn worker_count_is_positive_and_read_once() {
+        let n = super::current_num_threads();
+        assert!(n >= 1);
+        assert_eq!(super::current_num_threads(), n);
+    }
 
     #[test]
     fn preserves_order() {

@@ -15,10 +15,13 @@
 //! built one cache-sized panel slice at a time, and rayon parallelises over
 //! output row tiles.  Linear layers are bandwidth-bound matrix-vector
 //! products and stream weights prepacked by [`ops::pack_linear_filter`]
-//! through the row-vectorised kernels in [`ops::gemv`].  The clarity-first
-//! direct kernels remain as oracles
-//! ([`ops::conv2d_direct`], [`ops::linear_direct`]) that the fast path is
-//! validated against.
+//! through the row-vectorised kernels in [`ops::gemv`].  Every f32 kernel
+//! arm computes under one numerical contract — a single accumulator per
+//! output, `k` ascending, one fused multiply-add per step (see [`ops`]) —
+//! which is what makes split-and-stitch exact across tile sizes, threads,
+//! SIMD widths and machines.  The clarity-first direct kernels remain as
+//! oracles ([`ops::conv2d_direct`], [`ops::linear_direct`]) that the fast
+//! path is validated against under a tolerance.
 //!
 //! # Example
 //!

@@ -1,23 +1,27 @@
 //! Runtime micro-kernel dispatch.
 //!
 //! The GEMM micro-kernel exists in three arms that compute **bit-identical**
-//! results (same per-element multiply-then-add sequence, same `k` order —
-//! see the numerical contract in [`super::gemm`]):
+//! results (one fused multiply-add per step, same `k` order — the numerical
+//! contract in [`super`]):
 //!
-//! * **Scalar** — the portable Rust loop, always available.  The compiler
-//!   auto-vectorises it where it can, but makes no width or layout promises.
-//! * **Avx2** — explicit 256-bit `std::arch` kernel: the full `MR × NR`
-//!   accumulator tile lives in twelve `ymm` registers.
-//! * **Avx512** — explicit 512-bit kernel: one `zmm` register holds a whole
-//!   `NR`-column accumulator row.
+//! * **Scalar** — the portable Rust loop over `f32::mul_add`, always
+//!   available.  Where CPUID reports FMA3 it runs a copy of the same loop
+//!   compiled under `target_feature(enable = "fma")`, so a forced-scalar
+//!   run issues `vfmadd` instead of calling libm `fmaf` per element; without
+//!   hardware FMA the libm call is slow but returns the same bits.
+//! * **Avx2** — explicit 256-bit `std::arch` kernel (`_mm256_fmadd_ps`):
+//!   the full `MR × NR` accumulator tile lives in twelve `ymm` registers.
+//!   Detected only when CPUID reports `avx2` **and** `fma`.
+//! * **Avx512** — explicit 512-bit kernel (`_mm512_fmadd_ps`): one `zmm`
+//!   register holds a whole `NR`-column accumulator row, and two adjacent
+//!   B panels run per call so twelve independent accumulators cover the
+//!   FMA latency of both ports.
 //!
-//! The SIMD arms deliberately use *separate* multiply and add instructions
-//! rather than fused FMA: an FMA rounds once where `mul` + `add` round
-//! twice, so a fused kernel would not be bit-exact against the scalar
-//! fallback — and bit-exactness across dispatch arms is what lets every
-//! distributed-equivalence suite in this workspace run unchanged on any
-//! mix of machines.  The register-tile widening (and the 512-bit arm)
-//! recovers the throughput that fusing would have bought.
+//! A fused multiply-add is one correctly rounded IEEE-754 operation on
+//! every implementation — x86 FMA3, AArch64 `fmla`, libm `fmaf` — so the
+//! arms agree bitwise with each other and across machines, which is what
+//! lets every distributed-equivalence suite in this workspace run
+//! unchanged on any mix of devices.
 //!
 //! The FC GEMV kernels ([`super::gemv`]) are a second kernel family on the
 //! same arms and the same contract: 4 `zmm` / 8 `ymm` accumulators or a
@@ -48,7 +52,7 @@ use std::sync::OnceLock;
 pub enum KernelArch {
     /// Portable Rust loop — always available, the dispatch floor.
     Scalar,
-    /// 256-bit `std::arch` kernel (x86-64 with AVX2).
+    /// 256-bit `std::arch` kernel (x86-64 with AVX2 and FMA3).
     Avx2,
     /// 512-bit `std::arch` kernel (x86-64 with AVX-512F).
     Avx512,
@@ -72,15 +76,26 @@ fn detected() -> KernelArch {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return KernelArch::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            // The 256-bit arm needs both features, and an override can clamp
+            // a 512-bit machine down to it, so the 512-bit arm requires them
+            // too (every AVX-512 part has them).
+            if std::arch::is_x86_feature_detected!("avx2") && hw_fma() {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return KernelArch::Avx512;
+                }
                 return KernelArch::Avx2;
             }
         }
         KernelArch::Scalar
     })
+}
+
+/// Whether the scalar arm may run its loop compiled under
+/// `target_feature(enable = "fma")` — same bits as the plain copy (both are
+/// `f32::mul_add`), hardware `vfmadd` instead of a libm call per element.
+#[cfg(target_arch = "x86_64")]
+pub(super) fn hw_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
 }
 
 /// The environment's standing request, read once per process.  An
@@ -146,7 +161,7 @@ pub fn kernel_arch() -> KernelArch {
 ///
 /// The int8 GEMM accumulates in `i32`, so every arm computes the identical
 /// integer sum — bit-exactness across arms holds by construction, unlike
-/// the f32 family where the op sequence had to be pinned.
+/// the f32 family where the op sequence is pinned by contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QKernelArch {
     /// Portable Rust loop — always available, the dispatch floor.

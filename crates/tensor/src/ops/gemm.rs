@@ -12,37 +12,42 @@
 //! Three levels of blocking:
 //!
 //! * **register tile** — the micro-kernel holds an `MR × NR` accumulator
-//!   block in registers and streams one A panel against one B panel;
+//!   block in registers and streams one A panel against one B panel (the
+//!   AVX-512 arm: against two adjacent B panels, an `MR × 2·NR` block);
 //! * **K blocking** — the shared dimension is processed in slices of at
 //!   most [`KC`], so one B slice (≤ `KC × tile` floats) stays cache-hot
 //!   while every A panel streams over it;
 //! * **parallel tiles** — wide outputs are split into *column tiles* (for
 //!   convolutions these are row bands of the output image) processed by
-//!   rayon tasks; narrow outputs (a thin conv band of fewer than
-//!   `4·NR` pixels) parallelise over row-panel groups instead, because
-//!   column tiling would starve every core but one.
+//!   rayon tasks; narrow outputs (fewer than `4·NR` columns) share one B
+//!   across row-panel groups instead (see `MIN_COLS_FOR_TILING`).
 //!
-//! Numerical contract: for a given output element, additions happen in
-//! exactly the order `bias, k=0, 1, …, K-1` — a single accumulator, never
-//! split across `k`, each step a separate IEEE multiply then add (never a
-//! fused multiply-add) — regardless of tile sizes, thread counts, whether
-//! the columns were computed in one call or many, or which micro-kernel
-//! arm ([`super::dispatch`]) executed it.  This is what makes the packed
-//! path deterministic: a band computed on a provider is bit-identical to
-//! the same rows of a full-output call even across machines with different
-//! SIMD capability, so the runtime's bit-exactness guarantees survive the
-//! fast path.
+//! Numerical contract (stated in full in [`super`]): for a given output
+//! element the steps happen in exactly the order `bias, k=0, 1, …, K-1` —
+//! a single accumulator, never split across `k`, each step one fused
+//! multiply-add `acc = fma(a, b, acc)` — regardless of tile sizes, thread
+//! counts, whether the columns were computed in one call or many, or which
+//! micro-kernel arm ([`super::dispatch`]) executed it.  This is what makes
+//! the packed path deterministic: a band computed on a provider is
+//! bit-identical to the same rows of a full-output call even across
+//! machines with different SIMD capability, so the runtime's bit-exactness
+//! guarantees survive the fast path.
 
 use super::activation::Activation;
+#[cfg(target_arch = "x86_64")]
+use super::dispatch::hw_fma;
 use super::dispatch::{kernel_arch, KernelArch};
 use crate::error::TensorError;
 use crate::Result;
 use rayon::prelude::*;
 
 /// Rows per register tile (output channels / features per micro-kernel).
-/// Six rows × sixteen columns fills the 256-bit register file: twelve
-/// `ymm` accumulators plus two B-panel vectors and one broadcast leave one
-/// register spare.
+/// Six rows × sixteen columns is twelve `ymm` accumulators on the AVX2 arm
+/// (plus two B-panel vectors and one broadcast: fifteen of its sixteen
+/// registers) but only six `zmm` on the AVX-512 arm — too few independent
+/// chains to cover a 4-cycle FMA on two ports (that takes eight), which is
+/// why that arm runs two adjacent `NR` panels per call: twelve `zmm`
+/// accumulators, two B vectors and a broadcast of its thirty-two registers.
 pub const MR: usize = 6;
 /// Columns per register tile (output pixels per micro-kernel).
 pub const NR: usize = 16;
@@ -132,7 +137,17 @@ where
     }
 }
 
-/// Column tiles switch to row-panel parallelism below this width.
+/// Outputs narrower than this take the narrow path: one whole-`k` B shared
+/// by row-panel groups, instead of column tiles that each lower their own
+/// B slice.  With several workers that is what keeps them all busy on a
+/// handful of columns; on one worker the two paths do the same arithmetic
+/// through the same micro-kernels and differ only in how B is staged (the
+/// row groups still pay there: a group's C rows and A slice stay cache-hot
+/// across the K blocks).  Callers that land here: conv bands of fewer than
+/// `4·NR` output pixels, and most of Winograd's per-position GEMMs — its
+/// chunks hold 21–84 tiles on VGG's c256/c512 layers, which measures as
+/// fast as any wider chunk once the AVX-512 arm runs panel pairs here too
+/// (see `SCRATCH_FLOATS` in [`super::winograd`]).
 const MIN_COLS_FOR_TILING: usize = 4 * NR;
 /// Parallel grain target: aim for this many tasks per available thread.
 const TASKS_PER_THREAD: usize = 3;
@@ -142,12 +157,6 @@ const TASKS_PER_THREAD: usize = 3;
 /// wide layers (56×56 images on few cores reach multi-thousand-column
 /// tiles without this cap).
 const MAX_TILE_COLS: usize = 256;
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
 
 /// Computes `out = act(bias + A·B)` into a row-major `[m][n]` buffer, with
 /// `A` prepacked and `B` produced by `fill` (see [`PanelFill`]).
@@ -186,7 +195,7 @@ pub fn gemm_bias_act_into<F: PanelFill>(
         // the convolution caller).  Each task owns a private C tile and B
         // slice; tiles are scattered into `out` afterwards.
         let tile = n
-            .div_ceil(TASKS_PER_THREAD * num_threads())
+            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
             .next_multiple_of(NR)
             .clamp(NR, MAX_TILE_COLS);
         let tiles = n.div_ceil(tile);
@@ -231,8 +240,9 @@ pub fn gemm_bias_act_into<F: PanelFill>(
             }
         }
     } else {
-        // Narrow output (a thin conv band): one shared B, parallelise over
-        // row-panel groups writing disjoint chunks of `out` in place.
+        // Narrow output (see `MIN_COLS_FOR_TILING`): one shared B,
+        // parallelise over row-panel groups writing disjoint chunks of
+        // `out` in place.
         let panels = n.div_ceil(NR);
         let mut bbuf = vec![0.0f32; panels * k * NR];
         // The narrow-path B is laid out whole-k (panel stride k*NR), so
@@ -264,7 +274,7 @@ pub fn gemm_bias_act_into<F: PanelFill>(
             }
         }
         let group_rows = m
-            .div_ceil(TASKS_PER_THREAD * num_threads())
+            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
             .next_multiple_of(MR)
             .min(m.next_multiple_of(MR));
         out.par_chunks_mut(group_rows * n)
@@ -312,89 +322,155 @@ fn gemm_block(
     let first = k0 == 0;
     let last = k1 == a.k;
     let panels_n = n.div_ceil(NR);
-    for q in 0..panels_n {
-        let j0 = q * NR;
-        let jn = (n - j0).min(NR);
+    let bpanel = |q: usize| {
         let start = q * b_panel_rows * NR + (k0 - b_k0) * NR;
-        let bpanel = &b[start..start + kc * NR];
+        &b[start..start + kc * NR]
+    };
+    // Only the AVX-512 arm has a two-panel kernel; an odd last panel (and
+    // every panel on the other arms) runs the single-panel one.  Which
+    // kernel computes a column never changes its bits.
+    let pair_arm = arch == KernelArch::Avx512;
+    let mut q = 0;
+    while q < panels_n {
+        let width = if pair_arm && q + 1 < panels_n { 2 } else { 1 };
         let mut p = r0 / MR;
         while p * MR < r1 {
             let rows = (r1 - p * MR).min(MR);
-            let mut acc = [[0.0f32; NR]; MR];
-            if first {
+            let mut acc = [[[0.0f32; NR]; MR]; 2];
+            for (half, acc) in acc.iter_mut().enumerate().take(width) {
+                let j0 = (q + half) * NR;
+                let jn = (n - j0).min(NR);
                 for r in 0..rows {
-                    acc[r] = [bias[p * MR + r]; NR];
-                }
-            } else {
-                for r in 0..rows {
-                    let row = &c[(p * MR + r - r0) * c_stride + j0..][..jn];
-                    acc[r][..jn].copy_from_slice(row);
+                    if first {
+                        acc[r] = [bias[p * MR + r]; NR];
+                    } else {
+                        let row = &c[(p * MR + r - r0) * c_stride + j0..][..jn];
+                        acc[r][..jn].copy_from_slice(row);
+                    }
                 }
             }
-            microkernel(arch, a.panel(p, k0, k1), bpanel, &mut acc);
-            for r in 0..rows {
-                let row = &mut c[(p * MR + r - r0) * c_stride + j0..][..jn];
-                if last {
-                    for (dst, v) in row.iter_mut().zip(acc[r].iter()) {
-                        *dst = act.apply(*v);
+            let apanel = a.panel(p, k0, k1);
+            if width == 2 {
+                microkernel_pair(apanel, bpanel(q), bpanel(q + 1), &mut acc);
+            } else {
+                microkernel(arch, apanel, bpanel(q), &mut acc[0]);
+            }
+            for (half, acc) in acc.iter().enumerate().take(width) {
+                let j0 = (q + half) * NR;
+                let jn = (n - j0).min(NR);
+                for r in 0..rows {
+                    let row = &mut c[(p * MR + r - r0) * c_stride + j0..][..jn];
+                    if last {
+                        for (dst, v) in row.iter_mut().zip(acc[r].iter()) {
+                            *dst = act.apply(*v);
+                        }
+                    } else {
+                        row.copy_from_slice(&acc[r][..jn]);
                     }
-                } else {
-                    row.copy_from_slice(&acc[r][..jn]);
                 }
             }
             p += 1;
         }
+        q += width;
     }
 }
 
 /// The register tile: streams one A panel (`kc × MR`) against one B panel
 /// (`kc × NR`), accumulating `MR × NR` partial sums through the dispatched
 /// micro-kernel arm.  Every arm performs the identical per-element op
-/// sequence (`acc = acc + a·b`, separate multiply and add, `k` ascending),
-/// so the arms are bit-interchangeable — the order every caller relies on.
+/// sequence (`acc = fma(a, b, acc)`, `k` ascending), so the arms are
+/// bit-interchangeable — the order every caller relies on.
 #[inline]
 fn microkernel(arch: KernelArch, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+    // The SIMD arms walk `a.len() / MR` steps of `a` and `b` through raw
+    // pointers on the strength of this.
+    assert_eq!(a.len() * NR, b.len() * MR, "micro-kernel panel sizes");
     match arch {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `kernel_arch()` clamps to CPUID-detected capability, so
         // the required target features are present when these arms are
-        // selected.
+        // selected; the panel lengths were asserted above.
         KernelArch::Avx512 => unsafe { microkernel_avx512(a, b, acc) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
         KernelArch::Avx2 => unsafe { microkernel_avx2(a, b, acc) },
         _ => microkernel_scalar(a, b, acc),
     }
 }
 
-/// Portable micro-kernel — the always-available dispatch floor.  The `j`
-/// loop is over independent output elements, so the compiler may vectorise
-/// it without reordering the `k` accumulation.
+/// The AVX-512 arm's wide register tile: one A panel against two B panels
+/// of the same `kc`, `acc[0]` and `acc[1]` their `MR × NR` blocks.  Each
+/// column sees the op sequence of [`microkernel`]; the second panel only
+/// adds independent accumulator chains.
+#[inline]
+fn microkernel_pair(a: &[f32], b0: &[f32], b1: &[f32], acc: &mut [[[f32; NR]; MR]; 2]) {
+    assert!(
+        a.len() * NR == b0.len() * MR && b1.len() == b0.len(),
+        "micro-kernel panel sizes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `gemm_block` takes this kernel only when `kernel_arch()`
+    // returned `Avx512`, which is clamped to CPUID-detected capability; the
+    // panel lengths were asserted above.
+    unsafe {
+        microkernel_avx512_pair(a, b0, b1, acc)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = acc;
+        unreachable!("the two-panel kernel exists on the AVX-512 arm only");
+    }
+}
+
+/// Portable micro-kernel — the always-available dispatch floor.  Runs the
+/// copy of its loop compiled with hardware FMA where the CPU has it.
 #[inline]
 fn microkernel_scalar(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+    #[cfg(target_arch = "x86_64")]
+    if hw_fma() {
+        // SAFETY: CPUID reports FMA3.
+        return unsafe { microkernel_scalar_fma(a, b, acc) };
+    }
+    microkernel_scalar_loop(a, b, acc)
+}
+
+/// The scalar loop.  `f32::mul_add` is a correctly rounded fused
+/// multiply-add whether it compiles to an instruction or a libm call.  The
+/// `j` loop is over independent output elements, so the compiler may
+/// vectorise it without reordering the `k` accumulation.
+#[inline(always)]
+fn microkernel_scalar_loop(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
         for r in 0..MR {
             let ar = av[r];
-            let row = &mut acc[r];
-            for (j, &bj) in bv.iter().enumerate() {
-                row[j] += ar * bj;
+            for (c, &bj) in acc[r].iter_mut().zip(bv) {
+                *c = ar.mul_add(bj, *c);
             }
         }
     }
 }
 
-/// 256-bit explicit micro-kernel: the whole `MR × NR` accumulator tile
-/// lives in twelve `ymm` registers (two per row), with one broadcast and
-/// two B vectors in flight.  Multiply and add are issued as separate
-/// instructions — see [`super::dispatch`] for why fusing is off the table.
+/// [`microkernel_scalar_loop`] compiled with `vfmadd` available.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2, `a.len() == kc*MR` and
-/// `b.len() == kc*NR` for the same `kc`.
+/// Caller must ensure the CPU supports FMA3.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "fma")]
+unsafe fn microkernel_scalar_fma(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+    microkernel_scalar_loop(a, b, acc)
+}
+
+/// 256-bit explicit micro-kernel: the whole `MR × NR` accumulator tile
+/// lives in twelve `ymm` registers (two per row), with one broadcast and
+/// two B vectors in flight — twelve independent FMA chains.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2 and FMA3, `a.len() == kc*MR`
+/// and `b.len() == kc*NR` for the same `kc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(a.len() / MR, b.len() / NR);
     let kc = a.len() / MR;
     let cp = acc.as_mut_ptr() as *mut f32;
     // Load the accumulator tile: rows r at lanes [0,8) and [8,16).
@@ -411,8 +487,8 @@ unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
         let b1 = _mm256_loadu_ps(pb.add(8));
         for r in 0..MR {
             let ar = _mm256_set1_ps(*pa.add(r));
-            c0[r] = _mm256_add_ps(c0[r], _mm256_mul_ps(ar, b0));
-            c1[r] = _mm256_add_ps(c1[r], _mm256_mul_ps(ar, b1));
+            c0[r] = _mm256_fmadd_ps(ar, b0, c0[r]);
+            c1[r] = _mm256_fmadd_ps(ar, b1, c1[r]);
         }
         pa = pa.add(MR);
         pb = pb.add(NR);
@@ -423,9 +499,9 @@ unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// 512-bit explicit micro-kernel: one `zmm` register holds a whole
-/// `NR`-column accumulator row, six in flight.  Same non-fused op sequence
-/// as every other arm.
+/// 512-bit explicit micro-kernel over one B panel: one `zmm` register holds
+/// a whole `NR`-column accumulator row, six in flight.  Runs the odd last
+/// panel of a block; pairs go through [`microkernel_avx512_pair`].
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX-512F, `a.len() == kc*MR` and
@@ -434,7 +510,6 @@ unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
 #[target_feature(enable = "avx512f")]
 unsafe fn microkernel_avx512(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(a.len() / MR, b.len() / NR);
     let kc = a.len() / MR;
     let cp = acc.as_mut_ptr() as *mut f32;
     let mut c = [_mm512_setzero_ps(); MR];
@@ -447,13 +522,57 @@ unsafe fn microkernel_avx512(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
         let bv = _mm512_loadu_ps(pb);
         for (r, cr) in c.iter_mut().enumerate() {
             let ar = _mm512_set1_ps(*pa.add(r));
-            *cr = _mm512_add_ps(*cr, _mm512_mul_ps(ar, bv));
+            *cr = _mm512_fmadd_ps(ar, bv, *cr);
         }
         pa = pa.add(MR);
         pb = pb.add(NR);
     }
     for (r, cr) in c.iter().enumerate() {
         _mm512_storeu_ps(cp.add(r * NR), *cr);
+    }
+}
+
+/// 512-bit explicit micro-kernel over two B panels: an `MR × 2·NR` tile in
+/// twelve `zmm` accumulators — two B loads and six broadcasts per twelve
+/// FMAs, and enough independent chains to keep both FMA ports busy.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F, `a.len() == kc*MR` and
+/// `b0.len() == b1.len() == kc*NR` for the same `kc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512_pair(
+    a: &[f32],
+    b0: &[f32],
+    b1: &[f32],
+    acc: &mut [[[f32; NR]; MR]; 2],
+) {
+    use std::arch::x86_64::*;
+    let kc = a.len() / MR;
+    let cp = acc.as_mut_ptr() as *mut f32;
+    let mut c0 = [_mm512_setzero_ps(); MR];
+    let mut c1 = [_mm512_setzero_ps(); MR];
+    for r in 0..MR {
+        c0[r] = _mm512_loadu_ps(cp.add(r * NR));
+        c1[r] = _mm512_loadu_ps(cp.add((MR + r) * NR));
+    }
+    let mut pa = a.as_ptr();
+    let (mut pb0, mut pb1) = (b0.as_ptr(), b1.as_ptr());
+    for _ in 0..kc {
+        let v0 = _mm512_loadu_ps(pb0);
+        let v1 = _mm512_loadu_ps(pb1);
+        for r in 0..MR {
+            let ar = _mm512_set1_ps(*pa.add(r));
+            c0[r] = _mm512_fmadd_ps(ar, v0, c0[r]);
+            c1[r] = _mm512_fmadd_ps(ar, v1, c1[r]);
+        }
+        pa = pa.add(MR);
+        pb0 = pb0.add(NR);
+        pb1 = pb1.add(NR);
+    }
+    for r in 0..MR {
+        _mm512_storeu_ps(cp.add(r * NR), c0[r]);
+        _mm512_storeu_ps(cp.add((MR + r) * NR), c1[r]);
     }
 }
 
@@ -520,6 +639,22 @@ mod tests {
         let p1 = packed.panel(1, 0, k);
         assert_eq!(p1[0], w[MR * k]); // row MR, k 0
         assert_eq!(p1[1], 0.0); // padding row
+    }
+
+    #[test]
+    fn scalar_loop_gives_the_same_bits_with_and_without_hardware_fma() {
+        // The plain copy of the loop is what a CPU without FMA3 runs
+        // (`f32::mul_add` through libm there); the dispatched scalar arm
+        // runs the `fma`-compiled copy wherever this host allows.
+        let kc = 37;
+        // Inexact operands, so every step really rounds.
+        let inexact = |v: Vec<f32>| -> Vec<f32> { v.iter().map(|x| x * 0.37 + 0.011).collect() };
+        let (a, b) = (inexact(det(kc * MR, 11)), inexact(det(kc * NR, 12)));
+        let mut plain = [[0.25f32; NR]; MR];
+        let mut dispatched = plain;
+        microkernel_scalar_loop(&a, &b, &mut plain);
+        microkernel_scalar(&a, &b, &mut dispatched);
+        assert_eq!(plain, dispatched);
     }
 
     #[test]

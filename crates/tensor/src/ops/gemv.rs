@@ -9,8 +9,8 @@
 //! the rest away.  The kernels here vectorise across *output rows* instead:
 //! weights are packed at deploy into tall k-major row panels
 //! ([`PackedLinearFilter`], [`QuantizedLinearFilter`]), and each step
-//! broadcasts one `x[k]` and does one load + multiply + add per [`LANES`]
-//! weights, with a whole panel's accumulators held in registers.
+//! broadcasts one `x[k]` and does one load + fused multiply-add per
+//! [`LANES`] weights, with a whole panel's accumulators held in registers.
 //!
 //! **Panels.**  Rows are padded to a multiple of [`LANES`] and cut into
 //! panels of [`PANEL_ROWS`]; only the last panel can be shorter, so a small
@@ -20,15 +20,17 @@
 //! with [`QK`]-byte quads in place of floats.  Padding rows are zero.
 //!
 //! **Numerical contract.**  The f32 kernels keep [`super::gemm`]'s contract
-//! bit for bit: one accumulator per output, initialised from the bias, `k`
-//! ascending, each step a separate IEEE multiply then add (never fused), on
-//! every dispatch arm — so an FC output is the same bits the `n = 1` GEMM
-//! path produces, on any machine.  The int8 kernels accumulate the same
+//! (stated in [`super`]) bit for bit: one accumulator per output,
+//! initialised from the bias, `k` ascending, each step one fused
+//! multiply-add, on every dispatch arm — so an FC output is the same bits
+//! the `n = 1` GEMM path produces, on any machine.  The int8 kernels accumulate the same
 //! exact `i32` sums as [`super::qgemm`] and apply its one epilogue
 //! expression.  Row panels are independent, so splitting them across rayon
 //! tasks changes nothing.
 
 use super::activation::Activation;
+#[cfg(target_arch = "x86_64")]
+use super::dispatch::hw_fma;
 use super::dispatch::{kernel_arch, qkernel_arch, KernelArch, QKernelArch};
 use super::qgemm::{quant_byte, quant_scale, quantize_i8, MAX_QUANT_K, QK};
 use crate::error::TensorError;
@@ -202,20 +204,45 @@ fn gemv_panel_n<const NV: usize>(
     }
 }
 
-/// Portable arm: a lane loop over independent rows, which the compiler may
-/// vectorise without touching the `k` order.
+/// Portable arm: runs the copy of its loop compiled with hardware FMA
+/// where the CPU has it (see [`super::dispatch`]).
 fn gemv_panel_scalar<const NV: usize>(w: &[f32], x: &[f32], acc: &mut [f32; PANEL_ROWS]) {
+    #[cfg(target_arch = "x86_64")]
+    if hw_fma() {
+        // SAFETY: CPUID reports FMA3.
+        return unsafe { gemv_panel_scalar_fma::<NV>(w, x, acc) };
+    }
+    gemv_panel_scalar_loop::<NV>(w, x, acc)
+}
+
+/// The scalar loop: a lane loop over independent rows, which the compiler
+/// may vectorise without touching the `k` order.
+#[inline(always)]
+fn gemv_panel_scalar_loop<const NV: usize>(w: &[f32], x: &[f32], acc: &mut [f32; PANEL_ROWS]) {
     let acc = &mut acc[..NV * LANES];
     for (wk, &xk) in w.chunks_exact(NV * LANES).zip(x) {
         for (a, &wv) in acc.iter_mut().zip(wk) {
-            *a += wv * xk;
+            *a = wv.mul_add(xk, *a);
         }
     }
 }
 
-/// 512-bit arm: `NV` `zmm` accumulators, one broadcast and `NV` loads per
-/// `k`.  Multiply and add are separate instructions (see
-/// [`super::dispatch`]).
+/// [`gemv_panel_scalar_loop`] compiled with `vfmadd` available.
+///
+/// # Safety
+/// The CPU must support FMA3.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn gemv_panel_scalar_fma<const NV: usize>(
+    w: &[f32],
+    x: &[f32],
+    acc: &mut [f32; PANEL_ROWS],
+) {
+    gemv_panel_scalar_loop::<NV>(w, x, acc)
+}
+
+/// 512-bit arm: `NV` `zmm` accumulators, one broadcast, `NV` loads and `NV`
+/// fused multiply-adds per `k`.
 ///
 /// # Safety
 /// The CPU must support AVX-512F and `w.len() == x.len() * NV * LANES`.
@@ -233,7 +260,7 @@ unsafe fn gemv_panel_avx512<const NV: usize>(w: &[f32], x: &[f32], acc: &mut [f3
         let xv = _mm512_set1_ps(xk);
         for (v, cv) in c.iter_mut().enumerate() {
             let wv = _mm512_loadu_ps(pw.add(v * LANES));
-            *cv = _mm512_add_ps(*cv, _mm512_mul_ps(wv, xv));
+            *cv = _mm512_fmadd_ps(wv, xv, *cv);
         }
         pw = pw.add(NV * LANES);
     }
@@ -245,9 +272,10 @@ unsafe fn gemv_panel_avx512<const NV: usize>(w: &[f32], x: &[f32], acc: &mut [f3
 /// 256-bit arm: `2·NV` `ymm` accumulators, same op sequence.
 ///
 /// # Safety
-/// The CPU must support AVX2 and `w.len() == x.len() * NV * LANES`.
+/// The CPU must support AVX2 and FMA3, and
+/// `w.len() == x.len() * NV * LANES`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn gemv_panel_avx2<const NV: usize>(w: &[f32], x: &[f32], acc: &mut [f32; PANEL_ROWS]) {
     use std::arch::x86_64::*;
     let cp = acc.as_mut_ptr();
@@ -263,8 +291,8 @@ unsafe fn gemv_panel_avx2<const NV: usize>(w: &[f32], x: &[f32], acc: &mut [f32;
         for v in 0..NV {
             let w0 = _mm256_loadu_ps(pw.add(v * LANES));
             let w1 = _mm256_loadu_ps(pw.add(v * LANES + 8));
-            lo[v] = _mm256_add_ps(lo[v], _mm256_mul_ps(w0, xv));
-            hi[v] = _mm256_add_ps(hi[v], _mm256_mul_ps(w1, xv));
+            lo[v] = _mm256_fmadd_ps(w0, xv, lo[v]);
+            hi[v] = _mm256_fmadd_ps(w1, xv, hi[v]);
         }
         pw = pw.add(NV * LANES);
     }

@@ -2,10 +2,12 @@
 //!
 //! An FC layer is a matrix-vector product: bandwidth-bound, one pass over
 //! the weights per frame.  It runs on the row-vectorised GEMV kernels in
-//! [`super::gemv`], which keep the GEMM path's numerical contract bit for
-//! bit (see there).  [`linear_packed`] / [`linear_q8`] consume a filter
-//! prepacked at deploy time; [`linear`] packs per call and is
-//! bit-identical.  [`linear_direct`] is the serial oracle.
+//! [`super::gemv`], which keep the GEMM path's numerical contract — one
+//! fused multiply-add per step, `k` ascending (see [`super`]) — bit for
+//! bit.  [`linear_packed`] / [`linear_q8`] consume a filter prepacked at
+//! deploy time; [`linear`] packs per call and is bit-identical.
+//! [`linear_direct`] is the serial oracle: it rounds the product and the
+//! sum separately, so it is compared under a tolerance, never bitwise.
 
 use super::activation::Activation;
 use super::gemv::{

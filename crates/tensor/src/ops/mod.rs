@@ -7,6 +7,36 @@
 //! runtime micro-kernel dispatch in [`dispatch`].  The direct loop-nest kernels
 //! ([`conv2d_direct`] / [`conv2d_rows_direct`] / [`linear_direct`]) remain
 //! as the oracles the fast paths are validated against.
+//!
+//! # The f32 numerical contract
+//!
+//! Every f32 kernel arm ([`gemm`], [`gemv`], and through them im2col,
+//! Winograd and the FC head) computes an output element as
+//!
+//! ```text
+//! acc = bias;  for k in 0..K { acc = fma(a[k], b[k], acc) }
+//! ```
+//!
+//! — one accumulator per element, initialised from the bias, `k` strictly
+//! ascending, each step **one fused multiply-add** (IEEE-754
+//! `fusedMultiplyAdd`: the exact product plus the accumulator, rounded
+//! once).  `f32::mul_add`, x86 `vfmadd`, AArch64 `fmla` and libm `fmaf` are
+//! all that one correctly rounded operation, so the result is the same bit
+//! pattern on every dispatch arm, tile size, thread count, band cut and
+//! machine.  The direct-loop oracles round the product and the sum
+//! separately and are compared under a tolerance, never bitwise.
+//! [`NUMERICS_CONTRACT`] names this contract on the wire.
+
+/// Version of the f32 numerical contract (see the module docs) this build
+/// computes under.  Two builds with different values produce outputs that
+/// differ in the last bit, so bands from both must never be stitched into
+/// one tensor: `edge-cluster`'s handshake carries the byte and a node
+/// refuses a coordinator whose value differs.  Bump it whenever the
+/// per-element op sequence of any f32 arm changes.
+///
+/// * `1` — separate multiply then add (builds that predate the byte).
+/// * `2` — one fused multiply-add per step.
+pub const NUMERICS_CONTRACT: u8 = 2;
 
 mod activation;
 mod conv;

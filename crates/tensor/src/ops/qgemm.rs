@@ -201,17 +201,11 @@ where
     }
 }
 
-// Parallel-strategy constants mirroring `super::gemm` exactly, so the
-// quantized path has the same tiling behaviour per shape.
+// Parallel-strategy constants with the values `super::gemm` uses (its
+// tile balancing and in-place column tiles are the f32 driver's alone).
 const MIN_COLS_FOR_TILING: usize = 4 * NR;
 const TASKS_PER_THREAD: usize = 3;
 const MAX_TILE_COLS: usize = 256;
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
 
 /// Computes `out = act(bias + dequant(Aq·Bq))` into a row-major `[m][n]`
 /// f32 buffer, with the weight side prepacked in `a` and the activation
@@ -255,7 +249,7 @@ pub fn qgemm_bias_act_into<F: QPanelFill>(
         // private i32 C tile and u8 B slice, applies the epilogue, and the
         // finished f32 tiles are scattered into `out`.
         let tile = n
-            .div_ceil(TASKS_PER_THREAD * num_threads())
+            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
             .next_multiple_of(NR)
             .clamp(NR, MAX_TILE_COLS);
         let tiles = n.div_ceil(tile);
@@ -317,7 +311,7 @@ pub fn qgemm_bias_act_into<F: QPanelFill>(
         let mut bbuf = vec![128u8; panels * kq * NR * QK];
         fill.fill(0, k, 0, n, &mut bbuf);
         let group_rows = m
-            .div_ceil(TASKS_PER_THREAD * num_threads())
+            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
             .next_multiple_of(MR)
             .min(m.next_multiple_of(MR));
         out.par_chunks_mut(group_rows * n)

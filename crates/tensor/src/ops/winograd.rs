@@ -62,15 +62,66 @@ pub const fn winograd_eligible(f: usize, stride: usize) -> bool {
 /// GEMMs are K=3 slivers) run *slower* than im2col GEMM.  Channel counts
 /// are layer geometry, never band shape, so routing on them preserves the
 /// band-stitch bit-exactness contract: every band of a layer takes the
-/// same path on every device.  The threshold comes from the kernel bench
-/// (`BENCH_kernels.json`): the crossover sits near 128 channels per side.
+/// same path on every device — one static rule, never a per-device or
+/// deploy-time choice.  The threshold comes from the kernel bench
+/// (`benches/kernels.rs`, both routes pinned by packing their form
+/// directly, one CPU, AVX-512 arm), re-measured after the kernels went to
+/// fused multiply-adds, which speed the im2col GEMM more than the
+/// transform-bound thin Winograd layers (effective GFLOP/s, the committed
+/// `BENCH_kernels.json` run, then the range over six runs of a noisy host):
+///
+/// ```text
+/// 3×3 shape           im2col SIMD      Winograd        before (unfused)
+/// 64→64   @ 56×56     49.0  (39–54)    57.2  (38–58)   40.9 vs 36.0
+/// 128→128 @ 28×28     68.4  (59–78)    89.4  (75–90)   57.9 vs 57.7 (a tie)
+/// 512→512 @ 14×14     83.7  (52–84)   138.2  (96–138)  61.3 vs 91.3
+/// ```
+///
+/// Winograd won at c128 in all six runs, by 16–36 % — what was a tie is a
+/// clear win — and the crossover has moved down to about c64, where it led
+/// five runs by 5–17 % and trailed one by 3 %.  That is not yet a reason to
+/// route c64 here: the margin is inside this host's noise, Winograd panels
+/// are 16/9 the bytes, and the c64 layers that matter (64→128 at 112×112)
+/// are more transform-bound than the 56×56 bench shape.  The threshold
+/// stays at 128 until the end-to-end benchmark says otherwise.
 pub const fn winograd_preferred(c_in: usize, c_out: usize) -> bool {
     c_in >= 128 && c_out >= 128
 }
 
-/// Per-chunk scratch budget in floats (V + M buffers, ~2 MiB) — bounds how
-/// many tiles are in flight so the transform-domain matrices stay
-/// cache-resident between the transform, GEMM and inverse stages.
+/// Per-chunk scratch budget in floats (the V and M buffers together, 2 MiB
+/// — one L2) — bounds how many tiles are in flight at once.
+///
+/// A chunk of `n` tiles holds `16·(c_in + c_out)·n` floats of V and M, and
+/// each of its sixteen GEMMs streams one `U[t]` (256 KiB at c256, 1 MiB at
+/// c512: 4 and 16 MiB per chunk).  So it is V and M the budget keeps near
+/// the cache between the transform, GEMM and inverse stages, never U — the
+/// larger stream, re-read from L3 once per chunk, and cheap at that:
+/// `32·c_in·c_out·n` flops per `64·c_in·c_out` bytes is `n/2` flops per
+/// byte, under 3 GB/s of sequential reads from `n = 28` up.  The budget
+/// gives VGG's layers chunks of 84 (c128→256), 56 (c256→256), 42 (c256→512)
+/// and 28 tiles (c512→512), most of them under the GEMM's `4·NR`-column
+/// wide path.  That was suspected of holding these layers back; it does
+/// not, now that the AVX-512 arm runs panel pairs on the narrow path too.
+/// One-CPU sweep of tile rows per chunk on the VGG-11 shapes (full plane,
+/// min of 15 interleaved calls, ms; `n` tiles and MiB of V + M per chunk):
+///
+/// ```text
+/// c256→256 @56×56          c512→512 @28×28          c128→256 @56×56
+///   n   V+M    ms            n   V+M    ms            n   V+M    ms
+///   28  0.9   34.4           14  0.9   40.1           28  0.7   16.6
+///   56  1.8   32.8           28  1.8   32.5           84  2.0   18.3
+///  112  3.5   31.5           42  2.6   31.6          140  3.3   17.5
+///  196  6.1   32.4           70  4.4   36.1          280  6.6   16.5
+///  392 12.2   32.6          140  8.8   35.7          392  9.2   17.5
+///  784 24.5   34.5          196 12.2   33.2          784 18.4   19.6
+/// ```
+///
+/// Under 28 tiles a GEMM is mostly lane padding; from there the curve is
+/// flat to within the host's noise (±5 %) up to ~8 MiB, c512 if anything
+/// preferring the resident end — so chunking to `n ≥ 4·NR` from the layer
+/// geometry (tried: 4 and 8 MiB budgets, a `4·NR` floor, even chunks, with
+/// and without sliver-free column tiles in the GEMM driver) bought 6–11 %
+/// on c256→256 alone, lost as much on the c512 layers, and was left out.
 const SCRATCH_FLOATS: usize = 512 * 1024;
 
 /// A 3×3 filter bank transformed into the Winograd domain and packed for
@@ -163,6 +214,38 @@ pub fn conv2d_rows_winograd(
     padding: usize,
     act: Activation,
 ) -> Result<Tensor> {
+    winograd_rows(
+        input,
+        in_row_offset,
+        orig_h_in,
+        out_start,
+        out_end,
+        filter,
+        bias,
+        padding,
+        act,
+        None,
+    )
+}
+
+/// [`conv2d_rows_winograd`] with the tile rows per chunk given (`None`: as
+/// many as [`SCRATCH_FLOATS`] holds).  Chunking only groups whole tiles,
+/// and no element's `k` order depends on how many columns its GEMM call
+/// carries, so every value yields the same output bits — the parameter
+/// exists for the test that says so.
+#[allow(clippy::too_many_arguments)]
+fn winograd_rows(
+    input: &Tensor,
+    in_row_offset: usize,
+    orig_h_in: usize,
+    out_start: usize,
+    out_end: usize,
+    filter: &WinogradFilter,
+    bias: &[f32],
+    padding: usize,
+    act: Activation,
+    chunk_ty: Option<usize>,
+) -> Result<Tensor> {
     let c_out = filter.c_out();
     let geom = validate_band(
         input,
@@ -195,8 +278,10 @@ pub fn conv2d_rows_winograd(
     let ty1 = (out_end - 1) / 2 + 1;
 
     // Whole tile rows per chunk, sized to the scratch budget.
-    let nt_cap = (SCRATCH_FLOATS / (16 * (c_in + c_out))).max(tiles_x);
-    let chunk_ty = (nt_cap / tiles_x).max(1);
+    let chunk_ty = chunk_ty.unwrap_or_else(|| {
+        let nt_cap = (SCRATCH_FLOATS / (16 * (c_in + c_out))).max(tiles_x);
+        nt_cap / tiles_x
+    });
     let nt_max = chunk_ty.min(ty1 - ty0) * tiles_x;
 
     // Interior tile-column range: every load `ix = 2·tx − pad + c`,
@@ -534,6 +619,47 @@ mod tests {
             start = end;
         }
         assert_eq!(concat_rows(&bands).unwrap(), full);
+    }
+
+    #[test]
+    fn chunking_never_changes_an_output_bit() {
+        // Inexact operands (no sum here is exactly representable), a band
+        // with odd cuts, and enough tile rows that 1, 2 and all of them per
+        // chunk are three different groupings — plus whatever the sizing
+        // rule picks.  Every grouping must produce the same bits.
+        let (c_in, c_out, h, w, p) = (5usize, 7usize, 21usize, 13usize, 1usize);
+        let input = Tensor::from_fn([c_in, h, w], |c, y, x| {
+            ((c * 31 + y * 7 + x * 3) % 97) as f32 * 0.013 - 0.6
+        });
+        let weights: Vec<f32> = (0..im2col_weight_len(c_in, c_out, 3))
+            .map(|i| ((i * 37) % 101) as f32 * 0.0071 - 0.35)
+            .collect();
+        let bias: Vec<f32> = (0..c_out).map(|i| i as f32 * 0.03 - 0.1).collect();
+        let filter = WinogradFilter::pack(&weights, c_in, c_out).unwrap();
+        let (start, end) = (3usize, 18usize);
+        let (lo, hi) = input_rows_for_output(start, end, 3, 1, p, h);
+        let band_in = slice_rows(&input, lo, hi).unwrap();
+        let run = |chunk_ty: Option<usize>| {
+            winograd_rows(
+                &band_in,
+                lo,
+                h,
+                start,
+                end,
+                &filter,
+                &bias,
+                p,
+                Activation::Relu,
+                chunk_ty,
+            )
+            .unwrap()
+        };
+        let auto = run(None);
+        let tile_rows = (end - 1) / 2 + 1 - start / 2;
+        assert!(tile_rows > 4);
+        for chunk_ty in [1, 2, tile_rows] {
+            assert_eq!(run(Some(chunk_ty)), auto, "{chunk_ty} tile rows per chunk");
+        }
     }
 
     #[test]

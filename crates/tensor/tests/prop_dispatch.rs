@@ -1,21 +1,25 @@
 //! Property-based bit-exactness across micro-kernel dispatch arms.
 //!
 //! Every arm (scalar / AVX2 / AVX-512) implements the identical per-element
-//! op sequence — separate multiply and add, ascending `k` — so forcing the
-//! scalar fallback must reproduce the auto-dispatched output *bitwise*, on
-//! the GEMM conv path, the Winograd path and the FC GEMV path alike — and
-//! the GEMV kernels must reproduce, bit for bit, the `n = 1` GEMM product
-//! they replaced (f32 over `PackedFilter`, int8 over `QuantizedFilter`,
-//! both kept as the oracle).  This is
-//! the property that lets a heterogeneous device fleet (or a CI box without
-//! AVX) interoperate with bit-exact distributed execution, and it is what
-//! the `DISTREDGE_FORCE_SCALAR` CI job leans on.
+//! op sequence — one fused multiply-add per step, ascending `k`, the
+//! contract stated in `tensor::ops` — so forcing the scalar fallback must
+//! reproduce the auto-dispatched output *bitwise*, on the GEMM conv path,
+//! the Winograd path and the FC GEMV path alike — and the GEMV kernels must
+//! reproduce, bit for bit, the `n = 1` GEMM product they replaced (f32 over
+//! `PackedFilter`, int8 over `QuantizedFilter`, both kept as the oracle).
+//! A fused multiply-add is one correctly rounded operation on every
+//! implementation, which is the property that lets a heterogeneous device
+//! fleet (or a CI box without AVX) interoperate with bit-exact distributed
+//! execution, and it is what the `DISTREDGE_FORCE_SCALAR` CI job leans on.
+//! Two plain tests pin the contract itself: a *fused witness* whose fused
+//! and unfused results differ, and the AVX-512 arm's paired-panel edges
+//! against a scalar `mul_add` loop.
 //!
 //! The override is process-global, so the tests serialise on a mutex.
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use tensor::ops::gemm::{gemm_bias_act_into, NR};
+use tensor::ops::gemm::{gemm_bias_act_into, KC, MR, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len, kernel_arch, linear_packed,
@@ -63,6 +67,152 @@ fn with_each_qarm<T>(mut body: impl FnMut(QKernelArch) -> T) -> Vec<(QKernelArch
     }
     set_qkernel_override(None);
     out
+}
+
+/// A panel filler over a dense row-major `[k][n]` matrix.
+fn dense_fill(b: &[f32], n: usize) -> impl Fn(usize, usize, usize, usize, &mut [f32]) + Sync + '_ {
+    move |k0, k1, j0, j1, buf| {
+        let kc = k1 - k0;
+        for kk in 0..kc {
+            for j in j0..j1 {
+                let jj = j - j0;
+                buf[((jj / NR) * kc + kk) * NR + jj % NR] = b[(k0 + kk) * n + j];
+            }
+        }
+    }
+}
+
+/// `act(bias + A·B)` through the packed GEMM on the current arm.
+fn gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let packed = PackedFilter::pack(a, m, k).unwrap();
+    let mut out = vec![0.0f32; m * n];
+    gemm_bias_act_into(
+        &packed,
+        bias,
+        Activation::None,
+        n,
+        &dense_fill(b, n),
+        &mut out,
+    )
+    .unwrap();
+    out
+}
+
+/// The contract written out: one accumulator from the bias, `k` ascending,
+/// one `f32::mul_add` per step.
+fn mul_add_reference(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for r in 0..m {
+        for j in 0..n {
+            let mut acc = bias[r];
+            for kk in 0..k {
+                acc = a[r * k + kk].mul_add(b[kk * n + j], acc);
+            }
+            out[r * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// Operands on which a fused and an unfused step differ: the exact product
+/// `(1 + 2⁻¹²)² = 1 + 2⁻¹¹ + 2⁻²⁴` is a tie that rounds to even,
+/// `1 + 2⁻¹¹`, so multiply-then-add against `−(1 + 2⁻¹¹)` gives `0` while
+/// one fused step keeps the `2⁻²⁴`.
+const WITNESS_OPERAND: f32 = 1.0 + 1.0 / 4096.0;
+const WITNESS_BIAS: f32 = -(1.0 + 1.0 / 2048.0);
+const WITNESS_FUSED: f32 = 1.0 / 16_777_216.0;
+
+#[test]
+fn fused_witness_survives_every_kernel_on_every_arm() {
+    assert_eq!(WITNESS_OPERAND * WITNESS_OPERAND + WITNESS_BIAS, 0.0);
+    assert_eq!(
+        WITNESS_OPERAND.mul_add(WITNESS_OPERAND, WITNESS_BIAS),
+        WITNESS_FUSED
+    );
+    let fused_bits = WITNESS_FUSED.to_bits();
+
+    // GEMM: a row-panel edge, a panel pair and an odd panel, K = 1.
+    let (m, n) = (MR + 1, 2 * NR + 1);
+    let (a, b, bias) = (
+        vec![WITNESS_OPERAND; m],
+        vec![WITNESS_OPERAND; n],
+        vec![WITNESS_BIAS; m],
+    );
+    let gemm_want = mul_add_reference(&a, &b, &bias, m, 1, n);
+    // GEMV: one full row panel and a short one, one input.
+    let rows = 70;
+    let fc = pack_linear_filter(&vec![WITNESS_OPERAND; rows], 1, rows).unwrap();
+    let x = Tensor::from_vec([1, 1, 1], vec![WITNESS_OPERAND]).unwrap();
+    // Routed conv: a 1×1 filter over one channel is the same single step
+    // per pixel, through im2col and the GEMM.
+    let image = Tensor::filled([1, 5, 7], WITNESS_OPERAND);
+    let conv = pack_conv_filter(&[WITNESS_OPERAND; 3], 1, 3, 1, 1).unwrap();
+
+    let all_fused = |what: &str, arm: KernelArch, out: &[f32]| {
+        assert!(
+            out.iter().all(|v| v.to_bits() == fused_bits),
+            "{what} on the {} arm lost the fused bit: {:?}",
+            arm.label(),
+            &out[..out.len().min(4)]
+        );
+    };
+    with_each_arm(|arm| {
+        let got = gemm(&a, &b, &bias, m, 1, n);
+        all_fused("gemm", arm, &got);
+        assert_eq!(got, gemm_want);
+
+        let out = linear_packed(&x, &fc, &vec![WITNESS_BIAS; rows], Activation::None).unwrap();
+        all_fused("gemv", arm, out.data());
+
+        let out = conv2d_rows_packed(
+            &image,
+            0,
+            5,
+            0,
+            5,
+            &conv,
+            &[WITNESS_BIAS; 3],
+            1,
+            1,
+            0,
+            Activation::None,
+        )
+        .unwrap();
+        all_fused("routed conv", arm, out.data());
+    });
+}
+
+#[test]
+fn paired_panel_edges_match_a_scalar_mul_add_loop_on_every_arm() {
+    // The AVX-512 arm runs B panels two at a time and an odd last panel
+    // alone.  Cover both sides of that seam on the narrow path (under 4·NR
+    // columns) and the wide one, with `K` crossing `KC` so the pair kernel
+    // runs the first block (from the bias) and the last (into `out`).
+    let columns = [
+        NR + 1,
+        2 * NR,
+        2 * NR + 1,
+        3 * NR - 1, // narrow, three panels
+        4 * NR,
+        4 * NR + 1, // wide, five panels
+        7 * NR - 3,
+    ];
+    for &n in &columns {
+        for &k in &[1, KC - 1, KC + 1, 2 * KC + 3] {
+            let m = 2 * MR + 1;
+            let a = pseudo_weights(m * k, (n * 31 + k) as u64);
+            let b = pseudo_weights(k * n, (n * 17 + k) as u64 ^ 0xb0b);
+            let bias = pseudo_weights(m, k as u64 ^ 0xb1a5);
+            let want = mul_add_reference(&a, &b, &bias, m, k, n);
+            for (arm, got) in with_each_arm(|_| gemm(&a, &b, &bias, m, k, n)) {
+                assert!(
+                    got == want,
+                    "{} arm diverged from the mul_add loop at m={m} k={k} n={n}",
+                    arm.label()
+                );
+            }
+        }
+    }
 }
 
 /// The FC product as it ran before the GEMV kernels: an `n = 1` GEMM over

@@ -17,14 +17,20 @@
 //! It also prints the deploy-memory account — the caller's raw weights,
 //! each device's share of them (`Session::resident_weight_bytes`, held as
 //! kernel panels) and the process's peak RSS (`VmHWM`) — so "one copy of
-//! every weight" is visible outside the benchmark.
+//! every weight" is visible outside the benchmark, and a per-layer table of
+//! the conv kernels' rates on the packed path (route, ms, effective
+//! GFLOP/s against the direct flop count, and for Winograd layers the rate
+//! of the multiply-adds really executed), which is the README's kernel
+//! table for this model without the bench harness.  Pin the process to one
+//! CPU (`taskset -c 1`) to reproduce the committed one-CPU numbers.
 
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
-use cnn_model::{zoo, PartitionScheme, VolumeSplit};
+use cnn_model::{zoo, LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_runtime::session::Runtime;
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 use std::time::Instant;
+use tensor::ops::{conv2d_rows_packed, kernel_arch, pack_conv_filter};
 use tensor::Tensor;
 
 fn mib(bytes: usize) -> f64 {
@@ -37,6 +43,75 @@ fn peak_rss_mib() -> Option<f64> {
     let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
     let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
     Some(kb / 1024.0)
+}
+
+/// Times every conv layer at full height through the packed entry point
+/// the executor uses (filter packed outside the timed region, best of five
+/// calls), on the layer inputs of a single-device pass.
+fn print_conv_rates(model: &Model, weights: &ModelWeights, image: &Tensor, outputs: &[Tensor]) {
+    println!(
+        "conv kernels, full plane, {} arm (effective GFLOP/s count the direct form's flops):",
+        kernel_arch().label()
+    );
+    let mut total_ms = 0.0;
+    for layer in model.layers() {
+        let LayerOp::Conv {
+            c_out,
+            f,
+            stride,
+            padding,
+            act,
+        } = layer.op
+        else {
+            continue;
+        };
+        let input = match layer.index {
+            0 => image,
+            i => &outputs[i - 1],
+        };
+        let (w, bias) = &weights.layers[layer.index];
+        let filter = pack_conv_filter(w, layer.input.c, c_out, f, stride).unwrap();
+        let ms = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                let out = conv2d_rows_packed(
+                    input,
+                    0,
+                    layer.input.h,
+                    0,
+                    layer.output.h,
+                    &filter,
+                    bias,
+                    f,
+                    stride,
+                    padding,
+                    act,
+                )
+                .unwrap();
+                std::hint::black_box(out);
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min);
+        total_ms += ms;
+        let route = if filter.winograd().is_some() {
+            // The sixteen GEMMs' own multiply-adds: 16 per 2×2 output tile.
+            let tiles = layer.output.h.div_ceil(2) * layer.output.w.div_ceil(2);
+            let real = 2.0 * (16 * layer.input.c * c_out * tiles) as f64;
+            format!("winograd ({:.1} real)", real / ms / 1e6)
+        } else {
+            "im2col-gemm".to_string()
+        };
+        println!(
+            "  layer {:>2}  {:>3}→{:<3} @{:<3}  {:>6.2} ms  {:>6.1} GFLOP/s  {route}",
+            layer.index,
+            layer.input.c,
+            c_out,
+            layer.output.h,
+            ms,
+            layer.ops() / ms / 1e6,
+        );
+    }
+    println!("  conv sum {total_ms:.1} ms");
 }
 
 fn main() {
@@ -135,4 +210,6 @@ fn main() {
         "verified bit-exact against single-device reference ({:.2?})",
         t0.elapsed()
     );
+
+    print_conv_rates(&model, &weights, &images[0], &reference);
 }
