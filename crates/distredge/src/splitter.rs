@@ -168,13 +168,12 @@ pub fn osds_train(
             loop {
                 let outcome = env.step(&raw)?;
                 replay.push(Transition {
-                    state: state.clone(),
+                    state: std::mem::replace(&mut state, outcome.next_state.clone()),
                     action: raw.clone(),
                     reward: outcome.reward,
-                    next_state: outcome.next_state.clone(),
+                    next_state: outcome.next_state,
                     done: outcome.done,
                 });
-                state = outcome.next_state;
                 if outcome.done {
                     break;
                 }
@@ -197,15 +196,14 @@ pub fn osds_train(
             }
             let outcome = env.step(&raw)?;
             replay.push(Transition {
-                state: state.clone(),
+                state: std::mem::replace(&mut state, outcome.next_state.clone()),
                 action: raw,
                 reward: outcome.reward,
-                next_state: outcome.next_state.clone(),
+                next_state: outcome.next_state,
                 done: outcome.done,
             });
             let batch = replay.sample(config.batch_size, &mut rng);
             agent.update(&batch);
-            state = outcome.next_state;
             if outcome.done {
                 break;
             }

@@ -1,4 +1,6 @@
-//! The Adam optimiser over a flat parameter vector.
+//! The Adam optimiser over a network's flat parameter vector (numerics: the
+//! crate docs' contract — the three divisions and the square root per
+//! parameter are part of it).
 
 use crate::mlp::Mlp;
 use serde::{Deserialize, Serialize};
@@ -35,24 +37,33 @@ impl Adam {
     }
 
     /// Applies one Adam step to `net` using its accumulated gradients, then
-    /// clears the gradients.
+    /// clears the gradients.  Parameters and moments are updated where they
+    /// live, one element at a time.
     pub fn step(&mut self, net: &mut Mlp) {
-        let grads = net.grads_flat();
-        assert_eq!(grads.len(), self.m.len(), "optimiser/network size mismatch");
-        let mut params = net.params_flat();
+        assert_eq!(
+            net.num_params(),
+            self.m.len(),
+            "optimiser/network size mismatch"
+        );
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (params, grads) = net.params_and_grads_mut();
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for ((p, g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * *g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * *g * *g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *g = 0.0;
         }
-        net.set_params_flat(&params);
-        net.zero_grad();
+    }
+
+    /// First and second moment estimates.
+    #[cfg(test)]
+    pub(crate) fn moments(&self) -> (&[f64], &[f64]) {
+        (&self.m, &self.v)
     }
 }
 

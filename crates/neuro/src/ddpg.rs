@@ -1,10 +1,14 @@
 //! Deep Deterministic Policy Gradient (Lillicrap et al.) — the continuous
-//! action-space actor-critic algorithm the OSDS splitter trains.
+//! action-space actor-critic algorithm the OSDS splitter trains.  One
+//! update is one batched pass per network phase (numerics: the crate docs'
+//! contract).
 
 use crate::adam::Adam;
+use crate::kernels::Arm;
 use crate::mlp::{ActKind, Mlp};
 use crate::replay::Transition;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Hyper-parameters of a DDPG agent.  The defaults follow §V of the paper:
 /// actor hidden layers {400, 200, 100}, critic hidden layers
@@ -42,6 +46,11 @@ impl Default for DdpgConfig {
 }
 
 /// A DDPG actor-critic agent with target networks.
+///
+/// Every buffer an update needs lives in the agent's networks and is
+/// reused, so a steady-state [`DdpgAgent::update`] allocates nothing; a
+/// clone copies parameters and optimiser state and starts with empty
+/// buffers.
 #[derive(Debug, Clone)]
 pub struct DdpgAgent {
     /// State dimensionality.
@@ -55,6 +64,26 @@ pub struct DdpgAgent {
     critic_target: Mlp,
     actor_opt: Adam,
     critic_opt: Adam,
+}
+
+/// Writes one field of every transition into `dst`, feature-major
+/// (`dst[f * batch + s]`).
+fn gather<T: Borrow<Transition>>(
+    dst: &mut [f64],
+    batch: &[T],
+    field: impl Fn(&Transition) -> &[f64],
+) {
+    for (s, t) in batch.iter().enumerate() {
+        let values = field(t.borrow());
+        assert_eq!(
+            values.len() * batch.len(),
+            dst.len(),
+            "transition of another dimensionality"
+        );
+        for (f, &v) in values.iter().enumerate() {
+            dst[f * batch.len() + s] = v;
+        }
+    }
 }
 
 impl DdpgAgent {
@@ -90,71 +119,83 @@ impl DdpgAgent {
 
     /// Deterministic policy: actor output in `[-1, 1]^action_dim`.
     pub fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(state.len(), self.state_dim);
         self.actor.forward(state)
     }
 
     /// Critic value `Q(s, a)`.
     pub fn q_value(&mut self, state: &[f64], action: &[f64]) -> f64 {
-        let mut input = Vec::with_capacity(self.state_dim + self.action_dim);
-        input.extend_from_slice(state);
-        input.extend_from_slice(action);
-        self.critic.forward(&input)[0]
+        let (s, a) = self.critic.input_mut(1).split_at_mut(self.state_dim);
+        s.copy_from_slice(state);
+        a.copy_from_slice(action);
+        self.critic.forward_batch(Arm::detected())[0]
     }
 
-    /// One DDPG update over a mini-batch.  Returns `(critic_loss, actor_loss)`
-    /// for monitoring.
-    pub fn update(&mut self, batch: &[Transition]) -> (f64, f64) {
+    /// One DDPG update over a mini-batch (of transitions or of borrows of
+    /// them).  Returns `(critic_loss, actor_loss)` for monitoring.
+    pub fn update<T: Borrow<Transition>>(&mut self, batch: &[T]) -> (f64, f64) {
+        self.update_on(Arm::detected(), batch)
+    }
+
+    /// [`DdpgAgent::update`] on a given arm of the dense kernels.
+    pub(crate) fn update_on<T: Borrow<Transition>>(&mut self, arm: Arm, batch: &[T]) -> (f64, f64) {
         if batch.is_empty() {
             return (0.0, 0.0);
         }
-        let n = batch.len() as f64;
+        let b = batch.len();
+        let n = b as f64;
         let gamma = self.config.gamma;
+        let states = self.state_dim * b;
 
         // --- Critic update: minimise (Q(s,a) - y)² with
-        //     y = r + γ (1-done) Q'(s', μ'(s')).
-        let mut targets = Vec::with_capacity(batch.len());
-        for t in batch {
+        //     y = r + γ (1-done) Q'(s', μ'(s')).  The target networks run
+        //     over every next state; a terminal transition ignores theirs.
+        gather(self.actor_target.input_mut(b), batch, |t| &t.next_state);
+        self.actor_target.forward_batch(arm);
+        let (s, a) = self.critic_target.input_mut(b).split_at_mut(states);
+        s.copy_from_slice(self.actor_target.input());
+        a.copy_from_slice(self.actor_target.output());
+        self.critic_target.forward_batch(arm);
+
+        let (s, a) = self.critic.input_mut(b).split_at_mut(states);
+        gather(s, batch, |t| &t.state);
+        gather(a, batch, |t| &t.action);
+        self.critic.forward_batch(arm);
+        let (q, grad) = self.critic.output_and_grad_mut();
+        let next_q = self.critic_target.output();
+        let mut critic_loss = 0.0;
+        for (((t, &next_q), &q), grad) in batch.iter().zip(next_q).zip(q).zip(grad) {
+            let t = t.borrow();
             let y = if t.done {
                 t.reward
             } else {
-                let next_action = self.actor_target.forward(&t.next_state);
-                let mut input = t.next_state.clone();
-                input.extend_from_slice(&next_action);
-                t.reward + gamma * self.critic_target.forward(&input)[0]
+                t.reward + gamma * next_q
             };
-            targets.push(y);
-        }
-        self.critic.zero_grad();
-        let mut critic_loss = 0.0;
-        for (t, &y) in batch.iter().zip(&targets) {
-            let mut input = t.state.clone();
-            input.extend_from_slice(&t.action);
-            let q = self.critic.forward(&input)[0];
             let err = q - y;
             critic_loss += err * err / n;
-            self.critic.backward(&[2.0 * err / n]);
+            *grad = 2.0 * err / n;
         }
+        self.critic.backward_batch(arm, true, 0..0);
         self.critic_opt.step(&mut self.critic);
 
-        // --- Actor update: maximise Q(s, μ(s)), i.e. minimise -Q.
-        self.actor.zero_grad();
+        // --- Actor update: maximise Q(s, μ(s)), i.e. minimise -Q.  The
+        //     critic's input still holds the states; only dL/d(action)
+        //     leaves it, and its own parameter gradients are not formed.
+        self.actor
+            .input_mut(b)
+            .copy_from_slice(&self.critic.input()[..states]);
+        let action = self.actor.forward_batch(arm);
+        self.critic.input_mut(b)[states..].copy_from_slice(action);
+        let q = self.critic.forward_batch(arm);
         let mut actor_loss = 0.0;
-        for t in batch {
-            let action = self.actor.forward(&t.state);
-            let mut input = t.state.clone();
-            input.extend_from_slice(&action);
-            self.critic.zero_grad();
-            let q = self.critic.forward(&input)[0];
+        for q in q {
             actor_loss += -q / n;
-            // dL/dQ = -1/n; propagate through the critic to get dL/d(action).
-            let grad_input = self.critic.backward(&[-1.0 / n]);
-            let grad_action = &grad_input[self.state_dim..];
-            self.actor.backward(grad_action);
         }
-        // The critic gradients accumulated while differentiating the actor
-        // objective must not be applied.
-        self.critic.zero_grad();
+        // dL/dQ = -1/n; propagate through the critic to get dL/d(action).
+        self.critic.output_grad_mut().fill(-1.0 / n);
+        let action_rows = self.state_dim..self.state_dim + self.action_dim;
+        let grad_action = self.critic.backward_batch(arm, false, action_rows);
+        self.actor.output_grad_mut().copy_from_slice(grad_action);
+        self.actor.backward_batch(arm, true, 0..0);
         self.actor_opt.step(&mut self.actor);
 
         // --- Soft-update target networks.
@@ -181,11 +222,23 @@ impl DdpgAgent {
     pub fn critic_params(&self) -> Vec<f64> {
         self.critic.params_flat()
     }
+
+    /// Actor, critic, actor target, critic target.
+    #[cfg(test)]
+    pub(crate) fn networks(&self) -> [&Mlp; 4] {
+        [
+            &self.actor,
+            &self.critic,
+            &self.actor_target,
+            &self.critic_target,
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{Net, PerSampleAgent};
     use crate::replay::ReplayBuffer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -201,6 +254,114 @@ mod tests {
         }
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The batched update against the per-sample one it replaced: every
+    /// parameter of all four networks, both optimisers' moments and both
+    /// losses, bit for bit, update after update, on every arm this CPU
+    /// runs — and `act` / `q_value` against the oracle's forward pass.
+    #[test]
+    fn batched_update_matches_the_per_sample_oracle_on_every_arm() {
+        // The benchmark's two agents (4 and 16 devices, `OsdsConfig::fast`
+        // networks), then batches on both sides of every tile width.
+        let fast = DdpgConfig {
+            actor_hidden: [64, 48, 32],
+            critic_hidden: [64, 48, 32, 32],
+            ..small_config(0)
+        };
+        let cases = [
+            (8, 3, 32, fast),
+            (20, 15, 32, fast),
+            (5, 2, 7, small_config(0)),
+            (6, 1, 64, small_config(0)),
+            (4, 3, 1, small_config(0)),
+            (9, 4, 33, small_config(0)),
+        ];
+        for (case, &(state_dim, action_dim, batch, config)) in cases.iter().enumerate() {
+            for arm in Arm::available() {
+                let config = DdpgConfig {
+                    seed: 40 + case as u64,
+                    ..config
+                };
+                let mut agent = DdpgAgent::new(state_dim, action_dim, config);
+                let mut oracle = PerSampleAgent::mirror(&agent);
+                let mut rng = StdRng::seed_from_u64(case as u64);
+                let mut draw =
+                    |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+                for update in 0..20 {
+                    let transitions: Vec<Transition> = (0..batch)
+                        .map(|s| Transition {
+                            state: draw(state_dim),
+                            action: draw(action_dim),
+                            reward: draw(1)[0],
+                            next_state: draw(state_dim),
+                            done: (s + update) % 3 == 0,
+                        })
+                        .collect();
+                    let context = format!("case {case} {arm:?} update {update}");
+                    let got = agent.update_on(arm, &transitions);
+                    let want = oracle.update(&transitions);
+                    assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits()),
+                        (want.0.to_bits(), want.1.to_bits()),
+                        "losses, {context}"
+                    );
+                    let nets = [
+                        &oracle.actor,
+                        &oracle.critic,
+                        &oracle.actor_target,
+                        &oracle.critic_target,
+                    ];
+                    for (i, (got, want)) in agent.networks().into_iter().zip(nets).enumerate() {
+                        assert_eq!(
+                            bits(&got.params_flat()),
+                            bits(&want.params_flat()),
+                            "network {i}, {context}"
+                        );
+                    }
+                    let moments = [
+                        (&agent.actor_opt, &oracle.actor_opt),
+                        (&agent.critic_opt, &oracle.critic_opt),
+                    ];
+                    for (got, want) in moments {
+                        let (m, v) = got.moments();
+                        assert_eq!(bits(m), bits(&want.m), "first moments, {context}");
+                        assert_eq!(bits(v), bits(&want.v), "second moments, {context}");
+                    }
+                    let (state, action) = (draw(state_dim), draw(action_dim));
+                    assert_eq!(bits(&agent.act(&state)), bits(&oracle.act(&state)));
+                    assert_eq!(
+                        agent.q_value(&state, &action).to_bits(),
+                        oracle.q_value(&state, &action).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The per-sample `forward` / `backward` of an [`Mlp`] are the batch of
+    /// one of the same kernels: outputs, input gradient and accumulated
+    /// parameter gradients equal the oracle's, over two accumulating
+    /// backward passes.
+    #[test]
+    fn single_sample_passes_match_the_oracle() {
+        let dims = [7, 19, 9, 3];
+        let mut mlp = Mlp::new(&dims, ActKind::Tanh, 5);
+        let mut net = Net::mirror(&mlp, &dims, ActKind::Tanh);
+        let mut rng = StdRng::seed_from_u64(6);
+        mlp.zero_grad();
+        net.zero_grad();
+        for _ in 0..2 {
+            let x: Vec<f64> = (0..7).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let g: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            assert_eq!(bits(&mlp.forward(&x)), bits(&net.forward(&x)));
+            assert_eq!(bits(&mlp.backward(&g)), bits(&net.backward(&g)));
+            assert_eq!(bits(&mlp.grads_flat()), bits(&net.grads_flat()));
+        }
+    }
+
     #[test]
     fn act_is_bounded_and_correct_dim() {
         let mut agent = DdpgAgent::new(5, 3, small_config(1));
@@ -213,7 +374,7 @@ mod tests {
     fn update_on_empty_batch_is_noop() {
         let mut agent = DdpgAgent::new(3, 2, small_config(2));
         let before = agent.actor_params();
-        let (cl, al) = agent.update(&[]);
+        let (cl, al) = agent.update::<Transition>(&[]);
         assert_eq!((cl, al), (0.0, 0.0));
         assert_eq!(agent.actor_params(), before);
     }

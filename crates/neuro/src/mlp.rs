@@ -1,8 +1,11 @@
-//! Multi-layer perceptrons with manual forward/backward passes.
+//! Multi-layer perceptrons with manual, batched forward/backward passes
+//! (numerics: the crate docs' contract).
 
+use crate::kernels::{mac, transpose, Arm, Coef, Init};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Activation applied after a dense layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,82 +43,80 @@ impl ActKind {
     }
 }
 
-/// One dense layer: `y = act(W x + b)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One dense layer, `y = act(W x + b)`: its shape and where its
+/// parameters sit in [`Mlp`]'s flat vector (`W` row-major `[out][in]`, then
+/// `b`).
+#[derive(Debug, Clone)]
 struct Dense {
     in_dim: usize,
     out_dim: usize,
     act: ActKind,
-    /// Row-major `[out][in]`.
-    w: Vec<f64>,
-    b: Vec<f64>,
-    /// Accumulated gradients (same layout as `w` / `b`).
-    grad_w: Vec<f64>,
-    grad_b: Vec<f64>,
-    /// Caches from the most recent forward pass.
-    last_input: Vec<f64>,
-    last_output: Vec<f64>,
+    offset: usize,
 }
 
 impl Dense {
-    fn new(in_dim: usize, out_dim: usize, act: ActKind, rng: &mut StdRng) -> Self {
-        // He/Xavier-style scaling keeps tiny MLPs well-conditioned.
-        let scale = (2.0 / (in_dim + out_dim) as f64).sqrt();
-        let w = (0..in_dim * out_dim)
-            .map(|_| rng.gen_range(-scale..scale))
-            .collect();
-        let b = vec![0.0; out_dim];
-        Self {
-            in_dim,
-            out_dim,
-            act,
-            w,
-            b,
-            grad_w: vec![0.0; in_dim * out_dim],
-            grad_b: vec![0.0; out_dim],
-            last_input: Vec::new(),
-            last_output: Vec::new(),
-        }
+    /// This layer's `(W, b)` inside a flat vector laid out like the
+    /// parameters.
+    fn split<'a>(&self, flat: &'a [f64]) -> (&'a [f64], &'a [f64]) {
+        let weights = self.in_dim * self.out_dim;
+        flat[self.offset..self.offset + weights + self.out_dim].split_at(weights)
     }
 
-    fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.in_dim);
-        let mut y = Vec::with_capacity(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = self.b[o];
-            for (w, v) in row.iter().zip(x) {
-                acc += w * v;
-            }
-            y.push(self.act.forward(acc));
-        }
-        self.last_input = x.to_vec();
-        self.last_output = y.clone();
-        y
-    }
-
-    /// Backward pass: accumulates weight/bias gradients and returns dL/dx.
-    fn backward(&mut self, grad_out: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(grad_out.len(), self.out_dim);
-        let mut grad_in = vec![0.0; self.in_dim];
-        for (o, g) in grad_out.iter().enumerate() {
-            let dz = g * self.act.backward_from_output(self.last_output[o]);
-            self.grad_b[o] += dz;
-            let row_w = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let row_g = &mut self.grad_w[o * self.in_dim..(o + 1) * self.in_dim];
-            for i in 0..self.in_dim {
-                row_g[i] += dz * self.last_input[i];
-                grad_in[i] += dz * row_w[i];
-            }
-        }
-        grad_in
+    fn split_mut<'a>(&self, flat: &'a mut [f64]) -> (&'a mut [f64], &'a mut [f64]) {
+        let weights = self.in_dim * self.out_dim;
+        flat[self.offset..self.offset + weights + self.out_dim].split_at_mut(weights)
     }
 }
 
+/// What a pass through an [`Mlp`] leaves behind: the activations of the
+/// most recent forward pass, the gradients of the backward pass after it,
+/// and the parameter gradients accumulated since the last optimiser step.
+/// Activations and gradients are `dim × batch`, feature-major
+/// (`a[f * batch + s]`), so every dense product runs over the samples of
+/// one feature at a time.  The buffers only ever grow: alternating between
+/// a batch of one (`act`) and a training batch allocates nothing.
+#[derive(Debug, Default)]
+struct Pass {
+    batch: usize,
+    /// `acts[0]` is the input, `acts[i + 1]` the output of layer `i`.
+    acts: Vec<Vec<f64>>,
+    /// `deltas[i]` is the gradient with respect to `acts[i]`.
+    deltas: Vec<Vec<f64>>,
+    /// Sample-major copy of one layer's input, for its weight gradient.
+    transposed: Vec<f64>,
+    /// Accumulated parameter gradients, laid out like the parameters; empty
+    /// until the first backward pass, which reads as all zero.
+    grads: Vec<f64>,
+}
+
+/// The first `len` values of `buf`, grown (never shrunk) to hold them.
+fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
 /// A multi-layer perceptron.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Cloning copies the parameters; the state of the current pass
+/// (activations, accumulated gradients) starts empty in the copy.
+#[derive(Debug)]
 pub struct Mlp {
     layers: Vec<Dense>,
+    /// Every parameter, layer by layer, weights then biases.
+    params: Vec<f64>,
+    pass: Pass,
+}
+
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Self {
+            layers: self.layers.clone(),
+            params: self.params.clone(),
+            pass: Pass::default(),
+        }
+    }
 }
 
 impl Mlp {
@@ -130,15 +131,30 @@ impl Mlp {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layers = Vec::with_capacity(dims.len() - 1);
-        for i in 0..dims.len() - 1 {
+        let mut params = Vec::new();
+        for (i, io) in dims.windows(2).enumerate() {
+            let (in_dim, out_dim) = (io[0], io[1]);
             let act = if i == dims.len() - 2 {
                 output_act
             } else {
                 ActKind::Relu
             };
-            layers.push(Dense::new(dims[i], dims[i + 1], act, &mut rng));
+            layers.push(Dense {
+                in_dim,
+                out_dim,
+                act,
+                offset: params.len(),
+            });
+            // He/Xavier-style scaling keeps tiny MLPs well-conditioned.
+            let scale = (2.0 / (in_dim + out_dim) as f64).sqrt();
+            params.extend((0..in_dim * out_dim).map(|_| rng.gen_range(-scale..scale)));
+            params.resize(params.len() + out_dim, 0.0);
         }
-        Self { layers }
+        Self {
+            layers,
+            params,
+            pass: Pass::default(),
+        }
     }
 
     /// Input dimensionality.
@@ -151,83 +167,193 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim
     }
 
-    /// Forward pass (caches activations for a subsequent backward pass).
+    /// Forward pass of one sample (kept for a subsequent backward pass).
     pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut cur = x.to_vec();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+        self.input_mut(1).copy_from_slice(x);
+        self.forward_batch(Arm::detected()).to_vec()
     }
 
-    /// Backward pass from an output gradient; accumulates parameter
-    /// gradients and returns the gradient with respect to the input.
+    /// Backward pass from an output gradient of the most recent forward
+    /// pass; accumulates parameter gradients and returns the gradient with
+    /// respect to the input.
     pub fn backward(&mut self, grad_out: &[f64]) -> Vec<f64> {
-        let mut grad = grad_out.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        self.output_grad_mut().copy_from_slice(grad_out);
+        let inputs = 0..self.input_dim();
+        self.backward_batch(Arm::detected(), true, inputs).to_vec()
+    }
+
+    /// Starts a pass over `batch` samples: the `input_dim × batch` input,
+    /// feature-major, for the caller to fill before
+    /// [`Mlp::forward_batch`].  What it held for the same batch size is
+    /// still there.
+    pub(crate) fn input_mut(&mut self, batch: usize) -> &mut [f64] {
+        self.pass.batch = batch;
+        self.pass.acts.resize_with(self.layers.len() + 1, Vec::new);
+        grown(&mut self.pass.acts[0], self.layers[0].in_dim * batch)
+    }
+
+    /// The input of the current pass.
+    pub(crate) fn input(&self) -> &[f64] {
+        &self.pass.acts[0][..self.layers[0].in_dim * self.pass.batch]
+    }
+
+    /// Runs every layer over the batch in [`Mlp::input_mut`]; returns the
+    /// `output_dim × batch` output.
+    pub(crate) fn forward_batch(&mut self, arm: Arm) -> &[f64] {
+        let batch = self.pass.batch;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (x, y) = self.pass.acts.split_at_mut(i + 1);
+            let x = &x[i][..layer.in_dim * batch];
+            let y = grown(&mut y[0], layer.out_dim * batch);
+            let (w, b) = layer.split(&self.params);
+            let coef = Coef {
+                a: w,
+                row_stride: layer.in_dim,
+                k_stride: 1,
+                rows: layer.out_dim,
+                depth: layer.in_dim,
+            };
+            mac(arm, Init::Rows(b), coef, x, batch, y);
+            y.iter_mut().for_each(|v| *v = layer.act.forward(*v));
         }
-        grad
+        self.output()
+    }
+
+    /// The output of the most recent forward pass.
+    pub(crate) fn output(&self) -> &[f64] {
+        &self.pass.acts[self.layers.len()][..self.output_dim() * self.pass.batch]
+    }
+
+    /// The output of the most recent forward pass, and the
+    /// `output_dim × batch` gradient with respect to it for the caller to
+    /// fill before [`Mlp::backward_batch`].
+    pub(crate) fn output_and_grad_mut(&mut self) -> (&[f64], &mut [f64]) {
+        let len = self.output_dim() * self.pass.batch;
+        self.pass
+            .deltas
+            .resize_with(self.layers.len() + 1, Vec::new);
+        (
+            &self.pass.acts[self.layers.len()][..len],
+            grown(&mut self.pass.deltas[self.layers.len()], len),
+        )
+    }
+
+    /// The gradient half of [`Mlp::output_and_grad_mut`].
+    pub(crate) fn output_grad_mut(&mut self) -> &mut [f64] {
+        self.output_and_grad_mut().1
+    }
+
+    /// Propagates the gradient in [`Mlp::output_grad_mut`] back through
+    /// the most recent forward pass.  With `params`, each layer adds its
+    /// weight and bias gradients, sample by sample in batch order, to the
+    /// accumulated ones; without, only the gradient with respect to
+    /// activations is computed.  Returns that gradient for rows
+    /// `input_rows` of the input (`input_rows.len() × batch`; pass an empty
+    /// range to skip the first layer's share altogether).
+    pub(crate) fn backward_batch(
+        &mut self,
+        arm: Arm,
+        params: bool,
+        input_rows: Range<usize>,
+    ) -> &[f64] {
+        let batch = self.pass.batch;
+        let pass = &mut self.pass;
+        if params {
+            grown(&mut pass.grads, self.params.len());
+        }
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let (lower, upper) = pass.deltas.split_at_mut(i + 1);
+            let dz = &mut upper[0][..layer.out_dim * batch];
+            let y = &pass.acts[i + 1][..layer.out_dim * batch];
+            // dz = g · act'(y); the identity's factor is exactly one.
+            if layer.act != ActKind::Identity {
+                for (g, &y) in dz.iter_mut().zip(y) {
+                    *g *= layer.act.backward_from_output(y);
+                }
+            }
+            if params {
+                let (grad_w, grad_b) = layer.split_mut(&mut pass.grads);
+                for (gb, dz) in grad_b.iter_mut().zip(dz.chunks_exact(batch)) {
+                    dz.iter().for_each(|d| *gb += d);
+                }
+                let x = &pass.acts[i][..layer.in_dim * batch];
+                let xt = grown(&mut pass.transposed, x.len());
+                transpose(x, layer.in_dim, batch, xt);
+                let coef = Coef {
+                    a: dz,
+                    row_stride: batch,
+                    k_stride: 1,
+                    rows: layer.out_dim,
+                    depth: batch,
+                };
+                mac(arm, Init::Accumulate, coef, xt, layer.in_dim, grad_w);
+            }
+            let rows = if i == 0 {
+                input_rows.clone()
+            } else {
+                0..layer.in_dim
+            };
+            if !rows.is_empty() {
+                let (w, _) = layer.split(&self.params);
+                let coef = Coef {
+                    a: &w[rows.start..],
+                    row_stride: 1,
+                    k_stride: layer.in_dim,
+                    rows: rows.len(),
+                    depth: layer.out_dim,
+                };
+                let dx = grown(&mut lower[i], rows.len() * batch);
+                mac(arm, Init::Zero, coef, dz, batch, dx);
+            }
+        }
+        &pass.deltas[0][..input_rows.len() * batch]
     }
 
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.grad_w.iter_mut().for_each(|g| *g = 0.0);
-            layer.grad_b.iter_mut().for_each(|g| *g = 0.0);
-        }
+        self.pass.grads.fill(0.0);
     }
 
     /// Total number of parameters.
     pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+        self.params.len()
     }
 
     /// Copies all parameters into a flat vector (weights then biases, layer
     /// by layer).
     pub fn params_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.num_params());
-        for l in &self.layers {
-            out.extend_from_slice(&l.w);
-            out.extend_from_slice(&l.b);
-        }
-        out
+        self.params.clone()
     }
 
     /// Copies the accumulated gradients into a flat vector (same layout as
     /// [`Mlp::params_flat`]).
+    #[cfg(test)]
     pub fn grads_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.num_params());
-        for l in &self.layers {
-            out.extend_from_slice(&l.grad_w);
-            out.extend_from_slice(&l.grad_b);
-        }
-        out
+        let mut grads = self.pass.grads.clone();
+        grads.resize(self.params.len(), 0.0);
+        grads
     }
 
     /// Overwrites the parameters from a flat vector.
     pub fn set_params_flat(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.num_params());
-        let mut offset = 0;
-        for l in &mut self.layers {
-            let wl = l.w.len();
-            l.w.copy_from_slice(&params[offset..offset + wl]);
-            offset += wl;
-            let bl = l.b.len();
-            l.b.copy_from_slice(&params[offset..offset + bl]);
-            offset += bl;
-        }
+        self.params.copy_from_slice(params);
+    }
+
+    /// The parameters and their accumulated gradients, in the layout of
+    /// [`Mlp::params_flat`], for an optimiser to step in place.
+    pub(crate) fn params_and_grads_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        let grads = grown(&mut self.pass.grads, self.params.len());
+        (&mut self.params, grads)
     }
 
     /// Soft-updates this network towards `source`:
     /// `θ ← τ·θ_source + (1 − τ)·θ`.
     pub fn soft_update_from(&mut self, source: &Mlp, tau: f64) {
-        let src = source.params_flat();
-        let mut dst = self.params_flat();
-        for (d, s) in dst.iter_mut().zip(&src) {
+        assert_eq!(self.params.len(), source.params.len());
+        for (d, s) in self.params.iter_mut().zip(&source.params) {
             *d = tau * s + (1.0 - tau) * *d;
         }
-        self.set_params_flat(&dst);
     }
 }
 

@@ -60,16 +60,16 @@ impl ReplayBuffer {
     }
 
     /// Samples `n` transitions uniformly at random (with replacement if the
-    /// buffer holds fewer than `n`).
-    pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<Transition> {
+    /// buffer holds fewer than `n`), borrowed from the buffer.
+    pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<&Transition> {
         if self.data.is_empty() {
             return Vec::new();
         }
         if self.data.len() >= n {
-            self.data.choose_multiple(rng, n).cloned().collect()
+            self.data.choose_multiple(rng, n).collect()
         } else {
             (0..n)
-                .map(|_| self.data[rng.gen_range(0..self.data.len())].clone())
+                .map(|_| &self.data[rng.gen_range(0..self.data.len())])
                 .collect()
         }
     }

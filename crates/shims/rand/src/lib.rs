@@ -153,6 +153,7 @@ pub mod seq {
     //! Slice sampling helpers.
 
     use super::RngCore;
+    use std::collections::HashMap;
 
     /// Random selection from slices.
     pub trait SliceRandom {
@@ -184,17 +185,25 @@ pub mod seq {
         ) -> std::vec::IntoIter<&'a T> {
             let n = self.len();
             let amount = amount.min(n);
-            // Partial Fisher–Yates over an index table.
-            let mut idx: Vec<usize> = (0..n).collect();
+            // Partial Fisher–Yates over the index table `0..n`, of which
+            // only the displaced entries are stored: step `i` reads slots
+            // `i` and `j >= i` and never looks at slot `i` again, so the
+            // map holds at most `amount` entries however long the slice.
+            // One draw per pick, by the same rule as a dense table — a
+            // generator shared with other decisions stays in step.
+            let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(amount);
+            let mut picked = Vec::with_capacity(amount);
             for i in 0..amount {
                 let j = i + (rng.next_u64() as usize) % (n - i);
-                idx.swap(i, j);
+                let at_i = displaced.remove(&i).unwrap_or(i);
+                let at_j = if j == i {
+                    at_i
+                } else {
+                    displaced.insert(j, at_i).unwrap_or(j)
+                };
+                picked.push(&self[at_j]);
             }
-            idx[..amount]
-                .iter()
-                .map(|&i| &self[i])
-                .collect::<Vec<_>>()
-                .into_iter()
+            picked.into_iter()
         }
 
         fn choose<'a, R: RngCore + ?Sized>(&'a self, rng: &mut R) -> Option<&'a T> {
@@ -269,6 +278,42 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 4, "duplicates in {picked:?}");
+    }
+
+    /// `choose_multiple` over a materialised index table: what the sparse
+    /// version must reproduce, draw for draw.
+    fn choose_multiple_dense<'a, T>(data: &'a [T], rng: &mut StdRng, amount: usize) -> Vec<&'a T> {
+        use super::RngCore;
+        let n = data.len();
+        let amount = amount.min(n);
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..amount {
+            let j = i + (rng.next_u64() as usize) % (n - i);
+            idx.swap(i, j);
+        }
+        idx[..amount].iter().map(|&i| &data[i]).collect()
+    }
+
+    #[test]
+    fn sparse_choose_multiple_matches_the_dense_table() {
+        for n in [1usize, 5, 32, 33, 5_000] {
+            let data: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
+            for amount in [0, 1, 32, n, n + 3] {
+                for seed in [1u64, 2, 3] {
+                    let mut sparse_rng = StdRng::seed_from_u64(seed);
+                    let mut dense_rng = sparse_rng.clone();
+                    let sparse: Vec<&usize> =
+                        data.choose_multiple(&mut sparse_rng, amount).collect();
+                    let dense = choose_multiple_dense(&data, &mut dense_rng, amount);
+                    assert_eq!(sparse, dense, "n {n} amount {amount} seed {seed}");
+                    assert_eq!(
+                        sparse_rng.gen::<u64>(),
+                        dense_rng.gen::<u64>(),
+                        "draw count differs: n {n} amount {amount}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
