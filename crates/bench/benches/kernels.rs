@@ -27,11 +27,11 @@ use std::time::Instant;
 use tensor::ops::gemm::{gemm_bias_act_into, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
-    conv2d_rows_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_winograd,
-    im2col_weight_len, kernel_arch, linear_packed, linear_q8, maxpool2d, pack_conv_filter_with,
-    pack_linear_filter, qkernel_arch, quant_byte, quant_scale, set_kernel_override,
-    set_qkernel_override, winograd_eligible, winograd_preferred, Activation, KernelArch,
-    PackedFilter, QKernelArch, QuantizedFilter, QuantizedLinearFilter, WinogradFilter,
+    conv2d_rows_direct, conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_packed,
+    linear_q8, maxpool2d, pack_conv_filter, pack_linear_filter, qkernel_arch, quant_byte,
+    quant_scale, set_kernel_override, set_qkernel_override, winograd_eligible, winograd_preferred,
+    Activation, ConvRoute, KernelArch, PackedConvFilter, PackedFilter, QKernelArch,
+    QuantizedFilter, QuantizedLinearFilter,
 };
 use tensor::Tensor;
 
@@ -165,11 +165,25 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
     for &(label, c_in, c_out, hw, f) in shapes {
         let input = conv_input(c_in, hw, hw);
         let (weights, bias) = conv_weights(c_in, c_out, f);
-        // Each f32 route is pinned by packing its panel form directly: a
-        // routed `pack_conv_filter` holds only the form the layer routes to.
-        let gemm_filter = PackedFilter::pack(&weights, c_out, c_in * f * f).unwrap();
-        let wino_filter =
-            winograd_eligible(f, 1).then(|| WinogradFilter::pack(&weights, c_in, c_out).unwrap());
+        // One pack per route, each pinned: an unpinned `pack_conv_filter`
+        // holds only the form the policy routes the layer to.
+        let pack = |route| pack_conv_filter(&weights, c_in, c_out, f, 1, Some(route)).unwrap();
+        let run_packed = |filter: &PackedConvFilter| {
+            conv2d_rows_packed(
+                &input,
+                0,
+                hw,
+                0,
+                hw,
+                filter,
+                &bias,
+                f,
+                1,
+                1,
+                Activation::Relu,
+            )
+            .unwrap()
+        };
         let run_direct = || {
             conv2d_rows_direct(
                 &input,
@@ -187,59 +201,18 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
             )
             .unwrap()
         };
-        let run_gemm = || {
-            conv2d_rows_gemm(
-                &input,
-                0,
-                hw,
-                0,
-                hw,
-                &gemm_filter,
-                &bias,
-                f,
-                1,
-                1,
-                Activation::Relu,
-            )
-            .unwrap()
-        };
-        // The Winograd path, pinned directly — the router only takes it at
+        let gemm_filter = pack(ConvRoute::Gemm);
+        let run_gemm = || run_packed(&gemm_filter);
+        // The Winograd route — the policy only takes it at
         // `winograd_preferred` channel counts, but the bench reports every
         // eligible shape so the crossover stays visible.
-        let run_winograd = || {
-            conv2d_rows_winograd(
-                &input,
-                0,
-                hw,
-                0,
-                hw,
-                wino_filter.as_ref().unwrap(),
-                &bias,
-                1,
-                Activation::Relu,
-            )
-            .unwrap()
-        };
-        // The int8 quantized path: weights packed into i8 panels, the
+        let wino_filter = winograd_eligible(f, 1).then(|| pack(ConvRoute::Winograd));
+        let run_winograd = || run_packed(wino_filter.as_ref().unwrap());
+        // The int8 quantized route: weights packed into i8 panels, the
         // activation scale calibrated from this input.
         let scale_in = quant_scale(input.data());
-        let qfilter = pack_conv_filter_with(&weights, c_in, c_out, f, 1, Some(scale_in)).unwrap();
-        let run_q8 = || {
-            conv2d_rows_packed(
-                &input,
-                0,
-                hw,
-                0,
-                hw,
-                &qfilter,
-                &bias,
-                f,
-                1,
-                1,
-                Activation::Relu,
-            )
-            .unwrap()
-        };
+        let qfilter = pack(ConvRoute::Quant { scale_in });
+        let run_q8 = || run_packed(&qfilter);
         // The direct oracle gets fewer samples on the big shapes: it is the
         // slow side being measured.
         let direct_samples = if c_in >= 256 { 2 } else { 5 };

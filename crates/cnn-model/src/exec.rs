@@ -7,12 +7,16 @@
 //! model, runs the full model, and runs individual split-parts from their
 //! [`PartPlan`]s so integration tests can compare the two.
 //!
-//! Every entry point runs the packed im2col + GEMM kernels.  The raw
-//! [`ModelWeights`] functions pack per call (fine for tests and one-shot
-//! references); the serving runtime instead builds a [`PackedModelWeights`]
-//! once at deploy and runs [`run_part_on_band_packed`] /
-//! [`run_head_packed`] per frame — bit-identical outputs, zero per-frame
-//! packing.
+//! Execution is **packed-only**: a layer runs from its kernel panels and
+//! from nothing else, through one per-layer dispatch.  The serving runtime
+//! builds a [`PackedModelWeights`] once at deploy and runs
+//! [`run_part_on_band_packed`] / [`run_head_packed`] per frame — zero
+//! per-frame packing; [`run_part`] and [`run_full_packed`] are the same
+//! executor over a whole volume input and a whole model.  The one function
+//! that takes raw [`ModelWeights`] is [`run_full`], the single-device
+//! reference: it packs a layer, runs it and drops the panels before the
+//! next layer packs, so the reference costs one layer's panels of memory,
+//! not a second copy of the model.
 //!
 //! Every weight exists **once** between the caller and the kernel panels:
 //! [`ModelWeights`] layers are shared immutable storage (`Arc<[f32]>`), so
@@ -29,12 +33,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tensor::ops::{
-    conv2d_rows, conv2d_rows_packed, linear, linear_packed, linear_q8, maxpool2d_rows,
-    pack_conv_filter_with, pack_linear_filter, quant_scale, Activation, PackedConvFilter,
-    PackedLinearFilter, QuantizedLinearFilter,
+    conv2d_rows_packed, linear_packed, linear_q8, maxpool2d_rows, pack_conv_filter,
+    pack_linear_filter, quant_scale, Activation, ConvRoute, PackedConvFilter, PackedLinearFilter,
+    QuantizedLinearFilter,
 };
 use tensor::slice::slice_rows;
-use tensor::{Shape, Tensor};
+use tensor::Tensor;
 
 /// One layer's raw `(weights, bias)` in shared immutable storage; both are
 /// empty for pooling layers and for layers sharded out of a device's set.
@@ -141,9 +145,22 @@ impl QuantSpec {
     /// Minimum `in_features` for an FC layer to take the int8 path.
     pub const FC_MIN_IN: usize = 256;
 
-    /// Wraps raw per-layer scales (`0.0` = not quantized).
-    pub fn new(scales: Vec<f32>) -> Self {
-        Self { scales }
+    /// Wraps raw per-layer scales (`0.0` = not quantized) — the way in for
+    /// a spec read off the wire.  Every scale must be finite and
+    /// non-negative: `+inf` would quantize the layer's every activation to
+    /// zero, and a `NaN` or negative one would drop the layer to f32 on this
+    /// device alone while its peers run int8.
+    pub fn new(scales: Vec<f32>) -> Result<Self> {
+        match scales.iter().position(|s| !(s.is_finite() && *s >= 0.0)) {
+            Some(layer) => Err(crate::ModelError::InvalidGeometry {
+                layer,
+                reason: format!(
+                    "quantization scale {} is not a finite non-negative number",
+                    scales[layer]
+                ),
+            }),
+            None => Ok(Self { scales }),
+        }
     }
 
     /// Calibrates activation scales for `model` by running the f32
@@ -152,28 +169,28 @@ impl QuantSpec {
     /// this runs on the deploying device, never on a provider holding a
     /// shard.
     ///
-    /// Goes layer at a time: layer `i` is packed once, every probe
-    /// activation is pushed through it, and its panels are dropped before
-    /// layer `i + 1` packs — one packing pass and one layer's panels alive
-    /// at a time, with scales bit-identical to running the whole model per
-    /// probe (same kernels, same routes).
+    /// Goes layer at a time (`each_layer_packed`, the loop [`run_full`]
+    /// runs): layer `i` is packed once, every probe activation is pushed
+    /// through it, and its panels are dropped before layer `i + 1` packs —
+    /// one packing pass and one layer's panels alive at a time, with scales
+    /// bit-identical to running the whole model per probe (same kernels,
+    /// same routes).
     pub fn calibrate(model: &Model, weights: &ModelWeights) -> Result<Self> {
-        check_layer_count(model, weights)?;
         let mut acts: Vec<Tensor> = CALIBRATION_SEEDS
             .iter()
             .map(|&seed| deterministic_input(model, seed))
             .collect();
         let mut max_abs = vec![0.0f32; model.len()];
-        for (layer, (w, b)) in model.layers().iter().zip(&weights.layers) {
+        each_layer_packed(model, weights, |layer, packed| {
             let m = &mut max_abs[layer.index];
             for v in acts.iter().flat_map(|t| t.data()) {
                 *m = m.max(v.abs());
             }
-            let packed = PackedModelWeights::pack_layer(layer, w, b, None)?;
             for act in &mut acts {
-                *act = run_layer_rows_packed(layer, &packed, act, 0, 0, layer.output.h)?;
+                *act = run_whole_layer(layer, packed, act)?;
             }
-        }
+            Ok(())
+        })?;
         Ok(Self::from_input_ranges(model, &max_abs))
     }
 
@@ -196,7 +213,7 @@ impl QuantSpec {
 
     /// The whole-model-per-probe calibration [`QuantSpec::calibrate`]
     /// replaced, kept as its oracle: three `run_full` passes, each packing
-    /// every layer per call.
+    /// every layer again.
     #[cfg(test)]
     fn calibrate_via_run_full(model: &Model, weights: &ModelWeights) -> Result<Self> {
         let mut max_abs = vec![0.0f32; model.len()];
@@ -378,9 +395,9 @@ impl PackedModelWeights {
                 if w.is_empty() && b.is_empty() {
                     PackedLayerWeights::Absent
                 } else {
-                    let filter =
-                        pack_conv_filter_with(w, layer.input.c, c_out, f, stride, scale_in)
-                            .map_err(geometry_err)?;
+                    let pin = scale_in.map(|scale_in| ConvRoute::Quant { scale_in });
+                    let filter = pack_conv_filter(w, layer.input.c, c_out, f, stride, pin)
+                        .map_err(geometry_err)?;
                     PackedLayerWeights::Conv {
                         filter,
                         bias: b.to_vec(),
@@ -507,77 +524,11 @@ pub fn deterministic_input(model: &Model, seed: u64) -> Tensor {
     Tensor::from_fn([s.c, s.h, s.w], |_, _, _| rng.gen_range(-1.0..1.0))
 }
 
-fn run_layer_full(layer: &Layer, weights: &LayerWeights, input: &Tensor) -> Result<Tensor> {
-    run_layer_rows(layer, weights, input, 0, 0, layer.output.h)
-}
-
-/// Runs one layer over a row band.
+/// Runs one layer over a row band from prepacked weights — the one place a
+/// layer op meets a kernel, and the per-frame hot path: no packing, ever.
 ///
 /// `input` carries original input rows `[in_row_offset, …)`; output rows
 /// `[out_lo, out_hi)` (full-layer coordinates) are produced.
-fn run_layer_rows(
-    layer: &Layer,
-    weights: &LayerWeights,
-    input: &Tensor,
-    in_row_offset: usize,
-    out_lo: usize,
-    out_hi: usize,
-) -> Result<Tensor> {
-    let t = match layer.op {
-        LayerOp::Conv {
-            c_out,
-            f,
-            stride,
-            padding,
-            act,
-        } => conv2d_rows(
-            input,
-            in_row_offset,
-            layer.input.h,
-            out_lo,
-            out_hi,
-            &weights.0,
-            &weights.1,
-            c_out,
-            f,
-            stride,
-            padding,
-            act,
-        )
-        .map_err(|e| crate::ModelError::InvalidGeometry {
-            layer: layer.index,
-            reason: e.to_string(),
-        })?,
-        LayerOp::MaxPool { f, stride } => maxpool2d_rows(
-            input,
-            in_row_offset,
-            layer.input.h,
-            out_lo,
-            out_hi,
-            f,
-            stride,
-        )
-        .map_err(|e| crate::ModelError::InvalidGeometry {
-            layer: layer.index,
-            reason: e.to_string(),
-        })?,
-        LayerOp::Fc { out_features } => linear(
-            input,
-            &weights.0,
-            &weights.1,
-            out_features,
-            Activation::Relu,
-        )
-        .map_err(|e| crate::ModelError::InvalidGeometry {
-            layer: layer.index,
-            reason: e.to_string(),
-        })?,
-    };
-    Ok(t)
-}
-
-/// Runs one layer over a row band from prepacked weights — the per-frame
-/// hot path: no packing, ever.
 fn run_layer_rows_packed(
     layer: &Layer,
     packed: &PackedLayerWeights,
@@ -651,15 +602,39 @@ fn run_layer_rows_packed(
     Ok(t)
 }
 
-/// Runs the full model, returning the output of every layer (index `i` holds
-/// the output of layer `i`).
-pub fn run_full(model: &Model, weights: &ModelWeights, input: &Tensor) -> Result<Vec<Tensor>> {
-    let mut outputs = Vec::with_capacity(model.len());
-    let mut current = input.clone();
-    for (layer, w) in model.layers().iter().zip(&weights.layers) {
-        current = run_layer_full(layer, w, &current)?;
-        outputs.push(current.clone());
+/// [`run_layer_rows_packed`] at full height.
+fn run_whole_layer(layer: &Layer, packed: &PackedLayerWeights, input: &Tensor) -> Result<Tensor> {
+    run_layer_rows_packed(layer, packed, input, 0, 0, layer.output.h)
+}
+
+/// The raw-weight loop: hands `run` each layer of `model` with its weights
+/// packed on the f32 routes.  A layer's panels are dropped before the next
+/// layer packs, so at most one layer's panels are alive — FC1 of a VGG is
+/// 411 MB of them.
+fn each_layer_packed(
+    model: &Model,
+    weights: &ModelWeights,
+    mut run: impl FnMut(&Layer, &PackedLayerWeights) -> Result<()>,
+) -> Result<()> {
+    check_layer_count(model, weights)?;
+    for (layer, (w, b)) in model.layers().iter().zip(&weights.layers) {
+        let packed = PackedModelWeights::pack_layer(layer, w, b, None)?;
+        run(layer, &packed)?;
     }
+    Ok(())
+}
+
+/// Runs the full model from raw weights, returning the output of every
+/// layer (index `i` holds the output of layer `i`) — the single-device f32
+/// reference.  Packs layer by layer (`each_layer_packed`); to run a model
+/// more than once, pack it once and call [`run_full_packed`].
+pub fn run_full(model: &Model, weights: &ModelWeights, input: &Tensor) -> Result<Vec<Tensor>> {
+    let mut outputs: Vec<Tensor> = Vec::with_capacity(model.len());
+    each_layer_packed(model, weights, |layer, packed| {
+        let out = run_whole_layer(layer, packed, outputs.last().unwrap_or(input))?;
+        outputs.push(out);
+        Ok(())
+    })?;
     Ok(outputs)
 }
 
@@ -681,16 +656,7 @@ fn run_layers_packed(
     packed: &PackedModelWeights,
     input: &Tensor,
 ) -> Result<Tensor> {
-    let run = |layer: &Layer, x: &Tensor| {
-        run_layer_rows_packed(
-            layer,
-            &packed.layers()[layer.index],
-            x,
-            0,
-            0,
-            layer.output.h,
-        )
-    };
+    let run = |layer: &Layer, x: &Tensor| run_whole_layer(layer, &packed.layers()[layer.index], x);
     let Some((first, rest)) = layers.split_first() else {
         return Ok(input.clone());
     };
@@ -705,11 +671,12 @@ fn run_layers_packed(
 ///
 /// `volume_input` is the *full* input feature map of the volume (the model
 /// input for the first volume, the previous volume's stitched output
-/// otherwise); the part extracts exactly the rows its [`PartPlan`] requires.
-/// Returns `None` for an empty part.
+/// otherwise); the part extracts exactly the rows its [`PartPlan`] requires
+/// and runs [`run_part_on_band_packed`] on them.  Returns `None` for an
+/// empty part.
 pub fn run_part(
     model: &Model,
-    weights: &ModelWeights,
+    packed: &PackedModelWeights,
     plan: &PartPlan,
     volume_input: &Tensor,
 ) -> Result<Option<Tensor>> {
@@ -719,11 +686,12 @@ pub fn run_part(
     let (in_lo, in_hi) = plan.input_rows;
     let band = slice_rows(volume_input, in_lo, in_hi)
         .map_err(|e| crate::ModelError::InvalidSplit(e.to_string()))?;
-    run_part_on_band(model, weights, plan, band).map(Some)
+    run_part_on_band_packed(model, packed, plan, band).map(Some)
 }
 
-/// Runs one split-part directly on its input band — the entry point the
-/// distributed runtime uses, where a provider only ever holds the halo band
+/// Runs one split-part directly on its input band over deploy-time
+/// [`PackedModelWeights`] — the entry point the distributed runtime's
+/// compute threads use, where a provider only ever holds the halo band
 /// `[plan.input_rows.0, plan.input_rows.1)` it received over the wire, never
 /// the full volume input.
 ///
@@ -731,40 +699,6 @@ pub fn run_part(
 /// Takes the band by value: the caller (the runtime's compute thread, or
 /// `run_part`) owns it and never needs it afterwards, so the hot path pays
 /// no copy before the first kernel.
-pub fn run_part_on_band(
-    model: &Model,
-    weights: &ModelWeights,
-    plan: &PartPlan,
-    band: Tensor,
-) -> Result<Tensor> {
-    let (in_lo, in_hi) = plan.input_rows;
-    if plan.is_empty() {
-        return Err(crate::ModelError::InvalidSplit(
-            "run_part_on_band called on an empty part".into(),
-        ));
-    }
-    if band.height() != in_hi - in_lo {
-        return Err(crate::ModelError::InvalidSplit(format!(
-            "band carries {} rows, part needs rows {in_lo}..{in_hi}",
-            band.height()
-        )));
-    }
-    let mut band = band;
-    let mut band_offset = in_lo;
-    for lr in &plan.layers {
-        let layer = &model.layers()[lr.layer];
-        let w = &weights.layers[lr.layer];
-        let (out_lo, out_hi) = lr.out_rows;
-        band = run_layer_rows(layer, w, &band, band_offset, out_lo, out_hi)?;
-        band_offset = out_lo;
-    }
-    Ok(band)
-}
-
-/// [`run_part_on_band`] over deploy-time [`PackedModelWeights`] — the entry
-/// point the distributed runtime's compute threads use.  Bit-identical to
-/// the raw-weight path (packing is pure data movement; both run the same
-/// GEMM kernels), but pays zero packing cost per frame.
 pub fn run_part_on_band_packed(
     model: &Model,
     packed: &PackedModelWeights,
@@ -796,19 +730,9 @@ pub fn run_part_on_band_packed(
 }
 
 /// Runs the model's FC head (the layers past the distributable prefix) on
-/// the stitched output of the last layer-volume.  Returns the input
-/// unchanged for models without a head.
-pub fn run_head(model: &Model, weights: &ModelWeights, stitched: &Tensor) -> Result<Tensor> {
-    let mut current = stitched.clone();
-    for layer in model.head_layers() {
-        let w = &weights.layers[layer.index];
-        current = run_layer_full(layer, w, &current)?;
-    }
-    Ok(current)
-}
-
-/// [`run_head`] over deploy-time [`PackedModelWeights`] — what the head
-/// device's compute thread runs per frame.
+/// the stitched output of the last layer-volume — what the head device's
+/// compute thread runs per frame.  Returns the input unchanged for models
+/// without a head.
 pub fn run_head_packed(
     model: &Model,
     packed: &PackedModelWeights,
@@ -817,16 +741,12 @@ pub fn run_head_packed(
     run_layers_packed(model.head_layers(), packed, stitched)
 }
 
-/// Shape of the model input as a tensor shape (convenience for examples).
-pub fn input_shape(model: &Model) -> Shape {
-    model.input()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::volume::{LayerVolume, PartitionScheme, VolumeSplit};
     use tensor::slice::concat_rows;
+    use tensor::Shape;
 
     fn small_model() -> Model {
         Model::new(
@@ -871,8 +791,11 @@ mod tests {
         let v = LayerVolume::new(0, 1);
         let input = deterministic_input(&m, 21);
         let plan = PartPlan::plan(&m, v, 0, v.last_output_height(&m)).unwrap();
-        let full = run_part(&m, &w, &plan, &input).unwrap().unwrap();
-        let shard_out = run_part(&m, &sharded, &plan, &input).unwrap().unwrap();
+        let pack = |w: &ModelWeights| PackedModelWeights::pack(&m, w).unwrap();
+        let full = run_part(&m, &pack(&w), &plan, &input).unwrap().unwrap();
+        let shard_out = run_part(&m, &pack(&sharded), &plan, &input)
+            .unwrap()
+            .unwrap();
         assert_eq!(full, shard_out);
     }
 
@@ -892,6 +815,7 @@ mod tests {
         let w = ModelWeights::deterministic(&m, 11);
         let input = deterministic_input(&m, 11);
         let full = run_full(&m, &w, &input).unwrap();
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
 
         // Two volumes: [0,3) and [3,4); split each across 3 devices.
         let scheme = PartitionScheme::new(&m, vec![0, 3, 4]).unwrap();
@@ -902,7 +826,7 @@ mod tests {
             let plans = PartPlan::plan_all(&m, volume, &split).unwrap();
             let mut parts = Vec::new();
             for plan in &plans {
-                if let Some(out) = run_part(&m, &w, plan, &volume_input).unwrap() {
+                if let Some(out) = run_part(&m, &packed, plan, &volume_input).unwrap() {
                     parts.push(out);
                 }
             }
@@ -922,10 +846,11 @@ mod tests {
     fn empty_part_returns_none() {
         let m = small_model();
         let w = ModelWeights::deterministic(&m, 3);
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
         let input = deterministic_input(&m, 3);
         let v = LayerVolume::new(0, 3);
         let plan = PartPlan::plan(&m, v, 5, 5).unwrap();
-        assert!(run_part(&m, &w, &plan, &input).unwrap().is_none());
+        assert!(run_part(&m, &packed, &plan, &input).unwrap().is_none());
     }
 
     #[test]
@@ -936,7 +861,8 @@ mod tests {
         let full = run_full(&m, &w, &input).unwrap();
         let v = LayerVolume::new(0, 4);
         let plan = PartPlan::plan(&m, v, 0, v.last_output_height(&m)).unwrap();
-        let out = run_part(&m, &w, &plan, &input).unwrap().unwrap();
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
+        let out = run_part(&m, &packed, &plan, &input).unwrap().unwrap();
         assert!(out.approx_eq(&full[3], 1e-4));
     }
 
@@ -946,42 +872,15 @@ mod tests {
         // band (what arrived over the wire), never the full volume input.
         let m = small_model();
         let w = ModelWeights::deterministic(&m, 13);
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
         let input = deterministic_input(&m, 13);
         let v = LayerVolume::new(0, 3);
         let h = v.last_output_height(&m);
         let plan = PartPlan::plan(&m, v, h / 3, h).unwrap();
-        let via_full = run_part(&m, &w, &plan, &input).unwrap().unwrap();
+        let via_full = run_part(&m, &packed, &plan, &input).unwrap().unwrap();
         let band = slice_rows(&input, plan.input_rows.0, plan.input_rows.1).unwrap();
-        let via_band = run_part_on_band(&m, &w, &plan, band).unwrap();
+        let via_band = run_part_on_band_packed(&m, &packed, &plan, band).unwrap();
         assert_eq!(via_band, via_full);
-    }
-
-    #[test]
-    fn packed_band_execution_is_bit_identical_to_raw() {
-        let m = small_model();
-        let w = ModelWeights::deterministic(&m, 29);
-        let input = deterministic_input(&m, 29);
-        let packed = PackedModelWeights::pack(&m, &w).unwrap();
-        let v = LayerVolume::new(0, 3);
-        let h = v.last_output_height(&m);
-        let plan = PartPlan::plan(&m, v, 0, h / 2).unwrap();
-        let band = slice_rows(&input, plan.input_rows.0, plan.input_rows.1).unwrap();
-        let raw = run_part_on_band(&m, &w, &plan, band.clone()).unwrap();
-        let fast = run_part_on_band_packed(&m, &packed, &plan, band).unwrap();
-        assert_eq!(raw, fast, "prepacked weights must not change a single bit");
-    }
-
-    #[test]
-    fn packed_head_is_bit_identical_to_raw() {
-        let m = small_model();
-        let w = ModelWeights::deterministic(&m, 31);
-        let input = deterministic_input(&m, 31);
-        let packed = PackedModelWeights::pack(&m, &w).unwrap();
-        let full = run_full(&m, &w, &input).unwrap();
-        let prefix_out = &full[m.distributable_len() - 1];
-        let raw = run_head(&m, &w, prefix_out).unwrap();
-        let fast = run_head_packed(&m, &packed, prefix_out).unwrap();
-        assert_eq!(raw, fast);
     }
 
     #[test]
@@ -1087,6 +986,21 @@ mod tests {
         let sw = ModelWeights::deterministic(&shallow, 41);
         let sspec = QuantSpec::calibrate(&shallow, &sw).unwrap();
         assert!(sspec.layer_scale(0).is_none());
+    }
+
+    #[test]
+    fn a_spec_rejects_scales_no_calibration_produces() {
+        assert_eq!(
+            QuantSpec::new(vec![0.0, 0.5]).unwrap().layer_scale(1),
+            Some(0.5)
+        );
+        for bad in [f32::NAN, f32::INFINITY, -0.25] {
+            let err = QuantSpec::new(vec![0.0, 0.5, bad]).unwrap_err();
+            assert!(
+                matches!(err, crate::ModelError::InvalidGeometry { layer: 2, .. }),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1234,13 +1148,14 @@ mod tests {
     fn run_part_on_band_rejects_wrong_band_height() {
         let m = small_model();
         let w = ModelWeights::deterministic(&m, 13);
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
         let input = deterministic_input(&m, 13);
         let v = LayerVolume::new(0, 3);
         let plan = PartPlan::plan(&m, v, 0, 4).unwrap();
         let wrong = slice_rows(&input, 0, 2).unwrap();
-        assert!(run_part_on_band(&m, &w, &plan, wrong).is_err());
+        assert!(run_part_on_band_packed(&m, &packed, &plan, wrong).is_err());
         let empty = PartPlan::plan(&m, v, 4, 4).unwrap();
-        assert!(run_part_on_band(&m, &w, &empty, input.clone()).is_err());
+        assert!(run_part_on_band_packed(&m, &packed, &empty, input.clone()).is_err());
     }
 
     #[test]
@@ -1251,7 +1166,8 @@ mod tests {
         let full = run_full(&m, &w, &input).unwrap();
         // The head consumes the last distributable layer's output.
         let prefix_out = &full[m.distributable_len() - 1];
-        let head_out = run_head(&m, &w, prefix_out).unwrap();
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
+        let head_out = run_head_packed(&m, &packed, prefix_out).unwrap();
         assert_eq!(&head_out, full.last().unwrap());
     }
 
@@ -1264,7 +1180,8 @@ mod tests {
         )
         .unwrap();
         let w = ModelWeights::deterministic(&m, 1);
+        let packed = PackedModelWeights::pack(&m, &w).unwrap();
         let t = deterministic_input(&m, 1);
-        assert_eq!(run_head(&m, &w, &t).unwrap(), t);
+        assert_eq!(run_head_packed(&m, &packed, &t).unwrap(), t);
     }
 }

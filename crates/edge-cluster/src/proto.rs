@@ -173,6 +173,7 @@ pub fn read_hello(r: &mut impl Read) -> Result<Hello> {
         .map_err(|e| RuntimeError::transport_protocol(format!("bad model JSON: {e}")))?;
     let payload_bytes = read_block(r, "payload")?;
     let payload = ReconfigurePayload::decode(&payload_bytes)?;
+    payload.check_against(&model)?;
     Ok(Hello {
         numerics,
         device,
@@ -291,7 +292,7 @@ mod tests {
             payload: ReconfigurePayload {
                 plan,
                 delta,
-                quant: Some(cnn_model::exec::QuantSpec::new(vec![0.0, 0.125])),
+                quant: Some(cnn_model::exec::QuantSpec::new(vec![0.0, 0.125]).unwrap()),
             },
         };
         let mut buf = Vec::new();

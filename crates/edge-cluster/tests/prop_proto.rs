@@ -3,14 +3,17 @@
 //! proptest stand-in has no `any::<u8>()`), any truncation of a
 //! handshake message is a typed transport error, and a refusal reaches the
 //! coordinator as the non-retryable mismatch error naming both contracts.
+//! And for the quant spec a `Hello` bootstraps a node with: one that does
+//! not cover the model, or carries a scale no calibration could produce, is
+//! a typed error before anything is installed.
 
-use cnn_model::exec::ModelWeights;
+use cnn_model::exec::{ModelWeights, QuantSpec};
 use cnn_model::{LayerOp, Model};
 use edge_cluster::proto::{
     read_hello, read_welcome, write_hello, write_numerics_refusal, write_welcome,
 };
 use edge_cluster::{Hello, Welcome};
-use edge_runtime::{ReconfigurePayload, TransportErrorKind, WeightDelta};
+use edge_runtime::{ReconfigurePayload, RuntimeError, TransportErrorKind, WeightDelta};
 use proptest::prelude::*;
 use tensor::ops::NUMERICS_CONTRACT;
 use tensor::Shape;
@@ -77,6 +80,38 @@ proptest! {
         let cut = cut % body.len();
         let err = read_hello(&mut &body[..cut]).unwrap_err();
         prop_assert!(err.as_transport().is_some(), "typed transport error: {}", err);
+    }
+
+    /// A `Hello` whose quant spec has a scale per layer round-trips; one
+    /// with more or fewer scales than its own model has layers, or with a
+    /// non-finite or negative scale, is a `Wire` error.
+    #[test]
+    fn hello_with_a_bad_quant_spec_is_rejected(
+        n_scales in 0usize..5,
+        victim in 0usize..5,
+        bad in 0usize..5,
+    ) {
+        let mut sent = hello(NUMERICS_CONTRACT, 1, 3, 2);
+        let scales = (0..n_scales).map(|i| i as f32 * 0.0625).collect();
+        sent.payload.quant = Some(QuantSpec::new(scales).unwrap());
+        let mut buf = Vec::new();
+        write_hello(&mut buf, &sent).unwrap();
+        let read = read_hello(&mut &buf[1..]);
+        if n_scales == sent.model.len() {
+            prop_assert_eq!(read.unwrap(), sent);
+        } else {
+            prop_assert!(matches!(read, Err(RuntimeError::Wire(_))), "{} scales: {:?}", n_scales, read);
+        }
+
+        // The payload is the message's last block and the scales its last
+        // `4·n` bytes.
+        if n_scales > 0 {
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5, -f32::MIN_POSITIVE][bad];
+            let at = buf.len() - 4 * (1 + victim % n_scales);
+            buf[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            let read = read_hello(&mut &buf[1..]);
+            prop_assert!(matches!(read, Err(RuntimeError::Wire(_))), "scale {}: {:?}", bad, read);
+        }
     }
 
     /// The reply codec: a `Welcome` round-trips, a refusal becomes the

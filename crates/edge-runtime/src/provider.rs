@@ -5,7 +5,7 @@
 //!   frames and hands them to compute — so the wire never waits on a kernel;
 //! * the **compute** thread assembles input bands (halo rows may arrive from
 //!   several peers), runs the split-part kernels via
-//!   `cnn_model::exec::run_part_on_band`, and chains locally-satisfied
+//!   `cnn_model::exec::run_part_on_band_packed`, and chains locally-satisfied
 //!   stages without touching the transport;
 //! * the **send** thread slices each computed band into per-destination
 //!   overlap rows and pushes them out — so a slow link never blocks the next
@@ -592,6 +592,7 @@ impl ComputeState {
         }
         let t_install = self.rec.start();
         let payload = ReconfigurePayload::decode(&frame.payload)?;
+        payload.check_against(&self.shared.model)?;
         let mut installed = 0u64;
         for delta in payload.delta {
             if delta.layer >= self.weights.get().layers().len() {

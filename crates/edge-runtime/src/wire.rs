@@ -38,6 +38,7 @@
 
 use crate::{Result, RuntimeError};
 use cnn_model::exec::QuantSpec;
+use cnn_model::Model;
 use edgesim::ExecutionPlan;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -438,6 +439,21 @@ impl ReconfigurePayload {
         self.delta.iter().map(WeightDelta::bytes).sum()
     }
 
+    /// What decoding alone cannot check: that the quant spec, if any, has
+    /// one scale per layer of the `model` the payload is about to be
+    /// installed on.  A shorter spec would leave the layers past its end on
+    /// the f32 path on this device while its peers run them int8.
+    pub fn check_against(&self, model: &Model) -> Result<()> {
+        match &self.quant {
+            Some(spec) if spec.scales().len() != model.len() => Err(RuntimeError::Wire(format!(
+                "quant section carries {} scales for a {}-layer model",
+                spec.scales().len(),
+                model.len()
+            ))),
+            _ => Ok(()),
+        }
+    }
+
     /// Encodes the payload.
     pub fn encode(&self) -> Result<Vec<u8>> {
         let plan_json = serde_json::to_string(&self.plan)
@@ -531,7 +547,9 @@ impl ReconfigurePayload {
                 0 => None,
                 1 => {
                     let n = read_u32(bytes, &mut at)? as usize;
-                    Some(QuantSpec::new(read_f32s(bytes, &mut at, n)?))
+                    let spec = QuantSpec::new(read_f32s(bytes, &mut at, n)?)
+                        .map_err(|e| RuntimeError::Wire(format!("bad quant section: {e}")))?;
+                    Some(spec)
                 }
                 other => {
                     return Err(RuntimeError::Wire(format!(
@@ -726,7 +744,7 @@ mod tests {
         assert_eq!(back.delta_bytes(), (3 + 1 + 2) * 4);
         // A quant spec rides along and rountrips exactly.
         let quantized = ReconfigurePayload {
-            quant: Some(QuantSpec::new(vec![0.0, 0.031, 0.0])),
+            quant: Some(QuantSpec::new(vec![0.0, 0.031, 0.0]).unwrap()),
             ..payload.clone()
         };
         let back = ReconfigurePayload::decode(&quantized.encode().unwrap()).unwrap();

@@ -1,10 +1,13 @@
 //! Property tests for the wire codecs: arbitrary frames and reconfigure
-//! payloads round-trip bit-exactly, and corrupt or truncated inputs are
-//! rejected with typed errors instead of panics or unbounded allocation.
+//! payloads round-trip bit-exactly, and corrupt or truncated inputs — a
+//! quantization scale no calibration could produce, a spec that does not
+//! cover the model — are rejected with typed errors instead of panics,
+//! unbounded allocation or a silently different kernel path.
 
 use edge_runtime::wire::check_frame_len;
 use edge_runtime::{
-    Frame, FrameKind, ReconfigurePayload, TransportErrorKind, WeightDelta, MAX_FRAME_LEN,
+    Frame, FrameKind, ReconfigurePayload, RuntimeError, TransportErrorKind, WeightDelta,
+    MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use tensor::Tensor;
@@ -141,6 +144,7 @@ proptest! {
             cnn_model::exec::QuantSpec::new(
                 (0..n_layers).map(|i| i as f32 * 0.015625).collect(),
             )
+            .unwrap()
         });
         let payload = ReconfigurePayload { plan, delta, quant };
         let bytes = payload.encode().unwrap();
@@ -150,6 +154,53 @@ proptest! {
         // Truncations of the payload body are rejected as well.
         if bytes.len() > 1 {
             prop_assert!(ReconfigurePayload::decode(&bytes[..bytes.len() / 2]).is_err());
+        }
+    }
+
+    /// A quant section is checked where it enters: a scale that is not a
+    /// finite non-negative number fails the decode, and a spec with more or
+    /// fewer scales than the model has layers fails the check both
+    /// installers run before touching state — `Wire` errors, both.
+    #[test]
+    fn corrupt_quant_sections_are_rejected(
+        n_scales in 0usize..6,
+        victim in 0usize..6,
+        bad in 0usize..5,
+        seed in any::<u32>(),
+    ) {
+        let model = cnn_model::Model::new(
+            "prop",
+            tensor::Shape::new(1, 8, 8),
+            &[
+                cnn_model::LayerOp::conv(2, 3, 1, 1),
+                cnn_model::LayerOp::pool(2, 2),
+                cnn_model::LayerOp::fc(4),
+            ],
+        )
+        .unwrap();
+        let scales: Vec<f32> = (0..n_scales).map(|i| ((seed as usize + i) % 7) as f32 * 0.03125).collect();
+        let payload = ReconfigurePayload {
+            plan: edgesim::ExecutionPlan::offload(&model, 0, 2).unwrap(),
+            delta: Vec::new(),
+            quant: Some(cnn_model::exec::QuantSpec::new(scales).unwrap()),
+        };
+        let bytes = payload.encode().unwrap();
+        let decoded = ReconfigurePayload::decode(&bytes).unwrap();
+        let fits = decoded.check_against(&model);
+        if n_scales == model.len() {
+            prop_assert!(fits.is_ok());
+        } else {
+            prop_assert!(matches!(fits, Err(RuntimeError::Wire(_))), "{} scales: {:?}", n_scales, fits);
+        }
+
+        // The scales are the payload's last `4·n` bytes.
+        if n_scales > 0 {
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5, -f32::MIN_POSITIVE][bad];
+            let at = bytes.len() - 4 * (1 + victim % n_scales);
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            let err = ReconfigurePayload::decode(&corrupt);
+            prop_assert!(matches!(err, Err(RuntimeError::Wire(_))), "scale {}: {:?}", bad, err);
         }
     }
 }

@@ -32,8 +32,15 @@
 //! // Weights laid out [c_out][c_in][f][f], one bias per output channel.
 //! let weights = vec![0.5; ops::im2col_weight_len(3, 4, 3)];
 //! let bias = vec![0.0; 4];
-//! let out = ops::conv2d(&input, &weights, &bias, 4, 3, 1, 1, ops::Activation::Relu);
+//! // Pack once (3×3, stride 1; `None` leaves the kernel route to the
+//! // policy), then run any band of output rows — here all eight, from the
+//! // whole input, with padding 1.
+//! let filter = ops::pack_conv_filter(&weights, 3, 4, 3, 1, None)?;
+//! let out = ops::conv2d_rows_packed(
+//!     &input, 0, 8, 0, 8, &filter, &bias, 3, 1, 1, ops::Activation::Relu,
+//! )?;
 //! assert_eq!(out.shape(), [4, 8, 8]);
+//! # Ok::<(), tensor::TensorError>(())
 //! ```
 
 pub mod error;

@@ -1,30 +1,38 @@
-//! 2-D convolution kernels.
+//! 2-D convolution: one packer, one runner, three kernel routes.
 //!
-//! Three implementations share one geometry/validation layer:
+//! [`pack_conv_filter`] turns raw `[c_out][c_in][f][f]` weights into a
+//! [`PackedConvFilter`] holding **exactly one** panel form, and
+//! [`conv2d_rows_packed`] runs whatever was packed.  There is no other
+//! fast-path entry and no per-call packing, so the route is decided once
+//! per layer — never per band, per device or per frame — and no panel is
+//! ever resident that no call reads.  The routes ([`ConvRoute`]):
 //!
-//! * the **packed im2col + GEMM path** — the general production kernel.
-//!   The input band is lowered on the fly into cache-sized column panels
-//!   (the im2col B matrix, built k-slice by k-slice so it never
-//!   materialises whole) and multiplied by the [`PackedFilter`] weight
-//!   panels through the blocked GEMM in [`super::gemm`], with bias and
-//!   activation fused into the last K block.
-//! * the **Winograd F(2×2,3×3) path** ([`super::winograd`]) — the shortcut
-//!   for stride-1 3×3 convolutions, which routes ~2.25× fewer multiplies
+//! * **im2col + GEMM** — the general production kernel.  The input band is
+//!   lowered on the fly into cache-sized column panels (the im2col B
+//!   matrix, built k-slice by k-slice so it never materialises whole) and
+//!   multiplied by the [`PackedFilter`] weight panels through the blocked
+//!   GEMM in [`super::gemm`], with bias and activation fused into the last
+//!   K block.
+//! * **Winograd F(2×2,3×3)** ([`super::winograd`]) — the shortcut for
+//!   stride-1 3×3 convolutions, which routes ~2.25× fewer multiplies
 //!   through the very same GEMM micro-kernel.
-//! * the **direct path** ([`conv2d_direct`] / [`conv2d_rows_direct`]) — the
-//!   clarity-first 6-deep loop nest, kept as the test oracle the fast paths
-//!   are validated against (within `1e-4` for GEMM, a relative `1e-3` for
-//!   Winograd, whose summation order differs by construction).
+//! * **int8** — the same im2col walk quantizing each activation as it is
+//!   written, multiplied in i32 by the [`QuantizedFilter`] panels
+//!   ([`super::qgemm`]).
 //!
-//! [`pack_conv_filter`] builds a [`PackedConvFilter`] carrying **exactly
-//! one** panel form — the one [`conv2d_rows_packed`] routes the layer to:
-//! Winograd panels when the geometry is Winograd-eligible *and* its
-//! channel counts are `winograd_preferred`, the im2col GEMM panels
-//! otherwise, the int8 panels when the deploy quantized the layer.  The
-//! route is a pure function of `(c_in, c_out, f, stride, quant)`, decided
-//! at pack time, so no panel is ever resident that no call reads.
-//! [`conv2d_rows`] / [`conv2d`] pack per call and take the identical
-//! route, so prepacked and per-call execution stay bit-identical.
+//! With no pin the packer applies the routing policy, a pure function of
+//! `(c_in, c_out, f, stride)`: Winograd when the geometry is
+//! [`winograd_eligible`] *and* its channel counts are
+//! [`winograd_preferred`], im2col GEMM otherwise.  A deploy that
+//! quantizes a layer pins [`ConvRoute::Quant`] with the calibrated scale;
+//! equivalence tests and `benches/kernels.rs` pin an f32 route to measure
+//! it on shapes the policy would send elsewhere.
+//!
+//! The **direct path** ([`conv2d_direct`] / [`conv2d_rows_direct`]) is the
+//! clarity-first 6-deep loop nest over raw weights, kept as the test
+//! oracle the routes are validated against (within `1e-4` for GEMM, a
+//! relative `1e-3` for Winograd, whose summation order differs by
+//! construction, the analytic quantization bound for int8).
 //!
 //! All paths implement the same *row band* contract: the input tensor may
 //! carry only a band of the original input rows (plus halo), zero padding
@@ -38,18 +46,32 @@
 use super::activation::Activation;
 use super::gemm::{gemm_bias_act_into, PackedFilter, NR};
 use super::qgemm::{qgemm_bias_act_into, quant_byte, QuantizedFilter, QK};
-use super::winograd::{
-    conv2d_rows_winograd, winograd_eligible, winograd_preferred, WinogradFilter,
-};
+use super::winograd::{winograd_eligible, winograd_preferred, winograd_rows, WinogradFilter};
 use crate::error::TensorError;
 use crate::shape::{conv_out_dim, input_rows_for_output, Shape};
 use crate::{Result, Tensor};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Length of a weight buffer for a convolution, in `[c_out][c_in][f][f]`
 /// layout.
 pub const fn im2col_weight_len(c_in: usize, c_out: usize, f: usize) -> usize {
     c_out * c_in * f * f
+}
+
+/// The kernel a [`PackedConvFilter`] runs on, fixed at pack time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConvRoute {
+    /// f32 im2col + blocked GEMM — any geometry.
+    Gemm,
+    /// Winograd F(2×2,3×3) — [`winograd_eligible`] geometries only.
+    Winograd,
+    /// int8 im2col GEMM against the calibrated input-activation scale.
+    Quant {
+        /// Symmetric quantization scale of the layer's input activations;
+        /// the same on every device that runs a band of the layer.
+        scale_in: f32,
+    },
 }
 
 /// The one panel form a [`PackedConvFilter`] holds.
@@ -62,20 +84,20 @@ enum ConvPanels {
     Quant(QuantizedFilter, f32),
 }
 
-/// A convolution filter prepacked for the kernel path its layer routes to,
-/// and for that path only: the Winograd-transformed panels when the layer
-/// is stride-1 3×3 with enough channels to amortise the transforms (see
+/// A convolution filter prepacked for one kernel route, and for that route
+/// only: the Winograd-transformed panels when the layer is stride-1 3×3
+/// with enough channels to amortise the transforms (see
 /// [`winograd_eligible`] / [`winograd_preferred`]), the f32 im2col GEMM
 /// panels for every other f32 layer, **or** the int8 quantized panels when
 /// the deploy opted the layer into the quantized path (~4× fewer resident
 /// weight bytes).
 ///
-/// Built once at deploy time by [`pack_conv_filter`] /
-/// [`pack_conv_filter_with`]; consumed per frame by
+/// Built once at deploy time by [`pack_conv_filter`]; consumed per frame by
 /// [`conv2d_rows_packed`], which routes on what was packed — so every band
 /// of a layer, on any device, takes the same path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedConvFilter {
+    c_in: usize,
     c_out: usize,
     panels: ConvPanels,
     f: usize,
@@ -131,35 +153,22 @@ impl PackedConvFilter {
     }
 }
 
-/// Packs `[c_out][c_in][f][f]` convolution weights into the f32 panel form
-/// the layer geometry routes to (see [`PackedConvFilter`]).
+/// Packs `[c_out][c_in][f][f]` convolution weights into the one panel form
+/// [`conv2d_rows_packed`] will run: the `pin`ned route, or with `None` the
+/// policy's — Winograd panels iff the layer is [`winograd_eligible`] and
+/// [`winograd_preferred`], the im2col GEMM panels otherwise.
 ///
-/// This is the deploy-time half of the packed conv path: the result drops
-/// into [`conv2d_rows_packed`] for every subsequent frame.
+/// This is the deploy-time half of the conv path: the result drops into
+/// [`conv2d_rows_packed`] for every subsequent frame.  Pinning
+/// [`ConvRoute::Winograd`] on a geometry the transform is not defined for
+/// is an error.
 pub fn pack_conv_filter(
     weights: &[f32],
     c_in: usize,
     c_out: usize,
     f: usize,
     stride: usize,
-) -> Result<PackedConvFilter> {
-    pack_conv_filter_with(weights, c_in, c_out, f, stride, None)
-}
-
-/// Packs convolution weights into exactly the panel form
-/// [`conv2d_rows_packed`] will route to: `quant_scale_in: Some(s_in)` packs
-/// the int8 panels (against the calibrated input-activation scale `s_in`);
-/// `None` packs Winograd panels iff the layer is [`winograd_eligible`] and
-/// [`winograd_preferred`], the im2col GEMM panels otherwise.  To pin a
-/// route regardless of the policy, pack the form directly
-/// ([`PackedFilter::pack`] / [`WinogradFilter::pack`]) and call its kernel.
-pub fn pack_conv_filter_with(
-    weights: &[f32],
-    c_in: usize,
-    c_out: usize,
-    f: usize,
-    stride: usize,
-    quant_scale_in: Option<f32>,
+    pin: Option<ConvRoute>,
 ) -> Result<PackedConvFilter> {
     if weights.len() != im2col_weight_len(c_in, c_out, f) {
         return Err(TensorError::KernelConfig(format!(
@@ -168,17 +177,28 @@ pub fn pack_conv_filter_with(
             im2col_weight_len(c_in, c_out, f)
         )));
     }
-    let panels = if let Some(scale_in) = quant_scale_in {
-        ConvPanels::Quant(
+    let policy = if winograd_eligible(f, stride) && winograd_preferred(c_in, c_out) {
+        ConvRoute::Winograd
+    } else {
+        ConvRoute::Gemm
+    };
+    let panels = match pin.unwrap_or(policy) {
+        ConvRoute::Gemm => ConvPanels::Gemm(PackedFilter::pack(weights, c_out, c_in * f * f)?),
+        ConvRoute::Winograd if winograd_eligible(f, stride) => {
+            ConvPanels::Winograd(WinogradFilter::pack(weights, c_in, c_out)?)
+        }
+        ConvRoute::Winograd => {
+            return Err(TensorError::KernelConfig(format!(
+                "the Winograd route needs a stride-1 3x3 filter, not f={f}, stride={stride}"
+            )))
+        }
+        ConvRoute::Quant { scale_in } => ConvPanels::Quant(
             QuantizedFilter::pack(weights, c_out, c_in * f * f)?,
             scale_in,
-        )
-    } else if winograd_eligible(f, stride) && winograd_preferred(c_in, c_out) {
-        ConvPanels::Winograd(WinogradFilter::pack(weights, c_in, c_out)?)
-    } else {
-        ConvPanels::Gemm(PackedFilter::pack(weights, c_out, c_in * f * f)?)
+        ),
     };
     Ok(PackedConvFilter {
+        c_in,
         c_out,
         panels,
         f,
@@ -186,92 +206,167 @@ pub fn pack_conv_filter_with(
     })
 }
 
-/// Validated geometry of one banded convolution call.
-pub(super) struct BandGeometry {
+/// Geometry of one banded convolution call: checked once by
+/// [`ConvBand::new`], then read by whichever kernel runs the call.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ConvBand {
+    /// Channels, rows and width of the input band.
     pub(super) c_in: usize,
     pub(super) band_h: usize,
     pub(super) w_in: usize,
+    /// The band holds original input rows
+    /// `[in_row_offset, in_row_offset + band_h)`.
+    pub(super) in_row_offset: usize,
+    /// Height of the *full* layer input; zero padding is applied at rows
+    /// `< 0` and `>= orig_h_in` only.
+    pub(super) orig_h_in: usize,
+    /// Output rows `[out_start, out_end)` in full-layer coordinates.
+    pub(super) out_start: usize,
+    pub(super) out_end: usize,
     pub(super) out_w: usize,
+    pub(super) f: usize,
+    pub(super) stride: usize,
+    pub(super) padding: usize,
 }
 
-/// Shared validation for every kernel path: weight/bias lengths, output row
-/// range, and halo coverage of the input band.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn validate_band(
-    input: &Tensor,
-    in_row_offset: usize,
-    orig_h_in: usize,
-    out_start: usize,
-    out_end: usize,
-    bias_len: usize,
-    c_out: usize,
-    f: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<BandGeometry> {
-    let [c_in, band_h, w_in] = input.shape();
-    if bias_len != c_out {
-        return Err(TensorError::KernelConfig(format!(
-            "conv bias length {bias_len} != c_out {c_out}"
-        )));
-    }
-    let out_h_full = conv_out_dim(orig_h_in, f, stride, padding)
-        .ok_or_else(|| TensorError::KernelConfig("convolution does not fit input".into()))?;
-    let out_w = conv_out_dim(w_in, f, stride, padding)
-        .ok_or_else(|| TensorError::KernelConfig("convolution does not fit input width".into()))?;
-    if out_end > out_h_full || out_start >= out_end {
-        return Err(TensorError::InvalidRowRange {
-            start: out_start,
-            end: out_end,
-            rows: out_h_full,
-        });
-    }
-    // Check halo coverage: the real input rows needed must lie inside the band.
-    let (need_lo, need_hi) =
-        input_rows_for_output(out_start, out_end, f, stride, padding, orig_h_in);
-    if need_lo < in_row_offset || need_hi > in_row_offset + band_h {
-        return Err(TensorError::KernelConfig(format!(
-            "input band rows {}..{} do not cover required rows {}..{}",
+impl ConvBand {
+    /// Validates the output row range and the halo coverage of the input
+    /// band — every real input row the requested output rows need must lie
+    /// inside it.
+    pub(super) fn new(
+        input: &Tensor,
+        in_row_offset: usize,
+        orig_h_in: usize,
+        out_rows: Range<usize>,
+        f: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Result<Self> {
+        let [c_in, band_h, w_in] = input.shape();
+        let (out_start, out_end) = (out_rows.start, out_rows.end);
+        let out_h_full = conv_out_dim(orig_h_in, f, stride, padding)
+            .ok_or_else(|| TensorError::KernelConfig("convolution does not fit input".into()))?;
+        let out_w = conv_out_dim(w_in, f, stride, padding).ok_or_else(|| {
+            TensorError::KernelConfig("convolution does not fit input width".into())
+        })?;
+        if out_end > out_h_full || out_start >= out_end {
+            return Err(TensorError::InvalidRowRange {
+                start: out_start,
+                end: out_end,
+                rows: out_h_full,
+            });
+        }
+        let (need_lo, need_hi) =
+            input_rows_for_output(out_start, out_end, f, stride, padding, orig_h_in);
+        if need_lo < in_row_offset || need_hi > in_row_offset + band_h {
+            return Err(TensorError::KernelConfig(format!(
+                "input band rows {}..{} do not cover required rows {}..{}",
+                in_row_offset,
+                in_row_offset + band_h,
+                need_lo,
+                need_hi
+            )));
+        }
+        Ok(Self {
+            c_in,
+            band_h,
+            w_in,
             in_row_offset,
-            in_row_offset + band_h,
-            need_lo,
-            need_hi
-        )));
+            orig_h_in,
+            out_start,
+            out_end,
+            out_w,
+            f,
+            stride,
+            padding,
+        })
     }
-    Ok(BandGeometry {
-        c_in,
-        band_h,
-        w_in,
-        out_w,
-    })
+
+    /// Output rows the call produces.
+    pub(super) fn out_rows(&self) -> usize {
+        self.out_end - self.out_start
+    }
+
+    /// Wraps a kernel's `[c_out][out_rows][out_w]` buffer.
+    pub(super) fn output(&self, c_out: usize, data: Vec<f32>) -> Result<Tensor> {
+        Tensor::from_vec(Shape::new(c_out, self.out_rows(), self.out_w), data)
+    }
+
+    /// The im2col geometry walk both GEMM routes fill their B panels from.
+    /// Covers the slice of the im2col matrix with filter taps `k` (its
+    /// rows) and output pixels `j` (its columns, row-major over the band's
+    /// output rows), calling `write(kk, jj, src)` once per run of real
+    /// input: tap `k.start + kk` reads `src[0]`, `src[stride]`,
+    /// `src[2·stride]`, … to the end of `src` under output pixels
+    /// `j.start + jj`, `+ 1`, `+ 2`, ….  A run never leaves one output row.
+    ///
+    /// For each (output row, filter tap) pair the valid column interval is
+    /// computed once and only it is handed out, so writers need no
+    /// per-element bounds checks; whatever no run covers is zero padding,
+    /// which both panel layouts arrive pre-filled with.
+    #[inline(always)]
+    fn im2col_runs<'a>(
+        &self,
+        in_data: &'a [f32],
+        k: Range<usize>,
+        j: Range<usize>,
+        mut write: impl FnMut(usize, usize, &'a [f32]),
+    ) {
+        let &Self {
+            band_h,
+            w_in,
+            in_row_offset,
+            orig_h_in,
+            out_start,
+            out_w,
+            f,
+            stride,
+            padding,
+            ..
+        } = self;
+        let ff = f * f;
+        let (j0, j1) = (j.start, j.end);
+        let oy_first = j0 / out_w;
+        let oy_last = (j1 - 1) / out_w;
+        for k_abs in k.clone() {
+            let kk = k_abs - k.start;
+            let ic = k_abs / ff;
+            let ky = (k_abs % ff) / f;
+            let kx = k_abs % f;
+            // Valid output-column interval for this kx: 0 <= ox*s + kx - p < w_in.
+            let ox_lo = padding.saturating_sub(kx).div_ceil(stride);
+            let ox_hi = if w_in + padding > kx {
+                ((w_in - 1 + padding - kx) / stride + 1).min(out_w)
+            } else {
+                0
+            };
+            let in_plane = ic * band_h * w_in;
+            for oy_local in oy_first..=oy_last {
+                let iy = ((out_start + oy_local) * stride + ky) as isize - padding as isize;
+                if iy < 0 || iy >= orig_h_in as isize {
+                    continue; // zero-padding row: the buffer is pre-filled
+                }
+                let band_y = iy as usize - in_row_offset;
+                debug_assert!(band_y < band_h, "halo check guarantees coverage");
+                let in_row = in_plane + band_y * w_in;
+                // Columns of this output row that fall inside the tile.
+                let seg0 = j0.max(oy_local * out_w);
+                let seg1 = j1.min((oy_local + 1) * out_w);
+                let ox_a = (seg0 - oy_local * out_w).max(ox_lo);
+                let ox_b = (seg1 - oy_local * out_w).min(ox_hi);
+                if ox_a >= ox_b {
+                    continue;
+                }
+                let first = in_row + ox_a * stride + kx - padding;
+                let last = first + (ox_b - ox_a - 1) * stride;
+                write(kk, oy_local * out_w + ox_a - j0, &in_data[first..=last]);
+            }
+        }
+    }
 }
 
-/// Full 2-D convolution over the whole input (packed im2col + GEMM path,
-/// packing the filter per call).
-///
-/// `weights` is laid out `[c_out][c_in][f][f]`, `bias` has one entry per
-/// output channel.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d(
-    input: &Tensor,
-    weights: &[f32],
-    bias: &[f32],
-    c_out: usize,
-    f: usize,
-    stride: usize,
-    padding: usize,
-    act: Activation,
-) -> Tensor {
-    let h_in = input.height();
-    let out_h = conv_out_dim(h_in, f, stride, padding).expect("invalid conv geometry");
-    conv2d_rows(
-        input, 0, h_in, 0, out_h, weights, bias, c_out, f, stride, padding, act,
-    )
-    .expect("full conv2d over valid geometry cannot fail")
-}
-
-/// Convolution of a row band (packed im2col + GEMM path, packing the filter
-/// per call).
+/// Convolution of a row band over a prepacked filter — the one fast-path
+/// convolution, and the per-frame hot path.
 ///
 /// * `input` holds original input rows `[in_row_offset, in_row_offset + input.height())`.
 /// * `orig_h_in` is the height of the *full* layer input; zero padding is
@@ -279,55 +374,16 @@ pub fn conv2d(
 /// * Output rows `[out_start, out_end)` (in full-layer coordinates) are
 ///   produced.
 ///
-/// Returns an error if the input band does not cover every real input row
-/// the requested output rows need.  Bit-identical to
-/// [`conv2d_rows_packed`] over a filter packed with [`pack_conv_filter`] —
-/// packing is pure data movement and the routing decision is the same.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_rows(
-    input: &Tensor,
-    in_row_offset: usize,
-    orig_h_in: usize,
-    out_start: usize,
-    out_end: usize,
-    weights: &[f32],
-    bias: &[f32],
-    c_out: usize,
-    f: usize,
-    stride: usize,
-    padding: usize,
-    act: Activation,
-) -> Result<Tensor> {
-    let filter = pack_conv_filter(weights, input.channels(), c_out, f, stride)?;
-    conv2d_rows_packed(
-        input,
-        in_row_offset,
-        orig_h_in,
-        out_start,
-        out_end,
-        &filter,
-        bias,
-        f,
-        stride,
-        padding,
-        act,
-    )
-}
-
-/// Convolution of a row band over a prepacked filter — the per-frame hot
-/// path.  Routes by what deploy packed: int8 panels take the quantized
-/// GEMM path, otherwise stride-1 3×3 layers with enough channels to
-/// amortise the transforms (see
-/// [`winograd_preferred`](super::winograd::winograd_preferred)) take the
-/// Winograd F(2×2,3×3) path, everything else the f32 im2col GEMM path.
+/// Runs the route `filter` was packed for (see [`pack_conv_filter`]):
+/// int8 panels take the quantized GEMM path, Winograd panels the
+/// F(2×2,3×3) path, GEMM panels the f32 im2col path.  Because the route
+/// depends only on the pack — never on the band shape — every band of a
+/// layer takes the same path on every device, and banded outputs stitch
+/// bit-exactly against a full-input call.
 ///
-/// Because the route depends only on the pack — never on the band shape —
-/// every band of a layer takes the same path on every device, and banded
-/// outputs stitch bit-exactly against a full-input call.
-///
-/// `filter` must come from [`pack_conv_filter`] /
-/// [`pack_conv_filter_with`] with matching geometry.  Band semantics are
-/// identical to [`conv2d_rows`].
+/// Returns an error if `f`/`stride`, the input's channel count or the bias
+/// length do not match what `filter` was packed for, or if the input band
+/// does not cover every real input row the requested output rows need.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_rows_packed(
     input: &Tensor,
@@ -348,280 +404,133 @@ pub fn conv2d_rows_packed(
             filter.f, filter.stride
         )));
     }
-    match &filter.panels {
-        ConvPanels::Quant(quant, scale_in) => conv2d_rows_q8(
-            input,
-            in_row_offset,
-            orig_h_in,
-            out_start,
-            out_end,
-            quant,
-            *scale_in,
-            bias,
-            f,
-            stride,
-            padding,
-            act,
-        ),
-        ConvPanels::Winograd(wino) => conv2d_rows_winograd(
-            input,
-            in_row_offset,
-            orig_h_in,
-            out_start,
-            out_end,
-            wino,
-            bias,
-            padding,
-            act,
-        ),
-        ConvPanels::Gemm(gemm) => conv2d_rows_gemm(
-            input,
-            in_row_offset,
-            orig_h_in,
-            out_start,
-            out_end,
-            gemm,
-            bias,
-            f,
-            stride,
-            padding,
-            act,
-        ),
+    if input.channels() != filter.c_in {
+        return Err(TensorError::KernelConfig(format!(
+            "input has {} channels, the filter was packed for {}",
+            input.channels(),
+            filter.c_in
+        )));
     }
-}
-
-/// Convolution of a row band on the im2col GEMM path over prepacked GEMM
-/// panels: no packing, no im2col materialisation beyond one cache-sized
-/// panel slice per tile.
-///
-/// This is the unconditional-GEMM entry [`conv2d_rows_packed`] routes
-/// non-Winograd layers to; benches and equivalence tests also call it
-/// directly to pin the path.  `filter.k()` must equal `c_in·f·f`
-/// (`filter.m()` is `c_out`).  Band semantics are identical to
-/// [`conv2d_rows`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_rows_gemm(
-    input: &Tensor,
-    in_row_offset: usize,
-    orig_h_in: usize,
-    out_start: usize,
-    out_end: usize,
-    filter: &PackedFilter,
-    bias: &[f32],
-    f: usize,
-    stride: usize,
-    padding: usize,
-    act: Activation,
-) -> Result<Tensor> {
-    let c_out = filter.m();
-    let geom = validate_band(
+    if bias.len() != filter.c_out {
+        return Err(TensorError::KernelConfig(format!(
+            "conv bias length {} != c_out {}",
+            bias.len(),
+            filter.c_out
+        )));
+    }
+    let band = ConvBand::new(
         input,
         in_row_offset,
         orig_h_in,
-        out_start,
-        out_end,
-        bias.len(),
-        c_out,
+        out_start..out_end,
         f,
         stride,
         padding,
     )?;
-    if filter.k() != geom.c_in * f * f {
-        return Err(TensorError::KernelConfig(format!(
-            "packed filter k {} != c_in*f*f = {}",
-            filter.k(),
-            geom.c_in * f * f
-        )));
+    match &filter.panels {
+        ConvPanels::Quant(quant, scale_in) => {
+            conv2d_rows_q8(input, &band, quant, *scale_in, bias, act)
+        }
+        ConvPanels::Winograd(wino) => winograd_rows(input, &band, wino, bias, act, None),
+        ConvPanels::Gemm(gemm) => conv2d_rows_gemm(input, &band, gemm, bias, act),
     }
-    let out_rows = out_end - out_start;
-    let out_w = geom.out_w;
-    let n = out_rows * out_w;
-    let (band_h, w_in) = (geom.band_h, geom.w_in);
+}
+
+/// The f32 im2col GEMM route: no packing, no im2col materialisation beyond
+/// one cache-sized panel slice per tile.
+fn conv2d_rows_gemm(
+    input: &Tensor,
+    band: &ConvBand,
+    filter: &PackedFilter,
+    bias: &[f32],
+    act: Activation,
+) -> Result<Tensor> {
+    let c_out = filter.m();
+    let n = band.out_rows() * band.out_w;
     let in_data = input.data();
-    let ff = f * f;
+    let stride = band.stride;
 
     // The im2col panel filler: writes B[k][j] = input value under filter
-    // tap k at output pixel j, for one k-slice and one column tile.  The
-    // interior is copied with no per-element bounds checks — for each
-    // (output row, filter tap) pair the valid column interval is computed
-    // once and only it is written; everything outside stays at the zero the
-    // driver pre-cleared (that is the zero padding).
+    // tap k at output pixel j, for one k-slice and one column tile; what it
+    // does not write stays at the zero the driver pre-cleared.
     let fill = move |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [f32]| {
         let kc = k1 - k0;
-        for k_abs in k0..k1 {
-            let kk = k_abs - k0;
-            let ic = k_abs / ff;
-            let ky = (k_abs % ff) / f;
-            let kx = k_abs % f;
-            // Valid output-column interval for this kx: 0 <= ox*s + kx - p < w_in.
-            let ox_lo = padding.saturating_sub(kx).div_ceil(stride);
-            let ox_hi = if w_in + padding > kx {
-                ((w_in - 1 + padding - kx) / stride + 1).min(out_w)
+        band.im2col_runs(in_data, k0..k1, j0..j1, |kk, mut jj, mut src| {
+            if stride == 1 {
+                // Stride-1 fast path: both the source pixels (consecutive
+                // `ix`) and the destination lanes within one NR panel are
+                // contiguous, so the row copies in `memcpy`-sized runs —
+                // this is what lifts small-K layers (the stem's K=27)
+                // where the per-element scatter's div/mod dominated.
+                while !src.is_empty() {
+                    let (q, lane) = (jj / NR, jj % NR);
+                    let (run, rest) = src.split_at((NR - lane).min(src.len()));
+                    let dst = (q * kc + kk) * NR + lane;
+                    buf[dst..dst + run.len()].copy_from_slice(run);
+                    jj += run.len();
+                    src = rest;
+                }
             } else {
-                0
-            };
-            let in_plane = ic * band_h * w_in;
-            let oy_first = j0 / out_w;
-            let oy_last = (j1 - 1) / out_w;
-            for oy_local in oy_first..=oy_last {
-                let iy = ((out_start + oy_local) * stride + ky) as isize - padding as isize;
-                if iy < 0 || iy >= orig_h_in as isize {
-                    continue; // zero-padding row: the buffer is already zero
-                }
-                let band_y = iy as usize - in_row_offset;
-                debug_assert!(band_y < band_h, "halo check guarantees coverage");
-                let in_row = in_plane + band_y * w_in;
-                // Columns of this output row that fall inside the tile.
-                let seg0 = j0.max(oy_local * out_w);
-                let seg1 = j1.min((oy_local + 1) * out_w);
-                let ox_a = (seg0 - oy_local * out_w).max(ox_lo);
-                let ox_b = (seg1 - oy_local * out_w).min(ox_hi);
-                if ox_a >= ox_b {
-                    continue;
-                }
-                if stride == 1 {
-                    // Stride-1 fast path: both the source pixels (consecutive
-                    // `ix`) and the destination lanes within one NR panel are
-                    // contiguous, so the row copies in `memcpy`-sized runs —
-                    // this is what lifts small-K layers (the stem's K=27)
-                    // where the per-element scatter's div/mod dominated.
-                    let mut jj = oy_local * out_w + ox_a - j0;
-                    let jj_end = oy_local * out_w + ox_b - j0;
-                    let mut ix = ox_a + kx - padding;
-                    while jj < jj_end {
-                        let (q, lane) = (jj / NR, jj % NR);
-                        let take = (NR - lane).min(jj_end - jj);
-                        let dst = (q * kc + kk) * NR + lane;
-                        buf[dst..dst + take]
-                            .copy_from_slice(&in_data[in_row + ix..in_row + ix + take]);
-                        jj += take;
-                        ix += take;
-                    }
-                } else {
-                    let mut ix = ox_a * stride + kx - padding;
-                    for ox in ox_a..ox_b {
-                        let jj = oy_local * out_w + ox - j0;
-                        buf[((jj / NR) * kc + kk) * NR + (jj % NR)] = in_data[in_row + ix];
-                        ix += stride;
-                    }
+                for (jj, &v) in (jj..).zip(src.iter().step_by(stride)) {
+                    buf[((jj / NR) * kc + kk) * NR + (jj % NR)] = v;
                 }
             }
-        }
+        });
     };
 
     let mut data = vec![0.0f32; c_out * n];
     gemm_bias_act_into(filter, bias, act, n, &fill, &mut data)?;
-    Tensor::from_vec(Shape::new(c_out, out_rows, out_w), data)
+    band.output(c_out, data)
 }
 
-/// Convolution of a row band on the **int8 quantized** im2col GEMM path
-/// over prepacked i8 panels: the band's activations are quantized against
-/// the calibrated `scale_in` on the fly (inside the panel fill, one byte
-/// per im2col element), multiplied in i32, and dequantized in the fused
-/// epilogue with bias and activation.
+/// The **int8 quantized** im2col GEMM route: the band's activations are
+/// quantized against the calibrated `scale_in` on the fly (inside the panel
+/// fill, one byte per im2col element), multiplied in i32, and dequantized
+/// in the fused epilogue with bias and activation.
 ///
-/// `scale_in` must be the *same* for every band of a layer (it is fixed at
-/// deploy-time calibration); together with order-independent integer
-/// accumulation and the fixed f32 epilogue this keeps banded outputs
-/// bit-exact against a full-input call — on any int8 dispatch arm.
-/// Accuracy against the f32 path is bounded by the quantization step
-/// (relative ~1/127 per tensor), validated end-to-end in
+/// `scale_in` is the *same* for every band of a layer (it is fixed at
+/// deploy-time calibration and travels with the pack); together with
+/// order-independent integer accumulation and the fixed f32 epilogue this
+/// keeps banded outputs bit-exact against a full-input call — on any int8
+/// dispatch arm.  Accuracy against the f32 path is bounded by the
+/// quantization step (relative ~1/127 per tensor), validated end-to-end in
 /// `prop_conv_gemm.rs`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_rows_q8(
+fn conv2d_rows_q8(
     input: &Tensor,
-    in_row_offset: usize,
-    orig_h_in: usize,
-    out_start: usize,
-    out_end: usize,
+    band: &ConvBand,
     filter: &QuantizedFilter,
     scale_in: f32,
     bias: &[f32],
-    f: usize,
-    stride: usize,
-    padding: usize,
     act: Activation,
 ) -> Result<Tensor> {
     let c_out = filter.m();
-    let geom = validate_band(
-        input,
-        in_row_offset,
-        orig_h_in,
-        out_start,
-        out_end,
-        bias.len(),
-        c_out,
-        f,
-        stride,
-        padding,
-    )?;
-    if filter.k() != geom.c_in * f * f {
-        return Err(TensorError::KernelConfig(format!(
-            "quantized filter k {} != c_in*f*f = {}",
-            filter.k(),
-            geom.c_in * f * f
-        )));
-    }
-    let out_rows = out_end - out_start;
-    let out_w = geom.out_w;
-    let n = out_rows * out_w;
-    let (band_h, w_in) = (geom.band_h, geom.w_in);
+    let n = band.out_rows() * band.out_w;
     let in_data = input.data();
-    let ff = f * f;
+    let stride = band.stride;
 
-    // The quantizing im2col filler: same geometry walk as the f32 filler,
-    // but each element is quantized to its offset byte as it is written.
-    // Padding positions stay at the 128 the driver pre-filled — exactly
-    // the quantization of zero under any scale.
+    // The quantizing im2col filler: the f32 filler's geometry walk, each
+    // element quantized to its offset byte as it is written.  Padding
+    // positions stay at the 128 the driver pre-filled — exactly the
+    // quantization of zero under any scale.
     let fill = move |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [u8]| {
         let kcq = (k1 - k0).div_ceil(QK);
-        for k_abs in k0..k1 {
-            let kk = k_abs - k0;
+        band.im2col_runs(in_data, k0..k1, j0..j1, |kk, jj, src| {
             let (qd, l) = (kk / QK, kk % QK);
-            let ic = k_abs / ff;
-            let ky = (k_abs % ff) / f;
-            let kx = k_abs % f;
-            let ox_lo = padding.saturating_sub(kx).div_ceil(stride);
-            let ox_hi = if w_in + padding > kx {
-                ((w_in - 1 + padding - kx) / stride + 1).min(out_w)
-            } else {
-                0
-            };
-            let in_plane = ic * band_h * w_in;
-            let oy_first = j0 / out_w;
-            let oy_last = (j1 - 1) / out_w;
-            for oy_local in oy_first..=oy_last {
-                let iy = ((out_start + oy_local) * stride + ky) as isize - padding as isize;
-                if iy < 0 || iy >= orig_h_in as isize {
-                    continue; // zero-padding row: the buffer is already 128
-                }
-                let band_y = iy as usize - in_row_offset;
-                debug_assert!(band_y < band_h, "halo check guarantees coverage");
-                let in_row = in_plane + band_y * w_in;
-                let seg0 = j0.max(oy_local * out_w);
-                let seg1 = j1.min((oy_local + 1) * out_w);
-                let ox_a = (seg0 - oy_local * out_w).max(ox_lo);
-                let ox_b = (seg1 - oy_local * out_w).min(ox_hi);
-                if ox_a >= ox_b {
-                    continue;
-                }
-                let mut ix = ox_a * stride + kx - padding;
-                for ox in ox_a..ox_b {
-                    let jj = oy_local * out_w + ox - j0;
-                    buf[(((jj / NR) * kcq + qd) * NR + (jj % NR)) * QK + l] =
-                        quant_byte(in_data[in_row + ix], scale_in);
-                    ix += stride;
-                }
+            for (jj, &v) in (jj..).zip(src.iter().step_by(stride)) {
+                buf[(((jj / NR) * kcq + qd) * NR + (jj % NR)) * QK + l] = quant_byte(v, scale_in);
             }
-        }
+        });
     };
 
     let mut data = vec![0.0f32; c_out * n];
     qgemm_bias_act_into(filter, bias, act, scale_in, n, &fill, &mut data)?;
-    Tensor::from_vec(Shape::new(c_out, out_rows, out_w), data)
+    band.output(c_out, data)
 }
 
 /// Full 2-D convolution on the direct (loop-nest) path — the test oracle.
+///
+/// `weights` is laid out `[c_out][c_in][f][f]`, `bias` has one entry per
+/// output channel.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_direct(
     input: &Tensor,
@@ -641,8 +550,9 @@ pub fn conv2d_direct(
     .expect("full conv2d over valid geometry cannot fail")
 }
 
-/// Direct (loop-nest) convolution of a row band — the test oracle the GEMM
-/// path is validated against.  Same band semantics as [`conv2d_rows`].
+/// Direct (loop-nest) convolution of a row band over raw weights — the test
+/// oracle the packed routes are validated against.  Same band semantics as
+/// [`conv2d_rows_packed`].
 ///
 /// Parallelised over output channels, each rayon task writing its channel
 /// plane directly into one pre-sized output buffer.
@@ -661,19 +571,22 @@ pub fn conv2d_rows_direct(
     padding: usize,
     act: Activation,
 ) -> Result<Tensor> {
-    let geom = validate_band(
+    if bias.len() != c_out {
+        return Err(TensorError::KernelConfig(format!(
+            "conv bias length {} != c_out {c_out}",
+            bias.len()
+        )));
+    }
+    let band = ConvBand::new(
         input,
         in_row_offset,
         orig_h_in,
-        out_start,
-        out_end,
-        bias.len(),
-        c_out,
+        out_start..out_end,
         f,
         stride,
         padding,
     )?;
-    let (c_in, w_in) = (geom.c_in, geom.w_in);
+    let (c_in, w_in, out_w) = (band.c_in, band.w_in, band.out_w);
     if weights.len() != im2col_weight_len(c_in, c_out, f) {
         return Err(TensorError::KernelConfig(format!(
             "conv weights length {} != c_out*c_in*f*f = {}",
@@ -682,9 +595,8 @@ pub fn conv2d_rows_direct(
         )));
     }
 
-    let out_rows = out_end - out_start;
-    let out_w = geom.out_w;
-    let plane_in = geom.band_h * w_in;
+    let out_rows = band.out_rows();
+    let plane_in = band.band_h * w_in;
     let in_data = input.data();
     let pad = padding as isize;
 
@@ -723,7 +635,7 @@ pub fn conv2d_rows_direct(
                 }
             }
         });
-    Tensor::from_vec(Shape::new(c_out, out_rows, out_w), data)
+    band.output(c_out, data)
 }
 
 #[cfg(test)]
@@ -744,13 +656,59 @@ mod tests {
         })
     }
 
+    /// Packs `weights` (`[c_out][c_in][f][f]`, `pin`ned or on the policy
+    /// route) and convolves the whole input.
+    fn conv_full(
+        input: &Tensor,
+        weights: &[f32],
+        bias: &[f32],
+        (f, stride, padding): (usize, usize, usize),
+        act: Activation,
+        pin: Option<ConvRoute>,
+    ) -> Result<Tensor> {
+        let filter = pack_conv_filter(weights, input.channels(), bias.len(), f, stride, pin)?;
+        let h = input.height();
+        let out_h = conv_out_dim(h, f, stride, padding).expect("invalid conv geometry");
+        conv2d_rows_packed(
+            input, 0, h, 0, out_h, &filter, bias, f, stride, padding, act,
+        )
+    }
+
+    /// Output rows `rows` from the minimal halo slice of `input` — what one
+    /// device of a split computes.
+    fn conv_band(
+        input: &Tensor,
+        rows: Range<usize>,
+        filter: &PackedConvFilter,
+        bias: &[f32],
+        (f, stride, padding): (usize, usize, usize),
+    ) -> Tensor {
+        let h = input.height();
+        let (lo, hi) = input_rows_for_output(rows.start, rows.end, f, stride, padding, h);
+        let band_in = slice_rows(input, lo, hi).unwrap();
+        conv2d_rows_packed(
+            &band_in,
+            lo,
+            h,
+            rows.start,
+            rows.end,
+            filter,
+            bias,
+            f,
+            stride,
+            padding,
+            Activation::Relu,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn identity_kernel_preserves_input() {
         // 1x1 conv with identity weights and zero bias copies the input.
         let input = det_input(2, 5, 5);
         let weights = vec![1.0, 0.0, 0.0, 1.0]; // [c_out=2][c_in=2][1][1]
         let bias = vec![0.0, 0.0];
-        let out = conv2d(&input, &weights, &bias, 2, 1, 1, 0, Activation::None);
+        let out = conv_full(&input, &weights, &bias, (1, 1, 0), Activation::None, None).unwrap();
         assert!(out.approx_eq(&input, 1e-6));
     }
 
@@ -759,7 +717,7 @@ mod tests {
         let input = Tensor::zeros([1, 4, 4]);
         let weights = vec![0.0; 9];
         let bias = vec![2.5];
-        let out = conv2d(&input, &weights, &bias, 1, 3, 1, 1, Activation::None);
+        let out = conv_full(&input, &weights, &bias, (3, 1, 1), Activation::None, None).unwrap();
         assert!(out.data().iter().all(|&v| (v - 2.5).abs() < 1e-6));
     }
 
@@ -768,7 +726,7 @@ mod tests {
         let input = det_input(3, 11, 11);
         let weights = det_weights(3, 4, 3);
         let bias = vec![0.1; 4];
-        let out = conv2d(&input, &weights, &bias, 4, 3, 2, 1, Activation::Relu);
+        let out = conv_full(&input, &weights, &bias, (3, 2, 1), Activation::Relu, None).unwrap();
         assert_eq!(out.shape(), [4, 6, 6]);
     }
 
@@ -779,7 +737,7 @@ mod tests {
         let input = Tensor::from_vec([1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
         let weights = vec![1.0; 4];
         let bias = vec![0.0];
-        let out = conv2d(&input, &weights, &bias, 1, 2, 1, 0, Activation::None);
+        let out = conv_full(&input, &weights, &bias, (2, 1, 0), Activation::None, None).unwrap();
         assert_eq!(out.shape(), [1, 2, 2]);
         assert_eq!(out.data(), &[12.0, 16.0, 24.0, 28.0]);
     }
@@ -800,8 +758,8 @@ mod tests {
         // Representative geometries: odd channel counts (panel edges),
         // stride 2, 1x1 and 7x7 filters, asymmetric padding effects.  These
         // channel counts all route to the GEMM path (Winograd needs
-        // `winograd_preferred` channel counts and is pinned directly by its
-        // own tests); held to 1e-4 against the oracle.
+        // `winograd_preferred` channel counts and is pinned by its own
+        // tests); held to 1e-4 against the oracle.
         for &(c_in, c_out, h, w, f, s, p) in &[
             (2usize, 4usize, 20usize, 16usize, 3usize, 1usize, 1usize),
             (3, 5, 17, 13, 3, 2, 1),
@@ -814,7 +772,8 @@ mod tests {
             let input = det_input(c_in, h, w);
             let weights = det_weights(c_in, c_out, f);
             let bias: Vec<f32> = (0..c_out).map(|i| (i as f32) * 0.01 - 0.05).collect();
-            let fast = conv2d(&input, &weights, &bias, c_out, f, s, p, Activation::Relu);
+            let fast =
+                conv_full(&input, &weights, &bias, (f, s, p), Activation::Relu, None).unwrap();
             let oracle = conv2d_direct(&input, &weights, &bias, c_out, f, s, p, Activation::Relu);
             let ctx = format!("({c_in},{c_out},{h},{w},f{f},s{s},p{p})");
             assert!(
@@ -833,36 +792,71 @@ mod tests {
     #[test]
     fn preferred_channels_route_to_winograd() {
         // A stride-1 3×3 layer with `winograd_preferred` channel counts
-        // must take the Winograd route through the packed entry and still
-        // match the direct oracle within the relative tolerance.
+        // must take the Winograd route under the policy and still match
+        // the direct oracle within the relative tolerance.
         let (c_in, c_out, h, w) = (128usize, 128usize, 10usize, 9usize);
         assert!(winograd_preferred(c_in, c_out));
         let input = det_input(c_in, h, w);
         let weights = det_weights(c_in, c_out, 3);
         let bias: Vec<f32> = (0..c_out).map(|i| (i as f32) * 0.01 - 0.05).collect();
-        let filter = pack_conv_filter(&weights, c_in, c_out, 3, 1).unwrap();
+        let filter = pack_conv_filter(&weights, c_in, c_out, 3, 1, None).unwrap();
         assert!(filter.winograd().is_some() && filter.gemm().is_none());
-        let routed = conv2d_rows_packed(
-            &input,
-            0,
-            h,
-            0,
-            h,
-            &filter,
-            &bias,
-            3,
-            1,
-            1,
-            Activation::Relu,
-        )
-        .unwrap();
+        let routed = conv_band(&input, 0..h, &filter, &bias, (3, 1, 1));
         // The routed output is the pinned Winograd path's output, bitwise.
-        let pinned = WinogradFilter::pack(&weights, c_in, c_out).unwrap();
-        let wino =
-            conv2d_rows_winograd(&input, 0, h, 0, h, &pinned, &bias, 1, Activation::Relu).unwrap();
+        let pin = Some(ConvRoute::Winograd);
+        let wino = conv_full(&input, &weights, &bias, (3, 1, 1), Activation::Relu, pin).unwrap();
         assert_eq!(routed, wino, "preferred channels must route to Winograd");
         let oracle = conv2d_direct(&input, &weights, &bias, c_out, 3, 1, 1, Activation::Relu);
         assert_close_rel(&routed, &oracle, 1e-3, "routed winograd c128");
+    }
+
+    #[test]
+    fn a_pinned_pack_runs_the_pinned_kernel() {
+        // c64 is Winograd-eligible but below `winograd_preferred`: the
+        // policy sends it to GEMM, a pin sends it to either f32 route, and
+        // the pack reports the form it holds.
+        let (c, h, w, geom) = (64usize, 11usize, 10usize, (3, 1, 1));
+        assert!(winograd_eligible(3, 1) && !winograd_preferred(c, c));
+        let input = det_input(c, h, w);
+        let weights = det_weights(c, c, 3);
+        let bias: Vec<f32> = (0..c).map(|i| (i as f32) * 0.01 - 0.05).collect();
+        let pack = |pin| pack_conv_filter(&weights, c, c, 3, 1, pin).unwrap();
+        let (policy, gemm, wino) = (
+            pack(None),
+            pack(Some(ConvRoute::Gemm)),
+            pack(Some(ConvRoute::Winograd)),
+        );
+        assert!(policy.gemm().is_some(), "the policy keeps c64 on GEMM");
+        assert_eq!(policy, gemm);
+        assert!(gemm.gemm().is_some() && gemm.winograd().is_none());
+        assert!(wino.winograd().is_some() && wino.gemm().is_none());
+
+        // Full height and as three bands (an odd cut splits a 2×2 tile),
+        // the two routes agree under the Winograd tolerance — and they are
+        // different kernels: somewhere the bits differ.
+        let via_gemm = conv_band(&input, 0..h, &gemm, &bias, geom);
+        let via_wino = conv_band(&input, 0..h, &wino, &bias, geom);
+        assert_close_rel(&via_wino, &via_gemm, 1e-3, "pinned c64, full height");
+        assert_ne!(via_wino, via_gemm, "the pin must select a different kernel");
+        for rows in [0..3, 3..8, 8..h] {
+            let ctx = format!("pinned c64, rows {rows:?}");
+            let band_gemm = conv_band(&input, rows.clone(), &gemm, &bias, geom);
+            let band_wino = conv_band(&input, rows.clone(), &wino, &bias, geom);
+            assert_close_rel(&band_wino, &band_gemm, 1e-3, &ctx);
+            // Each band is its own route's full-height rows, bitwise.
+            assert_eq!(
+                band_gemm,
+                slice_rows(&via_gemm, rows.start, rows.end).unwrap()
+            );
+            assert_eq!(
+                band_wino,
+                slice_rows(&via_wino, rows.start, rows.end).unwrap()
+            );
+        }
+        // A pin the geometry cannot honour is refused, not rerouted.
+        let w5 = det_weights(2, 2, 5);
+        let r = pack_conv_filter(&w5, 2, 2, 5, 1, Some(ConvRoute::Winograd));
+        assert!(matches!(r, Err(TensorError::KernelConfig(_))));
     }
 
     #[test]
@@ -873,22 +867,10 @@ mod tests {
         let weights = det_weights(c_in, c_out, f);
         let bias: Vec<f32> = (0..c_out).map(|i| (i as f32) * 0.01 - 0.05).collect();
         let scale_in = quant_scale(input.data());
-        let filter = pack_conv_filter_with(&weights, c_in, c_out, f, s, Some(scale_in)).unwrap();
+        let pin = Some(ConvRoute::Quant { scale_in });
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, s, pin).unwrap();
         assert!(filter.quant().is_some() && filter.gemm().is_none());
-        let routed = conv2d_rows_packed(
-            &input,
-            0,
-            h,
-            0,
-            h,
-            &filter,
-            &bias,
-            f,
-            s,
-            p,
-            Activation::Relu,
-        )
-        .unwrap();
+        let routed = conv_band(&input, 0..h, &filter, &bias, (f, s, p));
 
         // Analytic quantization error bound per output element:
         // |Δout| ≤ s_w/2·Σ|a| + s_a/2·Σ|w| + K·s_a·s_w/4 (ReLU is
@@ -917,70 +899,30 @@ mod tests {
         }
 
         // Bands computed with the same deploy-time scale stitch bit-exactly.
-        let full = routed;
-        let cuts = [4usize, 9, 12];
-        let mut start = 0usize;
-        let mut bands = Vec::new();
-        for &end in &cuts {
-            let (lo, hi) = input_rows_for_output(start, end, f, s, p, h);
-            let band_in = slice_rows(&input, lo, hi).unwrap();
-            let band = conv2d_rows_packed(
-                &band_in,
-                lo,
-                h,
-                start,
-                end,
-                &filter,
-                &bias,
-                f,
-                s,
-                p,
-                Activation::Relu,
-            )
-            .unwrap();
-            bands.push(band);
-            start = end;
-        }
+        let bands: Vec<Tensor> = [0..4, 4..9, 9..12]
+            .map(|rows| conv_band(&input, rows, &filter, &bias, (f, s, p)))
+            .into();
         let stitched = concat_rows(&bands).unwrap();
-        assert_eq!(stitched, full, "quantized bands must stitch bit-exactly");
+        assert_eq!(stitched, routed, "quantized bands must stitch bit-exactly");
     }
 
     #[test]
     fn packed_path_is_bit_identical_to_per_call_packing() {
+        // Packing is pure data movement: a filter packed afresh for a call
+        // equals the one packed up front, panels and output bits alike.
         let input = det_input(3, 14, 10);
         let weights = det_weights(3, 5, 3);
         let bias = vec![0.05; 5];
-        let per_call = conv2d_rows(
-            &input,
-            0,
-            14,
-            2,
-            12,
-            &weights,
-            &bias,
-            5,
-            3,
-            1,
-            1,
-            Activation::Relu,
-        )
-        .unwrap();
-        let filter = pack_conv_filter(&weights, 3, 5, 3, 1).unwrap();
-        let prepacked = conv2d_rows_packed(
-            &input,
-            0,
-            14,
-            2,
-            12,
-            &filter,
-            &bias,
-            3,
-            1,
-            1,
-            Activation::Relu,
-        )
-        .unwrap();
-        assert_eq!(per_call, prepacked);
+        let pack = || pack_conv_filter(&weights, 3, 5, 3, 1, None).unwrap();
+        let prepacked = pack();
+        for rows in [2..12, 0..14] {
+            let per_call = pack();
+            assert_eq!(per_call, prepacked);
+            assert_eq!(
+                conv_band(&input, rows.clone(), &per_call, &bias, (3, 1, 1)),
+                conv_band(&input, rows, &prepacked, &bias, (3, 1, 1))
+            );
+        }
     }
 
     #[test]
@@ -988,37 +930,17 @@ mod tests {
         let input = det_input(3, 16, 9);
         let weights = det_weights(3, 5, 3);
         let bias = vec![0.05; 5];
-        let (f, s, p) = (3, 1, 1);
-        let full = conv2d(&input, &weights, &bias, 5, f, s, p, Activation::Relu);
+        let geom = (3, 1, 1);
+        let full = conv_full(&input, &weights, &bias, geom, Activation::Relu, None).unwrap();
 
         // Split output rows into 0..6, 6..11, 11..16 and compute each band from
         // the minimal halo slice of the input.  Bands must be *bit-exact*
         // against the full output on the GEMM path — the property the
         // distributed runtime relies on.
-        let cuts = [6usize, 11, 16];
-        let mut start = 0usize;
-        let mut bands = Vec::new();
-        for &end in &cuts {
-            let (lo, hi) = input_rows_for_output(start, end, f, s, p, input.height());
-            let band_in = slice_rows(&input, lo, hi).unwrap();
-            let band_out = conv2d_rows(
-                &band_in,
-                lo,
-                input.height(),
-                start,
-                end,
-                &weights,
-                &bias,
-                5,
-                f,
-                s,
-                p,
-                Activation::Relu,
-            )
-            .unwrap();
-            bands.push(band_out);
-            start = end;
-        }
+        let filter = pack_conv_filter(&weights, 3, 5, 3, 1, None).unwrap();
+        let bands: Vec<Tensor> = [0..6, 6..11, 11..16]
+            .map(|rows| conv_band(&input, rows, &filter, &bias, geom))
+            .into();
         let stitched = concat_rows(&bands).unwrap();
         assert_eq!(stitched, full, "stitched bands must be bit-exact");
     }
@@ -1057,15 +979,15 @@ mod tests {
         let bias = vec![0.0];
         // Band carries rows 4..6 only but output rows 4..6 need input 3..7.
         let band = slice_rows(&input, 4, 6).unwrap();
-        let r = conv2d_rows(
+        let filter = pack_conv_filter(&weights, 1, 1, 3, 1, None).unwrap();
+        let r = conv2d_rows_packed(
             &band,
             4,
             10,
             4,
             6,
-            &weights,
+            &filter,
             &bias,
-            1,
             3,
             1,
             1,
@@ -1091,59 +1013,48 @@ mod tests {
 
     #[test]
     fn rejects_bad_weight_length() {
-        let input = det_input(2, 5, 5);
-        let r = conv2d_rows(
-            &input,
-            0,
-            5,
-            0,
-            5,
-            &[0.0; 10],
-            &[0.0],
-            1,
-            3,
-            1,
-            1,
-            Activation::None,
-        );
+        let r = pack_conv_filter(&[0.0; 10], 2, 1, 3, 1, None);
         assert!(matches!(r, Err(TensorError::KernelConfig(_))));
     }
 
     #[test]
     fn rejects_mismatched_packed_filter() {
-        // Filter packed for c_in=2 used on a 3-channel input.
+        // Filter packed for c_in=2 used on a 3-channel input, on both im2col
+        // routes (Winograd's case sits with its tests).
         let weights = det_weights(2, 4, 3);
-        let filter = pack_conv_filter(&weights, 2, 4, 3, 1).unwrap();
         let input = det_input(3, 6, 6);
-        let r = conv2d_rows_packed(
-            &input,
-            0,
-            6,
-            0,
-            6,
-            &filter,
-            &[0.0; 4],
-            3,
-            1,
-            1,
-            Activation::None,
-        );
-        assert!(matches!(r, Err(TensorError::KernelConfig(_))));
+        for pin in [ConvRoute::Gemm, ConvRoute::Quant { scale_in: 0.05 }] {
+            let filter = pack_conv_filter(&weights, 2, 4, 3, 1, Some(pin)).unwrap();
+            let r = conv2d_rows_packed(
+                &input,
+                0,
+                6,
+                0,
+                6,
+                &filter,
+                &[0.0; 4],
+                3,
+                1,
+                1,
+                Activation::None,
+            );
+            assert!(matches!(r, Err(TensorError::KernelConfig(_))), "{pin:?}");
+        }
     }
 
     #[test]
     fn rejects_bad_bias_length() {
         let input = det_input(2, 5, 5);
         let weights = det_weights(2, 3, 3);
-        let r = conv2d_rows(
+        let filter = pack_conv_filter(&weights, 2, 3, 3, 1, None).unwrap();
+        let r = conv2d_rows_packed(
             &input,
             0,
             5,
             0,
             5,
-            &weights,
+            &filter,
             &[0.0; 2],
-            3,
             3,
             1,
             1,
@@ -1156,15 +1067,15 @@ mod tests {
     fn rejects_out_of_range_output_rows() {
         let input = det_input(1, 8, 8);
         let weights = det_weights(1, 1, 3);
-        let r = conv2d_rows(
+        let filter = pack_conv_filter(&weights, 1, 1, 3, 1, None).unwrap();
+        let r = conv2d_rows_packed(
             &input,
             0,
             8,
             0,
             9,
-            &weights,
+            &filter,
             &[0.0],
-            1,
             3,
             1,
             1,

@@ -41,8 +41,6 @@
 //! Integer accumulation is order-independent, so all int8 arms are
 //! bit-exact by construction; the same clamp-to-capability rules apply via
 //! `DISTREDGE_QKERNEL=scalar|avx2|vnni` and [`set_qkernel_override`].
-//! `DISTREDGE_QUANT=1` opts a whole deployment into the quantized path
-//! (see `cnn-model`'s router policy).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -259,17 +257,6 @@ pub fn qkernel_arch() -> QKernelArch {
         Some(arch) => arch.min(q_detected()),
         None => q_detected(),
     }
-}
-
-/// Whether `DISTREDGE_QUANT` opts deployments into the int8 quantized
-/// path by default (`1` or `true`).  Read once per process; explicit
-/// `RuntimeOptions::quantized` settings take precedence in the runtime.
-pub fn quant_env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        matches!(std::env::var("DISTREDGE_QUANT"),
-                 Ok(v) if v == "1" || v.eq_ignore_ascii_case("true"))
-    })
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@
 //! [`super::gemv`], which keep the GEMM path's numerical contract — one
 //! fused multiply-add per step, `k` ascending (see [`super`]) — bit for
 //! bit.  [`linear_packed`] / [`linear_q8`] consume a filter prepacked at
-//! deploy time; [`linear`] packs per call and is bit-identical.
-//! [`linear_direct`] is the serial oracle: it rounds the product and the
-//! sum separately, so it is compared under a tolerance, never bitwise.
+//! deploy time ([`pack_linear_filter`] /
+//! [`QuantizedLinearFilter::pack`]); nothing packs per call.
+//! [`linear_direct`] is the serial oracle over raw weights: it rounds the
+//! product and the sum separately, so it is compared under a tolerance,
+//! never bitwise.
 
 use super::activation::Activation;
 use super::gemv::{
@@ -42,24 +44,12 @@ pub fn pack_linear_filter(
     PackedLinearFilter::pack(weights, out_features, in_features)
 }
 
-/// Fully-connected layer: `out[o] = act(bias[o] + sum_i w[o][i] * in[i])`.
+/// Fully-connected layer over a prepacked filter — the per-frame hot path:
+/// `out[o] = act(bias[o] + sum_i w[o][i] * in[i])`.
 ///
-/// The input tensor is flattened in CHW order; `weights` is laid out
-/// `[out][in]`.  The result is a `[out, 1, 1]` tensor.  Packs the weights
-/// per call; bit-identical to [`linear_packed`] over a prepacked filter.
-pub fn linear(
-    input: &Tensor,
-    weights: &[f32],
-    bias: &[f32],
-    out_features: usize,
-    act: Activation,
-) -> Result<Tensor> {
-    // Packing validates the weight length; the GEMV driver validates bias.
-    let filter = pack_linear_filter(weights, input.len(), out_features)?;
-    linear_packed(input, &filter, bias, act)
-}
-
-/// Fully-connected layer over a prepacked filter — the per-frame hot path.
+/// The input tensor is flattened in CHW order (its length must be the
+/// filter's `in_features`, `bias` one entry per output); the result is a
+/// `[out, 1, 1]` tensor.
 pub fn linear_packed(
     input: &Tensor,
     filter: &PackedLinearFilter,
@@ -116,11 +106,22 @@ pub fn linear_direct(
 mod tests {
     use super::*;
 
+    /// Packs `[out][in]` weights for `input` and runs the GEMV path.
+    fn pack_and_run(
+        input: &Tensor,
+        weights: &[f32],
+        bias: &[f32],
+        act: Activation,
+    ) -> Result<Tensor> {
+        let filter = pack_linear_filter(weights, input.len(), bias.len())?;
+        linear_packed(input, &filter, bias, act)
+    }
+
     #[test]
     fn identity_matrix() {
         let input = Tensor::from_vec([3, 1, 1], vec![1.0, 2.0, 3.0]).unwrap();
         let weights = vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
-        let out = linear(&input, &weights, &[0.0; 3], 3, Activation::None).unwrap();
+        let out = pack_and_run(&input, &weights, &[0.0; 3], Activation::None).unwrap();
         assert_eq!(out.data(), &[1.0, 2.0, 3.0]);
     }
 
@@ -129,7 +130,7 @@ mod tests {
         let input = Tensor::from_vec([2, 1, 1], vec![1.0, -1.0]).unwrap();
         // out0 = 1*1 + 1*(-1) - 5 = -5 -> relu 0 ; out1 = 2*1 + 0 + 1 = 3
         let weights = vec![1.0, 1.0, 2.0, 0.0];
-        let out = linear(&input, &weights, &[-5.0, 1.0], 2, Activation::Relu).unwrap();
+        let out = pack_and_run(&input, &weights, &[-5.0, 1.0], Activation::Relu).unwrap();
         assert_eq!(out.data(), &[0.0, 3.0]);
     }
 
@@ -137,7 +138,7 @@ mod tests {
     fn flattens_spatial_input() {
         let input = Tensor::filled([2, 2, 2], 1.0);
         let weights = vec![1.0; 8];
-        let out = linear(&input, &weights, &[0.0], 1, Activation::None).unwrap();
+        let out = pack_and_run(&input, &weights, &[0.0], Activation::None).unwrap();
         assert_eq!(out.data(), &[8.0]);
     }
 
@@ -154,7 +155,7 @@ mod tests {
                 .map(|i| ((i % 19) as f32 - 9.0) * 0.03)
                 .collect();
             let bias: Vec<f32> = (0..outf).map(|i| (i as f32) * 0.02 - 0.1).collect();
-            let fast = linear(&input, &weights, &bias, outf, Activation::Tanh).unwrap();
+            let fast = pack_and_run(&input, &weights, &bias, Activation::Tanh).unwrap();
             let oracle = linear_direct(&input, &weights, &bias, outf, Activation::Tanh).unwrap();
             assert!(
                 fast.approx_eq(&oracle, 1e-4),
@@ -162,25 +163,6 @@ mod tests {
                 fast.max_abs_diff(&oracle).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn packed_is_bit_identical_to_per_call_packing() {
-        let inf = 520;
-        let outf = 21;
-        let input = Tensor::from_vec(
-            [inf, 1, 1],
-            (0..inf).map(|i| ((i % 11) as f32) * 0.2 - 1.0).collect(),
-        )
-        .unwrap();
-        let weights: Vec<f32> = (0..inf * outf)
-            .map(|i| ((i % 23) as f32 - 11.0) * 0.01)
-            .collect();
-        let bias = vec![0.05; outf];
-        let per_call = linear(&input, &weights, &bias, outf, Activation::Relu).unwrap();
-        let filter = pack_linear_filter(&weights, inf, outf).unwrap();
-        let prepacked = linear_packed(&input, &filter, &bias, Activation::Relu).unwrap();
-        assert_eq!(per_call, prepacked);
     }
 
     #[test]
@@ -220,8 +202,9 @@ mod tests {
     #[test]
     fn rejects_bad_shapes() {
         let input = Tensor::filled([2, 1, 1], 1.0);
-        assert!(linear(&input, &[1.0; 3], &[0.0], 2, Activation::None).is_err());
-        assert!(linear(&input, &[1.0; 4], &[0.0; 3], 2, Activation::None).is_err());
+        assert!(pack_linear_filter(&[1.0; 3], 2, 2).is_err());
+        let filter = pack_linear_filter(&[1.0; 4], 2, 2).unwrap();
+        assert!(linear_packed(&input, &filter, &[0.0; 3], Activation::None).is_err());
         let filter = pack_linear_filter(&[1.0; 6], 3, 2).unwrap();
         let wrong = Tensor::filled([2, 1, 1], 1.0);
         assert!(linear_packed(&wrong, &filter, &[0.0; 2], Activation::None).is_err());

@@ -1,11 +1,16 @@
 //! Compute kernels: convolution, pooling, activation, and linear layers.
 //!
-//! Convolutions route through the packed im2col + blocked GEMM path in
-//! [`gemm`] — with stride-1 3×3 convolutions taking the Winograd
-//! F(2×2,3×3) shortcut in [`winograd`] — and linear layers through the
-//! bandwidth-bound row-vectorised GEMV kernels in [`gemv`], all behind the
-//! runtime micro-kernel dispatch in [`dispatch`].  The direct loop-nest kernels
-//! ([`conv2d_direct`] / [`conv2d_rows_direct`] / [`linear_direct`]) remain
+//! Every fast path runs from **packed weights**, and only from them: a
+//! layer is packed once ([`pack_conv_filter`], [`pack_linear_filter`],
+//! [`QuantizedLinearFilter::pack`]) and then run per frame
+//! ([`conv2d_rows_packed`], [`linear_packed`], [`linear_q8`]).  A conv pack
+//! fixes its kernel route ([`ConvRoute`]): the im2col + blocked GEMM path
+//! in [`gemm`], the Winograd F(2×2,3×3) shortcut in [`winograd`] for
+//! stride-1 3×3 layers with enough channels, or the int8 GEMM in
+//! [`qgemm`]; linear layers run the bandwidth-bound row-vectorised GEMV
+//! kernels in [`gemv`]; all of it behind the runtime micro-kernel dispatch
+//! in [`dispatch`].  The direct loop-nest kernels ([`conv2d_direct`] /
+//! [`conv2d_rows_direct`] / [`linear_direct`]) take raw weights and remain
 //! as the oracles the fast paths are validated against.
 //!
 //! # The f32 numerical contract
@@ -50,18 +55,17 @@ pub mod winograd;
 
 pub use activation::{apply_activation, Activation};
 pub use conv::{
-    conv2d, conv2d_direct, conv2d_rows, conv2d_rows_direct, conv2d_rows_gemm, conv2d_rows_packed,
-    conv2d_rows_q8, im2col_weight_len, pack_conv_filter, pack_conv_filter_with, PackedConvFilter,
+    conv2d_direct, conv2d_rows_direct, conv2d_rows_packed, im2col_weight_len, pack_conv_filter,
+    ConvRoute, PackedConvFilter,
 };
 pub use dispatch::{
-    kernel_arch, qkernel_arch, quant_env_enabled, set_kernel_override, set_qkernel_override,
-    KernelArch, QKernelArch,
+    kernel_arch, qkernel_arch, set_kernel_override, set_qkernel_override, KernelArch, QKernelArch,
 };
 pub use gemm::PackedFilter;
 pub use gemv::{PackedLinearFilter, QuantizedLinearFilter};
-pub use linear::{linear, linear_direct, linear_packed, linear_q8, pack_linear_filter};
+pub use linear::{linear_direct, linear_packed, linear_q8, pack_linear_filter};
 pub use pool::{maxpool2d, maxpool2d_rows};
 pub use qgemm::{
     dequantize_slice, quant_byte, quant_scale, quantize_i8, quantize_slice, QuantizedFilter,
 };
-pub use winograd::{conv2d_rows_winograd, winograd_eligible, winograd_preferred, WinogradFilter};
+pub use winograd::{winograd_eligible, winograd_preferred, WinogradFilter};

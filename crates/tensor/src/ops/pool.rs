@@ -12,7 +12,7 @@ pub fn maxpool2d(input: &Tensor, f: usize, stride: usize) -> Tensor {
         .expect("full maxpool over valid geometry cannot fail")
 }
 
-/// Max-pooling of a row band, mirroring [`crate::ops::conv2d_rows`].
+/// Max-pooling of a row band, mirroring [`crate::ops::conv2d_rows_packed`].
 ///
 /// `input` carries original rows `[in_row_offset, in_row_offset + height)`;
 /// output rows `[out_start, out_end)` in full-layer coordinates are produced.

@@ -36,15 +36,15 @@
 //! and threading are all invisible in the output bits.
 //!
 //! Winograd is *not* bit-identical to the im2col GEMM path (the summation
-//! order differs by construction), which is why route selection in
-//! [`super::conv::conv2d_rows_packed`] depends only on layer geometry:
-//! every band of a layer takes the same path on every device.
+//! order differs by construction), which is why the route is fixed when
+//! [`super::conv::pack_conv_filter`] packs the layer and depends only on
+//! layer geometry: every band of a layer takes the same path on every
+//! device.
 
 use super::activation::Activation;
-use super::conv::validate_band;
+use super::conv::ConvBand;
 use super::gemm::{gemm_bias_act_into, PackedFilter, NR};
 use crate::error::TensorError;
-use crate::shape::Shape;
 use crate::{Result, Tensor};
 use rayon::prelude::*;
 
@@ -64,8 +64,8 @@ pub const fn winograd_eligible(f: usize, stride: usize) -> bool {
 /// band-stitch bit-exactness contract: every band of a layer takes the
 /// same path on every device — one static rule, never a per-device or
 /// deploy-time choice.  The threshold comes from the kernel bench
-/// (`benches/kernels.rs`, both routes pinned by packing their form
-/// directly, one CPU, AVX-512 arm), re-measured after the kernels went to
+/// (`benches/kernels.rs`, both routes pinned at pack time, one CPU,
+/// AVX-512 arm), re-measured after the kernels went to
 /// fused multiply-adds, which speed the im2col GEMM more than the
 /// transform-bound thin Winograd layers (effective GFLOP/s, the committed
 /// `BENCH_kernels.json` run, then the range over six runs of a noisy host):
@@ -141,7 +141,7 @@ pub struct WinogradFilter {
 impl WinogradFilter {
     /// Transforms `[c_out][c_in][3][3]` weights into 16 packed
     /// `c_out × c_in` tile-position matrices.
-    pub fn pack(weights: &[f32], c_in: usize, c_out: usize) -> Result<Self> {
+    pub(super) fn pack(weights: &[f32], c_in: usize, c_out: usize) -> Result<Self> {
         if weights.len() != c_out * c_in * 9 {
             return Err(TensorError::KernelConfig(format!(
                 "winograd weights length {} != c_out*c_in*9 = {}",
@@ -195,78 +195,38 @@ impl WinogradFilter {
     }
 }
 
-/// Winograd convolution of a row band — band semantics identical to
-/// [`super::conv::conv2d_rows`] with `f = 3`, `stride = 1`.
+/// Winograd convolution of the row band `band` describes — what
+/// [`super::conv::conv2d_rows_packed`] runs for a filter packed on the
+/// Winograd route, which is where the band, the bias length and the input's
+/// channel count were checked against the pack.
 ///
-/// Public so equivalence tests and benches can pin this path directly;
-/// production code goes through [`super::conv::conv2d_rows_packed`], which
-/// routes here only when [`winograd_preferred`] says the layer is big
-/// enough to win.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_rows_winograd(
+/// `chunk_ty` is the tile rows per chunk (`None`: as many as
+/// [`SCRATCH_FLOATS`] holds).  Chunking only groups whole tiles, and no
+/// element's `k` order depends on how many columns its GEMM call carries,
+/// so every value yields the same output bits — the parameter exists for
+/// the test that says so.
+pub(super) fn winograd_rows(
     input: &Tensor,
-    in_row_offset: usize,
-    orig_h_in: usize,
-    out_start: usize,
-    out_end: usize,
+    band: &ConvBand,
     filter: &WinogradFilter,
     bias: &[f32],
-    padding: usize,
-    act: Activation,
-) -> Result<Tensor> {
-    winograd_rows(
-        input,
-        in_row_offset,
-        orig_h_in,
-        out_start,
-        out_end,
-        filter,
-        bias,
-        padding,
-        act,
-        None,
-    )
-}
-
-/// [`conv2d_rows_winograd`] with the tile rows per chunk given (`None`: as
-/// many as [`SCRATCH_FLOATS`] holds).  Chunking only groups whole tiles,
-/// and no element's `k` order depends on how many columns its GEMM call
-/// carries, so every value yields the same output bits — the parameter
-/// exists for the test that says so.
-#[allow(clippy::too_many_arguments)]
-fn winograd_rows(
-    input: &Tensor,
-    in_row_offset: usize,
-    orig_h_in: usize,
-    out_start: usize,
-    out_end: usize,
-    filter: &WinogradFilter,
-    bias: &[f32],
-    padding: usize,
     act: Activation,
     chunk_ty: Option<usize>,
 ) -> Result<Tensor> {
+    debug_assert!(winograd_eligible(band.f, band.stride) && filter.c_in == band.c_in);
     let c_out = filter.c_out();
-    let geom = validate_band(
-        input,
+    let &ConvBand {
+        c_in,
+        band_h,
+        w_in,
         in_row_offset,
-        orig_h_in,
         out_start,
         out_end,
-        bias.len(),
-        c_out,
-        3,
-        1,
+        out_w,
         padding,
-    )?;
-    if filter.c_in != geom.c_in {
-        return Err(TensorError::KernelConfig(format!(
-            "winograd filter c_in {} != input channels {}",
-            filter.c_in, geom.c_in
-        )));
-    }
-    let (c_in, band_h, w_in, out_w) = (geom.c_in, geom.band_h, geom.w_in, geom.out_w);
-    let out_rows = out_end - out_start;
+        ..
+    } = band;
+    let out_rows = band.out_rows();
     let in_data = input.data();
     let pad = padding as isize;
 
@@ -491,12 +451,15 @@ fn winograd_rows(
 
         cy0 = cy1;
     }
-    Tensor::from_vec(Shape::new(c_out, out_rows, out_w), data)
+    band.output(c_out, data)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::conv::{conv2d_direct, conv2d_rows, im2col_weight_len};
+    use super::super::conv::{
+        conv2d_direct, conv2d_rows_packed, im2col_weight_len, pack_conv_filter, ConvRoute,
+        PackedConvFilter,
+    };
     use super::*;
     use crate::shape::input_rows_for_output;
     use crate::slice::{concat_rows, slice_rows};
@@ -511,6 +474,14 @@ mod tests {
         Tensor::from_fn([c, h, w], |c, y, x| {
             ((c * 31 + y * 7 + x * 3) % 11) as f32 * 0.5 - 2.0
         })
+    }
+
+    /// A filter pinned to this module's route, whatever the channel counts.
+    fn pack_pinned(weights: &[f32], c_in: usize, c_out: usize) -> PackedConvFilter {
+        let filter = pack_conv_filter(weights, c_in, c_out, 3, 1, Some(ConvRoute::Winograd));
+        let filter = filter.unwrap();
+        assert!(filter.winograd().is_some());
+        filter
     }
 
     #[test]
@@ -545,8 +516,8 @@ mod tests {
             let input = det_input(c_in, h, w);
             let weights = det_weights(c_in, c_out);
             let bias: Vec<f32> = (0..c_out).map(|i| (i as f32) * 0.1 - 0.2).collect();
-            let filter = WinogradFilter::pack(&weights, c_in, c_out).unwrap();
-            let got = conv2d_rows_winograd(
+            let filter = pack_pinned(&weights, c_in, c_out);
+            let got = conv2d_rows_packed(
                 &input,
                 0,
                 h,
@@ -554,6 +525,8 @@ mod tests {
                 h + 2 * p - 2,
                 &filter,
                 &bias,
+                3,
+                1,
                 p,
                 Activation::Relu,
             )
@@ -578,15 +551,15 @@ mod tests {
         let input = det_input(c_in, h, w);
         let weights = det_weights(c_in, c_out);
         let bias = vec![0.05; c_out];
-        let full = conv2d_rows(
+        let filter = pack_pinned(&weights, c_in, c_out);
+        let full = conv2d_rows_packed(
             &input,
             0,
             h,
             0,
             h,
-            &weights,
+            &filter,
             &bias,
-            c_out,
             3,
             1,
             p,
@@ -600,15 +573,14 @@ mod tests {
         for &end in &cuts {
             let (lo, hi) = input_rows_for_output(start, end, 3, 1, p, h);
             let band_in = slice_rows(&input, lo, hi).unwrap();
-            let band = conv2d_rows(
+            let band = conv2d_rows_packed(
                 &band_in,
                 lo,
                 h,
                 start,
                 end,
-                &weights,
+                &filter,
                 &bias,
-                c_out,
                 3,
                 1,
                 p,
@@ -639,20 +611,9 @@ mod tests {
         let (start, end) = (3usize, 18usize);
         let (lo, hi) = input_rows_for_output(start, end, 3, 1, p, h);
         let band_in = slice_rows(&input, lo, hi).unwrap();
+        let band = ConvBand::new(&band_in, lo, h, start..end, 3, 1, p).unwrap();
         let run = |chunk_ty: Option<usize>| {
-            winograd_rows(
-                &band_in,
-                lo,
-                h,
-                start,
-                end,
-                &filter,
-                &bias,
-                p,
-                Activation::Relu,
-                chunk_ty,
-            )
-            .unwrap()
+            winograd_rows(&band_in, &band, &filter, &bias, Activation::Relu, chunk_ty).unwrap()
         };
         let auto = run(None);
         let tile_rows = (end - 1) / 2 + 1 - start / 2;
@@ -664,9 +625,21 @@ mod tests {
 
     #[test]
     fn rejects_channel_mismatch() {
-        let filter = WinogradFilter::pack(&det_weights(2, 3), 2, 3).unwrap();
+        let filter = pack_pinned(&det_weights(2, 3), 2, 3);
         let input = det_input(3, 6, 6);
-        let r = conv2d_rows_winograd(&input, 0, 6, 0, 6, &filter, &[0.0; 3], 1, Activation::None);
+        let r = conv2d_rows_packed(
+            &input,
+            0,
+            6,
+            0,
+            6,
+            &filter,
+            &[0.0; 3],
+            3,
+            1,
+            1,
+            Activation::None,
+        );
         assert!(matches!(r, Err(TensorError::KernelConfig(_))));
     }
 

@@ -16,9 +16,10 @@
 //!   *bit-exact* against the full-output call, for any cut points.  This
 //!   is the stronger property the distributed runtime's bit-exactness
 //!   tests rely on;
-//! * **one routed form** — a routed pack carries exactly one of the GEMM /
-//!   Winograd / int8 panel forms, the one the route function names, and its
-//!   output is bit-identical to that form packed and called directly;
+//! * **one routed form** — a pack carries exactly one of the GEMM /
+//!   Winograd / int8 panel forms — under the policy the one the route
+//!   function names — and its output is bit-identical to a pack pinned to
+//!   that route;
 //! * **FC packing** — the k-blocked transposing pack of the GEMV filters
 //!   (f32 and int8) lays out exactly what the naive element-by-element
 //!   pack of the documented layout does.
@@ -27,11 +28,10 @@ use proptest::prelude::*;
 use tensor::ops::gemv::{LANES, PANEL_ROWS};
 use tensor::ops::qgemm::QK;
 use tensor::ops::{
-    conv2d_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_q8, conv2d_rows_winograd,
-    im2col_weight_len, linear_direct, linear_packed, pack_conv_filter, pack_conv_filter_with,
-    pack_linear_filter, qkernel_arch, quant_scale, quantize_i8, set_qkernel_override,
-    winograd_eligible, winograd_preferred, Activation, PackedFilter, QKernelArch, QuantizedFilter,
-    QuantizedLinearFilter, WinogradFilter,
+    conv2d_direct, conv2d_rows_packed, im2col_weight_len, linear_direct, linear_packed,
+    pack_conv_filter, pack_linear_filter, qkernel_arch, quant_scale, quantize_i8,
+    set_qkernel_override, winograd_eligible, winograd_preferred, Activation, ConvRoute,
+    QKernelArch, QuantizedLinearFilter,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -82,11 +82,13 @@ proptest! {
         prop_assume!(conv_out_dim(w, f, stride, padding).is_some());
 
         let oracle = conv2d_direct(&input, &weights, &bias, c_out, f, stride, padding, Activation::Relu);
-        // Pin the GEMM path by packing its panels directly (a routed pack
-        // holds whichever single form the layer routes to; Winograd has its
-        // own tolerance and property below).
-        let filter = PackedFilter::pack(&weights, c_out, c_in * f * f).unwrap();
-        let fast = conv2d_rows_gemm(
+        // Pin the GEMM route (an unpinned pack holds whichever single form
+        // the policy routes the layer to; Winograd has its own tolerance
+        // and property below).
+        let filter =
+            pack_conv_filter(&weights, c_in, c_out, f, stride, Some(ConvRoute::Gemm)).unwrap();
+        prop_assert!(filter.gemm().is_some());
+        let fast = conv2d_rows_packed(
             &input, 0, h, 0, oracle.height(), &filter, &bias, f, stride, padding,
             Activation::Relu,
         ).unwrap();
@@ -113,7 +115,7 @@ proptest! {
         let input = pseudo_tensor(c_in, h, w, seed);
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0xdef);
         let bias = pseudo_weights(c_out, seed ^ 0x456);
-        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride).unwrap();
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, None).unwrap();
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
         prop_assume!(out_h >= 3);
 
@@ -145,7 +147,7 @@ proptest! {
         prop_assert_eq!(stitched, full);
     }
 
-    /// The Winograd path (pinned directly — the router only takes it at
+    /// The Winograd path (pinned at pack time — the policy only takes it at
     /// `winograd_preferred` channel counts) ≡ direct oracle within relative
     /// 1e-3 — over the full output and over halo-overlapped row bands —
     /// and banded Winograd outputs stitch bit-exactly into the full
@@ -167,13 +169,15 @@ proptest! {
         let input = pseudo_tensor(c_in, h, w, seed);
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0xbeef);
         let bias = pseudo_weights(c_out, seed ^ 0xfeed);
-        let wino = &WinogradFilter::pack(&weights, c_in, c_out).unwrap();
+        let wino =
+            &pack_conv_filter(&weights, c_in, c_out, f, stride, Some(ConvRoute::Winograd)).unwrap();
+        prop_assert!(wino.winograd().is_some());
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
         prop_assume!(out_h >= 3);
 
         let oracle = conv2d_direct(&input, &weights, &bias, c_out, f, stride, padding, Activation::Relu);
-        let full = conv2d_rows_winograd(
-            &input, 0, h, 0, out_h, wino, &bias, padding, Activation::Relu,
+        let full = conv2d_rows_packed(
+            &input, 0, h, 0, out_h, wino, &bias, f, stride, padding, Activation::Relu,
         ).unwrap();
         prop_assert_eq!(full.shape(), oracle.shape());
         for (i, (&a, &b)) in full.data().iter().zip(oracle.data()).enumerate() {
@@ -198,8 +202,8 @@ proptest! {
             }
             let (lo, hi) = input_rows_for_output(lo_out, hi_out, f, stride, padding, h);
             let band_in = slice_rows(&input, lo, hi).unwrap();
-            let band = conv2d_rows_winograd(
-                &band_in, lo, h, lo_out, hi_out, wino, &bias, padding, Activation::Relu,
+            let band = conv2d_rows_packed(
+                &band_in, lo, h, lo_out, hi_out, wino, &bias, f, stride, padding, Activation::Relu,
             ).unwrap();
             prop_assert_eq!(&band, &slice_rows(&full, lo_out, hi_out).unwrap());
             bands.push(band);
@@ -232,7 +236,8 @@ proptest! {
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x9a7);
         let bias = pseudo_weights(c_out, seed ^ 0x5c3);
         let scale_in = quant_scale(input.data());
-        let filter = pack_conv_filter_with(&weights, c_in, c_out, f, stride, Some(scale_in)).unwrap();
+        let pin = Some(ConvRoute::Quant { scale_in });
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, pin).unwrap();
         prop_assert!(filter.quant().is_some() && filter.gemm().is_none());
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
 
@@ -283,7 +288,8 @@ proptest! {
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x111);
         let bias = pseudo_weights(c_out, seed ^ 0x222);
         let scale_in = quant_scale(input.data());
-        let filter = pack_conv_filter_with(&weights, c_in, c_out, f, stride, Some(scale_in)).unwrap();
+        let pin = Some(ConvRoute::Quant { scale_in });
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, pin).unwrap();
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
         prop_assume!(out_h >= 3);
 
@@ -400,9 +406,10 @@ const ROUTE_CHANNELS: [usize; 3] = [3, 128, 130];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A routed pack holds **exactly one** panel form — int8 when
-    /// quantized, Winograd iff eligible and preferred, GEMM otherwise —
-    /// and the routed call's output is that pinned form's output, bitwise.
+    /// A pack holds **exactly one** panel form — int8 when the deploy pins
+    /// it, else by the policy Winograd iff eligible and preferred, GEMM
+    /// otherwise — and its output is the output of a pack pinned to the
+    /// route the policy names, bitwise.
     #[test]
     fn routed_pack_holds_one_form_and_equals_the_pinned_form(
         ci in 0usize..3,
@@ -426,8 +433,8 @@ proptest! {
         let input = pseudo_tensor(c_in, h, w, seed);
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x70e);
         let bias = pseudo_weights(c_out, seed ^ 0xb1a5);
-        let scale_in = quantized.then(|| quant_scale(input.data()));
-        let filter = pack_conv_filter_with(&weights, c_in, c_out, f, stride, scale_in).unwrap();
+        let quant = quantized.then(|| ConvRoute::Quant { scale_in: quant_scale(input.data()) });
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, quant).unwrap();
 
         let forms = [filter.gemm().is_some(), filter.winograd().is_some(), filter.quant().is_some()];
         prop_assert_eq!(forms.iter().filter(|&&x| x).count(), 1);
@@ -437,21 +444,12 @@ proptest! {
         let routed = conv2d_rows_packed(
             &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::Relu,
         ).unwrap();
-        let k = c_in * f * f;
-        let pinned = if let Some(scale_in) = scale_in {
-            let q = QuantizedFilter::pack(&weights, c_out, k).unwrap();
-            conv2d_rows_q8(
-                &input, 0, h, 0, out_h, &q, scale_in, &bias, f, stride, padding, Activation::Relu,
-            )
-        } else if to_winograd {
-            let wino = WinogradFilter::pack(&weights, c_in, c_out).unwrap();
-            conv2d_rows_winograd(&input, 0, h, 0, out_h, &wino, &bias, padding, Activation::Relu)
-        } else {
-            let gemm = PackedFilter::pack(&weights, c_out, k).unwrap();
-            conv2d_rows_gemm(
-                &input, 0, h, 0, out_h, &gemm, &bias, f, stride, padding, Activation::Relu,
-            )
-        }.unwrap();
+        let route = quant.unwrap_or(if to_winograd { ConvRoute::Winograd } else { ConvRoute::Gemm });
+        let pinned_filter = pack_conv_filter(&weights, c_in, c_out, f, stride, Some(route)).unwrap();
+        prop_assert!(pinned_filter == filter, "the policy's pack differs from the pinned pack");
+        let pinned = conv2d_rows_packed(
+            &input, 0, h, 0, out_h, &pinned_filter, &bias, f, stride, padding, Activation::Relu,
+        ).unwrap();
         prop_assert!(routed == pinned, "routed output differs from the pinned form's");
     }
 }

@@ -22,10 +22,10 @@ use std::sync::Mutex;
 use tensor::ops::gemm::{gemm_bias_act_into, KC, MR, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
-    conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len, kernel_arch, linear_packed,
-    linear_q8, pack_conv_filter, pack_linear_filter, qkernel_arch, quant_byte, quant_scale,
-    set_kernel_override, set_qkernel_override, winograd_eligible, Activation, KernelArch,
-    PackedFilter, QKernelArch, QuantizedFilter, QuantizedLinearFilter, WinogradFilter,
+    conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_packed, linear_q8, pack_conv_filter,
+    pack_linear_filter, qkernel_arch, quant_byte, quant_scale, set_kernel_override,
+    set_qkernel_override, winograd_eligible, Activation, ConvRoute, KernelArch, PackedFilter,
+    QKernelArch, QuantizedFilter, QuantizedLinearFilter,
 };
 use tensor::shape::conv_out_dim;
 use tensor::Tensor;
@@ -146,7 +146,7 @@ fn fused_witness_survives_every_kernel_on_every_arm() {
     // Routed conv: a 1×1 filter over one channel is the same single step
     // per pixel, through im2col and the GEMM.
     let image = Tensor::filled([1, 5, 7], WITNESS_OPERAND);
-    let conv = pack_conv_filter(&[WITNESS_OPERAND; 3], 1, 3, 1, 1).unwrap();
+    let conv = pack_conv_filter(&[WITNESS_OPERAND; 3], 1, 3, 1, 1, None).unwrap();
 
     let all_fused = |what: &str, arm: KernelArch, out: &[f32]| {
         assert!(
@@ -285,9 +285,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Conv outputs are bit-identical across every dispatch arm, on both
-    /// the routed packed path and — for stride-1 3×3 draws — the Winograd
-    /// path pinned directly (its 16 batched GEMMs run the same
-    /// micro-kernel, and the router only takes it at `winograd_preferred`
+    /// the policy's route and — for stride-1 3×3 draws — the Winograd
+    /// route pinned at pack time (its 16 batched GEMMs run the same
+    /// micro-kernel, and the policy only takes it at `winograd_preferred`
     /// channel counts these small draws never reach).
     #[test]
     fn conv_is_bit_exact_across_dispatch_arms(
@@ -305,11 +305,12 @@ proptest! {
         let input = pseudo_tensor(c_in, h, w, seed);
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x51ac);
         let bias = pseudo_weights(c_out, seed ^ 0xd15b);
-        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride).unwrap();
-        // The routed pack holds one form only; the Winograd form is packed
-        // on its own to pin that path.
-        let pinned_wino = winograd_eligible(f, stride)
-            .then(|| WinogradFilter::pack(&weights, c_in, c_out).unwrap());
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, None).unwrap();
+        // A pack holds one form only; the Winograd form is a second pack,
+        // pinned to that route.
+        let pinned_wino = winograd_eligible(f, stride).then(|| {
+            pack_conv_filter(&weights, c_in, c_out, f, stride, Some(ConvRoute::Winograd)).unwrap()
+        });
         let out_h = conv_out_dim(h, f, stride, padding).unwrap();
 
         let runs = with_each_arm(|_| {
@@ -317,8 +318,8 @@ proptest! {
                 &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::Relu,
             ).unwrap();
             let wino = pinned_wino.as_ref().map(|w| {
-                conv2d_rows_winograd(
-                    &input, 0, h, 0, out_h, w, &bias, padding, Activation::Relu,
+                conv2d_rows_packed(
+                    &input, 0, h, 0, out_h, w, &bias, f, stride, padding, Activation::Relu,
                 ).unwrap()
             });
             (routed, wino)

@@ -6,8 +6,10 @@
 //! invariant across random geometries and random cut points.
 
 use proptest::prelude::*;
-use tensor::ops::{conv2d, conv2d_rows, im2col_weight_len, maxpool2d, maxpool2d_rows, Activation};
-use tensor::shape::input_rows_for_output;
+use tensor::ops::{
+    conv2d_rows_packed, im2col_weight_len, maxpool2d, maxpool2d_rows, pack_conv_filter, Activation,
+};
+use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows, split_rows_at};
 use tensor::Tensor;
 
@@ -72,17 +74,20 @@ proptest! {
         let input = pseudo_tensor(c_in, h, w, seed);
         let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0xabc);
         let bias = pseudo_weights(c_out, seed ^ 0x123);
-        let full = conv2d(&input, &weights, &bias, c_out, f, stride, padding, Activation::Relu);
-        let out_h = full.height();
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, None).unwrap();
+        let out_h = conv_out_dim(h, f, stride, padding).unwrap();
         prop_assume!(out_h >= 2);
+        let full = conv2d_rows_packed(
+            &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::Relu,
+        ).unwrap();
         let cut = ((out_h as f64 * cut_frac) as usize).clamp(1, out_h - 1);
 
         let mut bands = Vec::new();
         for (lo_out, hi_out) in [(0, cut), (cut, out_h)] {
             let (lo, hi) = input_rows_for_output(lo_out, hi_out, f, stride, padding, h);
             let band_in = slice_rows(&input, lo, hi).unwrap();
-            let band = conv2d_rows(
-                &band_in, lo, h, lo_out, hi_out, &weights, &bias, c_out, f, stride, padding,
+            let band = conv2d_rows_packed(
+                &band_in, lo, h, lo_out, hi_out, &filter, &bias, f, stride, padding,
                 Activation::Relu,
             ).unwrap();
             bands.push(band);

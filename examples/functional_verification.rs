@@ -11,7 +11,7 @@
 //! cargo run --release --example functional_verification
 //! ```
 
-use cnn_model::exec::{deterministic_input, run_full, run_part, ModelWeights};
+use cnn_model::exec::{deterministic_input, run_full, run_part, ModelWeights, PackedModelWeights};
 use cnn_model::{LayerOp, Model};
 use device_profile::{DeviceSpec, DeviceType};
 use distredge::{DistrEdge, DistrEdgeConfig};
@@ -67,13 +67,15 @@ fn main() {
     let input = deterministic_input(&model, 42);
     let reference = run_full(&model, &weights, &input).expect("full run failed");
 
-    // Distributed: execute each volume's split-parts independently (as the
-    // providers would) and stitch the bands back together.
+    // Distributed: pack the weights once (as a deploy would), execute each
+    // volume's split-parts independently (as the providers would) and stitch
+    // the bands back together.
+    let packed = PackedModelWeights::pack(&model, &weights).expect("packing failed");
     let mut volume_input = input.clone();
     for (v, assignment) in plan.volumes.iter().enumerate() {
         let mut bands = Vec::new();
         for (device, part) in assignment.parts.iter().enumerate() {
-            if let Some(out) = run_part(&model, &weights, part, &volume_input).expect("part failed")
+            if let Some(out) = run_part(&model, &packed, part, &volume_input).expect("part failed")
             {
                 println!(
                     "  volume {v}: device {device} computed output rows {:?}",

@@ -70,7 +70,7 @@ fn print_conv_rates(model: &Model, weights: &ModelWeights, image: &Tensor, outpu
             i => &outputs[i - 1],
         };
         let (w, bias) = &weights.layers[layer.index];
-        let filter = pack_conv_filter(w, layer.input.c, c_out, f, stride).unwrap();
+        let filter = pack_conv_filter(w, layer.input.c, c_out, f, stride, None).unwrap();
         let ms = (0..5)
             .map(|_| {
                 let t0 = Instant::now();

@@ -11,6 +11,10 @@
 //! * each device's kernel panels — one form per layer;
 //! * transiently, packing scratch bounded by the largest raw layer.
 //!
+//! The single-device reference (`exec::run_full`, which every deploy's
+//! caller runs first) keeps its own: one layer's panels at a time, nothing
+//! once it has returned.
+//!
 //! The tests take a lock: the counters are process-wide.
 
 use cnn_model::exec::{self, deterministic_input, LayerWeights, ModelWeights, PackedModelWeights};
@@ -201,6 +205,64 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
         after <= before + 64 * 1024,
         "deploy → shutdown leaked {} B",
         after.saturating_sub(before)
+    );
+}
+
+#[test]
+fn run_full_holds_one_layers_panels_at_a_time_and_keeps_nothing() {
+    let _guard = serial();
+    let m = model();
+    let weights = ModelWeights::deterministic(&m, 11);
+    let img = deterministic_input(&m, 11);
+    // Each layer's panels, packed alone.  FC1's are the largest by far, and
+    // all of them together are what a packed model holds.
+    let panels: Vec<usize> = (0..m.len())
+        .map(|l| {
+            PackedModelWeights::pack_owned(&m, weights.shard(&[l].into()), None)
+                .unwrap()
+                .resident_bytes()
+        })
+        .collect();
+    let largest = *panels.iter().max().unwrap();
+    let all: usize = panels.iter().sum();
+    assert!(
+        all > largest + 8 * MB,
+        "{all} B of panels, {largest} B largest"
+    );
+
+    // One throw-away run: lazily initialised process state is not what this
+    // test accounts; it also sizes what `run_full` returns.
+    let outputs = exec::run_full(&m, &weights, &img).unwrap();
+    let activations: usize = outputs
+        .iter()
+        .map(|t| std::mem::size_of_val(t.data()))
+        .sum();
+    drop(outputs);
+
+    // `before` holds the raw weights and the image.
+    let before = reset_peak();
+    let outputs = exec::run_full(&m, &weights, &img).unwrap();
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let returned = live() - before;
+    // While running: the layer outputs so far, one layer's panels (packing
+    // scratch included — a Winograd layer's is well under FC1's panels) and
+    // kernel scratch.  Two layers' panels alive together do not fit, let
+    // alone the model's.
+    assert!(
+        peak <= largest + activations + MB,
+        "run_full peaked {peak} B over the raw weights; the largest layer's panels are \
+         {largest} B, its outputs {activations} B"
+    );
+    // Once returned: the outputs, and no panel.
+    assert!(
+        returned <= activations + 64 * 1024,
+        "run_full returned holding {returned} B; its outputs are {activations} B"
+    );
+    drop(outputs);
+    assert!(
+        live() <= before + 64 * 1024,
+        "run_full leaked {} B",
+        live().saturating_sub(before)
     );
 }
 

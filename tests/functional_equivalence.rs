@@ -4,7 +4,7 @@
 //! execution plan, run each split-part on the tensor engine, stitch the
 //! outputs, and compare against running the un-split model.
 
-use cnn_model::exec::{deterministic_input, run_full, run_part, ModelWeights};
+use cnn_model::exec::{deterministic_input, run_full, run_part, ModelWeights, PackedModelWeights};
 use cnn_model::{LayerOp, Model};
 use device_profile::{DeviceSpec, DeviceType};
 use distredge::evaluate::plan_method;
@@ -48,11 +48,12 @@ fn run_distributed(
     weights: &ModelWeights,
     input: &Tensor,
 ) -> Tensor {
+    let packed = PackedModelWeights::pack(model, weights).unwrap();
     let mut current = input.clone();
     for assignment in &plan.volumes {
         let mut bands = Vec::new();
         for part in &assignment.parts {
-            if let Some(out) = run_part(model, weights, part, &current).unwrap() {
+            if let Some(out) = run_part(model, &packed, part, &current).unwrap() {
                 bands.push(out);
             }
         }
