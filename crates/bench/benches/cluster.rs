@@ -2,7 +2,7 @@
 //!
 //! The same three-way row-band plan for `tiny_vgg` runs twice:
 //!
-//! * **in-process** — `Runtime::deploy_in_process`, provider threads and
+//! * **in-process** — `Deploy::new(..).start()`, provider threads and
 //!   channel transport inside one address space (the PR-1..7 runtime), and
 //! * **cluster** — three real `distredge-node` OS processes on loopback
 //!   TCP, bootstrapped by `ClusterCoordinator::serve` (handshake ships the
@@ -16,7 +16,7 @@
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
 use edge_cluster::{BackoffPolicy, ClusterConfig, ClusterCoordinator, PeerSpec};
-use edge_runtime::{Runtime, RuntimeOptions};
+use edge_runtime::{Deploy, RuntimeOptions};
 use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use serde::Serialize;
@@ -100,13 +100,10 @@ fn in_process_ips(
     images: &[Tensor],
     expected: &[Tensor],
 ) -> f64 {
-    let session = Runtime::deploy_in_process(
-        model,
-        plan,
-        weights,
-        &RuntimeOptions::default().with_max_in_flight(4),
-    )
-    .unwrap();
+    let session = Deploy::new(model, plan, weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .start()
+        .unwrap();
     let ips = stream_ips(
         images,
         expected,

@@ -20,6 +20,7 @@ use edge_fleet::{FleetConfig, FleetServer, ModelSpec, PacedTransport};
 use edge_gateway::GatewayConfig;
 use edge_runtime::transport::ChannelTransport;
 use edge_runtime::RuntimeOptions;
+use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use serde::Serialize;
 use std::sync::Arc;
@@ -61,6 +62,7 @@ fn serve(model: &Model, replicas: usize, max_replicas: usize) -> FleetServer {
             .with_max_batch(8)
             .with_max_linger(Duration::from_millis(1))
             .with_queue_capacity(1024),
+        &Telemetry::disabled(),
     )
     .unwrap()
 }

@@ -14,7 +14,7 @@
 use cnn_model::exec::{deterministic_input, ModelWeights};
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
 use criterion::{criterion_group, criterion_main, Criterion};
-use edge_runtime::session::{Runtime, Session};
+use edge_runtime::session::{Deploy, Session};
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 use serde::Serialize;
@@ -26,13 +26,10 @@ fn split_plan(model: &Model, devices: usize) -> ExecutionPlan {
 }
 
 fn deploy(model: &Model, plan: &ExecutionPlan, weights: &ModelWeights) -> Session {
-    Runtime::deploy_in_process(
-        model,
-        plan,
-        weights,
-        &RuntimeOptions::default().with_max_in_flight(4),
-    )
-    .unwrap()
+    Deploy::new(model, plan, weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .start()
+        .unwrap()
 }
 
 #[derive(Serialize)]

@@ -14,7 +14,7 @@
 use cnn_model::exec::{deterministic_input, ModelWeights};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use criterion::{criterion_group, criterion_main, Criterion};
-use edge_runtime::session::Runtime;
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edge_telemetry::{Stage, Telemetry, TraceId};
 use edgesim::ExecutionPlan;
@@ -58,14 +58,11 @@ fn serve_ips(
     telemetry: &Telemetry,
     wave: u64,
 ) -> f64 {
-    let session = Runtime::deploy_in_process_traced(
-        m,
-        p,
-        weights,
-        &RuntimeOptions::default().with_max_in_flight(4),
-        telemetry,
-    )
-    .unwrap();
+    let session = Deploy::new(m, p, weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .telemetry(telemetry)
+        .start()
+        .unwrap();
     for i in 0..4 {
         let t = session
             .submit(&deterministic_input(m, 90_000 + 100 * wave + i))

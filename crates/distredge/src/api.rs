@@ -1,12 +1,18 @@
 //! The end-to-end DistrEdge planner: profile the devices, partition the
 //! model with LC-PSS, then search the vertical splits with OSDS — plus the
-//! serving entry points [`DistrEdge::serve`] (a resident `edge-runtime`
-//! [`Session`]), [`DistrEdge::serve_gateway`] (a batching, SLO-aware
-//! [`Gateway`] front-end over that session) and [`DistrEdge::deploy`] (a
-//! one-shot batch wrapper over a session).
+//! two things only this crate can do for serving: [`DistrEdge::serve`]
+//! turns a planned strategy and a simulated cluster into a resident
+//! `edge-runtime` [`Session`] (strategy → plan, cluster → shaped links),
+//! and [`DistrEdge::deploy`] streams one batch through such a session and
+//! pairs the measurement with the simulator's prediction.
+//!
+//! Every serving tier composes over that `Session` with the constructor its
+//! own crate exports — `AdaptiveSession::over(session, ..)`,
+//! `edge_gateway::Gateway::over(session, ..)` — or deploys its own
+//! sessions from the plan (`edge_fleet::FleetServer::serve`,
+//! `edge_cluster::ClusterCoordinator::serve`).
 
 use crate::mdp::SplitEnv;
-use crate::online::{AdaptiveSession, OnlineConfig};
 use crate::partitioner::{lc_pss, LcPssConfig};
 use crate::profiles::{ClusterProfiles, ProfilesConfig};
 use crate::splitter::{osds_train, OsdsConfig, OsdsOutcome};
@@ -14,11 +20,8 @@ use crate::strategy::DistributionStrategy;
 use crate::Result;
 use cnn_model::exec::ModelWeights;
 use cnn_model::Model;
-use edge_cluster::{BackoffPolicy, ClusterConfig, ClusterCoordinator, ClusterSession};
-use edge_fleet::{FleetConfig, FleetServer, ModelSpec};
-use edge_gateway::{Gateway, GatewayConfig};
-use edge_runtime::runtime::RuntimeOptions;
-use edge_runtime::session::{Runtime, Session};
+use edge_runtime::runtime::{RuntimeOptions, RuntimeOutcome};
+use edge_runtime::session::{Deploy, Session};
 use edge_runtime::transport::{ChannelTransport, ShapedTransport};
 use edge_runtime::{report, RuntimeReport};
 use edgesim::{Cluster, SimReport};
@@ -143,115 +146,13 @@ impl DistrEdge {
     ) -> Result<Session> {
         let plan = strategy.to_plan(model)?;
         let weights = ModelWeights::deterministic(model, options.weight_seed);
-        let session = if options.shaped {
+        let deploy = Deploy::new(model, &plan, &weights).options(options.runtime);
+        if options.shaped {
             let mut transport = ShapedTransport::new(ChannelTransport::new(cluster.len()), cluster);
-            Runtime::deploy(model, &plan, &weights, &mut transport, &options.runtime)?
+            Ok(deploy.over(&mut transport).start()?)
         } else {
-            Runtime::deploy_in_process(model, &plan, &weights, &options.runtime)?
-        };
-        Ok(session)
-    }
-
-    /// Deploys a planned strategy and closes the §V-F loop around the live
-    /// session: the returned [`AdaptiveSession`] observes
-    /// `Session::metrics()` windows, re-plans from measured drift, and
-    /// applies the new strategy **in place** via `Session::apply_plan` —
-    /// the cluster and its resident weights survive every swap.
-    pub fn serve_adaptive(
-        model: &Model,
-        cluster: &Cluster,
-        planning: &PlanningOutcome,
-        online: &OnlineConfig,
-        options: &DeployOptions,
-    ) -> Result<AdaptiveSession> {
-        let session = Self::serve(model, cluster, &planning.strategy, options)?;
-        AdaptiveSession::over(session, model, cluster, planning, online)
-    }
-
-    /// Deploys a planned strategy and puts a batching, SLO-aware
-    /// [`Gateway`] in front of the resident session: many clients call
-    /// [`Gateway::client`] and `infer` concurrently, the dispatcher forms
-    /// adaptive batches, schedules them over the session's credit window,
-    /// sheds deadline-doomed and overload traffic with typed errors, and
-    /// publishes latency percentiles via `Gateway::metrics`.
-    pub fn serve_gateway(
-        model: &Model,
-        cluster: &Cluster,
-        strategy: &DistributionStrategy,
-        options: &GatewayOptions,
-    ) -> Result<Gateway> {
-        // Reject unusable gateway knobs before paying for a deployment.
-        options
-            .gateway
-            .validate()
-            .map_err(|e| crate::DistrError::InvalidConfig(e.to_string()))?;
-        let session = Self::serve(model, cluster, strategy, &options.deploy)?;
-        Gateway::over(session, options.gateway)
-            .map_err(|e| crate::DistrError::Runtime(e.to_string()))
-    }
-
-    /// Deploys a planned strategy as a **fleet**: `options.replicas`
-    /// replica sessions — each its own provider cluster, all executing
-    /// from one shared packed weight copy — behind a single gateway with
-    /// least-loaded routing and watermark-driven elastic scale (see
-    /// [`FleetConfig`]).  The model's name is its fleet model id; more
-    /// models can only be added through [`FleetServer::serve`] directly.
-    pub fn serve_fleet(
-        model: &Model,
-        cluster: &Cluster,
-        strategy: &DistributionStrategy,
-        options: &FleetOptions,
-    ) -> Result<FleetServer> {
-        options
-            .fleet
-            .validate()
-            .map_err(|e| crate::DistrError::InvalidConfig(e.to_string()))?;
-        options
-            .gateway
-            .validate()
-            .map_err(|e| crate::DistrError::InvalidConfig(e.to_string()))?;
-        let plan = strategy.to_plan(model)?;
-        let mut spec = ModelSpec::new(model.name(), model.clone(), plan)
-            .with_replicas(options.replicas)
-            .with_weight_seed(options.deploy.weight_seed)
-            .with_runtime(options.deploy.runtime);
-        if options.deploy.shaped {
-            let cluster = cluster.clone();
-            spec = spec.with_transport(std::sync::Arc::new(move |n| {
-                Box::new(ShapedTransport::new(ChannelTransport::new(n), &cluster))
-            }));
+            Ok(deploy.start()?)
         }
-        FleetServer::serve(vec![spec], options.fleet, options.gateway)
-            .map_err(|e| crate::DistrError::Runtime(e.to_string()))
-    }
-
-    /// Serves a planned strategy over a **real multi-process cluster**:
-    /// every device in the plan is a separate `distredge-node` process
-    /// (possibly on another machine) named by `cluster`.  The coordinator
-    /// bootstraps each node over TCP with the model, the plan and its
-    /// weight shard, then returns a [`ClusterSession`] with the familiar
-    /// `submit` / `wait` / `metrics` / `apply_plan` surface.  A node that
-    /// drops mid-stream is re-dialed with exponential backoff,
-    /// re-handshaken at the current epoch, and every in-flight image is
-    /// replayed — submitted work completes with zero loss.
-    pub fn serve_cluster(
-        model: &Model,
-        strategy: &DistributionStrategy,
-        cluster: &ClusterConfig,
-        options: &ClusterOptions,
-    ) -> Result<ClusterSession> {
-        let plan = strategy.to_plan(model)?;
-        let weights = ModelWeights::deterministic(model, options.weight_seed);
-        ClusterCoordinator::serve(
-            model,
-            &plan,
-            weights,
-            cluster,
-            &options.runtime,
-            &options.backoff,
-            &edge_telemetry::Telemetry::disabled(),
-        )
-        .map_err(|e| crate::DistrError::Runtime(e.to_string()))
     }
 
     /// One-shot wrapper over [`DistrEdge::serve`]: deploys a session,
@@ -268,20 +169,9 @@ impl DistrEdge {
         images: &[Tensor],
         options: &DeployOptions,
     ) -> Result<Deployment> {
-        if images.is_empty() {
-            return Err(crate::DistrError::Runtime("no images to stream".into()));
-        }
         let plan = strategy.to_plan(model)?;
-        let session = Self::serve(model, cluster, strategy, options)?;
-        let mut tickets = Vec::with_capacity(images.len());
-        for img in images {
-            tickets.push(session.submit(img)?);
-        }
-        let outputs = tickets
-            .into_iter()
-            .map(|t| session.wait(t))
-            .collect::<edge_runtime::Result<Vec<Tensor>>>()?;
-        let report = session.shutdown()?;
+        let RuntimeOutcome { report, outputs } =
+            Self::serve(model, cluster, strategy, options)?.run_batch(images)?;
         let predicted = if options.shaped {
             report::predicted_report_on_cluster(model, cluster, &plan, &report, images.len())
         } else {
@@ -349,130 +239,6 @@ impl DeployOptions {
     }
 }
 
-/// Options of [`DistrEdge::serve_cluster`]: runtime streaming knobs, the
-/// deterministic weight seed every node's shard is cut from, and the
-/// reconnect backoff policy.  Round-trips through JSON like
-/// [`DeployOptions`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClusterOptions {
-    /// Runtime streaming options (credit window, timeouts).
-    pub runtime: RuntimeOptions,
-    /// Seed of the deterministic weights the shards are cut from.
-    pub weight_seed: u64,
-    /// Exponential backoff for link reconnects.
-    pub backoff: BackoffPolicy,
-}
-
-impl Default for ClusterOptions {
-    fn default() -> Self {
-        Self {
-            runtime: RuntimeOptions::default(),
-            weight_seed: 7,
-            backoff: BackoffPolicy::default(),
-        }
-    }
-}
-
-impl ClusterOptions {
-    /// Overrides the runtime streaming options.
-    pub fn with_runtime(mut self, runtime: RuntimeOptions) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    /// Overrides the shard weight seed.
-    pub fn with_weight_seed(mut self, seed: u64) -> Self {
-        self.weight_seed = seed;
-        self
-    }
-
-    /// Overrides the reconnect backoff policy.
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
-        self
-    }
-}
-
-/// Options of [`DistrEdge::serve_gateway`]: how to deploy the cluster plus
-/// the gateway's batching/SLO knobs.  Round-trips through JSON like
-/// [`DeployOptions`], so one scenario file can carry the full serving
-/// stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct GatewayOptions {
-    /// Session deployment options (transport shaping, credit window, seed).
-    pub deploy: DeployOptions,
-    /// Gateway batching and admission knobs.
-    pub gateway: GatewayConfig,
-}
-
-impl GatewayOptions {
-    /// Overrides the deployment options.
-    pub fn with_deploy(mut self, deploy: DeployOptions) -> Self {
-        self.deploy = deploy;
-        self
-    }
-
-    /// Overrides the gateway knobs.
-    pub fn with_gateway(mut self, gateway: GatewayConfig) -> Self {
-        self.gateway = gateway;
-        self
-    }
-}
-
-/// Options of [`DistrEdge::serve_fleet`]: per-replica deployment, the
-/// gateway's batching/SLO knobs, the fleet's replica bounds and scale
-/// watermarks, and the initial replica count.  Round-trips through JSON
-/// like the other option bundles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetOptions {
-    /// Per-replica deployment options (transport shaping, credit window,
-    /// weight seed).
-    pub deploy: DeployOptions,
-    /// Gateway batching and admission knobs.
-    pub gateway: GatewayConfig,
-    /// Fleet replica bounds and elastic-scale watermarks.
-    pub fleet: FleetConfig,
-    /// Replicas deployed at serve time.
-    pub replicas: usize,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        Self {
-            deploy: DeployOptions::default(),
-            gateway: GatewayConfig::default(),
-            fleet: FleetConfig::default(),
-            replicas: 2,
-        }
-    }
-}
-
-impl FleetOptions {
-    /// Overrides the per-replica deployment options.
-    pub fn with_deploy(mut self, deploy: DeployOptions) -> Self {
-        self.deploy = deploy;
-        self
-    }
-
-    /// Overrides the gateway knobs.
-    pub fn with_gateway(mut self, gateway: GatewayConfig) -> Self {
-        self.gateway = gateway;
-        self
-    }
-
-    /// Overrides the fleet bounds and watermarks.
-    pub fn with_fleet(mut self, fleet: FleetConfig) -> Self {
-        self.fleet = fleet;
-        self
-    }
-
-    /// Overrides the initial replica count.
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-}
-
 /// What [`DistrEdge::deploy`] returns.
 #[derive(Debug)]
 pub struct Deployment {
@@ -514,6 +280,9 @@ mod tests {
     use super::*;
     use cnn_model::LayerOp;
     use device_profile::{DeviceSpec, DeviceType};
+    use edge_fleet::{FleetConfig, FleetServer, ModelSpec};
+    use edge_gateway::{Gateway, GatewayConfig};
+    use edge_telemetry::Telemetry;
     use netsim::LinkConfig;
     use tensor::Shape;
 
@@ -649,17 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_options_round_trip_through_json() {
-        let opts = ClusterOptions::default()
-            .with_weight_seed(13)
-            .with_runtime(RuntimeOptions::default().with_max_in_flight(3))
-            .with_backoff(BackoffPolicy::fast());
-        let text = serde_json::to_string(&opts).unwrap();
-        let back: ClusterOptions = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, opts);
-    }
-
-    #[test]
     fn config_round_trips_through_json() {
         let cfg = DistrEdgeConfig::fast(3).with_episodes(12).with_seed(4);
         let text = serde_json::to_string(&cfg).unwrap();
@@ -693,13 +451,13 @@ mod tests {
         let m = cnn_model::zoo::tiny_vgg();
         let c = cluster();
         let outcome = DistrEdge::plan(&m, &c, &tiny_config()).unwrap();
-        let opts = GatewayOptions::default().with_gateway(
-            GatewayConfig::default()
-                .with_max_batch(3)
-                .with_max_linger(std::time::Duration::from_millis(1)),
-        );
-        let gateway = DistrEdge::serve_gateway(&m, &c, &outcome.strategy, &opts).unwrap();
-        let weights = ModelWeights::deterministic(&m, opts.deploy.weight_seed);
+        let opts = DeployOptions::default();
+        let config = GatewayConfig::default()
+            .with_max_batch(3)
+            .with_max_linger(std::time::Duration::from_millis(1));
+        let session = DistrEdge::serve(&m, &c, &outcome.strategy, &opts).unwrap();
+        let gateway = Gateway::over(session, config, &Telemetry::disabled()).unwrap();
+        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
         let client = gateway.client();
         let images: Vec<_> = (0..4).map(|i| deterministic_input(&m, 60 + i)).collect();
         let responses: Vec<_> = images.iter().map(|img| client.infer(img)).collect();
@@ -714,32 +472,26 @@ mod tests {
     }
 
     #[test]
-    fn gateway_options_round_trip_through_json() {
-        let opts = GatewayOptions::default()
-            .with_deploy(DeployOptions::default().with_weight_seed(13))
-            .with_gateway(
-                GatewayConfig::default()
-                    .with_max_batch(5)
-                    .with_max_linger(std::time::Duration::from_millis(9))
-                    .with_queue_capacity(64),
-            );
-        let text = serde_json::to_string(&opts).unwrap();
-        let back: GatewayOptions = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, opts);
-    }
-
-    #[test]
     fn serve_fleet_replicates_a_planned_strategy() {
         use cnn_model::exec::{self, deterministic_input};
         let m = cnn_model::zoo::tiny_vgg();
         let c = cluster();
         let outcome = DistrEdge::plan(&m, &c, &tiny_config()).unwrap();
-        let opts = FleetOptions::default()
+        let opts = DeployOptions::default();
+        let plan = outcome.strategy.to_plan(&m).unwrap();
+        let spec = ModelSpec::new(m.name(), m.clone(), plan)
             .with_replicas(2)
-            .with_fleet(FleetConfig::default().with_autoscale(false));
-        let fleet = DistrEdge::serve_fleet(&m, &c, &outcome.strategy, &opts).unwrap();
+            .with_weight_seed(opts.weight_seed)
+            .with_runtime(opts.runtime);
+        let fleet = FleetServer::serve(
+            vec![spec],
+            FleetConfig::default().with_autoscale(false),
+            GatewayConfig::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(fleet.replica_count(m.name()), 2);
-        let weights = ModelWeights::deterministic(&m, opts.deploy.weight_seed);
+        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
         let client = fleet.client();
         let responses: Vec<_> = (0..4)
             .map(|i| {
@@ -754,17 +506,6 @@ mod tests {
         }
         let metrics = fleet.shutdown().unwrap();
         assert_eq!(metrics.completed, 4);
-    }
-
-    #[test]
-    fn fleet_options_round_trip_through_json() {
-        let opts = FleetOptions::default()
-            .with_replicas(3)
-            .with_fleet(FleetConfig::default().with_max_replicas(5))
-            .with_gateway(GatewayConfig::default().with_max_batch(6));
-        let text = serde_json::to_string(&opts).unwrap();
-        let back: FleetOptions = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, opts);
     }
 
     #[test]

@@ -37,10 +37,7 @@ pub mod scenarios;
 pub mod splitter;
 pub mod strategy;
 
-pub use api::{
-    ClusterOptions, DeployOptions, Deployment, DistrEdge, DistrEdgeConfig, FleetOptions,
-    GatewayOptions, PlanningOutcome,
-};
+pub use api::{DeployOptions, Deployment, DistrEdge, DistrEdgeConfig, PlanningOutcome};
 pub use baselines::Method;
 pub use error::DistrError;
 pub use evaluate::{evaluate_method, evaluate_strategy, MethodResult};

@@ -762,7 +762,8 @@ mod tests {
 
         let opts = DeployOptions::default();
         let telemetry = Telemetry::new();
-        let mut adaptive = DistrEdge::serve_adaptive(&m, &c, &planning, &online_cfg, &opts)
+        let session = DistrEdge::serve(&m, &c, &planning.strategy, &opts).unwrap();
+        let mut adaptive = AdaptiveSession::over(session, &m, &c, &planning, &online_cfg)
             .unwrap()
             .with_telemetry(&telemetry);
         let weights = ModelWeights::deterministic(&m, opts.weight_seed);

@@ -4,7 +4,7 @@
 //! [`ClusterCoordinator::serve`] dials every node in the
 //! [`ClusterConfig`], bootstraps each with a [`Hello`] (model, peer
 //! table, plan, weight shard — the `Reconfigure` payload codec), then
-//! deploys a requester-side session ([`Runtime::deploy_remote`]) whose
+//! deploys a requester-side session ([`WeightSource::Remote`]) whose
 //! scatter links are [`ClusterTx`]s over those sockets.
 //!
 //! Fault tolerance is a single supervisor thread.  Link failures —
@@ -27,8 +27,8 @@ use edge_runtime::routing::RouteTable;
 use edge_runtime::transport::{read_raw_frame, FrameTx, Transport};
 use edge_runtime::wire::{Frame, FrameKind};
 use edge_runtime::{
-    ReconfigurePayload, Runtime, RuntimeError, RuntimeOptions, RuntimeReport, Session, SwapReport,
-    Ticket, TransportError, TransportErrorKind, WeightDelta,
+    Deploy, ReconfigurePayload, RuntimeError, RuntimeOptions, RuntimeReport, Session, SwapReport,
+    Ticket, TransportError, TransportErrorKind, WeightDelta, WeightSource,
 };
 use edge_telemetry::{Stage, Telemetry, TraceId, REQUESTER};
 use edgesim::{Endpoint, ExecutionPlan};
@@ -453,14 +453,13 @@ impl ClusterCoordinator {
             shared: Arc::clone(&shared),
             inbox: Some(inbox_rx),
         };
-        let session = Arc::new(Runtime::deploy_remote(
-            model,
-            plan,
-            Arc::clone(&weights),
-            &mut transport,
-            runtime,
-            telemetry,
-        )?);
+        let session = Arc::new(
+            Deploy::new(model, plan, WeightSource::Remote(weights))
+                .over(&mut transport)
+                .options(*runtime)
+                .telemetry(telemetry)
+                .start()?,
+        );
 
         let resyncs = Arc::new(AtomicU64::new(0));
         let supervisor = {

@@ -16,7 +16,8 @@
 //!   (reusing the `Reconfigure` payload codec from `edge-runtime::wire`),
 //!   `Welcome` confirms the install,
 //! * [`node`] — [`run_node`]: the `distredge-node` runloop.  Binds the
-//!   listen address, bootstraps a provider worker from the first `Hello`,
+//!   listen address ([`BoundNode`] reports the one it got — port 0 lets
+//!   the OS choose), bootstraps a provider worker from the first `Hello`,
 //!   accepts peer halo links, and survives coordinator reconnects,
 //! * [`coordinator`] — [`ClusterCoordinator::serve`]: implements the
 //!   `edge-runtime` `Transport` trait over real multi-peer TCP, deploys a
@@ -39,7 +40,7 @@ pub mod proto;
 pub use backoff::BackoffPolicy;
 pub use config::{ClusterConfig, NodeConfig, PeerSpec};
 pub use coordinator::{ClusterCoordinator, ClusterSession};
-pub use node::{run_node, NodeOptions};
+pub use node::{run_node, BoundNode, NodeOptions};
 pub use proto::{Hello, Welcome};
 
 use std::fmt;

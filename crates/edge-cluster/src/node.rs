@@ -251,103 +251,134 @@ impl FrameTx for PeerTx {
 /// Runs a node until its provider halts.  See the module docs for the
 /// connection protocol.
 pub fn run_node(cfg: &NodeConfig) -> Result<()> {
-    run_node_with(cfg, &NodeOptions::default(), &Telemetry::disabled())
+    BoundNode::bind(cfg)?.run(&NodeOptions::default(), &Telemetry::disabled())
 }
 
-/// [`run_node`] with explicit options and telemetry.
-pub fn run_node_with(cfg: &NodeConfig, options: &NodeOptions, telemetry: &Telemetry) -> Result<()> {
-    let listener = TcpListener::bind(&cfg.listen)
-        .map_err(|e| ClusterError::Config(format!("bind {}: {e}", cfg.listen)))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| ClusterError::Config(format!("local_addr: {e}")))?;
+/// A node that holds its listen socket but is not serving yet.  Binding and
+/// running are two steps so the caller can learn — and announce — the
+/// address it actually got before a coordinator dials it: a config that
+/// asks for port 0 leaves the choice to the OS.
+pub struct BoundNode {
+    /// The node's config with `listen` resolved to the bound address.
+    cfg: NodeConfig,
+    listener: TcpListener,
+}
 
-    let coord = Arc::new(CoordSlot::new());
-    let done = Arc::new(AtomicBool::new(false));
-    let outcome: Arc<Mutex<Option<edge_runtime::Result<()>>>> = Arc::new(Mutex::new(None));
-    // Filled at bootstrap; used to route later connections.
-    let mut running: Option<RunningNode> = None;
-
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) => {
-                if done.load(Ordering::SeqCst) {
-                    break;
-                }
-                return Err(ClusterError::Config(format!("accept on {local}: {e}")));
-            }
-        };
-        if done.load(Ordering::SeqCst) {
-            break;
-        }
-        stream.set_nodelay(true).ok();
-        // Bound the handshake read so a silent dialer cannot wedge the
-        // accept loop; cleared again before long-lived frame pumping.
-        stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-
-        let mut preamble = [0u8; 1];
-        if std::io::Read::read_exact(&mut stream, &mut preamble).is_err() {
-            continue; // dialer vanished before saying anything
-        }
-        match preamble[0] {
-            PREAMBLE_HELLO => {
-                let hello = match proto::read_hello(&mut stream) {
-                    Ok(h) => h,
-                    Err(_) => continue, // corrupt handshake: drop, coordinator retries
-                };
-                if hello.numerics != NUMERICS_CONTRACT {
-                    // A coordinator from a build with other kernel numerics:
-                    // install nothing, say why, keep listening for ours.
-                    let _ = proto::write_numerics_refusal(&mut stream);
-                    continue;
-                }
-                match &running {
-                    None => {
-                        let node = bootstrap(
-                            cfg, hello, stream, options, telemetry, &coord, &done, &outcome,
-                        )?;
-                        running = Some(node);
-                    }
-                    Some(node) => {
-                        // Coordinator reconnect: confirm the epoch we are
-                        // actually running and re-attach the socket.
-                        let epoch = node.shared.slot.load().id;
-                        if proto::write_welcome(
-                            &mut stream,
-                            &Welcome {
-                                device: cfg.device,
-                                epoch,
-                            },
-                        )
-                        .is_err()
-                        {
-                            continue;
-                        }
-                        attach_coordinator(&coord, stream, node.inbox.clone());
-                    }
-                }
-            }
-            PREAMBLE_LINK => {
-                let Ok(_from) = proto::read_link(&mut stream) else {
-                    continue;
-                };
-                let Some(node) = &running else {
-                    continue; // halo link before bootstrap: peer will re-dial
-                };
-                spawn_inbox_pump(stream, node.inbox.clone());
-            }
-            _ => continue, // unknown preamble: drop the connection
-        }
+impl BoundNode {
+    /// Binds `cfg.listen`.
+    pub fn bind(cfg: &NodeConfig) -> Result<Self> {
+        let listener = TcpListener::bind(&cfg.listen)
+            .map_err(|e| ClusterError::Config(format!("bind {}: {e}", cfg.listen)))?;
+        let local = listener
+            .local_addr()
+            .map_err(|e| ClusterError::Config(format!("local_addr: {e}")))?;
+        Ok(Self {
+            cfg: NodeConfig {
+                listen: local.to_string(),
+                ..cfg.clone()
+            },
+            listener,
+        })
     }
 
-    coord.close();
-    let result = outcome
-        .lock()
-        .expect("node outcome poisoned")
-        .take()
-        .unwrap_or(Ok(()));
-    result.map_err(ClusterError::Runtime)
+    /// The address the node is listening on.
+    pub fn addr(&self) -> &str {
+        &self.cfg.listen
+    }
+
+    /// Serves until the provider halts.
+    pub fn run(self, options: &NodeOptions, telemetry: &Telemetry) -> Result<()> {
+        let (cfg, listener) = (&self.cfg, &self.listener);
+        let coord = Arc::new(CoordSlot::new());
+        let done = Arc::new(AtomicBool::new(false));
+        let outcome: Arc<Mutex<Option<edge_runtime::Result<()>>>> = Arc::new(Mutex::new(None));
+        // Filled at bootstrap; used to route later connections.
+        let mut running: Option<RunningNode> = None;
+
+        loop {
+            let (mut stream, _) = match listener.accept() {
+                Ok(pair) => pair,
+                Err(e) => {
+                    if done.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    return Err(ClusterError::Config(format!(
+                        "accept on {}: {e}",
+                        cfg.listen
+                    )));
+                }
+            };
+            if done.load(Ordering::SeqCst) {
+                break;
+            }
+            stream.set_nodelay(true).ok();
+            // Bound the handshake read so a silent dialer cannot wedge the
+            // accept loop; cleared again before long-lived frame pumping.
+            stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
+
+            let mut preamble = [0u8; 1];
+            if std::io::Read::read_exact(&mut stream, &mut preamble).is_err() {
+                continue; // dialer vanished before saying anything
+            }
+            match preamble[0] {
+                PREAMBLE_HELLO => {
+                    let hello = match proto::read_hello(&mut stream) {
+                        Ok(h) => h,
+                        Err(_) => continue, // corrupt handshake: drop, coordinator retries
+                    };
+                    if hello.numerics != NUMERICS_CONTRACT {
+                        // A coordinator from a build with other kernel numerics:
+                        // install nothing, say why, keep listening for ours.
+                        let _ = proto::write_numerics_refusal(&mut stream);
+                        continue;
+                    }
+                    match &running {
+                        None => {
+                            let node = bootstrap(
+                                cfg, hello, stream, options, telemetry, &coord, &done, &outcome,
+                            )?;
+                            running = Some(node);
+                        }
+                        Some(node) => {
+                            // Coordinator reconnect: confirm the epoch we are
+                            // actually running and re-attach the socket.
+                            let epoch = node.shared.slot.load().id;
+                            if proto::write_welcome(
+                                &mut stream,
+                                &Welcome {
+                                    device: cfg.device,
+                                    epoch,
+                                },
+                            )
+                            .is_err()
+                            {
+                                continue;
+                            }
+                            attach_coordinator(&coord, stream, node.inbox.clone());
+                        }
+                    }
+                }
+                PREAMBLE_LINK => {
+                    let Ok(_from) = proto::read_link(&mut stream) else {
+                        continue;
+                    };
+                    let Some(node) = &running else {
+                        continue; // halo link before bootstrap: peer will re-dial
+                    };
+                    spawn_inbox_pump(stream, node.inbox.clone());
+                }
+                _ => continue, // unknown preamble: drop the connection
+            }
+        }
+
+        coord.close();
+        let result = outcome
+            .lock()
+            .expect("node outcome poisoned")
+            .take()
+            .unwrap_or(Ok(()));
+        result.map_err(ClusterError::Runtime)
+    }
 }
 
 /// What the runloop keeps after bootstrap.

@@ -4,8 +4,8 @@
 //! One [`FleetServer`] owns N replica [`Session`]s — each its own provider
 //! cluster — behind the existing batching/priority/deadline gateway.  All
 //! replicas of one model deploy from a single shared
-//! [`Arc<PackedModelWeights>`] ([`Runtime::deploy_prepacked`]): K replicas
-//! cost one packing pass and one resident weight copy.
+//! [`Arc<PackedModelWeights>`] ([`WeightSource::Shared`]): K replicas cost
+//! one packing pass and one resident weight copy.
 
 use crate::config::FleetConfig;
 use crate::spec::ModelSpec;
@@ -14,7 +14,7 @@ use cnn_model::exec::{ModelWeights, PackedModelWeights};
 use edge_gateway::{
     Admission, Backend, Gateway, GatewayClient, GatewayConfig, GatewayMetrics, RouteTicket,
 };
-use edge_runtime::{Runtime, RuntimeReport, Session, SwapReport};
+use edge_runtime::{Deploy, RuntimeReport, Session, SwapReport, WeightSource};
 use edge_telemetry::{Counter, Gauge, Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use edgesim::ExecutionPlan;
 use serde::Serialize;
@@ -224,16 +224,16 @@ impl FleetInner {
             .cloned()
             .ok_or_else(|| FleetError::UnknownModel(model.to_string()))?;
         let mut transport = entry.spec.make_transport();
-        let session = Runtime::deploy_prepacked(
-            &entry.spec.model,
-            &entry.spec.plan,
-            Arc::clone(&entry.raw),
-            Arc::clone(&entry.packed),
-            transport.as_mut(),
-            &entry.spec.runtime,
-            &self.tel.hub,
-        )
-        .map_err(|e| FleetError::Runtime(e.to_string()))?;
+        let weights = WeightSource::Shared {
+            raw: Arc::clone(&entry.raw),
+            packed: Arc::clone(&entry.packed),
+        };
+        let session = Deploy::new(&entry.spec.model, &entry.spec.plan, weights)
+            .over(transport.as_mut())
+            .options(entry.spec.runtime)
+            .telemetry(&self.tel.hub)
+            .start()
+            .map_err(|e| FleetError::Runtime(e.to_string()))?;
         let id = self.next_replica.fetch_add(1, Ordering::SeqCst);
         let replica = Arc::new(Replica {
             id,
@@ -423,7 +423,7 @@ fn merge_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
 }
 
 /// The fleet's [`Backend`] implementation — what plugs into
-/// [`Gateway::over_backend`].
+/// [`Gateway::over`].
 pub struct FleetBackend {
     inner: Arc<FleetInner>,
 }
@@ -637,20 +637,12 @@ pub struct FleetServer {
 
 impl FleetServer {
     /// Serves `specs` (the first spec's id is the default model) behind one
-    /// gateway, untraced.
+    /// gateway, recording `fleet.route` instants, `fleet.scale_up` /
+    /// `fleet.scale_down` spans and fleet registry cells (`fleet.replicas`,
+    /// `fleet.routed`, ...) on `telemetry`, alongside the gateway's and
+    /// every replica session's own instrumentation
+    /// ([`Telemetry::disabled`] records nothing).
     pub fn serve(
-        specs: Vec<ModelSpec>,
-        config: FleetConfig,
-        gateway: GatewayConfig,
-    ) -> Result<Self, FleetError> {
-        Self::serve_traced(specs, config, gateway, &Telemetry::disabled())
-    }
-
-    /// Like [`FleetServer::serve`], recording `fleet.route` instants,
-    /// `fleet.scale_up` / `fleet.scale_down` spans and fleet registry cells
-    /// (`fleet.replicas`, `fleet.routed`, ...) on `telemetry`, alongside
-    /// the gateway's and every replica session's own instrumentation.
-    pub fn serve_traced(
         specs: Vec<ModelSpec>,
         config: FleetConfig,
         gateway: GatewayConfig,
@@ -714,11 +706,11 @@ impl FleetServer {
                 inner.deploy_replica(&id)?;
             }
         }
-        let backend = FleetBackend {
+        let backend: Box<dyn Backend> = Box::new(FleetBackend {
             inner: Arc::clone(&inner),
-        };
+        });
         let gateway = Arc::new(
-            Gateway::over_backend(Box::new(backend), gateway, telemetry)
+            Gateway::over(backend, gateway, telemetry)
                 .map_err(|e| FleetError::Runtime(e.to_string()))?,
         );
         let stop = Arc::new(AtomicBool::new(false));

@@ -12,7 +12,7 @@
 //!   ([`edge_gateway::GatewayClient::with_model`]); a registry maps id →
 //!   [`ModelSpec`], and every replica of one model deploys from a single
 //!   shared `Arc<cnn_model::exec::PackedModelWeights>`
-//!   ([`edge_runtime::Runtime::deploy_prepacked`]), so K replicas cost one
+//!   ([`edge_runtime::WeightSource::Shared`]), so K replicas cost one
 //!   packing pass and one resident weight copy.
 //! * **Elastic scale** — a monitor thread samples the gateway's queue depth
 //!   and p99 against [`FleetConfig`] watermarks: pressure deploys another
@@ -21,7 +21,7 @@
 //!   knobs).
 //! * **Observability** — [`FleetServer::fleet_metrics`] snapshots
 //!   per-replica load and per-model tenancy (including the shared-pack
-//!   reference count); with a telemetry hub attached, routing emits
+//!   reference count); on an enabled telemetry hub, routing emits
 //!   `fleet.route` instants and scaling emits `fleet.scale_up` /
 //!   `fleet.scale_down` spans on the same clock as the gateway and the
 //!   replica sessions.
@@ -37,6 +37,7 @@
 //! use cnn_model::{LayerOp, Model};
 //! use edge_fleet::{FleetConfig, FleetServer, ModelSpec};
 //! use edge_gateway::GatewayConfig;
+//! use edge_telemetry::Telemetry;
 //! use edgesim::ExecutionPlan;
 //! use tensor::Shape;
 //!
@@ -52,6 +53,7 @@
 //!     vec![spec],
 //!     FleetConfig::default().with_autoscale(false),
 //!     GatewayConfig::default(),
+//!     &Telemetry::disabled(),
 //! )
 //! .unwrap();
 //!

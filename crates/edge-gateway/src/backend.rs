@@ -1,8 +1,8 @@
 //! The dispatcher's routing seam: everything the gateway needs from
 //! "whatever serves the images" — admission, completion, load, lifecycle —
 //! as a trait, so the same batching/priority/deadline front-end runs over
-//! one resident [`Session`] (the [`SessionBackend`] wrapper, what
-//! [`crate::Gateway::over`] builds) or over a whole fleet of replica
+//! one resident [`Session`] (the [`SessionBackend`] wrapper a `Session`
+//! converts into when handed to [`crate::Gateway::over`]) or over a whole fleet of replica
 //! sessions (the `edge-fleet` crate implements [`Backend`] with
 //! least-loaded routing and elastic scale behind it).
 //!
@@ -89,12 +89,13 @@ pub struct SessionBackend {
     session: Session,
 }
 
-impl SessionBackend {
-    /// Wraps a deployed session.
-    pub fn new(session: Session) -> Self {
-        Self { session }
+impl From<Session> for Box<dyn Backend> {
+    fn from(session: Session) -> Self {
+        Box::new(SessionBackend { session })
     }
+}
 
+impl SessionBackend {
     fn route(ticket: edge_runtime::Ticket) -> RouteTicket {
         RouteTicket {
             replica: 0,

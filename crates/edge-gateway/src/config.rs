@@ -65,9 +65,8 @@ impl GatewayConfig {
     }
 
     /// Checks the knobs are usable.  [`crate::Gateway::over`] runs this;
-    /// callers that deploy a cluster first (e.g. `DistrEdge::serve_gateway`)
-    /// run it up front so an unusable configuration fails before any
-    /// provider thread is spawned.
+    /// callers that deploy a cluster first can run it up front so an
+    /// unusable configuration fails before any provider thread is spawned.
     pub fn validate(&self) -> Result<(), crate::GatewayError> {
         if self.max_batch == 0 {
             return Err(crate::GatewayError::InvalidConfig(

@@ -2,12 +2,12 @@
 //! dispatcher thread that turns a many-client request stream into batched,
 //! credit-scheduled, deadline-checked session traffic.
 
-use crate::backend::{Backend, RouteTicket, SessionBackend};
+use crate::backend::{Backend, RouteTicket};
 use crate::batcher::{Batcher, Priority};
 use crate::config::GatewayConfig;
 use crate::metrics::{GatewayMetrics, LatencyHistogram};
 use crate::GatewayError;
-use edge_runtime::{RuntimeReport, Session, SwapReport};
+use edge_runtime::{RuntimeReport, SwapReport};
 use edge_telemetry::{Counter, Gauge, Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use edgesim::ExecutionPlan;
 use std::collections::HashMap;
@@ -299,38 +299,27 @@ impl GatewayClient {
 }
 
 /// A batching, SLO-aware serving front-end over one resident
-/// [`Session`].  See the crate docs for the architecture.
+/// [`edge_runtime::Session`].  See the crate docs for the architecture.
 pub struct Gateway {
     inner: Arc<Inner>,
     dispatcher: Option<JoinHandle<()>>,
 }
 
 impl Gateway {
-    /// Puts a gateway in front of a deployed session (untraced — see
-    /// [`Gateway::over_traced`] to attach a telemetry hub).
-    pub fn over(session: Session, config: GatewayConfig) -> Result<Self, GatewayError> {
-        Self::over_traced(session, config, &Telemetry::disabled())
-    }
-
-    /// Puts a gateway in front of a deployed session, recording its
-    /// front-end lifecycle on `telemetry`: queue-wait spans per admitted
-    /// image, batch-formation and shed instants, plus registry cells for
-    /// queue depth, dispatch/completion counts and per-class shed reasons.
-    /// Pair with [`edge_runtime::Runtime::deploy_traced`] on the same hub
-    /// to see the full gateway → device → response path on one clock.
-    pub fn over_traced(
-        session: Session,
-        config: GatewayConfig,
-        telemetry: &Telemetry,
-    ) -> Result<Self, GatewayError> {
-        Self::over_backend(Box::new(SessionBackend::new(session)), config, telemetry)
-    }
-
-    /// Puts the gateway's batching/priority/deadline front-end over any
-    /// [`Backend`] — this is the routing seam a fleet of replica sessions
-    /// plugs into.
-    pub fn over_backend(
-        backend: Box<dyn Backend>,
+    /// Puts the batching / priority / deadline front-end over a serving
+    /// backend: a deployed [`edge_runtime::Session`] (it converts into the
+    /// single-session backend) or any boxed [`Backend`] — the routing seam
+    /// a fleet of replica sessions plugs into.
+    ///
+    /// The front-end lifecycle is recorded on `telemetry`: queue-wait spans
+    /// per admitted image, batch-formation and shed instants, plus registry
+    /// cells for queue depth, dispatch/completion counts and per-class shed
+    /// reasons.  Deploy the session on the same hub
+    /// ([`edge_runtime::Deploy::telemetry`]) to see the full gateway →
+    /// device → response path on one clock; pass [`Telemetry::disabled`] to
+    /// record nothing.
+    pub fn over(
+        backend: impl Into<Box<dyn Backend>>,
         config: GatewayConfig,
         telemetry: &Telemetry,
     ) -> Result<Self, GatewayError> {
@@ -356,7 +345,7 @@ impl Gateway {
                 stats: Stats::default(),
             }),
             work: Condvar::new(),
-            backend: RwLock::new(Some(backend)),
+            backend: RwLock::new(Some(backend.into())),
             config,
             tel,
         });

@@ -8,8 +8,10 @@
 //! with the scheduling-over-kernels emphasis LCP (arXiv:2003.06464) argues
 //! dominates edge throughput:
 //!
-//! * [`Gateway::over`] wraps a deployed [`edge_runtime::Session`];
-//!   [`Gateway::client`] hands out cheap [`GatewayClient`] handles.
+//! * [`Gateway::over`] wraps a deployed [`edge_runtime::Session`] — or any
+//!   other [`Backend`], which is how a fleet plugs in — and records on the
+//!   telemetry hub it is given; [`Gateway::client`] hands out cheap
+//!   [`GatewayClient`] handles.
 //! * [`GatewayClient::infer`] / [`GatewayClient::infer_with_deadline`]
 //!   enqueue work and return a future-like [`Response`] ticket; requests
 //!   carry a [`Priority`] class.
@@ -34,7 +36,8 @@
 //! use cnn_model::exec::{deterministic_input, ModelWeights};
 //! use cnn_model::{LayerOp, Model};
 //! use edge_gateway::{Gateway, GatewayConfig};
-//! use edge_runtime::{Runtime, RuntimeOptions};
+//! use edge_runtime::{Deploy, RuntimeOptions};
+//! use edge_telemetry::Telemetry;
 //! use edgesim::ExecutionPlan;
 //! use tensor::Shape;
 //!
@@ -46,16 +49,14 @@
 //! .unwrap();
 //! let plan = ExecutionPlan::offload(&model, 0, 2).unwrap();
 //! let weights = ModelWeights::deterministic(&model, 7);
-//! let session = Runtime::deploy_in_process(
-//!     &model,
-//!     &plan,
-//!     &weights,
-//!     &RuntimeOptions::default().with_max_in_flight(2),
-//! )
-//! .unwrap();
+//! let session = Deploy::new(&model, &plan, &weights)
+//!     .options(RuntimeOptions::default().with_max_in_flight(2))
+//!     .start()
+//!     .unwrap();
 //!
 //! // One deployment, many clients: the gateway batches and schedules.
-//! let gateway = Gateway::over(session, GatewayConfig::default()).unwrap();
+//! let gateway =
+//!     Gateway::over(session, GatewayConfig::default(), &Telemetry::disabled()).unwrap();
 //! let client = gateway.client();
 //! let response = client.infer(&deterministic_input(&model, 1));
 //! let output = response.wait().unwrap();

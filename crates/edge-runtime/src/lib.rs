@@ -17,13 +17,15 @@
 //!   [`edgesim::ExecutionPlan`] ([`routing::PlanEpoch`]), published to the
 //!   workers through an `ArcSwap`-style [`routing::EpochSlot`],
 //! * [`provider`] — the three-thread provider worker,
-//! * [`session`] — the serving API: [`Runtime::deploy`] keeps the cluster
-//!   resident and returns a [`Session`] with credit-gated `submit`,
-//!   `wait` / `wait_timeout` / `try_recv`, mid-stream `metrics()`
-//!   snapshots, a hot [`Session::apply_plan`] swap (drain the window,
-//!   reconfigure with delta weight shards, flip the epoch — no redeploy)
-//!   and a draining `shutdown()`,
-//! * [`runtime`] — one-shot batch wrappers (`execute*`) over the session,
+//! * [`session`] — the serving API: the [`Deploy`] builder wires the
+//!   cluster up once — fabric, options, telemetry hub and weight source are
+//!   values on it, an in-process untraced deployment the default — and
+//!   returns a resident [`Session`] with credit-gated `submit`, `wait` /
+//!   `wait_timeout` / `try_recv`, mid-stream `metrics()` snapshots, a hot
+//!   [`Session::apply_plan`] swap (drain the window, reconfigure with delta
+//!   weight shards, flip the epoch — no redeploy), a draining `shutdown()`
+//!   and the one-shot [`Session::run_batch`],
+//! * [`runtime`] — the streaming options and the one-shot outcome type,
 //! * [`report`] — measured metrics plus the [`report::MeasuredCompute`]
 //!   bridge that feeds measured kernel times back into the simulator so
 //!   predictions can be validated against execution.
@@ -38,7 +40,7 @@
 //! use cnn_model::exec::{deterministic_input, ModelWeights};
 //! use cnn_model::{LayerOp, Model};
 //! use edgesim::ExecutionPlan;
-//! use edge_runtime::{Runtime, RuntimeOptions};
+//! use edge_runtime::{Deploy, RuntimeOptions};
 //! use tensor::Shape;
 //!
 //! let model = Model::new(
@@ -51,7 +53,10 @@
 //! let weights = ModelWeights::deterministic(&model, 7);
 //! let options = RuntimeOptions::default().with_max_in_flight(2);
 //!
-//! let session = Runtime::deploy_in_process(&model, &plan, &weights, &options).unwrap();
+//! let session = Deploy::new(&model, &plan, &weights)
+//!     .options(options)
+//!     .start()
+//!     .unwrap();
 //! // First wave.
 //! let ticket = session.submit(&deterministic_input(&model, 1)).unwrap();
 //! let output = session.wait(ticket).unwrap();
@@ -75,8 +80,10 @@ pub mod wire;
 pub use provider::ProviderWeights;
 pub use report::{DeviceMetrics, MeasuredCompute, RuntimeReport};
 pub use routing::{EpochSlot, PlanEpoch, RouteTable};
-pub use runtime::{execute, execute_in_process, RuntimeOptions, RuntimeOutcome};
-pub use session::{ResyncReport, Runtime, Session, SessionLoad, SwapReport, Ticket};
+pub use runtime::{RuntimeOptions, RuntimeOutcome};
+pub use session::{
+    Deploy, ResyncReport, Runtime, Session, SessionLoad, SwapReport, Ticket, WeightSource,
+};
 pub use transport::{ChannelTransport, ShapedTransport, TcpTransport, Transport};
 pub use wire::{Frame, FrameKind, ReconfigurePayload, WeightDelta, MAX_FRAME_LEN};
 

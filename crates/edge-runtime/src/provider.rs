@@ -287,9 +287,10 @@ impl ResidentWeights {
 
 /// Join handles of one provider's three threads, plus its live counters.
 pub struct ProviderHandle {
-    pub(crate) recv: JoinHandle<Result<()>>,
-    pub(crate) comp: JoinHandle<Result<()>>,
-    pub(crate) send: JoinHandle<Result<()>>,
+    device: usize,
+    recv: JoinHandle<Result<()>>,
+    comp: JoinHandle<Result<()>>,
+    send: JoinHandle<Result<()>>,
     pub(crate) stats: Arc<ProviderStats>,
     /// Signalled once by the compute thread when its resident weights are
     /// ready to serve frames (after the spawn-time packing pass on the
@@ -315,8 +316,9 @@ impl ProviderHandle {
 
     /// Waits for the provider's three threads to exit (they do once a
     /// `Halt` frame reaches the inbox, or on a worker error); the first
-    /// thread error wins.  This is how a standalone node process (the
-    /// `edge-cluster` runloop) blocks on its provider's lifetime.
+    /// thread error wins.  This is how a session's teardown joins its
+    /// providers and how a standalone node process (the `edge-cluster`
+    /// runloop) blocks on its provider's lifetime.
     pub fn join(self) -> Result<()> {
         let mut err: Option<RuntimeError> = None;
         for (role, h) in [
@@ -330,7 +332,10 @@ impl ProviderHandle {
                     err.get_or_insert(e);
                 }
                 Err(_) => {
-                    err.get_or_insert(RuntimeError::WorkerPanic(format!("{role} thread")));
+                    err.get_or_insert(RuntimeError::WorkerPanic(format!(
+                        "device {} {role} thread",
+                        self.device
+                    )));
                 }
             }
         }
@@ -427,6 +432,7 @@ pub fn spawn_provider(
         .expect("spawn send thread");
 
     ProviderHandle {
+        device: d,
         recv,
         comp,
         send,

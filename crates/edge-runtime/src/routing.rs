@@ -197,7 +197,7 @@ impl RouteTable {
 
     /// The weight layers device `d` must hold resident to execute this
     /// routing: every layer of its non-empty parts, plus the FC head on the
-    /// head device.  This is the sharding key of [`crate::Runtime::deploy`]
+    /// head device.  This is the sharding key of [`crate::Deploy::start`]
     /// and the diff basis of [`crate::Session::apply_plan`]'s delta shards.
     pub fn keep_layers(&self, model: &Model, d: usize) -> HashSet<usize> {
         let mut keep: HashSet<usize> = self

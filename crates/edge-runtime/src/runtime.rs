@@ -1,24 +1,15 @@
-//! One-shot execution entry points over the session API.
+//! The options a session streams under and what a one-shot batch returns.
 //!
-//! [`execute`] / [`execute_in_process`] are compatibility wrappers kept for
-//! batch callers and tests: they [`Runtime::deploy`] a [`Session`], stream
-//! the whole image batch through it (submission is credit-gated by
-//! `max_in_flight`), and shut the cluster down again.  Serving callers that
-//! want the cluster to stay resident between waves use the session API
-//! directly — see [`crate::session`].
+//! Deploying is [`crate::session::Deploy`]; one-shot streaming is
+//! [`Session::run_batch`](crate::session::Session::run_batch) on the
+//! session it returns.
 
 use crate::report::RuntimeReport;
-use crate::session::{Runtime, Session};
-use crate::transport::Transport;
-use crate::{Result, RuntimeError};
-use cnn_model::exec::ModelWeights;
-use cnn_model::Model;
-use edgesim::ExecutionPlan;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use tensor::Tensor;
 
-/// Options of a runtime session (and of the one-shot wrappers).
+/// Options of a runtime session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeOptions {
     /// The credit window: maximum images in flight at once.  `1` reproduces
@@ -72,7 +63,8 @@ impl RuntimeOptions {
     }
 }
 
-/// What an execution returns: the measurement and the per-image outputs.
+/// What [`Session::run_batch`](crate::session::Session::run_batch) returns:
+/// the measurement and the per-image outputs.
 pub struct RuntimeOutcome {
     /// Measured metrics.
     pub report: RuntimeReport,
@@ -82,73 +74,13 @@ pub struct RuntimeOutcome {
     pub outputs: Vec<Tensor>,
 }
 
-/// Executes `plan` over the in-process channel fabric.
-pub fn execute_in_process(
-    model: &Model,
-    plan: &ExecutionPlan,
-    weights: &ModelWeights,
-    images: &[Tensor],
-    options: &RuntimeOptions,
-) -> Result<RuntimeOutcome> {
-    validate_batch(model, images)?;
-    let session = Runtime::deploy_in_process(model, plan, weights, options)?;
-    stream_batch(session, images)
-}
-
-/// Executes `plan` on concurrent provider workers over `transport`.
-pub fn execute(
-    model: &Model,
-    plan: &ExecutionPlan,
-    weights: &ModelWeights,
-    images: &[Tensor],
-    transport: &mut dyn Transport,
-    options: &RuntimeOptions,
-) -> Result<RuntimeOutcome> {
-    validate_batch(model, images)?;
-    let session = Runtime::deploy(model, plan, weights, transport, options)?;
-    stream_batch(session, images)
-}
-
-fn validate_batch(model: &Model, images: &[Tensor]) -> Result<()> {
-    if images.is_empty() {
-        return Err(RuntimeError::Execution("no images to stream".into()));
-    }
-    let input_shape = model.input();
-    for (i, img) in images.iter().enumerate() {
-        if img.shape() != input_shape.as_array() {
-            return Err(RuntimeError::Execution(format!(
-                "image {i} has shape {:?}, model expects {:?}",
-                img.shape(),
-                input_shape.as_array()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Streams one batch through a freshly deployed session and shuts it down.
-/// `submit` blocks whenever the credit window is full, so the old
-/// `max_in_flight` pipelining behaviour falls out of the session's
-/// backpressure.  The session's `Drop` tears the workers down on the error
-/// paths.
-fn stream_batch(session: Session, images: &[Tensor]) -> Result<RuntimeOutcome> {
-    let mut tickets = Vec::with_capacity(images.len());
-    for img in images {
-        tickets.push(session.submit(img)?);
-    }
-    let outputs = tickets
-        .into_iter()
-        .map(|t| session.wait(t))
-        .collect::<Result<Vec<Tensor>>>()?;
-    let report = session.shutdown()?;
-    Ok(RuntimeOutcome { report, outputs })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnn_model::exec::{self, deterministic_input};
-    use cnn_model::{LayerOp, PartitionScheme, VolumeSplit};
+    use crate::session::Deploy;
+    use cnn_model::exec::{self, deterministic_input, ModelWeights};
+    use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
+    use edgesim::ExecutionPlan;
     use tensor::Shape;
 
     fn model() -> Model {
@@ -187,8 +119,11 @@ mod tests {
         let weights = ModelWeights::deterministic(&m, 3);
         let images: Vec<Tensor> = (0..3).map(|i| deterministic_input(&m, 100 + i)).collect();
         let plan = split_plan(&m, 3);
-        let outcome =
-            execute_in_process(&m, &plan, &weights, &images, &RuntimeOptions::default()).unwrap();
+        let outcome = Deploy::new(&m, &plan, &weights)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
         assert_eq!(outcome.outputs.len(), 3);
         for (img, out) in images.iter().zip(&outcome.outputs) {
             let reference = reference_output(&m, &weights, img);
@@ -212,8 +147,11 @@ mod tests {
         let scheme = PartitionScheme::single_volume(&m);
         let split = VolumeSplit::equal(2, m.prefix_output().h);
         let plan = ExecutionPlan::from_splits(&m, &scheme, &[split], 2).unwrap();
-        let outcome =
-            execute_in_process(&m, &plan, &weights, &images, &RuntimeOptions::default()).unwrap();
+        let outcome = Deploy::new(&m, &plan, &weights)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
         let reference = reference_output(&m, &weights, &images[0]);
         assert_eq!(outcome.outputs[0], reference);
     }
@@ -224,8 +162,11 @@ mod tests {
         let weights = ModelWeights::deterministic(&m, 1);
         let images = vec![deterministic_input(&m, 2)];
         let plan = ExecutionPlan::offload(&m, 1, 3).unwrap();
-        let outcome =
-            execute_in_process(&m, &plan, &weights, &images, &RuntimeOptions::default()).unwrap();
+        let outcome = Deploy::new(&m, &plan, &weights)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
         let reference = reference_output(&m, &weights, &images[0]);
         assert_eq!(outcome.outputs[0], reference);
         // Only device 1 computed anything.
@@ -244,7 +185,12 @@ mod tests {
             max_in_flight: 4,
             ..RuntimeOptions::default()
         };
-        let outcome = execute_in_process(&m, &plan, &weights, &images, &opts).unwrap();
+        let outcome = Deploy::new(&m, &plan, &weights)
+            .options(opts)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
         assert!(
             outcome.report.max_in_flight_observed >= 2,
             "expected pipelining, saw {} in flight",
@@ -262,7 +208,12 @@ mod tests {
             max_in_flight: 1,
             ..RuntimeOptions::default()
         };
-        let outcome = execute_in_process(&m, &plan, &weights, &images, &opts).unwrap();
+        let outcome = Deploy::new(&m, &plan, &weights)
+            .options(opts)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
         assert_eq!(outcome.report.max_in_flight_observed, 1);
         for d in &outcome.report.devices {
             assert!(d.max_concurrent_images <= 1);
@@ -285,7 +236,11 @@ mod tests {
             quantized: false,
         };
         let mut tcp = TcpTransport::new(2).unwrap();
-        let result = execute(&m, &plan, &weights, &images, &mut tcp, &opts);
+        let result = Deploy::new(&m, &plan, &weights)
+            .over(&mut tcp)
+            .options(opts)
+            .start()
+            .and_then(|session| session.run_batch(&images));
         assert!(result.is_err(), "a 1µs result timeout must fail");
         // The real assertion: dropping the transport completes instead of
         // hanging on leaked reader threads (the test harness would time out).
@@ -298,7 +253,9 @@ mod tests {
         let weights = ModelWeights::deterministic(&m, 7);
         let images = vec![Tensor::zeros([1, 2, 3])];
         let plan = split_plan(&m, 2);
-        let err = execute_in_process(&m, &plan, &weights, &images, &RuntimeOptions::default());
+        let err = Deploy::new(&m, &plan, &weights)
+            .start()
+            .and_then(|session| session.run_batch(&images));
         assert!(err.is_err());
     }
 
@@ -308,8 +265,11 @@ mod tests {
         let weights = ModelWeights::deterministic(&m, 11);
         let images: Vec<Tensor> = (0..4).map(|i| deterministic_input(&m, i)).collect();
         let plan = split_plan(&m, 2);
-        let outcome =
-            execute_in_process(&m, &plan, &weights, &images, &RuntimeOptions::default()).unwrap();
+        let outcome = Deploy::new(&m, &plan, &weights)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
         let r = &outcome.report;
         assert_eq!(r.sim.per_image_latency_ms.len(), 4);
         assert!(r.sim.ips > 0.0);

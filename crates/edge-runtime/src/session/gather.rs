@@ -1,0 +1,202 @@
+//! The session's result pump: one thread that owns the requester inbox.
+
+use super::{SessionShared, GATHER_TICK};
+use crate::provider::Assembly;
+use crate::routing::RouteTable;
+use crate::wire::{Frame, FrameKind};
+use crate::{Result, RuntimeError};
+use edge_telemetry::{Counter, Gauge, Recorder, Stage, Telemetry, TraceId, REQUESTER};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+struct GatherConfig {
+    has_head: bool,
+    result_c: usize,
+    result_w: usize,
+    last_height: usize,
+    recv_timeout: Duration,
+}
+
+/// The gather thread's telemetry: its own ring (merge spans for headless
+/// stitching) plus the completion-side registry cells.
+struct GatherTel {
+    rec: Recorder,
+    in_flight: Gauge,
+    completed: Counter,
+}
+
+/// Spawns the gather thread over the requester `inbox`; the result
+/// geometry is that of `route`'s finishing stage.
+pub(super) fn spawn(
+    inbox: Receiver<Vec<u8>>,
+    shared: Arc<SessionShared>,
+    stop: Arc<AtomicBool>,
+    route: &RouteTable,
+    recv_timeout: Duration,
+    telemetry: &Telemetry,
+) -> JoinHandle<Receiver<Vec<u8>>> {
+    let (result_c, result_w) = route.stage_geom(route.finish_stage() as usize);
+    let cfg = GatherConfig {
+        has_head: route.head_device.is_some(),
+        result_c,
+        result_w,
+        last_height: route.last_height,
+        recv_timeout,
+    };
+    let tel = GatherTel {
+        rec: telemetry.recorder("requester.gather", REQUESTER),
+        in_flight: shared.tel.in_flight.clone(),
+        completed: shared.tel.completed.clone(),
+    };
+    std::thread::Builder::new()
+        .name("edge-rt-gather".into())
+        .spawn(move || gather_loop(inbox, shared, stop, cfg, tel))
+        .expect("spawn gather thread")
+}
+
+/// The session's result pump: receives result frames, stitches headless
+/// outputs, completes tickets, releases credits, counts epoch acks during
+/// swaps, and watches for a wedged cluster.  Returns the requester inbox so
+/// teardown can keep it alive until the providers are joined.
+fn gather_loop(
+    inbox: Receiver<Vec<u8>>,
+    shared: Arc<SessionShared>,
+    stop: Arc<AtomicBool>,
+    cfg: GatherConfig,
+    mut tel: GatherTel,
+) -> Receiver<Vec<u8>> {
+    let mut assemblies: HashMap<(u32, u64), Assembly> = HashMap::new();
+    let mut waiting_since: Option<Instant> = None;
+    let tick = GATHER_TICK.min(cfg.recv_timeout);
+    loop {
+        if stop.load(Ordering::SeqCst) {
+            return inbox;
+        }
+        match inbox.recv_timeout(tick) {
+            Ok(bytes) => {
+                waiting_since = None;
+                if let Err(e) =
+                    handle_requester_frame(&bytes, &shared, &cfg, &mut assemblies, &mut tel)
+                {
+                    shared.fail(&e);
+                    return inbox;
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                let starving = {
+                    let st = shared.lock();
+                    st.in_flight > 0 && st.failed.is_none()
+                };
+                if starving {
+                    let since = *waiting_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() >= cfg.recv_timeout {
+                        shared.fail(&RuntimeError::transport_timeout(
+                            "timed out waiting for results",
+                        ));
+                        return inbox;
+                    }
+                } else {
+                    waiting_since = None;
+                }
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                // Every sending half is gone — the session is tearing down.
+                return inbox;
+            }
+        }
+    }
+}
+
+fn handle_requester_frame(
+    bytes: &[u8],
+    shared: &SessionShared,
+    cfg: &GatherConfig,
+    assemblies: &mut HashMap<(u32, u64), Assembly>,
+    tel: &mut GatherTel,
+) -> Result<()> {
+    let frame = Frame::decode(bytes)?;
+    match frame.kind {
+        FrameKind::Result => {}
+        FrameKind::EpochAck => {
+            let mut st = shared.lock();
+            if frame.epoch == st.swap_target {
+                st.acked += 1;
+            }
+            drop(st);
+            shared.credits.notify_all();
+            return Ok(());
+        }
+        other => {
+            return Err(RuntimeError::Execution(format!(
+                "requester received unexpected {other:?} frame"
+            )));
+        }
+    }
+    let image = frame.image;
+    let done = if cfg.has_head {
+        // The head output arrives whole.
+        Some(frame.tensor)
+    } else {
+        // Keyed by (image, epoch): after an epoch re-sync, bands of the
+        // original attempt and of the replay can interleave at the inbox,
+        // and rows from two different epochs must never stitch into one
+        // output.
+        let key = (image, frame.epoch);
+        let asm = assemblies
+            .entry(key)
+            .or_insert_with(|| Assembly::new(cfg.result_c, cfg.result_w, (0, cfg.last_height)));
+        asm.insert(frame.row_lo as usize, &frame.tensor)?;
+        if asm.complete() {
+            let asm = assemblies.remove(&key).expect("present");
+            // Any partial assembly of the same image under another epoch is
+            // an abandoned attempt — drop it.
+            assemblies.retain(|&(img, _), _| img != image);
+            tel.rec.span(
+                Stage::Merge,
+                TraceId {
+                    epoch: frame.epoch,
+                    image,
+                },
+                asm.created(),
+                0,
+                frame.stage,
+            );
+            Some(asm.into_band())
+        } else {
+            None
+        }
+    };
+    let Some(out) = done else { return Ok(()) };
+
+    let mut st = shared.lock();
+    let Some(start) = st.starts.remove(&image) else {
+        // No longer in flight: after an epoch re-sync the original result
+        // can race its replayed twin — whichever lands second is dropped.
+        // A result for an image that was never submitted is a protocol
+        // violation.
+        return if u64::from(image) < st.submitted {
+            Ok(())
+        } else {
+            Err(RuntimeError::Execution(format!(
+                "result for image {image} which was never submitted"
+            )))
+        };
+    };
+    st.pending.remove(&image);
+    let latency_ms = start.elapsed().as_secs_f64() * 1e3;
+    st.outputs.insert(image, out);
+    st.latencies_ms.push(latency_ms);
+    st.finished += 1;
+    st.in_flight -= 1;
+    let in_flight = st.in_flight;
+    drop(st);
+    tel.in_flight.set(in_flight as i64);
+    tel.completed.inc();
+    shared.results.notify_all();
+    shared.credits.notify_all();
+    Ok(())
+}

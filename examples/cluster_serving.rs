@@ -32,10 +32,12 @@
 
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
-use distredge::{ClusterOptions, DistrEdge, DistributionStrategy};
-use edge_cluster::{run_node, ClusterConfig, NodeConfig, PeerSpec};
+use distredge::DistributionStrategy;
+use edge_cluster::{
+    BackoffPolicy, BoundNode, ClusterConfig, ClusterCoordinator, NodeConfig, NodeOptions, PeerSpec,
+};
 use edge_runtime::RuntimeOptions;
-use std::net::TcpListener;
+use edge_telemetry::Telemetry;
 use std::time::Instant;
 
 const DEVICES: usize = 3;
@@ -52,26 +54,16 @@ fn equal_split_strategy(model: &Model, devices: usize) -> DistributionStrategy {
     DistributionStrategy::new("EqualSplit", scheme, splits, devices).expect("valid strategy")
 }
 
-/// Reserves `n` distinct loopback ports.
-fn free_addrs(n: usize) -> Vec<String> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    holds
-        .iter()
-        .map(|l| format!("127.0.0.1:{}", l.local_addr().unwrap().port()))
-        .collect()
-}
-
 fn main() {
     let model = cnn_model::zoo::tiny_vgg();
     let strategy = equal_split_strategy(&model, DEVICES);
-    let options =
-        ClusterOptions::default().with_runtime(RuntimeOptions::default().with_max_in_flight(4));
+    let plan = strategy.to_plan(&model).expect("valid plan");
+    let weights = ModelWeights::deterministic(&model, 7);
 
     // 1. A cluster config: either the file named by DISTREDGE_CLUSTER
     //    (external `distredge-node` processes already listening), or
-    //    three in-process node runloops on fresh loopback ports.
+    //    three in-process node runloops, each on the loopback port the OS
+    //    gave it.
     let external = std::env::var("DISTREDGE_CLUSTER").ok();
     let (config, nodes) = match &external {
         Some(path) => {
@@ -80,18 +72,24 @@ fn main() {
             (config, Vec::new())
         }
         None => {
-            let addrs = free_addrs(DEVICES);
-            println!("cluster : in-process nodes on {}", addrs.join(", "));
-            let nodes: Vec<_> = addrs
-                .iter()
-                .enumerate()
-                .map(|(device, addr)| {
-                    let cfg = NodeConfig {
+            let bound: Vec<BoundNode> = (0..DEVICES)
+                .map(|device| {
+                    BoundNode::bind(&NodeConfig {
                         device,
-                        listen: addr.clone(),
+                        listen: "127.0.0.1:0".into(),
                         profile: None,
-                    };
-                    std::thread::spawn(move || run_node(&cfg))
+                    })
+                    .expect("bind loopback")
+                })
+                .collect();
+            let addrs: Vec<String> = bound.iter().map(|n| n.addr().to_string()).collect();
+            println!("cluster : in-process nodes on {}", addrs.join(", "));
+            let nodes: Vec<_> = bound
+                .into_iter()
+                .map(|node| {
+                    std::thread::spawn(move || {
+                        node.run(&NodeOptions::default(), &Telemetry::disabled())
+                    })
                 })
                 .collect();
             let config = ClusterConfig {
@@ -111,8 +109,16 @@ fn main() {
 
     // 2. Bootstrap: dial every node, ship plan + weight shard, deploy.
     let t0 = Instant::now();
-    let session =
-        DistrEdge::serve_cluster(&model, &strategy, &config, &options).expect("cluster deploy");
+    let session = ClusterCoordinator::serve(
+        &model,
+        &plan,
+        weights.clone(),
+        &config,
+        &RuntimeOptions::default().with_max_in_flight(4),
+        &BackoffPolicy::default(),
+        &Telemetry::disabled(),
+    )
+    .expect("cluster deploy");
     println!(
         "deploy  : {} on {} nodes in {:.1} ms",
         model.name(),
@@ -122,7 +128,6 @@ fn main() {
 
     // 3. Stream images and verify every output bit-exactly against
     //    single-device execution with the same deterministic weights.
-    let weights = ModelWeights::deterministic(&model, options.weight_seed);
     let images: Vec<_> = (0..IMAGES)
         .map(|s| deterministic_input(&model, s))
         .collect();

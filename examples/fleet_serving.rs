@@ -23,6 +23,7 @@ use edge_fleet::{FleetConfig, FleetServer, ModelSpec, PacedTransport};
 use edge_gateway::GatewayConfig;
 use edge_runtime::transport::ChannelTransport;
 use edge_runtime::RuntimeOptions;
+use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,6 +71,7 @@ fn main() {
             .with_autoscale(false)
             .with_evaluate_every(Duration::from_millis(10)),
         GatewayConfig::default().with_max_batch(8),
+        &Telemetry::disabled(),
     )
     .expect("fleet deploy failed");
     println!(

@@ -2,7 +2,8 @@
 //! a resident serving session.
 //!
 //! Where `serving_session.rs` has each client thread talk to the session
-//! directly, this example puts the serving stack's top layer in between:
+//! directly, this example composes the serving stack's top layer over it —
+//! `Gateway::over(DistrEdge::serve(..)?, config, &telemetry)`:
 //! six bursty client threads (one high-priority, one deadline-constrained)
 //! fire requests at a [`edge_gateway::Gateway`], whose dispatcher forms
 //! adaptive batches under `max_batch` / `max_linger`, schedules them over
@@ -17,9 +18,10 @@
 
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
 use device_profile::{DeviceSpec, DeviceType};
-use distredge::{DeployOptions, DistrEdge, DistributionStrategy, GatewayOptions};
-use edge_gateway::{GatewayConfig, Priority};
+use distredge::{DeployOptions, DistrEdge, DistributionStrategy};
+use edge_gateway::{Gateway, GatewayConfig, Priority};
 use edge_runtime::RuntimeOptions;
+use edge_telemetry::Telemetry;
 use edgesim::Cluster;
 use netsim::LinkConfig;
 use std::time::Duration;
@@ -51,26 +53,24 @@ fn main() {
         LinkConfig::constant(200.0),
     );
     let strategy = equal_split_strategy(&model, cluster.len());
-    let options = GatewayOptions::default()
-        .with_deploy(
-            DeployOptions::default().with_runtime(RuntimeOptions::default().with_max_in_flight(4)),
-        )
-        .with_gateway(
-            GatewayConfig::default()
-                .with_max_batch(4)
-                .with_max_linger(Duration::from_millis(2)),
-        );
+    let deploy =
+        DeployOptions::default().with_runtime(RuntimeOptions::default().with_max_in_flight(4));
+    let config = GatewayConfig::default()
+        .with_max_batch(4)
+        .with_max_linger(Duration::from_millis(2));
     println!(
         "model: {} on {} providers; gateway: max_batch {}, max_linger {:?}, window 4",
         model.name(),
         cluster.len(),
-        options.gateway.max_batch,
-        options.gateway.max_linger,
+        config.max_batch,
+        config.max_linger,
     );
 
-    // 2. Deploy ONCE; the gateway owns the resident session.
+    // 2. Deploy ONCE, then put the gateway over the resident session; it
+    //    owns the session from here on.
+    let session = DistrEdge::serve(&model, &cluster, &strategy, &deploy).expect("deploy failed");
     let gateway =
-        DistrEdge::serve_gateway(&model, &cluster, &strategy, &options).expect("deploy failed");
+        Gateway::over(session, config, &Telemetry::disabled()).expect("unusable gateway config");
 
     // 3. Serve: bursty clients — each fires a burst of concurrent requests,
     //    waits for all of them, pauses, repeats.  Client 0 runs at high

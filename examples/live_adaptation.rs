@@ -4,8 +4,9 @@
 //! The loop is the paper's §V-F observe → re-plan → apply cycle, closed
 //! against the real runtime:
 //!
-//! 1. plan with LC-PSS/OSDS and deploy a session over a trace-shaped
-//!    transport (`DistrEdge::serve_adaptive`),
+//! 1. plan with LC-PSS/OSDS, deploy a session over a trace-shaped
+//!    transport (`DistrEdge::serve`) and close the loop around it
+//!    (`AdaptiveSession::over`),
 //! 2. serve a wave, then let device 1's link collapse (its bandwidth trace
 //!    steps from 200 Mbps down to 0.5 Mbps),
 //! 3. feed the monitored bandwidths to the [`AdaptiveSession`]: the drift
@@ -18,7 +19,9 @@
 use distredge_suite::cnn_model::exec::{self, deterministic_input, ModelWeights};
 use distredge_suite::cnn_model::{LayerOp, Model};
 use distredge_suite::device_profile::{DeviceSpec, DeviceType};
-use distredge_suite::distredge::{DeployOptions, DistrEdge, DistrEdgeConfig, OnlineConfig};
+use distredge_suite::distredge::{
+    AdaptiveSession, DeployOptions, DistrEdge, DistrEdgeConfig, OnlineConfig,
+};
 use distredge_suite::edgesim::Cluster;
 use distredge_suite::netsim::{BandwidthTrace, Link, LinkConfig};
 use distredge_suite::tensor::Shape;
@@ -71,16 +74,13 @@ fn main() {
     online.finetune_episodes = 20;
     online.significant_change = 0.5;
     let opts = DeployOptions::default().with_shaped(true);
+    let session = DistrEdge::serve(&model, &cluster, &planning.strategy, &opts).unwrap();
     let mut adaptive =
-        DistrEdge::serve_adaptive(&model, &cluster, &planning, &online, &opts).unwrap();
+        AdaptiveSession::over(session, &model, &cluster, &planning, &online).unwrap();
     let weights = ModelWeights::deterministic(&model, opts.weight_seed);
     let deployed_at = Instant::now();
 
-    let serve_wave = |adaptive: &distredge_suite::distredge::AdaptiveSession,
-                      label: &str,
-                      base: u64,
-                      images: u64|
-     -> f64 {
+    let serve_wave = |adaptive: &AdaptiveSession, label: &str, base: u64, images: u64| -> f64 {
         let session = adaptive.session();
         let t0 = Instant::now();
         for i in 0..images {

@@ -26,7 +26,7 @@
 
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{zoo, LayerOp, Model, PartitionScheme, VolumeSplit};
-use edge_runtime::session::Runtime;
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 use std::time::Instant;
@@ -146,13 +146,10 @@ fn main() {
     // storage, no copy) and packed into kernel panels once, before the
     // first frame.
     let t0 = Instant::now();
-    let session = Runtime::deploy_in_process(
-        &model,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(2),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(2))
+        .start()
+        .unwrap();
     println!("deployed (sharded + packed) in {:.2?}", t0.elapsed());
     let resident = session.resident_weight_bytes();
     println!(

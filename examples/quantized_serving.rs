@@ -13,7 +13,7 @@
 
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights, PackedModelWeights, QuantSpec};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
-use edge_runtime::session::Runtime;
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 use tensor::ops::qkernel_arch;
@@ -76,12 +76,14 @@ fn main() {
     );
 
     // 2. Deploy both precisions over in-process channel fabrics.
-    let f32_session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &RuntimeOptions::default())
-            .expect("f32 deploy");
+    let f32_session = Deploy::new(&model, &plan, &weights)
+        .start()
+        .expect("f32 deploy");
     let q8_options = RuntimeOptions::default().with_quantized(true);
-    let q8_session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &q8_options).expect("quantized deploy");
+    let q8_session = Deploy::new(&model, &plan, &weights)
+        .options(q8_options)
+        .start()
+        .expect("quantized deploy");
     assert!(q8_session.quantized(), "session negotiated q8 transfer");
 
     // 3. Stream the same images through both and check the quantized

@@ -17,7 +17,7 @@
 
 use cnn_model::exec::{deterministic_input, ModelWeights};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
-use edge_runtime::session::Runtime;
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 
@@ -51,8 +51,10 @@ fn main() {
 
     // 2. Deploy ONCE: the cluster stays resident for the whole run.
     let options = RuntimeOptions::default().with_max_in_flight(CREDIT_WINDOW);
-    let session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &options).expect("deploy failed");
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(options)
+        .start()
+        .expect("deploy failed");
 
     // 3. Serve: CLIENTS threads submit concurrently against the shared
     //    session while the main thread samples live metrics.

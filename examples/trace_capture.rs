@@ -14,7 +14,7 @@ use distredge_suite::cnn_model::exec::{self, deterministic_input, ModelWeights};
 use distredge_suite::cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use distredge_suite::device_profile::{DeviceSpec, DeviceType};
 use distredge_suite::edge_gateway::{Gateway, GatewayConfig};
-use distredge_suite::edge_runtime::{ChannelTransport, Runtime, RuntimeOptions, ShapedTransport};
+use distredge_suite::edge_runtime::{ChannelTransport, Deploy, RuntimeOptions, ShapedTransport};
 use distredge_suite::edge_telemetry::Telemetry;
 use distredge_suite::edgesim::{Cluster, ExecutionPlan};
 use distredge_suite::netsim::LinkConfig;
@@ -63,16 +63,13 @@ fn main() {
     let telemetry = Telemetry::new();
     let weights = ModelWeights::deterministic(&model, 42);
     let mut transport = ShapedTransport::new(ChannelTransport::new(DEVICES), &cluster);
-    let session = Runtime::deploy_traced(
-        &model,
-        &plan,
-        &weights,
-        &mut transport,
-        &RuntimeOptions::default().with_max_in_flight(4),
-        &telemetry,
-    )
-    .unwrap();
-    let gateway = Gateway::over_traced(
+    let session = Deploy::new(&model, &plan, &weights)
+        .over(&mut transport)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .telemetry(&telemetry)
+        .start()
+        .unwrap();
+    let gateway = Gateway::over(
         session,
         GatewayConfig::default()
             .with_max_batch(4)

@@ -1,15 +1,18 @@
 //! `distredge-node` — one cluster node process.
 //!
-//! Serves one device of a DistrEdge cluster: binds the listen address,
-//! waits for a coordinator's bootstrap handshake (model + plan + weight
-//! shard), then runs the provider pipeline until halted.
+//! Serves one device of a DistrEdge cluster: binds the listen address
+//! (port 0 lets the OS pick one), prints the address it bound — the first
+//! line on stdout, so whoever started the process can read it — waits for a
+//! coordinator's bootstrap handshake (model + plan + weight shard), then
+//! runs the provider pipeline until halted.
 //!
 //! ```text
 //! distredge-node --config node0.toml
 //! distredge-node --device 0 --listen 127.0.0.1:7700 [--profile pi4]
 //! ```
 
-use edge_cluster::{run_node, NodeConfig};
+use edge_cluster::{BoundNode, NodeConfig, NodeOptions};
+use edge_telemetry::Telemetry;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: distredge-node --config <file.toml|file.json>
@@ -68,16 +71,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "distredge-node: device {} listening on {}{}",
-        cfg.device,
-        cfg.listen,
-        cfg.profile
-            .as_deref()
-            .map(|p| format!(" (profile {p})"))
-            .unwrap_or_default()
-    );
-    match run_node(&cfg) {
+    let run = BoundNode::bind(&cfg).and_then(|node| {
+        println!(
+            "distredge-node: device {} listening on {}{}",
+            cfg.device,
+            node.addr(),
+            cfg.profile
+                .as_deref()
+                .map(|p| format!(" (profile {p})"))
+                .unwrap_or_default()
+        );
+        node.run(&NodeOptions::default(), &Telemetry::disabled())
+    });
+    match run {
         Ok(()) => {
             println!("distredge-node: device {} halted", cfg.device);
             ExitCode::SUCCESS

@@ -15,7 +15,7 @@
 //! * [`neuro`] — the from-scratch MLP / DDPG library,
 //! * [`distredge`] — LC-PSS, OSDS, the baselines and experiment scenarios,
 //! * [`edge_runtime`] — the concurrent execution runtime and its serving
-//!   session API (`Runtime::deploy` → `Session`),
+//!   session API (the `Deploy` builder → `Session`),
 //! * [`edge_gateway`] — the batching, SLO-aware serving front-end,
 //! * [`edge_telemetry`] — distributed tracing (Chrome-trace export,
 //!   critical-path reports) and the unified metrics registry.

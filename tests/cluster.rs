@@ -13,43 +13,57 @@ use edge_cluster::{BackoffPolicy, ClusterConfig, ClusterCoordinator, PeerSpec};
 use edge_runtime::RuntimeOptions;
 use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
-use std::net::TcpListener;
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
+
+/// One `distredge-node` process and the address it reported binding.  Its
+/// stdout stays open for the node's lifetime: the node prints once more
+/// when it halts, and must not find the pipe closed.
+struct Node {
+    child: Child,
+    _stdout: BufReader<ChildStdout>,
+    addr: String,
+}
 
 /// Kills its node processes on drop so a failing assertion doesn't leak
 /// listeners.
 struct NodeProcs {
-    children: Vec<Option<Child>>,
+    nodes: Vec<Option<Node>>,
 }
 
 impl NodeProcs {
-    fn spawn(addrs: &[String]) -> Self {
-        let children = addrs
-            .iter()
-            .enumerate()
-            .map(|(device, addr)| Some(spawn_node(device, addr)))
+    /// Starts `n` nodes, each on a loopback port the OS picks.  No port is
+    /// reserved and released beforehand, so concurrent tests cannot take
+    /// each other's.
+    fn spawn(n: usize) -> Self {
+        let nodes = (0..n)
+            .map(|device| Some(spawn_node(device, "127.0.0.1:0")))
             .collect();
-        Self { children }
+        Self { nodes }
     }
 
-    fn kill(&mut self, device: usize) {
-        if let Some(mut child) = self.children[device].take() {
-            child.kill().expect("kill node");
-            child.wait().expect("reap node");
-        }
+    /// The address every node reported, by device.
+    fn addrs(&self) -> Vec<String> {
+        self.nodes
+            .iter()
+            .map(|n| n.as_ref().expect("node running").addr.clone())
+            .collect()
     }
 
-    fn restart(&mut self, device: usize, addr: &str) {
-        self.kill(device);
-        self.children[device] = Some(spawn_node(device, addr));
+    /// Kills `device`'s process and starts a new one on the same address.
+    fn restart(&mut self, device: usize) {
+        let mut node = self.nodes[device].take().expect("node running");
+        node.child.kill().expect("kill node");
+        node.child.wait().expect("reap node");
+        self.nodes[device] = Some(spawn_node(device, &node.addr));
     }
 
     /// Waits for every remaining node to exit cleanly (post-Halt).
     fn join(mut self) {
-        for slot in &mut self.children {
-            if let Some(mut child) = slot.take() {
-                let status = child.wait().expect("node exit status");
+        for slot in &mut self.nodes {
+            if let Some(mut node) = slot.take() {
+                let status = node.child.wait().expect("node exit status");
                 assert!(status.success(), "node exited with {status}");
             }
         }
@@ -58,34 +72,38 @@ impl NodeProcs {
 
 impl Drop for NodeProcs {
     fn drop(&mut self) {
-        for slot in &mut self.children {
-            if let Some(mut child) = slot.take() {
-                let _ = child.kill();
-                let _ = child.wait();
+        for slot in &mut self.nodes {
+            if let Some(mut node) = slot.take() {
+                let _ = node.child.kill();
+                let _ = node.child.wait();
             }
         }
     }
 }
 
-fn spawn_node(device: usize, addr: &str) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_distredge-node"))
-        .args(["--device", &device.to_string(), "--listen", addr])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
+/// Starts a node on `listen` and reads the address it bound from the first
+/// line it prints.  Its stderr goes to the test's, so a node that cannot
+/// bind says so.
+fn spawn_node(device: usize, listen: &str) -> Node {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_distredge-node"))
+        .args(["--device", &device.to_string(), "--listen", listen])
+        .stdout(Stdio::piped())
         .spawn()
-        .expect("spawn distredge-node")
-}
-
-/// Reserves `n` distinct loopback ports (std listeners set `SO_REUSEADDR`
-/// on Unix, so the node processes can rebind them).
-fn free_addrs(n: usize) -> Vec<String> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    holds
-        .iter()
-        .map(|l| format!("127.0.0.1:{}", l.local_addr().unwrap().port()))
-        .collect()
+        .expect("spawn distredge-node");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the node's banner");
+    let addr = line
+        .trim_end()
+        .rsplit_once("listening on ")
+        .unwrap_or_else(|| panic!("node {device} printed {line:?} instead of its address"))
+        .1
+        .to_string();
+    Node {
+        child,
+        _stdout: stdout,
+        addr,
+    }
 }
 
 fn cluster_config(addrs: &[String]) -> ClusterConfig {
@@ -117,11 +135,9 @@ fn three_node_processes_serve_tiny_vgg_bit_exactly() {
     let model = zoo::tiny_vgg();
     let plan = equal_split_plan(&model, 3);
     let weights = ModelWeights::deterministic(&model, 5);
-    let addrs = free_addrs(3);
-    let procs = NodeProcs::spawn(&addrs);
+    let procs = NodeProcs::spawn(3);
+    let addrs = procs.addrs();
 
-    // The bootstrap handshake retries with backoff, so serving can start
-    // before the node processes finish binding their listeners.
     let session = ClusterCoordinator::serve(
         &model,
         &plan,
@@ -161,8 +177,8 @@ fn killed_node_reconnects_and_no_image_is_lost() {
     let model = zoo::tiny_vgg();
     let plan = equal_split_plan(&model, 3);
     let weights = ModelWeights::deterministic(&model, 9);
-    let addrs = free_addrs(3);
-    let mut procs = NodeProcs::spawn(&addrs);
+    let mut procs = NodeProcs::spawn(3);
+    let addrs = procs.addrs();
 
     let session = ClusterCoordinator::serve(
         &model,
@@ -198,7 +214,7 @@ fn killed_node_reconnects_and_no_image_is_lost() {
         .unwrap();
     assert_eq!(first.data(), expected.data());
 
-    procs.restart(1, &addrs[1]);
+    procs.restart(1);
 
     for (ticket, image) in tickets {
         let output = session

@@ -22,7 +22,7 @@ use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_runtime::provider::{spawn_provider, ProviderHandle, Shared};
 use edge_runtime::transport::FrameTx;
 use edge_runtime::{
-    ChannelTransport, EpochSlot, Frame, PlanEpoch, ProviderWeights, RouteTable, Runtime,
+    ChannelTransport, Deploy, EpochSlot, Frame, PlanEpoch, ProviderWeights, RouteTable,
     RuntimeOptions, Transport,
 };
 use edge_telemetry::Telemetry;
@@ -168,14 +168,19 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
 
     // One throw-away deploy first: lazily initialised process state (thread
     // pools, dispatch caches) is not what this test accounts.
-    Runtime::deploy_in_process(&m, &plan, &weights, &options)
+    Deploy::new(&m, &plan, &weights)
+        .options(options)
+        .start()
         .unwrap()
         .shutdown()
         .unwrap();
 
     // `before` holds the caller's one raw copy (plus the fixtures above).
     let before = reset_peak();
-    let session = Runtime::deploy_in_process(&m, &plan, &weights, &options).unwrap();
+    let session = Deploy::new(&m, &plan, &weights)
+        .options(options)
+        .start()
+        .unwrap();
     let deploy_peak = PEAK.load(Ordering::Relaxed) - before;
     let deployed = live() - before;
 

@@ -10,6 +10,7 @@ use edge_fleet::{FleetConfig, FleetServer, ModelSpec, PacedTransport};
 use edge_gateway::{GatewayConfig, GatewayError};
 use edge_runtime::transport::ChannelTransport;
 use edge_runtime::RuntimeOptions;
+use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,6 +57,7 @@ fn replicas_serve_bit_exact_outputs() {
         vec![spec(&m, 2, None)],
         FleetConfig::default().with_autoscale(false),
         GatewayConfig::default().with_max_batch(4),
+        &Telemetry::disabled(),
     )
     .unwrap();
 
@@ -104,6 +106,7 @@ fn overloading_traffic_is_absorbed_by_a_larger_fleet() {
                 .with_max_replicas(replicas.max(1))
                 .with_autoscale(false),
             gateway_config,
+            &Telemetry::disabled(),
         )
         .unwrap();
         let client = fleet.client();
@@ -156,6 +159,7 @@ fn scale_down_drains_mid_stream_with_zero_loss() {
         vec![spec(&m, 2, Some(Duration::from_millis(3)))],
         FleetConfig::default().with_autoscale(false),
         GatewayConfig::default().with_max_batch(4),
+        &Telemetry::disabled(),
     )
     .unwrap();
 
@@ -209,6 +213,7 @@ fn models_route_by_id_and_share_packed_weights() {
         vec![spec(&alpha, 2, None), spec(&beta, 1, None)],
         FleetConfig::default().with_autoscale(false),
         GatewayConfig::default(),
+        &Telemetry::disabled(),
     )
     .unwrap();
 
@@ -275,6 +280,7 @@ fn autoscale_spawns_a_replica_under_queue_pressure() {
             .with_max_batch(4)
             .with_max_linger(Duration::from_millis(1))
             .with_queue_capacity(64),
+        &Telemetry::disabled(),
     )
     .unwrap();
     assert_eq!(fleet.replica_count("auto"), 1);

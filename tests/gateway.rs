@@ -6,8 +6,9 @@
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_gateway::{Batcher, Gateway, GatewayConfig, GatewayError, Priority};
-use edge_runtime::session::Runtime;
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
+use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -33,14 +34,11 @@ fn two_device_plan(model: &Model) -> ExecutionPlan {
 
 fn deploy_gateway(model: &Model, weights: &ModelWeights, config: GatewayConfig) -> Gateway {
     let plan = two_device_plan(model);
-    let session = Runtime::deploy_in_process(
-        model,
-        &plan,
-        weights,
-        &RuntimeOptions::default().with_max_in_flight(4),
-    )
-    .unwrap();
-    Gateway::over(session, config).unwrap()
+    let session = Deploy::new(model, &plan, weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .start()
+        .unwrap();
+    Gateway::over(session, config, &Telemetry::disabled()).unwrap()
 }
 
 #[test]
@@ -195,17 +193,14 @@ fn overload_is_shed_at_admission_with_a_typed_error() {
 fn traced_gateway_records_queue_spans_and_per_class_shed_reasons() {
     let m = model();
     let weights = ModelWeights::deterministic(&m, 57);
-    let telemetry = edge_telemetry::Telemetry::new();
+    let telemetry = Telemetry::new();
     let plan = two_device_plan(&m);
-    let session = Runtime::deploy_in_process_traced(
-        &m,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(4),
-        &telemetry,
-    )
-    .unwrap();
-    let gateway = Gateway::over_traced(
+    let session = Deploy::new(&m, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .telemetry(&telemetry)
+        .start()
+        .unwrap();
+    let gateway = Gateway::over(
         session,
         GatewayConfig::default().with_max_linger(Duration::ZERO),
         &telemetry,

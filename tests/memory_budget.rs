@@ -167,7 +167,7 @@ fn quantized_frames_cut_per_image_wire_bytes_at_least_3x() {
     use cnn_model::exec::{deterministic_input, ModelWeights};
     use cnn_model::{PartitionScheme, VolumeSplit};
     use edge_runtime::runtime::RuntimeOptions;
-    use edge_runtime::session::Runtime;
+    use edge_runtime::session::Deploy;
     use edge_runtime::transport::{ChannelTransport, FrameTx, Transport};
     use edge_runtime::wire::Frame;
     use edgesim::{Endpoint, ExecutionPlan};
@@ -219,7 +219,11 @@ fn quantized_frames_cut_per_image_wire_bytes_at_least_3x() {
             bytes: Arc::clone(&counter),
         };
         let options = RuntimeOptions::default().with_quantized(quantized);
-        let session = Runtime::deploy(&model, &plan, &weights, &mut transport, &options).unwrap();
+        let session = Deploy::new(&model, &plan, &weights)
+            .over(&mut transport)
+            .options(options)
+            .start()
+            .unwrap();
         for seed in 0..2u64 {
             let t = session.submit(&deterministic_input(&model, seed)).unwrap();
             session.wait(t).unwrap();

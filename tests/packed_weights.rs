@@ -7,8 +7,7 @@
 
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
-use edge_runtime::session::Runtime;
-use edge_runtime::RuntimeOptions;
+use edge_runtime::session::Deploy;
 use edgesim::ExecutionPlan;
 use tensor::{Shape, Tensor};
 
@@ -46,8 +45,7 @@ fn packing_happens_at_deploy_and_reconfigure_only() {
     // Deploy offloaded onto device 0: it packs every weight layer (three —
     // two convs plus the FC head); device 1 holds nothing and packs nothing.
     let offload = ExecutionPlan::offload(&m, 0, 2).unwrap();
-    let session =
-        Runtime::deploy_in_process(&m, &offload, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&m, &offload, &weights).start().unwrap();
     let t = session.submit(&img).unwrap();
     assert_eq!(session.wait(t).unwrap(), reference);
 
@@ -153,8 +151,7 @@ fn packed_session_outputs_match_oracle_within_tolerance() {
     }
 
     let plan = split_plan(&m, 2);
-    let session =
-        Runtime::deploy_in_process(&m, &plan, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&m, &plan, &weights).start().unwrap();
     let t = session.submit(&img).unwrap();
     let out: Tensor = session.wait(t).unwrap();
     session.shutdown().unwrap();

@@ -7,8 +7,9 @@
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
 use edge_gateway::{Gateway, GatewayConfig};
-use edge_runtime::session::Runtime;
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
+use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -46,13 +47,10 @@ fn mid_stream_swap_is_bit_exact_with_zero_loss() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 23);
     let initial = split_plan(&model, 2);
-    let session = Runtime::deploy_in_process(
-        &model,
-        &initial,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(3),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &initial, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(3))
+        .start()
+        .unwrap();
 
     let swapped = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -99,8 +97,7 @@ fn swap_reuses_resident_weights_and_ships_only_deltas() {
 
     // Deploy offloaded onto device 0: device 1 resident bytes are zero.
     let offload = ExecutionPlan::offload(&model, 0, 2).unwrap();
-    let session =
-        Runtime::deploy_in_process(&model, &offload, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&model, &offload, &weights).start().unwrap();
     assert_eq!(session.resident_weight_bytes(), vec![full_bytes, 0]);
 
     // Swap to a skewed split (device 0 keeps the larger share and with it
@@ -138,8 +135,7 @@ fn noop_swap_is_cheap_and_keeps_serving() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 31);
     let plan = split_plan(&model, 2);
-    let session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&model, &plan, &weights).start().unwrap();
     let before = session.resident_weight_bytes();
 
     // Same plan again: the swap protocol still runs (the epoch advances),
@@ -169,8 +165,7 @@ fn metrics_are_tagged_with_the_serving_epoch() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 37);
     let plan = split_plan(&model, 2);
-    let session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&model, &plan, &weights).start().unwrap();
     assert_eq!(session.metrics().epoch, 0);
     session.apply_plan(&skewed_plan(&model, 2)).unwrap();
     assert_eq!(session.metrics().epoch, 1);
@@ -188,18 +183,16 @@ fn gateway_serves_through_a_swap_without_shedding_for_it() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 41);
     let plan = split_plan(&model, 2);
-    let session = Runtime::deploy_in_process(
-        &model,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(2),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(2))
+        .start()
+        .unwrap();
     let gateway = Gateway::over(
         session,
         GatewayConfig::default()
             .with_max_batch(3)
             .with_max_linger(Duration::from_millis(1)),
+        &Telemetry::disabled(),
     )
     .unwrap();
 

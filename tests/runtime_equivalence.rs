@@ -18,8 +18,8 @@ use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
 use device_profile::{DeviceSpec, DeviceType};
 use distredge::{DeployOptions, DistrEdge, DistrEdgeConfig};
 use edge_runtime::report::predicted_report;
-use edge_runtime::runtime::{execute, execute_in_process, RuntimeOptions};
-use edge_runtime::session::Runtime;
+use edge_runtime::runtime::RuntimeOptions;
+use edge_runtime::session::Deploy;
 use edge_runtime::transport::TcpTransport;
 use edgesim::{Cluster, ExecutionPlan};
 use netsim::LinkConfig;
@@ -64,8 +64,11 @@ fn distributed_zoo_model_is_bit_exact_across_three_providers() {
         .map(|i| deterministic_input(&model, 300 + i))
         .collect();
 
-    let outcome =
-        execute_in_process(&model, &plan, &weights, &images, &RuntimeOptions::default()).unwrap();
+    let outcome = Deploy::new(&model, &plan, &weights)
+        .start()
+        .unwrap()
+        .run_batch(&images)
+        .unwrap();
 
     for (img, out) in images.iter().zip(&outcome.outputs) {
         let reference = exec::run_full(&model, &weights, img).unwrap();
@@ -90,7 +93,12 @@ fn runtime_ips_agrees_with_simulator_under_measured_compute() {
         max_in_flight: 1,
         ..RuntimeOptions::default()
     };
-    let outcome = execute_in_process(&model, &plan, &weights, &images, &opts).unwrap();
+    let outcome = Deploy::new(&model, &plan, &weights)
+        .options(opts)
+        .start()
+        .unwrap()
+        .run_batch(&images)
+        .unwrap();
 
     let predicted = predicted_report(&model, &plan, &outcome.report, images.len());
     let measured = outcome.report.sim.ips;
@@ -117,7 +125,12 @@ fn pipelining_is_observable_in_per_device_metrics() {
         max_in_flight: 4,
         ..RuntimeOptions::default()
     };
-    let outcome = execute_in_process(&model, &plan, &weights, &images, &opts).unwrap();
+    let outcome = Deploy::new(&model, &plan, &weights)
+        .options(opts)
+        .start()
+        .unwrap()
+        .run_batch(&images)
+        .unwrap();
 
     assert!(
         outcome.report.max_in_flight_observed >= 2,
@@ -145,18 +158,18 @@ fn tcp_transport_matches_in_process_results() {
         .map(|i| deterministic_input(&model, 70 + i))
         .collect();
 
-    let channel_outcome =
-        execute_in_process(&model, &plan, &weights, &images, &RuntimeOptions::default()).unwrap();
+    let channel_outcome = Deploy::new(&model, &plan, &weights)
+        .start()
+        .unwrap()
+        .run_batch(&images)
+        .unwrap();
     let mut tcp = TcpTransport::new(3).unwrap();
-    let tcp_outcome = execute(
-        &model,
-        &plan,
-        &weights,
-        &images,
-        &mut tcp,
-        &RuntimeOptions::default(),
-    )
-    .unwrap();
+    let tcp_outcome = Deploy::new(&model, &plan, &weights)
+        .over(&mut tcp)
+        .start()
+        .unwrap()
+        .run_batch(&images)
+        .unwrap();
 
     assert_eq!(channel_outcome.outputs, tcp_outcome.outputs);
     // Real sockets moved every byte the channels moved.
@@ -212,13 +225,10 @@ fn session_serves_two_waves_bit_exact_without_redeploying() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 25);
     let plan = three_device_plan(&model);
-    let session = Runtime::deploy_in_process(
-        &model,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(2),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(2))
+        .start()
+        .unwrap();
 
     for wave in 0..2u64 {
         let images: Vec<Tensor> = (0..3)

@@ -5,11 +5,18 @@
 //! bit-exactness and simulator-agreement guarantees live in
 //! `runtime_equivalence.rs`.
 
-use cnn_model::exec::{self, deterministic_input, ModelWeights};
+use cnn_model::exec::{self, deterministic_input, ModelWeights, PackedModelWeights, QuantSpec};
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
-use edge_runtime::session::Runtime;
-use edge_runtime::RuntimeOptions;
-use edgesim::ExecutionPlan;
+use device_profile::{DeviceSpec, DeviceType};
+use edge_runtime::{
+    ChannelTransport, Deploy, RouteTable, Runtime, RuntimeOptions, Session, ShapedTransport,
+    TcpTransport, Transport, WeightSource,
+};
+use edge_telemetry::Telemetry;
+use edgesim::{Cluster, ExecutionPlan};
+use netsim::LinkConfig;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn two_device_plan(model: &Model) -> ExecutionPlan {
     let scheme = PartitionScheme::new(model, vec![0, 3, model.distributable_len()]).unwrap();
@@ -30,13 +37,10 @@ fn concurrent_submitters_share_one_session() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 41);
     let plan = two_device_plan(&model);
-    let session = Runtime::deploy_in_process(
-        &model,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(3),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(3))
+        .start()
+        .unwrap();
 
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
@@ -73,8 +77,7 @@ fn metrics_snapshots_are_monotone_mid_stream() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 42);
     let plan = two_device_plan(&model);
-    let session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&model, &plan, &weights).start().unwrap();
 
     let mut last_images = 0usize;
     let mut last_compute = 0.0f64;
@@ -124,13 +127,10 @@ fn shutdown_drains_in_flight_images_without_loss() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 43);
     let plan = two_device_plan(&model);
-    let session = Runtime::deploy_in_process(
-        &model,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(4),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .start()
+        .unwrap();
 
     for i in 0..4u64 {
         session
@@ -158,13 +158,10 @@ fn credit_window_bounds_provider_queue_depth() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 44);
     let plan = two_device_plan(&model);
-    let session = Runtime::deploy_in_process(
-        &model,
-        &plan,
-        &weights,
-        &RuntimeOptions::default().with_max_in_flight(WINDOW),
-    )
-    .unwrap();
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(WINDOW))
+        .start()
+        .unwrap();
 
     let mut tickets = std::collections::VecDeque::new();
     for i in 0..TOTAL {
@@ -206,8 +203,7 @@ fn second_wave_after_full_drain_reuses_the_pipeline() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 45);
     let plan = two_device_plan(&model);
-    let session =
-        Runtime::deploy_in_process(&model, &plan, &weights, &RuntimeOptions::default()).unwrap();
+    let session = Deploy::new(&model, &plan, &weights).start().unwrap();
 
     let a = session.submit(&deterministic_input(&model, 1)).unwrap();
     session.wait(a).unwrap();
@@ -217,4 +213,185 @@ fn second_wave_after_full_drain_reuses_the_pipeline() {
     session.wait(b).unwrap();
     let report = session.shutdown().unwrap();
     assert_eq!(report.images, 2);
+}
+
+/// `n` devices, every volume split into equal row bands.
+fn equal_split_plan(model: &Model, n: usize) -> ExecutionPlan {
+    let scheme = PartitionScheme::new(model, vec![0, 6, model.distributable_len()]).unwrap();
+    let splits: Vec<VolumeSplit> = scheme
+        .volumes()
+        .iter()
+        .map(|v| VolumeSplit::equal(n, v.last_output_height(model)))
+        .collect();
+    ExecutionPlan::from_splits(model, &scheme, &splits, n).unwrap()
+}
+
+#[test]
+fn every_builder_axis_combination_is_one_wiring_path() {
+    // transport {in-process, loopback TCP, shaped} × weight source {raw,
+    // shared pack} × {f32, q8}, one model, one plan — including the cells
+    // no `deploy_*` sibling ever spelled (shared pack over TCP, shared pack
+    // + q8 over a shaped link).
+    const DEVICES: usize = 2;
+    let model = zoo::tiny_vgg();
+    let weights = ModelWeights::deterministic(&model, 53);
+    let plan = two_device_plan(&model);
+    let route = RouteTable::new(&model, &plan).unwrap();
+    let images: Vec<_> = (0..2)
+        .map(|i| deterministic_input(&model, 700 + i))
+        .collect();
+    let reference: Vec<_> = images
+        .iter()
+        .map(|img| {
+            exec::run_full(&model, &weights, img)
+                .unwrap()
+                .pop()
+                .unwrap()
+        })
+        .collect();
+    let cluster = Cluster::uniform(
+        (0..DEVICES)
+            .map(|i| DeviceSpec::new(format!("edge-{i}"), DeviceType::Xavier))
+            .collect(),
+        LinkConfig::constant(200.0),
+    );
+    let spec = QuantSpec::calibrate(&model, &weights).unwrap();
+
+    /// What a cell's session looked like from outside.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outputs: Vec<tensor::Tensor>,
+        resident: Vec<usize>,
+        layers_packed: Vec<u64>,
+    }
+    let serve = |session: Session| {
+        let tickets: Vec<_> = images.iter().map(|i| session.submit(i).unwrap()).collect();
+        let outputs = tickets
+            .into_iter()
+            .map(|t| session.wait(t).unwrap())
+            .collect();
+        let resident = session.resident_weight_bytes();
+        let report = session.shutdown().unwrap();
+        Observed {
+            outputs,
+            resident,
+            layers_packed: report.devices.iter().map(|d| d.layers_packed).collect(),
+        }
+    };
+
+    let mut q8_outputs: Option<Vec<tensor::Tensor>> = None;
+    for quantized in [false, true] {
+        let options = RuntimeOptions::default().with_quantized(quantized);
+        let packed = Arc::new(
+            PackedModelWeights::pack_with(&model, &weights, quantized.then_some(&spec)).unwrap(),
+        );
+        for shared in [false, true] {
+            let source = || match shared {
+                false => WeightSource::from(&weights),
+                true => WeightSource::Shared {
+                    raw: Arc::new(weights.clone()),
+                    packed: Arc::clone(&packed),
+                },
+            };
+            let deploy = || Deploy::new(&model, &plan, source()).options(options);
+            let mut tcp = TcpTransport::new(DEVICES).unwrap();
+            let mut shaped = ShapedTransport::new(ChannelTransport::new(DEVICES), &cluster);
+            let cells = [
+                ("in-process", serve(deploy().start().unwrap())),
+                ("tcp", serve(deploy().over(&mut tcp).start().unwrap())),
+                ("shaped", serve(deploy().over(&mut shaped).start().unwrap())),
+            ];
+
+            for (transport, seen) in &cells {
+                let cell = format!("{transport}, shared pack {shared}, q8 {quantized}");
+                if quantized {
+                    // Every q8 cell agrees with every other q8 cell, bit
+                    // for bit.
+                    let first = q8_outputs.get_or_insert_with(|| seen.outputs.clone());
+                    assert_eq!(&seen.outputs, first, "{cell}");
+                } else {
+                    assert_eq!(seen.outputs, reference, "{cell}");
+                }
+                for d in 0..DEVICES {
+                    let keep = route.keep_layers(&model, d);
+                    let (resident, layers_packed) = if shared {
+                        (packed.resident_bytes(), 0)
+                    } else {
+                        let with_weights =
+                            keep.iter().filter(|&&l| !weights.layers[l].0.is_empty());
+                        (
+                            weights.resident_bytes_of(&keep),
+                            with_weights.count() as u64,
+                        )
+                    };
+                    assert_eq!(seen.resident[d], resident, "{cell}, device {d}");
+                    assert_eq!(seen.layers_packed[d], layers_packed, "{cell}, device {d}");
+                }
+            }
+
+            // The frozen positional entry point is the same path: a session
+            // from it cannot be told from the builder's.
+            if !shared {
+                let mut fabric = ChannelTransport::new(DEVICES);
+                let session = Runtime::deploy_traced(
+                    &model,
+                    &plan,
+                    &weights,
+                    &mut fabric,
+                    &options,
+                    &Telemetry::disabled(),
+                )
+                .unwrap();
+                assert_eq!(serve(session), cells[0].1, "deploy_traced, q8 {quantized}");
+            }
+        }
+    }
+}
+
+/// Deploys tiny-vgg on three devices with the FC head's weights cut to
+/// three floats: the head device's spawn-time pack fails while the other
+/// two providers are up.
+fn deploy_with_unpackable_head(transport: Option<&mut dyn Transport>) -> String {
+    let model = zoo::tiny_vgg();
+    let plan = equal_split_plan(&model, 3);
+    let mut weights = ModelWeights::deterministic(&model, 61);
+    let head = model.len() - 1;
+    weights.layers[head].0 = Arc::from(vec![0.0f32; 3]);
+    let deploy = Deploy::new(&model, &plan, &weights);
+    let result = match transport {
+        Some(transport) => deploy.over(transport).start(),
+        None => deploy.start(),
+    };
+    let err = result
+        .err()
+        .expect("a head that cannot be packed must fail the deploy");
+    let text = err.to_string();
+    assert!(
+        text.contains(&format!("layer {head}")),
+        "the error must be the failed pack's own, naming layer {head}: {text}"
+    );
+    text
+}
+
+#[test]
+fn failed_deploy_reports_the_layer_that_could_not_pack() {
+    deploy_with_unpackable_head(None);
+}
+
+#[test]
+fn failed_deploy_over_tcp_leaves_no_thread_behind() {
+    let mut tcp = TcpTransport::new(3).unwrap();
+    deploy_with_unpackable_head(Some(&mut tcp));
+    // The two healthy providers' send threads hold TCP streams into the
+    // fabric; unless the failed deploy halted and joined them, the
+    // transport's reader threads never see EOF and its `Drop` never
+    // returns.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(tcp);
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("TcpTransport::drop must return once the failed deploy has torn down");
 }
