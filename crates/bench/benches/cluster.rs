@@ -5,7 +5,7 @@
 //! * **in-process** — `Deploy::new(..).start()`, provider threads and
 //!   channel transport inside one address space (the PR-1..7 runtime), and
 //! * **cluster** — three real `distredge-node` OS processes on loopback
-//!   TCP, bootstrapped by `ClusterCoordinator::serve` (handshake ships the
+//!   TCP, bootstrapped by `ClusterSession::serve` (handshake ships the
 //!   plan + per-node weight shard).
 //!
 //! Results land in `BENCH_cluster.json`.  The run asserts the headline
@@ -15,14 +15,14 @@
 
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
-use edge_cluster::{BackoffPolicy, ClusterConfig, ClusterCoordinator, PeerSpec};
+use edge_cluster::{ClusterConfig, ClusterSession, PeerSpec};
 use edge_runtime::{Deploy, RuntimeOptions};
 use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
 use serde::Serialize;
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Instant;
 use tensor::Tensor;
 
@@ -66,14 +66,25 @@ fn node_binary() -> PathBuf {
     );
 }
 
-fn free_addrs(n: usize) -> Vec<String> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    holds
-        .iter()
-        .map(|l| format!("127.0.0.1:{}", l.local_addr().unwrap().port()))
-        .collect()
+/// Starts node `device` on a loopback port the OS picks and reads the
+/// address it bound from the first line it prints.  The returned stdout
+/// must stay open until the node exits: it prints again when halted.
+fn spawn_node(binary: &Path, device: usize) -> (Child, BufReader<ChildStdout>, String) {
+    let mut child = Command::new(binary)
+        .args(["--device", &device.to_string(), "--listen", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn distredge-node");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the node's banner");
+    let addr = line
+        .trim_end()
+        .rsplit_once("listening on ")
+        .unwrap_or_else(|| panic!("node {device} printed {line:?} instead of its address"))
+        .1
+        .to_string();
+    (child, stdout, addr)
 }
 
 /// Streams `images` through `submit`/`wait` closures and returns IPS.
@@ -120,27 +131,14 @@ fn cluster_ips(
     weights: &ModelWeights,
     images: &[Tensor],
     expected: &[Tensor],
-    binary: &PathBuf,
+    binary: &Path,
 ) -> (f64, f64) {
-    let addrs = free_addrs(DEVICES);
-    let children: Vec<Child> = addrs
-        .iter()
-        .enumerate()
-        .map(|(device, addr)| {
-            Command::new(binary)
-                .args(["--device", &device.to_string(), "--listen", addr])
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("spawn distredge-node")
-        })
-        .collect();
-
+    let nodes: Vec<_> = (0..DEVICES).map(|d| spawn_node(binary, d)).collect();
     let config = ClusterConfig {
-        nodes: addrs
+        nodes: nodes
             .iter()
             .enumerate()
-            .map(|(device, addr)| PeerSpec {
+            .map(|(device, (_, _, addr))| PeerSpec {
                 device,
                 addr: addr.clone(),
                 profile: None,
@@ -149,26 +147,26 @@ fn cluster_ips(
     };
 
     let t0 = Instant::now();
-    let session = ClusterCoordinator::serve(
+    let cluster = ClusterSession::serve(
         model,
         plan,
         weights.clone(),
         &config,
-        &RuntimeOptions::default().with_max_in_flight(4),
-        &BackoffPolicy::default(),
+        RuntimeOptions::default().with_max_in_flight(4),
         &Telemetry::disabled(),
     )
     .expect("cluster bootstrap");
     let bootstrap_ms = t0.elapsed().as_secs_f64() * 1e3;
 
+    let session = cluster.session();
     let ips = stream_ips(
         images,
         expected,
         |im| session.submit(im).unwrap(),
         |t| session.wait(t).unwrap(),
     );
-    session.shutdown().unwrap();
-    for mut child in children {
+    cluster.shutdown().unwrap();
+    for (mut child, _stdout, _) in nodes {
         let status = child.wait().expect("node exit");
         assert!(status.success(), "node exited with {status}");
     }

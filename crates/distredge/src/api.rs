@@ -10,7 +10,7 @@
 //! own crate exports — `AdaptiveSession::over(session, ..)`,
 //! `edge_gateway::Gateway::over(session, ..)` — or deploys its own
 //! sessions from the plan (`edge_fleet::FleetServer::serve`,
-//! `edge_cluster::ClusterCoordinator::serve`).
+//! `edge_cluster::ClusterSession::serve`).
 
 use crate::mdp::SplitEnv;
 use crate::partitioner::{lc_pss, LcPssConfig};

@@ -152,6 +152,45 @@ fn measure_window(
     Ok(report.mean_latency_ms)
 }
 
+/// The splits the online controller deploys under `env`'s conditions: the
+/// actor's greedy rollout, unless the latency estimator prefers a
+/// degenerate member of the search space that costs nothing to evaluate —
+/// the equal split or a single-device offload (ties go to the rollout).
+/// Right after a drastic change (a link collapsing), a few fine-tune
+/// episodes may not have moved the actor yet, but the estimator already
+/// knows an offload away from the dead link wins; the online decision never
+/// deploys worse than the best degenerate candidate.
+fn guarded_rollout(
+    env: &mut SplitEnv<'_>,
+    agent: &mut DdpgAgent,
+    model: &Model,
+    scheme: &PartitionScheme,
+    n: usize,
+) -> Result<Vec<VolumeSplit>> {
+    let heights: Vec<usize> = scheme
+        .volumes()
+        .iter()
+        .map(|v| v.last_output_height(model))
+        .collect();
+    let equal: Vec<VolumeSplit> = heights.iter().map(|&h| VolumeSplit::equal(n, h)).collect();
+    let offloads = (0..n).map(|d| {
+        heights
+            .iter()
+            .map(|&h| VolumeSplit::new((0..n - 1).map(|i| if i < d { 0 } else { h }).collect(), h))
+            .collect()
+    });
+    let mut best = greedy_rollout(env, agent)?;
+    let mut best_latency = env.evaluate_splits(&best)?;
+    for candidate in std::iter::once(equal).chain(offloads) {
+        let latency = env.evaluate_splits(&candidate)?;
+        if latency < best_latency {
+            best = candidate;
+            best_latency = latency;
+        }
+    }
+    Ok(best)
+}
+
 /// Runs the dynamic-network experiment for CoEdge, AOFL and DistrEdge and
 /// returns one latency-over-time series per method.
 pub fn run_dynamic_experiment(
@@ -168,7 +207,7 @@ pub fn run_dynamic_experiment(
     let est0 = estimator_cluster(cluster, &initial_bw);
     let mut lcpss = config.distredge.lcpss;
     lcpss.num_devices = cluster.len();
-    let mut scheme = lc_pss(model, &lcpss)?;
+    let scheme = lc_pss(model, &lcpss)?;
     let mut agent = {
         let mut env = SplitEnv::new(model, &est0, &profiles, &scheme);
         osds_train(&mut env, &config.distredge.osds, None)?.agent
@@ -225,13 +264,13 @@ pub fn run_dynamic_experiment(
             )?,
         });
 
-        // DistrEdge: significant change => re-partition + fine-tune.
+        // DistrEdge: significant change => fine-tune.  (LC-PSS reads only
+        // the model and its own config, so its scheme stands.)
         let changed = bw
             .iter()
             .zip(&bw_at_last_replan)
             .any(|(new, old)| (new - old).abs() / old.max(1.0) > config.significant_change);
         if changed {
-            scheme = lc_pss(model, &lcpss)?;
             let est = estimator_cluster(cluster, &bw);
             let mut env = SplitEnv::new(model, &est, &profiles, &scheme);
             let finetune_cfg = config
@@ -243,23 +282,7 @@ pub fn run_dynamic_experiment(
         }
         let est = estimator_cluster(cluster, &bw);
         let mut env = SplitEnv::new(model, &est, &profiles, &scheme);
-        let rollout = greedy_rollout(&mut env, &mut agent)?;
-        // The controller deploys whichever of {actor rollout, equal split}
-        // its latency estimator prefers under the monitored conditions —
-        // the equal split is a degenerate member of the search space and
-        // costs nothing to evaluate, so the online decision never regresses
-        // below it even right after a network change, before fine-tuning
-        // has caught up.
-        let equal: Vec<cnn_model::VolumeSplit> = scheme
-            .volumes()
-            .iter()
-            .map(|v| cnn_model::VolumeSplit::equal(cluster.len(), v.last_output_height(model)))
-            .collect();
-        let splits = if env.evaluate_splits(&rollout)? <= env.evaluate_splits(&equal)? {
-            rollout
-        } else {
-            equal
-        };
+        let splits = guarded_rollout(&mut env, &mut agent, model, &scheme, cluster.len())?;
         let strategy =
             DistributionStrategy::new("DistrEdge", scheme.clone(), splits, cluster.len())?;
         distredge_points.push(OnlinePoint {
@@ -414,47 +437,13 @@ impl RuntimeAdaptation {
         let mut env = SplitEnv::new(model, cluster, &compute, &self.scheme);
         let finetune = self.osds.with_episodes(self.finetune_episodes);
         self.agent = osds_train(&mut env, &finetune, Some(self.agent.clone()))?.agent;
-        let rollout = greedy_rollout(&mut env, &mut self.agent)?;
-        // Guard set: the actor's rollout competes against the degenerate
-        // members of the search space that cost nothing to evaluate — the
-        // equal split and every single-device offload.  Right after a
-        // drastic change (a link collapsing), a few fine-tune episodes may
-        // not have moved the actor yet, but the estimator already knows an
-        // offload away from the dead link wins; the online decision never
-        // deploys worse than the best degenerate candidate.
-        let n = cluster.len();
-        let mut candidates: Vec<Vec<VolumeSplit>> = Vec::with_capacity(n + 2);
-        candidates.push(rollout);
-        candidates.push(
-            self.scheme
-                .volumes()
-                .iter()
-                .map(|v| VolumeSplit::equal(n, v.last_output_height(model)))
-                .collect(),
-        );
-        for d in 0..n {
-            candidates.push(
-                self.scheme
-                    .volumes()
-                    .iter()
-                    .map(|v| {
-                        let h = v.last_output_height(model);
-                        let cuts = (0..n - 1).map(|i| if i < d { 0 } else { h }).collect();
-                        VolumeSplit::new(cuts, h)
-                    })
-                    .collect(),
-            );
-        }
-        let mut splits = None;
-        let mut best = f64::INFINITY;
-        for candidate in candidates {
-            let latency = env.evaluate_splits(&candidate)?;
-            if latency < best || splits.is_none() {
-                best = latency;
-                splits = Some(candidate);
-            }
-        }
-        let splits = splits.expect("at least one candidate");
+        let splits = guarded_rollout(
+            &mut env,
+            &mut self.agent,
+            model,
+            &self.scheme,
+            cluster.len(),
+        )?;
         self.baseline_latency_ms = Some(window_mean_latency_ms);
         decision.strategy = Some(DistributionStrategy::new(
             "DistrEdge",

@@ -1,55 +1,62 @@
-//! Exponential backoff for reconnect paths.
+//! Exponential backoff for reconnect paths, and the one schedule every
+//! cluster link reconnects on.
 
-use serde::{Deserialize, Serialize};
+use edge_runtime::RuntimeError;
 use std::time::{Duration, Instant};
 
 /// Exponential backoff: delays grow by `factor` from `base` up to `max`,
-/// and a whole retry episode gives up after `max_elapsed`.  Round-trips
-/// through JSON so serving configs can carry it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BackoffPolicy {
+/// and a whole retry episode gives up after `max_elapsed`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BackoffPolicy {
     /// First retry delay.
-    pub base: Duration,
+    base: Duration,
     /// Multiplier applied to the delay after every failed attempt.
-    pub factor: f64,
+    factor: f64,
     /// Ceiling any single delay is clamped to.
-    pub max: Duration,
+    max: Duration,
     /// Total time budget for one retry episode before giving up.
-    pub max_elapsed: Duration,
+    max_elapsed: Duration,
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            base: Duration::from_millis(50),
-            factor: 2.0,
-            max: Duration::from_secs(2),
-            max_elapsed: Duration::from_secs(30),
-        }
-    }
+/// The reconnect schedule both ends of every cluster link follow: the
+/// coordinator re-dialing a node, a node re-dialing a peer's halo link.
+pub(crate) const RECONNECT: BackoffPolicy = BackoffPolicy {
+    base: Duration::from_millis(50),
+    factor: 2.0,
+    max: Duration::from_secs(2),
+    max_elapsed: Duration::from_secs(30),
+};
+
+/// How long a sender waits for its link to come back before failing: two
+/// whole [`RECONNECT`] episodes, so the wait outlasts the re-dialer's last
+/// attempt and the handshake that follows it.  A link the re-dialer gives
+/// up on releases its waiters sooner, through the slot's terminal state.
+pub(crate) const LINK_WAIT: Duration = Duration::from_secs(2 * RECONNECT.max_elapsed.as_secs());
+
+/// Runs `op` on the [`RECONNECT`] schedule, retrying the transport errors a
+/// re-dial can clear.  Returns the value and the number of attempts made.
+pub(crate) fn reconnect<T>(
+    abort: impl FnMut() -> bool,
+    op: impl FnMut() -> edge_runtime::Result<T>,
+) -> edge_runtime::Result<(T, u32)> {
+    RECONNECT.retry(
+        abort,
+        |e: &RuntimeError| e.as_transport().is_some_and(|t| t.is_retryable()),
+        op,
+    )
 }
 
 impl BackoffPolicy {
-    /// A fast policy for tests: short delays, short episode budget.
-    pub fn fast() -> Self {
-        Self {
-            base: Duration::from_millis(10),
-            factor: 2.0,
-            max: Duration::from_millis(200),
-            max_elapsed: Duration::from_secs(10),
-        }
-    }
-
     /// The delay before retry attempt `attempt` (0-based), exponentially
     /// grown and clamped to `max`.
-    pub fn delay(&self, attempt: u32) -> Duration {
+    fn delay(&self, attempt: u32) -> Duration {
         let grown = self.base.as_secs_f64() * self.factor.powi(attempt as i32);
         let capped = grown.min(self.max.as_secs_f64()).max(0.0);
         Duration::from_secs_f64(capped)
     }
 
     /// The give-up deadline for an episode starting at `start`.
-    pub fn deadline_from(&self, start: Instant) -> Instant {
+    fn deadline_from(&self, start: Instant) -> Instant {
         start + self.max_elapsed
     }
 
@@ -57,7 +64,7 @@ impl BackoffPolicy {
     /// episode budget is exhausted, or `abort` returns true.  Sleeps the
     /// policy's delay between attempts.  Returns the successful value
     /// together with the number of attempts made, or the last error.
-    pub fn retry<T, E>(
+    fn retry<T, E>(
         &self,
         mut abort: impl FnMut() -> bool,
         retryable: impl Fn(&E) -> bool,
@@ -131,9 +138,8 @@ mod tests {
 
     #[test]
     fn retry_stops_on_non_retryable() {
-        let p = BackoffPolicy::fast();
         let mut calls = 0;
-        let r: std::result::Result<((), u32), &str> = p.retry(
+        let r: std::result::Result<((), u32), &str> = RECONNECT.retry(
             || false,
             |e| *e != "fatal",
             || {
@@ -147,9 +153,8 @@ mod tests {
 
     #[test]
     fn retry_honours_abort() {
-        let p = BackoffPolicy::fast();
         let mut calls = 0;
-        let r: std::result::Result<((), u32), &str> = p.retry(
+        let r: std::result::Result<((), u32), &str> = RECONNECT.retry(
             || true,
             |_| true,
             || {
@@ -173,13 +178,5 @@ mod tests {
         let r: std::result::Result<((), u32), &str> = p.retry(|| false, |_| true, || Err("down"));
         assert!(r.is_err());
         assert!(t0.elapsed() < Duration::from_millis(500));
-    }
-
-    #[test]
-    fn policy_round_trips_through_json() {
-        let p = BackoffPolicy::default();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: BackoffPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -9,38 +9,41 @@
 //! * [`config`] — peer configuration: a [`NodeConfig`] per node process
 //!   and a [`ClusterConfig`] for the coordinator, loadable from JSON or a
 //!   small TOML subset,
-//! * [`backoff`] — the exponential [`BackoffPolicy`] every reconnect path
-//!   shares,
 //! * [`proto`] — the bootstrap handshake: `Hello` ships the model, the
-//!   peer table, and the current epoch's `ExecutionPlan` + weight shard
-//!   (reusing the `Reconfigure` payload codec from `edge-runtime::wire`),
-//!   `Welcome` confirms the install,
-//! * [`node`] — [`run_node`]: the `distredge-node` runloop.  Binds the
-//!   listen address ([`BoundNode`] reports the one it got — port 0 lets
-//!   the OS choose), bootstraps a provider worker from the first `Hello`,
-//!   accepts peer halo links, and survives coordinator reconnects,
-//! * [`coordinator`] — [`ClusterCoordinator::serve`]: implements the
+//!   peer table, and an epoch's `ExecutionPlan` + weight shard (reusing
+//!   the `Reconfigure` payload codec from `edge-runtime::wire`), `Welcome`
+//!   confirms the install,
+//! * [`node`] — [`BoundNode`]: the `distredge-node` runloop.  Binds the
+//!   listen address and reports the one it got (port 0 lets the OS
+//!   choose), bootstraps a provider worker from the first `Hello`, accepts
+//!   peer halo links, and survives coordinator reconnects,
+//! * [`coordinator`] — [`ClusterSession::serve`]: implements the
 //!   `edge-runtime` `Transport` trait over real multi-peer TCP, deploys a
 //!   requester-side session over it, and supervises the links — a dropped
 //!   connection reconnects with exponential backoff, re-handshakes at the
-//!   current epoch, and the session re-syncs and replays in-flight work
-//!   instead of failing.
+//!   session's current epoch and plan, and the session re-syncs and
+//!   replays in-flight work instead of failing.
 //!
-//! The [`ClusterSession`] this yields serves the same `submit` / `wait` /
-//! `metrics` / `apply_plan` surface as a local `Session`, bit-exact with
+//! Both ends send through one reconnecting-link slot (`link.rs`: a socket
+//! generation per handshake, senders that wait across outages) and read
+//! through `edge-runtime`'s one frame pump, and every re-dial follows one
+//! reconnect schedule (`backoff.rs`).
+//!
+//! [`ClusterSession::session`] is a plain `Session` — the same `submit` /
+//! `wait` / `metrics` / `apply_plan` surface as a local one, bit-exact with
 //! single-device execution — over real sockets, with real processes dying
 //! and rejoining mid-stream.
 
-pub mod backoff;
+mod backoff;
 pub mod config;
 pub mod coordinator;
+mod link;
 pub mod node;
 pub mod proto;
 
-pub use backoff::BackoffPolicy;
 pub use config::{ClusterConfig, NodeConfig, PeerSpec};
-pub use coordinator::{ClusterCoordinator, ClusterSession};
-pub use node::{run_node, BoundNode, NodeOptions};
+pub use coordinator::ClusterSession;
+pub use node::BoundNode;
 pub use proto::{Hello, Welcome};
 
 use std::fmt;

@@ -16,19 +16,20 @@
 //! * provider exit (a `Halt` frame, or a worker error) → the runloop
 //!   returns.
 //!
-//! Outbound links reconnect lazily: the coordinator-facing
-//! [`CoordTx`] waits for the supervisor to re-dial us, while peer-facing
-//! [`PeerTx`] links re-dial the peer's listener themselves with
-//! exponential backoff.
+//! Outbound links reconnect lazily: the coordinator-facing link is a
+//! [`LinkSlot`] whose sender waits for the supervisor to re-dial us, while
+//! peer-facing [`PeerTx`] links re-dial the peer's listener themselves on
+//! the reconnect schedule.
 
-use crate::backoff::BackoffPolicy;
+use crate::backoff::reconnect;
 use crate::config::NodeConfig;
+use crate::link::{LinkSlot, LinkTx};
 use crate::proto::{self, Hello, Welcome, PREAMBLE_HELLO, PREAMBLE_LINK};
 use crate::{ClusterError, Result};
 use cnn_model::exec::{LayerWeights, ModelWeights};
 use edge_runtime::provider::{spawn_provider, Shared};
 use edge_runtime::routing::{EpochSlot, PlanEpoch};
-use edge_runtime::transport::{read_raw_frame, FrameTx};
+use edge_runtime::transport::{pump, FrameTx};
 use edge_runtime::wire::Frame;
 use edge_runtime::{ProviderWeights, RuntimeError};
 use edge_telemetry::Telemetry;
@@ -38,146 +39,12 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use tensor::ops::NUMERICS_CONTRACT;
 
-/// Tuning knobs of the node runloop.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeOptions {
-    /// How long a result send waits for the coordinator to re-dial before
-    /// the provider gives up (covers the coordinator's whole backoff
-    /// episode).
-    pub coord_wait: Duration,
-    /// Backoff for re-dialing peer halo links.
-    pub backoff: BackoffPolicy,
-}
-
-impl Default for NodeOptions {
-    fn default() -> Self {
-        Self {
-            coord_wait: Duration::from_secs(60),
-            backoff: BackoffPolicy::default(),
-        }
-    }
-}
-
-/// The coordinator-facing socket slot.  The accept loop installs a fresh
-/// stream on every `Hello`; the provider's send thread (through
-/// [`CoordTx`]) waits here when the link is down instead of failing.
-struct CoordSlot {
-    state: Mutex<CoordState>,
-    cond: Condvar,
-}
-
-struct CoordState {
-    stream: Option<TcpStream>,
-    /// Bumped on every install so a sender that broke generation `g`
-    /// doesn't clear a newer stream.
-    generation: u64,
-    /// Set when the runloop is exiting; senders stop waiting.
-    closed: bool,
-}
-
-impl CoordSlot {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(CoordState {
-                stream: None,
-                generation: 0,
-                closed: false,
-            }),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Installs a fresh coordinator stream (accept loop, on `Hello`).
-    fn install(&self, stream: TcpStream) {
-        let mut st = self.state.lock().expect("coord slot poisoned");
-        st.generation += 1;
-        st.stream = Some(stream);
-        self.cond.notify_all();
-    }
-
-    /// Drops the stream of generation `generation` after a write error,
-    /// unless a newer one was already installed.
-    fn mark_broken(&self, generation: u64) {
-        let mut st = self.state.lock().expect("coord slot poisoned");
-        if st.generation == generation {
-            st.stream = None;
-        }
-    }
-
-    /// Blocks until a stream is installed (or `deadline`), returning a
-    /// writable clone and its generation.
-    fn wait_stream(&self, deadline: Instant) -> edge_runtime::Result<(TcpStream, u64)> {
-        let mut st = self.state.lock().expect("coord slot poisoned");
-        loop {
-            if st.closed {
-                return Err(RuntimeError::transport_disconnected(
-                    "node is shutting down",
-                ));
-            }
-            if let Some(stream) = &st.stream {
-                let clone = stream
-                    .try_clone()
-                    .map_err(|e| RuntimeError::transport_io(format!("clone coord stream: {e}")))?;
-                return Ok((clone, st.generation));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RuntimeError::transport_timeout(
-                    "coordinator did not reconnect in time",
-                ));
-            }
-            let (next, _) = self
-                .cond
-                .wait_timeout(st, deadline - now)
-                .expect("coord slot poisoned");
-            st = next;
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("coord slot poisoned");
-        st.closed = true;
-        st.stream = None;
-        self.cond.notify_all();
-    }
-}
-
-/// Result frames → coordinator.  When the socket is down, waits for the
-/// accept loop to install the re-dialed one instead of erroring: the
-/// coordinator owns reconnection, a node just keeps serving.
-struct CoordTx {
-    slot: Arc<CoordSlot>,
-    wait: Duration,
-    cached: Option<(TcpStream, u64)>,
-}
-
-impl FrameTx for CoordTx {
-    fn send(&mut self, frame: &Frame) -> edge_runtime::Result<usize> {
-        let bytes = frame.encode();
-        let deadline = Instant::now() + self.wait;
-        loop {
-            if self.cached.is_none() {
-                self.cached = Some(self.slot.wait_stream(deadline)?);
-            }
-            let (stream, generation) = self.cached.as_mut().expect("just filled");
-            match stream.write_all(&bytes) {
-                Ok(()) => return Ok(bytes.len()),
-                Err(_) => {
-                    self.slot.mark_broken(*generation);
-                    self.cached = None;
-                    // Loop: wait for a fresh coordinator connection.
-                }
-            }
-        }
-    }
-}
-
 /// Halo frames → one peer node.  Dials the peer's listener lazily and
-/// re-dials with exponential backoff on a broken pipe, so a peer that is
+/// re-dials on the reconnect schedule on a broken pipe, so a peer that is
 /// restarting mid-stream costs retries, not the session.
 ///
 /// A cached link is probed before every write ([`peer_closed`]): the first
@@ -189,7 +56,6 @@ struct PeerTx {
     from: usize,
     to: usize,
     addr: String,
-    backoff: BackoffPolicy,
     stream: Option<TcpStream>,
 }
 
@@ -235,23 +101,13 @@ impl FrameTx for PeerTx {
         }
         // (Re)connect with backoff, then retry the write on the fresh
         // socket.
-        let (mut stream, _attempts) = self.backoff.retry(
-            || false,
-            |e: &RuntimeError| e.as_transport().is_some_and(|t| t.is_retryable()),
-            || self.connect(),
-        )?;
+        let (mut stream, _attempts) = reconnect(|| false, || self.connect())?;
         stream
             .write_all(&bytes)
             .map_err(|e| RuntimeError::transport_io(format!("write to peer {}: {e}", self.to)))?;
         self.stream = Some(stream);
         Ok(bytes.len())
     }
-}
-
-/// Runs a node until its provider halts.  See the module docs for the
-/// connection protocol.
-pub fn run_node(cfg: &NodeConfig) -> Result<()> {
-    BoundNode::bind(cfg)?.run(&NodeOptions::default(), &Telemetry::disabled())
 }
 
 /// A node that holds its listen socket but is not serving yet.  Binding and
@@ -287,9 +143,9 @@ impl BoundNode {
     }
 
     /// Serves until the provider halts.
-    pub fn run(self, options: &NodeOptions, telemetry: &Telemetry) -> Result<()> {
+    pub fn run(self, telemetry: &Telemetry) -> Result<()> {
         let (cfg, listener) = (&self.cfg, &self.listener);
-        let coord = Arc::new(CoordSlot::new());
+        let coord = Arc::new(LinkSlot::new(Endpoint::Requester));
         let done = Arc::new(AtomicBool::new(false));
         let outcome: Arc<Mutex<Option<edge_runtime::Result<()>>>> = Arc::new(Mutex::new(None));
         // Filled at bootstrap; used to route later connections.
@@ -334,9 +190,8 @@ impl BoundNode {
                     }
                     match &running {
                         None => {
-                            let node = bootstrap(
-                                cfg, hello, stream, options, telemetry, &coord, &done, &outcome,
-                            )?;
+                            let node =
+                                bootstrap(cfg, hello, stream, telemetry, &coord, &done, &outcome)?;
                             running = Some(node);
                         }
                         Some(node) => {
@@ -354,7 +209,7 @@ impl BoundNode {
                             {
                                 continue;
                             }
-                            attach_coordinator(&coord, stream, node.inbox.clone());
+                            coord.attach(stream, node.inbox.clone(), |_| {});
                         }
                     }
                 }
@@ -365,13 +220,17 @@ impl BoundNode {
                     let Some(node) = &running else {
                         continue; // halo link before bootstrap: peer will re-dial
                     };
-                    spawn_inbox_pump(stream, node.inbox.clone());
+                    // EOF is not an error here: the peer re-dialing is the
+                    // recovery protocol working.
+                    stream.set_read_timeout(None).ok();
+                    let inbox = node.inbox.clone();
+                    std::thread::spawn(move || pump(stream, &inbox));
                 }
                 _ => continue, // unknown preamble: drop the connection
             }
         }
 
-        coord.close();
+        coord.close("node is shutting down".into());
         let result = outcome
             .lock()
             .expect("node outcome poisoned")
@@ -389,14 +248,12 @@ struct RunningNode {
 
 /// Installs model + plan + shard from the first `Hello`, spawns the
 /// provider pipeline, and wires the coordinator socket.
-#[allow(clippy::too_many_arguments)]
 fn bootstrap(
     cfg: &NodeConfig,
     hello: Hello,
     mut stream: TcpStream,
-    options: &NodeOptions,
     telemetry: &Telemetry,
-    coord: &Arc<CoordSlot>,
+    coord: &Arc<LinkSlot>,
     done: &Arc<AtomicBool>,
     outcome: &Arc<Mutex<Option<edge_runtime::Result<()>>>>,
 ) -> Result<RunningNode> {
@@ -444,19 +301,16 @@ fn bootstrap(
                     from: cfg.device,
                     to: *peer,
                     addr: addr.clone(),
-                    backoff: options.backoff,
                     stream: None,
                 }),
             );
         }
     }
+    // Results → coordinator.  A dead socket is the coordinator's to
+    // re-dial; the sender just waits for it.
     txs.insert(
         Endpoint::Requester,
-        Box::new(CoordTx {
-            slot: Arc::clone(coord),
-            wait: options.coord_wait,
-            cached: None,
-        }),
+        Box::new(LinkTx::new(Arc::clone(coord), |_| {})),
     );
 
     let (inbox_tx, inbox_rx) = std::sync::mpsc::channel::<Vec<u8>>();
@@ -482,10 +336,10 @@ fn bootstrap(
         },
     )
     .map_err(ClusterError::Runtime)?;
-    attach_coordinator(coord, stream, inbox_tx.clone());
+    coord.attach(stream, inbox_tx.clone(), |_| {});
 
     // When the provider exits (Halt or error), record the outcome and poke
-    // the accept loop awake so `run_node` returns.
+    // the accept loop awake so `run` returns.
     let listen = cfg.listen.clone();
     let done = Arc::clone(done);
     let outcome = Arc::clone(outcome);
@@ -501,39 +355,4 @@ fn bootstrap(
         shared,
         inbox: inbox_tx,
     })
-}
-
-/// Registers a coordinator stream: install the write half for result
-/// frames, pump the read half (scatter / reconfigure / halt frames) into
-/// the provider inbox.
-fn attach_coordinator(coord: &Arc<CoordSlot>, stream: TcpStream, inbox: Sender<Vec<u8>>) {
-    stream.set_read_timeout(None).ok();
-    match stream.try_clone() {
-        Ok(write_half) => {
-            coord.install(write_half);
-            spawn_inbox_pump(stream, inbox);
-        }
-        Err(_) => {
-            // Could not split the socket; treat as a failed dial — the
-            // coordinator will reconnect.
-        }
-    }
-}
-
-/// Reads frames off `stream` into the provider inbox until EOF or error.
-/// EOF is not an error here: the dialer reconnecting is the recovery
-/// protocol working.
-fn spawn_inbox_pump(stream: TcpStream, inbox: Sender<Vec<u8>>) {
-    stream.set_read_timeout(None).ok();
-    let mut stream = stream;
-    std::thread::spawn(move || loop {
-        match read_raw_frame(&mut stream) {
-            Ok(Some(bytes)) => {
-                if inbox.send(bytes).is_err() {
-                    return; // provider exited
-                }
-            }
-            Ok(None) | Err(_) => return,
-        }
-    });
 }

@@ -50,7 +50,16 @@ pub enum WeightSource {
     /// `distredge-node`) bootstrapped with the same model, plan and shards
     /// before the deploy.  [`Session::metrics`] then reports no per-device
     /// counters; completion and latency accounting are unaffected.
-    Remote(Arc<ModelWeights>),
+    Remote {
+        /// The raw weights the nodes' shards were cut from.
+        raw: Arc<ModelWeights>,
+        /// The spec the nodes were bootstrapped with (`None` = f32).  It
+        /// must be present exactly when the deploy is quantized: the
+        /// session ships it in every `Reconfigure` payload, so it must be
+        /// the spec the nodes already pack against, not a second
+        /// calibration.
+        quant: Option<QuantSpec>,
+    },
 }
 
 impl From<&ModelWeights> for WeightSource {
@@ -144,11 +153,13 @@ impl<'a> Deploy<'a> {
                 "max_in_flight must be at least 1".into(),
             ));
         }
-        let (raw, packed, local) = match weights {
-            WeightSource::Raw(raw) => (raw, None, true),
-            WeightSource::Shared { raw, packed } => (raw, Some(packed), true),
-            WeightSource::Remote(raw) => (raw, None, false),
+        // `remote` is the remote nodes' spec; `None` for local providers.
+        let (raw, packed, remote) = match weights {
+            WeightSource::Raw(raw) => (raw, None, None),
+            WeightSource::Shared { raw, packed } => (raw, Some(packed), None),
+            WeightSource::Remote { raw, quant } => (raw, None, Some(quant)),
         };
+        let local = remote.is_none();
         if let Some(packed) = &packed {
             // Weightless layers (pools) are resident without holding GEMM
             // panels, so residency — not the packed-panel count — is the
@@ -164,15 +175,27 @@ impl<'a> Deploy<'a> {
 
         // Quantized serving calibrates per-layer activation scales up front
         // from the full raw weights; a shared pack must already carry its
-        // spec — the panels were built at pack time and cannot change here.
-        // The spec reaches every local provider through `Shared`, remote
-        // ones through the cluster handshake, every later epoch through the
-        // `Reconfigure` payloads, and flips the epoch's wire precision to
-        // q8.
-        let quant: Option<QuantSpec> = match (&packed, options.quantized) {
-            (_, false) => None,
-            (None, true) => Some(QuantSpec::calibrate(model, &raw)?),
-            (Some(packed), true) => Some(packed.quant().cloned().ok_or_else(|| {
+        // spec — the panels were built at pack time and cannot change here —
+        // and so must remote nodes, which packed against the spec their
+        // handshake shipped.  The spec reaches every local provider through
+        // `Shared`, every later epoch through the `Reconfigure` payloads, and
+        // flips the epoch's wire precision to q8.
+        let quant: Option<QuantSpec> = match (remote, &packed, options.quantized) {
+            (Some(Some(_)), _, false) => {
+                return Err(RuntimeError::Execution(
+                    "f32 deploy given a QuantSpec for its remote nodes".into(),
+                ))
+            }
+            (_, _, false) => None,
+            (Some(quant), _, true) => Some(quant.ok_or_else(|| {
+                RuntimeError::Execution(
+                    "quantized remote deploy needs the QuantSpec its nodes were \
+                     bootstrapped with"
+                        .into(),
+                )
+            })?),
+            (None, None, true) => Some(QuantSpec::calibrate(model, &raw)?),
+            (None, Some(packed), true) => Some(packed.quant().cloned().ok_or_else(|| {
                 RuntimeError::Execution(
                     "quantized deploy needs a shared pack built with a QuantSpec \
                      (PackedModelWeights::pack_with)"

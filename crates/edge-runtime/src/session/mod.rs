@@ -270,13 +270,15 @@ impl Session {
         self.shared.lock().epoch
     }
 
-    /// The execution plan of the current epoch.
-    pub fn current_plan(&self) -> ExecutionPlan {
-        self.plan_state
-            .lock()
-            .expect("plan state poisoned")
-            .plan
-            .clone()
+    /// The serving epoch and the plan it serves, read together — what a
+    /// device that re-joins must be bootstrapped with.  Mid-swap this may
+    /// pair the old epoch with the incoming plan ([`Session::apply_plan`]
+    /// publishes its plan before the epoch flips), never a newer epoch with
+    /// an older plan: a device bootstrapped from it then installs the
+    /// incoming epoch from the swap's own `Reconfigure` frame.
+    pub fn current_plan(&self) -> (u64, ExecutionPlan) {
+        let ps = self.plan_state.lock().expect("plan state poisoned");
+        (self.epoch(), ps.plan.clone())
     }
 
     /// Weight bytes resident on each provider — only the layers a device's

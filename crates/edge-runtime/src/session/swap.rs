@@ -132,14 +132,18 @@ impl Session {
         }
 
         // 3. Diff the new plan's per-device weight needs against what is
-        // already resident, then broadcast and flip.
+        // already resident and publish the new plan and residency, then
+        // broadcast and flip.  Publishing first keeps `current_plan` from
+        // ever pairing the new epoch with the old plan; the lock is released
+        // before the ack barrier, which a re-joining device's re-handshake
+        // (a `current_plan` read) may be what completes.
         let t_reconf = Instant::now();
         let mut delta_bytes = vec![0usize; n];
         let mut reused_bytes = vec![0usize; n];
-        let (payloads, new_keep): (Vec<ReconfigurePayload>, Vec<HashSet<usize>>) = {
-            let ps = self.plan_state.lock().expect("plan state poisoned");
+        let payloads: Vec<ReconfigurePayload> = {
+            let mut ps = self.plan_state.lock().expect("plan state poisoned");
             let mut payloads = Vec::with_capacity(n);
-            let mut keeps = Vec::with_capacity(n);
+            let mut keeps: Vec<HashSet<usize>> = Vec::with_capacity(n);
             for d in 0..n {
                 let needed = route.keep_layers(&self.model, d);
                 let mut missing: Vec<usize> = needed.difference(&ps.keep[d]).copied().collect();
@@ -164,7 +168,13 @@ impl Session {
                 // Residency is a union across epochs: nothing is evicted.
                 keeps.push(ps.keep[d].union(&needed).copied().collect());
             }
-            (payloads, keeps)
+            ps.plan = plan.clone();
+            ps.resident_bytes = keeps
+                .iter()
+                .map(|k| self.weights.resident_bytes_of(k))
+                .collect();
+            ps.keep = keeps;
+            payloads
         };
         // No scatter can interleave while admission is paused, so the new
         // targets are installed before any new-epoch image.
@@ -176,18 +186,6 @@ impl Session {
             t_reconf,
         )?;
         let reconfigure_ms = t_reconf.elapsed().as_secs_f64() * 1e3;
-
-        // Publish the new residency bookkeeping before reopening admission
-        // (a follow-up swap must diff against it).
-        {
-            let mut ps = self.plan_state.lock().expect("plan state poisoned");
-            ps.plan = plan.clone();
-            ps.resident_bytes = new_keep
-                .iter()
-                .map(|k| self.weights.resident_bytes_of(k))
-                .collect();
-            ps.keep = new_keep;
-        }
         self.end_swap();
 
         Ok(SwapReport {

@@ -299,6 +299,28 @@ fn apply_plan_rejects_wrong_device_count() {
 }
 
 #[test]
+fn remote_deploy_serves_the_spec_its_nodes_got() {
+    let m = model();
+    let p = plan(&m, 2);
+    let weights = Arc::new(ModelWeights::deterministic(&m, 23));
+    let spec = QuantSpec::calibrate(&m, &weights).unwrap();
+    let start = |quant: Option<QuantSpec>, quantized: bool| {
+        let raw = Arc::clone(&weights);
+        Deploy::new(&m, &p, WeightSource::Remote { raw, quant })
+            .options(RuntimeOptions::default().with_quantized(quantized))
+            .start()
+    };
+    // Quantized without the nodes' spec, or f32 with one: typed errors.
+    assert!(matches!(start(None, true), Err(RuntimeError::Execution(_))));
+    assert!(matches!(
+        start(Some(spec.clone()), false),
+        Err(RuntimeError::Execution(_))
+    ));
+    // (No node behind the default fabric: dropping skips the Halt check.)
+    assert!(start(Some(spec), true).unwrap().quantized());
+}
+
+#[test]
 fn traced_session_records_the_full_image_lifecycle() {
     let m = model();
     let weights = ModelWeights::deterministic(&m, 21);

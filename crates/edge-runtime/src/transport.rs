@@ -158,28 +158,27 @@ fn accept_loop(listener: TcpListener, inbox: Sender<Vec<u8>>, shutdown: Arc<Atom
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(mut stream) = stream else { break };
+        let Ok(stream) = stream else { break };
         let inbox = inbox.clone();
-        readers.push(std::thread::spawn(move || {
-            // Pump frames until the peer closes its half of the connection.
-            // Bytes are forwarded verbatim — decoding (and validation)
-            // happens once, in the endpoint's receive thread.
-            while let Ok(Some(bytes)) = read_raw_frame(&mut stream) {
-                if inbox.send(bytes).is_err() {
-                    break;
-                }
-            }
-        }));
+        readers.push(std::thread::spawn(move || pump(stream, &inbox)));
     }
     for r in readers {
         let _ = r.join();
     }
 }
 
-/// Reads one length-prefixed frame as raw bytes (prefix included), without
-/// decoding the payload.  Returns `None` on clean EOF at a frame boundary.
-/// The length prefix is capped at [`crate::MAX_FRAME_LEN`] before any
-/// allocation happens, so a corrupt header cannot balloon memory.
+/// Forwards every frame `stream` carries into `inbox` until EOF, a read
+/// error, or the inbox's receiver is gone.  Bytes are forwarded verbatim —
+/// decoding (and validation) happens once, in the endpoint's receive
+/// thread.  Every socket reader in the workspace is this loop.
+pub fn pump(mut stream: impl std::io::Read, inbox: &Sender<Vec<u8>>) {
+    while let Ok(Some(bytes)) = read_raw_frame(&mut stream) {
+        if inbox.send(bytes).is_err() {
+            return;
+        }
+    }
+}
+
 /// Fills `len_buf` from the stream: `Ok(false)` on clean EOF before any
 /// byte, an `Io` transport error on EOF *inside* the prefix (a mid-frame
 /// disconnect, not a frame boundary).
@@ -204,6 +203,12 @@ fn read_len_prefix(stream: &mut impl std::io::Read, len_buf: &mut [u8; 4]) -> Re
     Ok(true)
 }
 
+/// Reads one length-prefixed frame as raw bytes (prefix included), without
+/// decoding the payload — the one stream reader; [`Frame::decode`] turns
+/// its output into a frame.  Returns `None` on clean EOF at a frame
+/// boundary; EOF inside the prefix or the body is an `Io` transport error.
+/// The length prefix is capped at [`crate::MAX_FRAME_LEN`] before any
+/// allocation happens, so a corrupt header cannot balloon memory.
 pub fn read_raw_frame(stream: &mut impl std::io::Read) -> Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     if !read_len_prefix(stream, &mut len_buf)? {

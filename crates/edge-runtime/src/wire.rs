@@ -40,7 +40,6 @@ use crate::{Result, RuntimeError};
 use cnn_model::exec::QuantSpec;
 use cnn_model::Model;
 use edgesim::ExecutionPlan;
-use std::io::{Read, Write};
 use std::sync::Arc;
 use tensor::ops::{dequantize_slice, quant_scale, quantize_slice};
 use tensor::{slab, Tensor};
@@ -351,39 +350,6 @@ impl Frame {
         }
         Self::decode_body(&bytes[4..])
     }
-
-    /// Writes the frame to a byte stream (TCP framing).
-    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(&self.encode())
-            .map_err(|e| RuntimeError::transport_io(format!("write failed: {e}")))
-    }
-
-    /// Reads one frame from a byte stream.  Returns `None` on clean EOF at
-    /// a frame boundary; EOF *inside* the length prefix is a truncation
-    /// error, not a boundary.
-    pub fn read_from(r: &mut impl Read) -> Result<Option<Self>> {
-        let mut len_buf = [0u8; 4];
-        let mut got = 0;
-        while got < 4 {
-            match r.read(&mut len_buf[got..]) {
-                Ok(0) if got == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(RuntimeError::transport_io(format!(
-                        "EOF inside length prefix after {got} bytes"
-                    )))
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(RuntimeError::transport_io(format!("read failed: {e}"))),
-            }
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        check_frame_len(len)?;
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)
-            .map_err(|e| RuntimeError::transport_io(format!("truncated frame: {e}")))?;
-        Self::decode_body(&body).map(Some)
-    }
 }
 
 /// One layer's weights shipped in a plan swap: a layer the receiving device
@@ -571,6 +537,13 @@ impl ReconfigurePayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::read_raw_frame;
+
+    /// The next frame off a byte stream, read the way every socket reader
+    /// reads it.
+    fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Frame>> {
+        read_raw_frame(r)?.map(|b| Frame::decode(&b)).transpose()
+    }
 
     fn sample_frame() -> Frame {
         Frame::data(
@@ -598,13 +571,11 @@ mod tests {
     fn stream_roundtrip_multiple_frames() {
         let a = sample_frame();
         let b = Frame::halt();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        b.write_to(&mut buf).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(Frame::read_from(&mut cursor).unwrap().unwrap(), a);
-        assert_eq!(Frame::read_from(&mut cursor).unwrap().unwrap(), b);
-        assert!(Frame::read_from(&mut cursor).unwrap().is_none());
+        let buf = [a.encode(), b.encode()].concat();
+        let mut cursor = &buf[..];
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), a);
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b);
+        assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
     #[test]
@@ -635,8 +606,7 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(&u32::MAX.to_le_bytes());
         stream.extend_from_slice(&[0u8; 64]);
-        let mut cursor = std::io::Cursor::new(stream);
-        let err = Frame::read_from(&mut cursor).unwrap_err();
+        let err = read_raw_frame(&mut &stream[..]).unwrap_err();
         assert_eq!(
             err.as_transport().unwrap().kind,
             crate::TransportErrorKind::Protocol
@@ -688,14 +658,14 @@ mod tests {
         // An f32 consumer and a q8 producer share one stream: both kinds
         // decode to FrameKind::Rows with a usable f32 tensor.
         let t = Tensor::from_fn([2, 3, 4], |c, y, x| (c + y + x) as f32 * 0.25 - 0.9);
-        let mut buf = Vec::new();
-        Frame::rows_q8(1, 0, 0, 0, &t).write_to(&mut buf).unwrap();
-        Frame::data(FrameKind::Rows, 1, 1, 0, 0, t.clone())
-            .write_to(&mut buf)
-            .unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let a = Frame::read_from(&mut cursor).unwrap().unwrap();
-        let b = Frame::read_from(&mut cursor).unwrap().unwrap();
+        let buf = [
+            Frame::rows_q8(1, 0, 0, 0, &t).encode(),
+            Frame::data(FrameKind::Rows, 1, 1, 0, 0, t.clone()).encode(),
+        ]
+        .concat();
+        let mut cursor = &buf[..];
+        let a = read_frame(&mut cursor).unwrap().unwrap();
+        let b = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(a.kind, FrameKind::Rows);
         assert!(a.quant.is_some());
         assert_eq!(a.tensor.shape(), t.shape());

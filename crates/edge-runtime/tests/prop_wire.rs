@@ -4,6 +4,7 @@
 //! cover the model — are rejected with typed errors instead of panics,
 //! unbounded allocation or a silently different kernel path.
 
+use edge_runtime::transport::read_raw_frame;
 use edge_runtime::wire::check_frame_len;
 use edge_runtime::{
     Frame, FrameKind, ReconfigurePayload, RuntimeError, TransportErrorKind, WeightDelta,
@@ -72,13 +73,17 @@ proptest! {
         let bytes = frame.encode();
         let cut = (cut_fraction * (bytes.len() - 1) as f64) as usize;
         prop_assert!(Frame::decode(&bytes[..cut]).is_err());
-        // The streaming reader must reject it too (clean EOF at offset 0
-        // is the only non-error short read).
-        if cut > 0 {
-            let result = Frame::read_from(&mut &bytes[..cut]);
+        // The socket reader must reject it too: clean EOF at offset 0 is the
+        // only non-error short read, and EOF inside the prefix or the body
+        // is an `Io` error.
+        let result = read_raw_frame(&mut &bytes[..cut]);
+        if cut == 0 {
+            prop_assert!(matches!(result, Ok(None)), "{:?}", result);
+        } else {
+            let kind = result.err().and_then(|e| e.as_transport().map(|t| t.kind));
             prop_assert!(
-                result.is_err(),
-                "short read of {cut}/{} bytes must error",
+                kind == Some(TransportErrorKind::Io),
+                "short read of {cut}/{} bytes: {kind:?}",
                 bytes.len()
             );
         }
@@ -114,6 +119,9 @@ proptest! {
         let mut bytes = vec![0u8; 32];
         bytes[0..4].copy_from_slice(&(len as u32).to_le_bytes());
         prop_assert!(Frame::decode(&bytes).is_err());
+        // And through the socket reader, which must not allocate `len`.
+        let err = read_raw_frame(&mut &bytes[..]).unwrap_err();
+        prop_assert_eq!(err.as_transport().map(|t| t.kind), Some(TransportErrorKind::Protocol));
     }
 
     /// Reconfigure payloads (plan JSON + raw weight deltas) round-trip.

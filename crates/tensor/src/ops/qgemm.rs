@@ -392,13 +392,18 @@ fn qgemm_block(
 /// bit-interchangeable by construction.
 #[inline]
 fn qmicrokernel(arch: QKernelArch, a: &[i8], b: &[u8], acc: &mut [[i32; NR]; MR]) {
+    // The SIMD arms walk `a.len() / (MR * QK)` quads of `a` and `b` through
+    // raw pointers on the strength of this.
+    assert_eq!(a.len() * NR, b.len() * MR, "int8 micro-kernel panel sizes");
     match arch {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `qkernel_arch()` clamps to CPUID-detected capability, so
         // the required target features are present when these arms are
-        // selected.
+        // selected; the panel lengths were asserted above.
         QKernelArch::Vnni => unsafe { qmicrokernel_vnni(a, b, acc) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for the VNNI arm — AVX2 is CPUID-detected when this
+        // arm is selected, and the panel lengths were asserted above.
         QKernelArch::Avx2 => unsafe { qmicrokernel_avx2(a, b, acc) },
         _ => qmicrokernel_scalar(a, b, acc),
     }
@@ -721,5 +726,17 @@ mod tests {
             &mut wrong
         )
         .is_err());
+    }
+
+    /// A B panel one quad short of its A panel must stop the micro-kernel
+    /// on every arm: the SIMD arms would read past its end, the scalar arm
+    /// would silently drop the last quad.
+    #[test]
+    #[should_panic(expected = "int8 micro-kernel panel sizes")]
+    fn short_b_panel_is_refused() {
+        let a = [1i8; 2 * MR * QK];
+        let b = [1u8; NR * QK];
+        let mut acc = [[0i32; NR]; MR];
+        qmicrokernel(qkernel_arch(), &a, &b, &mut acc);
     }
 }

@@ -33,9 +33,7 @@
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
 use distredge::DistributionStrategy;
-use edge_cluster::{
-    BackoffPolicy, BoundNode, ClusterConfig, ClusterCoordinator, NodeConfig, NodeOptions, PeerSpec,
-};
+use edge_cluster::{BoundNode, ClusterConfig, ClusterSession, NodeConfig, PeerSpec};
 use edge_runtime::RuntimeOptions;
 use edge_telemetry::Telemetry;
 use std::time::Instant;
@@ -86,11 +84,7 @@ fn main() {
             println!("cluster : in-process nodes on {}", addrs.join(", "));
             let nodes: Vec<_> = bound
                 .into_iter()
-                .map(|node| {
-                    std::thread::spawn(move || {
-                        node.run(&NodeOptions::default(), &Telemetry::disabled())
-                    })
-                })
+                .map(|node| std::thread::spawn(move || node.run(&Telemetry::disabled())))
                 .collect();
             let config = ClusterConfig {
                 nodes: addrs
@@ -109,16 +103,16 @@ fn main() {
 
     // 2. Bootstrap: dial every node, ship plan + weight shard, deploy.
     let t0 = Instant::now();
-    let session = ClusterCoordinator::serve(
+    let cluster = ClusterSession::serve(
         &model,
         &plan,
         weights.clone(),
         &config,
-        &RuntimeOptions::default().with_max_in_flight(4),
-        &BackoffPolicy::default(),
+        RuntimeOptions::default().with_max_in_flight(4),
         &Telemetry::disabled(),
     )
     .expect("cluster deploy");
+    let session = cluster.session();
     println!(
         "deploy  : {} on {} nodes in {:.1} ms",
         model.name(),
@@ -151,7 +145,7 @@ fn main() {
     let elapsed = t0.elapsed();
     let ips = IMAGES as f64 / elapsed.as_secs_f64();
 
-    let report = session.shutdown().expect("shutdown");
+    let report = cluster.shutdown().expect("shutdown");
     println!(
         "serve   : {} images in {:.1} ms — {:.1} IPS, all bit-exact",
         report.images,

@@ -11,7 +11,7 @@
 //! distredge-node --device 0 --listen 127.0.0.1:7700 [--profile pi4]
 //! ```
 
-use edge_cluster::{BoundNode, NodeConfig, NodeOptions};
+use edge_cluster::{BoundNode, NodeConfig};
 use edge_telemetry::Telemetry;
 use std::process::ExitCode;
 
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
                 .map(|p| format!(" (profile {p})"))
                 .unwrap_or_default()
         );
-        node.run(&NodeOptions::default(), &Telemetry::disabled())
+        node.run(&Telemetry::disabled())
     });
     match run {
         Ok(()) => {

@@ -9,7 +9,7 @@
 
 use cnn_model::exec::{deterministic_input, run_full, ModelWeights};
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
-use edge_cluster::{BackoffPolicy, ClusterConfig, ClusterCoordinator, PeerSpec};
+use edge_cluster::{ClusterConfig, ClusterSession, PeerSpec};
 use edge_runtime::RuntimeOptions;
 use edge_telemetry::Telemetry;
 use edgesim::ExecutionPlan;
@@ -138,16 +138,16 @@ fn three_node_processes_serve_tiny_vgg_bit_exactly() {
     let procs = NodeProcs::spawn(3);
     let addrs = procs.addrs();
 
-    let session = ClusterCoordinator::serve(
+    let cluster = ClusterSession::serve(
         &model,
         &plan,
         weights.clone(),
         &cluster_config(&addrs),
-        &RuntimeOptions::default().with_max_in_flight(3),
-        &BackoffPolicy::default(),
+        RuntimeOptions::default().with_max_in_flight(3),
         &Telemetry::disabled(),
     )
     .expect("cluster bootstrap");
+    let session = cluster.session();
 
     let images: Vec<_> = (0..4).map(|s| deterministic_input(&model, s)).collect();
     let tickets: Vec<_> = images
@@ -167,7 +167,7 @@ fn three_node_processes_serve_tiny_vgg_bit_exactly() {
         );
     }
 
-    let report = session.shutdown().expect("shutdown");
+    let report = cluster.shutdown().expect("shutdown");
     assert_eq!(report.images, 4);
     procs.join();
 }
@@ -180,16 +180,16 @@ fn killed_node_reconnects_and_no_image_is_lost() {
     let mut procs = NodeProcs::spawn(3);
     let addrs = procs.addrs();
 
-    let session = ClusterCoordinator::serve(
+    let cluster = ClusterSession::serve(
         &model,
         &plan,
         weights.clone(),
         &cluster_config(&addrs),
-        &RuntimeOptions::default().with_max_in_flight(2),
-        &BackoffPolicy::default(),
+        RuntimeOptions::default().with_max_in_flight(2),
         &Telemetry::disabled(),
     )
     .expect("cluster bootstrap");
+    let session = cluster.session();
     assert_eq!(session.epoch(), 0);
 
     let images: Vec<_> = (0..8).map(|s| deterministic_input(&model, s)).collect();
@@ -230,7 +230,7 @@ fn killed_node_reconnects_and_no_image_is_lost() {
     }
 
     assert!(
-        session.resyncs() >= 1,
+        cluster.resyncs() >= 1,
         "supervisor must have re-handshaken the killed node"
     );
     assert!(
@@ -239,7 +239,7 @@ fn killed_node_reconnects_and_no_image_is_lost() {
     );
     assert!(session.failure().is_none(), "session must not be poisoned");
 
-    let report = session.shutdown().expect("shutdown");
+    let report = cluster.shutdown().expect("shutdown");
     assert_eq!(report.images, 8, "zero image loss across the kill");
     drop(procs);
 }
