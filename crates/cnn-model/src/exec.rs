@@ -23,7 +23,10 @@
 //! cloning a weight set, cutting a per-device [`ModelWeights::shard`] and
 //! the session's retained copy for swap deltas are refcount bumps, and
 //! [`PackedModelWeights::pack_owned`] releases each raw layer as soon as
-//! its panels exist.
+//! its panels exist.  Panels are shared the same way: each packed layer
+//! holds its filter and bias behind an `Arc`, so a deploy packs each layer
+//! once and [`PackedModelWeights::shard`] hands every device its layers of
+//! that one pack without copying a panel.
 
 use crate::layer::{Layer, LayerOp};
 use crate::model::Model;
@@ -31,6 +34,7 @@ use crate::volume::PartPlan;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Arc;
 use tensor::ops::{
     conv2d_rows_packed, linear_packed, linear_q8, maxpool2d_rows, pack_conv_filter,
@@ -64,7 +68,7 @@ impl ModelWeights {
     /// (plus, for the head device, the FC head) actually run, instead of
     /// preloading the full model everywhere.  Kept layers share storage
     /// with `self`: no weight is copied.
-    pub fn shard(&self, keep: &std::collections::HashSet<usize>) -> Self {
+    pub fn shard(&self, keep: &HashSet<usize>) -> Self {
         let layers = self
             .layers
             .iter()
@@ -272,7 +276,8 @@ impl QuantSpec {
 }
 
 /// One layer's weights in kernel-panel form — each layer's single resident
-/// copy.
+/// copy.  Filters and biases are shared immutable storage: cloning a layer
+/// (or cutting a [`PackedModelWeights::shard`]) bumps refcounts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PackedLayerWeights {
     /// A conv layer packed in the one panel form its geometry routes to:
@@ -280,25 +285,25 @@ pub enum PackedLayerWeights {
     /// panels, or int8 panels (see [`tensor::ops::PackedConvFilter`]).
     Conv {
         /// Prepacked conv panels (exactly one of GEMM / Winograd / int8).
-        filter: PackedConvFilter,
+        filter: Arc<PackedConvFilter>,
         /// One bias entry per output channel.
-        bias: Vec<f32>,
+        bias: Arc<[f32]>,
     },
     /// An FC layer packed into `[out] × [in]` GEMV row panels.
     Fc {
         /// Prepacked GEMV panels.
-        filter: PackedLinearFilter,
+        filter: Arc<PackedLinearFilter>,
         /// One bias entry per output feature.
-        bias: Vec<f32>,
+        bias: Arc<[f32]>,
     },
     /// An FC layer packed into int8 GEMV quad panels for the quantized path.
     QFc {
         /// Prepacked int8 panels with per-row corrections.
-        filter: QuantizedLinearFilter,
+        filter: Arc<QuantizedLinearFilter>,
         /// Calibrated input-activation scale.
         scale_in: f32,
         /// One bias entry per output feature.
-        bias: Vec<f32>,
+        bias: Arc<[f32]>,
     },
     /// A pooling layer — no weights to pack.
     Pool,
@@ -310,10 +315,11 @@ pub enum PackedLayerWeights {
 /// panels, so the per-frame hot path ([`run_part_on_band_packed`] /
 /// [`run_head_packed`]) never repacks.
 ///
-/// Built once from (possibly sharded) [`ModelWeights`] at deploy, and grown
-/// layer-by-layer via [`PackedModelWeights::install_layer`] when a
-/// `Reconfigure` delta shard arrives — so a plan swap repacks only the
-/// layers that actually shipped.
+/// Built once from (possibly sharded) [`ModelWeights`] at deploy and cut
+/// into per-device [`PackedModelWeights::shard`]s that share its panels.
+/// A device's set grows layer-by-layer via
+/// [`PackedModelWeights::install_layer`] when a `Reconfigure` delta shard
+/// arrives — so a plan swap repacks only the layers that actually shipped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedModelWeights {
     layers: Vec<PackedLayerWeights>,
@@ -399,8 +405,8 @@ impl PackedModelWeights {
                     let filter = pack_conv_filter(w, layer.input.c, c_out, f, stride, pin)
                         .map_err(geometry_err)?;
                     PackedLayerWeights::Conv {
-                        filter,
-                        bias: b.to_vec(),
+                        filter: Arc::new(filter),
+                        bias: Arc::from(b),
                     }
                 }
             }
@@ -411,16 +417,16 @@ impl PackedModelWeights {
                     let filter = QuantizedLinearFilter::pack(w, out_features, layer.input.volume())
                         .map_err(geometry_err)?;
                     PackedLayerWeights::QFc {
-                        filter,
+                        filter: Arc::new(filter),
                         scale_in,
-                        bias: b.to_vec(),
+                        bias: Arc::from(b),
                     }
                 } else {
                     let filter = pack_linear_filter(w, layer.input.volume(), out_features)
                         .map_err(geometry_err)?;
                     PackedLayerWeights::Fc {
-                        filter,
-                        bias: b.to_vec(),
+                        filter: Arc::new(filter),
+                        bias: Arc::from(b),
                     }
                 }
             }
@@ -450,6 +456,44 @@ impl PackedModelWeights {
         let scale_in = self.quant.as_ref().and_then(|q| q.layer_scale(index));
         self.layers[index] = Self::pack_layer(layer, w, b, scale_in)?;
         Ok(())
+    }
+
+    /// Keeps only the layers whose index is in `keep`; the rest become
+    /// [`PackedLayerWeights::Absent`] (pools stay resident) — the packed
+    /// twin of [`ModelWeights::shard`], equal to packing the raw shard.
+    /// Kept layers share panels with `self`: refcount bumps, no copy, so
+    /// devices cut from one pack hold one copy of each layer between them.
+    /// The shard keeps the quantization spec for its own delta installs.
+    pub fn shard(&self, keep: &HashSet<usize>) -> Self {
+        let layers = self
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| match layer {
+                PackedLayerWeights::Pool => PackedLayerWeights::Pool,
+                _ if keep.contains(&i) => layer.clone(),
+                _ => PackedLayerWeights::Absent,
+            })
+            .collect();
+        Self {
+            layers,
+            quant: self.quant.clone(),
+        }
+    }
+
+    /// How many packs hold this pack's panels: itself plus every live
+    /// [`PackedModelWeights::shard`] cut from it, read off the first packed
+    /// layer.  `1` for a pack without weights.
+    pub fn panel_holders(&self) -> usize {
+        self.layers
+            .iter()
+            .find_map(|l| match l {
+                PackedLayerWeights::Conv { filter, .. } => Some(Arc::strong_count(filter)),
+                PackedLayerWeights::Fc { filter, .. } => Some(Arc::strong_count(filter)),
+                PackedLayerWeights::QFc { filter, .. } => Some(Arc::strong_count(filter)),
+                _ => None,
+            })
+            .unwrap_or(1)
     }
 
     /// The quantization spec this pack was built with, if any.
@@ -903,6 +947,38 @@ mod tests {
         let plan = PartPlan::plan(&m, v, 0, v.last_output_height(&m)).unwrap();
         let band = slice_rows(&l0_out, plan.input_rows.0, plan.input_rows.1).unwrap();
         assert!(run_part_on_band_packed(&m, &packed, &plan, band).is_err());
+    }
+
+    #[test]
+    fn a_packed_shard_equals_packing_the_raw_shard_and_shares_its_panels() {
+        for (m, quantize) in [(small_model(), false), (quantizable_model(), true)] {
+            let w = ModelWeights::deterministic(&m, 34);
+            let spec = quantize.then(|| QuantSpec::calibrate(&m, &w).unwrap());
+            let full = PackedModelWeights::pack_with(&m, &w, spec.as_ref()).unwrap();
+            assert_eq!(full.panel_holders(), 1);
+            let keep: HashSet<usize> = [0, 3].into_iter().collect();
+            let shard = full.shard(&keep);
+            let packed_raw_shard =
+                PackedModelWeights::pack_with(&m, &w.shard(&keep), spec.as_ref()).unwrap();
+            assert_eq!(shard, packed_raw_shard);
+            assert_eq!(shard.quant(), spec.as_ref());
+            match (&shard.layers()[0], &full.layers()[0]) {
+                (
+                    PackedLayerWeights::Conv {
+                        filter: a,
+                        bias: ba,
+                    },
+                    PackedLayerWeights::Conv {
+                        filter: b,
+                        bias: bb,
+                    },
+                ) => assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(ba, bb)),
+                other => panic!("layer 0 must pack as Conv, got {other:?}"),
+            }
+            assert_eq!(full.panel_holders(), 2);
+            drop(shard);
+            assert_eq!(full.panel_holders(), 1);
+        }
     }
 
     #[test]

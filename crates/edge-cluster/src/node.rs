@@ -3,9 +3,10 @@
 //!
 //! A node knows nothing at start except its device id and listen address.
 //! The first coordinator [`Hello`](crate::proto::Hello) bootstraps
-//! everything — model, peer table, plan epoch, weight shard — and spawns
-//! the provider's three-thread pipeline (`edge-runtime`'s
-//! `spawn_provider`).  After that the runloop only routes connections:
+//! everything — model, peer table, plan epoch, weight shard — packs the
+//! shard into kernel panels and spawns the provider's three-thread pipeline
+//! over them (`edge-runtime`'s `spawn_provider`).  After that the runloop
+//! only routes connections:
 //!
 //! * repeat `Hello` (coordinator reconnect) → re-attach the socket, reply
 //!   with the installed epoch; the provider itself never restarts,
@@ -26,12 +27,12 @@ use crate::config::NodeConfig;
 use crate::link::{LinkSlot, LinkTx};
 use crate::proto::{self, Hello, Welcome, PREAMBLE_HELLO, PREAMBLE_LINK};
 use crate::{ClusterError, Result};
-use cnn_model::exec::{LayerWeights, ModelWeights};
+use cnn_model::exec::{LayerWeights, ModelWeights, PackedModelWeights};
 use edge_runtime::provider::{spawn_provider, Shared};
 use edge_runtime::routing::{EpochSlot, PlanEpoch};
 use edge_runtime::transport::{pump, FrameTx};
 use edge_runtime::wire::Frame;
-use edge_runtime::{ProviderWeights, RuntimeError};
+use edge_runtime::RuntimeError;
 use edge_telemetry::Telemetry;
 use edgesim::Endpoint;
 use std::collections::HashMap;
@@ -268,7 +269,7 @@ fn bootstrap(
 
     // Materialise this device's weight shard from the payload deltas.  The
     // decoded layers move in as they are, and this node is their only
-    // owner: the provider's packing pass frees each one as it is packed.
+    // owner: packing frees each one as its panels exist.
     let mut layers = vec![LayerWeights::default(); n_layers];
     for delta in hello.payload.delta {
         if delta.layer >= n_layers {
@@ -285,10 +286,13 @@ fn bootstrap(
     let epoch = PlanEpoch::new(hello.epoch, &model, &hello.payload.plan)
         .map_err(ClusterError::Runtime)?
         .with_wire_q8(hello.payload.quant.is_some());
+    // Packed before the provider exists and before `Welcome`: the requester
+    // treats `Welcome` as "this node serves its first frame at full speed".
+    let packed = PackedModelWeights::pack_owned(&model, weights, hello.payload.quant.as_ref())
+        .map_err(|e| ClusterError::Runtime(e.into()))?;
     let shared = Arc::new(Shared {
         model,
         slot: EpochSlot::new(epoch),
-        quant: hello.payload.quant.clone(),
     });
 
     // Outbound halo links to every other peer, lazy-dialing.
@@ -317,17 +321,11 @@ fn bootstrap(
     let provider = spawn_provider(
         cfg.device,
         Arc::clone(&shared),
-        ProviderWeights::Sharded(weights),
+        packed,
         inbox_rx,
         txs,
         telemetry,
     );
-
-    // Confirm the install only after the compute thread has packed its
-    // shard into GEMM panels — the requester treats `Welcome` as "this node
-    // serves its first frame at full speed", matching the in-process
-    // deploy barrier.
-    provider.wait_ready().map_err(ClusterError::Runtime)?;
     proto::write_welcome(
         &mut stream,
         &Welcome {

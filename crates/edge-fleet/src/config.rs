@@ -86,12 +86,6 @@ impl FleetConfig {
         self
     }
 
-    /// Overrides the queue-depth low watermark.
-    pub fn with_queue_low_watermark(mut self, depth: usize) -> Self {
-        self.queue_low_watermark = depth;
-        self
-    }
-
     /// Overrides (and enables) the p99 latency high watermark.
     pub fn with_p99_high_watermark_ms(mut self, p99_ms: f64) -> Self {
         self.p99_high_watermark_ms = p99_ms;

@@ -4,8 +4,9 @@
 //! One [`FleetServer`] owns N replica [`Session`]s — each its own provider
 //! cluster — behind the existing batching/priority/deadline gateway.  All
 //! replicas of one model deploy from a single shared
-//! [`Arc<PackedModelWeights>`] ([`WeightSource::Shared`]): K replicas cost
-//! one packing pass and one resident weight copy.
+//! [`Arc<PackedModelWeights>`] ([`WeightSource::Shared`]): every provider
+//! of every replica holds a shard of its panels, so K replicas cost one
+//! packing pass and one resident weight copy.
 
 use crate::config::FleetConfig;
 use crate::spec::ModelSpec;
@@ -597,9 +598,10 @@ pub struct ModelTenancy {
     pub id: String,
     /// Live (non-draining) replicas.
     pub replicas: usize,
-    /// Strong references to the one shared packed-weight artifact: the
-    /// registry's own plus one per provider device across every replica —
-    /// direct evidence that K replicas share one resident copy.
+    /// Holders of the one shared packed-weight artifact's panels
+    /// ([`PackedModelWeights::panel_holders`]): the registry's pack plus one
+    /// shard per provider device across every replica — direct evidence
+    /// that K replicas share one resident copy.
     pub packed_refs: usize,
     /// Bytes of that single resident copy.
     pub resident_bytes: usize,
@@ -807,7 +809,7 @@ impl FleetServer {
                 .map(|(id, entry)| ModelTenancy {
                     id: id.to_string(),
                     replicas: self.inner.live_replicas(id),
-                    packed_refs: Arc::strong_count(&entry.packed),
+                    packed_refs: entry.packed.panel_holders(),
                     resident_bytes: entry.packed.resident_bytes(),
                 })
                 .collect();

@@ -20,9 +20,9 @@
 //!   the session's zero-loss drain protocol ([`FleetConfig`] documents the
 //!   knobs).
 //! * **Observability** — [`FleetServer::fleet_metrics`] snapshots
-//!   per-replica load and per-model tenancy (including the shared-pack
-//!   reference count); on an enabled telemetry hub, routing emits
-//!   `fleet.route` instants and scaling emits `fleet.scale_up` /
+//!   per-replica load and per-model tenancy (including how many shards
+//!   hold the shared pack's panels); on an enabled telemetry hub, routing
+//!   emits `fleet.route` instants and scaling emits `fleet.scale_up` /
 //!   `fleet.scale_down` spans on the same clock as the gateway and the
 //!   replica sessions.
 //!

@@ -50,15 +50,6 @@ pub struct Response {
 }
 
 impl Response {
-    /// Whether the response has resolved (a `wait` would not block).
-    pub fn is_ready(&self) -> bool {
-        self.state
-            .slot
-            .lock()
-            .expect("response slot poisoned")
-            .is_some()
-    }
-
     /// Blocks until the response resolves and claims it.
     pub fn wait(self) -> Result<Tensor, GatewayError> {
         let mut slot = self.state.slot.lock().expect("response slot poisoned");
@@ -81,6 +72,10 @@ struct PendingRequest {
     priority: Priority,
     state: Arc<ResponseState>,
 }
+
+/// Admitted requests by ticket, each with the trace it was admitted under
+/// (the session's epoch at admission, and the image).
+type Pending = HashMap<RouteTicket, (PendingRequest, TraceId)>;
 
 /// Front-end counters (behind the state mutex).
 #[derive(Default)]
@@ -472,7 +467,7 @@ fn build_metrics(stats: &Stats, queue_depth: usize, session: RuntimeReport) -> G
 /// The dispatcher: forms waves out of the batcher, sizes them to the
 /// session's free credits, submits them, and resolves completions.
 fn dispatch_loop(inner: Arc<Inner>) {
-    let mut pending: HashMap<RouteTicket, PendingRequest> = HashMap::new();
+    let mut pending = Pending::new();
     loop {
         drain_completions(&inner, &mut pending);
 
@@ -490,7 +485,7 @@ fn dispatch_loop(inner: Arc<Inner>) {
             for req in queued {
                 req.state.fulfil(Err(err.clone()));
             }
-            for (_, req) in pending.drain() {
+            for (_, (req, _)) in pending.drain() {
                 req.state.fulfil(Err(err.clone()));
             }
             return;
@@ -504,7 +499,7 @@ fn dispatch_loop(inner: Arc<Inner>) {
                 }
                 inner.tel.queue_depth.set(0);
                 drop(st);
-                for (_, req) in pending.drain() {
+                for (_, (req, _)) in pending.drain() {
                     req.state.fulfil(Err(GatewayError::Closed));
                 }
                 return;
@@ -525,8 +520,8 @@ fn dispatch_loop(inner: Arc<Inner>) {
                     if let Some(Ok(Some(output))) =
                         inner.with_backend(|b| b.wait_timeout(ticket, DISPATCH_TICK))
                     {
-                        let req = pending.remove(&ticket).expect("ticket is pending");
-                        resolve_completion(&inner, req, ticket.image, output);
+                        let (req, trace) = pending.remove(&ticket).expect("ticket is pending");
+                        resolve_completion(&inner, req, trace, output);
                     }
                 } else {
                     let _ = inner
@@ -581,11 +576,7 @@ fn dispatch_loop(inner: Arc<Inner>) {
 /// for a free credit (and draining completions) while the window is full —
 /// including while a plan swap drains, during which the queue simply parks
 /// here until admission reopens at the new epoch.
-fn submit_one(
-    inner: &Arc<Inner>,
-    req: PendingRequest,
-    pending: &mut HashMap<RouteTicket, PendingRequest>,
-) {
+fn submit_one(inner: &Arc<Inner>, req: PendingRequest, pending: &mut Pending) {
     loop {
         let now = Instant::now();
         if let Some(dl) = req.deadline {
@@ -613,22 +604,23 @@ fn submit_one(
             Some(Ok(Some(admission))) => {
                 inner.lock().stats.dispatched += 1;
                 inner.tel.dispatched.inc();
+                let trace = TraceId {
+                    epoch: admission.epoch,
+                    image: admission.ticket.image,
+                };
                 // The queue-wait span: enqueue → admission into the session.
                 if let Some(now) = inner.tel.hub.start() {
                     let mut rec = inner.tel.rec.lock().expect("telemetry recorder poisoned");
                     rec.span_between(
                         Stage::GatewayQueue,
-                        TraceId {
-                            epoch: admission.epoch,
-                            image: admission.ticket.image,
-                        },
+                        trace,
                         req.enqueued,
                         now,
                         0,
                         req.priority.index() as u32,
                     );
                 }
-                pending.insert(admission.ticket, req);
+                pending.insert(admission.ticket, (req, trace));
                 return;
             }
             Some(Ok(None)) => {
@@ -647,22 +639,23 @@ fn submit_one(
 }
 
 /// Resolves every completion the backend currently has ready.
-fn drain_completions(inner: &Arc<Inner>, pending: &mut HashMap<RouteTicket, PendingRequest>) {
+fn drain_completions(inner: &Arc<Inner>, pending: &mut Pending) {
     loop {
         let Some(Some((ticket, output))) = inner.with_backend(|b| b.try_recv()) else {
             return;
         };
-        let Some(req) = pending.remove(&ticket) else {
+        let Some((req, trace)) = pending.remove(&ticket) else {
             // Not ours (impossible — the gateway owns the backend), drop it.
             continue;
         };
-        resolve_completion(inner, req, ticket.image, output);
+        resolve_completion(inner, req, trace, output);
     }
 }
 
 /// Resolves one completed request: records its latency, enforces its
-/// deadline, and fulfils the client's response.
-fn resolve_completion(inner: &Arc<Inner>, req: PendingRequest, image: u32, output: Tensor) {
+/// deadline, and fulfils the client's response.  The `Respond` instant goes
+/// on the trace the request was admitted under.
+fn resolve_completion(inner: &Arc<Inner>, req: PendingRequest, trace: TraceId, output: Tensor) {
     let latency_ms = req.enqueued.elapsed().as_secs_f64() * 1e3;
     let late = req.deadline.is_some_and(|dl| Instant::now() > dl);
     let mut st = inner.lock();
@@ -681,7 +674,7 @@ fn resolve_completion(inner: &Arc<Inner>, req: PendingRequest, image: u32, outpu
         inner.tel.completed.inc();
         if inner.tel.hub.is_enabled() {
             let mut rec = inner.tel.rec.lock().expect("telemetry recorder poisoned");
-            rec.instant(Stage::Respond, TraceId { epoch: 0, image }, 0, 0);
+            rec.instant(Stage::Respond, trace, 0, 0);
         }
         req.state.fulfil(Ok(output));
     }

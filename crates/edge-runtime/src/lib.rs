@@ -77,7 +77,6 @@ pub mod session;
 pub mod transport;
 pub mod wire;
 
-pub use provider::ProviderWeights;
 pub use report::{DeviceMetrics, MeasuredCompute, RuntimeReport};
 pub use routing::{EpochSlot, PlanEpoch, RouteTable};
 pub use runtime::{RuntimeOptions, RuntimeOutcome};

@@ -25,27 +25,25 @@
 //! so a data frame whose epoch differs from this device's installed epoch
 //! is always a protocol violation, never a race.
 //!
-//! Weights are resident as a **deploy-time packed artifact**: the compute
-//! thread packs its sharded raw weights into kernel panels
-//! ([`cnn_model::exec::PackedModelWeights::pack_owned`]) once at spawn,
-//! releasing its handle on each raw layer as soon as that layer's panels
-//! exist (the shard shares storage with the deployer's weights, so nothing
-//! was copied to begin with; a provider that solely owns its shard — a
-//! cluster node — frees it layer by layer); a `Reconfigure` delta repacks
-//! only the layers that actually shipped.  The per-frame kernels consume
-//! the packed panels directly — no frame ever pays packing cost
-//! ([`ComputeStats::layers_packed`] is the observable proof: it moves at
-//! deploy and swap time only).  The compute thread signals
-//! [`ProviderHandle::wait_ready`] once its pack completes, so deploy — and
-//! the session's throughput clock — finishes only after every provider can
-//! serve its first frame at full speed.
+//! Weights are resident as a **deploy-time packed artifact**: a provider is
+//! spawned with its shard of kernel panels already packed, so it serves its
+//! first frame at full speed.  In-process that shard is a
+//! [`PackedModelWeights::shard`] of the one pack the deploy built, sharing
+//! panels with every other device on the host; a cluster node packs the
+//! shard its handshake shipped ([`PackedModelWeights::pack_owned`]) before
+//! it spawns the provider.  A `Reconfigure` delta's
+//! [`PackedModelWeights::install_layer`] is the only packing a provider
+//! ever does, and it repacks only the layers that actually shipped.  The
+//! per-frame kernels consume the packed panels directly — no frame ever
+//! pays packing cost ([`ComputeStats::layers_packed`] is the observable
+//! proof: it moves at deploy and swap time only).
 
 use crate::report::DeviceMetrics;
 use crate::routing::{overlap, EpochSlot, PlanEpoch};
 use crate::transport::FrameTx;
 use crate::wire::{Frame, FrameKind, ReconfigurePayload};
 use crate::{Result, RuntimeError, TransportError, TransportErrorKind};
-use cnn_model::exec::{self, ModelWeights, PackedModelWeights, QuantSpec};
+use cnn_model::exec::{self, PackedModelWeights};
 use cnn_model::Model;
 use edge_telemetry::{Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use edgesim::Endpoint;
@@ -59,18 +57,13 @@ use tensor::{Shape, Tensor};
 
 /// Configuration shared by the three threads of one provider worker.
 /// Weights are *not* here: the compute thread owns its resident
-/// [`PackedModelWeights`] mutably so `Reconfigure` frames can grow the
-/// packed set in place.
+/// [`PackedModelWeights`] shard mutably so `Reconfigure` frames can grow it
+/// in place (with the quantization spec the shard was packed with).
 pub struct Shared {
     /// The model being served.
     pub model: Model,
     /// The current plan epoch, swapped in place on `Reconfigure`.
     pub slot: EpochSlot,
-    /// Per-layer int8 quantization scales, when the session serves
-    /// quantized.  The spawn-time packing pass (and every `Reconfigure`
-    /// delta install) builds int8 panels for the layers this spec routes to
-    /// the quantized kernels; `None` packs the classic f32 panels.
-    pub quant: Option<QuantSpec>,
 }
 
 /// An in-progress input band: rows arrive from several sources (peers, the
@@ -165,10 +158,12 @@ pub struct ComputeStats {
     /// Plan epochs installed by `Reconfigure` frames (0 until the first
     /// swap).
     pub epochs_installed: u64,
-    /// Weight layers packed into GEMM panels on this device — counted at
-    /// deploy (the initial shard) and on `Reconfigure` delta installs
-    /// *only*.  Steady-state serving never moves this counter: per-frame
-    /// packing would be a regression the residency tests catch here.
+    /// Weight layers packed into GEMM panels for this device — its deploy
+    /// shard's layers (charged by the deploy whose packing pass built them;
+    /// 0 when the deploy shares a caller's pack) plus every `Reconfigure`
+    /// delta install.  Steady-state serving never moves this counter:
+    /// per-frame packing would be a regression the residency tests catch
+    /// here.
     pub layers_packed: u64,
     /// Data frames dropped because they carried an epoch older than the
     /// installed one — expected debris after an epoch re-sync, never
@@ -224,67 +219,6 @@ impl ProviderStats {
     }
 }
 
-/// What a provider worker is given to make its weights resident.
-///
-/// The classic deploy path shards the raw weights per device and each
-/// compute thread packs its own shard at spawn.  A fleet of replica
-/// sessions serving the *same* model instead shares one deploy-time
-/// [`PackedModelWeights`] artifact across every provider of every replica
-/// via `Arc` — K replicas cost one packing pass and one resident copy.
-pub enum ProviderWeights {
-    /// This device's sharded raw weights (shared storage, not a copy); the
-    /// compute thread packs them into kernel panels at spawn, dropping its
-    /// handle on each raw layer as that layer is packed.
-    Sharded(ModelWeights),
-    /// A full-model packed artifact shared with other providers (and other
-    /// replica sessions).  No packing happens at spawn, and
-    /// [`ComputeStats::layers_packed`] stays 0 — the observable proof of
-    /// sharing.  Shared packs are immutable: they are deployed with every
-    /// layer resident, so plan swaps never ship weight deltas to them.
-    Prepacked(Arc<PackedModelWeights>),
-}
-
-/// The compute thread's resident weight set: owned-and-growable on the
-/// sharded path, immutable-and-shared on the prepacked path.
-enum ResidentWeights {
-    Owned(PackedModelWeights),
-    Shared(Arc<PackedModelWeights>),
-}
-
-impl ResidentWeights {
-    fn get(&self) -> &PackedModelWeights {
-        match self {
-            ResidentWeights::Owned(w) => w,
-            ResidentWeights::Shared(w) => w,
-        }
-    }
-
-    fn install_layer(
-        &mut self,
-        model: &Model,
-        layer: usize,
-        weights: &[f32],
-        bias: &[f32],
-    ) -> Result<()> {
-        match self {
-            ResidentWeights::Owned(w) => Ok(w.install_layer(model, layer, weights, bias)?),
-            // A shared pack is fully resident by construction, so the
-            // requester's residency diff ships empty deltas to it; a
-            // non-empty delta addressed here is a protocol violation.
-            ResidentWeights::Shared(w) => {
-                if weights.is_empty() && w.is_resident(layer) {
-                    Ok(())
-                } else {
-                    Err(RuntimeError::Execution(format!(
-                        "reconfigure shipped a weight delta for layer {layer} to a provider \
-                         serving shared prepacked weights"
-                    )))
-                }
-            }
-        }
-    }
-}
-
 /// Join handles of one provider's three threads, plus its live counters.
 pub struct ProviderHandle {
     device: usize,
@@ -292,28 +226,9 @@ pub struct ProviderHandle {
     comp: JoinHandle<Result<()>>,
     send: JoinHandle<Result<()>>,
     pub(crate) stats: Arc<ProviderStats>,
-    /// Signalled once by the compute thread when its resident weights are
-    /// ready to serve frames (after the spawn-time packing pass on the
-    /// sharded path; immediately on the prepacked path).  Behind a mutex
-    /// only so the handle stays `Sync` inside a shared `Session`.
-    ready: Mutex<Receiver<()>>,
 }
 
 impl ProviderHandle {
-    /// Blocks until the compute thread's resident weights are ready — the
-    /// deploy-side half of the packing barrier.  Deploy completes (and the
-    /// throughput clock starts) only after this returns, so spawn-time
-    /// packing is deploy cost, never stream cost.  Errors if the compute
-    /// thread exited before signalling (its packing pass failed).
-    pub fn wait_ready(&self) -> Result<()> {
-        let ready = self.ready.lock().expect("ready channel poisoned");
-        ready.recv().map_err(|_| {
-            RuntimeError::Execution(
-                "provider compute thread exited before its weights were ready".into(),
-            )
-        })
-    }
-
     /// Waits for the provider's three threads to exit (they do once a
     /// `Halt` frame reaches the inbox, or on a worker error); the first
     /// thread error wins.  This is how a session's teardown joins its
@@ -366,24 +281,20 @@ enum OutMsg {
     EpochAck { epoch: u64 },
 }
 
-/// Spawns the three threads of provider `d`.  On the
-/// [`ProviderWeights::Sharded`] path only the layers `d`'s parts need are
-/// resident; the compute thread packs them into kernel panels once at
-/// spawn (consuming the shard layer by layer) and grows the packed set on
-/// `Reconfigure` deltas.  On the [`ProviderWeights::Prepacked`] path the
-/// worker shares an immutable full-model pack and never packs anything
-/// itself.
+/// Spawns the three threads of provider `d` over `weights`, its packed
+/// shard: the layers `d`'s parts (and, on the head device, the FC head)
+/// run.  The compute thread serves from it as given and grows it only on
+/// `Reconfigure` deltas.
 pub fn spawn_provider(
     d: usize,
     shared: Arc<Shared>,
-    weights: ProviderWeights,
+    weights: PackedModelWeights,
     inbox: Receiver<Vec<u8>>,
     txs: HashMap<Endpoint, Box<dyn FrameTx>>,
     telemetry: &Telemetry,
 ) -> ProviderHandle {
     let (to_comp, comp_rx) = channel::<Frame>();
     let (to_send, send_rx) = channel::<OutMsg>();
-    let (ready_tx, ready_rx) = channel::<()>();
 
     // One ring per thread, named after the Chrome-trace track it becomes.
     let recv_rec = telemetry.recorder(&format!("dev{d}.recv"), d as u32);
@@ -416,7 +327,6 @@ pub fn spawn_provider(
                 d,
                 comp_shared,
                 weights,
-                ready_tx,
                 comp_rx,
                 to_send,
                 comp_stats,
@@ -437,7 +347,6 @@ pub fn spawn_provider(
         comp,
         send,
         stats,
-        ready: Mutex::new(ready_rx),
     }
 }
 
@@ -479,11 +388,9 @@ fn receive_loop(
 struct ComputeState {
     d: usize,
     shared: Arc<Shared>,
-    /// The device's resident weights: packed into GEMM panels at spawn
-    /// (deploy time) and grown in place by `Reconfigure` delta shards on
-    /// the owned path, or an immutable shared full-model pack — never
-    /// touched on the frame path either way.
-    weights: ResidentWeights,
+    /// The device's resident weights: packed at deploy, grown in place by
+    /// `Reconfigure` delta shards, never touched on the frame path.
+    weights: PackedModelWeights,
     assemblies: HashMap<(u32, u32), Assembly>,
     /// Open-assembly count per image — tracked incrementally so the
     /// high-water mark costs O(1) per frame, not a scan of all assemblies.
@@ -493,43 +400,19 @@ struct ComputeState {
     rec: Recorder,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn compute_loop(
     d: usize,
     shared: Arc<Shared>,
-    weights: ProviderWeights,
-    ready: Sender<()>,
+    weights: PackedModelWeights,
     rx: Receiver<Frame>,
     to_send: Sender<OutMsg>,
     stats: Arc<ProviderStats>,
     rec: Recorder,
 ) -> Result<()> {
-    let resident = match weights {
-        // Deploy-time packing: turn the sharded raw weights into kernel
-        // panels once, before the first frame, releasing each raw layer as
-        // it is packed.  From here on the only packing this worker ever
-        // does is per-layer `Reconfigure` delta installs.
-        ProviderWeights::Sharded(raw) => {
-            let packed = PackedModelWeights::pack_owned(&shared.model, raw, shared.quant.as_ref())?;
-            {
-                let mut comp = stats.comp.lock().expect("comp stats poisoned");
-                comp.layers_packed += packed.packed_layer_count() as u64;
-            }
-            ResidentWeights::Owned(packed)
-        }
-        // Someone else already paid the packing pass; `layers_packed`
-        // stays 0 on this worker.
-        ProviderWeights::Prepacked(shared_pack) => ResidentWeights::Shared(shared_pack),
-    };
-    // Packing done (or skipped): release the deploy barrier.  A dropped
-    // receiver just means nobody is waiting (a rejoined cluster node's
-    // requester, for example), which is fine.
-    let _ = ready.send(());
-    drop(ready);
     let mut state = ComputeState {
         d,
         shared,
-        weights: resident,
+        weights,
         assemblies: HashMap::new(),
         open_images: HashMap::new(),
         to_send,
@@ -601,11 +484,11 @@ impl ComputeState {
         payload.check_against(&self.shared.model)?;
         let mut installed = 0u64;
         for delta in payload.delta {
-            if delta.layer >= self.weights.get().layers().len() {
+            if delta.layer >= self.weights.layers().len() {
                 return Err(RuntimeError::Wire(format!(
                     "reconfigure delta addresses layer {} of a {}-layer model",
                     delta.layer,
-                    self.weights.get().layers().len()
+                    self.weights.layers().len()
                 )));
             }
             // Pack only what shipped: layers already resident were diffed
@@ -725,7 +608,7 @@ impl ComputeState {
             if stage == finish {
                 // Head gather complete: run the FC head, return the result.
                 let t0 = Instant::now();
-                let out = exec::run_head_packed(&self.shared.model, self.weights.get(), &band)?;
+                let out = exec::run_head_packed(&self.shared.model, &self.weights, &band)?;
                 let t1 = Instant::now();
                 {
                     let mut comp = self.stats.comp.lock().expect("comp stats poisoned");
@@ -755,8 +638,7 @@ impl ComputeState {
 
             let part = &route.parts[stage][self.d];
             let t0 = Instant::now();
-            let out =
-                exec::run_part_on_band_packed(&self.shared.model, self.weights.get(), part, band)?;
+            let out = exec::run_part_on_band_packed(&self.shared.model, &self.weights, part, band)?;
             let t1 = Instant::now();
             let ms = (t1 - t0).as_secs_f64() * 1e3;
             {

@@ -43,9 +43,10 @@ pub struct DeviceMetrics {
     /// High-water mark of distinct images simultaneously in assembly on
     /// this device — pipelining evidence.
     pub max_concurrent_images: usize,
-    /// Weight layers this device packed into GEMM panels — moves at deploy
-    /// and on `Reconfigure` delta installs only, never per frame (the
-    /// residency tests assert exactly that).
+    /// Weight layers packed into GEMM panels for this device: the layers of
+    /// its deploy shard (0 when the deploy shared a caller's pack) plus its
+    /// `Reconfigure` delta installs — it moves at deploy and swap time only,
+    /// never per frame (the residency tests assert exactly that).
     pub layers_packed: u64,
 }
 

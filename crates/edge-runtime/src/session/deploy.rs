@@ -9,7 +9,7 @@
 //! function that wires a cluster up.
 
 use super::{gather, PlanState, ScatterState, Session, SessionShared, SessionTelemetry};
-use crate::provider::{spawn_provider, ProviderWeights, Shared};
+use crate::provider::{spawn_provider, Shared};
 use crate::routing::{EpochSlot, PlanEpoch};
 use crate::runtime::RuntimeOptions;
 use crate::transport::{ChannelTransport, FrameTx, Transport};
@@ -25,19 +25,22 @@ use std::time::Instant;
 
 /// Where a deploy's resident weights come from.  In every case the raw set
 /// is retained by the session — shared storage, not a copy — as the source
-/// of plan-swap deltas.
+/// of plan-swap deltas, and each local provider is handed a
+/// `PackedModelWeights::shard` of one pack: its own layers, their panels
+/// shared with every other device of the deploy.
 pub enum WeightSource {
-    /// Each provider is handed only the layers its parts run (plus the FC
-    /// head on the head device) and packs that shard into kernel panels at
-    /// spawn.  `&ModelWeights` and `Arc<ModelWeights>` convert into this.
+    /// The deploy packs the union of the devices' layers once (against the
+    /// calibrated `QuantSpec` when it serves quantized), and each provider
+    /// holds only the layers its parts run (plus the FC head on the head
+    /// device).  `&ModelWeights` and `Arc<ModelWeights>` convert into this.
     Raw(Arc<ModelWeights>),
-    /// Every provider executes from one full-model pack shared through the
-    /// `Arc` — no sharding, no packing pass at spawn
-    /// (`DeviceMetrics::layers_packed` stays 0).  This is the fleet path: K
-    /// replica sessions of one model cost one packing pass and one resident
-    /// copy.  Every layer is resident everywhere, so plan swaps ship no
-    /// weight bytes.  A quantized deploy needs a pack built with its
-    /// `QuantSpec` (`PackedModelWeights::pack_with`).
+    /// The caller's full-model pack: the deploy packs nothing
+    /// (`DeviceMetrics::layers_packed` stays 0) and every provider holds
+    /// every layer of it.  This is the fleet path: K replica sessions of one
+    /// model cost one packing pass and one resident copy.  Every layer is
+    /// resident everywhere, so plan swaps ship no weight bytes.  A quantized
+    /// deploy needs a pack built with its `QuantSpec`
+    /// (`PackedModelWeights::pack_with`).
     Shared {
         /// The raw weights the pack was built from.
         raw: Arc<ModelWeights>,
@@ -133,12 +136,13 @@ impl<'a> Deploy<'a> {
 
     /// Wires the cluster up and returns the live [`Session`].
     ///
-    /// The session exists — and owns every provider — from before the
-    /// first worker is spawned, so a failure anywhere after that (a link
-    /// that will not open, a shard that will not pack) halts and joins
-    /// what was started through the session's own teardown.  Returns once
-    /// every local provider has packed its weights; the throughput clock
-    /// starts there, so packing is deploy cost, never stream cost.
+    /// Packing comes first, before anything is wired, so a layer that will
+    /// not pack fails the deploy with nothing to tear down.  The session
+    /// exists — and owns every provider — from before the first worker is
+    /// spawned, so a failure after that (a link that will not open) halts
+    /// and joins what was started through the session's own teardown.  The
+    /// throughput clock starts when this returns, so packing is deploy
+    /// cost, never stream cost.
     pub fn start(self) -> Result<Session> {
         let Deploy {
             model,
@@ -177,9 +181,9 @@ impl<'a> Deploy<'a> {
         // from the full raw weights; a shared pack must already carry its
         // spec — the panels were built at pack time and cannot change here —
         // and so must remote nodes, which packed against the spec their
-        // handshake shipped.  The spec reaches every local provider through
-        // `Shared`, every later epoch through the `Reconfigure` payloads, and
-        // flips the epoch's wire precision to q8.
+        // handshake shipped.  The spec reaches every local provider inside
+        // its packed shard, every later epoch through the `Reconfigure`
+        // payloads, and flips the epoch's wire precision to q8.
         let quant: Option<QuantSpec> = match (remote, &packed, options.quantized) {
             (Some(Some(_)), _, false) => {
                 return Err(RuntimeError::Execution(
@@ -219,17 +223,27 @@ impl<'a> Deploy<'a> {
             Some(packed) => vec![packed.resident_bytes(); n],
             None => keep_sets.iter().map(|k| raw.resident_bytes_of(k)).collect(),
         };
-        // Shards share the caller's storage: cutting them copies no weight,
-        // and each provider drops its handles as it packs.
-        let provider_weights: Vec<ProviderWeights> = match (&packed, local) {
+        // One pack per deploy — the caller's, or the union of the devices'
+        // layers packed here — cut into per-device shards that share its
+        // panels, each with the layer count the device is charged
+        // (`DeviceMetrics::layers_packed`: nothing when the caller packed).
+        // Remote nodes pack their own shards.
+        let shards: Vec<(PackedModelWeights, u64)> = match (&packed, local) {
             (_, false) => Vec::new(),
-            (Some(packed), true) => (0..n)
-                .map(|_| ProviderWeights::Prepacked(Arc::clone(packed)))
-                .collect(),
-            (None, true) => keep_sets
-                .iter()
-                .map(|k| ProviderWeights::Sharded(raw.shard(k)))
-                .collect(),
+            (Some(packed), true) => keep_sets.iter().map(|k| (packed.shard(k), 0)).collect(),
+            (None, true) => {
+                let union: HashSet<usize> = keep_sets.iter().flatten().copied().collect();
+                let pack =
+                    PackedModelWeights::pack_with(model, &raw.shard(&union), quant.as_ref())?;
+                keep_sets
+                    .iter()
+                    .map(|k| {
+                        let shard = pack.shard(k);
+                        let charged = shard.packed_layer_count() as u64;
+                        (shard, charged)
+                    })
+                    .collect()
+            }
         };
 
         // The requester's side of the fabric first — its links are what
@@ -286,7 +300,7 @@ impl<'a> Deploy<'a> {
 
         // One worker per local device — none when the providers are remote
         // — with links to every peer and back to the requester.
-        for (d, device_weights) in provider_weights.into_iter().enumerate() {
+        for (d, (shard, charged)) in shards.into_iter().enumerate() {
             let inbox = transport.inbox(Endpoint::Device(d))?;
             let mut txs: HashMap<Endpoint, Box<dyn FrameTx>> = HashMap::new();
             for peer in (0..n).filter(|&peer| peer != d) {
@@ -302,23 +316,15 @@ impl<'a> Deploy<'a> {
             let shared = Arc::new(Shared {
                 model: model.clone(),
                 slot: EpochSlot::new(epoch0.clone()),
-                quant: session.quant.clone(),
             });
-            session.providers.push(spawn_provider(
-                d,
-                shared,
-                device_weights,
-                inbox,
-                txs,
-                &telemetry,
-            ));
-        }
-
-        // The packing barrier.  It only learns that a compute thread is
-        // gone; why is that thread's own error, which teardown collects.
-        if let Some(barrier) = session.providers.iter().find_map(|p| p.wait_ready().err()) {
-            let (_, cause) = session.teardown();
-            return Err(cause.unwrap_or(barrier));
+            let provider = spawn_provider(d, shared, shard, inbox, txs, &telemetry);
+            provider
+                .stats
+                .comp
+                .lock()
+                .expect("comp stats poisoned")
+                .layers_packed = charged;
+            session.providers.push(provider);
         }
         session.t_start = Instant::now();
         Ok(session)

@@ -61,11 +61,6 @@ impl Tensor {
         self.shape.as_array()
     }
 
-    /// Shape as a [`Shape`].
-    pub fn shape_struct(&self) -> Shape {
-        self.shape
-    }
-
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.shape.c

@@ -16,13 +16,14 @@
 //!
 //! It also prints the deploy-memory account — the caller's raw weights,
 //! each device's share of them (`Session::resident_weight_bytes`, held as
-//! kernel panels) and the process's peak RSS (`VmHWM`) — so "one copy of
-//! every weight" is visible outside the benchmark, and a per-layer table of
-//! the conv kernels' rates on the packed path (route, ms, effective
-//! GFLOP/s against the direct flop count, and for Winograd layers the rate
-//! of the multiply-adds really executed), which is the README's kernel
-//! table for this model without the bench harness.  Pin the process to one
-//! CPU (`taskset -c 1`) to reproduce the committed one-CPU numbers.
+//! shards of one set of kernel panels) and the process's peak RSS
+//! (`VmHWM`) — so "one copy of every weight" is visible outside the
+//! benchmark, and a per-layer table of the conv kernels' rates on the
+//! packed path (route, ms, effective GFLOP/s against the direct flop count,
+//! and for Winograd layers the rate of the multiply-adds really executed),
+//! which is the README's kernel table for this model without the bench
+//! harness.  Pin the process to one CPU (`taskset -c 1`) to reproduce the
+//! committed one-CPU numbers.
 
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{zoo, LayerOp, Model, PartitionScheme, VolumeSplit};
@@ -142,9 +143,9 @@ fn main() {
         .collect();
     let plan = ExecutionPlan::from_splits(&model, &scheme, &splits, devices).unwrap();
 
-    // Deploy: weights are sharded per device (handles on the caller's
-    // storage, no copy) and packed into kernel panels once, before the
-    // first frame.
+    // Deploy: every layer some device runs is packed into kernel panels
+    // once, before the first frame, and each device holds its shard of
+    // that one pack (handles on shared panels, no copy).
     let t0 = Instant::now();
     let session = Deploy::new(&model, &plan, &weights)
         .options(RuntimeOptions::default().with_max_in_flight(2))
@@ -153,11 +154,10 @@ fn main() {
     println!("deployed (sharded + packed) in {:.2?}", t0.elapsed());
     let resident = session.resident_weight_bytes();
     println!(
-        "memory: caller holds {:.0} MiB of raw weights; devices pack {:?} MiB of them \
-         ({:.0} MiB total); peak RSS (VmHWM) {} MiB",
+        "memory: caller holds {:.0} MiB of raw weights; devices run {:?} MiB of them \
+         (packed once, panels shared); peak RSS (VmHWM) {} MiB",
         mib(weights.resident_bytes()),
         resident.iter().map(|&b| mib(b).round()).collect::<Vec<_>>(),
-        mib(resident.iter().sum()),
         peak_rss_mib().map_or("n/a".to_string(), |m| format!("{m:.0}")),
     );
 

@@ -8,7 +8,8 @@
 //! * the caller's `ModelWeights` — one raw copy per process;
 //! * the session's retained set and the per-device shards — refcount bumps
 //!   on that same storage, zero bytes;
-//! * each device's kernel panels — one form per layer;
+//! * the deploy's kernel panels — one form per layer, packed once for every
+//!   device that runs it;
 //! * transiently, packing scratch bounded by the largest raw layer.
 //!
 //! The single-device reference (`exec::run_full`, which every deploy's
@@ -22,13 +23,12 @@ use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_runtime::provider::{spawn_provider, ProviderHandle, Shared};
 use edge_runtime::transport::FrameTx;
 use edge_runtime::{
-    ChannelTransport, Deploy, EpochSlot, Frame, PlanEpoch, ProviderWeights, RouteTable,
-    RuntimeOptions, Transport,
+    ChannelTransport, Deploy, EpochSlot, Frame, PlanEpoch, RouteTable, RuntimeOptions, Transport,
 };
 use edge_telemetry::Telemetry;
 use edgesim::{Endpoint, ExecutionPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use tensor::Shape;
@@ -142,16 +142,11 @@ fn largest_raw_layer_bytes(w: &ModelWeights) -> usize {
         .unwrap()
 }
 
-/// Kernel-panel bytes each device holds resident under `plan`.
-fn panel_bytes_per_device(m: &Model, plan: &ExecutionPlan, w: &ModelWeights) -> Vec<usize> {
-    let route = RouteTable::new(m, plan).unwrap();
-    (0..DEVICES)
-        .map(|d| {
-            PackedModelWeights::pack_owned(m, w.shard(&route.keep_layers(m, d)), None)
-                .unwrap()
-                .resident_bytes()
-        })
-        .collect()
+/// Kernel-panel bytes of packing `layers` once.
+fn panel_bytes(m: &Model, w: &ModelWeights, layers: &HashSet<usize>) -> usize {
+    PackedModelWeights::pack_owned(m, w.shard(layers), None)
+        .unwrap()
+        .resident_bytes()
 }
 
 #[test]
@@ -162,7 +157,17 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
     let weights = ModelWeights::deterministic(&m, 7);
     let img = deterministic_input(&m, 7);
     let reference = exec::run_full(&m, &weights, &img).unwrap().pop().unwrap();
-    let panels: usize = panel_bytes_per_device(&m, &plan, &weights).iter().sum();
+    // One pack of every layer some device runs: the convs every device
+    // runs are resident once, not once per device.
+    let route = RouteTable::new(&m, &plan).unwrap();
+    let union: HashSet<usize> = (0..DEVICES)
+        .flat_map(|d| route.keep_layers(&m, d))
+        .collect();
+    let panels = panel_bytes(&m, &weights, &union);
+    let per_device: usize = (0..DEVICES)
+        .map(|d| panel_bytes(&m, &weights, &route.keep_layers(&m, d)))
+        .sum();
+    assert!(per_device > panels + 8 * MB, "the devices share convs");
     let largest = largest_raw_layer_bytes(&weights);
     let options = RuntimeOptions::default();
 
@@ -195,7 +200,7 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
          largest raw layer {largest} B"
     );
     // Once deployed: panels and bookkeeping only — the session's weight set
-    // and every shard are handles on the caller's storage.
+    // and every raw and packed shard are handles on shared storage.
     assert!(
         deployed <= panels + MB,
         "a deployed session holds {deployed} B; its panels are {panels} B"
@@ -283,14 +288,16 @@ fn solely_owned_shard(m: &Model, route: &RouteTable, d: usize) -> ModelWeights {
     ModelWeights { layers }
 }
 
-/// Spawns device `d`'s provider over `shard`, waits until it reports ready,
-/// and returns what stopping it needs.
+/// Brings device `d` up the way a cluster node bootstraps: packs `shard`
+/// (consuming it), then spawns the provider over the panels.  Returns what
+/// stopping it needs.
 fn ready_provider(
     m: &Model,
     plan: &ExecutionPlan,
     d: usize,
     shard: ModelWeights,
 ) -> (ProviderHandle, Box<dyn FrameTx>, ChannelTransport) {
+    let packed = PackedModelWeights::pack_owned(m, shard, None).unwrap();
     let mut transport = ChannelTransport::new(DEVICES);
     let inbox = transport.inbox(Endpoint::Device(d)).unwrap();
     let halt = transport
@@ -306,17 +313,8 @@ fn ready_provider(
     let shared = Arc::new(Shared {
         model: m.clone(),
         slot: EpochSlot::new(PlanEpoch::new(0, m, plan).unwrap()),
-        quant: None,
     });
-    let provider = spawn_provider(
-        d,
-        shared,
-        ProviderWeights::Sharded(shard),
-        inbox,
-        txs,
-        &Telemetry::disabled(),
-    );
-    provider.wait_ready().unwrap();
+    let provider = spawn_provider(d, shared, packed, inbox, txs, &Telemetry::disabled());
     (provider, halt, transport)
 }
 
@@ -332,10 +330,14 @@ fn a_provider_that_solely_owns_its_shard_frees_every_raw_layer_by_ready() {
     let plan = split_plan(&m);
     let route = RouteTable::new(&m, &plan).unwrap();
     let d = route.head_device.expect("the model has an FC head");
-    let panels = panel_bytes_per_device(&m, &plan, &ModelWeights::deterministic(&m, 9))[d];
+    let panels = panel_bytes(
+        &m,
+        &ModelWeights::deterministic(&m, 9),
+        &route.keep_layers(&m, d),
+    );
 
     // By the handles: no raw layer has an owner left once the provider is
-    // ready.
+    // up.
     let shard = solely_owned_shard(&m, &route, d);
     let raw_layers: Vec<Weak<[f32]>> = shard
         .layers
@@ -352,8 +354,8 @@ fn a_provider_that_solely_owns_its_shard_frees_every_raw_layer_by_ready() {
     // without any.)
     drop(raw_layers);
 
-    // By the bytes: `before` includes the shard; a ready provider has
-    // turned all of it into panels.
+    // By the bytes: `before` includes the shard; by the time the provider
+    // is up, all of it has turned into panels.
     let shard = solely_owned_shard(&m, &route, d);
     let shard_bytes = shard.resident_bytes();
     let largest = largest_raw_layer_bytes(&shard);
@@ -362,7 +364,7 @@ fn a_provider_that_solely_owns_its_shard_frees_every_raw_layer_by_ready() {
     let now = live();
     assert!(
         now + shard_bytes <= before + panels + MB,
-        "ready provider holds {} B beyond its panels",
+        "a provider that is up holds {} B beyond its panels",
         (now + shard_bytes).saturating_sub(before + panels)
     );
     // And packing streamed: the raw convs were gone before the head packed,

@@ -8,7 +8,7 @@ use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_gateway::{Batcher, Gateway, GatewayConfig, GatewayError, Priority};
 use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
-use edge_telemetry::Telemetry;
+use edge_telemetry::{Stage, Telemetry};
 use edgesim::ExecutionPlan;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -256,6 +256,44 @@ fn traced_gateway_records_queue_spans_and_per_class_shed_reasons() {
     assert_eq!(value("gateway.shed.deadline.low"), 1.0);
     assert_eq!(value("gateway.shed.deadline.high"), 0.0);
     assert_eq!(value("gateway.queue_depth"), 0.0);
+}
+
+#[test]
+fn a_post_swap_image_is_queued_and_answered_under_the_new_epoch() {
+    let m = model();
+    let weights = ModelWeights::deterministic(&m, 58);
+    let telemetry = Telemetry::new();
+    let plan = two_device_plan(&m);
+    let session = Deploy::new(&m, &plan, &weights)
+        .telemetry(&telemetry)
+        .start()
+        .unwrap();
+    let gateway = Gateway::over(
+        session,
+        GatewayConfig::default().with_max_linger(Duration::ZERO),
+        &telemetry,
+    )
+    .unwrap();
+    let client = gateway.client();
+    client.infer(&deterministic_input(&m, 1)).wait().unwrap();
+    assert_eq!(gateway.apply_plan(&plan).unwrap().epoch, 1);
+    client.infer(&deterministic_input(&m, 2)).wait().unwrap();
+    gateway.shutdown().unwrap();
+
+    // Image 1 was admitted at epoch 1: its queue span and its response
+    // instant sit on that epoch's trace.
+    let report = telemetry.collect();
+    let epochs = |stage: Stage| -> Vec<u64> {
+        report
+            .tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.stage == stage && e.trace.image == 1)
+            .map(|e| e.trace.epoch)
+            .collect()
+    };
+    assert_eq!(epochs(Stage::GatewayQueue), vec![1]);
+    assert_eq!(epochs(Stage::Respond), vec![1]);
 }
 
 #[test]

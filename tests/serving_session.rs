@@ -349,8 +349,7 @@ fn every_builder_axis_combination_is_one_wiring_path() {
 }
 
 /// Deploys tiny-vgg on three devices with the FC head's weights cut to
-/// three floats: the head device's spawn-time pack fails while the other
-/// two providers are up.
+/// three floats: the deploy's packing pass fails on the head.
 fn deploy_with_unpackable_head(transport: Option<&mut dyn Transport>) -> String {
     let model = zoo::tiny_vgg();
     let plan = equal_split_plan(&model, 3);
