@@ -4,9 +4,12 @@
 //! A node knows nothing at start except its device id and listen address.
 //! The first coordinator [`Hello`](crate::proto::Hello) bootstraps
 //! everything — model, peer table, plan epoch, weight shard — packs the
-//! shard into kernel panels and spawns the provider's three-thread pipeline
-//! over them (`edge-runtime`'s `spawn_provider`).  After that the runloop
-//! only routes connections:
+//! shard into kernel panels and spawns the provider over them
+//! (`edge-runtime`'s `spawn_provider`).  The receive role is the
+//! transport's pump or channel; a provider runs compute and send threads —
+//! here the coordinator link's `LinkSlot` and one `pump` per peer
+//! connection feed the provider inbox.  After that the runloop only routes
+//! connections:
 //!
 //! * repeat `Hello` (coordinator reconnect) → re-attach the socket, reply
 //!   with the installed epoch; the provider itself never restarts,

@@ -13,16 +13,15 @@ use std::time::Duration;
 /// The monitor samples [`edge_gateway::GatewayMetrics`] every
 /// [`FleetConfig::evaluate_every`] and compares:
 ///
-/// * **High watermarks** (scale *up*): a sampled `queue_depth` at or above
-///   [`FleetConfig::queue_high_watermark`], or a sampled `p99_ms` above
-///   [`FleetConfig::p99_high_watermark_ms`] (when that is non-zero),
-///   deploys one more replica of the default model from its
-///   [`crate::ModelSpec`] — up to [`FleetConfig::max_replicas`].
-/// * **Low watermark** (scale *down*): [`FleetConfig::idle_evals_before_drain`]
-///   *consecutive* samples with `queue_depth` at or below
-///   [`FleetConfig::queue_low_watermark`] drain one replica — never below
-///   [`FleetConfig::min_replicas`].  A drained replica stops receiving new
-///   work, finishes what it holds, and only then retires (zero image loss).
+/// * **High watermark** (scale *up*): a sampled `queue_depth` at or above
+///   [`FleetConfig::queue_high_watermark`] deploys one more replica of the
+///   default model from its [`crate::ModelSpec`] — up to
+///   [`FleetConfig::max_replicas`].
+/// * **Idle** (scale *down*): three *consecutive* samples with an empty
+///   queue drain one replica — never below [`FleetConfig::min_replicas`];
+///   the run of samples is hysteresis, so a single quiet sample does not
+///   flap the fleet.  A drained replica stops receiving new work, finishes
+///   what it holds, and only then retires (zero image loss).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Scale-down floor: the default model always keeps at least this many
@@ -35,17 +34,8 @@ pub struct FleetConfig {
     /// Gateway queue depth at or above which an evaluation votes to scale
     /// up.
     pub queue_high_watermark: usize,
-    /// Gateway queue depth at or below which an evaluation counts as idle
-    /// (a scale-down vote once enough accumulate).
-    pub queue_low_watermark: usize,
-    /// p99 end-to-end latency (ms) above which an evaluation votes to scale
-    /// up.  `0.0` disables the latency trigger (queue depth still applies).
-    pub p99_high_watermark_ms: f64,
     /// The monitor's sampling period.
     pub evaluate_every: Duration,
-    /// Consecutive idle evaluations required before one replica drains —
-    /// hysteresis, so a single quiet sample does not flap the fleet.
-    pub idle_evals_before_drain: usize,
     /// Whether the monitor acts on the watermarks.  Off, the monitor still
     /// retires drained replicas (so manual scale-downs complete) but never
     /// initiates a scale itself.
@@ -58,10 +48,7 @@ impl Default for FleetConfig {
             min_replicas: 1,
             max_replicas: 4,
             queue_high_watermark: 16,
-            queue_low_watermark: 0,
-            p99_high_watermark_ms: 0.0,
             evaluate_every: Duration::from_millis(50),
-            idle_evals_before_drain: 3,
             autoscale: true,
         }
     }
@@ -86,21 +73,9 @@ impl FleetConfig {
         self
     }
 
-    /// Overrides (and enables) the p99 latency high watermark.
-    pub fn with_p99_high_watermark_ms(mut self, p99_ms: f64) -> Self {
-        self.p99_high_watermark_ms = p99_ms;
-        self
-    }
-
     /// Overrides the monitor's sampling period.
     pub fn with_evaluate_every(mut self, period: Duration) -> Self {
         self.evaluate_every = period;
-        self
-    }
-
-    /// Overrides the scale-down hysteresis.
-    pub fn with_idle_evals_before_drain(mut self, evals: usize) -> Self {
-        self.idle_evals_before_drain = evals;
         self
     }
 
@@ -123,11 +98,6 @@ impl FleetConfig {
                 self.max_replicas, self.min_replicas
             )));
         }
-        if self.idle_evals_before_drain == 0 {
-            return Err(crate::FleetError::InvalidConfig(
-                "idle_evals_before_drain must be at least 1".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -142,24 +112,16 @@ mod tests {
             .with_min_replicas(2)
             .with_max_replicas(6)
             .with_queue_high_watermark(8)
-            .with_p99_high_watermark_ms(250.0)
-            .with_idle_evals_before_drain(5)
             .with_autoscale(false);
         assert_eq!(cfg.min_replicas, 2);
         assert_eq!(cfg.max_replicas, 6);
         assert_eq!(cfg.queue_high_watermark, 8);
-        assert_eq!(cfg.p99_high_watermark_ms, 250.0);
-        assert_eq!(cfg.idle_evals_before_drain, 5);
         assert!(!cfg.autoscale);
         assert!(cfg.validate().is_ok());
         assert!(cfg.with_min_replicas(0).validate().is_err());
         assert!(FleetConfig::default()
             .with_min_replicas(3)
             .with_max_replicas(2)
-            .validate()
-            .is_err());
-        assert!(FleetConfig::default()
-            .with_idle_evals_before_drain(0)
             .validate()
             .is_err());
     }

@@ -29,6 +29,10 @@ use tensor::Tensor;
 /// Smoothing factor of each replica's service-time EWMA.
 const EWMA_ALPHA: f64 = 0.2;
 
+/// Consecutive idle evaluations (an empty gateway queue) before one replica
+/// drains — hysteresis, so a single quiet sample does not flap the fleet.
+const IDLE_EVALS_BEFORE_DRAIN: usize = 3;
+
 /// Per-replica routing statistics (behind one small mutex).
 #[derive(Default)]
 struct ReplicaStats {
@@ -846,7 +850,7 @@ impl FleetServer {
 
 /// The elastic-scale monitor: every `evaluate_every` it retires drained
 /// replicas, then (with autoscale on) compares the gateway's queue depth
-/// and p99 against the watermarks.
+/// against the watermarks.
 fn monitor_loop(gateway: Arc<Gateway>, inner: Arc<FleetInner>, stop: Arc<AtomicBool>) {
     let config = inner.config;
     let mut idle_evals = 0usize;
@@ -862,16 +866,12 @@ fn monitor_loop(gateway: Arc<Gateway>, inner: Arc<FleetInner>, stop: Arc<AtomicB
         let metrics = gateway.metrics();
         let model = Arc::clone(&inner.default_model);
         let live = inner.live_replicas(&model);
-        let pressured = metrics.queue_depth >= config.queue_high_watermark
-            || (config.p99_high_watermark_ms > 0.0
-                && metrics.completed > 0
-                && metrics.p99_ms > config.p99_high_watermark_ms);
-        if pressured && live < config.max_replicas {
+        if metrics.queue_depth >= config.queue_high_watermark && live < config.max_replicas {
             idle_evals = 0;
             let _ = inner.scale_up(&model);
-        } else if metrics.queue_depth <= config.queue_low_watermark && live > config.min_replicas {
+        } else if metrics.queue_depth == 0 && live > config.min_replicas {
             idle_evals += 1;
-            if idle_evals >= config.idle_evals_before_drain {
+            if idle_evals >= IDLE_EVALS_BEFORE_DRAIN {
                 idle_evals = 0;
                 let _ = inner.scale_down(&model);
             }

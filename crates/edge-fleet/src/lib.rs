@@ -15,7 +15,7 @@
 //!   ([`edge_runtime::WeightSource::Shared`]), so K replicas cost one
 //!   packing pass and one resident weight copy.
 //! * **Elastic scale** — a monitor thread samples the gateway's queue depth
-//!   and p99 against [`FleetConfig`] watermarks: pressure deploys another
+//!   against [`FleetConfig`]'s watermark: pressure deploys another
 //!   replica from the model's spec, sustained idleness drains one through
 //!   the session's zero-loss drain protocol ([`FleetConfig`] documents the
 //!   knobs).

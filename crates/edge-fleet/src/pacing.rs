@@ -74,11 +74,6 @@ impl<T: Transport> PacedTransport<T> {
             horizons: HashMap::new(),
         }
     }
-
-    /// The per-frame service time.
-    pub fn frame_time(&self) -> Duration {
-        self.frame_time
-    }
 }
 
 impl<T: Transport> Transport for PacedTransport<T> {

@@ -2,11 +2,13 @@
 //!
 //! Where `edgesim` *predicts* what a distribution strategy would do on the
 //! paper's testbed, this crate *actually runs it*: one provider worker per
-//! device, each with the paper's three-thread receive / compute / send
-//! pipeline (§V-A), executing real `tensor` conv/pool/linear kernels on the
+//! device, each running the paper's receive / compute / send pipeline
+//! (§V-A), executing real `tensor` conv/pool/linear kernels on the
 //! split-parts of each layer-volume and exchanging halo row bands over a
-//! [`transport::Transport`].  The requester streams several images in
-//! flight, so pipelining across providers is real concurrency, not a model.
+//! [`transport::Transport`].  The receive role is the transport's pump or
+//! channel; a provider runs compute and send threads.  The requester
+//! streams several images in flight, so pipelining across providers is
+//! real concurrency, not a model.
 //!
 //! * [`wire`] — the length-prefixed binary frame format carrying tensor
 //!   slabs plus (image, stage, row range) routing metadata,
@@ -16,7 +18,8 @@
 //! * [`routing`] — the per-epoch routing table derived from an
 //!   [`edgesim::ExecutionPlan`] ([`routing::PlanEpoch`]), published to the
 //!   workers through an `ArcSwap`-style [`routing::EpochSlot`],
-//! * [`provider`] — the three-thread provider worker,
+//! * [`provider`] — the provider worker (compute and send threads over the
+//!   transport's inbox),
 //! * [`session`] — the serving API: the [`Deploy`] builder wires the
 //!   cluster up once — fabric, options, telemetry hub and weight source are
 //!   values on it, an in-process untraced deployment the default — and

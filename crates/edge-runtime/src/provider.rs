@@ -1,12 +1,12 @@
-//! The provider worker: the paper's three-thread receive / compute / send
-//! pipeline (§V-A), one worker per device.
+//! The provider worker: the paper's receive / compute / send pipeline
+//! (§V-A), one worker per device.  The receive role is the transport's
+//! pump or channel; a provider runs compute and send threads.
 //!
-//! * the **receive** thread drains the device's transport inbox, decodes
-//!   frames and hands them to compute — so the wire never waits on a kernel;
-//! * the **compute** thread assembles input bands (halo rows may arrive from
-//!   several peers), runs the split-part kernels via
-//!   `cnn_model::exec::run_part_on_band_packed`, and chains locally-satisfied
-//!   stages without touching the transport;
+//! * the **compute** thread takes each frame off the device's inbox and
+//!   decodes it (its `Recv` span), assembles input bands (halo rows may
+//!   arrive from several peers), runs the split-part kernels via
+//!   `cnn_model::exec::run_part_on_band_packed`, and chains
+//!   locally-satisfied stages without touching the transport;
 //! * the **send** thread slices each computed band into per-destination
 //!   overlap rows and pushes them out — so a slow link never blocks the next
 //!   kernel.
@@ -55,10 +55,11 @@ use std::time::Instant;
 use tensor::slice::slice_rows;
 use tensor::{Shape, Tensor};
 
-/// Configuration shared by the three threads of one provider worker.
-/// Weights are *not* here: the compute thread owns its resident
-/// [`PackedModelWeights`] shard mutably so `Reconfigure` frames can grow it
-/// in place (with the quantization spec the shard was packed with).
+/// What a provider's compute thread shares with its owner (the receive
+/// role is the transport's pump or channel; a provider runs compute and
+/// send threads).  Weights are *not* here: the compute thread owns its
+/// resident [`PackedModelWeights`] shard mutably so `Reconfigure` frames
+/// can grow it in place (with the quantization spec it was packed with).
 pub struct Shared {
     /// The model being served.
     pub model: Model,
@@ -71,7 +72,8 @@ pub struct Shared {
 pub(crate) struct Assembly {
     needed: (usize, usize),
     band: Tensor,
-    covered_rows: usize,
+    /// Which band rows (local coordinates) a fragment has written.
+    covered: Vec<bool>,
     /// When the first fragment opened this assembly — the start of the
     /// merge span recorded when the band completes.
     created: Instant,
@@ -82,7 +84,7 @@ impl Assembly {
         Self {
             needed,
             band: Tensor::zeros(Shape::new(c, needed.1 - needed.0, w)),
-            covered_rows: 0,
+            covered: vec![false; needed.1 - needed.0],
             created: Instant::now(),
         }
     }
@@ -93,7 +95,9 @@ impl Assembly {
     }
 
     /// Copies `rows` (full coordinates starting at `row_lo`) into the band.
-    /// Sources are disjoint by construction, so coverage is a row count.
+    /// Sources are disjoint by construction, so a fragment overlapping rows
+    /// already written (a duplicated or corrupt frame) is rejected before
+    /// any row is copied.
     pub(crate) fn insert(&mut self, row_lo: usize, rows: &Tensor) -> Result<()> {
         let [c, h, w] = rows.shape();
         let [bc, bh, bw] = self.band.shape();
@@ -111,17 +115,24 @@ impl Assembly {
             )));
         }
         let dst_lo = lo - self.needed.0;
+        let span = &mut self.covered[dst_lo..dst_lo + h];
+        if span.iter().any(|&done| done) {
+            return Err(RuntimeError::Execution(format!(
+                "rows {lo}..{hi} overlap rows already assembled in {}..{}",
+                self.needed.0, self.needed.1
+            )));
+        }
+        span.fill(true);
         for ch in 0..c {
             let src = rows.channel(ch);
             let dst_start = (ch * bh + dst_lo) * bw;
             self.band.data_mut()[dst_start..dst_start + h * w].copy_from_slice(src);
         }
-        self.covered_rows += h;
         Ok(())
     }
 
     pub(crate) fn complete(&self) -> bool {
-        self.covered_rows >= self.needed.1 - self.needed.0
+        self.covered.iter().all(|&done| done)
     }
 
     pub(crate) fn into_band(self) -> Tensor {
@@ -129,18 +140,13 @@ impl Assembly {
     }
 }
 
-/// Receive-thread counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecvStats {
-    /// Frames taken off the transport.
-    pub frames_in: u64,
-    /// Encoded bytes taken off the transport.
-    pub bytes_in: u64,
-}
-
 /// Compute-thread counters.
 #[derive(Debug, Clone, Default)]
 pub struct ComputeStats {
+    /// Frames taken off the inbox, `Halt` included.
+    pub frames_in: u64,
+    /// Encoded bytes taken off the inbox.
+    pub bytes_in: u64,
     /// Total kernel time.
     pub compute_ms: f64,
     /// Kernel time per volume (indexed by stage; sized to the largest
@@ -182,14 +188,13 @@ pub struct SendStats {
     pub bytes_out: u64,
 }
 
-/// Live counters of one provider's three threads, updated in place while
-/// the worker runs so a `Session` can snapshot per-device metrics
-/// mid-stream (the counters only ever grow, so snapshots are monotone).
+/// Live counters of one provider's compute and send threads (the receive
+/// role is the transport's pump or channel), updated in place while the
+/// worker runs so a `Session` can snapshot per-device metrics mid-stream
+/// (the counters only ever grow, so snapshots are monotone).
 #[derive(Debug, Default)]
 pub struct ProviderStats {
-    /// Receive-thread counters.
-    pub recv: Mutex<RecvStats>,
-    /// Compute-thread counters.
+    /// Compute-thread counters, inbox traffic included.
     pub comp: Mutex<ComputeStats>,
     /// Send-thread counters.
     pub send: Mutex<SendStats>,
@@ -198,7 +203,6 @@ pub struct ProviderStats {
 impl ProviderStats {
     /// Snapshots the counters into the report's per-device shape.
     pub fn snapshot(&self, scatter_ms: f64) -> DeviceMetrics {
-        let recv = self.recv.lock().expect("recv stats poisoned");
         let comp = self.comp.lock().expect("comp stats poisoned");
         let send = self.send.lock().expect("send stats poisoned");
         DeviceMetrics {
@@ -209,8 +213,8 @@ impl ProviderStats {
             per_volume_images: comp.per_volume_images.clone(),
             head_ms: comp.head_ms,
             head_images: comp.head_images,
-            frames_in: recv.frames_in,
-            bytes_in: recv.bytes_in,
+            frames_in: comp.frames_in,
+            bytes_in: comp.bytes_in,
             frames_out: send.frames_out,
             bytes_out: send.bytes_out,
             max_concurrent_images: comp.max_concurrent_images,
@@ -219,28 +223,25 @@ impl ProviderStats {
     }
 }
 
-/// Join handles of one provider's three threads, plus its live counters.
+/// Join handles of one provider's two threads, plus its live counters.
+/// The receive role is the transport's pump or channel; a provider runs
+/// compute and send threads.
 pub struct ProviderHandle {
     device: usize,
-    recv: JoinHandle<Result<()>>,
     comp: JoinHandle<Result<()>>,
     send: JoinHandle<Result<()>>,
     pub(crate) stats: Arc<ProviderStats>,
 }
 
 impl ProviderHandle {
-    /// Waits for the provider's three threads to exit (they do once a
-    /// `Halt` frame reaches the inbox, or on a worker error); the first
-    /// thread error wins.  This is how a session's teardown joins its
-    /// providers and how a standalone node process (the `edge-cluster`
-    /// runloop) blocks on its provider's lifetime.
+    /// Waits for the provider's two threads to exit (they do once a `Halt`
+    /// frame reaches the inbox, or on a worker error); the first thread
+    /// error wins.  This is how a session's teardown joins its providers
+    /// and how a standalone node process (the `edge-cluster` runloop)
+    /// blocks on its provider's lifetime.
     pub fn join(self) -> Result<()> {
         let mut err: Option<RuntimeError> = None;
-        for (role, h) in [
-            ("receive", self.recv),
-            ("compute", self.comp),
-            ("send", self.send),
-        ] {
+        for (role, h) in [("compute", self.comp), ("send", self.send)] {
             match h.join() {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => {
@@ -281,10 +282,11 @@ enum OutMsg {
     EpochAck { epoch: u64 },
 }
 
-/// Spawns the three threads of provider `d` over `weights`, its packed
-/// shard: the layers `d`'s parts (and, on the head device, the FC head)
-/// run.  The compute thread serves from it as given and grows it only on
-/// `Reconfigure` deltas.
+/// Spawns provider `d` over `weights`, its packed shard: the layers `d`'s
+/// parts (and, on the head device, the FC head) run.  The receive role is
+/// the transport's pump or channel; a provider runs compute and send
+/// threads, and the compute thread drains `inbox` itself.  It serves from
+/// `weights` as given and grows them only on `Reconfigure` deltas.
 pub fn spawn_provider(
     d: usize,
     shared: Arc<Shared>,
@@ -293,11 +295,9 @@ pub fn spawn_provider(
     txs: HashMap<Endpoint, Box<dyn FrameTx>>,
     telemetry: &Telemetry,
 ) -> ProviderHandle {
-    let (to_comp, comp_rx) = channel::<Frame>();
     let (to_send, send_rx) = channel::<OutMsg>();
 
     // One ring per thread, named after the Chrome-trace track it becomes.
-    let recv_rec = telemetry.recorder(&format!("dev{d}.recv"), d as u32);
     let comp_rec = telemetry.recorder(&format!("dev{d}.comp"), d as u32);
     let send_rec = telemetry.recorder(&format!("dev{d}.send"), d as u32);
 
@@ -312,27 +312,10 @@ pub fn spawn_provider(
         comp.per_volume_images = vec![0; num_volumes];
     }
 
-    let recv_stats = Arc::clone(&stats);
-    let recv = std::thread::Builder::new()
-        .name(format!("edge-rt-recv-{d}"))
-        .spawn(move || receive_loop(inbox, to_comp, recv_stats, recv_rec))
-        .expect("spawn receive thread");
-
-    let comp_shared = Arc::clone(&shared);
     let comp_stats = Arc::clone(&stats);
     let comp = std::thread::Builder::new()
         .name(format!("edge-rt-comp-{d}"))
-        .spawn(move || {
-            compute_loop(
-                d,
-                comp_shared,
-                weights,
-                comp_rx,
-                to_send,
-                comp_stats,
-                comp_rec,
-            )
-        })
+        .spawn(move || compute_loop(d, shared, weights, inbox, to_send, comp_stats, comp_rec))
         .expect("spawn compute thread");
 
     let send_stats = Arc::clone(&stats);
@@ -343,46 +326,10 @@ pub fn spawn_provider(
 
     ProviderHandle {
         device: d,
-        recv,
         comp,
         send,
         stats,
     }
-}
-
-fn receive_loop(
-    inbox: Receiver<Vec<u8>>,
-    to_comp: Sender<Frame>,
-    stats: Arc<ProviderStats>,
-    mut rec: Recorder,
-) -> Result<()> {
-    while let Ok(bytes) = inbox.recv() {
-        let t0 = rec.start();
-        {
-            let mut recv = stats.recv.lock().expect("recv stats poisoned");
-            recv.frames_in += 1;
-            recv.bytes_in += bytes.len() as u64;
-        }
-        let frame = Frame::decode(&bytes)?;
-        if let Some(t0) = t0 {
-            let trace = match frame.kind {
-                FrameKind::Rows => TraceId {
-                    epoch: frame.epoch,
-                    image: frame.image,
-                },
-                _ => TraceId::session(frame.epoch),
-            };
-            rec.span(Stage::Recv, trace, t0, bytes.len() as u64, frame.stage);
-        }
-        let halt = frame.kind == FrameKind::Halt;
-        if to_comp.send(frame).is_err() {
-            break; // Compute died; stop pumping.
-        }
-        if halt {
-            break;
-        }
-    }
-    Ok(())
 }
 
 struct ComputeState {
@@ -404,7 +351,7 @@ fn compute_loop(
     d: usize,
     shared: Arc<Shared>,
     weights: PackedModelWeights,
-    rx: Receiver<Frame>,
+    inbox: Receiver<Vec<u8>>,
     to_send: Sender<OutMsg>,
     stats: Arc<ProviderStats>,
     rec: Recorder,
@@ -419,7 +366,8 @@ fn compute_loop(
         stats,
         rec,
     };
-    while let Ok(frame) = rx.recv() {
+    while let Ok(bytes) = inbox.recv() {
+        let frame = state.receive(&bytes)?;
         match frame.kind {
             FrameKind::Halt => break,
             FrameKind::Rows => state.handle_rows(frame)?,
@@ -436,6 +384,30 @@ fn compute_loop(
 }
 
 impl ComputeState {
+    /// Takes one encoded frame off the inbox: counts it, decodes it and
+    /// records its `Recv` span (image-tagged for row frames).
+    fn receive(&mut self, bytes: &[u8]) -> Result<Frame> {
+        let t0 = self.rec.start();
+        {
+            let mut comp = self.stats.comp.lock().expect("comp stats poisoned");
+            comp.frames_in += 1;
+            comp.bytes_in += bytes.len() as u64;
+        }
+        let frame = Frame::decode(bytes)?;
+        if let Some(t0) = t0 {
+            let trace = match frame.kind {
+                FrameKind::Rows => TraceId {
+                    epoch: frame.epoch,
+                    image: frame.image,
+                },
+                _ => TraceId::session(frame.epoch),
+            };
+            self.rec
+                .span(Stage::Recv, trace, t0, bytes.len() as u64, frame.stage);
+        }
+        Ok(frame)
+    }
+
     /// Inserts rows into the (image, stage) assembly of the current epoch;
     /// if that completes the band, runs the compute chain from there.
     ///
@@ -814,5 +786,52 @@ mod tests {
         assert!(asm.insert(3, &rows).is_err()); // 3..5 leaves needed 0..4
         let wrong_w = Tensor::zeros([1, 1, 3]);
         assert!(asm.insert(0, &wrong_w).is_err());
+    }
+
+    #[test]
+    fn assembly_rejects_overlapping_spans() {
+        let mut asm = Assembly::new(1, 2, (0, 4));
+        let rows = Tensor::filled([1, 2, 2], 1.0);
+        asm.insert(0, &rows).unwrap();
+        // A repeat, or a fragment straddling written rows: refused, and rows
+        // 2..4 were never written, so the band must not complete.
+        for row_lo in [0, 1] {
+            let overlap = asm.insert(row_lo, &rows);
+            assert!(matches!(overlap, Err(RuntimeError::Execution(_))));
+        }
+        assert!(!asm.complete());
+        asm.insert(2, &rows).unwrap();
+        assert!(asm.complete());
+    }
+
+    #[test]
+    fn malformed_frame_stops_the_provider_with_a_wire_error() {
+        use crate::transport::{ChannelTransport, Transport};
+        use cnn_model::{exec::ModelWeights, LayerOp};
+        use std::time::Duration;
+
+        let layers = [LayerOp::conv(2, 3, 1, 1), LayerOp::fc(2)];
+        let model = Model::new("bad-frame", Shape::new(1, 4, 4), &layers).unwrap();
+        let plan = edgesim::ExecutionPlan::offload(&model, 0, 1).unwrap();
+        let raw = ModelWeights::deterministic(&model, 1);
+        let weights = PackedModelWeights::pack(&model, &raw).unwrap();
+        let slot = EpochSlot::new(PlanEpoch::new(0, &model, &plan).unwrap());
+        // The provider's link is the requester inbox's only sender, so that
+        // inbox disconnects exactly when the send thread exits.
+        let mut fabric = ChannelTransport::new(1);
+        let requester = fabric.inbox(Endpoint::Requester).unwrap();
+        let link = fabric.open(Endpoint::Device(0), Endpoint::Requester);
+        let txs = HashMap::from([(Endpoint::Requester, link.unwrap())]);
+        drop(fabric);
+        let (to_provider, inbox) = channel();
+        let shared = Arc::new(Shared { model, slot });
+        let handle = spawn_provider(0, shared, weights, inbox, txs, &Telemetry::disabled());
+
+        let mut bytes = Frame::halt().encode();
+        bytes[4] ^= 0xFF; // the first magic byte, after the length prefix
+        to_provider.send(bytes).unwrap();
+        let gone = requester.recv_timeout(Duration::from_secs(10));
+        assert_eq!(gone, Err(std::sync::mpsc::RecvTimeoutError::Disconnected));
+        assert!(matches!(handle.join(), Err(RuntimeError::Wire(_))));
     }
 }

@@ -89,7 +89,7 @@ fn gather_loop(
             Err(RecvTimeoutError::Timeout) => {
                 let starving = {
                     let st = shared.lock();
-                    st.in_flight > 0 && st.failed.is_none()
+                    !st.in_flight.is_empty() && st.failed.is_none()
                 };
                 if starving {
                     let since = *waiting_since.get_or_insert_with(Instant::now);
@@ -173,7 +173,7 @@ fn handle_requester_frame(
     let Some(out) = done else { return Ok(()) };
 
     let mut st = shared.lock();
-    let Some(start) = st.starts.remove(&image) else {
+    let Some((start, _input)) = st.in_flight.remove(&image) else {
         // No longer in flight: after an epoch re-sync the original result
         // can race its replayed twin — whichever lands second is dropped.
         // A result for an image that was never submitted is a protocol
@@ -186,13 +186,10 @@ fn handle_requester_frame(
             )))
         };
     };
-    st.pending.remove(&image);
     let latency_ms = start.elapsed().as_secs_f64() * 1e3;
     st.outputs.insert(image, out);
     st.latencies_ms.push(latency_ms);
-    st.finished += 1;
-    st.in_flight -= 1;
-    let in_flight = st.in_flight;
+    let in_flight = st.in_flight.len();
     drop(st);
     tel.in_flight.set(in_flight as i64);
     tel.completed.inc();

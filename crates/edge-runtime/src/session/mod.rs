@@ -56,7 +56,7 @@ use cnn_model::exec::{ModelWeights, QuantSpec};
 use cnn_model::Model;
 use edge_telemetry::{Counter, Gauge, Recorder, Telemetry, REQUESTER};
 use edgesim::ExecutionPlan;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -95,27 +95,24 @@ impl Ticket {
     }
 }
 
+/// The image flow's bookkeeping.  Every submitted image is in exactly one
+/// of three places: `in_flight`, `outputs`, or claimed — an id below
+/// `submitted` that is in neither.
 #[derive(Default)]
 struct StreamState {
     /// Images submitted so far (the next ticket id).
     submitted: u64,
-    /// Images currently in the pipeline (submitted, not yet completed).
-    in_flight: usize,
-    /// High-water mark of `in_flight`.
+    /// The images in the pipeline (submitted, not yet completed), in id
+    /// order: each one's submit instant and its retained input (bounded by
+    /// the credit window), so an epoch re-sync can replay work lost to a
+    /// dead device.
+    in_flight: BTreeMap<u32, (Instant, Tensor)>,
+    /// High-water mark of `in_flight.len()`.
     max_in_flight_observed: usize,
     /// Completed outputs not yet claimed by `wait` / `try_recv`.
     outputs: HashMap<u32, Tensor>,
-    /// Tickets whose outputs have been claimed.
-    claimed: HashSet<u32>,
-    /// Submission timestamps of in-flight images.
-    starts: HashMap<u32, Instant>,
-    /// The retained inputs of in-flight images (bounded by the credit
-    /// window), so an epoch re-sync can replay work lost to a dead device.
-    pending: HashMap<u32, Tensor>,
     /// Per-image latency in completion order.
     latencies_ms: Vec<f64>,
-    /// Completed images.
-    finished: u64,
     /// The serving epoch (bumped by `apply_plan`).
     epoch: u64,
     /// A plan swap is in progress: admission is paused, the queue parks.
@@ -188,7 +185,7 @@ impl SessionShared {
     /// failed.  A wedged cluster is caught by the gather thread's timeout,
     /// which sets `failed` and wakes this wait.
     fn drain<'a>(&self, mut st: MutexGuard<'a, StreamState>) -> MutexGuard<'a, StreamState> {
-        while st.failed.is_none() && st.in_flight > 0 {
+        while st.failed.is_none() && !st.in_flight.is_empty() {
             st = self
                 .credits
                 .wait_timeout(st, GATHER_TICK)
@@ -297,7 +294,7 @@ impl Session {
 
     /// Images currently in the pipeline.
     pub fn in_flight(&self) -> usize {
-        self.shared.lock().in_flight
+        self.shared.lock().in_flight.len()
     }
 
     /// Reconstructs the [`Ticket`] of an already-submitted image, for

@@ -62,12 +62,14 @@ impl Session {
         let free_credits = if st.failed.is_some() || st.halted || st.swapping {
             0
         } else {
-            self.options.max_in_flight.saturating_sub(st.in_flight)
+            self.options
+                .max_in_flight
+                .saturating_sub(st.in_flight.len())
         };
         SessionLoad {
             free_credits,
             queue_depth: st.outputs.len(),
-            in_flight: st.in_flight,
+            in_flight: st.in_flight.len(),
         }
     }
 
@@ -96,7 +98,10 @@ impl Session {
                 return 0;
             }
             if !st.swapping {
-                let free = self.options.max_in_flight.saturating_sub(st.in_flight);
+                let free = self
+                    .options
+                    .max_in_flight
+                    .saturating_sub(st.in_flight.len());
                 if free > 0 {
                     return free;
                 }
@@ -149,7 +154,7 @@ impl Session {
                         "session is shutting down; submissions are closed".into(),
                     ));
                 }
-                if !st.swapping && st.in_flight < self.options.max_in_flight {
+                if !st.swapping && st.in_flight.len() < self.options.max_in_flight {
                     break;
                 }
                 if !block {
@@ -166,7 +171,7 @@ impl Session {
                 st = guard;
                 if timeout.timed_out()
                     && st.failed.is_none()
-                    && (st.swapping || st.in_flight >= self.options.max_in_flight)
+                    && (st.swapping || st.in_flight.len() >= self.options.max_in_flight)
                 {
                     return Err(RuntimeError::Execution(
                         "submit timed out waiting for an in-flight credit".into(),
@@ -175,11 +180,10 @@ impl Session {
             }
             let id = st.submitted as u32;
             st.submitted += 1;
-            st.in_flight += 1;
-            st.max_in_flight_observed = st.max_in_flight_observed.max(st.in_flight);
-            st.starts.insert(id, Instant::now());
-            st.pending.insert(id, image.clone());
-            self.shared.tel.in_flight.set(st.in_flight as i64);
+            st.in_flight.insert(id, (Instant::now(), image.clone()));
+            let in_flight = st.in_flight.len();
+            st.max_in_flight_observed = st.max_in_flight_observed.max(in_flight);
+            self.shared.tel.in_flight.set(in_flight as i64);
             (Ticket { image: id }, st.epoch)
         };
         let trace = TraceId {
@@ -222,21 +226,20 @@ impl Session {
         let mut st = self.shared.lock();
         loop {
             if let Some(out) = st.outputs.remove(&ticket.image) {
-                st.claimed.insert(ticket.image);
                 let epoch = st.epoch;
                 drop(st);
                 self.record_wait(ticket.image, epoch, t_wait);
                 return Ok(Some(out));
             }
-            if st.claimed.contains(&ticket.image) {
-                return Err(RuntimeError::Execution(format!(
-                    "output of image {} was already claimed",
-                    ticket.image
-                )));
-            }
             if u64::from(ticket.image) >= st.submitted {
                 return Err(RuntimeError::Execution(format!(
                     "ticket for image {} was never submitted on this session",
+                    ticket.image
+                )));
+            }
+            if !st.in_flight.contains_key(&ticket.image) {
+                return Err(RuntimeError::Execution(format!(
+                    "output of image {} was already claimed",
                     ticket.image
                 )));
             }
@@ -290,7 +293,6 @@ impl Session {
         let mut st = self.shared.lock();
         let image = *st.outputs.keys().next()?;
         let out = st.outputs.remove(&image).expect("key just observed");
-        st.claimed.insert(image);
         Some((Ticket { image }, out))
     }
 

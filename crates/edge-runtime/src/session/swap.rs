@@ -265,15 +265,15 @@ impl Session {
             Instant::now(),
         )?;
 
-        // 4. Replay every image still in flight at the new epoch.  The
-        // retained inputs are snapshotted *after* the ack barrier, so images
-        // that completed while the bump was in progress are not replayed.
+        // 4. Replay every image still in flight at the new epoch, in id
+        // order.  The retained inputs are snapshotted *after* the ack
+        // barrier, so images that completed while the bump was in progress
+        // are not replayed.
         let replay: Vec<(u32, Tensor)> = {
             let st = self.shared.lock();
-            let mut ids: Vec<u32> = st.starts.keys().copied().collect();
-            ids.sort_unstable();
-            ids.iter()
-                .filter_map(|id| st.pending.get(id).map(|t| (*id, t.clone())))
+            st.in_flight
+                .iter()
+                .map(|(&id, (_, input))| (id, input.clone()))
                 .collect()
         };
         {
@@ -327,7 +327,7 @@ impl Session {
         st.swapping = true;
         st.swap_target = st.epoch + 1;
         st.acked = 0;
-        Ok((st.epoch, st.in_flight))
+        Ok((st.epoch, st.in_flight.len()))
     }
 
     /// The middle of every epoch change: sends device `d` its

@@ -169,8 +169,9 @@ fn accept_loop(listener: TcpListener, inbox: Sender<Vec<u8>>, shutdown: Arc<Atom
 
 /// Forwards every frame `stream` carries into `inbox` until EOF, a read
 /// error, or the inbox's receiver is gone.  Bytes are forwarded verbatim —
-/// decoding (and validation) happens once, in the endpoint's receive
-/// thread.  Every socket reader in the workspace is this loop.
+/// decoding (and validation) happens once, in the thread that drains the
+/// inbox (a provider's compute thread, the session's gather thread).
+/// Every socket reader in the workspace is this loop.
 pub fn pump(mut stream: impl std::io::Read, inbox: &Sender<Vec<u8>>) {
     while let Ok(Some(bytes)) = read_raw_frame(&mut stream) {
         if inbox.send(bytes).is_err() {

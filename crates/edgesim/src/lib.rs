@@ -5,10 +5,12 @@
 //! streaming images, and split-parts of layer-volumes preloaded onto the
 //! providers.  Given a model, a cluster and an execution plan it computes
 //! the event times of every compute and transfer in the dependency graph —
-//! which is exactly what an event-driven simulator of the three-thread
-//! (receive / compute / send) provider runtime produces, because within one
-//! image there is no resource contention beyond the data dependencies and
-//! the per-link serialisation the transfer model already captures.
+//! which is exactly what an event-driven simulator of the receive / compute
+//! / send provider runtime produces, because within one image there is no
+//! resource contention beyond the data dependencies and the per-link
+//! serialisation the transfer model already captures.  (In `edge-runtime`
+//! the receive role is the transport's pump or channel; a provider runs
+//! compute and send threads.)
 //!
 //! Outputs mirror the paper's measurements:
 //!
