@@ -137,7 +137,8 @@ pub fn build_cluster(scenario: &Scenario, harness: &HarnessConfig) -> Cluster {
 }
 
 /// Prints a figure as an aligned text table: one row per group, one column
-/// per method, IPS in each cell.
+/// per method, IPS in each cell, and a note under it for every row that is
+/// a sequential approximation of a branching zoo model.
 pub fn print_ips_table(title: &str, groups: &[FigureGroup]) {
     println!("\n=== {title} ===");
     if groups.is_empty() {
@@ -162,6 +163,11 @@ pub fn print_ips_table(title: &str, groups: &[FigureGroup]) {
         match g.speedup() {
             Some(s) => println!("{s:>11.2}x"),
             None => println!("{:>12}", "-"),
+        }
+    }
+    for (name, what) in cnn_model::zoo::SEQUENTIAL_APPROXIMATIONS {
+        if groups.iter().any(|g| g.label == *name) {
+            println!("note: {name} is a sequential approximation ({what})");
         }
     }
 }

@@ -35,6 +35,21 @@ pub use pose::openpose;
 
 use crate::model::Model;
 
+/// The zoo models that are sequential approximations of branching
+/// originals, by [`Model::name`], each with what its table changed (see the
+/// module docs).  Whatever prints their results should say so.
+pub const SEQUENTIAL_APPROXIMATIONS: &[(&str, &str)] = &[
+    ("resnet50", "identity shortcuts dropped"),
+    ("inception_v3", "each inception block flattened to one conv"),
+    (
+        "ssd_resnet50",
+        "identity shortcuts and multibox heads dropped",
+    ),
+    ("ssd_vgg16", "multibox heads dropped"),
+    ("openpose", "PAF / heat-map branches merged, 2 of 6 stages"),
+    ("voxelnet", "3-D voxel layers projected to a 2-D conv stack"),
+];
+
 /// All zoo model constructors keyed by their canonical names, in the order
 /// the paper's Fig. 10/11 present them.
 pub fn all_models() -> Vec<Model> {
@@ -101,6 +116,14 @@ mod tests {
         for m in &models {
             assert!(m.distributable_len() >= 10, "{} too shallow", m.name());
             assert!(m.total_ops() > 1e9, "{} ops implausibly small", m.name());
+        }
+    }
+
+    #[test]
+    fn approximations_name_zoo_models() {
+        let models = all_models();
+        for (name, _) in SEQUENTIAL_APPROXIMATIONS {
+            assert!(models.iter().any(|m| m.name() == *name), "{name}");
         }
     }
 

@@ -332,7 +332,7 @@ pub struct RuntimeAdaptation {
 }
 
 /// What one [`RuntimeAdaptation::observe`] call decided.
-#[derive(Debug)]
+#[derive(Debug, Serialize)]
 pub struct RuntimeReplanDecision {
     /// Images completed since the previous observation.
     pub window_images: usize,
@@ -456,7 +456,7 @@ impl RuntimeAdaptation {
 }
 
 /// What one [`AdaptiveSession::adapt`] tick did.
-#[derive(Debug)]
+#[derive(Debug, Serialize)]
 pub struct AdaptationTick {
     /// The monitoring/re-planning decision of this window.
     pub decision: RuntimeReplanDecision,
@@ -487,16 +487,9 @@ pub struct AdaptiveSession {
     model: Model,
     cluster: Cluster,
     plan: ExecutionPlan,
-    tel: Option<ControllerTelemetry>,
-}
-
-/// The adaptation controller's trace endpoints (attached with
-/// [`AdaptiveSession::with_telemetry`]).
-struct ControllerTelemetry {
-    rec: Recorder,
-    ticks: edge_telemetry::Counter,
-    replans: edge_telemetry::Counter,
-    drift: edge_telemetry::Gauge,
+    /// The controller's trace track (attached with
+    /// [`AdaptiveSession::with_telemetry`]).
+    rec: Option<Recorder>,
 }
 
 impl AdaptiveSession {
@@ -518,23 +511,18 @@ impl AdaptiveSession {
             model: model.clone(),
             cluster: cluster.clone(),
             plan,
-            tel: None,
+            rec: None,
         })
     }
 
     /// Records every adaptation decision on `telemetry`: an
     /// [`Stage::Adapt`] instant per tick (bytes = the window's mean latency
-    /// in µs, arg = drift in basis points) plus `controller.adapt_ticks` /
-    /// `controller.replans` counters and a `controller.drift` gauge.  Share
-    /// the hub with the traced session deployment to see *why* a plan swap
-    /// happened next to the swap itself.
+    /// in µs, arg = drift in basis points); the decision itself is the
+    /// returned [`AdaptationTick`].  Share the hub with the traced session
+    /// deployment to see *why* a plan swap happened next to the swap
+    /// itself.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.tel = Some(ControllerTelemetry {
-            rec: telemetry.recorder("controller", REQUESTER),
-            ticks: telemetry.counter("controller.adapt_ticks"),
-            replans: telemetry.counter("controller.replans"),
-            drift: telemetry.gauge("controller.drift_bp"),
-        });
+        self.rec = Some(telemetry.recorder("controller", REQUESTER));
         self
     }
 
@@ -562,17 +550,12 @@ impl AdaptiveSession {
         let decision =
             self.adaptation
                 .observe(&self.model, &self.cluster, &self.plan, &snapshot)?;
-        if let Some(tel) = &mut self.tel {
+        if let Some(rec) = &mut self.rec {
             // The decision is logged with the snapshot that triggered it:
             // the window's mean latency (µs) and the measured drift (basis
             // points), keyed to the epoch the snapshot was taken under.
-            tel.ticks.inc();
             let drift_bp = (decision.drift * 10_000.0).min(f64::from(u32::MAX)) as u32;
-            tel.drift.set(drift_bp as i64);
-            if decision.strategy.is_some() {
-                tel.replans.inc();
-            }
-            tel.rec.instant(
+            rec.instant(
                 Stage::Adapt,
                 TraceId::session(snapshot.epoch),
                 (decision.window_mean_latency_ms * 1e3) as u64,
@@ -772,7 +755,10 @@ mod tests {
         assert!(!first.swapped(), "first window only calibrates");
         serve_wave(adaptive.session(), 2);
         let second = adaptive.adapt().unwrap();
-        let swap = second.swap.expect("zero threshold must re-plan and swap");
+        let swap = second
+            .swap
+            .as_ref()
+            .expect("zero threshold must re-plan and swap");
         assert_eq!(swap.epoch, 1);
         assert_eq!(adaptive.session().epoch(), 1);
 
@@ -792,26 +778,30 @@ mod tests {
         assert_eq!(report.images, 9, "zero loss across the swap");
         assert_eq!(report.epoch, 1);
 
-        // Every adaptation decision left an Adapt instant on the trace and
-        // the controller counters agree with what the ticks did.
+        // The ticks are the controller's record: three decisions, one
+        // re-plan, and no drift judged by a window that (re)calibrates.
+        let ticks = [first, second, third];
+        let replans = ticks.iter().filter(|t| t.decision.strategy.is_some());
+        assert_eq!(replans.count(), 1);
+        assert_eq!(ticks[0].decision.drift, 0.0);
+        assert_eq!(ticks[2].decision.drift, 0.0);
+
+        // Every tick left one Adapt instant on the trace, carrying the
+        // window latency and drift its decision reported.
         let trace = telemetry.collect();
-        let adapt_instants: usize = trace
+        let adapts: Vec<_> = trace
             .tracks
             .iter()
             .flat_map(|t| &t.events)
             .filter(|e| e.stage == Stage::Adapt)
-            .count();
-        assert_eq!(adapt_instants, 3, "one Adapt instant per tick");
-        let value = |name: &str| {
-            telemetry
-                .metrics()
-                .iter()
-                .find(|mm| mm.name == name)
-                .map(|mm| mm.value)
-                .unwrap_or_else(|| panic!("metric {name} not registered"))
-        };
-        assert_eq!(value("controller.adapt_ticks"), 3.0);
-        assert_eq!(value("controller.replans"), 1.0);
+            .collect();
+        assert_eq!(adapts.len(), ticks.len(), "one Adapt instant per tick");
+        for (event, tick) in adapts.iter().zip(&ticks) {
+            let drift_bp = (tick.decision.drift * 10_000.0) as u32;
+            assert_eq!(event.arg, drift_bp);
+            let latency_us = (tick.decision.window_mean_latency_ms * 1e3) as u64;
+            assert_eq!(event.bytes, latency_us);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use edge_gateway::{
     Admission, Backend, Gateway, GatewayClient, GatewayConfig, GatewayMetrics, RouteTicket,
 };
 use edge_runtime::{Deploy, RuntimeReport, Session, SwapReport, WeightSource};
-use edge_telemetry::{Counter, Gauge, Recorder, Stage, Telemetry, TraceId, REQUESTER};
+use edge_telemetry::{Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use edgesim::ExecutionPlan;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -103,16 +103,6 @@ struct ModelEntry {
     packed: Arc<PackedModelWeights>,
 }
 
-/// The fleet's telemetry endpoints.
-struct FleetTelemetry {
-    hub: Telemetry,
-    rec: Mutex<Recorder>,
-    replicas: Gauge,
-    routed: Counter,
-    scale_ups: Counter,
-    scale_downs: Counter,
-}
-
 /// Shared fleet state: what the [`Backend`] routes over and the monitor
 /// scales.
 struct FleetInner {
@@ -121,10 +111,12 @@ struct FleetInner {
     replicas: RwLock<Vec<Arc<Replica>>>,
     default_model: Arc<str>,
     next_replica: AtomicU64,
-    /// Lifetime scale counters (mirrored on the telemetry registry).
+    /// Lifetime scale counts ([`FleetMetrics::scale_ups`] / `scale_downs`).
     scale_up_count: AtomicU64,
     scale_down_count: AtomicU64,
-    tel: FleetTelemetry,
+    hub: Telemetry,
+    /// The fleet's span recorder (route instants, scale spans).
+    rec: Mutex<Recorder>,
 }
 
 impl FleetInner {
@@ -236,7 +228,7 @@ impl FleetInner {
         let session = Deploy::new(&entry.spec.model, &entry.spec.plan, weights)
             .over(transport.as_mut())
             .options(entry.spec.runtime)
-            .telemetry(&self.tel.hub)
+            .telemetry(&self.hub)
             .start()
             .map_err(|e| FleetError::Runtime(e.to_string()))?;
         let id = self.next_replica.fetch_add(1, Ordering::SeqCst);
@@ -249,14 +241,15 @@ impl FleetInner {
             drain_started: Mutex::new(None),
             stats: Mutex::new(ReplicaStats::default()),
         });
-        let mut replicas = self.replicas.write().expect("replica list poisoned");
-        replicas.push(replica);
-        self.tel.replicas.set(replicas.len() as i64);
+        self.replicas
+            .write()
+            .expect("replica list poisoned")
+            .push(replica);
         Ok(id)
     }
 
-    /// Scale-up: one more replica, plus the `fleet.scale_up` span and
-    /// counters.  Honours `max_replicas`.
+    /// Scale-up: one more replica, plus the `fleet.scale_up` span and its
+    /// count.  Honours `max_replicas`.
     fn scale_up(&self, model: &Arc<str>) -> Result<u64, FleetError> {
         if self.live_replicas(model) >= self.config.max_replicas {
             return Err(FleetError::InvalidConfig(format!(
@@ -268,8 +261,7 @@ impl FleetInner {
         let t0 = Instant::now();
         let id = self.deploy_replica(model)?;
         self.scale_up_count.fetch_add(1, Ordering::SeqCst);
-        self.tel.scale_ups.inc();
-        if self.tel.hub.is_enabled() {
+        if self.hub.is_enabled() {
             let bytes = self
                 .models
                 .read()
@@ -277,7 +269,7 @@ impl FleetInner {
                 .get(model)
                 .map(|e| e.packed.resident_bytes() as u64)
                 .unwrap_or(0);
-            let mut rec = self.tel.rec.lock().expect("fleet recorder poisoned");
+            let mut rec = self.rec.lock().expect("fleet recorder poisoned");
             rec.span_between(
                 Stage::FleetScaleUp,
                 TraceId::session(0),
@@ -318,7 +310,6 @@ impl FleetInner {
         victim.draining.store(true, Ordering::SeqCst);
         *victim.drain_started.lock().expect("drain clock poisoned") = Some(Instant::now());
         self.scale_down_count.fetch_add(1, Ordering::SeqCst);
-        self.tel.scale_downs.inc();
         Ok(Some(victim.id))
     }
 
@@ -335,14 +326,7 @@ impl FleetInner {
                         && r.outstanding.load(Ordering::SeqCst) == 0
                         && Arc::strong_count(r) == 1
                 });
-                match idx {
-                    Some(i) => {
-                        let arc = replicas.remove(i);
-                        self.tel.replicas.set(replicas.len() as i64);
-                        Some(arc)
-                    }
-                    None => None,
-                }
+                idx.map(|i| replicas.remove(i))
             };
             let Some(arc) = retired else { return };
             let replica = Arc::try_unwrap(arc)
@@ -356,8 +340,8 @@ impl FleetInner {
             // The session's own shutdown drains its in-flight window; the
             // fleet guaranteed that window is empty of fleet work.
             let _ = replica.session.shutdown();
-            if self.tel.hub.is_enabled() {
-                let mut rec = self.tel.rec.lock().expect("fleet recorder poisoned");
+            if self.hub.is_enabled() {
+                let mut rec = self.rec.lock().expect("fleet recorder poisoned");
                 rec.span_between(
                     Stage::FleetScaleDown,
                     TraceId::session(0),
@@ -390,7 +374,6 @@ impl FleetInner {
             .expect("replica list poisoned")
             .drain(..)
             .collect();
-        self.tel.replicas.set(0);
         let mut reports = Vec::new();
         for mut arc in taken {
             // Transient router clones drop within microseconds; spin until
@@ -461,9 +444,8 @@ impl Backend for FleetBackend {
                 let image = ticket.image();
                 replica.admitted(image);
                 let epoch = replica.session.epoch();
-                self.inner.tel.routed.inc();
-                if self.inner.tel.hub.is_enabled() {
-                    let mut rec = self.inner.tel.rec.lock().expect("fleet recorder poisoned");
+                if self.inner.hub.is_enabled() {
+                    let mut rec = self.inner.rec.lock().expect("fleet recorder poisoned");
                     rec.instant(
                         Stage::FleetRoute,
                         TraceId { epoch, image },
@@ -643,11 +625,11 @@ pub struct FleetServer {
 
 impl FleetServer {
     /// Serves `specs` (the first spec's id is the default model) behind one
-    /// gateway, recording `fleet.route` instants, `fleet.scale_up` /
-    /// `fleet.scale_down` spans and fleet registry cells (`fleet.replicas`,
-    /// `fleet.routed`, ...) on `telemetry`, alongside the gateway's and
+    /// gateway, recording `fleet.route` instants and `fleet.scale_up` /
+    /// `fleet.scale_down` spans on `telemetry`, alongside the gateway's and
     /// every replica session's own instrumentation
-    /// ([`Telemetry::disabled`] records nothing).
+    /// ([`Telemetry::disabled`] records nothing).  The counts live in
+    /// [`FleetServer::fleet_metrics`].
     pub fn serve(
         specs: Vec<ModelSpec>,
         config: FleetConfig,
@@ -689,14 +671,6 @@ impl FleetServer {
             order.push((Arc::clone(&id), spec.replicas));
             models.insert(id, ModelEntry { spec, raw, packed });
         }
-        let tel = FleetTelemetry {
-            hub: telemetry.clone(),
-            rec: Mutex::new(telemetry.recorder("fleet", REQUESTER)),
-            replicas: telemetry.gauge("fleet.replicas"),
-            routed: telemetry.counter("fleet.routed"),
-            scale_ups: telemetry.counter("fleet.scale_ups"),
-            scale_downs: telemetry.counter("fleet.scale_downs"),
-        };
         let inner = Arc::new(FleetInner {
             config,
             models: RwLock::new(models),
@@ -705,7 +679,8 @@ impl FleetServer {
             next_replica: AtomicU64::new(0),
             scale_up_count: AtomicU64::new(0),
             scale_down_count: AtomicU64::new(0),
-            tel,
+            hub: telemetry.clone(),
+            rec: Mutex::new(telemetry.recorder("fleet", REQUESTER)),
         });
         for (id, count) in order {
             for _ in 0..count {
@@ -863,13 +838,13 @@ fn monitor_loop(gateway: Arc<Gateway>, inner: Arc<FleetInner>, stop: Arc<AtomicB
         if !config.autoscale {
             continue;
         }
-        let metrics = gateway.metrics();
+        let queue_depth = gateway.queue_depth();
         let model = Arc::clone(&inner.default_model);
         let live = inner.live_replicas(&model);
-        if metrics.queue_depth >= config.queue_high_watermark && live < config.max_replicas {
+        if queue_depth >= config.queue_high_watermark && live < config.max_replicas {
             idle_evals = 0;
             let _ = inner.scale_up(&model);
-        } else if metrics.queue_depth == 0 && live > config.min_replicas {
+        } else if queue_depth == 0 && live > config.min_replicas {
             idle_evals += 1;
             if idle_evals >= IDLE_EVALS_BEFORE_DRAIN {
                 idle_evals = 0;

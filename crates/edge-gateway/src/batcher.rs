@@ -45,16 +45,6 @@ impl Priority {
         self.class()
     }
 
-    /// Lower-case label, used in per-class metric names
-    /// (`gateway.shed.deadline.high`, ...).
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
-
     fn class(self) -> usize {
         match self {
             Priority::High => 0,

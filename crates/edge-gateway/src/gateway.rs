@@ -8,10 +8,10 @@ use crate::config::GatewayConfig;
 use crate::metrics::{GatewayMetrics, LatencyHistogram};
 use crate::GatewayError;
 use edge_runtime::{RuntimeReport, SwapReport};
-use edge_telemetry::{Counter, Gauge, Recorder, Stage, Telemetry, TraceId, REQUESTER};
+use edge_telemetry::{Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use edgesim::ExecutionPlan;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tensor::Tensor;
@@ -82,12 +82,9 @@ type Pending = HashMap<RouteTicket, (PendingRequest, TraceId)>;
 struct Stats {
     histogram: LatencyHistogram,
     completed: u64,
-    shed_deadline: u64,
-    shed_overload: u64,
-    /// Deadline sheds split by scheduling class ([`Priority::ALL`] order).
-    shed_deadline_by_class: [u64; 3],
-    /// Overload sheds split by scheduling class ([`Priority::ALL`] order).
-    shed_overload_by_class: [u64; 3],
+    /// Sheds by reason ([`SHED_DEADLINE`], [`SHED_OVERLOAD`]), each split
+    /// by scheduling class in [`Priority::ALL`] order.
+    shed: [[u64; 3]; 2],
     dispatched: u64,
     batches: u64,
     est_service_ms: f64,
@@ -119,49 +116,11 @@ struct State {
     stats: Stats,
 }
 
-/// Shed-reason code packed into the high half of a [`Stage::Shed`] arg
-/// (low half carries the [`Priority::index`]).
+/// Shed-reason code: the row of [`Stats::shed`], and the high half of a
+/// [`Stage::Shed`] arg (the low half carries the [`Priority::index`]).
 const SHED_DEADLINE: u32 = 0;
 /// See [`SHED_DEADLINE`].
 const SHED_OVERLOAD: u32 = 1;
-
-/// The gateway's telemetry endpoints: one span recorder (its own lock —
-/// never held together with the state mutex; always record *after*
-/// dropping the state guard) plus the registry cells the front-end keeps
-/// live regardless of whether span recording is on.
-struct GatewayTelemetry {
-    hub: Telemetry,
-    rec: Mutex<Recorder>,
-    queue_depth: Gauge,
-    completed: Counter,
-    dispatched: Counter,
-    batches: Counter,
-    /// Per-class shed counters, [`Priority::ALL`] order.
-    shed_deadline: [Counter; 3],
-    shed_overload: [Counter; 3],
-}
-
-impl GatewayTelemetry {
-    /// Counts one shed in the registry and drops a [`Stage::Shed`] instant
-    /// on the trace (arg packs `class | reason << 16`).
-    fn shed(&self, priority: Priority, reason: u32) {
-        let counters = if reason == SHED_DEADLINE {
-            &self.shed_deadline
-        } else {
-            &self.shed_overload
-        };
-        counters[priority.index()].inc();
-        if self.hub.is_enabled() {
-            let mut rec = self.rec.lock().expect("telemetry recorder poisoned");
-            rec.instant(
-                Stage::Shed,
-                TraceId::session(0),
-                0,
-                priority.index() as u32 | (reason << 16),
-            );
-        }
-    }
-}
 
 struct Inner {
     config: GatewayConfig,
@@ -171,12 +130,33 @@ struct Inner {
     /// The resident serving backend (one session, or a fleet of replica
     /// sessions).  `None` only once `shutdown` has taken it.
     backend: RwLock<Option<Box<dyn Backend>>>,
-    tel: GatewayTelemetry,
+    hub: Telemetry,
+    /// The front-end's span recorder: its own lock, never held together
+    /// with the state mutex (always record *after* dropping the guard).
+    rec: Mutex<Recorder>,
 }
 
 impl Inner {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("gateway state poisoned")
+    }
+
+    /// Records a point event on the gateway's track, when tracing is on.
+    fn instant(&self, stage: Stage, trace: TraceId, arg: u32) {
+        if self.hub.is_enabled() {
+            let mut rec = self.rec.lock().expect("telemetry recorder poisoned");
+            rec.instant(stage, trace, 0, arg);
+        }
+    }
+
+    /// Counts one shed under the held state guard, releases it, and drops
+    /// a [`Stage::Shed`] instant on the trace (arg packs
+    /// `class | reason << 16`).
+    fn shed(&self, mut st: MutexGuard<'_, State>, priority: Priority, reason: u32) {
+        st.stats.shed[reason as usize][priority.index()] += 1;
+        drop(st);
+        let arg = priority.index() as u32 | (reason << 16);
+        self.instant(Stage::Shed, TraceId::session(0), arg);
     }
 
     /// Runs `f` on the live backend; `None` once the backend was taken.
@@ -250,11 +230,8 @@ impl GatewayClient {
         // Admission control: a bounded queue sheds bursts instead of
         // absorbing them into unbounded latency for everyone behind them.
         if st.batcher.len() >= self.inner.config.queue_capacity {
-            st.stats.shed_overload += 1;
-            st.stats.shed_overload_by_class[self.priority.index()] += 1;
             let queue_depth = st.batcher.len();
-            drop(st);
-            self.inner.tel.shed(self.priority, SHED_OVERLOAD);
+            self.inner.shed(st, self.priority, SHED_OVERLOAD);
             state.fulfil(Err(GatewayError::Overloaded { queue_depth }));
             return response;
         }
@@ -266,10 +243,7 @@ impl GatewayClient {
         // every deadline request forever.
         if let (Some(dl), Some(est)) = (deadline, st.stats.estimate()) {
             if !st.batcher.is_empty() && now + est > dl {
-                st.stats.shed_deadline += 1;
-                st.stats.shed_deadline_by_class[self.priority.index()] += 1;
-                drop(st);
-                self.inner.tel.shed(self.priority, SHED_DEADLINE);
+                self.inner.shed(st, self.priority, SHED_DEADLINE);
                 state.fulfil(Err(GatewayError::DeadlineExceeded));
                 return response;
             }
@@ -286,7 +260,6 @@ impl GatewayClient {
             self.priority,
             now,
         );
-        self.inner.tel.queue_depth.set(st.batcher.len() as i64);
         drop(st);
         self.inner.work.notify_all();
         response
@@ -307,9 +280,8 @@ impl Gateway {
     /// a fleet of replica sessions plugs into.
     ///
     /// The front-end lifecycle is recorded on `telemetry`: queue-wait spans
-    /// per admitted image, batch-formation and shed instants, plus registry
-    /// cells for queue depth, dispatch/completion counts and per-class shed
-    /// reasons.  Deploy the session on the same hub
+    /// per admitted image, batch-formation and shed instants; the counts
+    /// live in [`Gateway::metrics`].  Deploy the session on the same hub
     /// ([`edge_runtime::Deploy::telemetry`]) to see the full gateway →
     /// device → response path on one clock; pass [`Telemetry::disabled`] to
     /// record nothing.
@@ -319,18 +291,6 @@ impl Gateway {
         telemetry: &Telemetry,
     ) -> Result<Self, GatewayError> {
         config.validate()?;
-        let tel = GatewayTelemetry {
-            hub: telemetry.clone(),
-            rec: Mutex::new(telemetry.recorder("gateway", REQUESTER)),
-            queue_depth: telemetry.gauge("gateway.queue_depth"),
-            completed: telemetry.counter("gateway.completed"),
-            dispatched: telemetry.counter("gateway.dispatched"),
-            batches: telemetry.counter("gateway.batches"),
-            shed_deadline: Priority::ALL
-                .map(|p| telemetry.counter(&format!("gateway.shed.deadline.{}", p.label()))),
-            shed_overload: Priority::ALL
-                .map(|p| telemetry.counter(&format!("gateway.shed.overload.{}", p.label()))),
-        };
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 batcher: Batcher::new(config.max_batch, config.max_linger)
@@ -342,7 +302,8 @@ impl Gateway {
             work: Condvar::new(),
             backend: RwLock::new(Some(backend.into())),
             config,
-            tel,
+            hub: telemetry.clone(),
+            rec: Mutex::new(telemetry.recorder("gateway", REQUESTER)),
         });
         let dispatcher_inner = Arc::clone(&inner);
         let dispatcher = std::thread::Builder::new()
@@ -376,6 +337,13 @@ impl Gateway {
             .with_backend(|b| b.apply_plan(plan))
             .ok_or(GatewayError::Closed)?
             .map_err(GatewayError::Runtime)
+    }
+
+    /// Requests waiting in the batcher right now — the one field of
+    /// [`Gateway::metrics`] a monitor polls, without rolling up the session
+    /// report underneath.
+    pub fn queue_depth(&self) -> usize {
+        self.inner.lock().batcher.len()
     }
 
     /// Snapshots the gateway counters together with the live session
@@ -444,10 +412,10 @@ fn build_metrics(stats: &Stats, queue_depth: usize, session: RuntimeReport) -> G
     GatewayMetrics {
         epoch: session.epoch,
         completed: stats.completed,
-        shed_deadline: stats.shed_deadline,
-        shed_overload: stats.shed_overload,
-        shed_deadline_by_class: stats.shed_deadline_by_class,
-        shed_overload_by_class: stats.shed_overload_by_class,
+        shed_deadline: stats.shed[SHED_DEADLINE as usize].iter().sum(),
+        shed_overload: stats.shed[SHED_OVERLOAD as usize].iter().sum(),
+        shed_deadline_by_class: stats.shed[SHED_DEADLINE as usize],
+        shed_overload_by_class: stats.shed[SHED_OVERLOAD as usize],
         queue_depth,
         dispatched: stats.dispatched,
         batches: stats.batches,
@@ -480,7 +448,6 @@ fn dispatch_loop(inner: Arc<Inner>) {
                 st.closed = true;
                 st.batcher.drain_all()
             };
-            inner.tel.queue_depth.set(0);
             let err = GatewayError::Runtime(format!("session failed: {f}"));
             for req in queued {
                 req.state.fulfil(Err(err.clone()));
@@ -497,7 +464,6 @@ fn dispatch_loop(inner: Arc<Inner>) {
                 for req in st.batcher.drain_all() {
                     req.state.fulfil(Err(GatewayError::Closed));
                 }
-                inner.tel.queue_depth.set(0);
                 drop(st);
                 for (_, (req, _)) in pending.drain() {
                     req.state.fulfil(Err(GatewayError::Closed));
@@ -553,15 +519,8 @@ fn dispatch_loop(inner: Arc<Inner>) {
             let batch = st.batcher.take_batch(credits, now);
             if !batch.is_empty() {
                 st.stats.batches += 1;
-            }
-            inner.tel.queue_depth.set(st.batcher.len() as i64);
-            drop(st);
-            if !batch.is_empty() {
-                inner.tel.batches.inc();
-                if inner.tel.hub.is_enabled() {
-                    let mut rec = inner.tel.rec.lock().expect("telemetry recorder poisoned");
-                    rec.instant(Stage::BatchForm, TraceId::session(0), 0, batch.len() as u32);
-                }
+                drop(st);
+                inner.instant(Stage::BatchForm, TraceId::session(0), batch.len() as u32);
             }
             batch
         };
@@ -586,11 +545,7 @@ fn submit_one(inner: &Arc<Inner>, req: PendingRequest, pending: &mut Pending) {
             let est = inner.lock().stats.estimate();
             let doomed = now >= dl || (!pending.is_empty() && est.is_some_and(|e| now + e > dl));
             if doomed {
-                let mut st = inner.lock();
-                st.stats.shed_deadline += 1;
-                st.stats.shed_deadline_by_class[req.priority.index()] += 1;
-                drop(st);
-                inner.tel.shed(req.priority, SHED_DEADLINE);
+                inner.shed(inner.lock(), req.priority, SHED_DEADLINE);
                 req.state.fulfil(Err(GatewayError::DeadlineExceeded));
                 return;
             }
@@ -603,14 +558,13 @@ fn submit_one(inner: &Arc<Inner>, req: PendingRequest, pending: &mut Pending) {
             }
             Some(Ok(Some(admission))) => {
                 inner.lock().stats.dispatched += 1;
-                inner.tel.dispatched.inc();
                 let trace = TraceId {
                     epoch: admission.epoch,
                     image: admission.ticket.image,
                 };
                 // The queue-wait span: enqueue → admission into the session.
-                if let Some(now) = inner.tel.hub.start() {
-                    let mut rec = inner.tel.rec.lock().expect("telemetry recorder poisoned");
+                if let Some(now) = inner.hub.start() {
+                    let mut rec = inner.rec.lock().expect("telemetry recorder poisoned");
                     rec.span_between(
                         Stage::GatewayQueue,
                         trace,
@@ -663,19 +617,12 @@ fn resolve_completion(inner: &Arc<Inner>, req: PendingRequest, trace: TraceId, o
     if late {
         // The SLO is part of the contract: a late result is a shed
         // result, even though the cluster did the work.
-        st.stats.shed_deadline += 1;
-        st.stats.shed_deadline_by_class[req.priority.index()] += 1;
-        drop(st);
-        inner.tel.shed(req.priority, SHED_DEADLINE);
+        inner.shed(st, req.priority, SHED_DEADLINE);
         req.state.fulfil(Err(GatewayError::DeadlineExceeded));
     } else {
         st.stats.completed += 1;
         drop(st);
-        inner.tel.completed.inc();
-        if inner.tel.hub.is_enabled() {
-            let mut rec = inner.tel.rec.lock().expect("telemetry recorder poisoned");
-            rec.instant(Stage::Respond, trace, 0, 0);
-        }
+        inner.instant(Stage::Respond, trace, 0);
         req.state.fulfil(Ok(output));
     }
 }

@@ -125,10 +125,10 @@ impl<'a> Deploy<'a> {
 
     /// Records every stage of every image's lifecycle (scatter, per-band
     /// compute, wire tx/rx, merge, head, wait) plus swap-protocol events
-    /// into `telemetry`'s per-thread rings, and registers the session's
-    /// live counters (`session.*`) on its metrics registry.  With the
-    /// default disabled hub every instrumentation point is a single relaxed
-    /// atomic load.
+    /// into `telemetry`'s per-thread rings.  With the default disabled hub
+    /// every instrumentation point is a single relaxed atomic load; the
+    /// session's counts live in its own reports ([`Session::metrics`],
+    /// [`super::SwapReport`]) either way.
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
         self
@@ -262,9 +262,6 @@ impl<'a> Deploy<'a> {
             .collect::<Result<_>>()?;
 
         let shared = Arc::new(SessionShared::new(SessionTelemetry::new(&telemetry)));
-        telemetry
-            .gauge("session.credit_window")
-            .set(options.max_in_flight as i64);
         let stop = Arc::new(AtomicBool::new(false));
         let gather = gather::spawn(
             requester_inbox,

@@ -5,7 +5,7 @@ use crate::provider::Assembly;
 use crate::routing::RouteTable;
 use crate::wire::{Frame, FrameKind};
 use crate::{Result, RuntimeError};
-use edge_telemetry::{Counter, Gauge, Recorder, Stage, Telemetry, TraceId, REQUESTER};
+use edge_telemetry::{Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -19,14 +19,6 @@ struct GatherConfig {
     result_w: usize,
     last_height: usize,
     recv_timeout: Duration,
-}
-
-/// The gather thread's telemetry: its own ring (merge spans for headless
-/// stitching) plus the completion-side registry cells.
-struct GatherTel {
-    rec: Recorder,
-    in_flight: Gauge,
-    completed: Counter,
 }
 
 /// Spawns the gather thread over the requester `inbox`; the result
@@ -47,14 +39,11 @@ pub(super) fn spawn(
         last_height: route.last_height,
         recv_timeout,
     };
-    let tel = GatherTel {
-        rec: telemetry.recorder("requester.gather", REQUESTER),
-        in_flight: shared.tel.in_flight.clone(),
-        completed: shared.tel.completed.clone(),
-    };
+    // The gather thread's own ring: merge spans for headless stitching.
+    let rec = telemetry.recorder("requester.gather", REQUESTER);
     std::thread::Builder::new()
         .name("edge-rt-gather".into())
-        .spawn(move || gather_loop(inbox, shared, stop, cfg, tel))
+        .spawn(move || gather_loop(inbox, shared, stop, cfg, rec))
         .expect("spawn gather thread")
 }
 
@@ -67,7 +56,7 @@ fn gather_loop(
     shared: Arc<SessionShared>,
     stop: Arc<AtomicBool>,
     cfg: GatherConfig,
-    mut tel: GatherTel,
+    mut rec: Recorder,
 ) -> Receiver<Vec<u8>> {
     let mut assemblies: HashMap<(u32, u64), Assembly> = HashMap::new();
     let mut waiting_since: Option<Instant> = None;
@@ -80,7 +69,7 @@ fn gather_loop(
             Ok(bytes) => {
                 waiting_since = None;
                 if let Err(e) =
-                    handle_requester_frame(&bytes, &shared, &cfg, &mut assemblies, &mut tel)
+                    handle_requester_frame(&bytes, &shared, &cfg, &mut assemblies, &mut rec)
                 {
                     shared.fail(&e);
                     return inbox;
@@ -116,7 +105,7 @@ fn handle_requester_frame(
     shared: &SessionShared,
     cfg: &GatherConfig,
     assemblies: &mut HashMap<(u32, u64), Assembly>,
-    tel: &mut GatherTel,
+    rec: &mut Recorder,
 ) -> Result<()> {
     let frame = Frame::decode(bytes)?;
     match frame.kind {
@@ -155,7 +144,7 @@ fn handle_requester_frame(
             // Any partial assembly of the same image under another epoch is
             // an abandoned attempt — drop it.
             assemblies.retain(|&(img, _), _| img != image);
-            tel.rec.span(
+            rec.span(
                 Stage::Merge,
                 TraceId {
                     epoch: frame.epoch,
@@ -189,10 +178,7 @@ fn handle_requester_frame(
     let latency_ms = start.elapsed().as_secs_f64() * 1e3;
     st.outputs.insert(image, out);
     st.latencies_ms.push(latency_ms);
-    let in_flight = st.in_flight.len();
     drop(st);
-    tel.in_flight.set(in_flight as i64);
-    tel.completed.inc();
     shared.results.notify_all();
     shared.credits.notify_all();
     Ok(())

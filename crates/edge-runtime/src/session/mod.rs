@@ -54,7 +54,7 @@ use crate::wire::Frame;
 use crate::{Result, RuntimeError};
 use cnn_model::exec::{ModelWeights, QuantSpec};
 use cnn_model::Model;
-use edge_telemetry::{Counter, Gauge, Recorder, Telemetry, REQUESTER};
+use edge_telemetry::{Recorder, Telemetry, REQUESTER};
 use edgesim::ExecutionPlan;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,19 +128,13 @@ struct StreamState {
     halted: bool,
 }
 
-/// The session's handle on the telemetry hub: the requester-side control
-/// recorder plus the `session.*` registry cells.  The recorder has its own
-/// lock, never held together with the state mutex (record after dropping
-/// the state guard).
+/// The session's handle on the telemetry hub and its requester-side control
+/// recorder.  The recorder has its own lock, never held together with the
+/// state mutex (record after dropping the state guard).
 struct SessionTelemetry {
     hub: Telemetry,
     /// Requester-side control events: wait spans, swap-protocol spans.
     rec: Mutex<Recorder>,
-    in_flight: Gauge,
-    epoch: Gauge,
-    completed: Counter,
-    epoch_flips: Counter,
-    reconfigure_bytes: Counter,
 }
 
 impl SessionTelemetry {
@@ -148,12 +142,11 @@ impl SessionTelemetry {
         Self {
             hub: telemetry.clone(),
             rec: Mutex::new(telemetry.recorder("requester", REQUESTER)),
-            in_flight: telemetry.gauge("session.in_flight"),
-            epoch: telemetry.gauge("session.epoch"),
-            completed: telemetry.counter("session.images_completed"),
-            epoch_flips: telemetry.counter("session.epoch_flips"),
-            reconfigure_bytes: telemetry.counter("session.reconfigure_bytes"),
         }
+    }
+
+    fn recorder(&self) -> MutexGuard<'_, Recorder> {
+        self.rec.lock().expect("telemetry recorder poisoned")
     }
 }
 

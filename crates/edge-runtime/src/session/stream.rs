@@ -181,9 +181,7 @@ impl Session {
             let id = st.submitted as u32;
             st.submitted += 1;
             st.in_flight.insert(id, (Instant::now(), image.clone()));
-            let in_flight = st.in_flight.len();
-            st.max_in_flight_observed = st.max_in_flight_observed.max(in_flight);
-            self.shared.tel.in_flight.set(in_flight as i64);
+            st.max_in_flight_observed = st.max_in_flight_observed.max(st.in_flight.len());
             (Ticket { image: id }, st.epoch)
         };
         let trace = TraceId {
@@ -278,13 +276,10 @@ impl Session {
     /// Records the time a client spent blocked in `wait`/`wait_timeout`.
     fn record_wait(&self, image: u32, epoch: u64, t0: Option<Instant>) {
         if let Some(t0) = t0 {
-            let mut rec = self
-                .shared
+            self.shared
                 .tel
-                .rec
-                .lock()
-                .expect("telemetry recorder poisoned");
-            rec.span(Stage::Wait, TraceId { epoch, image }, t0, 0, 0);
+                .recorder()
+                .span(Stage::Wait, TraceId { epoch, image }, t0, 0, 0);
         }
     }
 

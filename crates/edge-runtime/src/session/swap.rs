@@ -115,21 +115,13 @@ impl Session {
             }
         }
         let drain_ms = t_drain.elapsed().as_secs_f64() * 1e3;
-        {
-            let mut rec = self
-                .shared
-                .tel
-                .rec
-                .lock()
-                .expect("telemetry recorder poisoned");
-            rec.span(
-                Stage::Drain,
-                TraceId::session(new_epoch),
-                t_drain,
-                0,
-                drained_images as u32,
-            );
-        }
+        self.shared.tel.recorder().span(
+            Stage::Drain,
+            TraceId::session(new_epoch),
+            t_drain,
+            0,
+            drained_images as u32,
+        );
 
         // 3. Diff the new plan's per-device weight needs against what is
         // already resident and publish the new plan and residency, then
@@ -396,8 +388,7 @@ impl Session {
         }
 
         let shipped: usize = payloads.iter().map(ReconfigurePayload::delta_bytes).sum();
-        let tel = &self.shared.tel;
-        let mut rec = tel.rec.lock().expect("telemetry recorder poisoned");
+        let mut rec = self.shared.tel.recorder();
         let trace = TraceId::session(new_epoch);
         // Requester view of the reconfigure: broadcast → all acks.
         rec.span(
@@ -408,10 +399,6 @@ impl Session {
             n as u32,
         );
         rec.instant(Stage::EpochFlip, trace, 0, REQUESTER);
-        drop(rec);
-        tel.epoch_flips.inc();
-        tel.reconfigure_bytes.add(shipped as u64);
-        tel.epoch.set(new_epoch as i64);
         Ok(())
     }
 

@@ -3,6 +3,7 @@ use crate::transport::{ChannelTransport, Transport};
 use crate::wire::FrameKind;
 use cnn_model::exec::{self, deterministic_input};
 use cnn_model::LayerOp;
+use edge_telemetry::{Stage, TraceId};
 use edgesim::Endpoint;
 use tensor::Shape;
 
@@ -333,10 +334,16 @@ fn traced_session_records_the_full_image_lifecycle() {
     let t = session.submit(&img).unwrap();
     session.wait(t).unwrap();
 
-    // A hot swap shows up as swap-protocol events and registry counts.
+    // A hot swap shows up as swap-protocol events next to its own report.
     let offload = ExecutionPlan::offload(&m, 0, 2).unwrap();
-    session.apply_plan(&offload).unwrap();
-    session.shutdown().unwrap();
+    let swap = session.apply_plan(&offload).unwrap();
+    assert_eq!(swap.epoch, 1);
+    assert!(swap.total_delta_bytes() > 0);
+    assert_eq!(session.in_flight(), 0);
+    assert_eq!(session.epoch(), 1);
+    let final_report = session.shutdown().unwrap();
+    assert_eq!(final_report.images, 1);
+    assert_eq!(final_report.epoch, 1);
 
     let report = telemetry.collect();
     let stages = report.stages_seen(0);
@@ -354,19 +361,22 @@ fn traced_session_records_the_full_image_lifecycle() {
     assert!(cp.wall_ms > 0.0);
     assert!(cp.stages.iter().any(|s| s.stage == cp.dominant));
 
-    let value = |name: &str| {
-        telemetry
-            .metrics()
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.value)
-            .unwrap_or_else(|| panic!("metric {name} not registered"))
-    };
-    assert_eq!(value("session.images_completed"), 1.0);
-    assert_eq!(value("session.epoch_flips"), 1.0);
-    assert_eq!(value("session.in_flight"), 0.0);
-    assert!(value("session.reconfigure_bytes") > 0.0);
-    assert_eq!(value("session.epoch"), 1.0);
+    // The swap's trace carries what its report measured: the flip to epoch
+    // 1 on both devices and the requester, and a requester reconfigure
+    // span whose bytes are the deltas shipped.
+    let swap_events: Vec<_> = report
+        .tracks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| e.trace == TraceId::session(1))
+        .collect();
+    let flips = swap_events.iter().filter(|e| e.stage == Stage::EpochFlip);
+    assert_eq!(flips.count(), 3);
+    let reconfigure = swap_events
+        .iter()
+        .find(|e| e.stage == Stage::Reconfigure && e.device == REQUESTER)
+        .expect("requester-side reconfigure span");
+    assert_eq!(reconfigure.bytes, swap.total_delta_bytes() as u64);
 }
 
 #[test]

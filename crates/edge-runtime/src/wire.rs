@@ -489,6 +489,14 @@ impl ReconfigurePayload {
         at += plan_len;
 
         let n = read_u32(bytes, &mut at)? as usize;
+        // Every entry carries at least its 12-byte header, so a count the
+        // remaining bytes cannot hold is refused before it sizes anything.
+        if n > (bytes.len() - at) / 12 {
+            return Err(RuntimeError::Wire(format!(
+                "reconfigure payload claims {n} deltas in {} bytes",
+                bytes.len() - at
+            )));
+        }
         let mut delta = Vec::with_capacity(n);
         for _ in 0..n {
             let layer = read_u32(bytes, &mut at)? as usize;

@@ -1,8 +1,9 @@
 //! Property tests for the wire codecs: arbitrary frames and reconfigure
-//! payloads round-trip bit-exactly, and corrupt or truncated inputs — a
-//! quantization scale no calibration could produce, a spec that does not
-//! cover the model — are rejected with typed errors instead of panics,
-//! unbounded allocation or a silently different kernel path.
+//! payloads round-trip bit-exactly, and corrupt or truncated inputs — slab
+//! dims or a delta count no byte string could back, a quantization scale
+//! no calibration could produce, a spec that does not cover the model —
+//! are rejected with typed errors instead of panics, unbounded allocation
+//! or a silently different kernel path.
 
 use edge_runtime::transport::read_raw_frame;
 use edge_runtime::wire::check_frame_len;
@@ -33,6 +34,26 @@ fn frame_from(
         fill + (ci * 31 + ri * 7 + wi) as f32 * 0.5
     });
     Frame::data(kind, epoch, image, stage, row_lo, tensor)
+}
+
+/// Offset of the slab header in a data frame's encoding: the length prefix
+/// plus the frame header.
+const SLAB_AT: usize = 4 + 23;
+
+/// `frame`'s encoding with its slab header rewritten to `dims` and at most
+/// `keep` bytes of slab data left behind it, the length prefix fixed up.
+/// Returns the bytes and how many data bytes they carry.
+fn with_slab_dims(frame: &Frame, dims: [u32; 3], keep: usize) -> (Vec<u8>, usize) {
+    let mut bytes = frame.encode();
+    let data_at = SLAB_AT + if frame.quant.is_some() { 16 } else { 12 };
+    bytes.truncate(data_at + keep);
+    for (i, d) in dims.iter().enumerate() {
+        bytes[SLAB_AT + 4 * i..][..4].copy_from_slice(&d.to_le_bytes());
+    }
+    let body_len = (bytes.len() - 4) as u32;
+    bytes[..4].copy_from_slice(&body_len.to_le_bytes());
+    let data_len = bytes.len() - data_at;
+    (bytes, data_len)
 }
 
 proptest! {
@@ -122,6 +143,73 @@ proptest! {
         // And through the socket reader, which must not allocate `len`.
         let err = read_raw_frame(&mut &bytes[..]).unwrap_err();
         prop_assert_eq!(err.as_transport().map(|t| t.kind), Some(TransportErrorKind::Protocol));
+    }
+
+    /// A slab header is peer-supplied: arbitrary `[c, h, w]` dims on an f32
+    /// or a q8 `Rows` frame — down to zero, up to products past `usize` —
+    /// decode only when they match the bytes behind them, and are a typed
+    /// error otherwise: never a panic, never an allocation or a shape sized
+    /// from the header alone.
+    #[test]
+    fn arbitrary_slab_dims_are_rejected(
+        raw in (any::<u32>(), any::<u32>(), any::<u32>()),
+        shift in (0u32..33, 0u32..33, 0u32..33),
+        pick in 0usize..4,
+        q8 in any::<bool>(),
+        keep in 0usize..160,
+    ) {
+        // Shifted draws reach every magnitude down to zero; half the cases
+        // take a header whose byte count wraps to 0 in 64-bit arithmetic.
+        let dims = match pick {
+            0 => [1 << 31, 1 << 31, 1],
+            1 => [1 << 16, 1 << 24, 1 << 24],
+            _ => [
+                raw.0.checked_shr(shift.0).unwrap_or(0),
+                raw.1.checked_shr(shift.1).unwrap_or(0),
+                raw.2.checked_shr(shift.2).unwrap_or(0),
+            ],
+        };
+        let tensor = Tensor::from_fn([2, 3, 5], |c, y, x| (c * 15 + y * 5 + x) as f32 - 7.0);
+        let frame = if q8 {
+            Frame::rows_q8(1, 2, 0, 0, &tensor)
+        } else {
+            Frame::data(FrameKind::Rows, 1, 2, 0, 0, tensor)
+        };
+        let (bytes, data_len) = with_slab_dims(&frame, dims, keep);
+        let elems = dims.iter().map(|&d| u128::from(d)).product::<u128>();
+        let fits = elems * if q8 { 1 } else { 4 } == data_len as u128;
+        match Frame::decode(&bytes) {
+            Ok(back) => prop_assert!(fits && back.tensor.len() as u128 == elems, "{:?}", dims),
+            Err(e) => prop_assert!(!fits && matches!(e, RuntimeError::Wire(_)), "{:?}: {}", dims, e),
+        }
+    }
+
+    /// A `Reconfigure` payload's delta count is peer-supplied too: a count
+    /// the bytes behind it cannot hold is a `Wire` error, never an
+    /// allocation sized from it.
+    #[test]
+    fn arbitrary_delta_counts_are_rejected(count in any::<u32>(), quantized in any::<bool>()) {
+        let model = cnn_model::Model::new(
+            "prop",
+            tensor::Shape::new(1, 8, 8),
+            &[cnn_model::LayerOp::conv(2, 3, 1, 1), cnn_model::LayerOp::fc(4)],
+        )
+        .unwrap();
+        let payload = ReconfigurePayload {
+            plan: edgesim::ExecutionPlan::offload(&model, 0, 2).unwrap(),
+            delta: Vec::new(),
+            quant: quantized.then(|| cnn_model::exec::QuantSpec::new(vec![0.5, 0.25]).unwrap()),
+        };
+        let mut bytes = payload.encode().unwrap();
+        // The count follows the length-prefixed plan JSON.
+        let at = 4 + u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
+        bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        let result = ReconfigurePayload::decode(&bytes);
+        if count == 0 {
+            prop_assert_eq!(result.unwrap(), payload);
+        } else {
+            prop_assert!(matches!(result, Err(RuntimeError::Wire(_))), "{} deltas: {:?}", count, result);
+        }
     }
 
     /// Reconfigure payloads (plan JSON + raw weight deltas) round-trip.

@@ -1,19 +1,20 @@
-//! Low-overhead distributed tracing and metrics for the DistrEdge serving
-//! path.
+//! Low-overhead distributed tracing for the DistrEdge serving path.
 //!
-//! The runtime's aggregate reports (`RuntimeReport`, `GatewayMetrics`) say
-//! *how fast* serving was; this crate answers *where one image's
-//! milliseconds went* — gateway queue → batch form → submit → scatter →
-//! per-band compute → wire tx/rx → merge → head → response — across every
-//! device thread, on one shared clock.
+//! The serving tiers' typed reports (`RuntimeReport`, `GatewayMetrics`,
+//! `FleetMetrics`, `SwapReport`, `AdaptationTick`) are the metrics: each
+//! event is counted once, by the tier that owns it, and every report is
+//! `Serialize`.  They say *how fast* serving was; this crate answers
+//! *where one image's milliseconds went* — gateway queue → batch form →
+//! submit → scatter → per-band compute → wire tx/rx → merge → head →
+//! response — across every device thread, on one shared clock.
 //!
 //! # Architecture
 //!
-//! - A [`Telemetry`] hub owns the clock anchor, the enabled flag, the
-//!   per-thread event rings, and the metrics registry.  It is `Clone` and
-//!   cheap to share; [`Telemetry::disabled`] is the no-op variant the
-//!   untraced constructors use (capacity-0 rings, nothing allocated,
-//!   nothing recorded).
+//! - A [`Telemetry`] hub owns the clock anchor, the enabled flag and the
+//!   per-thread event rings.  It is `Clone` and cheap to share;
+//!   [`Telemetry::disabled`] is the no-op variant the untraced
+//!   constructors use (capacity-0 rings, nothing allocated, nothing
+//!   recorded).
 //! - Each recording thread asks the hub for a [`Recorder`] — its own
 //!   fixed-capacity, overwrite-oldest, lock-free ring.  Recording a span is
 //!   a handful of relaxed atomic stores; when the hub is disabled it is one
@@ -26,10 +27,6 @@
 //!   ([`TraceReport::to_chrome_trace`], loadable in
 //!   [Perfetto](https://ui.perfetto.dev)) and per-image critical-path
 //!   breakdowns ([`TraceReport::critical_path`]).
-//! - Subsystems register named [`Counter`]s / [`Gauge`]s on the hub
-//!   ([`Telemetry::counter`] / [`Telemetry::gauge`]); one
-//!   [`Telemetry::metrics`] call snapshots queue depths, shed counts,
-//!   epoch flips, reconfigure bytes, ... uniformly.
 //!
 //! # Example
 //!
@@ -43,7 +40,6 @@
 //! let t0 = rec.start().unwrap();
 //! // ... do the work being measured ...
 //! rec.span(Stage::Compute(3), trace, t0, 0, 0);
-//! telemetry.counter("worker.images").inc();
 //!
 //! let report = telemetry.collect();
 //! assert_eq!(report.span_count(), 1);
@@ -52,17 +48,13 @@
 //! ```
 
 mod event;
-mod registry;
 mod report;
 mod ring;
 
 pub use event::{SpanEvent, Stage, TraceId, NO_IMAGE, REQUESTER};
-pub use registry::{Counter, Gauge, Metric, MetricKind};
 pub use report::{CriticalPath, StageCost, TraceReport, TrackTrace};
 
-use registry::MetricCell;
 use ring::EventRing;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -75,11 +67,10 @@ struct HubShared {
     capacity: usize,
     anchor: Instant,
     rings: Mutex<Vec<Arc<EventRing>>>,
-    metrics: Mutex<BTreeMap<String, MetricCell>>,
 }
 
-/// The tracing hub: clock anchor, enabled flag, ring registry, metrics
-/// registry.  Clones share the same hub.
+/// The tracing hub: clock anchor, enabled flag, ring registry.  Clones
+/// share the same hub.
 #[derive(Clone)]
 pub struct Telemetry {
     shared: Arc<HubShared>,
@@ -106,7 +97,6 @@ impl Telemetry {
                 capacity,
                 anchor: Instant::now(),
                 rings: Mutex::new(Vec::new()),
-                metrics: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -120,8 +110,9 @@ impl Telemetry {
         hub
     }
 
-    /// Toggle recording at runtime.  Metrics cells keep updating either
-    /// way (they are plain shared atomics owned by their subsystems).
+    /// Toggle span recording at runtime.  The serving tiers' typed reports
+    /// keep counting either way: they are the tiers' own state, not the
+    /// hub's.
     pub fn set_enabled(&self, enabled: bool) {
         self.shared.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -157,42 +148,6 @@ impl Telemetry {
             shared: Arc::clone(&self.shared),
             ring,
         }
-    }
-
-    /// The named counter, registering it on first use.  If the name is
-    /// already registered as a gauge, a detached cell is returned (recorded
-    /// nowhere) rather than clobbering the registry.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut metrics = self.shared.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| MetricCell::Counter(Counter::detached()))
-        {
-            MetricCell::Counter(c) => c.clone(),
-            MetricCell::Gauge(_) => Counter::detached(),
-        }
-    }
-
-    /// The named gauge, registering it on first use.  If the name is
-    /// already registered as a counter, a detached cell is returned.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.shared.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| MetricCell::Gauge(Gauge::detached()))
-        {
-            MetricCell::Gauge(g) => g.clone(),
-            MetricCell::Counter(_) => Gauge::detached(),
-        }
-    }
-
-    /// Snapshot every registered metric, sorted by name.
-    pub fn metrics(&self) -> Vec<Metric> {
-        let metrics = self.shared.metrics.lock().unwrap();
-        metrics
-            .iter()
-            .map(|(name, cell)| cell.snapshot(name))
-            .collect()
     }
 
     /// One-shot drain of every ring from the beginning of retained history.
@@ -358,38 +313,6 @@ mod tests {
         let report = collector.collect();
         assert_eq!(report.span_count(), 2);
         assert_eq!(report.tracks.len(), 2);
-    }
-
-    #[test]
-    fn metrics_registry_unifies_names() {
-        let hub = Telemetry::new();
-        hub.counter("session.images_completed").add(5);
-        hub.counter("session.images_completed").add(2);
-        hub.gauge("gateway.queue_depth").set(9);
-        let metrics = hub.metrics();
-        assert_eq!(metrics.len(), 2);
-        let completed = metrics
-            .iter()
-            .find(|m| m.name == "session.images_completed")
-            .unwrap();
-        assert_eq!(completed.value, 7.0);
-        assert_eq!(completed.kind, MetricKind::Counter);
-        let depth = metrics
-            .iter()
-            .find(|m| m.name == "gateway.queue_depth")
-            .unwrap();
-        assert_eq!(depth.value, 9.0);
-        assert_eq!(depth.kind, MetricKind::Gauge);
-        // Kind mismatch yields a detached cell, not a clobbered registry.
-        hub.gauge("session.images_completed").set(-1);
-        assert_eq!(
-            hub.metrics()
-                .iter()
-                .find(|m| m.name == "session.images_completed")
-                .unwrap()
-                .value,
-            7.0
-        );
     }
 
     #[test]

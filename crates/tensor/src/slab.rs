@@ -54,31 +54,40 @@ fn read_u32(bytes: &[u8], at: usize) -> Result<u32> {
     ]))
 }
 
-/// Decodes a slab produced by [`write_slab`], returning the tensor and the
-/// number of bytes consumed.
-pub fn read_slab(bytes: &[u8]) -> Result<(Tensor, usize)> {
+/// Reads a slab header: the `[c, h, w]` it declares and the byte length
+/// of the whole slab (`header` bytes plus `elem` bytes per element).  The
+/// dims are peer-supplied, so a length that overflows or exceeds `bytes`
+/// is refused here — before anything is sized from it.
+fn read_header(bytes: &[u8], header: usize, elem: usize) -> Result<(Shape, usize)> {
     let c = read_u32(bytes, 0)? as usize;
     let h = read_u32(bytes, 4)? as usize;
     let w = read_u32(bytes, 8)? as usize;
-    let len = slab_len(c, h, w);
-    if bytes.len() < len {
-        return Err(TensorError::KernelConfig(format!(
+    let len = c
+        .checked_mul(h)
+        .and_then(|n| n.checked_mul(w))
+        .and_then(|n| n.checked_mul(elem))
+        .and_then(|n| n.checked_add(header));
+    match len {
+        Some(len) if len <= bytes.len() => Ok((Shape::new(c, h, w), len)),
+        Some(len) => Err(TensorError::KernelConfig(format!(
             "slab truncated: header promises {len} bytes, have {}",
             bytes.len()
-        )));
+        ))),
+        None => Err(TensorError::KernelConfig(format!(
+            "slab header [{c}, {h}, {w}] overflows the address space"
+        ))),
     }
-    let n = c * h * w;
-    let mut data = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = 12 + i * 4;
-        data.push(f32::from_le_bytes([
-            bytes[at],
-            bytes[at + 1],
-            bytes[at + 2],
-            bytes[at + 3],
-        ]));
-    }
-    Ok((Tensor::from_vec(Shape::new(c, h, w), data)?, len))
+}
+
+/// Decodes a slab produced by [`write_slab`], returning the tensor and the
+/// number of bytes consumed.
+pub fn read_slab(bytes: &[u8]) -> Result<(Tensor, usize)> {
+    let (shape, len) = read_header(bytes, 12, 4)?;
+    let data = bytes[12..len]
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    Ok((Tensor::from_vec(shape, data)?, len))
 }
 
 /// Byte length of a q8 slab holding a `[c, h, w]` tensor.
@@ -112,19 +121,10 @@ pub fn write_q8_slab(shape: Shape, scale: f32, data: &[i8], out: &mut Vec<u8>) -
 /// Decodes a q8 slab produced by [`write_q8_slab`], returning the shape,
 /// scale, int8 codes, and the number of bytes consumed.
 pub fn read_q8_slab(bytes: &[u8]) -> Result<(Shape, f32, Vec<i8>, usize)> {
-    let c = read_u32(bytes, 0)? as usize;
-    let h = read_u32(bytes, 4)? as usize;
-    let w = read_u32(bytes, 8)? as usize;
     let scale = f32::from_le_bytes(read_u32(bytes, 12)?.to_le_bytes());
-    let len = q8_slab_len(c, h, w);
-    if bytes.len() < len {
-        return Err(TensorError::KernelConfig(format!(
-            "q8 slab truncated: header promises {len} bytes, have {}",
-            bytes.len()
-        )));
-    }
+    let (shape, len) = read_header(bytes, 16, 1)?;
     let data = bytes[16..len].iter().map(|&b| b as i8).collect();
-    Ok((Shape::new(c, h, w), scale, data, len))
+    Ok((shape, scale, data, len))
 }
 
 /// Decodes a slab that must span the whole input exactly.
@@ -203,6 +203,22 @@ mod tests {
         // Mismatched data length is rejected at encode time.
         let mut out = Vec::new();
         assert!(write_q8_slab(shape, 1.0, &data[..23], &mut out).is_err());
+    }
+
+    #[test]
+    fn overflowing_headers_are_rejected() {
+        // `[2^31, 2^31, 1]` f32s are 2^64 bytes and `[2^16, 2^24, 2^24]`
+        // codes 2^64: a wrapping multiply calls both 0 bytes of data.
+        for dims in [
+            [1u32 << 31, 1 << 31, 1],
+            [1 << 16, 1 << 24, 1 << 24],
+            [u32::MAX; 3],
+        ] {
+            let mut bytes: Vec<u8> = dims.iter().flat_map(|d| d.to_le_bytes()).collect();
+            bytes.extend_from_slice(&[0; 8]);
+            assert!(read_slab(&bytes).is_err(), "{dims:?}");
+            assert!(read_q8_slab(&bytes).is_err(), "{dims:?}");
+        }
     }
 
     #[test]

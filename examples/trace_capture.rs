@@ -8,7 +8,8 @@
 //! Perfetto view makes visible as long gaps on dev2's tracks.
 //!
 //! Run with `cargo run --release --example trace_capture`; the trace lands
-//! in `trace.json` (load it at <https://ui.perfetto.dev>).
+//! in `trace.json` (load it at <https://ui.perfetto.dev>), and the final
+//! `GatewayMetrics` print as one `[json:gateway_metrics]` line.
 
 use distredge_suite::cnn_model::exec::{self, deterministic_input, ModelWeights};
 use distredge_suite::cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
@@ -147,9 +148,9 @@ fn main() {
         path.dominant
     );
 
-    println!("\nregistry snapshot:");
-    for metric in telemetry.metrics() {
-        println!("  {:<32} {:>12.0}", metric.name, metric.value);
-    }
+    // The counts are the typed reports: one JSON line of the gateway's
+    // final metrics, with the session report underneath.
+    let metrics_json = serde_json::to_string(&metrics).expect("GatewayMetrics serializes");
+    println!("\n[json:gateway_metrics] {metrics_json}");
     println!("\nload trace.json at https://ui.perfetto.dev to explore the tracks");
 }

@@ -18,7 +18,7 @@
 //!   session API (the `Deploy` builder → `Session`),
 //! * [`edge_gateway`] — the batching, SLO-aware serving front-end,
 //! * [`edge_telemetry`] — distributed tracing (Chrome-trace export,
-//!   critical-path reports) and the unified metrics registry.
+//!   critical-path reports); the tiers' typed reports are the metrics.
 
 pub use cnn_model;
 pub use device_profile;
