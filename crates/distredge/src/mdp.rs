@@ -16,7 +16,7 @@
 //! profiling results") or the ground truth (training "directly measured with
 //! real execution").
 
-use crate::Result;
+use crate::{DistrError, Result};
 use cnn_model::{LayerVolume, Model, PartitionScheme, VolumeSplit};
 use edgesim::{
     advance_volume, finish_image, Cluster, ClusterState, DataLocation, ExecutionPlan, PartCompute,
@@ -125,6 +125,9 @@ impl<'a> SplitEnv<'a> {
 
     /// Maps a raw actor output in `[-1, 1]^(|D|-1)` to a vertical split of a
     /// volume whose last layer has height `h` (Eq. 9: sort, then scale).
+    ///
+    /// # Panics
+    /// If `raw` holds a NaN; [`SplitEnv::step`] refuses one first.
     pub fn map_action(raw: &[f64], h: usize) -> VolumeSplit {
         let mut sorted = raw.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite actions"));
@@ -139,12 +142,20 @@ impl<'a> SplitEnv<'a> {
     }
 
     /// Applies the (raw) action for the current layer-volume and advances the
-    /// episode.
+    /// episode.  A non-finite action (a diverged actor, or one fed
+    /// non-finite observations) is an error and leaves the episode as it
+    /// was.
     pub fn step(&mut self, raw_action: &[f64]) -> Result<StepOutcome> {
         assert!(
             self.current < self.volumes.len(),
             "step() called on a finished episode; call reset()"
         );
+        if let Some(bad) = raw_action.iter().find(|a| !a.is_finite()) {
+            return Err(DistrError::InvalidConfig(format!(
+                "non-finite action {bad} for layer-volume {} (has the actor diverged?)",
+                self.current
+            )));
+        }
         let volume = self.volumes[self.current];
         let h = volume.last_output_height(self.model);
         let split = Self::map_action(raw_action, h);
@@ -284,6 +295,34 @@ mod tests {
         assert_eq!(split.cuts(), &[5, 50, 95]);
         let extreme = SplitEnv::map_action(&[-5.0, 5.0], 64);
         assert_eq!(extreme.cuts(), &[0, 64]);
+    }
+
+    /// A NaN from a diverged actor is a typed error from `step`, not a
+    /// panic in the sort (which compares only when there are two or more
+    /// cuts, hence three devices), and the episode is left where it was.
+    #[test]
+    fn a_non_finite_action_is_an_error_not_a_panic() {
+        let m = model();
+        let c = Cluster::uniform(
+            vec![
+                DeviceSpec::new("xavier", DeviceType::Xavier),
+                DeviceSpec::new("nano", DeviceType::Nano),
+                DeviceSpec::new("tx2", DeviceType::Tx2),
+            ],
+            LinkConfig::constant(100.0),
+        );
+        let compute = c.ground_truth_compute();
+        let scheme = PartitionScheme::new(&m, vec![0, 2, 4]).unwrap();
+        let mut env = SplitEnv::new(&m, &c, &compute, &scheme);
+        env.reset();
+        for bad in [[0.5, f64::NAN], [f64::NAN, f64::NAN], [f64::INFINITY, 0.0]] {
+            match env.step(&bad) {
+                Err(DistrError::InvalidConfig(msg)) => assert!(msg.contains("non-finite")),
+                other => panic!("{bad:?} gave {other:?}"),
+            }
+        }
+        assert!(env.splits().is_empty());
+        assert!(!env.step(&[-0.2, 0.4]).unwrap().done);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The Adam optimiser over a network's flat parameter vector (numerics: the
-//! crate docs' contract — the three divisions and the square root per
-//! parameter are part of it).
+//! The Adam optimiser over a network's flat parameter vector, in Kingma &
+//! Ba's efficient form (§2 of the Adam paper): the bias corrections are
+//! folded into the step size and `ε` once per step, leaving one division
+//! and one square root per parameter (numerics: the crate docs' contract).
 
 use crate::mlp::Mlp;
-use serde::{Deserialize, Serialize};
 
 /// Adam optimiser state for one network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
     beta1: f64,
@@ -38,7 +38,10 @@ impl Adam {
 
     /// Applies one Adam step to `net` using its accumulated gradients, then
     /// clears the gradients.  Parameters and moments are updated where they
-    /// live, one element at a time.
+    /// live, one element at a time:
+    /// `p -= α_t·m / (√v + ε̂)` with `α_t = lr·√(1−β₂ᵗ)/(1−β₁ᵗ)` and
+    /// `ε̂ = ε·√(1−β₂ᵗ)`, which is the textbook
+    /// `lr·m̂ / (√v̂ + ε)` with the bias corrections moved out of the loop.
     pub fn step(&mut self, net: &mut Mlp) {
         assert_eq!(
             net.num_params(),
@@ -47,15 +50,15 @@ impl Adam {
         );
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let root_bc2 = (1.0 - self.beta2.powi(self.t as i32)).sqrt();
+        let alpha = self.lr * root_bc2 / bc1;
+        let eps = self.eps * root_bc2;
         let (params, grads) = net.params_and_grads_mut();
         let moments = self.m.iter_mut().zip(&mut self.v);
         for ((p, g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
             *m = self.beta1 * *m + (1.0 - self.beta1) * *g;
             *v = self.beta2 * *v + (1.0 - self.beta2) * *g * *g;
-            let m_hat = *m / bc1;
-            let v_hat = *v / bc2;
-            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *p -= alpha * *m / (v.sqrt() + eps);
             *g = 0.0;
         }
     }
@@ -71,6 +74,8 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::mlp::ActKind;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Train y = 2x + 1 with a tiny MLP; Adam should drive the MSE well down.
     #[test]
@@ -105,6 +110,63 @@ mod tests {
         let after = mse(&mut net);
         assert!(after < before * 0.01, "before {before}, after {after}");
         assert!(after < 0.01, "after {after}");
+    }
+
+    /// One step as Kingma & Ba's Algorithm 1 writes it: bias-corrected
+    /// moments, then three divisions and a square root per parameter.
+    fn textbook_step(p: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64], t: i32, lr: f64) {
+        let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8);
+        for i in 0..p.len() {
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+            let m_hat = m[i] / (1.0 - beta1.powi(t));
+            let v_hat = v[i] / (1.0 - beta2.powi(t));
+            p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    /// The one-division step is the textbook step rearranged: over 1 000
+    /// steps of seeded random gradients, each parameter's gradient scale
+    /// fixed somewhere in ten decades (down to where `ε` dominates `√v̂`),
+    /// every parameter stays within a relative 1e-12 of the textbook
+    /// trajectory, and the moments, which both forms compute alike, are
+    /// equal.
+    #[test]
+    fn one_division_step_tracks_the_textbook_step() {
+        let mut net = Mlp::new(&[3, 8, 2], ActKind::Identity, 4);
+        let n = net.num_params();
+        let mut rng = StdRng::seed_from_u64(29);
+        // Parameters in ±[1, 2]: at most 3.2·lr per step, so 1 000 steps
+        // cannot carry one near zero, where a relative bound means nothing.
+        let start: Vec<f64> = (0..n)
+            .map(|_| {
+                let u: f64 = rng.gen_range(-1.0..1.0);
+                u.signum() * (1.0 + u.abs())
+            })
+            .collect();
+        let scales: Vec<f64> = (0..n)
+            .map(|_| 10f64.powf(rng.gen_range(-10.0..0.0)))
+            .collect();
+        let lr = 1e-4;
+        net.set_params_flat(&start);
+        let mut opt = Adam::new(n, lr);
+        let (mut want, mut m, mut v) = (start, vec![0.0; n], vec![0.0; n]);
+        for t in 1..=1000 {
+            let g: Vec<f64> = scales
+                .iter()
+                .map(|s| s * rng.gen_range(-1.0..1.0))
+                .collect();
+            net.params_and_grads_mut().1.copy_from_slice(&g);
+            opt.step(&mut net);
+            textbook_step(&mut want, &g, &mut m, &mut v, t, lr);
+            for (i, (got, want)) in net.params_flat().iter().zip(&want).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs(),
+                    "step {t}, parameter {i}: {got} vs textbook {want}"
+                );
+            }
+            assert_eq!(opt.moments(), (&m[..], &v[..]), "moments, step {t}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deep Deterministic Policy Gradient (Lillicrap et al.) — the continuous
 //! action-space actor-critic algorithm the OSDS splitter trains.  One
-//! update is one batched pass per network phase (numerics: the crate docs'
-//! contract).
+//! update is one batched pass per network phase through the fused dense
+//! kernel, then one one-division Adam step per trained network and a soft
+//! update of each target (numerics: the crate docs' contract).
 
 use crate::adam::Adam;
 use crate::kernels::Arm;

@@ -2,13 +2,15 @@
 //! instruction-set arm.
 //!
 //! [`mac`] computes `c[r][j] = init + Σ_k a[r][k] · x[k][j]` with the sum
-//! taken in ascending `k`, one multiply and one add per step — the crate's
-//! numerical contract (see the crate docs).  A forward pass, an input
-//! gradient and a weight gradient are all this product over differently
-//! strided operands, so there is one body.  Its vector lanes are the `j`
-//! (and `r`) of *different* outputs; no sum is ever split across lanes,
-//! which is why every arm, every tile shape and the per-sample loops the
-//! tests keep as an oracle agree bit for bit.
+//! taken in ascending `k`, one fused multiply-add per step (one rounding
+//! per step) — the crate's numerical contract (see the crate docs).  A
+//! forward pass, an input gradient and a weight gradient are all this
+//! product over differently strided operands, so there is one body.  Its
+//! vector lanes are the `j` (and `r`) of *different* outputs; no sum is ever
+//! split across lanes, and `f64::mul_add` is correctly rounded wherever it
+//! runs (an FMA instruction on the vector arms, libm's `fma` on a baseline
+//! without one), which is why every arm, every tile shape and the
+//! per-sample loops the tests keep as an oracle agree bit for bit.
 
 use std::sync::OnceLock;
 
@@ -17,10 +19,10 @@ use std::sync::OnceLock;
 pub(crate) enum Arm {
     /// The target's baseline features (SSE2 on x86-64).
     Baseline,
-    /// 256-bit vectors.
+    /// 256-bit vectors and FMA.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 512-bit vectors.
+    /// 512-bit vectors and FMA.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -32,11 +34,14 @@ impl Arm {
         *DETECTED.get_or_init(|| *Arm::available().last().expect("the baseline always runs"))
     }
 
-    /// Every arm this CPU runs, narrowest first.
+    /// Every arm this CPU runs, narrowest first.  A vector arm needs FMA
+    /// as well as its vector width: without it, `mul_add` would be a libm
+    /// call per lane.
     pub(crate) fn available() -> Vec<Arm> {
         let mut arms = vec![Arm::Baseline];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             arms.push(Arm::Avx2);
             if std::arch::is_x86_feature_detected!("avx512f") {
                 arms.push(Arm::Avx512);
@@ -75,7 +80,7 @@ pub(crate) fn mac(arm: Arm, init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize,
     match arm {
         Arm::Baseline => mac_body::<2, 8>(init, coef, x, l, c),
         // SAFETY: `Arm::available` lists an arm only when CPUID reports its
-        // feature, and every `Arm` the crate runs comes from that list.
+        // features, and every `Arm` the crate runs comes from that list.
         #[cfg(target_arch = "x86_64")]
         Arm::Avx2 => unsafe { mac_avx2(init, coef, x, l, c) },
         // SAFETY: as above.
@@ -84,30 +89,31 @@ pub(crate) fn mac(arm: Arm, init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize,
     }
 }
 
-/// [`mac_body`] compiled with 256-bit vectors: four rows of one `ymm` each
-/// are eight independent add chains, and one load of `x` serves all four.
+/// [`mac_body`] compiled with 256-bit vectors and FMA: four rows of one
+/// `ymm` each are eight independent FMA chains, and one load of `x` serves
+/// all four.
 ///
 /// # Safety
-/// The CPU must support AVX2.
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn mac_avx2(init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mut [f64]) {
     mac_body::<4, 8>(init, coef, x, l, c)
 }
 
-/// [`mac_body`] compiled with 512-bit vectors: a 4 × 32 tile is sixteen
-/// `zmm` accumulators.
+/// [`mac_body`] compiled with 512-bit vectors and FMA: a 4 × 32 tile is
+/// sixteen `zmm` accumulators.
 ///
 /// # Safety
-/// The CPU must support AVX-512F.
+/// The CPU must support AVX-512F and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 unsafe fn mac_avx512(init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mut [f64]) {
     mac_body::<4, 32>(init, coef, x, l, c)
 }
 
 /// The product, tiled `R` rows by `T` lanes.  The tile shape decides only
-/// how many independent outputs are in flight (enough to cover the add
+/// how many independent outputs are in flight (enough to cover the FMA
 /// latency on the arm it is compiled for), never the order of a sum.
 #[inline(always)]
 fn mac_body<const R: usize, const T: usize>(
@@ -214,7 +220,7 @@ unsafe fn tile<const R: usize, const T: usize>(
                 .a
                 .get_unchecked((r0 + r) * coef.row_stride + k * coef.k_stride);
             for (acc, &x) in acc.iter_mut().zip(xk) {
-                *acc += a * x;
+                *acc = a.mul_add(x, *acc);
             }
         }
     }
@@ -238,6 +244,7 @@ pub(crate) fn transpose(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::{ActKind, Mlp};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -251,7 +258,8 @@ mod tests {
                     Init::Accumulate => c[r * l + j],
                 };
                 for k in 0..coef.depth {
-                    acc += coef.a[r * coef.row_stride + k * coef.k_stride] * x[k * l + j];
+                    acc =
+                        coef.a[r * coef.row_stride + k * coef.k_stride].mul_add(x[k * l + j], acc);
                 }
                 c[r * l + j] = acc;
             }
@@ -307,6 +315,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Operands on which a fused and an unfused step differ: the exact
+    /// product `(1 + 2⁻³⁰)² = 1 + 2⁻²⁹ + 2⁻⁶⁰` rounds to `1 + 2⁻²⁹`, so
+    /// multiply-then-add against `−(1 + 2⁻²⁹)` gives `0` while one fused step
+    /// keeps the `2⁻⁶⁰`.
+    const WITNESS_OPERAND: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
+    const WITNESS_INIT: f64 = -(1.0 + 1.0 / (1u64 << 29) as f64);
+    const WITNESS_FUSED: f64 = 1.0 / (1u64 << 60) as f64;
+
+    #[test]
+    fn fused_witness_survives_every_arm_and_the_forward_pass() {
+        assert_eq!(WITNESS_OPERAND * WITNESS_OPERAND + WITNESS_INIT, 0.0);
+        assert_eq!(
+            WITNESS_OPERAND.mul_add(WITNESS_OPERAND, WITNESS_INIT),
+            WITNESS_FUSED
+        );
+        // Rows and lanes that reach every tile width in use: R ∈ {1, 2, 4},
+        // T ∈ {1, 8, 32}.
+        let (rows, l) = (5, 41);
+        let a = vec![WITNESS_OPERAND; rows];
+        let x = vec![WITNESS_OPERAND; l];
+        let init = vec![WITNESS_INIT; rows];
+        let coef = Coef {
+            a: &a,
+            row_stride: 1,
+            k_stride: 1,
+            rows,
+            depth: 1,
+        };
+        for arm in Arm::available() {
+            let mut bias = vec![0.0; rows * l];
+            mac(arm, Init::Rows(&init), coef, &x, l, &mut bias);
+            let mut held = vec![WITNESS_INIT; rows * l];
+            mac(arm, Init::Accumulate, coef, &x, l, &mut held);
+            for (what, got) in [("bias", bias), ("accumulated", held)] {
+                assert!(
+                    got.iter().all(|v| v.to_bits() == WITNESS_FUSED.to_bits()),
+                    "{arm:?} lost the fused bit from a {what} start: {:?}",
+                    &got[..4]
+                );
+            }
+        }
+        let mut net = Mlp::new(&[1, 1], ActKind::Identity, 0);
+        net.set_params_flat(&[WITNESS_OPERAND, WITNESS_INIT]);
+        assert_eq!(
+            net.forward(&[WITNESS_OPERAND])[0].to_bits(),
+            WITNESS_FUSED.to_bits()
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! implements the pieces directly:
 //!
 //! * [`mlp`] — dense layers with manual, batched forward/backward passes,
-//! * [`adam`] — the Adam optimiser,
+//! * [`adam`] — the Adam optimiser (one division per parameter),
 //! * [`replay`] — a uniform-sampling replay buffer,
 //! * [`noise`] — Gaussian exploration noise,
 //! * [`ddpg`] — the actor-critic agent with target networks and soft
@@ -22,23 +22,26 @@
 //! loop would.  Everything is `f64`, and:
 //!
 //! * a dense output is `act(b + Σ_k w_k·x_k)`, bias first, `k` ascending,
-//!   one rounded multiply then one rounded add per step — never a fused
-//!   multiply-add;
+//!   one fused multiply-add per step (`acc = w.mul_add(x, acc)`, one
+//!   rounding);
 //! * an input gradient is `0 + Σ_o dz_o·w_o`, `o` ascending, the same way;
-//! * a parameter gradient adds its samples' terms to the accumulated value
-//!   in batch order;
-//! * Adam and the soft update evaluate their textbook expressions per
-//!   element as written (Adam: three divisions and a square root).
+//! * a weight gradient adds its samples' terms `dz·x` to the accumulated
+//!   value in batch order, one fused multiply-add each; a bias gradient
+//!   adds its samples' `dz` the same way, with plain adds;
+//! * Adam is Kingma & Ba's efficient form: `α_t = lr·√(1−β₂ᵗ)/(1−β₁ᵗ)` and
+//!   `ε̂ = ε·√(1−β₂ᵗ)` once per step, then `p -= α_t·m / (√v + ε̂)` per
+//!   element — one division and one square root per parameter;
+//! * the moment updates and the soft update evaluate their textbook
+//!   expressions per element as written, unfused.
 //!
 //! Vector lanes are always *different outputs* — the samples of a batch, or
-//! the inputs of a weight row — so no sum is ever split or reordered, and
-//! every instruction-set arm of the dense kernel, every tile shape and the
-//! per-sample loops kept under `#[cfg(test)]` agree bit for bit on every
-//! machine.  Fusing the multiply-add would be one line in that kernel's
-//! body and half its arithmetic instructions; it is left out *here*
-//! because it would change every plan of every seed, and the benchmark's
-//! `quality` baseline and the golden plans in `distredge`'s tests would
-//! have to be recorded again.
+//! the inputs of a weight row — so no sum is ever split or reordered.  A
+//! fused multiply-add is correctly rounded wherever it runs: the vector
+//! arms use the FMA instruction (an arm is offered only where CPUID reports
+//! it), and the baseline arm's `f64::mul_add` is libm's `fma` where the
+//! hardware has none.  So every instruction-set arm of the dense kernel,
+//! every tile shape and the per-sample loops kept under `#[cfg(test)]`
+//! agree bit for bit on every machine.
 
 pub mod adam;
 pub mod ddpg;

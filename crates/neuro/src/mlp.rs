@@ -1,5 +1,8 @@
-//! Multi-layer perceptrons with manual, batched forward/backward passes
-//! (numerics: the crate docs' contract).
+//! Multi-layer perceptrons with manual, batched forward/backward passes.
+//! Every product — forward, input gradient, weight gradient — is one call
+//! of the fused dense kernel (`kernels::mac`); the activations and the bias
+//! gradient are plain per-element loops (numerics: the crate docs'
+//! contract).
 
 use crate::kernels::{mac, transpose, Arm, Coef, Init};
 use rand::rngs::StdRng;

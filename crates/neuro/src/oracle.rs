@@ -1,6 +1,7 @@
 //! The per-sample DDPG update the batched passes replaced, kept as the
 //! oracle they are tested against: one sample at a time through
-//! `acc += w·x` chains, every parameter round-tripped through flat copies.
+//! `acc = w.mul_add(x, acc)` chains, every parameter round-tripped through
+//! flat copies.
 //! Slow and allocation-heavy on purpose — it is the plainest statement of
 //! the numerical contract, and the batched code must match it bit for bit.
 
@@ -51,7 +52,7 @@ impl Dense {
             let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
             let mut acc = self.b[o];
             for (w, v) in row.iter().zip(x) {
-                acc += w * v;
+                acc = w.mul_add(*v, acc);
             }
             y.push(activate(self.act, acc));
         }
@@ -69,8 +70,8 @@ impl Dense {
             let row_w = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
             let row_g = &mut self.grad_w[o * self.in_dim..(o + 1) * self.in_dim];
             for i in 0..self.in_dim {
-                row_g[i] += dz * self.last_input[i];
-                grad_in[i] += dz * row_w[i];
+                row_g[i] = dz.mul_add(self.last_input[i], row_g[i]);
+                grad_in[i] = dz.mul_add(row_w[i], grad_in[i]);
             }
         }
         grad_in
@@ -196,14 +197,14 @@ impl FlatAdam {
         let mut params = net.params_flat();
         self.t += 1;
         let bc1 = 1.0 - f64::powi(beta1, self.t as i32);
-        let bc2 = 1.0 - f64::powi(beta2, self.t as i32);
+        let root_bc2 = (1.0 - f64::powi(beta2, self.t as i32)).sqrt();
+        let alpha = self.lr * root_bc2 / bc1;
+        let eps_hat = eps * root_bc2;
         for i in 0..params.len() {
             let g = grads[i];
             self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
             self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + eps);
+            params[i] -= alpha * self.m[i] / (self.v[i].sqrt() + eps_hat);
         }
         net.set_params_flat(&params);
         net.zero_grad();

@@ -21,7 +21,7 @@ pub struct Transition {
 }
 
 /// A fixed-capacity ring-buffer replay memory with uniform sampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     capacity: usize,
     data: Vec<Transition>,
