@@ -28,10 +28,9 @@ use tensor::ops::gemm::{gemm_bias_act_into, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_direct, conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_packed,
-    linear_q8, maxpool2d, pack_conv_filter, pack_linear_filter, qkernel_arch, quant_byte,
-    quant_scale, set_kernel_override, set_qkernel_override, winograd_eligible, winograd_preferred,
-    Activation, ConvRoute, KernelArch, PackedConvFilter, PackedFilter, QKernelArch,
-    QuantizedFilter, QuantizedLinearFilter,
+    linear_q8, maxpool2d, pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch,
+    quant_byte, quant_scale, winograd_eligible, winograd_preferred, Activation, ConvRoute,
+    KernelArch, PackedConvFilter, PackedFilter, QuantizedFilter, QuantizedLinearFilter,
 };
 use tensor::Tensor;
 
@@ -217,18 +216,16 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
         // slow side being measured.
         let direct_samples = if c_in >= 256 { 2 } else { 5 };
         let direct_ns = time_ns(direct_samples, run_direct);
-        set_kernel_override(Some(KernelArch::Scalar));
-        let packed_scalar_ns = time_ns(10, run_gemm);
-        set_kernel_override(None);
+        let (packed_scalar_ns, int8_scalar_ns) = {
+            let _pin = pin_kernels(KernelArch::Scalar);
+            (time_ns(10, run_gemm), time_ns(10, run_q8))
+        };
         let packed_simd_ns = time_ns(10, run_gemm);
         let winograd_ns = if wino_filter.is_some() {
             time_ns(10, run_winograd)
         } else {
             0.0
         };
-        set_qkernel_override(Some(QKernelArch::Scalar));
-        let int8_scalar_ns = time_ns(10, run_q8);
-        set_qkernel_override(None);
         let int8_simd_ns = time_ns(10, run_q8);
         let flops = 2.0 * (f * f * c_in * c_out * hw * hw) as f64;
         let rate = |flops: f64, ns: f64| if ns > 0.0 { flops / ns } else { 0.0 };

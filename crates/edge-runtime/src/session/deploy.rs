@@ -267,6 +267,7 @@ impl<'a> Deploy<'a> {
             requester_inbox,
             Arc::clone(&shared),
             Arc::clone(&stop),
+            model,
             route,
             options.recv_timeout,
             &telemetry,

@@ -5,6 +5,7 @@ use crate::provider::Assembly;
 use crate::routing::RouteTable;
 use crate::wire::{Frame, FrameKind};
 use crate::{Result, RuntimeError};
+use cnn_model::Model;
 use edge_telemetry::{Recorder, Stage, Telemetry, TraceId, REQUESTER};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,7 +15,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 struct GatherConfig {
-    has_head: bool,
+    /// The model's output shape when an FC-head device returns it whole;
+    /// `None` when the requester stitches the result from row bands.
+    head_shape: Option<[usize; 3]>,
     result_c: usize,
     result_w: usize,
     last_height: usize,
@@ -22,18 +25,21 @@ struct GatherConfig {
 }
 
 /// Spawns the gather thread over the requester `inbox`; the result
-/// geometry is that of `route`'s finishing stage.
+/// geometry is that of `route`'s finishing stage, or `model`'s output when
+/// the route has a head device.
 pub(super) fn spawn(
     inbox: Receiver<Vec<u8>>,
     shared: Arc<SessionShared>,
     stop: Arc<AtomicBool>,
+    model: &Model,
     route: &RouteTable,
     recv_timeout: Duration,
     telemetry: &Telemetry,
 ) -> JoinHandle<Receiver<Vec<u8>>> {
     let (result_c, result_w) = route.stage_geom(route.finish_stage() as usize);
+    let output = model.layers().last().map(|l| l.output.as_array());
     let cfg = GatherConfig {
-        has_head: route.head_device.is_some(),
+        head_shape: route.head_device.and(output),
         result_c,
         result_w,
         last_height: route.last_height,
@@ -126,8 +132,15 @@ fn handle_requester_frame(
         }
     }
     let image = frame.image;
-    let done = if cfg.has_head {
-        // The head output arrives whole.
+    let done = if let Some(shape) = cfg.head_shape {
+        // The head output arrives whole; a decodable frame of another shape
+        // is a corrupt result, never an output.
+        if frame.tensor.shape() != shape {
+            return Err(RuntimeError::Execution(format!(
+                "head result for image {image} has shape {:?}, the model outputs {shape:?}",
+                frame.tensor.shape()
+            )));
+        }
         Some(frame.tensor)
     } else {
         // Keyed by (image, epoch): after an epoch re-sync, bands of the

@@ -59,6 +59,48 @@ impl Transport for BlackholeTransport {
     }
 }
 
+/// A fabric that swaps the tensor of the first `Result` frame sent to the
+/// requester for one with an extra channel: a corrupt but decodable head
+/// output.
+struct ReshapingTransport {
+    inner: ChannelTransport,
+}
+
+struct ReshapingTx {
+    inner: Box<dyn FrameTx>,
+    reshaped: bool,
+}
+
+impl FrameTx for ReshapingTx {
+    fn send(&mut self, frame: &Frame) -> Result<usize> {
+        if frame.kind != FrameKind::Result || self.reshaped {
+            return self.inner.send(frame);
+        }
+        self.reshaped = true;
+        let [c, h, w] = frame.tensor.shape();
+        let mut wrong = frame.clone();
+        wrong.tensor = Tensor::from_vec([c + 1, h, w], vec![0.5; (c + 1) * h * w]).unwrap();
+        self.inner.send(&wrong)
+    }
+}
+
+impl Transport for ReshapingTransport {
+    fn open(&mut self, from: Endpoint, to: Endpoint) -> Result<Box<dyn FrameTx>> {
+        let inner = self.inner.open(from, to)?;
+        if to != Endpoint::Requester {
+            return Ok(inner);
+        }
+        Ok(Box::new(ReshapingTx {
+            inner,
+            reshaped: false,
+        }))
+    }
+
+    fn inbox(&mut self, at: Endpoint) -> Result<Receiver<Vec<u8>>> {
+        self.inner.inbox(at)
+    }
+}
+
 #[test]
 fn session_serves_two_waves_without_redeploying() {
     let m = model();
@@ -116,6 +158,27 @@ fn try_submit_is_credit_gated() {
     // and fails the session; shutdown surfaces that instead of a report.
     let err = session.shutdown();
     assert!(err.is_err(), "wedged session must fail shutdown");
+}
+
+#[test]
+fn a_head_result_of_the_wrong_shape_fails_the_session() {
+    let m = model();
+    let weights = ModelWeights::deterministic(&m, 3);
+    let plan = plan(&m, 2);
+    assert!(plan.head_device.is_some(), "the test model has an FC head");
+    let mut transport = ReshapingTransport {
+        inner: ChannelTransport::new(2),
+    };
+    let session = Deploy::new(&m, &plan, &weights)
+        .over(&mut transport)
+        .start()
+        .unwrap();
+    let ticket = session.submit(&deterministic_input(&m, 0)).unwrap();
+    match session.wait(ticket) {
+        Err(RuntimeError::Execution(msg)) => assert!(msg.contains("shape"), "{msg}"),
+        other => panic!("a wrong-shape head result was served: {other:?}"),
+    }
+    assert!(session.shutdown().is_err(), "the session stays failed");
 }
 
 #[test]

@@ -23,27 +23,25 @@
 //! lets every distributed-equivalence suite in this workspace run
 //! unchanged on any mix of devices.
 //!
-//! The FC GEMV kernels ([`super::gemv`]) are a second kernel family on the
-//! same arms and the same contract: 4 `zmm` / 8 `ymm` accumulators or a
-//! scalar lane loop over a 64-row panel, f32 under [`KernelArch`], int8
-//! under [`QKernelArch`].
+//! The int8 quantized GEMM ([`super::qgemm`]) has its own arm family
+//! ([`QKernelArch`]): scalar / AVX2 / AVX-512 VNNI (`vpdpbusd`).  Integer
+//! accumulation is order-independent, so all int8 arms are bit-exact by
+//! construction.  The FC GEMV kernels ([`super::gemv`]) run on the same two
+//! families under the same contracts.
 //!
-//! Selection is per *process*: detected once from CPUID, overridable for
-//! tests and benches via [`set_kernel_override`] or the environment
-//! (`DISTREDGE_FORCE_SCALAR=1`, or `DISTREDGE_KERNEL=scalar|avx2|avx512`).
-//! An override never selects an arm the hardware cannot run: requests are
-//! clamped to the detected capability.  An *unrecognised* kernel name in
-//! the environment panics with the valid names — a typo in CI must not
-//! silently un-pin the kernel under test.
-//!
-//! The int8 quantized GEMM ([`super::qgemm`]) has its own parallel arm
-//! family ([`QKernelArch`]): scalar / AVX2 / AVX-512 VNNI (`vpdpbusd`).
-//! Integer accumulation is order-independent, so all int8 arms are
-//! bit-exact by construction; the same clamp-to-capability rules apply via
-//! `DISTREDGE_QKERNEL=scalar|avx2|vnni` and [`set_qkernel_override`].
+//! Selection is per *process*: each family is detected once from CPUID and
+//! both follow **one request**, a [`KernelArch`] level — `avx512` means the
+//! VNNI arm for int8.  The request comes from a [`pin_kernels`] guard if one
+//! is live (tests and benches), else from the environment
+//! (`DISTREDGE_KERNEL=scalar|avx2|avx512`), else there is none and each
+//! family runs the best arm the hardware has.  A request never selects an
+//! arm the hardware cannot run: it is clamped to the detected capability of
+//! each family.  An *unrecognised* name in the environment panics with the
+//! valid names — a typo in CI must not silently un-pin the kernel under
+//! test.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One micro-kernel implementation arm, ordered by capability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -65,93 +63,6 @@ impl KernelArch {
             KernelArch::Avx2 => "avx2",
             KernelArch::Avx512 => "avx512",
         }
-    }
-}
-
-/// What the hardware supports, detected once per process.
-fn detected() -> KernelArch {
-    static DETECTED: OnceLock<KernelArch> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // The 256-bit arm needs both features, and an override can clamp
-            // a 512-bit machine down to it, so the 512-bit arm requires them
-            // too (every AVX-512 part has them).
-            if std::arch::is_x86_feature_detected!("avx2") && hw_fma() {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    return KernelArch::Avx512;
-                }
-                return KernelArch::Avx2;
-            }
-        }
-        KernelArch::Scalar
-    })
-}
-
-/// Whether the scalar arm may run its loop compiled under
-/// `target_feature(enable = "fma")` — same bits as the plain copy (both are
-/// `f32::mul_add`), hardware `vfmadd` instead of a libm call per element.
-#[cfg(target_arch = "x86_64")]
-pub(super) fn hw_fma() -> bool {
-    std::arch::is_x86_feature_detected!("fma")
-}
-
-/// The environment's standing request, read once per process.  An
-/// unrecognised `DISTREDGE_KERNEL` value panics: a typo must not silently
-/// fall back to auto-detection and un-pin the kernel a CI step meant to
-/// test.
-fn env_request() -> Option<KernelArch> {
-    static ENV: OnceLock<Option<KernelArch>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        if let Ok(v) = std::env::var("DISTREDGE_KERNEL") {
-            match v.to_ascii_lowercase().as_str() {
-                "scalar" => return Some(KernelArch::Scalar),
-                "avx2" => return Some(KernelArch::Avx2),
-                "avx512" => return Some(KernelArch::Avx512),
-                other => panic!(
-                    "DISTREDGE_KERNEL={other:?} is not a kernel arm; \
-                     valid names: scalar, avx2, avx512"
-                ),
-            }
-        }
-        match std::env::var("DISTREDGE_FORCE_SCALAR") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Some(KernelArch::Scalar),
-            _ => None,
-        }
-    })
-}
-
-/// Programmatic override: 0 = none, else `KernelArch as u8 + 1`.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces every subsequent GEMM / GEMV call in this process onto `arch` (clamped
-/// to what the hardware supports), or restores automatic selection with
-/// `None`.  Test and bench plumbing — takes precedence over the
-/// environment.  The choice is read once per GEMM entry call and passed
-/// down, so worker threads inside one call never see a torn switch.
-pub fn set_kernel_override(arch: Option<KernelArch>) {
-    let v = match arch {
-        None => 0,
-        Some(KernelArch::Scalar) => 1,
-        Some(KernelArch::Avx2) => 2,
-        Some(KernelArch::Avx512) => 3,
-    };
-    OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// The micro-kernel arm GEMM calls will run right now: the programmatic
-/// override if set, else the environment request, else full hardware
-/// capability — always clamped to what the hardware can execute.
-pub fn kernel_arch() -> KernelArch {
-    let requested = match OVERRIDE.load(Ordering::SeqCst) {
-        1 => Some(KernelArch::Scalar),
-        2 => Some(KernelArch::Avx2),
-        3 => Some(KernelArch::Avx512),
-        _ => env_request(),
-    };
-    match requested {
-        Some(arch) => arch.min(detected()),
-        None => detected(),
     }
 }
 
@@ -183,6 +94,44 @@ impl QKernelArch {
     }
 }
 
+/// The int8 arm a request level names.
+fn q_level(level: KernelArch) -> QKernelArch {
+    match level {
+        KernelArch::Scalar => QKernelArch::Scalar,
+        KernelArch::Avx2 => QKernelArch::Avx2,
+        KernelArch::Avx512 => QKernelArch::Vnni,
+    }
+}
+
+/// The selection rule, for either family: a request runs clamped to what
+/// the hardware can execute, and no request runs the best it has.
+fn select<A: Ord>(request: Option<A>, detected: A) -> A {
+    match request {
+        Some(arch) => arch.min(detected),
+        None => detected,
+    }
+}
+
+/// What the hardware supports for f32, detected once per process.
+fn detected() -> KernelArch {
+    static DETECTED: OnceLock<KernelArch> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // The 256-bit arm needs both features, and a request can clamp
+            // a 512-bit machine down to it, so the 512-bit arm requires them
+            // too (every AVX-512 part has them).
+            if std::arch::is_x86_feature_detected!("avx2") && hw_fma() {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return KernelArch::Avx512;
+                }
+                return KernelArch::Avx2;
+            }
+        }
+        KernelArch::Scalar
+    })
+}
+
 /// What the hardware supports for int8, detected once per process.
 fn q_detected() -> QKernelArch {
     static DETECTED: OnceLock<QKernelArch> = OnceLock::new();
@@ -202,61 +151,86 @@ fn q_detected() -> QKernelArch {
     })
 }
 
-/// The environment's standing int8 request, read once per process.
-/// `DISTREDGE_FORCE_SCALAR` forces the int8 scalar arm too, so one CI
-/// switch pins every kernel family.  Unrecognised `DISTREDGE_QKERNEL`
-/// values panic, same as `DISTREDGE_KERNEL`.
-fn q_env_request() -> Option<QKernelArch> {
-    static ENV: OnceLock<Option<QKernelArch>> = OnceLock::new();
+/// Whether the scalar arm may run its loop compiled under
+/// `target_feature(enable = "fma")` — same bits as the plain copy (both are
+/// `f32::mul_add`), hardware `vfmadd` instead of a libm call per element.
+#[cfg(target_arch = "x86_64")]
+pub(super) fn hw_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
+}
+
+/// The environment's standing request, read once per process.  An
+/// unrecognised `DISTREDGE_KERNEL` value panics: a typo must not silently
+/// fall back to auto-detection and un-pin the kernel a CI step meant to
+/// test.
+fn env_request() -> Option<KernelArch> {
+    static ENV: OnceLock<Option<KernelArch>> = OnceLock::new();
     *ENV.get_or_init(|| {
-        if let Ok(v) = std::env::var("DISTREDGE_QKERNEL") {
-            match v.to_ascii_lowercase().as_str() {
-                "scalar" => return Some(QKernelArch::Scalar),
-                "avx2" => return Some(QKernelArch::Avx2),
-                "vnni" => return Some(QKernelArch::Vnni),
-                other => panic!(
-                    "DISTREDGE_QKERNEL={other:?} is not an int8 kernel arm; \
-                     valid names: scalar, avx2, vnni"
-                ),
-            }
-        }
-        match std::env::var("DISTREDGE_FORCE_SCALAR") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Some(QKernelArch::Scalar),
-            _ => None,
-        }
+        let v = std::env::var("DISTREDGE_KERNEL").ok()?;
+        Some(match v.to_ascii_lowercase().as_str() {
+            "scalar" => KernelArch::Scalar,
+            "avx2" => KernelArch::Avx2,
+            "avx512" => KernelArch::Avx512,
+            other => panic!(
+                "DISTREDGE_KERNEL={other:?} is not a kernel arm; \
+                 valid names: scalar, avx2, avx512"
+            ),
+        })
     })
 }
 
-/// Programmatic int8 override: 0 = none, else `QKernelArch as u8 + 1`.
-static Q_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// The live pin: 0 = none, else `KernelArch as u8 + 1`.
+static PIN: AtomicU8 = AtomicU8::new(0);
+/// Held by the live [`KernelPin`], so pins never overlap.
+static PIN_LOCK: Mutex<()> = Mutex::new(());
 
-/// Forces every subsequent int8 GEMM call in this process onto `arch`
-/// (clamped to hardware capability), or restores automatic selection with
-/// `None`.  Same semantics as [`set_kernel_override`], independent state.
-pub fn set_qkernel_override(arch: Option<QKernelArch>) {
-    let v = match arch {
-        None => 0,
-        Some(QKernelArch::Scalar) => 1,
-        Some(QKernelArch::Avx2) => 2,
-        Some(QKernelArch::Vnni) => 3,
-    };
-    Q_OVERRIDE.store(v, Ordering::SeqCst);
+/// The standing request: the live pin, else the environment's.
+fn request() -> Option<KernelArch> {
+    match PIN.load(Ordering::SeqCst) {
+        1 => Some(KernelArch::Scalar),
+        2 => Some(KernelArch::Avx2),
+        3 => Some(KernelArch::Avx512),
+        _ => env_request(),
+    }
 }
 
-/// The int8 micro-kernel arm quantized GEMM calls will run right now:
-/// programmatic override, else environment request, else full hardware
-/// capability — always clamped to what the hardware can execute.
-pub fn qkernel_arch() -> QKernelArch {
-    let requested = match Q_OVERRIDE.load(Ordering::SeqCst) {
-        1 => Some(QKernelArch::Scalar),
-        2 => Some(QKernelArch::Avx2),
-        3 => Some(QKernelArch::Vnni),
-        _ => q_env_request(),
-    };
-    match requested {
-        Some(arch) => arch.min(q_detected()),
-        None => q_detected(),
+/// Pins both kernel families of this process to `level` (clamped per
+/// family to what the hardware runs; int8 reads `Avx512` as its VNNI arm)
+/// until the returned guard drops, which restores automatic selection.
+/// Test and bench plumbing — takes precedence over the environment.
+///
+/// The guard holds one process-wide lock, so a second pin waits for the
+/// first to drop: a pinned body runs the arm it named even while other
+/// threads pin.  Calls that pin nothing still read whatever pin is live.
+/// The arm is read once per GEMM / GEMV entry call and passed down, so the
+/// worker threads inside one call never see a torn switch.
+pub fn pin_kernels(level: KernelArch) -> KernelPin {
+    let lock = PIN_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    PIN.store(level as u8 + 1, Ordering::SeqCst);
+    KernelPin { _lock: lock }
+}
+
+/// A live [`pin_kernels`] request; dropping it restores automatic selection.
+#[must_use = "the pin lasts only while the guard is alive"]
+pub struct KernelPin {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for KernelPin {
+    fn drop(&mut self) {
+        // Runs before the lock field is released.
+        PIN.store(0, Ordering::SeqCst);
     }
+}
+
+/// The f32 micro-kernel arm GEMM / GEMV calls will run right now.
+pub fn kernel_arch() -> KernelArch {
+    select(request(), detected())
+}
+
+/// The int8 micro-kernel arm quantized GEMM / GEMV calls will run right now.
+pub fn qkernel_arch() -> QKernelArch {
+    select(request().map(q_level), q_detected())
 }
 
 #[cfg(test)]
@@ -264,17 +238,59 @@ mod tests {
     use super::*;
 
     #[test]
-    fn override_clamps_and_restores() {
-        // Whatever the hardware, forcing scalar always lands on scalar …
-        set_kernel_override(Some(KernelArch::Scalar));
-        assert_eq!(kernel_arch(), KernelArch::Scalar);
-        // … and a request above capability clamps instead of mis-dispatching.
-        set_kernel_override(Some(KernelArch::Avx512));
-        assert!(kernel_arch() <= detected());
-        set_kernel_override(None);
+    fn selection_clamps_a_request_to_the_hardware() {
+        use KernelArch::*;
+        for hw in [Scalar, Avx2, Avx512] {
+            assert_eq!(select(None, hw), hw);
+            for req in [Scalar, Avx2, Avx512] {
+                assert_eq!(select(Some(req), hw), req.min(hw), "{req:?} on {hw:?}");
+                assert_eq!(
+                    select(Some(q_level(req)), q_level(hw)),
+                    q_level(req.min(hw)),
+                    "int8 {req:?} on {hw:?}"
+                );
+            }
+        }
+        // A 512-bit part without VNNI: an `avx512` request runs int8 on AVX2.
         assert_eq!(
-            kernel_arch(),
-            detected().min(env_request().unwrap_or(detected()))
+            select(Some(q_level(Avx512)), QKernelArch::Avx2),
+            QKernelArch::Avx2
+        );
+    }
+
+    #[test]
+    fn override_clamps_and_restores() {
+        // Whatever the hardware, pinning scalar always lands on scalar …
+        {
+            let _pin = pin_kernels(KernelArch::Scalar);
+            assert_eq!(kernel_arch(), KernelArch::Scalar);
+        }
+        // … and a request above capability clamps instead of mis-dispatching.
+        {
+            let _pin = pin_kernels(KernelArch::Avx512);
+            assert_eq!(kernel_arch(), detected());
+        }
+        // No pin live now unless another test holds one; take the lock to
+        // read the unpinned state.
+        let _lock = PIN_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        assert_eq!(kernel_arch(), select(env_request(), detected()));
+    }
+
+    #[test]
+    fn qoverride_clamps_and_restores() {
+        // The same pin drives the int8 family: `Avx512` reads as its VNNI arm.
+        {
+            let _pin = pin_kernels(KernelArch::Scalar);
+            assert_eq!(qkernel_arch(), QKernelArch::Scalar);
+        }
+        {
+            let _pin = pin_kernels(KernelArch::Avx512);
+            assert_eq!(qkernel_arch(), q_detected());
+        }
+        let _lock = PIN_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        assert_eq!(
+            qkernel_arch(),
+            select(env_request().map(q_level), q_detected())
         );
     }
 
@@ -286,18 +302,5 @@ mod tests {
         assert_eq!(QKernelArch::Scalar.label(), "scalar");
         assert_eq!(QKernelArch::Avx2.label(), "avx2");
         assert_eq!(QKernelArch::Vnni.label(), "vnni");
-    }
-
-    #[test]
-    fn qoverride_clamps_and_restores() {
-        set_qkernel_override(Some(QKernelArch::Scalar));
-        assert_eq!(qkernel_arch(), QKernelArch::Scalar);
-        set_qkernel_override(Some(QKernelArch::Vnni));
-        assert!(qkernel_arch() <= q_detected());
-        set_qkernel_override(None);
-        assert_eq!(
-            qkernel_arch(),
-            q_detected().min(q_env_request().unwrap_or(q_detected()))
-        );
     }
 }

@@ -1,37 +1,49 @@
-//! Cache-blocked, register-tiled f32 GEMM with fused bias + activation —
-//! the compute core of the packed convolution paths (im2col and Winograd).
-//! Linear layers are matrix-vector products and run on the row-vectorised
-//! kernels in [`super::gemv`] instead, under the same numerical contract.
+//! Cache-blocked, register-tiled GEMM with a fused epilogue — the compute
+//! core of the packed convolution paths (f32 im2col and Winograd here, int8
+//! im2col in [`super::qgemm`]).  Linear layers are matrix-vector products
+//! and run on the row-vectorised kernels in [`super::gemv`] instead, under
+//! the same numerical contracts.
 //!
-//! The kernel computes `C[r][j] = act(bias[r] + Σ_k A[r][k] · B[k][j])`
+//! The f32 kernel computes `C[r][j] = act(bias[r] + Σ_k A[r][k] · B[k][j])`
 //! where `A` is a weight matrix prepacked into [`PackedFilter`] row panels
 //! (ideally once, at deploy time) and `B` is produced on the fly in column
 //! panels by a caller-supplied filler — the im2col lowering for
 //! convolutions.
 //!
-//! Three levels of blocking:
+//! **One driver for both number formats.**  The blocked driver below runs
+//! the f32 and the int8 GEMM alike; a `Format` supplies only what differs
+//! between them — the B element and the padding value panels are pre-filled
+//! with, the accumulator, how many K elements a panel groups together, each
+//! row's start value, the register-tile block and the per-row epilogue.
+//! The driver owns the rest, once: three levels of blocking,
 //!
 //! * **register tile** — the micro-kernel holds an `MR × NR` accumulator
 //!   block in registers and streams one A panel against one B panel (the
-//!   AVX-512 arm: against two adjacent B panels, an `MR × 2·NR` block);
+//!   f32 AVX-512 arm: against two adjacent B panels, an `MR × 2·NR` block);
 //! * **K blocking** — the shared dimension is processed in slices of at
-//!   most [`KC`], so one B slice (≤ `KC × tile` floats) stays cache-hot
+//!   most [`KC`], so one B slice (≤ `KC × tile` elements) stays cache-hot
 //!   while every A panel streams over it;
 //! * **parallel tiles** — wide outputs are split into *column tiles* (for
 //!   convolutions these are row bands of the output image) processed by
 //!   rayon tasks; narrow outputs (fewer than `4·NR` columns) share one B
-//!   across row-panel groups instead (see `MIN_COLS_FOR_TILING`).
+//!   across row-panel groups instead (see `MIN_COLS_FOR_TILING`),
 //!
-//! Numerical contract (stated in full in [`super`]): for a given output
+//! and the buffers: B panels are staged in a buffer pre-filled with
+//! padding, accumulators start at their row's start value in the first K
+//! slice and wait in a C tile between slices, and the last slice hands
+//! them to the epilogue, which writes `out` (a column tile's private
+//! output tile on the wide path, scattered into `out` at the end).
+//!
+//! Numerical contract (stated in full in [`super`]): for a given f32 output
 //! element the steps happen in exactly the order `bias, k=0, 1, …, K-1` —
 //! a single accumulator, never split across `k`, each step one fused
-//! multiply-add `acc = fma(a, b, acc)` — regardless of tile sizes, thread
-//! counts, whether the columns were computed in one call or many, or which
-//! micro-kernel arm ([`super::dispatch`]) executed it.  This is what makes
-//! the packed path deterministic: a band computed on a provider is
-//! bit-identical to the same rows of a full-output call even across
-//! machines with different SIMD capability, so the runtime's bit-exactness
-//! guarantees survive the fast path.
+//! multiply-add `acc = fma(a, b, acc)` — then `act` once, regardless of
+//! tile sizes, thread counts, whether the columns were computed in one call
+//! or many, or which micro-kernel arm ([`super::dispatch`]) executed it.
+//! This is what makes the packed path deterministic: a band computed on a
+//! provider is bit-identical to the same rows of a full-output call even
+//! across machines with different SIMD capability, so the runtime's
+//! bit-exactness guarantees survive the fast path.
 
 use super::activation::Activation;
 #[cfg(target_arch = "x86_64")]
@@ -40,6 +52,7 @@ use super::dispatch::{kernel_arch, KernelArch};
 use crate::error::TensorError;
 use crate::Result;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Rows per register tile (output channels / features per micro-kernel).
 /// Six rows × sixteen columns is twelve `ymm` accumulators on the AVX2 arm
@@ -51,7 +64,7 @@ use rayon::prelude::*;
 pub const MR: usize = 6;
 /// Columns per register tile (output pixels per micro-kernel).
 pub const NR: usize = 16;
-/// K-dimension block: one B slice is at most `KC × tile` floats.
+/// K-dimension block: one B slice is at most `KC × tile` elements.
 pub const KC: usize = 256;
 
 /// A weight matrix `[m][k]` repacked into `MR`-row panels for the
@@ -123,6 +136,8 @@ impl PackedFilter {
 /// `[k0, k1)` and output columns `[j0, j1)` into `buf`, which is laid out in
 /// `NR`-column panels (`buf[(q*(k1-k0) + kk)*NR + jj] = B[k0+kk][j0 + q*NR
 /// + jj]`).  `buf` arrives zeroed; the filler only writes non-zero entries.
+/// Any `[k0, k1)` may be asked for: the driver fills per [`KC`] slice on
+/// wide outputs and all of `k` at once on narrow ones.
 pub trait PanelFill: Sync {
     /// Writes one k-slice of B panels (see trait docs for the layout).
     fn fill(&self, k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [f32]);
@@ -158,17 +173,61 @@ const TASKS_PER_THREAD: usize = 3;
 /// tiles without this cap).
 const MAX_TILE_COLS: usize = 256;
 
-/// Computes `out = act(bias + A·B)` into a row-major `[m][n]` buffer, with
-/// `A` prepacked and `B` produced by `fill` (see [`PanelFill`]).
-pub fn gemm_bias_act_into<F: PanelFill>(
-    a: &PackedFilter,
+/// The accumulators of one register-tile call: up to two adjacent `NR`
+/// panels of `MR` rows.
+pub(super) type AccTile<T> = [[[T; NR]; MR]; 2];
+
+/// What a number format brings to the blocked [`drive`]r — and nothing
+/// else: the driver never asks which format it runs.
+pub(super) trait Format: Sync {
+    /// One B-panel element.
+    type B: Copy + Send + Sync;
+    /// One accumulator.
+    type Acc: Copy + Default + Send + Sync;
+    /// The format's micro-kernel arm family.
+    type Arch: Copy + Send + Sync;
+    /// The B value that stands for zero; panel buffers are pre-filled with
+    /// it, so padding costs fillers nothing.
+    const PAD: Self::B;
+    /// K elements per panel group: a B panel holds `NR × KG` elements per
+    /// group, groups ascending in `k`.  Divides [`KC`].
+    const KG: usize;
+    /// Output rows.
+    fn m(&self) -> usize;
+    /// Shared dimension, in elements.
+    fn k(&self) -> usize;
+    /// The arm this call runs on — read once per call and passed down, so
+    /// every worker inside one call runs the same arm.
+    fn arch() -> Self::Arch;
+    /// B panels one register-tile call takes on `arch`: 1 or 2.
+    fn panels_per_call(arch: Self::Arch) -> usize;
+    /// The start value of row `r`'s accumulators.
+    fn start(&self, r: usize) -> Self::Acc;
+    /// The register-tile block: `acc[h] += A[row panel p, groups g] · b[h]`
+    /// for each of the (one or two) B panels in `b`.
+    fn block(
+        &self,
+        arch: Self::Arch,
+        p: usize,
+        g: Range<usize>,
+        b: &[&[Self::B]],
+        acc: &mut AccTile<Self::Acc>,
+    );
+    /// The epilogue: row `r`'s finished accumulators to output values.
+    fn finish(&self, r: usize, acc: &[Self::Acc], out: &mut [f32]);
+}
+
+/// Checks the output geometry and runs `fmt` over `n` output columns into
+/// the row-major `[m][n]` buffer `out`, B produced by `fill` (laid out as
+/// [`PanelFill`] says, per K group of `F::KG` elements).
+pub(super) fn drive<F: Format>(
+    fmt: &F,
     bias: &[f32],
-    act: Activation,
     n: usize,
-    fill: &F,
+    fill: &(impl Fn(usize, usize, usize, usize, &mut [F::B]) + Sync),
     out: &mut [f32],
 ) -> Result<()> {
-    let (m, k) = (a.m, a.k);
+    let (m, k) = (fmt.m(), fmt.k());
     if bias.len() != m {
         return Err(TensorError::KernelConfig(format!(
             "gemm bias length {} != m {m}",
@@ -185,194 +244,244 @@ pub fn gemm_bias_act_into<F: PanelFill>(
     if n == 0 || m == 0 {
         return Ok(());
     }
-    // Resolve the micro-kernel arm once per call and pass it down by value:
-    // every rayon task inside this call runs the same arm, so a concurrent
-    // override flip can never mix arms within one output.
-    let arch = kernel_arch();
+    let arch = F::arch();
+    let group = NR * F::KG;
+    // The K slices: the element range and the panel-group range of each.
+    let slices = || {
+        (0..k).step_by(KC).map(|k0| {
+            let k1 = (k0 + KC).min(k);
+            (k0..k1, k0 / F::KG..k1.div_ceil(F::KG))
+        })
+    };
+    // Partial sums between K slices; a single-slice product never needs them.
+    let partials = |len: usize| vec![F::Acc::default(); if k > KC { len } else { 0 }];
+    let tasks = TASKS_PER_THREAD * rayon::current_num_threads();
 
     if n >= MIN_COLS_FOR_TILING {
         // Wide output: parallelise over column tiles (output row bands for
-        // the convolution caller).  Each task owns a private C tile and B
-        // slice; tiles are scattered into `out` afterwards.
+        // the convolution callers).  Each task stages its own B slice per
+        // K block into a private tile; the tiles are scattered into `out`
+        // afterwards.
         let tile = n
-            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
+            .div_ceil(tasks)
             .next_multiple_of(NR)
             .clamp(NR, MAX_TILE_COLS);
-        let tiles = n.div_ceil(tile);
-        let blocks: Vec<(usize, usize, Vec<f32>)> = (0..tiles)
+        let tiles: Vec<(Range<usize>, Vec<f32>)> = (0..n.div_ceil(tile))
             .into_par_iter()
             .map(|t| {
-                let j0 = t * tile;
-                let j1 = (j0 + tile).min(n);
-                let tn = j1 - j0;
+                let cols = t * tile..((t + 1) * tile).min(n);
+                let tn = cols.len();
                 let panels = tn.div_ceil(NR);
-                let mut ctile = vec![0.0f32; m * tn];
-                let mut bbuf = vec![0.0f32; panels * KC.min(k) * NR];
-                for k0 in (0..k).step_by(KC) {
-                    let k1 = (k0 + KC).min(k);
-                    let bslice = &mut bbuf[..panels * (k1 - k0) * NR];
-                    bslice.fill(0.0);
-                    fill.fill(k0, k1, j0, j1, bslice);
-                    gemm_block(
-                        arch,
-                        a,
-                        0,
-                        m,
-                        k0,
-                        k1,
-                        bslice,
-                        k1 - k0,
-                        k0,
-                        tn,
-                        bias,
-                        act,
-                        &mut ctile,
-                        tn,
-                    );
+                let (mut c, mut done) = (partials(m * tn), vec![0.0f32; m * tn]);
+                let mut b = vec![F::PAD; panels * KC.min(k).div_ceil(F::KG) * group];
+                for (ks, g) in slices() {
+                    let slice = &mut b[..panels * g.len() * group];
+                    slice.fill(F::PAD);
+                    fill(ks.start, ks.end, cols.start, cols.end, slice);
+                    let stage = Panels {
+                        data: slice,
+                        groups: g.len(),
+                        g0: g.start,
+                        n: tn,
+                    };
+                    tile_block(fmt, arch, 0..m, g, &stage, &mut c, &mut done);
                 }
-                (j0, j1, ctile)
+                (cols, done)
             })
             .collect();
-        for (j0, j1, ctile) in blocks {
-            let tn = j1 - j0;
-            for r in 0..m {
-                out[r * n + j0..r * n + j1].copy_from_slice(&ctile[r * tn..(r + 1) * tn]);
+        for (cols, done) in tiles {
+            for (r, row) in done.chunks_exact(cols.len()).enumerate() {
+                out[r * n + cols.start..r * n + cols.end].copy_from_slice(row);
             }
         }
     } else {
-        // Narrow output (see `MIN_COLS_FOR_TILING`): one shared B,
-        // parallelise over row-panel groups writing disjoint chunks of
-        // `out` in place.
+        // Narrow output (see `MIN_COLS_FOR_TILING`): one B over all of `k`,
+        // filled once and shared by row-panel groups that each write their
+        // own chunk of `out`.
         let panels = n.div_ceil(NR);
-        let mut bbuf = vec![0.0f32; panels * k * NR];
-        // The narrow-path B is laid out whole-k (panel stride k*NR), so
-        // fill per slice into a staging view with the sliced layout, then
-        // interleave.  With panels == 1 (n <= NR) the layouts coincide and
-        // no staging is needed.
-        let mut stage = vec![
-            0.0f32;
-            if panels > 1 {
-                panels * KC.min(k) * NR
-            } else {
-                0
-            }
-        ];
-        for k0 in (0..k).step_by(KC) {
-            let k1 = (k0 + KC).min(k);
-            if panels == 1 {
-                fill.fill(k0, k1, 0, n, &mut bbuf[k0 * NR..k1 * NR]);
-            } else {
-                let kc = k1 - k0;
-                let slice = &mut stage[..panels * kc * NR];
-                slice.fill(0.0);
-                fill.fill(k0, k1, 0, n, slice);
-                for q in 0..panels {
-                    let dst = q * k * NR + k0 * NR;
-                    bbuf[dst..dst + kc * NR]
-                        .copy_from_slice(&slice[q * kc * NR..(q + 1) * kc * NR]);
-                }
-            }
-        }
+        let kg = k.div_ceil(F::KG);
+        let mut b = vec![F::PAD; panels * kg * group];
+        fill(0, k, 0, n, &mut b);
+        let whole = Panels {
+            data: &b,
+            groups: kg,
+            g0: 0,
+            n,
+        };
         let group_rows = m
-            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
+            .div_ceil(tasks)
             .next_multiple_of(MR)
             .min(m.next_multiple_of(MR));
         out.par_chunks_mut(group_rows * n)
             .enumerate()
-            .for_each(|(g, chunk)| {
-                let r0 = g * group_rows;
-                let r1 = (r0 + group_rows).min(m);
-                for k0 in (0..k).step_by(KC) {
-                    let k1 = (k0 + KC).min(k);
-                    // Re-slice the whole-k B into this k block's panels.
-                    gemm_block(arch, a, r0, r1, k0, k1, &bbuf, k, 0, n, bias, act, chunk, n);
+            .for_each(|(i, chunk)| {
+                let rows = i * group_rows..((i + 1) * group_rows).min(m);
+                let mut c = partials(chunk.len());
+                for (_, g) in slices() {
+                    tile_block(fmt, arch, rows.clone(), g, &whole, &mut c, chunk);
                 }
             });
     }
     Ok(())
 }
 
-/// One K-slice GEMM update over rows `[r0, r1)` (with `r0 % MR == 0`):
-/// `C += A[:, k0..k1] · B[k0..k1]`, initialising C from `bias` on the first
-/// slice (`k0 == 0`) and applying `act` on the last (`k1 == K`).
-///
-/// `b` holds `ceil(n/NR)` column panels; each panel stores k rows
-/// `[b_k0, b_k0 + b_panel_rows)` — `(k0, kc)` for the per-slice layout the
-/// wide path fills, `(0, K)` for the whole-k layout the narrow path shares
-/// across row tasks.  `c` covers rows `[r0, r1)` with row stride `c_stride`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_block(
-    arch: KernelArch,
-    a: &PackedFilter,
-    r0: usize,
-    r1: usize,
-    k0: usize,
-    k1: usize,
-    b: &[f32],
-    b_panel_rows: usize,
-    b_k0: usize,
+/// Staged B: `ceil(n/NR)` column panels of `groups` K groups each, holding
+/// groups `g0 ..` (a per-slice stage starts at its slice, the whole-`k`
+/// stage at 0).
+struct Panels<'a, T> {
+    data: &'a [T],
+    groups: usize,
+    g0: usize,
     n: usize,
-    bias: &[f32],
-    act: Activation,
-    c: &mut [f32],
-    c_stride: usize,
+}
+
+/// One K-slice update over rows `rows` (with `rows.start % MR == 0`):
+/// `C += A[rows, groups g] · B[groups g]`, one format block per row panel
+/// and B panel run.  The first slice starts each accumulator at its row's
+/// start value, the last hands the finished sums to the epilogue, which
+/// writes `out`; between slices they wait in `c`.  `c` and `out` hold rows
+/// `rows` at row stride `b.n`.
+///
+/// Always inlined: on small-K products the per-tile set-up is a large share
+/// of the work, and an out-of-line copy measured 5–20 % slower there.
+#[inline(always)]
+fn tile_block<F: Format>(
+    fmt: &F,
+    arch: F::Arch,
+    rows: Range<usize>,
+    g: Range<usize>,
+    b: &Panels<'_, F::B>,
+    c: &mut [F::Acc],
+    out: &mut [f32],
 ) {
-    debug_assert_eq!(r0 % MR, 0);
-    let kc = k1 - k0;
-    let first = k0 == 0;
-    let last = k1 == a.k;
-    let panels_n = n.div_ceil(NR);
-    let bpanel = |q: usize| {
-        let start = q * b_panel_rows * NR + (k0 - b_k0) * NR;
-        &b[start..start + kc * NR]
+    debug_assert_eq!(rows.start % MR, 0);
+    let n = b.n;
+    let group = NR * F::KG;
+    let (first, last) = (g.start == 0, g.end == fmt.k().div_ceil(F::KG));
+    let panel = |q: usize| {
+        let start = (q * b.groups + g.start - b.g0) * group;
+        &b.data[start..start + g.len() * group]
     };
-    // Only the AVX-512 arm has a two-panel kernel; an odd last panel (and
-    // every panel on the other arms) runs the single-panel one.  Which
-    // kernel computes a column never changes its bits.
-    let pair_arm = arch == KernelArch::Avx512;
+    let (panels, per_call) = (n.div_ceil(NR), F::panels_per_call(arch));
     let mut q = 0;
-    while q < panels_n {
-        let width = if pair_arm && q + 1 < panels_n { 2 } else { 1 };
-        let mut p = r0 / MR;
-        while p * MR < r1 {
-            let rows = (r1 - p * MR).min(MR);
-            let mut acc = [[[0.0f32; NR]; MR]; 2];
-            for (half, acc) in acc.iter_mut().enumerate().take(width) {
-                let j0 = (q + half) * NR;
-                let jn = (n - j0).min(NR);
-                for r in 0..rows {
+    while q < panels {
+        let width = per_call.min(panels - q);
+        let bs = [panel(q), panel(q + width - 1)];
+        for p in rows.start / MR..rows.end.div_ceil(MR) {
+            let live = (rows.end - p * MR).min(MR);
+            let at = |r: usize, h: usize| (p * MR + r - rows.start) * n + (q + h) * NR;
+            let mut acc = [[[F::Acc::default(); NR]; MR]; 2];
+            for (h, acc) in acc.iter_mut().enumerate().take(width) {
+                let jn = (n - (q + h) * NR).min(NR);
+                for (r, row) in acc.iter_mut().enumerate().take(live) {
                     if first {
-                        acc[r] = [bias[p * MR + r]; NR];
+                        *row = [fmt.start(p * MR + r); NR];
                     } else {
-                        let row = &c[(p * MR + r - r0) * c_stride + j0..][..jn];
-                        acc[r][..jn].copy_from_slice(row);
+                        row[..jn].copy_from_slice(&c[at(r, h)..][..jn]);
                     }
                 }
             }
-            let apanel = a.panel(p, k0, k1);
-            if width == 2 {
-                microkernel_pair(apanel, bpanel(q), bpanel(q + 1), &mut acc);
-            } else {
-                microkernel(arch, apanel, bpanel(q), &mut acc[0]);
-            }
-            for (half, acc) in acc.iter().enumerate().take(width) {
-                let j0 = (q + half) * NR;
-                let jn = (n - j0).min(NR);
-                for r in 0..rows {
-                    let row = &mut c[(p * MR + r - r0) * c_stride + j0..][..jn];
+            fmt.block(arch, p, g.clone(), &bs[..width], &mut acc);
+            for (h, acc) in acc.iter().enumerate().take(width) {
+                let jn = (n - (q + h) * NR).min(NR);
+                for (r, row) in acc.iter().enumerate().take(live) {
                     if last {
-                        for (dst, v) in row.iter_mut().zip(acc[r].iter()) {
-                            *dst = act.apply(*v);
-                        }
+                        fmt.finish(p * MR + r, &row[..jn], &mut out[at(r, h)..][..jn]);
                     } else {
-                        row.copy_from_slice(&acc[r][..jn]);
+                        c[at(r, h)..][..jn].copy_from_slice(&row[..jn]);
                     }
                 }
             }
-            p += 1;
         }
         q += width;
     }
+}
+
+/// The f32 format: `act(bias + A·B)`.
+struct F32Gemm<'a> {
+    a: &'a PackedFilter,
+    bias: &'a [f32],
+    act: Activation,
+}
+
+impl Format for F32Gemm<'_> {
+    type B = f32;
+    type Acc = f32;
+    type Arch = KernelArch;
+    const PAD: f32 = 0.0;
+    const KG: usize = 1;
+
+    fn m(&self) -> usize {
+        self.a.m
+    }
+
+    fn k(&self) -> usize {
+        self.a.k
+    }
+
+    fn arch() -> KernelArch {
+        kernel_arch()
+    }
+
+    /// Only the AVX-512 arm has a two-panel kernel; an odd last panel (and
+    /// every panel on the other arms) runs the single-panel one.  Which
+    /// kernel computes a column never changes its bits.
+    fn panels_per_call(arch: KernelArch) -> usize {
+        if arch == KernelArch::Avx512 {
+            2
+        } else {
+            1
+        }
+    }
+
+    #[inline]
+    fn start(&self, r: usize) -> f32 {
+        self.bias[r]
+    }
+
+    #[inline]
+    fn block(
+        &self,
+        arch: KernelArch,
+        p: usize,
+        g: Range<usize>,
+        b: &[&[f32]],
+        acc: &mut AccTile<f32>,
+    ) {
+        let a = self.a.panel(p, g.start, g.end);
+        match *b {
+            [b0, b1] => microkernel_pair(a, b0, b1, acc),
+            [b0] => microkernel(arch, a, b0, &mut acc[0]),
+            _ => unreachable!("one or two B panels per call"),
+        }
+    }
+
+    #[inline]
+    fn finish(&self, _r: usize, acc: &[f32], out: &mut [f32]) {
+        for (dst, &v) in out.iter_mut().zip(acc) {
+            *dst = self.act.apply(v);
+        }
+    }
+}
+
+/// Computes `out = act(bias + A·B)` into a row-major `[m][n]` buffer, with
+/// `A` prepacked and `B` produced by `fill` (see [`PanelFill`]).
+pub fn gemm_bias_act_into<F: PanelFill>(
+    a: &PackedFilter,
+    bias: &[f32],
+    act: Activation,
+    n: usize,
+    fill: &F,
+    out: &mut [f32],
+) -> Result<()> {
+    let fmt = F32Gemm { a, bias, act };
+    drive(
+        &fmt,
+        bias,
+        n,
+        &|k0, k1, j0, j1, buf: &mut [f32]| fill.fill(k0, k1, j0, j1, buf),
+        out,
+    )
 }
 
 /// The register tile: streams one A panel (`kc × MR`) against one B panel
@@ -409,7 +518,7 @@ fn microkernel_pair(a: &[f32], b0: &[f32], b1: &[f32], acc: &mut [[[f32; NR]; MR
         "micro-kernel panel sizes"
     );
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `gemm_block` takes this kernel only when `kernel_arch()`
+    // SAFETY: `F32Gemm::block` takes this kernel only when `kernel_arch()`
     // returned `Avx512`, which is clamped to CPUID-detected capability; the
     // panel lengths were asserted above.
     unsafe {

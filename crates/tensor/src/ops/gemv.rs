@@ -154,7 +154,7 @@ pub(super) fn gemv_bias_act_into(
 ) -> Result<()> {
     let (m, k) = (filter.m, filter.k);
     check_io("gemv", m, k, x.len(), bias.len(), out.len())?;
-    // One arm per call, passed down by value: a concurrent override flip
+    // One arm per call, passed down by value: a concurrent pin
     // can never mix arms within one output.
     let arch = kernel_arch();
     out.par_chunks_mut(PANEL_ROWS)

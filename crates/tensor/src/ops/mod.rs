@@ -7,11 +7,15 @@
 //! fixes its kernel route ([`ConvRoute`]): the im2col + blocked GEMM path
 //! in [`gemm`], the Winograd F(2×2,3×3) shortcut in [`winograd`] for
 //! stride-1 3×3 layers with enough channels, or the int8 GEMM in
-//! [`qgemm`]; linear layers run the bandwidth-bound row-vectorised GEMV
-//! kernels in [`gemv`]; all of it behind the runtime micro-kernel dispatch
-//! in [`dispatch`].  The direct loop-nest kernels ([`conv2d_direct`] /
-//! [`conv2d_rows_direct`] / [`linear_direct`]) take raw weights and remain
-//! as the oracles the fast paths are validated against.
+//! [`qgemm`] — all three through the one blocked GEMM driver in [`gemm`],
+//! f32 and int8 differing only in their number format.  Linear layers run
+//! the bandwidth-bound row-vectorised GEMV kernels in [`gemv`].  All of it
+//! sits behind the runtime micro-kernel dispatch in [`dispatch`]: one
+//! request (`DISTREDGE_KERNEL`, or a [`pin_kernels`] guard in tests and
+//! benches) selects the arm of both kernel families.  The direct loop-nest
+//! kernels ([`conv2d_direct`] / [`conv2d_rows_direct`] / [`linear_direct`])
+//! take raw weights and remain as the oracles the fast paths are validated
+//! against.
 //!
 //! # The f32 numerical contract
 //!
@@ -58,9 +62,7 @@ pub use conv::{
     conv2d_direct, conv2d_rows_direct, conv2d_rows_packed, im2col_weight_len, pack_conv_filter,
     ConvRoute, PackedConvFilter,
 };
-pub use dispatch::{
-    kernel_arch, qkernel_arch, set_kernel_override, set_qkernel_override, KernelArch, QKernelArch,
-};
+pub use dispatch::{kernel_arch, pin_kernels, qkernel_arch, KernelArch, QKernelArch};
 pub use gemm::PackedFilter;
 pub use gemv::{PackedLinearFilter, QuantizedLinearFilter};
 pub use linear::{linear_direct, linear_packed, linear_q8, pack_linear_filter};

@@ -31,17 +31,20 @@
 //! expression in every path, so banded outputs stitch bit-exactly — the
 //! property the distributed runtime relies on.
 //!
-//! The same three-level blocking as [`super::gemm`] applies (register
-//! tile, [`KC`] K-slices, parallel column tiles / row-panel groups); K
-//! runs in quads of 4 bytes (the dot-product granularity), and [`KC`] is a
-//! multiple of 4 so quads never straddle a K slice.
+//! The blocking, the parallel tiles, the buffers and the K-slice loop are
+//! the one driver of [`super::gemm`], which runs this format as it runs
+//! f32: B bytes pre-filled with `128`, `i32` accumulators started at `0`,
+//! the register tile `qmicrokernel`, and the epilogue above per output
+//! row.  K runs in quads of [`QK`] bytes (the dot-product granularity), and
+//! [`super::gemm::KC`] is a multiple of 4 so quads never straddle a K
+//! slice.
 
 use super::activation::Activation;
 use super::dispatch::{qkernel_arch, QKernelArch};
-use super::gemm::{KC, MR, NR};
+use super::gemm::{drive, AccTile, Format, MR, NR};
 use crate::error::TensorError;
 use crate::Result;
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Bytes per dot-product quad — the K granularity of every int8 arm.
 pub const QK: usize = 4;
@@ -201,11 +204,63 @@ where
     }
 }
 
-// Parallel-strategy constants with the values `super::gemm` uses (its
-// tile balancing and in-place column tiles are the f32 driver's alone).
-const MIN_COLS_FOR_TILING: usize = 4 * NR;
-const TASKS_PER_THREAD: usize = 3;
-const MAX_TILE_COLS: usize = 256;
+/// The int8 format: `act(bias + (acc − corr)·s)` over exact `i32` sums.
+struct Int8Gemm<'a> {
+    a: &'a QuantizedFilter,
+    bias: &'a [f32],
+    act: Activation,
+    /// `s_a · s_w`.
+    s: f32,
+}
+
+impl Format for Int8Gemm<'_> {
+    type B = u8;
+    type Acc = i32;
+    type Arch = QKernelArch;
+    const PAD: u8 = 128;
+    const KG: usize = QK;
+
+    fn m(&self) -> usize {
+        self.a.m
+    }
+
+    fn k(&self) -> usize {
+        self.a.k
+    }
+
+    fn arch() -> QKernelArch {
+        qkernel_arch()
+    }
+
+    fn panels_per_call(_: QKernelArch) -> usize {
+        1
+    }
+
+    #[inline]
+    fn start(&self, _r: usize) -> i32 {
+        0
+    }
+
+    #[inline]
+    fn block(
+        &self,
+        arch: QKernelArch,
+        p: usize,
+        g: Range<usize>,
+        b: &[&[u8]],
+        acc: &mut AccTile<i32>,
+    ) {
+        qmicrokernel(arch, self.a.panel(p, g.start, g.end), b[0], &mut acc[0]);
+    }
+
+    #[inline]
+    fn finish(&self, r: usize, acc: &[i32], out: &mut [f32]) {
+        let (bias, corr) = (self.bias[r], self.a.row_corr[r]);
+        for (dst, &v) in out.iter_mut().zip(acc) {
+            *dst = self.act.apply(bias + ((v - corr) as f32) * self.s);
+        }
+    }
+}
 
 /// Computes `out = act(bias + dequant(Aq·Bq))` into a row-major `[m][n]`
 /// f32 buffer, with the weight side prepacked in `a` and the activation
@@ -224,165 +279,19 @@ pub fn qgemm_bias_act_into<F: QPanelFill>(
     fill: &F,
     out: &mut [f32],
 ) -> Result<()> {
-    let (m, k) = (a.m, a.k);
-    if bias.len() != m {
-        return Err(TensorError::KernelConfig(format!(
-            "qgemm bias length {} != m {m}",
-            bias.len()
-        )));
-    }
-    if out.len() != m * n {
-        return Err(TensorError::KernelConfig(format!(
-            "qgemm output length {} != m*n = {}",
-            out.len(),
-            m * n
-        )));
-    }
-    if n == 0 || m == 0 {
-        return Ok(());
-    }
-    let arch = qkernel_arch();
-    let s = scale_a * a.scale;
-
-    if n >= MIN_COLS_FOR_TILING {
-        // Wide output: parallelise over column tiles.  Each task owns a
-        // private i32 C tile and u8 B slice, applies the epilogue, and the
-        // finished f32 tiles are scattered into `out`.
-        let tile = n
-            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
-            .next_multiple_of(NR)
-            .clamp(NR, MAX_TILE_COLS);
-        let tiles = n.div_ceil(tile);
-        let blocks: Vec<(usize, usize, Vec<f32>)> = (0..tiles)
-            .into_par_iter()
-            .map(|t| {
-                let j0 = t * tile;
-                let j1 = (j0 + tile).min(n);
-                let tn = j1 - j0;
-                let panels = tn.div_ceil(NR);
-                let mut ctile = vec![0i32; m * tn];
-                let kcq_max = KC.min(k).div_ceil(QK);
-                let mut bbuf = vec![0u8; panels * kcq_max * NR * QK];
-                for k0 in (0..k).step_by(KC) {
-                    let k1 = (k0 + KC).min(k);
-                    let kcq = (k1 - k0).div_ceil(QK);
-                    let bslice = &mut bbuf[..panels * kcq * NR * QK];
-                    bslice.fill(128);
-                    fill.fill(k0, k1, j0, j1, bslice);
-                    qgemm_block(
-                        arch,
-                        a,
-                        0,
-                        m,
-                        k0,
-                        k1,
-                        bslice,
-                        kcq,
-                        k0 / QK,
-                        tn,
-                        &mut ctile,
-                        tn,
-                    );
-                }
-                let mut ftile = vec![0.0f32; m * tn];
-                for r in 0..m {
-                    let corr = a.row_corr[r];
-                    let b = bias[r];
-                    for jj in 0..tn {
-                        ftile[r * tn + jj] =
-                            act.apply(b + ((ctile[r * tn + jj] - corr) as f32) * s);
-                    }
-                }
-                (j0, j1, ftile)
-            })
-            .collect();
-        for (j0, j1, ftile) in blocks {
-            let tn = j1 - j0;
-            for r in 0..m {
-                out[r * n + j0..r * n + j1].copy_from_slice(&ftile[r * tn..(r + 1) * tn]);
-            }
-        }
-    } else {
-        // Narrow output (a thin conv band): one shared whole-k B,
-        // parallelise over row-panel groups writing disjoint chunks of
-        // `out` in place.
-        let panels = n.div_ceil(NR);
-        let kq = a.kq;
-        let mut bbuf = vec![128u8; panels * kq * NR * QK];
-        fill.fill(0, k, 0, n, &mut bbuf);
-        let group_rows = m
-            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
-            .next_multiple_of(MR)
-            .min(m.next_multiple_of(MR));
-        out.par_chunks_mut(group_rows * n)
-            .enumerate()
-            .for_each(|(g, chunk)| {
-                let r0 = g * group_rows;
-                let r1 = (r0 + group_rows).min(m);
-                let mut ctile = vec![0i32; (r1 - r0) * n];
-                for k0 in (0..k).step_by(KC) {
-                    let k1 = (k0 + KC).min(k);
-                    qgemm_block(arch, a, r0, r1, k0, k1, &bbuf, kq, 0, n, &mut ctile, n);
-                }
-                for r in r0..r1 {
-                    let corr = a.row_corr[r];
-                    let b = bias[r];
-                    for jj in 0..n {
-                        chunk[(r - r0) * n + jj] =
-                            act.apply(b + ((ctile[(r - r0) * n + jj] - corr) as f32) * s);
-                    }
-                }
-            });
-    }
-    Ok(())
-}
-
-/// One K-slice int8 GEMM update over rows `[r0, r1)` (with `r0 % MR == 0`):
-/// `C += Aq[:, k0..k1] · Bq[k0..k1]` into the i32 tile `c` (rows `[r0, r1)`
-/// with row stride `c_stride`).  `b` holds `ceil(n/NR)` column panels of
-/// `b_kq` quads each, starting at quad index `b_qd0`.
-#[allow(clippy::too_many_arguments)]
-fn qgemm_block(
-    arch: QKernelArch,
-    a: &QuantizedFilter,
-    r0: usize,
-    r1: usize,
-    k0: usize,
-    k1: usize,
-    b: &[u8],
-    b_kq: usize,
-    b_qd0: usize,
-    n: usize,
-    c: &mut [i32],
-    c_stride: usize,
-) {
-    debug_assert_eq!(r0 % MR, 0);
-    debug_assert_eq!(k0 % QK, 0);
-    let qd0 = k0 / QK;
-    let qd1 = k1.div_ceil(QK);
-    let kcq = qd1 - qd0;
-    let panels_n = n.div_ceil(NR);
-    for q in 0..panels_n {
-        let j0 = q * NR;
-        let jn = (n - j0).min(NR);
-        let start = (q * b_kq + (qd0 - b_qd0)) * NR * QK;
-        let bpanel = &b[start..start + kcq * NR * QK];
-        let mut p = r0 / MR;
-        while p * MR < r1 {
-            let rows = (r1 - p * MR).min(MR);
-            let mut acc = [[0i32; NR]; MR];
-            for r in 0..rows {
-                let row = &c[(p * MR + r - r0) * c_stride + j0..][..jn];
-                acc[r][..jn].copy_from_slice(row);
-            }
-            qmicrokernel(arch, a.panel(p, qd0, qd1), bpanel, &mut acc);
-            for r in 0..rows {
-                let row = &mut c[(p * MR + r - r0) * c_stride + j0..][..jn];
-                row.copy_from_slice(&acc[r][..jn]);
-            }
-            p += 1;
-        }
-    }
+    let fmt = Int8Gemm {
+        a,
+        bias,
+        act,
+        s: scale_a * a.scale,
+    };
+    drive(
+        &fmt,
+        bias,
+        n,
+        &|k0, k1, j0, j1, buf: &mut [u8]| fill.fill(k0, k1, j0, j1, buf),
+        out,
+    )
 }
 
 /// The int8 register tile: streams one weight panel (`kcq` quads × `MR`
@@ -513,7 +422,8 @@ unsafe fn qmicrokernel_vnni(a: &[i8], b: &[u8], acc: &mut [[i32; NR]; MR]) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::dispatch::set_qkernel_override;
+    use super::super::dispatch::{pin_kernels, KernelArch};
+    use super::super::gemm::KC;
     use super::*;
 
     fn dense_qfill(bmat: &[f32], n_total: usize, scale: f32) -> impl QPanelFill + '_ {
@@ -630,6 +540,8 @@ mod tests {
             (33, 520, 130), // tiled path + K blocking + both edges
             (MR, KC, NR),   // exact tile boundaries
             (MR * 2, KC * 2, NR * 5),
+            (2 * MR + 1, KC + 1, 2 * NR + 1), // narrow path, 3 B panels, 2 K slices
+            (2 * MR + 1, 2 * KC + 3, 3 * NR - 1), // narrow path, 3 K slices
         ] {
             let a = det(m * k, 1);
             let b = det(k * n, 2);
@@ -654,49 +566,57 @@ mod tests {
 
     #[test]
     fn arms_are_bit_exact_and_subsets_match_full() {
-        let (m, k, n) = (13, 515, 96);
-        let a = det(m * k, 7);
-        let b = det(k * n, 8);
-        let bias = det(m, 9);
-        let scale_a = quant_scale(&b);
-        let packed = QuantizedFilter::pack(&a, m, k).unwrap();
-        let run = |n_run: usize, j_off: usize| {
-            let fill = |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [u8]| {
-                dense_qfill(&b, n, scale_a).fill(k0, k1, j0 + j_off, j1 + j_off, buf);
+        // A wide and a narrow output (more than one B panel, more than one
+        // K slice): the driver's two paths.
+        for (m, k, n) in [(13, 515, 96), (13, 515, 2 * NR + 3)] {
+            let a = det(m * k, 7);
+            let b = det(k * n, 8);
+            let bias = det(m, 9);
+            let scale_a = quant_scale(&b);
+            let packed = QuantizedFilter::pack(&a, m, k).unwrap();
+            let run = |n_run: usize, j_off: usize| {
+                let fill = |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [u8]| {
+                    dense_qfill(&b, n, scale_a).fill(k0, k1, j0 + j_off, j1 + j_off, buf);
+                };
+                let mut out = vec![0.0f32; m * n_run];
+                qgemm_bias_act_into(
+                    &packed,
+                    &bias,
+                    Activation::Tanh,
+                    scale_a,
+                    n_run,
+                    &fill,
+                    &mut out,
+                )
+                .unwrap();
+                out
             };
-            let mut out = vec![0.0f32; m * n_run];
-            qgemm_bias_act_into(
-                &packed,
-                &bias,
-                Activation::Tanh,
-                scale_a,
-                n_run,
-                &fill,
-                &mut out,
-            )
-            .unwrap();
-            out
-        };
-        set_qkernel_override(Some(QKernelArch::Scalar));
-        let scalar = run(n, 0);
-        for arm in [QKernelArch::Avx2, QKernelArch::Vnni] {
-            set_qkernel_override(Some(arm));
-            if qkernel_arch() != arm {
-                continue; // hardware can't run this arm; clamp covered it
+            let scalar = {
+                let _pin = pin_kernels(KernelArch::Scalar);
+                assert_eq!(qkernel_arch(), QKernelArch::Scalar);
+                run(n, 0)
+            };
+            for level in [KernelArch::Avx2, KernelArch::Avx512] {
+                let _pin = pin_kernels(level);
+                let arm = qkernel_arch();
+                assert_eq!(
+                    run(n, 0),
+                    scalar,
+                    "({m},{k},{n}): {} != scalar",
+                    arm.label()
+                );
             }
-            assert_eq!(run(n, 0), scalar, "{} != scalar", arm.label());
-        }
-        // Column-subset determinism on the auto-selected arm.
-        set_qkernel_override(None);
-        let full = run(n, 0);
-        let (j0, j1) = (17, 63);
-        let part = run(j1 - j0, j0);
-        for r in 0..m {
-            assert_eq!(
-                &part[r * (j1 - j0)..(r + 1) * (j1 - j0)],
-                &full[r * n + j0..r * n + j1],
-                "row {r} differs between subset and full computation"
-            );
+            // Column-subset determinism, on the auto-selected arm.
+            let full = run(n, 0);
+            let (j0, j1) = (17, 63.min(n - 5));
+            let part = run(j1 - j0, j0);
+            for r in 0..m {
+                assert_eq!(
+                    &part[r * (j1 - j0)..(r + 1) * (j1 - j0)],
+                    &full[r * n + j0..r * n + j1],
+                    "({m},{k},{n}): row {r} differs between subset and full computation"
+                );
+            }
         }
     }
 

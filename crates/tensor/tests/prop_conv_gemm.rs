@@ -29,9 +29,9 @@ use tensor::ops::gemv::{LANES, PANEL_ROWS};
 use tensor::ops::qgemm::QK;
 use tensor::ops::{
     conv2d_direct, conv2d_rows_packed, im2col_weight_len, linear_direct, linear_packed,
-    pack_conv_filter, pack_linear_filter, qkernel_arch, quant_scale, quantize_i8,
-    set_qkernel_override, winograd_eligible, winograd_preferred, Activation, ConvRoute,
-    QKernelArch, QuantizedLinearFilter,
+    pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch, quant_scale, quantize_i8,
+    winograd_eligible, winograd_preferred, Activation, ConvRoute, KernelArch, QKernelArch,
+    QuantizedLinearFilter,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -300,11 +300,12 @@ proptest! {
         cuts.sort_unstable();
         let bounds = [0, cuts[0], cuts[1], out_h];
 
-        let mut per_arm: Vec<Tensor> = Vec::new();
-        for arm in [QKernelArch::Scalar, QKernelArch::Avx2, QKernelArch::Vnni] {
-            set_qkernel_override(Some(arm));
-            if qkernel_arch() != arm {
-                continue; // hardware tops out below this arm
+        let mut per_arm: Vec<(QKernelArch, Tensor)> = Vec::new();
+        for level in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
+            let _pin = pin_kernels(level);
+            let arm = qkernel_arch();
+            if per_arm.last().is_some_and(|(prev, _)| *prev == arm) {
+                break; // hardware tops out below this level
             }
             let full = conv2d_rows_packed(
                 &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::LeakyRelu,
@@ -326,11 +327,10 @@ proptest! {
             let stitched = concat_rows(&bands).unwrap();
             prop_assert!(stitched == full, "int8 bands must stitch bit-exactly ({})",
                 arm.label());
-            per_arm.push(full);
+            per_arm.push((arm, full));
         }
-        set_qkernel_override(None);
         for pair in per_arm.windows(2) {
-            prop_assert!(pair[0] == pair[1], "int8 dispatch arms must be bit-exact");
+            prop_assert!(pair[0].1 == pair[1].1, "int8 dispatch arms must be bit-exact");
         }
     }
 

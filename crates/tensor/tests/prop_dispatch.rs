@@ -10,63 +10,50 @@
 //! A fused multiply-add is one correctly rounded operation on every
 //! implementation, which is the property that lets a heterogeneous device
 //! fleet (or a CI box without AVX) interoperate with bit-exact distributed
-//! execution, and it is what the `DISTREDGE_FORCE_SCALAR` CI job leans on.
+//! execution, and it is what the `DISTREDGE_KERNEL=scalar` CI job leans on.
 //! Two plain tests pin the contract itself: a *fused witness* whose fused
 //! and unfused results differ, and the AVX-512 arm's paired-panel edges
 //! against a scalar `mul_add` loop.
 //!
-//! The override is process-global, so the tests serialise on a mutex.
+//! The pin is process-global; each pin holds its lock, so tests running in
+//! parallel take turns and every pinned body runs the arm it names.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 use tensor::ops::gemm::{gemm_bias_act_into, KC, MR, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_packed, linear_q8, pack_conv_filter,
-    pack_linear_filter, qkernel_arch, quant_byte, quant_scale, set_kernel_override,
-    set_qkernel_override, winograd_eligible, Activation, ConvRoute, KernelArch, PackedFilter,
-    QKernelArch, QuantizedFilter, QuantizedLinearFilter,
+    pack_linear_filter, pin_kernels, qkernel_arch, quant_byte, quant_scale, winograd_eligible,
+    Activation, ConvRoute, KernelArch, PackedFilter, QKernelArch, QuantizedFilter,
+    QuantizedLinearFilter,
 };
 use tensor::shape::conv_out_dim;
 use tensor::Tensor;
 
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `body` once per arm the hardware can execute (always at least
-/// scalar), returning the per-arm outputs for comparison.  Restores
-/// automatic dispatch afterwards even on panic (the next lock holder
-/// re-forces its own arm anyway).
-fn with_each_arm<T>(mut body: impl FnMut(KernelArch) -> T) -> Vec<(KernelArch, T)> {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_kernel_override(None);
-    let top = kernel_arch();
-    let mut out = Vec::new();
-    for arm in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
-        if arm > top {
-            break;
+/// Runs `body` once per arm of the family `arch` reads that the hardware
+/// can execute (always at least scalar), each under a pin of that level,
+/// returning the per-arm outputs for comparison.
+fn each_arm<A: Copy + PartialEq, T>(arch: fn() -> A, mut body: impl FnMut(A) -> T) -> Vec<(A, T)> {
+    let mut out: Vec<(A, T)> = Vec::new();
+    for level in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
+        let _pin = pin_kernels(level);
+        let arm = arch();
+        if out.last().is_some_and(|(prev, _)| *prev == arm) {
+            break; // the hardware tops out below this level
         }
-        set_kernel_override(Some(arm));
         out.push((arm, body(arm)));
     }
-    set_kernel_override(None);
     out
 }
 
-/// [`with_each_arm`] for the int8 family.
-fn with_each_qarm<T>(mut body: impl FnMut(QKernelArch) -> T) -> Vec<(QKernelArch, T)> {
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_qkernel_override(None);
-    let top = qkernel_arch();
-    let mut out = Vec::new();
-    for arm in [QKernelArch::Scalar, QKernelArch::Avx2, QKernelArch::Vnni] {
-        if arm > top {
-            break;
-        }
-        set_qkernel_override(Some(arm));
-        out.push((arm, body(arm)));
-    }
-    set_qkernel_override(None);
-    out
+/// [`each_arm`] over the f32 family.
+fn with_each_arm<T>(body: impl FnMut(KernelArch) -> T) -> Vec<(KernelArch, T)> {
+    each_arm(kernel_arch, body)
+}
+
+/// [`each_arm`] over the int8 family.
+fn with_each_qarm<T>(body: impl FnMut(QKernelArch) -> T) -> Vec<(QKernelArch, T)> {
+    each_arm(qkernel_arch, body)
 }
 
 /// A panel filler over a dense row-major `[k][n]` matrix.
