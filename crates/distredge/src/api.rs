@@ -1,16 +1,12 @@
 //! The end-to-end DistrEdge planner: profile the devices, partition the
-//! model with LC-PSS, then search the vertical splits with OSDS — plus the
-//! two things only this crate can do for serving: [`DistrEdge::serve`]
-//! turns a planned strategy and a simulated cluster into a resident
-//! `edge-runtime` [`Session`] (strategy → plan, cluster → shaped links),
-//! and [`DistrEdge::deploy`] streams one batch through such a session and
-//! pairs the measurement with the simulator's prediction.
+//! model with LC-PSS, then search the vertical splits with OSDS.
 //!
-//! Every serving tier composes over that `Session` with the constructor its
-//! own crate exports — `AdaptiveSession::over(session, ..)`,
-//! `edge_gateway::Gateway::over(session, ..)` — or deploys its own
-//! sessions from the plan (`edge_fleet::FleetServer::serve`,
-//! `edge_cluster::ClusterSession::serve`).
+//! The planner's only output is a [`DistributionStrategy`]; serving it is
+//! `edge-runtime`'s job.  `strategy.to_plan(&model)?` gives the execution
+//! plan, and `edge_runtime::Deploy::new(&model, &plan, &weights)` starts the
+//! resident session every serving tier composes over — add
+//! `.over(&mut ShapedTransport::new(ChannelTransport::new(n), &cluster))` to
+//! pace the in-process links with the cluster's bandwidth traces.
 
 use crate::mdp::SplitEnv;
 use crate::partitioner::{lc_pss, LcPssConfig};
@@ -18,15 +14,9 @@ use crate::profiles::{ClusterProfiles, ProfilesConfig};
 use crate::splitter::{osds_train, OsdsConfig, OsdsOutcome};
 use crate::strategy::DistributionStrategy;
 use crate::Result;
-use cnn_model::exec::ModelWeights;
 use cnn_model::Model;
-use edge_runtime::runtime::{RuntimeOptions, RuntimeOutcome};
-use edge_runtime::session::{Deploy, Session};
-use edge_runtime::transport::{ChannelTransport, ShapedTransport};
-use edge_runtime::{report, RuntimeReport};
-use edgesim::{Cluster, SimReport};
+use edgesim::Cluster;
 use serde::{Deserialize, Serialize};
-use tensor::Tensor;
 
 /// Configuration of a DistrEdge planning run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,160 +121,23 @@ impl DistrEdge {
             profiles,
         })
     }
-
-    /// Deploys a planned strategy onto resident `edge-runtime` provider
-    /// workers and returns the live serving [`Session`]: submit images
-    /// (credit-gated), claim outputs by ticket, snapshot
-    /// [`Session::metrics`] mid-stream for online re-planning, and
-    /// [`Session::shutdown`] when done.  The cluster stays up between
-    /// submission waves — nothing is redeployed per batch.
-    pub fn serve(
-        model: &Model,
-        cluster: &Cluster,
-        strategy: &DistributionStrategy,
-        options: &DeployOptions,
-    ) -> Result<Session> {
-        let plan = strategy.to_plan(model)?;
-        let weights = ModelWeights::deterministic(model, options.weight_seed);
-        let deploy = Deploy::new(model, &plan, &weights).options(options.runtime);
-        if options.shaped {
-            let mut transport = ShapedTransport::new(ChannelTransport::new(cluster.len()), cluster);
-            Ok(deploy.over(&mut transport).start()?)
-        } else {
-            Ok(deploy.start()?)
-        }
-    }
-
-    /// One-shot wrapper over [`DistrEdge::serve`]: deploys a session,
-    /// streams `images` through it with real tensor kernels, and shuts the
-    /// cluster down again.
-    ///
-    /// Returns the measured report, the per-image outputs, and the
-    /// simulator's prediction under the runtime's own measured kernel times
-    /// — the measured-vs-predicted pair the evaluation compares.
-    pub fn deploy(
-        model: &Model,
-        cluster: &Cluster,
-        strategy: &DistributionStrategy,
-        images: &[Tensor],
-        options: &DeployOptions,
-    ) -> Result<Deployment> {
-        let plan = strategy.to_plan(model)?;
-        let RuntimeOutcome { report, outputs } =
-            Self::serve(model, cluster, strategy, options)?.run_batch(images)?;
-        let predicted = if options.shaped {
-            report::predicted_report_on_cluster(model, cluster, &plan, &report, images.len())
-        } else {
-            report::predicted_report(model, &plan, &report, images.len())
-        };
-        Ok(Deployment {
-            report,
-            outputs,
-            predicted,
-        })
-    }
-}
-
-/// Options of [`DistrEdge::serve`] / [`DistrEdge::deploy`].  Round-trips
-/// through JSON, so a scenario file can carry the full serving
-/// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeployOptions {
-    /// Runtime streaming options (credit window, timeouts).
-    pub runtime: RuntimeOptions,
-    /// Pace every link with the cluster's bandwidth traces (token-bucket
-    /// shaping).  Off by default: the in-process wire is then effectively
-    /// infinite bandwidth, which is the regime the agreement tests use.
-    pub shaped: bool,
-    /// Seed of the deterministic weights loaded onto every provider.
-    pub weight_seed: u64,
-}
-
-impl Default for DeployOptions {
-    fn default() -> Self {
-        Self {
-            runtime: RuntimeOptions::default(),
-            shaped: false,
-            weight_seed: 7,
-        }
-    }
-}
-
-impl DeployOptions {
-    /// Overrides the runtime streaming options.
-    pub fn with_runtime(mut self, runtime: RuntimeOptions) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    /// Enables / disables trace-driven bandwidth shaping.
-    pub fn with_shaped(mut self, shaped: bool) -> Self {
-        self.shaped = shaped;
-        self
-    }
-
-    /// Overrides the provider weight seed.
-    pub fn with_weight_seed(mut self, seed: u64) -> Self {
-        self.weight_seed = seed;
-        self
-    }
-
-    /// Serves with int8 quantized inference: calibrated int8 GEMM kernels
-    /// on eligible layers, ~4× smaller resident weight packs, and q8
-    /// activation transfer between devices.  Outputs track the f32
-    /// reference within the quantization tolerance instead of bit-exactly.
-    pub fn with_quantized(mut self, on: bool) -> Self {
-        self.runtime.quantized = on;
-        self
-    }
-}
-
-/// What [`DistrEdge::deploy`] returns.
-#[derive(Debug)]
-pub struct Deployment {
-    /// The measured execution report.
-    pub report: RuntimeReport,
-    /// Final output per streamed image.
-    pub outputs: Vec<Tensor>,
-    /// The simulator's prediction under the runtime's measured kernel
-    /// times (ideal wire unless `shaped`).
-    pub predicted: SimReport,
-}
-
-impl Deployment {
-    /// Relative gap between measured IPS and the simulator's prediction:
-    /// `|measured - predicted| / predicted`, or `None` when the prediction
-    /// is non-positive (nothing meaningful to divide by — e.g. a degenerate
-    /// simulated stream).
-    ///
-    /// The simulator models the paper's closed-loop stream (one image in
-    /// flight), so the measured side is `sim.ips` for closed-loop runs
-    /// (`max_in_flight == 1`) and the wall-clock `measured_ips` otherwise —
-    /// under pipelining, per-image latencies include queueing and their
-    /// inverse no longer measures throughput.
-    pub fn ips_gap(&self) -> Option<f64> {
-        if self.predicted.ips <= 0.0 {
-            return None;
-        }
-        let measured = if self.report.max_in_flight_observed <= 1 {
-            self.report.sim.ips
-        } else {
-            self.report.measured_ips
-        };
-        Some((measured - self.predicted.ips).abs() / self.predicted.ips)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnn_model::exec::ModelWeights;
     use cnn_model::LayerOp;
     use device_profile::{DeviceSpec, DeviceType};
     use edge_fleet::{FleetConfig, FleetServer, ModelSpec};
     use edge_gateway::{Gateway, GatewayConfig};
+    use edge_runtime::{report, Deploy, RuntimeOutcome};
     use edge_telemetry::Telemetry;
     use netsim::LinkConfig;
     use tensor::Shape;
+
+    /// Seed of the deterministic weights every deployment below loads.
+    const WEIGHT_SEED: u64 = 7;
 
     fn model() -> Model {
         Model::new(
@@ -362,19 +215,24 @@ mod tests {
         let c = cluster();
         let outcome = DistrEdge::plan(&m, &c, &tiny_config()).unwrap();
         let images: Vec<_> = (0..2).map(|i| deterministic_input(&m, 50 + i)).collect();
-        let opts = DeployOptions::default();
-        let deployment = DistrEdge::deploy(&m, &c, &outcome.strategy, &images, &opts).unwrap();
-        assert_eq!(deployment.outputs.len(), 2);
+        let plan = outcome.strategy.to_plan(&m).unwrap();
+        let weights = ModelWeights::deterministic(&m, WEIGHT_SEED);
+        let RuntimeOutcome { report, outputs } = Deploy::new(&m, &plan, &weights)
+            .start()
+            .unwrap()
+            .run_batch(&images)
+            .unwrap();
+        let predicted = report::predicted_report(&m, &plan, &report, images.len());
+        assert_eq!(outputs.len(), 2);
         // Outputs are bit-exact against single-device execution.
-        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
-        for (img, out) in images.iter().zip(&deployment.outputs) {
+        for (img, out) in images.iter().zip(&outputs) {
             let full = exec::run_full(&m, &weights, img).unwrap();
             assert_eq!(out, full.last().unwrap());
         }
-        assert!(deployment.report.sim.ips > 0.0);
-        assert!(deployment.predicted.ips > 0.0);
-        assert!(deployment
-            .ips_gap()
+        assert!(report.sim.ips > 0.0);
+        assert!(predicted.ips > 0.0);
+        assert!(report
+            .ips_gap(&predicted)
             .expect("positive prediction")
             .is_finite());
     }
@@ -383,38 +241,14 @@ mod tests {
     fn deploy_rejects_empty_batches() {
         use cnn_model::{PartitionScheme, VolumeSplit};
         let m = model();
-        let c = cluster();
         let scheme = PartitionScheme::single_volume(&m);
         let split = VolumeSplit::equal(2, m.prefix_output().h);
         let strategy = DistributionStrategy::new("EqualSplit", scheme, vec![split], 2).unwrap();
-        let err = DistrEdge::deploy(&m, &c, &strategy, &[], &DeployOptions::default());
+        let plan = strategy.to_plan(&m).unwrap();
+        let weights = ModelWeights::deterministic(&m, WEIGHT_SEED);
+        let session = Deploy::new(&m, &plan, &weights).start().unwrap();
+        let err = session.run_batch(&[]);
         assert!(err.is_err(), "an empty batch must be rejected");
-    }
-
-    #[test]
-    fn ips_gap_is_none_for_nonpositive_predictions() {
-        let deployment = Deployment {
-            report: RuntimeReport::from_measured(vec![10.0], Vec::new(), 10.0, 1, 0),
-            outputs: Vec::new(),
-            predicted: SimReport::from_raw(Vec::new(), Vec::new(), Vec::new()),
-        };
-        assert_eq!(deployment.predicted.ips, 0.0);
-        assert_eq!(deployment.ips_gap(), None);
-    }
-
-    #[test]
-    fn deploy_options_round_trip_through_json() {
-        let opts = DeployOptions::default()
-            .with_shaped(true)
-            .with_weight_seed(11)
-            .with_runtime(
-                RuntimeOptions::default()
-                    .with_max_in_flight(2)
-                    .with_recv_timeout(std::time::Duration::from_millis(1500)),
-            );
-        let text = serde_json::to_string(&opts).unwrap();
-        let back: DeployOptions = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, opts);
     }
 
     #[test]
@@ -431,9 +265,9 @@ mod tests {
         let m = cnn_model::zoo::tiny_vgg();
         let c = cluster();
         let outcome = DistrEdge::plan(&m, &c, &tiny_config()).unwrap();
-        let opts = DeployOptions::default();
-        let session = DistrEdge::serve(&m, &c, &outcome.strategy, &opts).unwrap();
-        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
+        let plan = outcome.strategy.to_plan(&m).unwrap();
+        let weights = ModelWeights::deterministic(&m, WEIGHT_SEED);
+        let session = Deploy::new(&m, &plan, &weights).start().unwrap();
         for wave in 0..2u64 {
             let img = deterministic_input(&m, 80 + wave);
             let ticket = session.submit(&img).unwrap();
@@ -451,13 +285,13 @@ mod tests {
         let m = cnn_model::zoo::tiny_vgg();
         let c = cluster();
         let outcome = DistrEdge::plan(&m, &c, &tiny_config()).unwrap();
-        let opts = DeployOptions::default();
         let config = GatewayConfig::default()
             .with_max_batch(3)
             .with_max_linger(std::time::Duration::from_millis(1));
-        let session = DistrEdge::serve(&m, &c, &outcome.strategy, &opts).unwrap();
+        let plan = outcome.strategy.to_plan(&m).unwrap();
+        let weights = ModelWeights::deterministic(&m, WEIGHT_SEED);
+        let session = Deploy::new(&m, &plan, &weights).start().unwrap();
         let gateway = Gateway::over(session, config, &Telemetry::disabled()).unwrap();
-        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
         let client = gateway.client();
         let images: Vec<_> = (0..4).map(|i| deterministic_input(&m, 60 + i)).collect();
         let responses: Vec<_> = images.iter().map(|img| client.infer(img)).collect();
@@ -477,12 +311,10 @@ mod tests {
         let m = cnn_model::zoo::tiny_vgg();
         let c = cluster();
         let outcome = DistrEdge::plan(&m, &c, &tiny_config()).unwrap();
-        let opts = DeployOptions::default();
         let plan = outcome.strategy.to_plan(&m).unwrap();
         let spec = ModelSpec::new(m.name(), m.clone(), plan)
             .with_replicas(2)
-            .with_weight_seed(opts.weight_seed)
-            .with_runtime(opts.runtime);
+            .with_weight_seed(WEIGHT_SEED);
         let fleet = FleetServer::serve(
             vec![spec],
             FleetConfig::default().with_autoscale(false),
@@ -491,7 +323,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fleet.replica_count(m.name()), 2);
-        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
+        let weights = ModelWeights::deterministic(&m, WEIGHT_SEED);
         let client = fleet.client();
         let responses: Vec<_> = (0..4)
             .map(|i| {

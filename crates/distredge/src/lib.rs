@@ -37,7 +37,7 @@ pub mod scenarios;
 pub mod splitter;
 pub mod strategy;
 
-pub use api::{DeployOptions, Deployment, DistrEdge, DistrEdgeConfig, PlanningOutcome};
+pub use api::{DistrEdge, DistrEdgeConfig, PlanningOutcome};
 pub use baselines::Method;
 pub use error::DistrError;
 pub use evaluate::{evaluate_method, evaluate_strategy, MethodResult};

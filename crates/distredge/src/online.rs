@@ -647,9 +647,10 @@ mod tests {
 
     #[test]
     fn runtime_adaptation_consumes_live_session_metrics() {
-        use crate::api::{DeployOptions, DistrEdge};
+        use crate::api::DistrEdge;
         use cnn_model::exec::{self, deterministic_input, ModelWeights};
         use device_profile::DeviceType;
+        use edge_runtime::Deploy;
 
         let m = model();
         let c = Cluster::uniform(
@@ -672,9 +673,8 @@ mod tests {
         online_cfg.significant_change = 0.0; // Any drift triggers a re-plan.
         let mut adaptation = RuntimeAdaptation::new(&planning, &online_cfg);
 
-        let opts = DeployOptions::default();
-        let session = DistrEdge::serve(&m, &c, &planning.strategy, &opts).unwrap();
-        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
+        let weights = ModelWeights::deterministic(&m, 7);
+        let session = Deploy::new(&m, &plan, &weights).start().unwrap();
         let serve_wave = |wave: u64| {
             for i in 0..3u64 {
                 let img = deterministic_input(&m, 100 * wave + i);
@@ -709,9 +709,10 @@ mod tests {
 
     #[test]
     fn adaptive_session_swaps_in_place_and_resets_its_window() {
-        use crate::api::{DeployOptions, DistrEdge};
+        use crate::api::DistrEdge;
         use cnn_model::exec::{self, deterministic_input, ModelWeights};
         use device_profile::DeviceType;
+        use edge_runtime::Deploy;
 
         let m = model();
         let c = Cluster::uniform(
@@ -732,13 +733,13 @@ mod tests {
         online_cfg.finetune_episodes = 4;
         online_cfg.significant_change = 0.0; // Any drift triggers a re-plan.
 
-        let opts = DeployOptions::default();
         let telemetry = Telemetry::new();
-        let session = DistrEdge::serve(&m, &c, &planning.strategy, &opts).unwrap();
+        let plan = planning.strategy.to_plan(&m).unwrap();
+        let weights = ModelWeights::deterministic(&m, 7);
+        let session = Deploy::new(&m, &plan, &weights).start().unwrap();
         let mut adaptive = AdaptiveSession::over(session, &m, &c, &planning, &online_cfg)
             .unwrap()
             .with_telemetry(&telemetry);
-        let weights = ModelWeights::deterministic(&m, opts.weight_seed);
         let serve_wave = |session: &edge_runtime::Session, wave: u64| {
             for i in 0..3u64 {
                 let img = deterministic_input(&m, 100 * wave + i);

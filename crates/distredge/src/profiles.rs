@@ -95,17 +95,6 @@ impl ClusterProfiles {
     pub fn full_layer_latency(&self, device: usize, layer_index: usize, rows: usize) -> f64 {
         self.profilers[device].predict(layer_index, rows)
     }
-
-    /// Re-profiles nothing but swaps the representation (used by the profile
-    /// ablation bench).
-    pub fn with_repr(&self, repr: ProfileRepr) -> Self {
-        let profilers: Vec<Profiler> = self.profilers.iter().map(|p| p.with_repr(repr)).collect();
-        let capabilities = self.capabilities.clone();
-        Self {
-            profilers,
-            capabilities,
-        }
-    }
 }
 
 impl PartCompute for ClusterProfiles {
@@ -204,16 +193,6 @@ mod tests {
         let ht = GroundTruthCompute::from_models(vec![DeviceType::Xavier.ground_truth()])
             .head_compute_ms(0, &m);
         assert!((hp - ht).abs() / ht < 0.02);
-    }
-
-    #[test]
-    fn with_repr_changes_representation_not_measurements() {
-        let m = model();
-        let c = cluster();
-        let p = ClusterProfiles::collect(&m, &c, &ProfilesConfig::default());
-        let linear = p.with_repr(ProfileRepr::Linear);
-        assert_eq!(linear.len(), p.len());
-        assert_eq!(linear.capabilities(), p.capabilities());
     }
 
     #[test]

@@ -105,6 +105,28 @@ impl RuntimeReport {
             devices,
         }
     }
+
+    /// Relative gap between this measurement's IPS and the simulator's
+    /// `predicted` IPS: `|measured - predicted| / predicted`, or `None` when
+    /// the prediction is non-positive (nothing meaningful to divide by —
+    /// e.g. a degenerate simulated stream).
+    ///
+    /// The simulator models the paper's closed-loop stream (one image in
+    /// flight), so the measured side is `sim.ips` for closed-loop runs
+    /// (`max_in_flight_observed <= 1`) and the wall-clock `measured_ips`
+    /// otherwise — under pipelining, per-image latencies include queueing
+    /// and their inverse no longer measures throughput.
+    pub fn ips_gap(&self, predicted: &SimReport) -> Option<f64> {
+        if predicted.ips <= 0.0 {
+            return None;
+        }
+        let measured = if self.max_in_flight_observed <= 1 {
+            self.sim.ips
+        } else {
+            self.measured_ips
+        };
+        Some((measured - predicted.ips).abs() / predicted.ips)
+    }
 }
 
 /// An `edgesim` compute backend backed by a runtime's measured kernel
@@ -283,6 +305,29 @@ mod tests {
         assert_eq!(mc.part_compute_ms(0, &m, part), 5.0);
         assert_eq!(mc.part_compute_ms(1, &m, part), 7.5);
         assert_eq!(mc.head_compute_ms(0, &m), 2.0);
+    }
+
+    #[test]
+    fn ips_gap_is_none_for_nonpositive_predictions() {
+        let report = RuntimeReport::from_measured(vec![10.0], Vec::new(), 10.0, 1, 0);
+        let predicted = SimReport::from_raw(Vec::new(), Vec::new(), Vec::new());
+        assert_eq!(predicted.ips, 0.0);
+        assert_eq!(report.ips_gap(&predicted), None);
+    }
+
+    #[test]
+    fn ips_gap_measures_closed_loop_runs_by_latency_and_pipelined_runs_by_wall_clock() {
+        // Two images of 10 ms each: closed-loop `sim.ips` is 100.  Over a
+        // 10 ms wall clock (both in flight at once) `measured_ips` is 200.
+        // The prediction is 80 IPS.
+        let predicted = SimReport::from_raw(vec![12.5, 12.5], Vec::new(), Vec::new());
+        let gap = |in_flight| {
+            RuntimeReport::from_measured(vec![10.0, 10.0], Vec::new(), 10.0, in_flight, 0)
+                .ips_gap(&predicted)
+                .unwrap()
+        };
+        assert!((gap(1) - 0.25).abs() < 1e-9, "closed loop: {}", gap(1));
+        assert!((gap(2) - 1.5).abs() < 1e-9, "pipelined: {}", gap(2));
     }
 
     #[test]

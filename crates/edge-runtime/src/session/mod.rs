@@ -243,11 +243,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// The credit window: the maximum number of images in flight.
-    pub fn credit_window(&self) -> usize {
-        self.options.max_in_flight
-    }
-
     /// Whether the session serves int8 quantized (calibrated kernels plus
     /// q8 activation transfer).
     pub fn quantized(&self) -> bool {

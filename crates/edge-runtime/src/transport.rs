@@ -392,7 +392,6 @@ impl<T: Transport> ShapedTransport<T> {
 
 impl<T: Transport> Transport for ShapedTransport<T> {
     fn open(&mut self, from: Endpoint, to: Endpoint) -> Result<Box<dyn FrameTx>> {
-        let inner = self.inner.open(from, to)?;
         let mut devices: Vec<usize> = [from, to]
             .iter()
             .filter_map(|ep| match ep {
@@ -400,6 +399,11 @@ impl<T: Transport> Transport for ShapedTransport<T> {
                 Endpoint::Requester => None,
             })
             .collect();
+        if let Some(&d) = devices.iter().find(|&&d| d >= self.buckets.len()) {
+            let err = TransportError::new(TransportErrorKind::Config, "device not in the cluster");
+            return Err(RuntimeError::Transport(err.at(Endpoint::Device(d))));
+        }
+        let inner = self.inner.open(from, to)?;
         devices.sort_unstable();
         devices.dedup();
         if devices.is_empty() {
@@ -506,6 +510,36 @@ mod tests {
         for _ in 0..10 {
             rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
+    }
+
+    #[test]
+    fn shaped_open_rejects_a_device_the_cluster_lacks() {
+        use device_profile::{DeviceSpec, DeviceType};
+        use netsim::LinkConfig;
+        let cluster = Cluster::uniform(
+            vec![
+                DeviceSpec::new("a", DeviceType::Xavier),
+                DeviceSpec::new("b", DeviceType::Xavier),
+            ],
+            LinkConfig::constant(8.0),
+        );
+        let mut fabric = ShapedTransport::new(ChannelTransport::new(3), &cluster);
+        for (from, to) in [
+            (Endpoint::Device(0), Endpoint::Device(2)),
+            (Endpoint::Device(2), Endpoint::Requester),
+        ] {
+            match fabric.open(from, to) {
+                Err(RuntimeError::Transport(e)) => {
+                    assert_eq!(e.kind, TransportErrorKind::Config);
+                    assert_eq!(e.peer, Some(Endpoint::Device(2)));
+                }
+                Err(other) => panic!("expected a config error, got {other}"),
+                Ok(_) => panic!("opening {from:?} -> {to:?} must fail"),
+            }
+        }
+        assert!(fabric
+            .open(Endpoint::Device(0), Endpoint::Device(1))
+            .is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Where `serving_session.rs` has each client thread talk to the session
 //! directly, this example composes the serving stack's top layer over it —
-//! `Gateway::over(DistrEdge::serve(..)?, config, &telemetry)`:
+//! `Gateway::over(Deploy::new(..).start()?, config, &telemetry)`:
 //! six bursty client threads (one high-priority, one deadline-constrained)
 //! fire requests at a [`edge_gateway::Gateway`], whose dispatcher forms
 //! adaptive batches under `max_batch` / `max_linger`, schedules them over
@@ -16,21 +16,21 @@
 //! cargo run --release --example gateway_serving
 //! ```
 
+use cnn_model::exec::ModelWeights;
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
-use device_profile::{DeviceSpec, DeviceType};
-use distredge::{DeployOptions, DistrEdge, DistributionStrategy};
 use edge_gateway::{Gateway, GatewayConfig, Priority};
+use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edge_telemetry::Telemetry;
-use edgesim::Cluster;
-use netsim::LinkConfig;
+use edgesim::ExecutionPlan;
 use std::time::Duration;
 
+const PROVIDERS: usize = 3;
 const CLIENTS: u64 = 6;
 const BURSTS: u64 = 3;
 const BURST_SIZE: u64 = 3;
 
-fn equal_split_strategy(model: &Model, devices: usize) -> DistributionStrategy {
+fn equal_split_plan(model: &Model, devices: usize) -> ExecutionPlan {
     let scheme = PartitionScheme::new(model, vec![0, 6, model.distributable_len()])
         .expect("valid boundaries");
     let splits: Vec<VolumeSplit> = scheme
@@ -38,37 +38,30 @@ fn equal_split_strategy(model: &Model, devices: usize) -> DistributionStrategy {
         .iter()
         .map(|v| VolumeSplit::equal(devices, v.last_output_height(model)))
         .collect();
-    DistributionStrategy::new("EqualSplit", scheme, splits, devices).expect("valid strategy")
+    ExecutionPlan::from_splits(model, &scheme, &splits, devices).expect("valid plan")
 }
 
 fn main() {
     // 1. A runtime-scale model on three providers behind one gateway.
     let model = cnn_model::zoo::tiny_vgg();
-    let cluster = Cluster::uniform(
-        vec![
-            DeviceSpec::new("xavier", DeviceType::Xavier),
-            DeviceSpec::new("tx2", DeviceType::Tx2),
-            DeviceSpec::new("nano", DeviceType::Nano),
-        ],
-        LinkConfig::constant(200.0),
-    );
-    let strategy = equal_split_strategy(&model, cluster.len());
-    let deploy =
-        DeployOptions::default().with_runtime(RuntimeOptions::default().with_max_in_flight(4));
+    let plan = equal_split_plan(&model, PROVIDERS);
+    let weights = ModelWeights::deterministic(&model, 7);
     let config = GatewayConfig::default()
         .with_max_batch(4)
         .with_max_linger(Duration::from_millis(2));
     println!(
-        "model: {} on {} providers; gateway: max_batch {}, max_linger {:?}, window 4",
+        "model: {} on {PROVIDERS} providers; gateway: max_batch {}, max_linger {:?}, window 4",
         model.name(),
-        cluster.len(),
         config.max_batch,
         config.max_linger,
     );
 
     // 2. Deploy ONCE, then put the gateway over the resident session; it
     //    owns the session from here on.
-    let session = DistrEdge::serve(&model, &cluster, &strategy, &deploy).expect("deploy failed");
+    let session = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(4))
+        .start()
+        .expect("deploy failed");
     let gateway =
         Gateway::over(session, config, &Telemetry::disabled()).expect("unusable gateway config");
 

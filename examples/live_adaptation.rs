@@ -5,7 +5,8 @@
 //! against the real runtime:
 //!
 //! 1. plan with LC-PSS/OSDS, deploy a session over a trace-shaped
-//!    transport (`DistrEdge::serve`) and close the loop around it
+//!    transport (`Deploy::new(..).over(&mut ShapedTransport::new(..))`)
+//!    and close the loop around it
 //!    (`AdaptiveSession::over`),
 //! 2. serve a wave, then let device 1's link collapse (its bandwidth trace
 //!    steps from 200 Mbps down to 0.5 Mbps),
@@ -19,9 +20,8 @@
 use distredge_suite::cnn_model::exec::{self, deterministic_input, ModelWeights};
 use distredge_suite::cnn_model::{LayerOp, Model};
 use distredge_suite::device_profile::{DeviceSpec, DeviceType};
-use distredge_suite::distredge::{
-    AdaptiveSession, DeployOptions, DistrEdge, DistrEdgeConfig, OnlineConfig,
-};
+use distredge_suite::distredge::{AdaptiveSession, DistrEdge, DistrEdgeConfig, OnlineConfig};
+use distredge_suite::edge_runtime::{ChannelTransport, Deploy, ShapedTransport};
 use distredge_suite::edgesim::Cluster;
 use distredge_suite::netsim::{BandwidthTrace, Link, LinkConfig};
 use distredge_suite::tensor::Shape;
@@ -73,11 +73,15 @@ fn main() {
     online.distredge = cfg;
     online.finetune_episodes = 20;
     online.significant_change = 0.5;
-    let opts = DeployOptions::default().with_shaped(true);
-    let session = DistrEdge::serve(&model, &cluster, &planning.strategy, &opts).unwrap();
+    let plan = planning.strategy.to_plan(&model).unwrap();
+    let weights = ModelWeights::deterministic(&model, 7);
+    let mut shaped = ShapedTransport::new(ChannelTransport::new(cluster.len()), &cluster);
+    let session = Deploy::new(&model, &plan, &weights)
+        .over(&mut shaped)
+        .start()
+        .unwrap();
     let mut adaptive =
         AdaptiveSession::over(session, &model, &cluster, &planning, &online).unwrap();
-    let weights = ModelWeights::deterministic(&model, opts.weight_seed);
     let deployed_at = Instant::now();
 
     let serve_wave = |adaptive: &AdaptiveSession, label: &str, base: u64, images: u64| -> f64 {

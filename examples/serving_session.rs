@@ -1,13 +1,13 @@
 //! Deploy once, serve continuously: a resident `edge-runtime` session fed
 //! by several client threads at once.
 //!
-//! Where `runtime_cluster.rs` runs one-shot batches, this example exercises
-//! the serving API the paper's §V-A streaming loop implies: the provider
-//! cluster is deployed **once**, then client threads `submit` images
-//! against a shared [`edge_runtime::Session`] (credit-gated, so a slow
-//! provider throttles clients instead of growing queues), a monitor thread
-//! snapshots live `metrics()` mid-stream, and a final `shutdown()` drains
-//! the pipeline and reports the measurement.
+//! This example exercises the serving API the paper's §V-A streaming loop
+//! implies: the provider cluster is deployed **once**, then client threads
+//! `submit` images against a shared [`edge_runtime::Session`]
+//! (credit-gated, so a slow provider throttles clients instead of growing
+//! queues), a monitor thread snapshots live `metrics()` mid-stream, and a
+//! final `shutdown()` drains the pipeline and reports the measurement next
+//! to the simulator's prediction under the measured kernel times.
 //!
 //! Run with:
 //!
@@ -17,6 +17,7 @@
 
 use cnn_model::exec::{deterministic_input, ModelWeights};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
+use edge_runtime::report::predicted_report;
 use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
@@ -107,6 +108,15 @@ fn main() {
     println!(
         "\nserved {} images: {:.1} IPS over the wall clock, max {} in flight",
         report.images, report.measured_ips, report.max_in_flight_observed
+    );
+    // The simulator replays the plan with the kernel times the providers
+    // measured; `ips_gap` compares it against wall-clock IPS when several
+    // images were in flight and against closed-loop IPS otherwise.
+    let predicted = predicted_report(&model, &plan, &report, report.images);
+    println!(
+        "simulator under measured kernel times: {:.1} IPS predicted (gap {:.0}%)",
+        predicted.ips,
+        report.ips_gap(&predicted).map_or(f64::NAN, |g| g * 100.0)
     );
     println!(
         "{:<12}{:>14}{:>12}{:>12}{:>16}",

@@ -47,17 +47,18 @@ fn parse_args(args: &[String]) -> Result<NodeConfig, String> {
         }
     }
 
-    match (config_path, device, listen) {
-        (Some(path), None, None) => {
+    // `--config` stands alone: the file carries the profile too.
+    match (config_path, device, listen, profile) {
+        (Some(path), None, None, None) => {
             NodeConfig::from_file(&path).map_err(|e| format!("load {path}: {e}"))
         }
-        (None, Some(device), Some(listen)) => Ok(NodeConfig {
+        (None, Some(device), Some(listen), profile) => Ok(NodeConfig {
             device,
             listen,
             profile,
         }),
         _ => Err(format!(
-            "need either --config, or both --device and --listen\n{USAGE}"
+            "need either --config alone, or both --device and --listen\n{USAGE}"
         )),
     }
 }
@@ -92,5 +93,42 @@ fn main() -> ExitCode {
             eprintln!("distredge-node: device {}: {e}", cfg.device);
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_build_a_node_config() {
+        let cfg = parse_args(&args(&[
+            "--device",
+            "1",
+            "--listen",
+            "127.0.0.1:0",
+            "--profile",
+            "pi4",
+        ]))
+        .unwrap();
+        assert_eq!(cfg.device, 1);
+        assert_eq!(cfg.listen, "127.0.0.1:0");
+        assert_eq!(cfg.profile.as_deref(), Some("pi4"));
+    }
+
+    #[test]
+    fn config_rejects_a_profile_flag_it_would_drop() {
+        let err = parse_args(&args(&["--config", "node0.toml", "--profile", "pi4"])).unwrap_err();
+        assert!(err.contains(USAGE), "{err}");
+    }
+
+    #[test]
+    fn config_mixed_with_device_flags_is_rejected() {
+        let err = parse_args(&args(&["--config", "node0.toml", "--device", "0"])).unwrap_err();
+        assert!(err.contains(USAGE), "{err}");
     }
 }

@@ -16,7 +16,7 @@
 use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
 use device_profile::{DeviceSpec, DeviceType};
-use distredge::{DeployOptions, DistrEdge, DistrEdgeConfig};
+use distredge::{DistrEdge, DistrEdgeConfig};
 use edge_runtime::report::predicted_report;
 use edge_runtime::runtime::RuntimeOptions;
 use edge_runtime::session::Deploy;
@@ -200,18 +200,26 @@ fn planned_deployment_agrees_end_to_end() {
     let images: Vec<Tensor> = (0..6)
         .map(|i| deterministic_input(&model, 500 + i))
         .collect();
-    let mut opts = DeployOptions::default();
-    opts.runtime.max_in_flight = 1;
-    let deployment =
-        DistrEdge::deploy(&model, &cluster, &planned.strategy, &images, &opts).unwrap();
+    let plan = planned.strategy.to_plan(&model).unwrap();
+    let weights = ModelWeights::deterministic(&model, 7);
+    let outcome = Deploy::new(&model, &plan, &weights)
+        .options(RuntimeOptions::default().with_max_in_flight(1))
+        .start()
+        .unwrap()
+        .run_batch(&images)
+        .unwrap();
+    let predicted = predicted_report(&model, &plan, &outcome.report, images.len());
 
-    assert_eq!(deployment.outputs.len(), images.len());
-    let gap = deployment.ips_gap().expect("positive prediction");
+    assert_eq!(outcome.outputs.len(), images.len());
+    let gap = outcome
+        .report
+        .ips_gap(&predicted)
+        .expect("positive prediction");
     assert!(
         gap <= IPS_TOLERANCE,
         "measured {:.1} IPS vs predicted {:.1} IPS (gap {:.0}%)",
-        deployment.report.sim.ips,
-        deployment.predicted.ips,
+        outcome.report.sim.ips,
+        predicted.ips,
         gap * 100.0
     );
 }
