@@ -178,6 +178,10 @@ impl Frame {
     /// its own max-abs scale here, and `tensor` becomes the dequantized
     /// view — so the sender's local picture of the band matches what every
     /// receiver reconstructs, and `decode(encode(f)) == f` holds bitwise.
+    ///
+    /// A band holding an infinite activation gets an infinite scale, and
+    /// its receiver refuses the frame with [`RuntimeError::Wire`]: a
+    /// decoder accepts only scales that are finite and positive.
     pub fn rows_q8(epoch: u64, image: u32, stage: u32, row_lo: u32, tensor: &Tensor) -> Self {
         let scale = quant_scale(tensor.data());
         let data = quantize_slice(tensor.data(), scale);

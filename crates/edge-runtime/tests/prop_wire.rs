@@ -184,6 +184,32 @@ proptest! {
         }
     }
 
+    /// A q8 `Rows` frame's scale is peer-supplied too: NaN, an infinity,
+    /// a zero or a negated scale written into an encoded frame is a `Wire`
+    /// error — never a band of NaNs, infinities, zeros or flipped signs.
+    #[test]
+    fn corrupt_q8_scales_are_rejected(
+        pick in 0usize..6,
+        c in 1usize..4,
+        rows in 1usize..4,
+        w in 1usize..6,
+        fill in -100.0f32..100.0,
+    ) {
+        let tensor = Tensor::from_fn([c, rows, w], |ci, ri, wi| {
+            fill + (ci * 31 + ri * 7 + wi) as f32 * 0.5
+        });
+        let frame = Frame::rows_q8(1, 2, 0, 0, &tensor);
+        let mut bytes = frame.encode();
+        prop_assert_eq!(Frame::decode(&bytes).unwrap(), frame.clone());
+        let scale = frame.quant.as_ref().unwrap().scale;
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, -scale][pick];
+        bytes[SLAB_AT + 12..][..4].copy_from_slice(&bad.to_le_bytes());
+        match Frame::decode(&bytes) {
+            Err(RuntimeError::Wire(_)) => {}
+            other => prop_assert!(false, "scale {} decoded to {:?}", bad, other),
+        }
+    }
+
     /// A `Reconfigure` payload's delta count is peer-supplied too: a count
     /// the bytes behind it cannot hold is a `Wire` error, never an
     /// allocation sized from it.

@@ -16,9 +16,9 @@
 //! * **Winograd F(2×2,3×3)** ([`super::winograd`]) — the shortcut for
 //!   stride-1 3×3 convolutions, which routes ~2.25× fewer multiplies
 //!   through the very same GEMM micro-kernel.
-//! * **int8** — the same im2col walk quantizing each activation as it is
-//!   written, multiplied in i32 by the [`QuantizedFilter`] panels
-//!   ([`super::qgemm`]).
+//! * **int8** — the band quantized once to bytes, then the same im2col
+//!   walk copying bytes, multiplied in i32 by the [`QuantizedFilter`]
+//!   panels ([`super::qgemm`]).
 //!
 //! With no pin the packer applies the routing policy, a pure function of
 //! `(c_in, c_out, f, stride)`: Winograd when the geometry is
@@ -45,7 +45,7 @@
 
 use super::activation::Activation;
 use super::gemm::{gemm_bias_act_into, PackedFilter, NR};
-use super::qgemm::{qgemm_bias_act_into, quant_byte, QuantizedFilter, QK};
+use super::qgemm::{qgemm_bias_act_into, quantize_into, QuantizedFilter, QK};
 use super::winograd::{winograd_eligible, winograd_preferred, winograd_rows, WinogradFilter};
 use crate::error::TensorError;
 use crate::shape::{conv_out_dim, input_rows_for_output, Shape};
@@ -292,7 +292,8 @@ impl ConvBand {
         Tensor::from_vec(Shape::new(c_out, self.out_rows(), self.out_w), data)
     }
 
-    /// The im2col geometry walk both GEMM routes fill their B panels from.
+    /// The im2col geometry walk both GEMM routes fill their B panels from,
+    /// over the f32 band or its quantized byte plane (same CHW layout).
     /// Covers the slice of the im2col matrix with filter taps `k` (its
     /// rows) and output pixels `j` (its columns, row-major over the band's
     /// output rows), calling `write(kk, jj, src)` once per run of real
@@ -305,12 +306,12 @@ impl ConvBand {
     /// per-element bounds checks; whatever no run covers is zero padding,
     /// which both panel layouts arrive pre-filled with.
     #[inline(always)]
-    fn im2col_runs<'a>(
+    fn im2col_runs<'a, T>(
         &self,
-        in_data: &'a [f32],
+        in_data: &'a [T],
         k: Range<usize>,
         j: Range<usize>,
-        mut write: impl FnMut(usize, usize, &'a [f32]),
+        mut write: impl FnMut(usize, usize, &'a [T]),
     ) {
         let &Self {
             band_h,
@@ -484,9 +485,14 @@ fn conv2d_rows_gemm(
 }
 
 /// The **int8 quantized** im2col GEMM route: the band's activations are
-/// quantized against the calibrated `scale_in` on the fly (inside the panel
-/// fill, one byte per im2col element), multiplied in i32, and dequantized
-/// in the fused epilogue with bias and activation.
+/// quantized against the calibrated `scale_in` once, into a byte plane of
+/// the band's shape (a quarter of its f32 bytes), by the vectorised
+/// [`quantize_into`]; the panel fill then copies bytes, and the product
+/// runs in i32 and is dequantized in the fused epilogue with bias and
+/// activation.  Every im2col element is the byte
+/// [`quant_byte`](super::qgemm::quant_byte) gives its
+/// input value — a 3×3 layer reads each value nine times, but quantizes it
+/// once.
 ///
 /// `scale_in` is the *same* for every band of a layer (it is fixed at
 /// deploy-time calibration and travels with the pack); together with
@@ -505,26 +511,77 @@ fn conv2d_rows_q8(
 ) -> Result<Tensor> {
     let c_out = filter.m();
     let n = band.out_rows() * band.out_w;
-    let in_data = input.data();
     let stride = band.stride;
+    let mut bytes = vec![0u8; input.len()];
+    quantize_into(input.data(), scale_in, &mut bytes);
+    let bytes = &bytes[..];
 
-    // The quantizing im2col filler: the f32 filler's geometry walk, each
-    // element quantized to its offset byte as it is written.  Padding
-    // positions stay at the 128 the driver pre-filled — exactly the
-    // quantization of zero under any scale.
+    // The im2col filler over the byte plane, in two passes.  First the f32
+    // filler's walk and copies, with the k stride rounded up to whole
+    // quads: that lays each `NR × QK` block of the panel out tap-major
+    // (`l·NR + lane`), so a run of up to NR lanes is one contiguous copy.
+    // Then each block is interleaved in place into the quad-major order
+    // the kernels read (`lane·QK + l`).  Padding positions hold the 128
+    // the driver pre-filled — exactly the quantization of zero under any
+    // scale — wherever the interleave moves them.
     let fill = move |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [u8]| {
-        let kcq = (k1 - k0).div_ceil(QK);
-        band.im2col_runs(in_data, k0..k1, j0..j1, |kk, jj, src| {
-            let (qd, l) = (kk / QK, kk % QK);
-            for (jj, &v) in (jj..).zip(src.iter().step_by(stride)) {
-                buf[(((jj / NR) * kcq + qd) * NR + (jj % NR)) * QK + l] = quant_byte(v, scale_in);
+        let kc = (k1 - k0).next_multiple_of(QK);
+        band.im2col_runs(bytes, k0..k1, j0..j1, |kk, mut jj, mut src| {
+            while !src.is_empty() {
+                let (q, lane) = (jj / NR, jj % NR);
+                let run = (NR - lane).min(src.len().div_ceil(stride));
+                let dst = &mut buf[(q * kc + kk) * NR + lane..][..run];
+                if stride == 1 {
+                    dst.copy_from_slice(&src[..run]);
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                        *d = v;
+                    }
+                }
+                jj += run;
+                src = &src[(run * stride).min(src.len())..];
             }
         });
+        for block in buf.chunks_exact_mut(NR * QK) {
+            interleave_quads(block.try_into().expect("one NR x QK block"));
+        }
     };
 
     let mut data = vec![0.0f32; c_out * n];
     qgemm_bias_act_into(filter, bias, act, scale_in, n, &fill, &mut data)?;
     band.output(c_out, data)
+}
+
+/// Reorders one `NR × QK` block of an int8 B panel from tap-major
+/// (`block[l·NR + lane]`, as the conv fill's byte runs land) to the
+/// quad-major order the int8 kernels read (`block[lane·QK + l]`): a 4 × 16
+/// byte transpose, two rounds of SSE2 unpacks on x86-64.
+#[inline(always)]
+fn interleave_quads(block: &mut [u8; NR * QK]) {
+    const _: () = assert!(NR == 16 && QK == 4, "the unpacks transpose 4 x 16 bytes");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86-64 baseline, and the four unaligned
+    // 16-byte loads and stores stay inside the 64-byte block.
+    unsafe {
+        use std::arch::x86_64::*;
+        let p = block.as_mut_ptr() as *mut __m128i;
+        let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|i| _mm_loadu_si128(p.add(i)));
+        let (t0, t1) = (_mm_unpacklo_epi8(r0, r1), _mm_unpackhi_epi8(r0, r1));
+        let (t2, t3) = (_mm_unpacklo_epi8(r2, r3), _mm_unpackhi_epi8(r2, r3));
+        _mm_storeu_si128(p, _mm_unpacklo_epi16(t0, t2));
+        _mm_storeu_si128(p.add(1), _mm_unpackhi_epi16(t0, t2));
+        _mm_storeu_si128(p.add(2), _mm_unpacklo_epi16(t1, t3));
+        _mm_storeu_si128(p.add(3), _mm_unpackhi_epi16(t1, t3));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let rows = *block;
+        for (lane, quad) in block.chunks_exact_mut(QK).enumerate() {
+            for (l, b) in quad.iter_mut().enumerate() {
+                *b = rows[l * NR + lane];
+            }
+        }
+    }
 }
 
 /// Full 2-D convolution on the direct (loop-nest) path — the test oracle.
@@ -904,6 +961,21 @@ mod tests {
             .into();
         let stitched = concat_rows(&bands).unwrap();
         assert_eq!(stitched, routed, "quantized bands must stitch bit-exactly");
+    }
+
+    #[test]
+    fn interleave_quads_turns_tap_major_blocks_quad_major() {
+        let mut block: [u8; NR * QK] = std::array::from_fn(|i| i as u8);
+        interleave_quads(&mut block);
+        for lane in 0..NR {
+            for l in 0..QK {
+                assert_eq!(
+                    block[lane * QK + l],
+                    (l * NR + lane) as u8,
+                    "lane {lane}, tap {l}"
+                );
+            }
+        }
     }
 
     #[test]

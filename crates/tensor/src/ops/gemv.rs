@@ -32,7 +32,7 @@ use super::activation::Activation;
 #[cfg(target_arch = "x86_64")]
 use super::dispatch::hw_fma;
 use super::dispatch::{kernel_arch, qkernel_arch, KernelArch, QKernelArch};
-use super::qgemm::{quant_byte, quant_scale, quantize_i8, MAX_QUANT_K, QK};
+use super::qgemm::{quant_scale, quantize_into, MAX_QUANT_K, QK};
 use crate::error::TensorError;
 use crate::Result;
 use rayon::prelude::*;
@@ -334,17 +334,16 @@ impl QuantizedLinearFilter {
         let kq = k.div_ceil(QK);
         let mut data = vec![0i8; m.next_multiple_of(LANES) * kq * QK];
         let mut row_corr = vec![0i32; m];
+        let mut codes = [0i8; PACK_KB];
         // PACK_KB is a multiple of QK, so quads never straddle a block.
         for_each_row_block(weights, m, k, |p, h, r, k0, block| {
             let panel = &mut data[p * PANEL_ROWS * kq * QK..][..h * kq * QK];
-            let mut sum = 0i32;
-            for (qd, quad) in block.chunks(QK).enumerate() {
-                let dst = &mut panel[((k0 / QK + qd) * h + r) * QK..][..quad.len()];
-                for (d, &v) in dst.iter_mut().zip(quad) {
-                    *d = quantize_i8(v, scale);
-                    sum += *d as i32;
-                }
+            let codes = &mut codes[..block.len()];
+            quantize_into(block, scale, codes);
+            for (qd, quad) in codes.chunks(QK).enumerate() {
+                panel[((k0 / QK + qd) * h + r) * QK..][..quad.len()].copy_from_slice(quad);
             }
+            let sum: i32 = codes.iter().map(|&q| q as i32).sum();
             row_corr[p * PANEL_ROWS + r] += 128 * sum;
         });
         Ok(Self {
@@ -407,9 +406,7 @@ pub(super) fn qgemv_bias_act_into(
     // Tail-quad bytes past `k` stay at quantized zero; the weights are zero
     // there anyway.
     let mut xq = vec![128u8; kq * QK];
-    for (q, &v) in xq.iter_mut().zip(x) {
-        *q = quant_byte(v, scale_a);
-    }
+    quantize_into(x, scale_a, &mut xq[..x.len()]);
     out.par_chunks_mut(PANEL_ROWS)
         .enumerate()
         .for_each(|(p, chunk)| {

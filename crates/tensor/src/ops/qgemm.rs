@@ -11,6 +11,13 @@
 //! activation side is produced on the fly by a [`QPanelFill`] — the im2col
 //! lowering for convolutions.
 //!
+//! **One quantizer.**  Every activation on a serving path — a conv band,
+//! an FC input, a q8 wire frame — is quantized exactly once, by
+//! `quantize_into`, which returns what the per-element [`quantize_i8`] /
+//! [`quant_byte`] return and is compiled per int8 arm so the AVX2 and VNNI
+//! arms run it as vector code.  The conv's panel fill then only moves the
+//! bytes; the weight packers use the same quantizer.
+//!
 //! **Unsigned-offset trick.**  The AVX-512 VNNI instruction (`vpdpbusd`)
 //! multiplies *unsigned* bytes by signed bytes, so activations are stored
 //! offset by +128 (`byte = qa + 128 ∈ [1, 255]`, quantized zero = 128) and
@@ -77,9 +84,98 @@ pub fn quant_byte(x: f32, scale: f32) -> u8 {
     (quantize_i8(x, scale) as i32 + 128) as u8
 }
 
+/// [`quantize_i8`] in the form that vectorises, as the bits of an f32
+/// whose low byte is the i8 code.  The rounded, clamped value is an integer
+/// in `[-127, 127]`, or NaN, which codes as `0` as the saturating `as i8`
+/// cast does; adding `1.5·2²³` puts that integer exactly into the low
+/// mantissa bits (the f32 ulp there is 1), so the conversion is a bit
+/// reinterpretation instead of a saturating cast, which compilers leave
+/// scalar.
+#[inline(always)]
+fn code_bits(x: f32, scale: f32) -> u32 {
+    let q = (x / scale).round().clamp(-127.0, 127.0);
+    (if q.is_nan() { 0.0 } else { q } + 12_582_912.0).to_bits()
+}
+
+/// A quantized code [`quantize_into`] can write: an i8 code
+/// ([`quantize_i8`]) or an offset panel byte ([`quant_byte`]).
+pub(crate) trait QuantCode: Copy {
+    /// The code of one value — what the per-element function returns.
+    fn quantize(x: f32, scale: f32) -> Self;
+}
+
+impl QuantCode for i8 {
+    #[inline(always)]
+    fn quantize(x: f32, scale: f32) -> Self {
+        code_bits(x, scale) as i8
+    }
+}
+
+impl QuantCode for u8 {
+    /// The code's byte with its sign bit flipped: `q + 128`.
+    #[inline(always)]
+    fn quantize(x: f32, scale: f32) -> Self {
+        code_bits(x, scale) as u8 ^ 0x80
+    }
+}
+
+/// Quantizes `src` into `dst` against `scale`, element for element what
+/// [`quantize_i8`] / [`quant_byte`] return — the one activation quantizer
+/// of the int8 path.  The loop is compiled once per int8 arm: under the
+/// AVX2 / VNNI arms' target features `round` is inlined (SSE4.1 truncation)
+/// and the whole loop vectorises, where the baseline target calls `roundf`
+/// per element.  Division stays a division, so every arm returns the same
+/// bytes.
+///
+/// # Panics
+/// If the slices differ in length.
+pub(crate) fn quantize_into<T: QuantCode>(src: &[f32], scale: f32, dst: &mut [T]) {
+    assert_eq!(src.len(), dst.len(), "quantizer slice lengths");
+    match qkernel_arch() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `qkernel_arch()` offers the VNNI arm only where CPUID
+        // reports AVX-512F.
+        QKernelArch::Vnni => unsafe { quantize_avx512(src, scale, dst) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `qkernel_arch()` offers the AVX2 arm only where CPUID
+        // reports AVX2.
+        QKernelArch::Avx2 => unsafe { quantize_avx2(src, scale, dst) },
+        _ => quantize_plain(src, scale, dst),
+    }
+}
+
+#[inline(always)]
+fn quantize_plain<T: QuantCode>(src: &[f32], scale: f32, dst: &mut [T]) {
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = T::quantize(x, scale);
+    }
+}
+
+/// [`quantize_plain`] compiled for the AVX2 arm.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_avx2<T: QuantCode>(src: &[f32], scale: f32, dst: &mut [T]) {
+    quantize_plain(src, scale, dst)
+}
+
+/// [`quantize_plain`] compiled for the VNNI arm.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_avx512<T: QuantCode>(src: &[f32], scale: f32, dst: &mut [T]) {
+    quantize_plain(src, scale, dst)
+}
+
 /// Quantizes a slice against a given scale.
 pub fn quantize_slice(src: &[f32], scale: f32) -> Vec<i8> {
-    src.iter().map(|&v| quantize_i8(v, scale)).collect()
+    let mut out = vec![0i8; src.len()];
+    quantize_into(src, scale, &mut out);
+    out
 }
 
 /// Dequantizes a slice: `q · scale`.
@@ -128,18 +224,16 @@ impl QuantizedFilter {
         let kq = k.div_ceil(QK);
         let mut data = vec![0i8; panels * kq * MR * QK];
         let mut row_corr = vec![0i32; m];
+        let mut codes = vec![0i8; k];
         for p in 0..panels {
             let rows = (m - p * MR).min(MR);
             let base = p * kq * MR * QK;
             for r in 0..rows {
-                let row = &weights[(p * MR + r) * k..(p * MR + r + 1) * k];
-                let mut sum = 0i32;
-                for (kk, &v) in row.iter().enumerate() {
-                    let q = quantize_i8(v, scale);
-                    sum += q as i32;
-                    data[base + ((kk / QK) * MR + r) * QK + (kk % QK)] = q;
+                quantize_into(&weights[(p * MR + r) * k..][..k], scale, &mut codes);
+                for (qd, quad) in codes.chunks(QK).enumerate() {
+                    data[base + (qd * MR + r) * QK..][..quad.len()].copy_from_slice(quad);
                 }
-                row_corr[p * MR + r] = 128 * sum;
+                row_corr[p * MR + r] = 128 * codes.iter().map(|&q| q as i32).sum::<i32>();
             }
         }
         Ok(Self {
@@ -182,7 +276,7 @@ impl QuantizedFilter {
 }
 
 /// A quantized B-panel filler: `fill(k0, k1, j0, j1, buf)` writes offset
-/// activation bytes (`quant_byte`) for k rows `[k0, k1)` and output columns
+/// activation bytes ([`quant_byte`]) for k rows `[k0, k1)` and output columns
 /// `[j0, j1)` into `buf`, laid out in `NR`-column, quad-major panels:
 /// `buf[((q*kcq + qd)*NR + jj)*QK + l]` holds `B[k0 + qd*QK + l][j0 + q*NR + jj]`
 /// with `kcq = ceil((k1-k0)/QK)`.  `k0` is always a multiple of `QK`.
@@ -493,6 +587,70 @@ mod tests {
         }
         assert_eq!(quant_scale(&[0.0; 4]), 1.0);
         assert_eq!(quant_byte(0.0, s), 128);
+    }
+
+    /// The slice quantizer returns, on every arm and at every vector-tail
+    /// length, what the per-element functions return: special values, ties
+    /// at `(k + 0.5)·scale`, values past the `±127.5·scale` clamp and
+    /// random values, over power-of-two, ordinary, tiny and subnormal
+    /// scales.
+    #[test]
+    fn quantizer_matches_the_per_element_functions_on_every_arm() {
+        let tiny = f32::from_bits(1);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut random = |span: f32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            ((rng >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0) * span
+        };
+        for scale in [1.0 / 32.0, 0.05, 3.7 / 127.0, 1e-30, 1e-40] {
+            let mut xs = vec![
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                tiny,
+                -tiny,
+                f32::MIN_POSITIVE / 3.0,
+                -f32::MIN_POSITIVE / 3.0,
+                f32::MIN_POSITIVE,
+                f32::MAX,
+                f32::MIN,
+            ];
+            for k in -130..130 {
+                let tie = (k as f32 + 0.5) * scale;
+                xs.extend([tie, f32::from_bits(tie.to_bits() + 1), -tie]);
+            }
+            for m in [127.5f32, 128.0, 200.0, 1e6] {
+                xs.extend([m * scale, -m * scale]);
+            }
+            xs.extend((0..500).map(|_| random(140.0 * scale)));
+            let want_i8: Vec<i8> = xs.iter().map(|&x| quantize_i8(x, scale)).collect();
+            let want_u8: Vec<u8> = xs.iter().map(|&x| quant_byte(x, scale)).collect();
+            for level in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
+                let _pin = pin_kernels(level);
+                let arm = qkernel_arch().label();
+                // Every start offset and tail length around the vector widths.
+                for (lo, hi) in [(0, xs.len()), (1, 2), (3, 20), (5, 38), (7, 70)] {
+                    let mut i8s = vec![0i8; hi - lo];
+                    quantize_into(&xs[lo..hi], scale, &mut i8s);
+                    assert_eq!(i8s, want_i8[lo..hi], "i8 codes, scale {scale}, {arm}");
+                    let mut u8s = vec![0u8; hi - lo];
+                    quantize_into(&xs[lo..hi], scale, &mut u8s);
+                    assert_eq!(u8s, want_u8[lo..hi], "offset bytes, scale {scale}, {arm}");
+                }
+            }
+        }
+        assert_eq!(quantize_slice(&[1.0, -1.0, f32::NAN], 0.5), [2, -2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantizer slice lengths")]
+    fn quantizer_refuses_mismatched_slices() {
+        quantize_into(&[1.0, 2.0], 1.0, &mut [0u8; 1]);
     }
 
     #[test]

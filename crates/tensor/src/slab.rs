@@ -119,9 +119,17 @@ pub fn write_q8_slab(shape: Shape, scale: f32, data: &[i8], out: &mut Vec<u8>) -
 }
 
 /// Decodes a q8 slab produced by [`write_q8_slab`], returning the shape,
-/// scale, int8 codes, and the number of bytes consumed.
+/// scale, int8 codes, and the number of bytes consumed.  A scale that is
+/// not finite and positive is refused: no max-abs scale of finite values
+/// is one, and it would dequantize every code to NaN, an infinity, a zero
+/// or a sign-flipped value.
 pub fn read_q8_slab(bytes: &[u8]) -> Result<(Shape, f32, Vec<i8>, usize)> {
     let scale = f32::from_le_bytes(read_u32(bytes, 12)?.to_le_bytes());
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(TensorError::KernelConfig(format!(
+            "q8 slab scale {scale} is not finite and positive"
+        )));
+    }
     let (shape, len) = read_header(bytes, 16, 1)?;
     let data = bytes[16..len].iter().map(|&b| b as i8).collect();
     Ok((shape, scale, data, len))
@@ -203,6 +211,22 @@ mod tests {
         // Mismatched data length is rejected at encode time.
         let mut out = Vec::new();
         assert!(write_q8_slab(shape, 1.0, &data[..23], &mut out).is_err());
+    }
+
+    #[test]
+    fn q8_slab_refuses_a_scale_that_is_not_finite_and_positive() {
+        let shape = Shape::new(1, 1, 2);
+        for scale in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, -0.5] {
+            let mut bytes = Vec::new();
+            write_q8_slab(shape, scale, &[3, -3], &mut bytes).unwrap();
+            assert!(read_q8_slab(&bytes).is_err(), "scale {scale}");
+        }
+        let mut bytes = Vec::new();
+        write_q8_slab(shape, f32::from_bits(1), &[3, -3], &mut bytes).unwrap();
+        assert!(
+            read_q8_slab(&bytes).is_ok(),
+            "a subnormal scale is positive"
+        );
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!   Winograd / int8 panel forms — under the policy the one the route
 //!   function names — and its output is bit-identical to a pack pinned to
 //!   that route;
+//! * **integer reference (int8)** — the int8 conv equals, bit for bit, an
+//!   integer im2col reference built from the per-element quantizers, on
+//!   every int8 arm;
 //! * **FC packing** — the k-blocked transposing pack of the GEMV filters
 //!   (f32 and int8) lays out exactly what the naive element-by-element
 //!   pack of the documented layout does.
@@ -29,9 +32,9 @@ use tensor::ops::gemv::{LANES, PANEL_ROWS};
 use tensor::ops::qgemm::QK;
 use tensor::ops::{
     conv2d_direct, conv2d_rows_packed, im2col_weight_len, linear_direct, linear_packed,
-    pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch, quant_scale, quantize_i8,
-    winograd_eligible, winograd_preferred, Activation, ConvRoute, KernelArch, QKernelArch,
-    QuantizedLinearFilter,
+    pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch, quant_byte, quant_scale,
+    quantize_i8, winograd_eligible, winograd_preferred, Activation, ConvRoute, KernelArch,
+    QKernelArch, QuantizedLinearFilter,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -331,6 +334,75 @@ proptest! {
         }
         for pair in per_arm.windows(2) {
             prop_assert!(pair[0].1 == pair[1].1, "int8 dispatch arms must be bit-exact");
+        }
+    }
+
+    /// The int8 conv is *bit-equal* to an integer reference assembled from
+    /// the public per-element pieces: every im2col element quantized with
+    /// `quant_byte` (padding is the value 0), `Σ qa·qw` in `i32`, then
+    /// `act(bias + Σ·s_a·s_w)` — over random geometries with stride 2,
+    /// padding past `f/2`, an activation scale that clamps, and halo-cut
+    /// row bands, on every int8 arm.
+    #[test]
+    fn quantized_conv_equals_the_integer_im2col_reference(
+        c_in in 1usize..6,
+        c_out in 1usize..14,
+        h in 3usize..18,
+        w in 3usize..40,
+        f in 1usize..5,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        shrink in 0.3f32..1.0,
+        cut in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(padding < f);
+        let Some(out_h) = conv_out_dim(h, f, stride, padding) else { return Ok(()) };
+        prop_assume!(conv_out_dim(w, f, stride, padding).is_some());
+        let input = pseudo_tensor(c_in, h, w, seed);
+        let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x3b1);
+        let bias = pseudo_weights(c_out, seed ^ 0x4c2);
+        // Below the max-abs scale, so the largest activations clamp.
+        let scale_in = quant_scale(input.data()) * shrink;
+        let pin = Some(ConvRoute::Quant { scale_in });
+        let filter = pack_conv_filter(&weights, c_in, c_out, f, stride, pin).unwrap();
+        let s = scale_in * filter.quant().unwrap().scale();
+        let reference = |lo_out: usize, hi_out: usize| {
+            let out_w = conv_out_dim(w, f, stride, padding).unwrap();
+            let scale_w = quant_scale(&weights);
+            Tensor::from_fn([c_out, hi_out - lo_out, out_w], |oc, oy, ox| {
+                let mut sum = 0i32;
+                for ic in 0..c_in {
+                    for ky in 0..f {
+                        for kx in 0..f {
+                            let iy = ((lo_out + oy) * stride + ky) as isize - padding as isize;
+                            let ix = (ox * stride + kx) as isize - padding as isize;
+                            let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                            let a = if inside { input.get(ic, iy as usize, ix as usize) } else { 0.0 };
+                            let qa = quant_byte(a, scale_in) as i32 - 128;
+                            let wi = ((oc * c_in + ic) * f + ky) * f + kx;
+                            sum += qa * quantize_i8(weights[wi], scale_w) as i32;
+                        }
+                    }
+                }
+                Activation::Relu.apply(bias[oc] + (sum as f32) * s)
+            })
+        };
+        let lo_out = ((out_h as f64 * cut) as usize).min(out_h - 1);
+        let (lo, hi) = input_rows_for_output(lo_out, out_h, f, stride, padding, h);
+        let band_in = slice_rows(&input, lo, hi).unwrap();
+        let (want_full, want_band) = (reference(0, out_h), reference(lo_out, out_h));
+        for level in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
+            let _pin = pin_kernels(level);
+            let full = conv2d_rows_packed(
+                &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, Activation::Relu,
+            ).unwrap();
+            prop_assert!(full == want_full, "full output ({})", qkernel_arch().label());
+            let band = conv2d_rows_packed(
+                &band_in, lo, h, lo_out, out_h, &filter, &bias, f, stride, padding,
+                Activation::Relu,
+            ).unwrap();
+            prop_assert!(band == want_band, "band {}.. ({})", lo_out, qkernel_arch().label());
         }
     }
 

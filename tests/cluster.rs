@@ -193,17 +193,13 @@ fn killed_node_reconnects_and_no_image_is_lost() {
     assert_eq!(session.epoch(), 0);
 
     let images: Vec<_> = (0..8).map(|s| deterministic_input(&model, s)).collect();
-    let tickets: Vec<_> = images
-        .iter()
-        .map(|im| session.submit(im).expect("submit"))
-        .collect();
 
-    // Let the stream get going, then kill device 1 mid-flight and restart
-    // it with the same config.  The supervisor must reconnect with
-    // backoff, re-handshake at the current epoch, resync, and replay the
-    // in-flight images.
-    let mut tickets = tickets.into_iter().zip(images.iter());
-    let (first_ticket, first_image) = tickets.next().unwrap();
+    // Serve the first image over the healthy cluster, then kill device 1
+    // and restart it with the same config.  The supervisor must reconnect
+    // with backoff, re-handshake at the current epoch, resync, and replay
+    // the in-flight images.
+    let (first_image, rest) = images.split_first().unwrap();
+    let first_ticket = session.submit(first_image).expect("submit");
     let first = session
         .wait_timeout(first_ticket, Duration::from_secs(120))
         .expect("first image before the kill")
@@ -215,6 +211,16 @@ fn killed_node_reconnects_and_no_image_is_lost() {
     assert_eq!(first.data(), expected.data());
 
     procs.restart(1);
+
+    // Submitted only after the kill, so every remaining image needs the
+    // re-handshaken node and none can finish before the supervisor has
+    // repaired the link.  Submitted before it, an optimised build can
+    // finish them all first, and then nothing waits on the reconnect the
+    // assertions below check.
+    let tickets: Vec<_> = rest
+        .iter()
+        .map(|im| (session.submit(im).expect("submit"), im))
+        .collect();
 
     for (ticket, image) in tickets {
         let output = session
