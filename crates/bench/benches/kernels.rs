@@ -20,7 +20,6 @@
 //! packed-SIMD rate ≥ 2× the scalar baseline this ladder started from
 //! (18 GFLOP/s).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -149,7 +148,7 @@ fn time_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
     t0.elapsed().as_secs_f64() * 1e9 / samples as f64
 }
 
-fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
+fn bench_conv_paths() -> Vec<ConvShape> {
     // VGG-style shapes: the acceptance shape first (3×3, c_in=c_out=64 at
     // 56×56 — a conv3-block layer), then the stem, a mid and a deep layer.
     let shapes: &[(&str, usize, usize, usize, usize)] = &[
@@ -159,8 +158,6 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
         ("deep_3x3_c512_14", 512, 512, 14, 3),
     ];
     let mut out = Vec::new();
-    let mut group = c.benchmark_group("conv2d");
-    group.sample_size(10);
     for &(label, c_in, c_out, hw, f) in shapes {
         let input = conv_input(c_in, hw, hw);
         let (weights, bias) = conv_weights(c_in, c_out, f);
@@ -258,11 +255,7 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
                 0.0
             },
         });
-        group.bench_with_input(BenchmarkId::new("packed_simd", label), &label, |b, _| {
-            b.iter(run_gemm)
-        });
     }
-    group.finish();
     out
 }
 
@@ -346,16 +339,10 @@ fn bench_fc_paths() -> Vec<FcShape> {
     out
 }
 
-fn bench_pool(c: &mut Criterion) -> PoolShape {
+fn bench_pool() -> PoolShape {
     let (ch, hw, f, stride) = (64, 224, 2, 2);
     let input = Tensor::from_fn([ch, hw, hw], |c, y, x| ((c + y + x) % 7) as f32);
     let ns = time_ns(10, || maxpool2d(black_box(&input), f, stride));
-    let mut group = c.benchmark_group("maxpool2d");
-    group.sample_size(10);
-    group.bench_function("vgg_pool1_2x2_stride2", |b| {
-        b.iter(|| black_box(maxpool2d(black_box(&input), f, stride)))
-    });
-    group.finish();
     let bytes = 4.0 * (ch * hw * hw + ch * (hw / stride) * (hw / stride)) as f64;
     PoolShape {
         label: "vgg_pool1_c64_224".to_string(),
@@ -369,10 +356,10 @@ fn bench_pool(c: &mut Criterion) -> PoolShape {
     }
 }
 
-fn bench_kernels(c: &mut Criterion) {
-    let conv = bench_conv_paths(c);
+fn main() {
+    let conv = bench_conv_paths();
     let fc = bench_fc_paths();
-    let pool = bench_pool(c);
+    let pool = bench_pool();
 
     let vgg_3x3_c64_speedup = conv
         .iter()
@@ -436,6 +423,3 @@ fn bench_kernels(c: &mut Criterion) {
     std::fs::write(&path, &json).unwrap();
     println!("BENCH_kernels.json: {json}");
 }
-
-criterion_group!(benches, bench_kernels);
-criterion_main!(benches);

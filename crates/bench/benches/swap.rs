@@ -7,17 +7,18 @@
 //!   shipping + acks),
 //! * the **drain gap** with images in flight (how long admission pauses),
 //!
-//! — and emits them to `BENCH_swap.json` so the perf trajectory of the
-//! swap path is tracked across commits, alongside the Criterion timings on
-//! stdout.
+//! — each over `SAMPLES` swaps, and emits them to `BENCH_swap.json` so the
+//! perf trajectory of the swap path is tracked across commits.
 
 use cnn_model::exec::{deterministic_input, ModelWeights};
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
-use criterion::{criterion_group, criterion_main, Criterion};
 use edge_runtime::session::{Deploy, Session};
 use edge_runtime::RuntimeOptions;
 use edgesim::ExecutionPlan;
 use serde::Serialize;
+
+/// Swaps timed per measurement.
+const SAMPLES: usize = 10;
 
 fn split_plan(model: &Model, devices: usize) -> ExecutionPlan {
     let scheme = PartitionScheme::single_volume(model);
@@ -49,7 +50,7 @@ struct SwapBench {
     drained_images: f64,
 }
 
-fn bench_swap(c: &mut Criterion) {
+fn main() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 11);
     let split = split_plan(&model, 2);
@@ -57,16 +58,9 @@ fn bench_swap(c: &mut Criterion) {
 
     // --- No-op swap: same plan, idle session (protocol floor).
     let session = deploy(&model, &split, &weights);
-    let mut noop_ms = Vec::new();
-    c.benchmark_group("plan_swap")
-        .sample_size(10)
-        .bench_function("noop_idle", |b| {
-            b.iter(|| {
-                let report = session.apply_plan(&split).unwrap();
-                noop_ms.push(report.total_ms);
-                report.epoch
-            })
-        });
+    let noop_ms: Vec<f64> = (0..SAMPLES)
+        .map(|_| session.apply_plan(&split).unwrap().total_ms)
+        .collect();
     drop(session);
 
     // --- Cross swap: offload <-> split, idle session.  The first swap
@@ -76,50 +70,34 @@ fn bench_swap(c: &mut Criterion) {
     let first_delta = first.total_delta_bytes();
     let mut cross_ms = vec![first.total_ms];
     let mut steady_delta = 0usize;
-    let mut next_is_offload = true;
-    c.benchmark_group("plan_swap")
-        .sample_size(10)
-        .bench_function("cross_idle", |b| {
-            b.iter(|| {
-                let target = if next_is_offload { &offload } else { &split };
-                next_is_offload = !next_is_offload;
-                let report = session.apply_plan(target).unwrap();
-                cross_ms.push(report.total_ms);
-                steady_delta = steady_delta.max(report.total_delta_bytes());
-                report.epoch
-            })
-        });
+    for i in 0..SAMPLES {
+        let target = if i % 2 == 0 { &offload } else { &split };
+        let report = session.apply_plan(target).unwrap();
+        cross_ms.push(report.total_ms);
+        steady_delta = steady_delta.max(report.total_delta_bytes());
+    }
     drop(session);
 
     // --- Drain gap: swap with the credit window full of in-flight images.
     let session = deploy(&model, &split, &weights);
     let mut drain_ms = Vec::new();
     let mut drained = Vec::new();
-    let mut wave = 0u64;
-    let mut next_is_offload = true;
-    c.benchmark_group("plan_swap")
-        .sample_size(10)
-        .bench_function("drain_in_flight", |b| {
-            b.iter(|| {
-                let tickets: Vec<_> = (0..4)
-                    .map(|i| {
-                        session
-                            .submit(&deterministic_input(&model, 1000 * wave + i))
-                            .unwrap()
-                    })
-                    .collect();
-                wave += 1;
-                let target = if next_is_offload { &offload } else { &split };
-                next_is_offload = !next_is_offload;
-                let report = session.apply_plan(target).unwrap();
-                drain_ms.push(report.drain_ms);
-                drained.push(report.drained_images as f64);
-                for t in tickets {
-                    session.wait(t).unwrap();
-                }
-                report.epoch
+    for wave in 0..SAMPLES as u64 {
+        let tickets: Vec<_> = (0..4)
+            .map(|i| {
+                session
+                    .submit(&deterministic_input(&model, 1000 * wave + i))
+                    .unwrap()
             })
-        });
+            .collect();
+        let target = if wave % 2 == 0 { &offload } else { &split };
+        let report = session.apply_plan(target).unwrap();
+        drain_ms.push(report.drain_ms);
+        drained.push(report.drained_images as f64);
+        for t in tickets {
+            session.wait(t).unwrap();
+        }
+    }
     drop(session);
 
     let mean = |xs: &[f64]| {
@@ -144,6 +122,3 @@ fn bench_swap(c: &mut Criterion) {
     std::fs::write(&path, &json).unwrap();
     println!("BENCH_swap.json: {json}");
 }
-
-criterion_group!(benches, bench_swap);
-criterion_main!(benches);

@@ -2,7 +2,7 @@
 //!
 //! Two measurements:
 //!
-//! * a Criterion micro-benchmark of one span record (enabled vs disabled) —
+//! * a micro-benchmark of one span record (enabled vs disabled), printed —
 //!   the per-event cost is a handful of relaxed atomic stores;
 //! * a serving-throughput comparison: the same deployment serves identical
 //!   bursts with tracing disabled and enabled in interleaved pairs, and the
@@ -13,18 +13,19 @@
 
 use cnn_model::exec::{deterministic_input, ModelWeights};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
-use criterion::{criterion_group, criterion_main, Criterion};
 use edge_runtime::session::Deploy;
 use edge_runtime::RuntimeOptions;
 use edge_telemetry::{Stage, Telemetry, TraceId};
 use edgesim::ExecutionPlan;
 use serde::Serialize;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Images served per throughput run (after warmup).  Long enough that one
 /// burst is ~100 ms of work — short bursts put scheduler noise, not the
 /// tracing cost, in charge of the measured ratio.
 const IMAGES: u64 = 160;
+/// Timed calls per span micro-benchmark.
+const SPAN_SAMPLES: usize = 10;
 /// Interleaved disabled/enabled rounds; the best paired round counts.
 const ROUNDS: usize = 5;
 /// The guard: enabled-mode tracing may cost at most this IPS fraction.
@@ -95,28 +96,40 @@ struct TelemetryBench {
     spans_recorded: usize,
 }
 
-fn bench_telemetry(c: &mut Criterion) {
+/// Times `f` once per sample after one warm-up call, and prints the mean
+/// and the fastest sample.
+fn time_span(label: &str, mut f: impl FnMut()) {
+    f();
+    let samples: Vec<Duration> = (0..SPAN_SAMPLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    let mean = samples.iter().sum::<Duration>() / SPAN_SAMPLES as u32;
+    let min = samples.iter().min().copied().unwrap_or_default();
+    println!(
+        "telemetry/{label:<38} mean {mean:>12.3?}  min {min:>12.3?}  ({SPAN_SAMPLES} samples)"
+    );
+}
+
+fn main() {
     // --- Micro: the cost of one span record, enabled vs disabled.
     let enabled_hub = Telemetry::new();
     let mut enabled_rec = enabled_hub.recorder("bench", 0);
     let disabled_hub = Telemetry::disabled();
     let disabled_rec = disabled_hub.recorder("bench", 0);
     let trace = TraceId { epoch: 0, image: 1 };
-    let mut group = c.benchmark_group("telemetry");
-    group.bench_function("span_enabled", |b| {
-        b.iter(|| {
-            let t0 = enabled_rec.start().unwrap();
-            enabled_rec.span(Stage::Compute(0), trace, t0, 64, 0);
-        })
+    time_span("span_enabled", || {
+        let t0 = enabled_rec.start().unwrap();
+        enabled_rec.span(Stage::Compute(0), trace, t0, 64, 0);
     });
-    group.bench_function("span_disabled", |b| {
-        b.iter(|| {
-            // The disabled fast path: one relaxed load, no timestamp.
-            let t0 = disabled_rec.start();
-            assert!(t0.is_none());
-        })
+    time_span("span_disabled", || {
+        // The disabled fast path: one relaxed load, no timestamp.
+        let t0 = disabled_rec.start();
+        assert!(t0.is_none());
     });
-    group.finish();
 
     // --- Macro: end-to-end serving throughput, interleaved rounds so the
     // two modes see the same machine conditions.
@@ -164,6 +177,3 @@ fn bench_telemetry(c: &mut Criterion) {
     std::fs::write(&path, &json).unwrap();
     println!("BENCH_telemetry.json: {json}");
 }
-
-criterion_group!(benches, bench_telemetry);
-criterion_main!(benches);

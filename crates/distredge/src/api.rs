@@ -27,11 +27,6 @@ pub struct DistrEdgeConfig {
     pub osds: OsdsConfig,
     /// Profiling configuration.
     pub profiles: ProfilesConfig,
-    /// If `true`, OSDS observes latencies from the ground-truth device
-    /// models ("directly measured with real execution on devices"); if
-    /// `false` it observes profiled estimates ("estimated by the profiling
-    /// results").  Both are allowed by §IV-A; the default is profiled.
-    pub train_on_ground_truth: bool,
 }
 
 impl DistrEdgeConfig {
@@ -41,7 +36,6 @@ impl DistrEdgeConfig {
             lcpss: LcPssConfig::paper_defaults(num_devices),
             osds: OsdsConfig::paper_defaults(num_devices),
             profiles: ProfilesConfig::default(),
-            train_on_ground_truth: false,
         }
     }
 
@@ -54,7 +48,6 @@ impl DistrEdgeConfig {
             },
             osds: OsdsConfig::fast(num_devices),
             profiles: ProfilesConfig::default(),
-            train_on_ground_truth: false,
         }
     }
 
@@ -89,7 +82,11 @@ pub struct PlanningOutcome {
 pub struct DistrEdge;
 
 impl DistrEdge {
-    /// Plans a distribution strategy for `model` on `cluster`.
+    /// Plans a distribution strategy for `model` on `cluster`.  OSDS learns
+    /// from latencies estimated by the profiles, the paper's default; to
+    /// train on another cost source (the ground truth, measured kernel
+    /// times), run `osds_train` over `SplitEnv::new(model, cluster,
+    /// &compute, &scheme)`.
     pub fn plan(
         model: &Model,
         cluster: &Cluster,
@@ -100,14 +97,8 @@ impl DistrEdge {
         let profiles = ClusterProfiles::collect(model, cluster, &config.profiles);
         let scheme = lc_pss(model, &lcpss)?;
 
-        let osds_outcome = if config.train_on_ground_truth {
-            let compute = cluster.ground_truth_compute();
-            let mut env = SplitEnv::new(model, cluster, &compute, &scheme);
-            osds_train(&mut env, &config.osds, None)?
-        } else {
-            let mut env = SplitEnv::new(model, cluster, &profiles, &scheme);
-            osds_train(&mut env, &config.osds, None)?
-        };
+        let mut env = SplitEnv::new(model, cluster, &profiles, &scheme);
+        let osds_outcome = osds_train(&mut env, &config.osds, None)?;
 
         let strategy = DistributionStrategy::new(
             "DistrEdge",
@@ -199,13 +190,21 @@ mod tests {
 
     #[test]
     fn ground_truth_training_also_works() {
+        // OSDS may learn from latencies "directly measured" instead of the
+        // profiles (§IV-C1): the same environment over another cost source.
         let m = model();
         let c = cluster();
         let mut cfg = tiny_config();
-        cfg.train_on_ground_truth = true;
         cfg.osds.max_episodes = 10;
-        let outcome = DistrEdge::plan(&m, &c, &cfg).unwrap();
-        outcome.strategy.to_plan(&m).unwrap().validate(&m).unwrap();
+        let mut lcpss = cfg.lcpss;
+        lcpss.num_devices = c.len();
+        let scheme = lc_pss(&m, &lcpss).unwrap();
+        let compute = c.ground_truth_compute();
+        let mut env = SplitEnv::new(&m, &c, &compute, &scheme);
+        let outcome = osds_train(&mut env, &cfg.osds, None).unwrap();
+        let strategy =
+            DistributionStrategy::new("DistrEdge", scheme, outcome.best_splits, c.len()).unwrap();
+        strategy.to_plan(&m).unwrap().validate(&m).unwrap();
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::profiles::ClusterProfiles;
 use crate::strategy::DistributionStrategy;
 use crate::Result;
 use cnn_model::Model;
-use edgesim::{simulate, Cluster, SimOptions, SimReport};
+use edgesim::sim::simulate_ground_truth;
+use edgesim::{Cluster, SimOptions, SimReport};
 use serde::{Deserialize, Serialize};
 
 /// The measured outcome of one (method, scenario, model) cell of a figure.
@@ -49,8 +50,7 @@ pub fn evaluate_strategy(
 ) -> Result<SimReport> {
     let plan = strategy.to_plan(model)?;
     plan.validate(model)?;
-    let compute = cluster.ground_truth_compute();
-    Ok(simulate(model, cluster, &compute, &plan, options))
+    Ok(simulate_ground_truth(model, cluster, &plan, options))
 }
 
 /// Plans a method (baseline or DistrEdge) on a cluster and measures it.

@@ -23,7 +23,7 @@
 //!   latency breakdowns with the ground-truth simulator.
 //! * [`online`] — online re-planning under highly dynamic networks (§V-F),
 //!   both simulator-driven ([`online::run_dynamic_experiment`]) and against
-//!   live `edge-runtime` session metrics ([`online::RuntimeAdaptation`]).
+//!   a live `edge-runtime` session ([`AdaptiveSession`]).
 
 pub mod api;
 pub mod baselines;
@@ -42,8 +42,7 @@ pub use baselines::Method;
 pub use error::DistrError;
 pub use evaluate::{evaluate_method, evaluate_strategy, MethodResult};
 pub use online::{
-    AdaptationTick, AdaptiveSession, OnlineConfig, OnlineResult, RuntimeAdaptation,
-    RuntimeReplanDecision,
+    AdaptationTick, AdaptiveSession, OnlineConfig, OnlineResult, RuntimeReplanDecision,
 };
 pub use partitioner::{LcPssConfig, RandomSplits};
 pub use profiles::ClusterProfiles;

@@ -20,9 +20,9 @@ use crate::evaluate::evaluate_strategy;
 use crate::mdp::SplitEnv;
 use crate::partitioner::lc_pss;
 use crate::profiles::ClusterProfiles;
-use crate::splitter::{greedy_rollout, osds_train, OsdsConfig};
+use crate::splitter::{greedy_rollout, osds_train};
 use crate::strategy::DistributionStrategy;
-use crate::Result;
+use crate::{DistrError, Result};
 use cnn_model::{Model, PartitionScheme, VolumeSplit};
 use device_profile::DeviceSpec;
 use edge_runtime::report::MeasuredCompute;
@@ -152,21 +152,33 @@ fn measure_window(
     Ok(report.mean_latency_ms)
 }
 
-/// The splits the online controller deploys under `env`'s conditions: the
-/// actor's greedy rollout, unless the latency estimator prefers a
-/// degenerate member of the search space that costs nothing to evaluate —
-/// the equal split or a single-device offload (ties go to the rollout).
-/// Right after a drastic change (a link collapsing), a few fine-tune
-/// episodes may not have moved the actor yet, but the estimator already
-/// knows an offload away from the dead link wins; the online decision never
-/// deploys worse than the best degenerate candidate.
-fn guarded_rollout(
+/// DistrEdge's online decision under `env`'s conditions, the one re-plan
+/// step of both the simulated experiment and [`AdaptiveSession`].  With
+/// `finetune`, the actor first trains on `env` for
+/// `config.finetune_episodes` episodes from where it stands.  The splits
+/// deployed are then the actor's greedy rollout, unless the latency
+/// estimator prefers a degenerate member of the search space that costs
+/// nothing to evaluate — the equal split or a single-device offload (ties
+/// go to the rollout).  Right after a drastic change (a link collapsing), a
+/// few fine-tune episodes may not have moved the actor yet, but the
+/// estimator already knows an offload away from the dead link wins; the
+/// online decision never deploys worse than the best degenerate candidate.
+fn replan(
     env: &mut SplitEnv<'_>,
     agent: &mut DdpgAgent,
     model: &Model,
     scheme: &PartitionScheme,
-    n: usize,
-) -> Result<Vec<VolumeSplit>> {
+    config: &OnlineConfig,
+    finetune: bool,
+) -> Result<DistributionStrategy> {
+    if finetune {
+        let osds = config
+            .distredge
+            .osds
+            .with_episodes(config.finetune_episodes);
+        *agent = osds_train(env, &osds, Some(agent.clone()))?.agent;
+    }
+    let n = env.num_devices();
     let heights: Vec<usize> = scheme
         .volumes()
         .iter()
@@ -188,7 +200,7 @@ fn guarded_rollout(
             best_latency = latency;
         }
     }
-    Ok(best)
+    DistributionStrategy::new("DistrEdge", scheme.clone(), best, n)
 }
 
 /// Runs the dynamic-network experiment for CoEdge, AOFL and DistrEdge and
@@ -271,20 +283,11 @@ pub fn run_dynamic_experiment(
             .zip(&bw_at_last_replan)
             .any(|(new, old)| (new - old).abs() / old.max(1.0) > config.significant_change);
         if changed {
-            let est = estimator_cluster(cluster, &bw);
-            let mut env = SplitEnv::new(model, &est, &profiles, &scheme);
-            let finetune_cfg = config
-                .distredge
-                .osds
-                .with_episodes(config.finetune_episodes);
-            agent = osds_train(&mut env, &finetune_cfg, Some(agent))?.agent;
             bw_at_last_replan = bw.clone();
         }
         let est = estimator_cluster(cluster, &bw);
         let mut env = SplitEnv::new(model, &est, &profiles, &scheme);
-        let splits = guarded_rollout(&mut env, &mut agent, model, &scheme, cluster.len())?;
-        let strategy =
-            DistributionStrategy::new("DistrEdge", scheme.clone(), splits, cluster.len())?;
+        let strategy = replan(&mut env, &mut agent, model, &scheme, config, changed)?;
         distredge_points.push(OnlinePoint {
             minute,
             latency_ms: measure_window(
@@ -304,34 +307,7 @@ pub fn run_dynamic_experiment(
     ])
 }
 
-/// Online re-planning against the *runtime* instead of the simulator: feed
-/// it successive live [`edge_runtime::Session::metrics`] snapshots and it
-/// reacts to **measured** drift (the §V-F loop, for real).
-///
-/// Each [`RuntimeAdaptation::observe`] call treats the latencies completed
-/// since the previous call as one monitoring window.  When the window's
-/// mean latency drifts by more than `significant_change` relative to the
-/// last re-plan baseline, the trained actor is fine-tuned for a few
-/// episodes against an OSDS environment whose compute backend is the
-/// snapshot's own measured kernel times ([`MeasuredCompute`]) — not a
-/// profile — and the preferred splits become the next strategy.
-pub struct RuntimeAdaptation {
-    /// Relative change in window mean latency that triggers re-planning.
-    pub significant_change: f64,
-    /// Episodes used when fine-tuning the actor after a significant change.
-    pub finetune_episodes: usize,
-    osds: OsdsConfig,
-    scheme: PartitionScheme,
-    agent: DdpgAgent,
-    images_seen: usize,
-    baseline_latency_ms: Option<f64>,
-    /// The serving epoch of the last snapshot: when it flips (a hot plan
-    /// swap landed), the drift baseline resets so stale pre-swap latencies
-    /// never poison the first post-swap decision.
-    last_epoch: u64,
-}
-
-/// What one [`RuntimeAdaptation::observe`] call decided.
+/// What one [`AdaptiveSession::adapt`] tick decided.
 #[derive(Debug, Serialize)]
 pub struct RuntimeReplanDecision {
     /// Images completed since the previous observation.
@@ -344,62 +320,161 @@ pub struct RuntimeReplanDecision {
     pub strategy: Option<DistributionStrategy>,
 }
 
-impl RuntimeAdaptation {
-    /// Starts adapting from a planning outcome (its trained actor and
-    /// partition scheme) under `config`'s drift / fine-tune knobs.
-    pub fn new(planning: &PlanningOutcome, config: &OnlineConfig) -> Self {
-        Self {
-            significant_change: config.significant_change,
-            finetune_episodes: config.finetune_episodes,
-            osds: config.distredge.osds,
+/// What one [`AdaptiveSession::adapt`] tick did.
+#[derive(Debug, Serialize)]
+pub struct AdaptationTick {
+    /// The monitoring/re-planning decision of this window.
+    pub decision: RuntimeReplanDecision,
+    /// The swap measurement, when the decision re-planned and the new plan
+    /// was applied in place.
+    pub swap: Option<SwapReport>,
+}
+
+impl AdaptationTick {
+    /// Whether this tick hot-swapped the serving plan.
+    pub fn swapped(&self) -> bool {
+        self.swap.is_some()
+    }
+}
+
+/// The closed §V-F loop against a *live* session: it reacts to **measured**
+/// drift, not to a simulation.
+///
+/// Each [`AdaptiveSession::adapt`] call treats the latencies the session
+/// completed since the previous call as one monitoring window.  The first
+/// non-empty window calibrates the drift baseline.  When a later window's
+/// mean latency drifts from it by at least
+/// [`OnlineConfig::significant_change`], the trained actor is fine-tuned for
+/// [`OnlineConfig::finetune_episodes`] against an OSDS environment whose
+/// compute backend is the session's own measured kernel times
+/// ([`MeasuredCompute`]) — not a profile — and the re-planned strategy is
+/// applied **in place** with [`Session::apply_plan`]: no redeploy, no weight
+/// reload, no serving gap beyond the drain window.  The next window starts
+/// after the swap and re-calibrates against the new plan alone.
+///
+/// Call `adapt` once per monitoring window (the paper uses 2-minute windows;
+/// tests use waves).  Between calls, submit and wait on
+/// [`AdaptiveSession::session`] as usual — the session reference stays
+/// valid across swaps, and so do outstanding tickets.  The controller owns
+/// the session's plan: swap it only through `adapt`.
+pub struct AdaptiveSession {
+    session: Session,
+    model: Model,
+    cluster: Cluster,
+    config: OnlineConfig,
+    scheme: PartitionScheme,
+    agent: DdpgAgent,
+    /// Latencies already judged: the current window starts after them.
+    images_seen: usize,
+    /// The mean latency of the window that calibrated the current plan.
+    baseline_latency_ms: Option<f64>,
+    /// The controller's trace track (attached with
+    /// [`AdaptiveSession::with_telemetry`]).
+    rec: Option<Recorder>,
+}
+
+impl AdaptiveSession {
+    /// Wraps an already-deployed session serving `planning.strategy`, and
+    /// adapts it from the planning run's trained actor and partition
+    /// scheme under `config`'s drift and fine-tune knobs.  `cluster` is the
+    /// controller's current belief about the links — the wire model
+    /// re-planning optimises against (update it with
+    /// [`AdaptiveSession::update_link_estimates`] as conditions drift).
+    pub fn over(
+        session: Session,
+        model: &Model,
+        cluster: &Cluster,
+        planning: &PlanningOutcome,
+        config: &OnlineConfig,
+    ) -> Result<Self> {
+        if planning.strategy.num_devices != cluster.len() {
+            return Err(DistrError::InvalidConfig(format!(
+                "the strategy addresses {} devices, the cluster has {}",
+                planning.strategy.num_devices,
+                cluster.len()
+            )));
+        }
+        Ok(Self {
+            session,
+            model: model.clone(),
+            cluster: cluster.clone(),
+            config: *config,
             scheme: planning.strategy.scheme.clone(),
             agent: planning.osds.agent.clone(),
             images_seen: 0,
             baseline_latency_ms: None,
-            last_epoch: 0,
+            rec: None,
+        })
+    }
+
+    /// Records every adaptation decision on `telemetry`: an
+    /// [`Stage::Adapt`] instant per tick (bytes = the window's mean latency
+    /// in µs, arg = drift in basis points); the decision itself is the
+    /// returned [`AdaptationTick`].  Share the hub with the traced session
+    /// deployment to see *why* a plan swap happened next to the swap
+    /// itself.
+    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
+        self.rec = Some(telemetry.recorder("controller", REQUESTER));
+        self
+    }
+
+    /// The live session (submit / wait / metrics as usual).
+    pub fn session(&self) -> &Session {
+        &self.session
+    }
+
+    /// Replaces the controller's link estimates (e.g. from monitored
+    /// bandwidths) used by the next re-planning decision.
+    pub fn update_link_estimates(&mut self, cluster: Cluster) {
+        self.cluster = cluster;
+    }
+
+    /// One monitoring tick: snapshot live metrics, decide, and — when the
+    /// drift is significant — fine-tune, re-plan and hot-swap the session
+    /// to the new strategy in place.
+    pub fn adapt(&mut self) -> Result<AdaptationTick> {
+        let snapshot = self.session.metrics();
+        let (epoch, plan) = self.session.current_plan();
+        let decision = self.observe(&snapshot, epoch, &plan)?;
+        if let Some(rec) = &mut self.rec {
+            // The decision is logged with the snapshot that triggered it:
+            // the window's mean latency (µs) and the measured drift (basis
+            // points), keyed to the epoch the snapshot was taken under.
+            let drift_bp = (decision.drift * 10_000.0).min(f64::from(u32::MAX)) as u32;
+            rec.instant(
+                Stage::Adapt,
+                TraceId::session(snapshot.epoch),
+                (decision.window_mean_latency_ms * 1e3) as u64,
+                drift_bp,
+            );
         }
+        let mut swap = None;
+        if let Some(strategy) = &decision.strategy {
+            swap = Some(self.session.apply_plan(&strategy.to_plan(&self.model)?)?);
+            // The swap drained every old-plan image: the next window holds
+            // new-plan latencies only and calibrates afresh.
+            self.images_seen = self.session.metrics().images;
+            self.baseline_latency_ms = None;
+        }
+        Ok(AdaptationTick { decision, swap })
     }
 
-    /// Discards the drift baseline and starts a fresh monitoring window at
-    /// `images_completed` images.  Called automatically when a snapshot's
-    /// epoch differs from the previous one; exposed for callers that swap
-    /// plans outside [`AdaptiveSession`].
-    pub fn reset_window(&mut self, images_completed: usize) {
-        self.images_seen = images_completed;
-        self.baseline_latency_ms = None;
-    }
-
-    /// Consumes one live metrics snapshot (`plan` is the execution plan the
-    /// snapshot was measured under — the kernel-time lookup is keyed by its
-    /// layer-volumes).  The first non-empty window calibrates the baseline;
-    /// later windows re-plan when drift reaches `significant_change`.
-    pub fn observe(
+    /// Judges the window of `snapshot` that follows the latencies already
+    /// seen; `plan` is the plan of `epoch`, which keys the kernel-time
+    /// lookup by its layer-volumes.
+    fn observe(
         &mut self,
-        model: &Model,
-        cluster: &Cluster,
-        plan: &ExecutionPlan,
         snapshot: &RuntimeReport,
+        epoch: u64,
+        plan: &ExecutionPlan,
     ) -> Result<RuntimeReplanDecision> {
         let latencies = &snapshot.sim.per_image_latency_ms;
-        if latencies.len() < self.images_seen {
-            // The caller redeployed (a fresh session's latency log restarts
-            // at zero): observe the new session from its beginning instead
-            // of silently discarding its first window.
-            self.images_seen = 0;
-        }
-        if snapshot.epoch != self.last_epoch {
-            // A hot swap landed since the last observation: latencies
-            // recorded up to now straddle the old plan (and the drain gap),
-            // so the baseline resets and the next full window re-calibrates
-            // against the new epoch only.
-            self.last_epoch = snapshot.epoch;
-            self.reset_window(latencies.len());
-            return Ok(RuntimeReplanDecision {
-                window_images: 0,
-                window_mean_latency_ms: 0.0,
-                drift: 0.0,
-                strategy: None,
-            });
+        if snapshot.epoch != epoch {
+            // A swap landed between the snapshot and the plan read: the
+            // snapshot's kernel times belong to no one plan, so the window
+            // restarts empty and the next one re-calibrates.
+            self.images_seen = latencies.len();
+            self.baseline_latency_ms = None;
         }
         let window = &latencies[self.images_seen..];
         let window_images = window.len();
@@ -427,148 +502,23 @@ impl RuntimeAdaptation {
             return Ok(decision);
         }
         decision.drift = (window_mean_latency_ms - baseline).abs() / baseline.max(1e-9);
-        if decision.drift < self.significant_change {
+        if decision.drift < self.config.significant_change {
             return Ok(decision);
         }
 
         // Re-plan against what was actually measured: the runtime's own
         // kernel times are the compute backend of the decision environment.
         let compute = MeasuredCompute::from_report(snapshot, plan);
-        let mut env = SplitEnv::new(model, cluster, &compute, &self.scheme);
-        let finetune = self.osds.with_episodes(self.finetune_episodes);
-        self.agent = osds_train(&mut env, &finetune, Some(self.agent.clone()))?.agent;
-        let splits = guarded_rollout(
+        let mut env = SplitEnv::new(&self.model, &self.cluster, &compute, &self.scheme);
+        decision.strategy = Some(replan(
             &mut env,
             &mut self.agent,
-            model,
+            &self.model,
             &self.scheme,
-            cluster.len(),
-        )?;
-        self.baseline_latency_ms = Some(window_mean_latency_ms);
-        decision.strategy = Some(DistributionStrategy::new(
-            "DistrEdge",
-            self.scheme.clone(),
-            splits,
-            cluster.len(),
+            &self.config,
+            true,
         )?);
         Ok(decision)
-    }
-}
-
-/// What one [`AdaptiveSession::adapt`] tick did.
-#[derive(Debug, Serialize)]
-pub struct AdaptationTick {
-    /// The monitoring/re-planning decision of this window.
-    pub decision: RuntimeReplanDecision,
-    /// The swap measurement, when the decision re-planned and the new plan
-    /// was applied in place.
-    pub swap: Option<SwapReport>,
-}
-
-impl AdaptationTick {
-    /// Whether this tick hot-swapped the serving plan.
-    pub fn swapped(&self) -> bool {
-        self.swap.is_some()
-    }
-}
-
-/// The closed §V-F loop against a *live* session: observe
-/// [`Session::metrics`], decide with [`RuntimeAdaptation`], and apply the
-/// re-planned strategy **in place** with [`Session::apply_plan`] — no
-/// redeploy, no weight reload, no serving gap beyond the drain window.
-///
-/// Call [`AdaptiveSession::adapt`] once per monitoring window (the paper
-/// uses 2-minute windows; tests use waves).  Between calls, submit and wait
-/// on [`AdaptiveSession::session`] as usual — the session reference stays
-/// valid across swaps, and so do outstanding tickets.
-pub struct AdaptiveSession {
-    session: Session,
-    adaptation: RuntimeAdaptation,
-    model: Model,
-    cluster: Cluster,
-    plan: ExecutionPlan,
-    /// The controller's trace track (attached with
-    /// [`AdaptiveSession::with_telemetry`]).
-    rec: Option<Recorder>,
-}
-
-impl AdaptiveSession {
-    /// Wraps an already-deployed session serving `planning.strategy`.
-    /// `cluster` is the controller's current belief about the links — the
-    /// wire model re-planning optimises against (update it with
-    /// [`AdaptiveSession::update_link_estimates`] as conditions drift).
-    pub fn over(
-        session: Session,
-        model: &Model,
-        cluster: &Cluster,
-        planning: &PlanningOutcome,
-        config: &OnlineConfig,
-    ) -> Result<Self> {
-        let plan = planning.strategy.to_plan(model)?;
-        Ok(Self {
-            session,
-            adaptation: RuntimeAdaptation::new(planning, config),
-            model: model.clone(),
-            cluster: cluster.clone(),
-            plan,
-            rec: None,
-        })
-    }
-
-    /// Records every adaptation decision on `telemetry`: an
-    /// [`Stage::Adapt`] instant per tick (bytes = the window's mean latency
-    /// in µs, arg = drift in basis points); the decision itself is the
-    /// returned [`AdaptationTick`].  Share the hub with the traced session
-    /// deployment to see *why* a plan swap happened next to the swap
-    /// itself.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.rec = Some(telemetry.recorder("controller", REQUESTER));
-        self
-    }
-
-    /// The live session (submit / wait / metrics as usual).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// The execution plan currently serving.
-    pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
-    }
-
-    /// Replaces the controller's link estimates (e.g. from monitored
-    /// bandwidths) used by the next re-planning decision.
-    pub fn update_link_estimates(&mut self, cluster: Cluster) {
-        self.cluster = cluster;
-    }
-
-    /// One monitoring tick: snapshot live metrics, decide, and — when the
-    /// drift is significant — fine-tune, re-plan and hot-swap the session
-    /// to the new strategy in place.
-    pub fn adapt(&mut self) -> Result<AdaptationTick> {
-        let snapshot = self.session.metrics();
-        let decision =
-            self.adaptation
-                .observe(&self.model, &self.cluster, &self.plan, &snapshot)?;
-        if let Some(rec) = &mut self.rec {
-            // The decision is logged with the snapshot that triggered it:
-            // the window's mean latency (µs) and the measured drift (basis
-            // points), keyed to the epoch the snapshot was taken under.
-            let drift_bp = (decision.drift * 10_000.0).min(f64::from(u32::MAX)) as u32;
-            rec.instant(
-                Stage::Adapt,
-                TraceId::session(snapshot.epoch),
-                (decision.window_mean_latency_ms * 1e3) as u64,
-                drift_bp,
-            );
-        }
-        let mut swap = None;
-        if let Some(strategy) = &decision.strategy {
-            let new_plan = strategy.to_plan(&self.model)?;
-            swap = Some(self.session.apply_plan(&new_plan)?);
-            self.plan = new_plan;
-        }
-        Ok(AdaptationTick { decision, swap })
     }
 
     /// Shuts the session down and returns its final report.
@@ -671,11 +621,11 @@ mod tests {
         online_cfg.distredge = cfg;
         online_cfg.finetune_episodes = 4;
         online_cfg.significant_change = 0.0; // Any drift triggers a re-plan.
-        let mut adaptation = RuntimeAdaptation::new(&planning, &online_cfg);
 
         let weights = ModelWeights::deterministic(&m, 7);
         let session = Deploy::new(&m, &plan, &weights).start().unwrap();
-        let serve_wave = |wave: u64| {
+        let mut adaptive = AdaptiveSession::over(session, &m, &c, &planning, &online_cfg).unwrap();
+        let serve_wave = |session: &edge_runtime::Session, wave: u64| {
             for i in 0..3u64 {
                 let img = deterministic_input(&m, 100 * wave + i);
                 let out = session.wait(session.submit(&img).unwrap()).unwrap();
@@ -685,25 +635,21 @@ mod tests {
         };
 
         // Wave 1 calibrates the baseline from a live snapshot.
-        serve_wave(1);
-        let first = adaptation
-            .observe(&m, &c, &plan, &session.metrics())
-            .unwrap();
+        serve_wave(adaptive.session(), 1);
+        let first = adaptive.adapt().unwrap().decision;
         assert_eq!(first.window_images, 3);
         assert!(first.window_mean_latency_ms > 0.0);
         assert!(first.strategy.is_none(), "first window only calibrates");
 
         // Wave 2 on the same deployment: the zero threshold forces a
         // re-plan from the measured drift.
-        serve_wave(2);
-        let second = adaptation
-            .observe(&m, &c, &plan, &session.metrics())
-            .unwrap();
+        serve_wave(adaptive.session(), 2);
+        let second = adaptive.adapt().unwrap().decision;
         assert_eq!(second.window_images, 3);
         let strategy = second.strategy.expect("zero threshold must re-plan");
         strategy.to_plan(&m).unwrap().validate(&m).unwrap();
 
-        let report = session.shutdown().unwrap();
+        let report = adaptive.shutdown().unwrap();
         assert_eq!(report.images, 6);
     }
 
@@ -766,14 +712,15 @@ mod tests {
         // The swap did not tear the session down: the same handle keeps
         // serving bit-exact under the new plan...
         serve_wave(adaptive.session(), 3);
-        // ...and the next observation resets its window on the epoch flip
-        // instead of judging pre-swap latencies: a fresh decision never
-        // swaps straight away.
+        // ...and the next observation's window starts after the swap: it
+        // holds the new plan's latencies only and re-calibrates on them, so
+        // a fresh decision never swaps straight away.
         let third = adaptive.adapt().unwrap();
         assert!(
             !third.swapped(),
             "the first post-swap observation must recalibrate, not swap"
         );
+        assert_eq!(third.decision.window_images, 3, "wave 3 alone");
 
         let report = adaptive.shutdown().unwrap();
         assert_eq!(report.images, 9, "zero loss across the swap");

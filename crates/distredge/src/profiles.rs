@@ -99,26 +99,11 @@ impl ClusterProfiles {
 
 impl PartCompute for ClusterProfiles {
     fn part_compute_ms(&self, device: usize, model: &Model, part: &PartPlan) -> f64 {
-        let p = &self.profilers[device];
-        part.layers
-            .iter()
-            .map(|lr| {
-                if lr.out_count() == 0 {
-                    0.0
-                } else {
-                    p.predict(model.layers()[lr.layer].index, lr.out_count())
-                }
-            })
-            .sum()
+        self.profilers.part_compute_ms(device, model, part)
     }
 
     fn head_compute_ms(&self, device: usize, model: &Model) -> f64 {
-        let p = &self.profilers[device];
-        model
-            .head_layers()
-            .iter()
-            .map(|l| p.predict(l.index, l.output.h))
-            .sum()
+        self.profilers.head_compute_ms(device, model)
     }
 }
 
@@ -127,7 +112,6 @@ mod tests {
     use super::*;
     use cnn_model::{LayerOp, LayerVolume};
     use device_profile::{DeviceSpec, DeviceType};
-    use edgesim::GroundTruthCompute;
     use netsim::LinkConfig;
     use tensor::Shape;
 
@@ -190,8 +174,7 @@ mod tests {
             assert!((p - t).abs() / t < 0.02, "device {device}: {p} vs {t}");
         }
         let hp = profiles.head_compute_ms(0, &m);
-        let ht = GroundTruthCompute::from_models(vec![DeviceType::Xavier.ground_truth()])
-            .head_compute_ms(0, &m);
+        let ht = vec![DeviceType::Xavier.ground_truth()].head_compute_ms(0, &m);
         assert!((hp - ht).abs() / ht < 0.02);
     }
 

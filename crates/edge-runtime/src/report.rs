@@ -212,17 +212,7 @@ pub fn predicted_report(
         io_overhead_ms: 0.0,
     };
     let cluster = Cluster::uniform(devices, ideal);
-    let compute = MeasuredCompute::from_report(report, plan);
-    simulate(
-        model,
-        &cluster,
-        &compute,
-        plan,
-        SimOptions {
-            num_images,
-            start_ms: 0.0,
-        },
-    )
+    predicted_report_on_cluster(model, &cluster, plan, report, num_images)
 }
 
 /// Like [`predicted_report`] but over a real cluster's links — the

@@ -54,7 +54,7 @@ pub(super) fn spawn(
 }
 
 /// The session's result pump: receives result frames, stitches headless
-/// outputs, completes tickets, releases credits, counts epoch acks during
+/// outputs, completes tickets, releases credits, records epoch acks during
 /// swaps, and watches for a wedged cluster.  Returns the requester inbox so
 /// teardown can keep it alive until the providers are joined.
 fn gather_loop(
@@ -119,7 +119,17 @@ fn handle_requester_frame(
         FrameKind::EpochAck => {
             let mut st = shared.lock();
             if frame.epoch == st.swap_target {
-                st.acked += 1;
+                // Each ack names its device: a repeat is a no-op, and a
+                // device the session lacks is a protocol violation.
+                let device = frame.image as usize;
+                let n = st.acked.len();
+                let Some(acked) = st.acked.get_mut(device) else {
+                    return Err(RuntimeError::transport_protocol(format!(
+                        "epoch {} ack from device {device}, the session has {n}",
+                        frame.epoch
+                    )));
+                };
+                *acked = true;
             }
             drop(st);
             shared.credits.notify_all();

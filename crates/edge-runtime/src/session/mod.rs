@@ -120,8 +120,8 @@ struct StreamState {
     /// The epoch a swap is waiting on acks for (`0` when no swap runs —
     /// epoch ids of swaps start at 1).
     swap_target: u64,
-    /// Providers that acked `swap_target` so far.
-    acked: usize,
+    /// Which providers acked `swap_target` so far, one flag per device.
+    acked: Vec<bool>,
     /// A stream failure; fatal to the whole session once set.
     failed: Option<String>,
     /// Shutdown has begun; new submissions are rejected.

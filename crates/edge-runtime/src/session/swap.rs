@@ -300,10 +300,11 @@ impl Session {
     }
 
     /// Opens an epoch change: refuses a failed, halting or already-swapping
-    /// session, pauses admission and arms the ack counter for
+    /// session, pauses admission and arms one ack flag per device for
     /// `current + 1`.  Returns the current epoch and the in-flight count.
     /// `refusal` is what a halting session answers.
     fn begin_swap(&self, refusal: &str) -> Result<(u64, usize)> {
+        let n = self.num_devices();
         let mut st = self.shared.lock();
         if let Some(f) = &st.failed {
             return Err(RuntimeError::Execution(format!("session failed: {f}")));
@@ -318,7 +319,7 @@ impl Session {
         }
         st.swapping = true;
         st.swap_target = st.epoch + 1;
-        st.acked = 0;
+        st.acked = vec![false; n];
         Ok((st.epoch, st.in_flight.len()))
     }
 
@@ -357,14 +358,14 @@ impl Session {
         {
             let deadline = Instant::now() + self.options.recv_timeout;
             let mut st = self.shared.lock();
-            while st.failed.is_none() && st.acked < n {
+            while st.failed.is_none() && st.acked.contains(&false) {
                 let now = Instant::now();
                 if now >= deadline {
                     // The Reconfigure broadcast is out (and a swap's scatter
                     // targets are replaced): the cluster is half-swapped and
                     // cannot safely serve either epoch.  Fail the session
                     // rather than reopening admission into the wreckage.
-                    let acked = st.acked;
+                    let acked = st.acked.iter().filter(|&&a| a).count();
                     drop(st);
                     let err = RuntimeError::transport_timeout(format!(
                         "timed out waiting for epoch {new_epoch} {acks} ({acked}/{n} received)"

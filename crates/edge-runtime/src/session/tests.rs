@@ -1,6 +1,7 @@
 use super::*;
 use crate::transport::{ChannelTransport, Transport};
 use crate::wire::FrameKind;
+use crate::TransportErrorKind;
 use cnn_model::exec::{self, deterministic_input};
 use cnn_model::LayerOp;
 use edge_telemetry::{Stage, TraceId};
@@ -99,6 +100,108 @@ impl Transport for ReshapingTransport {
     fn inbox(&mut self, at: Endpoint) -> Result<Receiver<Vec<u8>>> {
         self.inner.inbox(at)
     }
+}
+
+/// A fabric that tampers with the providers' epoch acks: device 0's ack is
+/// sent twice, and device 1's is dropped — or, with `rename` set, sent
+/// naming that device instead of itself.
+struct AckTamperingTransport {
+    inner: ChannelTransport,
+    rename: Option<u32>,
+}
+
+struct AckTamperingTx {
+    inner: Box<dyn FrameTx>,
+    device: usize,
+    rename: Option<u32>,
+}
+
+impl FrameTx for AckTamperingTx {
+    fn send(&mut self, frame: &Frame) -> Result<usize> {
+        if frame.kind != FrameKind::EpochAck {
+            return self.inner.send(frame);
+        }
+        match (self.device, self.rename) {
+            (0, _) => {
+                self.inner.send(frame)?;
+                self.inner.send(frame)
+            }
+            (_, None) => Ok(frame.encoded_len()),
+            (_, Some(device)) => {
+                let mut renamed = frame.clone();
+                renamed.image = device;
+                self.inner.send(&renamed)
+            }
+        }
+    }
+}
+
+impl Transport for AckTamperingTransport {
+    fn open(&mut self, from: Endpoint, to: Endpoint) -> Result<Box<dyn FrameTx>> {
+        let inner = self.inner.open(from, to)?;
+        match (from, to) {
+            (Endpoint::Device(device), Endpoint::Requester) => Ok(Box::new(AckTamperingTx {
+                inner,
+                device,
+                rename: self.rename,
+            })),
+            _ => Ok(inner),
+        }
+    }
+
+    fn inbox(&mut self, at: Endpoint) -> Result<Receiver<Vec<u8>>> {
+        self.inner.inbox(at)
+    }
+}
+
+/// Deploys the two-device split over an [`AckTamperingTransport`] and
+/// swaps to an offload, which must fail.
+fn swap_over_tampered_acks(rename: Option<u32>) -> (Session, RuntimeError) {
+    let m = model();
+    let weights = ModelWeights::deterministic(&m, 23);
+    let mut transport = AckTamperingTransport {
+        inner: ChannelTransport::new(2),
+        rename,
+    };
+    let options = RuntimeOptions::default().with_recv_timeout(Duration::from_millis(300));
+    let session = Deploy::new(&m, &plan(&m, 2), &weights)
+        .over(&mut transport)
+        .options(options)
+        .start()
+        .unwrap();
+    let offload = ExecutionPlan::offload(&m, 0, 2).unwrap();
+    match session.apply_plan(&offload) {
+        Ok(swap) => panic!(
+            "the swap flipped to epoch {} on one device's acks",
+            swap.epoch
+        ),
+        Err(e) => (session, e),
+    }
+}
+
+#[test]
+fn a_repeated_ack_does_not_stand_in_for_a_missing_device() {
+    let (session, err) = swap_over_tampered_acks(None);
+    let msg = err.to_string();
+    assert!(msg.contains("(1/2 received)"), "{msg}");
+    assert_eq!(
+        err.as_transport().map(|t| t.kind),
+        Some(TransportErrorKind::Timeout)
+    );
+    assert_eq!(session.epoch(), 0, "the epoch never flipped");
+    assert!(
+        session.shutdown().is_err(),
+        "the half-swapped session stays failed"
+    );
+}
+
+#[test]
+fn an_ack_naming_a_device_the_session_lacks_fails_the_session() {
+    let (session, err) = swap_over_tampered_acks(Some(2));
+    assert!(err.to_string().contains("device 2"), "{err}");
+    let failure = session.failure().expect("the session failed");
+    assert!(failure.contains("device 2"), "{failure}");
+    assert!(session.shutdown().is_err());
 }
 
 #[test]

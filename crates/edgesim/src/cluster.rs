@@ -95,11 +95,10 @@ impl Cluster {
         }
     }
 
-    /// The ground-truth compute backend for this cluster.
-    pub fn ground_truth_compute(&self) -> GroundTruthCompute {
-        GroundTruthCompute {
-            models: self.devices.iter().map(DeviceSpec::ground_truth).collect(),
-        }
+    /// The ground-truth compute backend for this cluster: each device's
+    /// ground-truth model, in device order.
+    pub fn ground_truth_compute(&self) -> Vec<GroundTruthModel> {
+        self.devices.iter().map(DeviceSpec::ground_truth).collect()
     }
 
     /// Mean link bandwidth of each device (Mbps), as a monitoring tool would
@@ -112,7 +111,7 @@ impl Cluster {
 /// Per-device computation cost of a split-part.
 ///
 /// The simulator uses the ground truth; the OSDS training environment swaps
-/// in profiled predictions by implementing this trait over `Profiler`s.
+/// in profiled predictions or the runtime's measured kernel times.
 pub trait PartCompute {
     /// Computing latency (ms) of `part` on device `device`.
     fn part_compute_ms(&self, device: usize, model: &Model, part: &PartPlan) -> f64;
@@ -121,34 +120,24 @@ pub trait PartCompute {
     fn head_compute_ms(&self, device: usize, model: &Model) -> f64;
 }
 
-/// [`PartCompute`] backed by the devices' ground-truth models.
-#[derive(Debug, Clone)]
-pub struct GroundTruthCompute {
-    models: Vec<GroundTruthModel>,
-}
-
-impl GroundTruthCompute {
-    /// Builds the backend from explicit ground-truth models.
-    pub fn from_models(models: Vec<GroundTruthModel>) -> Self {
-        Self { models }
-    }
-}
-
-impl PartCompute for GroundTruthCompute {
+/// One [`ComputeModel`] per device — ground-truth models or profilers: a
+/// part costs the sum of its layers' latencies, the head the sum of its
+/// full-layer latencies.
+impl<M: ComputeModel> PartCompute for Vec<M> {
     fn part_compute_ms(&self, device: usize, model: &Model, part: &PartPlan) -> f64 {
-        let gt = &self.models[device];
+        let m = &self[device];
         part.layers
             .iter()
-            .map(|lr| gt.layer_latency_ms(&model.layers()[lr.layer], lr.out_count()))
+            .map(|lr| m.layer_latency_ms(&model.layers()[lr.layer], lr.out_count()))
             .sum()
     }
 
     fn head_compute_ms(&self, device: usize, model: &Model) -> f64 {
-        let gt = &self.models[device];
+        let m = &self[device];
         model
             .head_layers()
             .iter()
-            .map(|l| gt.full_layer_latency_ms(l))
+            .map(|l| m.full_layer_latency_ms(l))
             .sum()
     }
 }

@@ -30,7 +30,7 @@ pub mod plan;
 pub mod sim;
 pub mod stepper;
 
-pub use cluster::{Cluster, Endpoint, GroundTruthCompute, PartCompute};
+pub use cluster::{Cluster, Endpoint, PartCompute};
 pub use metrics::SimReport;
 pub use plan::{ExecutionPlan, VolumeAssignment};
 pub use sim::{simulate, SimOptions};

@@ -77,7 +77,8 @@ pub fn simulate(
     SimReport::from_raw(per_image, compute_totals, transmission_totals)
 }
 
-/// Convenience: simulate with the cluster's ground-truth compute backend.
+/// Simulates with the cluster's ground-truth compute backend: how every
+/// distribution strategy is measured.
 pub fn simulate_ground_truth(
     model: &Model,
     cluster: &Cluster,
