@@ -1,13 +1,12 @@
-//! Shared harness for the figure-reproduction binaries and the Criterion
-//! micro-benchmarks.
+//! Shared harness for the figure-reproduction binaries.
 //!
 //! Every `fig*` binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation section: it builds the scenario, plans every method,
 //! measures it with the ground-truth simulator and prints the same rows /
 //! series the paper reports (IPS per method, latency over time, …).  The
 //! binaries share the environment-variable knobs below so the whole suite
-//! can run in CI-scale or paper-scale mode; `EXPERIMENTS.md` records the
-//! settings used for the committed numbers.
+//! can run in CI-scale or paper-scale mode; with no knob set a binary runs
+//! at the CI-scale defaults listed below.
 //!
 //! Knobs (all optional):
 //!

@@ -107,7 +107,7 @@ impl DeviceSpec {
 }
 
 /// Anything that can predict the computing latency of a layer's row band on
-/// a device: the ground truth, a measured table, or a fitted regressor.
+/// a device: the ground truth or a profiled device's measured table.
 pub trait ComputeModel {
     /// Latency in milliseconds of producing `out_rows` output rows of
     /// `layer` on this device.  Zero rows cost zero (the device is skipped).

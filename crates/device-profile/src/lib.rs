@@ -9,20 +9,16 @@
 //!   calibrated so that the ordering `Pi3 ≪ Nano < TX2 < Xavier` and the
 //!   non-linear latency-vs-rows shape hold,
 //! * [`profiler`] — the offline profiling step DistrEdge's controller runs
-//!   (measure each layer's latency against output height at granularity 1,
-//!   repeat and average),
-//! * [`regress`] — the profile representations §IV allows: a measured data
-//!   table, linear regression, piece-wise linear regression and k-NN.
+//!   (measure each layer's latency against output height, repeat and
+//!   average) and the measured table it predicts from.
 //!
-//! The ground-truth models stand in for the physical boards (see
-//! `DESIGN.md`); everything downstream — the profiler, the baselines'
-//! linear assumptions, OSDS's learned behaviour — only observes them through
-//! measurements, exactly as on real hardware.
+//! The ground-truth models stand in for the physical boards, which this
+//! reproduction does not have; everything downstream — the profiler, the
+//! baselines' linear assumptions, OSDS's learned behaviour — only observes
+//! them through measurements, exactly as on real hardware.
 
 pub mod device;
 pub mod profiler;
-pub mod regress;
 
 pub use device::{ComputeModel, DeviceSpec, DeviceType, GroundTruthModel};
-pub use profiler::{LayerLatencyTable, ProfileRepr, Profiler, ProfilingOptions};
-pub use regress::{KnnRegressor, LinearRegressor, PiecewiseLinearRegressor, Regressor};
+pub use profiler::{LayerLatencyTable, Profiler, ProfilingOptions};

@@ -7,33 +7,17 @@
 //! ground-truth device model, optionally with multiplicative measurement
 //! noise, which reproduces the same pipeline: everything downstream sees
 //! *profiled* numbers, never the ground truth itself.
+//!
+//! A device's profile is the measured table itself — one
+//! [`LayerLatencyTable`] per layer, read at the nearest measured row count —
+//! which is the "measured data table" form of the profiling results §IV
+//! allows.
 
 use crate::device::{ComputeModel, GroundTruthModel};
-use crate::regress::Regressor;
 use cnn_model::{Layer, Model};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// How profiled measurements are turned into a latency predictor — the three
-/// representations §IV explicitly allows plus the raw table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProfileRepr {
-    /// Use the measured table directly (nearest measured point).
-    Table,
-    /// Ordinary least-squares linear regression per layer.
-    Linear,
-    /// Piece-wise linear regression with a fixed number of segments.
-    PiecewiseLinear {
-        /// Number of segments.
-        segments: usize,
-    },
-    /// k-nearest-neighbour averaging.
-    Knn {
-        /// Number of neighbours.
-        k: usize,
-    },
-}
 
 /// Options controlling a profiling run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,12 +33,14 @@ pub struct ProfilingOptions {
 }
 
 impl Default for ProfilingOptions {
+    /// Row step 4 keeps profiling cheap while staying close to the paper's
+    /// granularity-1 tables; the figure binaries can lower it.
     fn default() -> Self {
         Self {
-            row_step: 1,
-            repetitions: 5,
-            noise_std: 0.02,
-            seed: 7,
+            row_step: 4,
+            repetitions: 3,
+            noise_std: 0.01,
+            seed: 17,
         }
     }
 }
@@ -70,7 +56,9 @@ pub struct LayerLatencyTable {
 }
 
 impl LayerLatencyTable {
-    /// Latency at the nearest measured row count.
+    /// Latency at the nearest measured row count: a tie goes to the lower
+    /// point, a row count past the last point reads the last point, and 0
+    /// rows (or an empty table) cost nothing.
     pub fn nearest(&self, rows: usize) -> f64 {
         if rows == 0 || self.points.is_empty() {
             return 0.0;
@@ -88,23 +76,16 @@ impl LayerLatencyTable {
     }
 }
 
-/// A profiled device: per-layer latency predictors built from measurements.
+/// A profiled device: its measured latency tables, one per model layer.
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    /// Raw measured tables, one per model layer.
+    /// Measured tables, one per model layer.
     pub tables: Vec<LayerLatencyTable>,
-    repr: ProfileRepr,
-    regressors: Vec<Regressor>,
 }
 
 impl Profiler {
     /// Profiles `device` over every layer of `model`.
-    pub fn profile(
-        model: &Model,
-        device: &GroundTruthModel,
-        options: ProfilingOptions,
-        repr: ProfileRepr,
-    ) -> Self {
+    pub fn profile(model: &Model, device: &GroundTruthModel, options: ProfilingOptions) -> Self {
         let mut rng = StdRng::seed_from_u64(options.seed);
         let mut tables = Vec::with_capacity(model.len());
         for layer in model.layers() {
@@ -133,32 +114,7 @@ impl Profiler {
                 points,
             });
         }
-        let regressors = tables.iter().map(|t| Regressor::fit(t, repr)).collect();
-        Self {
-            tables,
-            repr,
-            regressors,
-        }
-    }
-
-    /// The representation this profiler predicts with.
-    pub fn repr(&self) -> ProfileRepr {
-        self.repr
-    }
-
-    /// Re-fits the profiler with a different representation, reusing the
-    /// measured tables (no new measurements).
-    pub fn with_repr(&self, repr: ProfileRepr) -> Self {
-        let regressors = self
-            .tables
-            .iter()
-            .map(|t| Regressor::fit(t, repr))
-            .collect();
-        Self {
-            tables: self.tables.clone(),
-            repr,
-            regressors,
-        }
+        Self { tables }
     }
 
     /// Predicted latency of `rows` output rows of layer `layer_index`.
@@ -166,10 +122,9 @@ impl Profiler {
         if rows == 0 {
             return 0.0;
         }
-        match self.regressors.get(layer_index) {
-            Some(r) => r.predict(rows).max(0.0),
-            None => 0.0,
-        }
+        self.tables
+            .get(layer_index)
+            .map_or(0.0, |t| t.nearest(rows).max(0.0))
     }
 
     /// A per-layer "computing capability" figure: full-layer work divided by
@@ -232,7 +187,7 @@ mod tests {
     fn table_covers_all_rows() {
         let m = model();
         let gt = DeviceType::Nano.ground_truth();
-        let p = Profiler::profile(&m, &gt, noiseless(), ProfileRepr::Table);
+        let p = Profiler::profile(&m, &gt, noiseless());
         assert_eq!(p.tables.len(), 3);
         assert_eq!(p.tables[0].max_rows(), 64);
         assert_eq!(p.tables[1].max_rows(), 32);
@@ -243,7 +198,7 @@ mod tests {
     fn table_repr_reproduces_ground_truth_exactly() {
         let m = model();
         let gt = DeviceType::Tx2.ground_truth();
-        let p = Profiler::profile(&m, &gt, noiseless(), ProfileRepr::Table);
+        let p = Profiler::profile(&m, &gt, noiseless());
         for layer in m.layers() {
             for rows in [1usize, 7, 20, layer.output.h] {
                 let truth = gt.layer_latency_ms(layer, rows);
@@ -260,8 +215,28 @@ mod tests {
     fn zero_rows_predicts_zero() {
         let m = model();
         let gt = DeviceType::Nano.ground_truth();
-        let p = Profiler::profile(&m, &gt, noiseless(), ProfileRepr::Linear);
+        let p = Profiler::profile(&m, &gt, noiseless());
         assert_eq!(p.predict(0, 0), 0.0);
+    }
+
+    #[test]
+    fn nearest_takes_the_lower_point_on_a_tie_and_clamps_past_the_end() {
+        let table = LayerLatencyTable {
+            layer: 0,
+            points: vec![(1, 10.0), (5, 50.0), (9, 90.0)],
+        };
+        // Rows 3 is two away from both 1 and 5: the lower point wins.
+        assert_eq!(table.nearest(3), 10.0);
+        assert_eq!(table.nearest(4), 50.0);
+        assert_eq!(table.nearest(7), 50.0);
+        // Past the last measured point: the last point.
+        assert_eq!(table.nearest(40), 90.0);
+        assert_eq!(table.nearest(0), 0.0);
+        let empty = LayerLatencyTable {
+            layer: 0,
+            points: Vec::new(),
+        };
+        assert_eq!(empty.nearest(3), 0.0);
     }
 
     #[test]
@@ -284,41 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn piecewise_beats_linear_on_nonlinear_curve() {
-        let m = model();
-        let gt = DeviceType::Xavier.ground_truth();
-        let table = Profiler::profile(&m, &gt, noiseless(), ProfileRepr::Table);
-        let lin = table.with_repr(ProfileRepr::Linear);
-        let pw = table.with_repr(ProfileRepr::PiecewiseLinear { segments: 8 });
-        let layer = &m.layers()[0];
-        let err = |p: &Profiler| -> f64 {
-            (1..=layer.output.h)
-                .map(|r| (p.layer_latency_ms(layer, r) - gt.layer_latency_ms(layer, r)).abs())
-                .sum()
-        };
-        assert!(err(&pw) <= err(&lin));
-    }
-
-    #[test]
-    fn knn_is_close_to_table() {
-        let m = model();
-        let gt = DeviceType::Nano.ground_truth();
-        let p = Profiler::profile(&m, &gt, noiseless(), ProfileRepr::Knn { k: 3 });
-        let layer = &m.layers()[0];
-        let truth = gt.layer_latency_ms(layer, 30);
-        let pred = p.layer_latency_ms(layer, 30);
-        assert!((truth - pred).abs() / truth < 0.1);
-    }
-
-    #[test]
     fn capability_ordering_matches_device_ordering() {
         let m = model();
         let caps: Vec<f64> = DeviceType::ALL
             .iter()
-            .map(|d| {
-                Profiler::profile(&m, &d.ground_truth(), noiseless(), ProfileRepr::Table)
-                    .linear_capability(&m)
-            })
+            .map(|d| Profiler::profile(&m, &d.ground_truth(), noiseless()).linear_capability(&m))
             .collect();
         assert!(
             caps[0] < caps[1] && caps[1] < caps[2] && caps[2] < caps[3],
@@ -334,8 +279,8 @@ mod tests {
             noise_std: 0.05,
             ..ProfilingOptions::default()
         };
-        let a = Profiler::profile(&m, &gt, opts, ProfileRepr::Table);
-        let b = Profiler::profile(&m, &gt, opts, ProfileRepr::Table);
+        let a = Profiler::profile(&m, &gt, opts);
+        let b = Profiler::profile(&m, &gt, opts);
         assert_eq!(a.tables[0].points, b.tables[0].points);
     }
 
@@ -349,7 +294,7 @@ mod tests {
             noise_std: 0.0,
             seed: 1,
         };
-        let p = Profiler::profile(&m, &gt, opts, ProfileRepr::Table);
+        let p = Profiler::profile(&m, &gt, opts);
         assert!(p.tables[0].points.len() <= 10);
         // The last point still covers the full height.
         assert_eq!(p.tables[0].max_rows(), 64);

@@ -10,11 +10,12 @@
 
 use crate::mdp::SplitEnv;
 use crate::partitioner::{lc_pss, LcPssConfig};
-use crate::profiles::{ClusterProfiles, ProfilesConfig};
+use crate::profiles::ClusterProfiles;
 use crate::splitter::{osds_train, OsdsConfig, OsdsOutcome};
 use crate::strategy::DistributionStrategy;
 use crate::Result;
 use cnn_model::Model;
+use device_profile::ProfilingOptions;
 use edgesim::Cluster;
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +27,7 @@ pub struct DistrEdgeConfig {
     /// OSDS (splitter) hyper-parameters.
     pub osds: OsdsConfig,
     /// Profiling configuration.
-    pub profiles: ProfilesConfig,
+    pub profiles: ProfilingOptions,
 }
 
 impl DistrEdgeConfig {
@@ -35,11 +36,13 @@ impl DistrEdgeConfig {
         Self {
             lcpss: LcPssConfig::paper_defaults(num_devices),
             osds: OsdsConfig::paper_defaults(num_devices),
-            profiles: ProfilesConfig::default(),
+            profiles: ProfilingOptions::default(),
         }
     }
 
-    /// A reduced configuration for CI-scale runs (see `EXPERIMENTS.md`).
+    /// A reduced configuration for CI-scale runs: 40 random split decisions
+    /// in LC-PSS (the paper uses 100) and [`OsdsConfig::fast`]'s smaller
+    /// networks and episode budget.
     pub fn fast(num_devices: usize) -> Self {
         Self {
             lcpss: LcPssConfig {
@@ -47,7 +50,7 @@ impl DistrEdgeConfig {
                 ..LcPssConfig::paper_defaults(num_devices)
             },
             osds: OsdsConfig::fast(num_devices),
-            profiles: ProfilesConfig::default(),
+            profiles: ProfilingOptions::default(),
         }
     }
 
@@ -61,7 +64,7 @@ impl DistrEdgeConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.lcpss.seed = seed;
         self.osds = self.osds.with_seed(seed);
-        self.profiles.options.seed = seed;
+        self.profiles.seed = seed;
         self
     }
 }

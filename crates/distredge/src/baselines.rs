@@ -290,9 +290,9 @@ fn aofl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::{ClusterProfiles, ProfilesConfig};
+    use crate::profiles::ClusterProfiles;
     use cnn_model::LayerOp;
-    use device_profile::{DeviceSpec, DeviceType};
+    use device_profile::{DeviceSpec, DeviceType, ProfilingOptions};
     use edgesim::Cluster;
     use netsim::LinkConfig;
     use tensor::Shape;
@@ -328,7 +328,7 @@ mod tests {
                 LinkConfig::constant(50.0),
             ],
         );
-        let p = ClusterProfiles::collect(&m, &c, &ProfilesConfig::default());
+        let p = ClusterProfiles::collect(&m, &c, &ProfilingOptions::default());
         let bw = c.mean_bandwidths();
         (m, c, p, bw)
     }
@@ -426,7 +426,7 @@ mod tests {
             ],
             &[LinkConfig::constant(300.0), LinkConfig::constant(50.0)],
         );
-        let p = ClusterProfiles::collect(&m, &c, &ProfilesConfig::default());
+        let p = ClusterProfiles::collect(&m, &c, &ProfilingOptions::default());
         let bw = c.mean_bandwidths();
         let coedge = Method::CoEdge
             .plan_baseline(&m, &p, &bw)

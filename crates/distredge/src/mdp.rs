@@ -174,16 +174,7 @@ impl<'a> SplitEnv<'a> {
 
         let done = self.current == self.volumes.len();
         let reward = if done {
-            let head_device = if self.head_needed {
-                assignment
-                    .parts
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, p)| p.output_rows.1 - p.output_rows.0)
-                    .map(|(i, _)| i)
-            } else {
-                None
-            };
+            let head_device = self.head_needed.then(|| assignment.head_device());
             let fin = finish_image(
                 self.model,
                 self.cluster,

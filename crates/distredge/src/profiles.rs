@@ -2,41 +2,14 @@
 //! the baselines) are allowed to know about the devices.
 //!
 //! The controller never sees the ground-truth compute models: it sees the
-//! profiling results (§V-A) in whatever representation was requested, and it
-//! sees the monitored mean bandwidth of each link.  This module packages
-//! those views and adapts them to the `edgesim` stepper so the OSDS training
-//! environment can estimate latencies from profiles exactly as the paper
-//! describes.
+//! profiling results (§V-A) as measured tables, and it sees the monitored
+//! mean bandwidth of each link.  This module packages those views and
+//! adapts them to the `edgesim` stepper so the OSDS training environment
+//! can estimate latencies from profiles exactly as the paper describes.
 
 use cnn_model::{Model, PartPlan};
-use device_profile::{ProfileRepr, Profiler, ProfilingOptions};
+use device_profile::{Profiler, ProfilingOptions};
 use edgesim::{Cluster, PartCompute};
-use serde::{Deserialize, Serialize};
-
-/// Profiling configuration shared by all experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProfilesConfig {
-    /// Profile representation handed to DistrEdge (table by default).
-    pub repr: ProfileRepr,
-    /// Measurement options (row step, repetitions, noise).
-    pub options: ProfilingOptions,
-}
-
-impl Default for ProfilesConfig {
-    fn default() -> Self {
-        Self {
-            repr: ProfileRepr::Table,
-            // Row step 4 keeps profiling cheap while staying close to the
-            // paper's granularity-1 tables; the figure binaries can lower it.
-            options: ProfilingOptions {
-                row_step: 4,
-                repetitions: 3,
-                noise_std: 0.01,
-                seed: 17,
-            },
-        }
-    }
-}
 
 /// The profiled view of a cluster for one model: one [`Profiler`] per device.
 #[derive(Debug, Clone)]
@@ -47,17 +20,14 @@ pub struct ClusterProfiles {
 
 impl ClusterProfiles {
     /// Profiles every device of `cluster` over `model`.
-    pub fn collect(model: &Model, cluster: &Cluster, config: &ProfilesConfig) -> Self {
+    pub fn collect(model: &Model, cluster: &Cluster, options: &ProfilingOptions) -> Self {
         let mut profilers = Vec::with_capacity(cluster.len());
         for (i, device) in cluster.devices().iter().enumerate() {
-            let mut opts = config.options;
-            opts.seed = config.options.seed.wrapping_add(i as u64);
-            profilers.push(Profiler::profile(
-                model,
-                &device.ground_truth(),
-                opts,
-                config.repr,
-            ));
+            let opts = ProfilingOptions {
+                seed: options.seed.wrapping_add(i as u64),
+                ..*options
+            };
+            profilers.push(Profiler::profile(model, &device.ground_truth(), opts));
         }
         let capabilities = profilers
             .iter()
@@ -77,11 +47,6 @@ impl ClusterProfiles {
     /// Whether there are no profiled devices.
     pub fn is_empty(&self) -> bool {
         self.profilers.is_empty()
-    }
-
-    /// The profiler of device `i`.
-    pub fn profiler(&self, i: usize) -> &Profiler {
-        &self.profilers[i]
     }
 
     /// Linear "computing capability" (ops per ms) of each device — the
@@ -143,7 +108,7 @@ mod tests {
     fn collect_profiles_every_device() {
         let m = model();
         let c = cluster();
-        let p = ClusterProfiles::collect(&m, &c, &ProfilesConfig::default());
+        let p = ClusterProfiles::collect(&m, &c, &ProfilingOptions::default());
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert!(
@@ -156,16 +121,13 @@ mod tests {
     fn profiled_compute_tracks_ground_truth() {
         let m = model();
         let c = cluster();
-        let config = ProfilesConfig {
-            repr: ProfileRepr::Table,
-            options: ProfilingOptions {
-                row_step: 1,
-                repetitions: 1,
-                noise_std: 0.0,
-                seed: 1,
-            },
+        let options = ProfilingOptions {
+            row_step: 1,
+            repetitions: 1,
+            noise_std: 0.0,
+            seed: 1,
         };
-        let profiles = ClusterProfiles::collect(&m, &c, &config);
+        let profiles = ClusterProfiles::collect(&m, &c, &options);
         let truth = c.ground_truth_compute();
         let part = PartPlan::plan(&m, LayerVolume::new(0, 3), 0, 12).unwrap();
         for device in 0..2 {
@@ -182,7 +144,7 @@ mod tests {
     fn empty_part_costs_nothing() {
         let m = model();
         let c = cluster();
-        let p = ClusterProfiles::collect(&m, &c, &ProfilesConfig::default());
+        let p = ClusterProfiles::collect(&m, &c, &ProfilingOptions::default());
         let part = PartPlan::plan(&m, LayerVolume::new(0, 3), 4, 4).unwrap();
         assert_eq!(p.part_compute_ms(0, &m, &part), 0.0);
     }

@@ -34,13 +34,6 @@ pub struct OsdsConfig {
     pub ddpg: DdpgConfig,
     /// RNG seed (exploration decisions and replay sampling).
     pub seed: u64,
-    /// Seed the search with the special distribution forms of Fig. 1 (equal
-    /// split and each single-device allocation) as scripted episodes before
-    /// DRL exploration starts.  These forms are inside DistrEdge's search
-    /// space by construction; evaluating them explicitly guarantees the
-    /// returned strategy never falls below them even under a small episode
-    /// budget (see DESIGN.md, "candidate seeding").
-    pub seed_special_cases: bool,
 }
 
 impl OsdsConfig {
@@ -54,13 +47,12 @@ impl OsdsConfig {
             replay_capacity: 100_000,
             ddpg: DdpgConfig::default(),
             seed: 0,
-            seed_special_cases: true,
         }
     }
 
     /// A reduced configuration for CI-scale experiment runs: smaller
-    /// networks and fewer episodes.  The learning dynamics are the same;
-    /// only the budget shrinks (documented in EXPERIMENTS.md).
+    /// networks and 300 episodes instead of 4000.  The learning dynamics
+    /// are the same; only the budget shrinks.
     pub fn fast(num_devices: usize) -> Self {
         Self {
             max_episodes: 300,
@@ -76,7 +68,6 @@ impl OsdsConfig {
                 ..DdpgConfig::default()
             },
             seed: 0,
-            seed_special_cases: true,
         }
     }
 
@@ -152,37 +143,36 @@ pub fn osds_train(
     // equal split and every single-device allocation.  They populate the
     // replay buffer with informative transitions and set the initial
     // best-so-far, so the returned strategy can never be worse than these
-    // degenerate members of the search space.
-    if config.seed_special_cases {
-        let n = env.num_devices();
-        let mut candidates: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-        // Equal split: cut fractions i/n mapped to [-1, 1].
-        candidates.push((1..n).map(|i| 2.0 * i as f64 / n as f64 - 1.0).collect());
-        // Everything to device d: d leading cuts at -1 (zero rows before d),
-        // the rest at +1 (all remaining rows on d).
-        for d in 0..n {
-            candidates.push((0..n - 1).map(|i| if i < d { -1.0 } else { 1.0 }).collect());
+    // degenerate members of the search space, even on a small episode
+    // budget.
+    let n = env.num_devices();
+    let mut candidates: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
+    // Equal split: cut fractions i/n mapped to [-1, 1].
+    candidates.push((1..n).map(|i| 2.0 * i as f64 / n as f64 - 1.0).collect());
+    // Everything to device d: d leading cuts at -1 (zero rows before d),
+    // the rest at +1 (all remaining rows on d).
+    for d in 0..n {
+        candidates.push((0..n - 1).map(|i| if i < d { -1.0 } else { 1.0 }).collect());
+    }
+    for raw in candidates {
+        let mut state = env.reset();
+        loop {
+            let outcome = env.step(&raw)?;
+            replay.push(Transition {
+                state: std::mem::replace(&mut state, outcome.next_state.clone()),
+                action: raw.clone(),
+                reward: outcome.reward,
+                next_state: outcome.next_state,
+                done: outcome.done,
+            });
+            if outcome.done {
+                break;
+            }
         }
-        for raw in candidates {
-            let mut state = env.reset();
-            loop {
-                let outcome = env.step(&raw)?;
-                replay.push(Transition {
-                    state: std::mem::replace(&mut state, outcome.next_state.clone()),
-                    action: raw.clone(),
-                    reward: outcome.reward,
-                    next_state: outcome.next_state,
-                    done: outcome.done,
-                });
-                if outcome.done {
-                    break;
-                }
-            }
-            let latency = env.episode_latency_ms().expect("scripted episode finished");
-            if latency < best_latency {
-                best_latency = latency;
-                best_splits = env.splits().to_vec();
-            }
+        let latency = env.episode_latency_ms().expect("scripted episode finished");
+        if latency < best_latency {
+            best_latency = latency;
+            best_splits = env.splits().to_vec();
         }
     }
 
@@ -291,7 +281,6 @@ mod tests {
                 ..neuro::DdpgConfig::default()
             },
             seed: 3,
-            seed_special_cases: true,
         }
     }
 

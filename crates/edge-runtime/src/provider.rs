@@ -161,9 +161,6 @@ pub struct ComputeStats {
     /// High-water mark of distinct images simultaneously in assembly —
     /// direct evidence of cross-image pipelining on this device.
     pub max_concurrent_images: usize,
-    /// Plan epochs installed by `Reconfigure` frames (0 until the first
-    /// swap).
-    pub epochs_installed: u64,
     /// Weight layers packed into GEMM panels for this device — its deploy
     /// shard's layers (charged by the deploy whose packing pass built them;
     /// 0 when the deploy shares a caller's pack) plus every `Reconfigure`
@@ -219,6 +216,7 @@ impl ProviderStats {
             bytes_out: send.bytes_out,
             max_concurrent_images: comp.max_concurrent_images,
             layers_packed: comp.layers_packed,
+            stale_frames: comp.stale_frames,
         }
     }
 }
@@ -485,7 +483,6 @@ impl ComputeState {
                 comp.per_volume_ms.resize(epoch.route.num_volumes, 0.0);
                 comp.per_volume_images.resize(epoch.route.num_volumes, 0);
             }
-            comp.epochs_installed += 1;
             comp.layers_packed += installed;
         }
         self.shared.slot.store(epoch);
@@ -804,34 +801,58 @@ mod tests {
         assert!(asm.complete());
     }
 
-    #[test]
-    fn malformed_frame_stops_the_provider_with_a_wire_error() {
+    /// The provider's inbox sender, the requester's inbox, the provider.
+    type LoneProvider = (Sender<Vec<u8>>, Receiver<Vec<u8>>, ProviderHandle);
+
+    /// Spawns provider 0 of a one-device conv + FC model serving plan epoch
+    /// `epoch`.  Its link is the requester inbox's only sender, so that
+    /// inbox disconnects exactly when the send thread exits.
+    fn lone_provider(epoch: u64) -> Result<LoneProvider> {
         use crate::transport::{ChannelTransport, Transport};
         use cnn_model::{exec::ModelWeights, LayerOp};
-        use std::time::Duration;
 
         let layers = [LayerOp::conv(2, 3, 1, 1), LayerOp::fc(2)];
-        let model = Model::new("bad-frame", Shape::new(1, 4, 4), &layers).unwrap();
-        let plan = edgesim::ExecutionPlan::offload(&model, 0, 1).unwrap();
+        let model = Model::new("lone", Shape::new(1, 4, 4), &layers)?;
+        let plan = edgesim::ExecutionPlan::offload(&model, 0, 1)?;
         let raw = ModelWeights::deterministic(&model, 1);
-        let weights = PackedModelWeights::pack(&model, &raw).unwrap();
-        let slot = EpochSlot::new(PlanEpoch::new(0, &model, &plan).unwrap());
-        // The provider's link is the requester inbox's only sender, so that
-        // inbox disconnects exactly when the send thread exits.
+        let weights = PackedModelWeights::pack(&model, &raw)?;
+        let slot = EpochSlot::new(PlanEpoch::new(epoch, &model, &plan)?);
         let mut fabric = ChannelTransport::new(1);
-        let requester = fabric.inbox(Endpoint::Requester).unwrap();
-        let link = fabric.open(Endpoint::Device(0), Endpoint::Requester);
-        let txs = HashMap::from([(Endpoint::Requester, link.unwrap())]);
+        let requester = fabric.inbox(Endpoint::Requester)?;
+        let link = fabric.open(Endpoint::Device(0), Endpoint::Requester)?;
+        let txs = HashMap::from([(Endpoint::Requester, link)]);
         drop(fabric);
         let (to_provider, inbox) = channel();
         let shared = Arc::new(Shared { model, slot });
         let handle = spawn_provider(0, shared, weights, inbox, txs, &Telemetry::disabled());
+        Ok((to_provider, requester, handle))
+    }
 
+    #[test]
+    fn malformed_frame_stops_the_provider_with_a_wire_error() -> Result<()> {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
+
+        let (to_provider, requester, handle) = lone_provider(0)?;
         let mut bytes = Frame::halt().encode();
         bytes[4] ^= 0xFF; // the first magic byte, after the length prefix
-        to_provider.send(bytes).unwrap();
+        assert!(to_provider.send(bytes).is_ok());
         let gone = requester.recv_timeout(Duration::from_secs(10));
-        assert_eq!(gone, Err(std::sync::mpsc::RecvTimeoutError::Disconnected));
+        assert_eq!(gone, Err(RecvTimeoutError::Disconnected));
         assert!(matches!(handle.join(), Err(RuntimeError::Wire(_))));
+        Ok(())
+    }
+
+    #[test]
+    fn old_epoch_rows_are_dropped_and_counted_as_stale() -> Result<()> {
+        let (to_provider, _requester, handle) = lone_provider(1)?;
+        let rows = Frame::data(FrameKind::Rows, 0, 0, 0, 0, Tensor::zeros([1, 4, 4]));
+        for frame in [rows, Frame::halt()] {
+            assert!(to_provider.send(frame.encode()).is_ok());
+        }
+        let stats = Arc::clone(&handle.stats);
+        handle.join()?;
+        assert_eq!(stats.snapshot(0.0).stale_frames, 1);
+        Ok(())
     }
 }

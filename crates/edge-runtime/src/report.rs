@@ -48,6 +48,10 @@ pub struct DeviceMetrics {
     /// `Reconfigure` delta installs — it moves at deploy and swap time only,
     /// never per frame (the residency tests assert exactly that).
     pub layers_packed: u64,
+    /// Data frames dropped because they carried an epoch older than the
+    /// installed one — debris of an epoch re-sync, never of a drained plan
+    /// swap.
+    pub stale_frames: u64,
 }
 
 /// The full measurement of one runtime execution.

@@ -28,6 +28,16 @@ impl VolumeAssignment {
             .map(|(i, _)| i)
             .collect()
     }
+
+    /// The device that runs the FC head when this is the last volume: the
+    /// one holding the most output rows (the last of them on a tie).
+    pub fn head_device(&self) -> usize {
+        self.parts
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, p)| p.output_rows.1 - p.output_rows.0)
+            .map_or(0, |(i, _)| i)
+    }
 }
 
 /// A full execution plan for a model on a cluster.
@@ -74,15 +84,7 @@ impl ExecutionPlan {
         let head_device = if model.head_layers().is_empty() {
             None
         } else {
-            let last = volumes.last().expect("at least one volume");
-            let best = last
-                .parts
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, p)| p.output_rows.1 - p.output_rows.0)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            Some(best)
+            Some(volumes.last().expect("at least one volume").head_device())
         };
         Ok(Self {
             volumes,

@@ -7,7 +7,7 @@
 
 use crate::cluster::{Cluster, Endpoint, PartCompute};
 use crate::plan::VolumeAssignment;
-use cnn_model::{Model, BYTES_PER_ELEM};
+use cnn_model::Model;
 use serde::{Deserialize, Serialize};
 
 /// Where the current feature map (the input of the next layer-volume) lives.
@@ -57,16 +57,6 @@ pub struct VolumeStats {
     pub transmission_ms: Vec<f64>,
 }
 
-fn input_bytes_per_row(model: &Model, volume_start: usize) -> f64 {
-    let first = &model.layers()[volume_start];
-    first.input.c as f64 * first.input.w as f64 * BYTES_PER_ELEM
-}
-
-fn output_bytes_per_row(model: &Model, volume_end: usize) -> f64 {
-    let last = &model.layers()[volume_end - 1];
-    last.output.c as f64 * last.output.w as f64 * BYTES_PER_ELEM
-}
-
 fn overlap(a: (usize, usize), b: (usize, usize)) -> usize {
     let lo = a.0.max(b.0);
     let hi = a.1.min(b.1);
@@ -90,7 +80,7 @@ pub fn advance_volume(
     let n = cluster.len();
     assert_eq!(assignment.parts.len(), n, "one part per device required");
     let volume = assignment.parts[0].volume;
-    let in_row_bytes = input_bytes_per_row(model, volume.start);
+    let first = &model.layers()[volume.start];
 
     let mut stats = VolumeStats {
         compute_ms: vec![0.0; n],
@@ -108,7 +98,7 @@ pub fn advance_volume(
         let mut max_transfer = 0.0f64;
         match location {
             DataLocation::Requester => {
-                let bytes = (needed.1 - needed.0) as f64 * in_row_bytes;
+                let bytes = first.input_bytes_for_rows(needed.1 - needed.0);
                 let t = cluster.transfer_ms(
                     Endpoint::Requester,
                     Endpoint::Device(i),
@@ -124,7 +114,7 @@ pub fn advance_volume(
                     if rows == 0 {
                         continue;
                     }
-                    let bytes = rows as f64 * in_row_bytes;
+                    let bytes = first.input_bytes_for_rows(rows);
                     let depart = state.ready_ms[j];
                     let t = if j == i {
                         0.0
@@ -174,7 +164,7 @@ pub fn finish_image(
 ) -> FinishStats {
     let n = cluster.len();
     let volume = last_assignment.parts[0].volume;
-    let out_row_bytes = output_bytes_per_row(model, volume.end);
+    let last = &model.layers()[volume.end - 1];
     let mut transmission_ms = vec![0.0; n];
 
     let finish_ms = if let Some(h) = head_device {
@@ -185,7 +175,7 @@ pub fn finish_image(
                 continue;
             }
             let rows = part.output_rows.1 - part.output_rows.0;
-            let bytes = rows as f64 * out_row_bytes;
+            let bytes = last.output_bytes_for_rows(rows);
             let t = cluster.transfer_ms(
                 Endpoint::Device(j),
                 Endpoint::Device(h),
@@ -217,7 +207,7 @@ pub fn finish_image(
                 continue;
             }
             let rows = part.output_rows.1 - part.output_rows.0;
-            let bytes = rows as f64 * out_row_bytes;
+            let bytes = last.output_bytes_for_rows(rows);
             let t = cluster.transfer_ms(
                 Endpoint::Device(j),
                 Endpoint::Requester,

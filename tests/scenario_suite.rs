@@ -2,8 +2,8 @@
 //! the model zoo: every scenario builds a consistent cluster, profiles
 //! collect, and the analytic baselines produce valid plans for VGG-16.
 
-use device_profile::DeviceType;
-use distredge::profiles::{ClusterProfiles, ProfilesConfig};
+use device_profile::{DeviceType, ProfilingOptions};
+use distredge::profiles::ClusterProfiles;
 use distredge::{Method, Scenario};
 
 fn all_scenarios() -> Vec<Scenario> {
@@ -38,7 +38,7 @@ fn every_scenario_builds_a_consistent_cluster() {
 #[test]
 fn profiles_collect_for_every_table1_group() {
     let model = cnn_model::zoo::vgg16();
-    let cfg = ProfilesConfig::default();
+    let cfg = ProfilingOptions::default();
     for s in Scenario::table1(100.0) {
         let cluster = s.build_constant();
         let profiles = ClusterProfiles::collect(&model, &cluster, &cfg);
@@ -56,7 +56,7 @@ fn profiles_collect_for_every_table1_group() {
 #[test]
 fn baselines_plan_vgg16_on_representative_scenarios() {
     let model = cnn_model::zoo::vgg16();
-    let cfg = ProfilesConfig::default();
+    let cfg = ProfilingOptions::default();
     let scenarios = [
         Scenario::group_db(50.0),
         Scenario::group_nd(DeviceType::Xavier),
