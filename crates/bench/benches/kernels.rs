@@ -11,11 +11,11 @@
 //! End-to-end numbers live in the `e2e/` benchmark (`vgg11_inproc`), not
 //! here.
 //! All `*_gflops` figures are *effective* rates against the direct-conv flop
-//! count (`2·f²·c_in·c_out·h·w`), so Winograd's multiply savings show up as
+//! count (`2·f²·c_in·c_out` per output pixel), so Winograd's multiply savings show up as
 //! a higher rate through the same lens — which also means a Winograd rate
 //! must not be read against the core's FMA roof: `winograd_real_gflops` is
 //! the rate of the multiply-adds its sixteen GEMMs actually execute
-//! (`2·16·c_in·c_out·⌈h/2⌉·⌈w/2⌉`, 2.25× fewer), the number that can.  The
+//! (`2·16·c_in·c_out` per 2×2 tile, 2.25× fewer), the number that can.  The
 //! acceptance bar tracked across commits: the VGG 3×3 `c64` shape's
 //! packed-SIMD rate ≥ 2× the scalar baseline this ladder started from
 //! (18 GFLOP/s).
@@ -31,9 +31,13 @@ use tensor::ops::{
     quant_byte, quant_scale, winograd_eligible, winograd_preferred, Activation, ConvRoute,
     KernelArch, PackedConvFilter, PackedFilter, QuantizedFilter, QuantizedLinearFilter,
 };
+use tensor::shape::input_rows_for_output;
+use tensor::slice::slice_rows;
 use tensor::Tensor;
 
-/// One convolution shape measured across every kernel variant.
+/// One convolution shape measured across every kernel variant: the whole
+/// layer, or the band of output rows `rows` one device of a split computes
+/// (from its halo slice of the input, as a provider does).
 #[derive(Serialize, Clone)]
 struct ConvShape {
     label: String,
@@ -42,6 +46,8 @@ struct ConvShape {
     h: usize,
     w: usize,
     f: usize,
+    /// Output rows computed, `[start, end)` of `h`.
+    rows: [usize; 2],
     direct_ns: f64,
     direct_gflops: f64,
     packed_scalar_ns: f64,
@@ -151,15 +157,31 @@ fn time_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
 fn bench_conv_paths() -> Vec<ConvShape> {
     // VGG-style shapes: the acceptance shape first (3×3, c_in=c_out=64 at
     // 56×56 — a conv3-block layer), then the stem, a mid and a deep layer.
-    let shapes: &[(&str, usize, usize, usize, usize)] = &[
-        ("vgg_3x3_c64_56", 64, 64, 56, 3),
-        ("stem_3x3_c3_to_64_224", 3, 64, 224, 3),
-        ("mid_3x3_c128_28", 128, 128, 28, 3),
-        ("deep_3x3_c512_14", 512, 512, 14, 3),
+    // Then the bands the serving workloads run per device: the middle
+    // device's rows of tiny-vgg's five convolutions under `e2e`'s equal
+    // three-way split (`tinyvgg_tcp`), and a third of the rows of VGG-11's
+    // stem and second convolution (`vgg11_inproc`) — small bands, where
+    // fixed per-call costs weigh most.
+    // (label, c_in, c_out, h = w, f, output rows)
+    type Shape = (&'static str, usize, usize, usize, usize, [usize; 2]);
+    let shapes: &[Shape] = &[
+        ("vgg_3x3_c64_56", 64, 64, 56, 3, [0, 56]),
+        ("stem_3x3_c3_to_64_224", 3, 64, 224, 3, [0, 224]),
+        ("mid_3x3_c128_28", 128, 128, 28, 3, [0, 28]),
+        ("deep_3x3_c512_14", 512, 512, 14, 3, [0, 14]),
+        ("tinyvgg_l0_c3_to_16_32_band", 3, 16, 32, 3, [9, 21]),
+        ("tinyvgg_l1_c16_32_band", 16, 16, 32, 3, [10, 20]),
+        ("tinyvgg_l2_c16_to_32_16_band", 16, 32, 16, 3, [3, 11]),
+        ("tinyvgg_l3_c32_16_band", 32, 32, 16, 3, [4, 10]),
+        ("tinyvgg_l4_c32_to_64_8_band", 32, 64, 8, 3, [2, 5]),
+        ("vgg11_l0_c3_to_64_224_band", 3, 64, 224, 3, [75, 150]),
+        ("vgg11_l1_c64_to_128_112_band", 64, 128, 112, 3, [37, 75]),
     ];
     let mut out = Vec::new();
-    for &(label, c_in, c_out, hw, f) in shapes {
-        let input = conv_input(c_in, hw, hw);
+    for &(label, c_in, c_out, hw, f, rows) in shapes {
+        let full = conv_input(c_in, hw, hw);
+        let (lo, hi) = input_rows_for_output(rows[0], rows[1], f, 1, 1, hw);
+        let input = slice_rows(&full, lo, hi).unwrap();
         let (weights, bias) = conv_weights(c_in, c_out, f);
         // One pack per route, each pinned: an unpinned `pack_conv_filter`
         // holds only the form the policy routes the layer to.
@@ -167,10 +189,10 @@ fn bench_conv_paths() -> Vec<ConvShape> {
         let run_packed = |filter: &PackedConvFilter| {
             conv2d_rows_packed(
                 &input,
-                0,
+                lo,
                 hw,
-                0,
-                hw,
+                rows[0],
+                rows[1],
                 filter,
                 &bias,
                 f,
@@ -183,10 +205,10 @@ fn bench_conv_paths() -> Vec<ConvShape> {
         let run_direct = || {
             conv2d_rows_direct(
                 &input,
-                0,
+                lo,
                 hw,
-                0,
-                hw,
+                rows[0],
+                rows[1],
                 &weights,
                 &bias,
                 c_out,
@@ -209,9 +231,11 @@ fn bench_conv_paths() -> Vec<ConvShape> {
         let scale_in = quant_scale(input.data());
         let qfilter = pack(ConvRoute::Quant { scale_in });
         let run_q8 = || run_packed(&qfilter);
+        let out_px = (rows[1] - rows[0]) * hw;
+        let flops = 2.0 * (f * f * c_in * c_out * out_px) as f64;
         // The direct oracle gets fewer samples on the big shapes: it is the
         // slow side being measured.
-        let direct_samples = if c_in >= 256 { 2 } else { 5 };
+        let direct_samples = if flops > 1e9 { 2 } else { 5 };
         let direct_ns = time_ns(direct_samples, run_direct);
         let (packed_scalar_ns, int8_scalar_ns) = {
             let _pin = pin_kernels(KernelArch::Scalar);
@@ -224,10 +248,10 @@ fn bench_conv_paths() -> Vec<ConvShape> {
             0.0
         };
         let int8_simd_ns = time_ns(10, run_q8);
-        let flops = 2.0 * (f * f * c_in * c_out * hw * hw) as f64;
         let rate = |flops: f64, ns: f64| if ns > 0.0 { flops / ns } else { 0.0 };
         let gflops = |ns: f64| rate(flops, ns);
-        let winograd_flops = 2.0 * (16 * c_in * c_out * hw.div_ceil(2) * hw.div_ceil(2)) as f64;
+        let tiles = (rows[1].div_ceil(2) - rows[0] / 2) * hw.div_ceil(2);
+        let winograd_flops = 2.0 * (16 * c_in * c_out * tiles) as f64;
         out.push(ConvShape {
             label: label.to_string(),
             c_in,
@@ -235,6 +259,7 @@ fn bench_conv_paths() -> Vec<ConvShape> {
             h: hw,
             w: hw,
             f,
+            rows,
             direct_ns,
             direct_gflops: gflops(direct_ns),
             packed_scalar_ns,

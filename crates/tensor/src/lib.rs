@@ -9,11 +9,11 @@
 //! tensor type and the convolution / pooling / linear kernels needed for
 //! that verification, plus the runnable examples.
 //!
-//! Convolutions execute on a packed im2col + blocked-GEMM path
-//! ([`ops::gemm`]): weights are repacked into register-tile panels (once,
-//! at deploy time, via [`ops::pack_conv_filter`]), the im2col lowering is
-//! built one cache-sized panel slice at a time, and rayon parallelises over
-//! output row tiles.  Linear layers are bandwidth-bound matrix-vector
+//! Convolutions execute on a packed implicit-GEMM path ([`ops::gemm`]):
+//! weights are repacked into register-tile panels (once, at deploy time,
+//! via [`ops::pack_conv_filter`]), the micro-kernels read the input band in
+//! place from a zero-padded copy of it — no im2col matrix is built — and
+//! rayon parallelises over output row tiles.  Linear layers are bandwidth-bound matrix-vector
 //! products and stream weights prepacked by [`ops::pack_linear_filter`]
 //! through the row-vectorised kernels in [`ops::gemv`].  Every f32 kernel
 //! arm computes under one numerical contract — a single accumulator per

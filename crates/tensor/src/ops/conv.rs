@@ -7,23 +7,25 @@
 //! per layer — never per band, per device or per frame — and no panel is
 //! ever resident that no call reads.  The routes ([`ConvRoute`]):
 //!
-//! * **im2col + GEMM** — the general production kernel.  The input band is
-//!   lowered on the fly into cache-sized column panels (the im2col B
-//!   matrix, built k-slice by k-slice so it never materialises whole) and
-//!   multiplied by the [`PackedFilter`] weight panels through the blocked
-//!   GEMM in [`super::gemm`], with bias and activation fused into the last
-//!   K block.
+//! * **implicit GEMM** — the general production kernel.  The input band is
+//!   copied once into a zero-padded plane, and a per-tap offset table
+//!   `koff[k]` (filter tap `k = (ic, ky, kx)` → where that tap's pixels
+//!   start in the plane) lets the micro-kernels of the blocked GEMM in
+//!   [`super::gemm`] load every B vector straight from it: no im2col
+//!   matrix is staged, not even a panel of it.  The [`PackedFilter`]
+//!   weight panels are A; bias and activation are fused into the last K
+//!   block.
 //! * **Winograd F(2×2,3×3)** ([`super::winograd`]) — the shortcut for
 //!   stride-1 3×3 convolutions, which routes ~2.25× fewer multiplies
 //!   through the very same GEMM micro-kernel.
-//! * **int8** — the band quantized once to bytes, then the same im2col
-//!   walk copying bytes, multiplied in i32 by the [`QuantizedFilter`]
-//!   panels ([`super::qgemm`]).
+//! * **int8** — the band quantized once to bytes, then an im2col walk
+//!   copying bytes into staged panels, multiplied in i32 by the
+//!   [`QuantizedFilter`] panels ([`super::qgemm`]).
 //!
 //! With no pin the packer applies the routing policy, a pure function of
 //! `(c_in, c_out, f, stride)`: Winograd when the geometry is
 //! [`winograd_eligible`] *and* its channel counts are
-//! [`winograd_preferred`], im2col GEMM otherwise.  A deploy that
+//! [`winograd_preferred`], the implicit GEMM otherwise.  A deploy that
 //! quantizes a layer pins [`ConvRoute::Quant`] with the calibrated scale;
 //! equivalence tests and `benches/kernels.rs` pin an f32 route to measure
 //! it on shapes the policy would send elsewhere.
@@ -44,8 +46,8 @@
 //! runs.
 
 use super::activation::Activation;
-use super::gemm::{gemm_bias_act_into, PackedFilter, NR};
-use super::qgemm::{qgemm_bias_act_into, quantize_into, QuantizedFilter, QK};
+use super::gemm::{gemm_plane, PackedFilter, Plane, NR};
+use super::qgemm::{qgemm_bias_act, quantize_into, QuantizedFilter, QK};
 use super::winograd::{winograd_eligible, winograd_preferred, winograd_rows, WinogradFilter};
 use crate::error::TensorError;
 use crate::shape::{conv_out_dim, input_rows_for_output, Shape};
@@ -62,7 +64,8 @@ pub const fn im2col_weight_len(c_in: usize, c_out: usize, f: usize) -> usize {
 /// The kernel a [`PackedConvFilter`] runs on, fixed at pack time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConvRoute {
-    /// f32 im2col + blocked GEMM — any geometry.
+    /// f32 implicit GEMM (the band read in place by the blocked GEMM) —
+    /// any geometry.
     Gemm,
     /// Winograd F(2×2,3×3) — [`winograd_eligible`] geometries only.
     Winograd,
@@ -87,8 +90,8 @@ enum ConvPanels {
 /// A convolution filter prepacked for one kernel route, and for that route
 /// only: the Winograd-transformed panels when the layer is stride-1 3×3
 /// with enough channels to amortise the transforms (see
-/// [`winograd_eligible`] / [`winograd_preferred`]), the f32 im2col GEMM
-/// panels for every other f32 layer, **or** the int8 quantized panels when
+/// [`winograd_eligible`] / [`winograd_preferred`]), the f32 GEMM panels
+/// for every other f32 layer, **or** the int8 quantized panels when
 /// the deploy opted the layer into the quantized path (~4× fewer resident
 /// weight bytes).
 ///
@@ -110,7 +113,7 @@ impl PackedConvFilter {
         self.c_out
     }
 
-    /// The f32 im2col GEMM panels, if this layer routes to the GEMM path.
+    /// The f32 GEMM panels, if this layer routes to the GEMM path.
     pub fn gemm(&self) -> Option<&PackedFilter> {
         match &self.panels {
             ConvPanels::Gemm(p) => Some(p),
@@ -156,7 +159,7 @@ impl PackedConvFilter {
 /// Packs `[c_out][c_in][f][f]` convolution weights into the one panel form
 /// [`conv2d_rows_packed`] will run: the `pin`ned route, or with `None` the
 /// policy's — Winograd panels iff the layer is [`winograd_eligible`] and
-/// [`winograd_preferred`], the im2col GEMM panels otherwise.
+/// [`winograd_preferred`], the GEMM panels otherwise.
 ///
 /// This is the deploy-time half of the conv path: the result drops into
 /// [`conv2d_rows_packed`] for every subsequent frame.  Pinning
@@ -292,8 +295,8 @@ impl ConvBand {
         Tensor::from_vec(Shape::new(c_out, self.out_rows(), self.out_w), data)
     }
 
-    /// The im2col geometry walk both GEMM routes fill their B panels from,
-    /// over the f32 band or its quantized byte plane (same CHW layout).
+    /// The im2col geometry walk the int8 route fills its B panels from,
+    /// over the band's quantized byte plane (the band's CHW layout).
     /// Covers the slice of the im2col matrix with filter taps `k` (its
     /// rows) and output pixels `j` (its columns, row-major over the band's
     /// output rows), calling `write(kk, jj, src)` once per run of real
@@ -304,7 +307,7 @@ impl ConvBand {
     /// For each (output row, filter tap) pair the valid column interval is
     /// computed once and only it is handed out, so writers need no
     /// per-element bounds checks; whatever no run covers is zero padding,
-    /// which both panel layouts arrive pre-filled with.
+    /// which the panels arrive pre-filled with.
     #[inline(always)]
     fn im2col_runs<'a, T>(
         &self,
@@ -377,7 +380,7 @@ impl ConvBand {
 ///
 /// Runs the route `filter` was packed for (see [`pack_conv_filter`]):
 /// int8 panels take the quantized GEMM path, Winograd panels the
-/// F(2×2,3×3) path, GEMM panels the f32 im2col path.  Because the route
+/// F(2×2,3×3) path, GEMM panels the f32 implicit-GEMM path.  Because the route
 /// depends only on the pack — never on the band shape — every band of a
 /// layer takes the same path on every device, and banded outputs stitch
 /// bit-exactly against a full-input call.
@@ -437,8 +440,22 @@ pub fn conv2d_rows_packed(
     }
 }
 
-/// The f32 im2col GEMM route: no packing, no im2col materialisation beyond
-/// one cache-sized panel slice per tile.
+/// The f32 implicit-GEMM route: the band is copied once into a
+/// zero-padded plane and the micro-kernels read every B vector straight
+/// from it — no im2col panel is staged.
+///
+/// Channel `ic` of the plane holds the band's padded rows (original input
+/// rows `out_start·s − p ..`, zero outside the layer) at padded width
+/// `w_in + 2p`, split into `s × s` phases: phase `(py, px)` holds padded
+/// pixel `(py + s·yy, px + s·xx)` at `[yy][xx]`, in rows of `pitch =
+/// ⌈(w_in + 2p)/s⌉`.  Tap `k = (ic, ky, kx)` of output pixel `(oy, ox)`
+/// then sits at `koff[k] + oy·pitch + ox`, with `koff[k]` the offset of
+/// `(ky / s, kx / s)` in phase `(ky mod s, kx mod s)` of channel `ic` — one
+/// contiguous `NR`-lane load per tap at any stride and output width.  The
+/// `pitch − out_w` columns past each output row are computed and never
+/// stored.  Taps still run in ascending `k`, and a padding tap still
+/// multiplies a zero, so every output gets the bits the im2col route gave
+/// it.
 fn conv2d_rows_gemm(
     input: &Tensor,
     band: &ConvBand,
@@ -446,42 +463,70 @@ fn conv2d_rows_gemm(
     bias: &[f32],
     act: Activation,
 ) -> Result<Tensor> {
-    let c_out = filter.m();
-    let n = band.out_rows() * band.out_w;
+    let &ConvBand {
+        c_in,
+        band_h,
+        w_in,
+        in_row_offset,
+        orig_h_in,
+        out_start,
+        out_w,
+        f,
+        stride: s,
+        padding: p,
+        ..
+    } = band;
+    let out_rows = band.out_rows();
+    // Padded rows the outputs read, and the phase planes' geometry.
+    let rows = (out_rows - 1) * s + f;
+    let pitch = (w_in + 2 * p).div_ceil(s);
+    let phase = rows.div_ceil(s) * pitch;
+    // `NR` zeros past the last channel: the last vector of a band may
+    // reach past its last output by up to `NR − 1` columns.
+    let channel = s * s * phase;
+    let mut plane = vec![0.0f32; c_in * channel + NR];
     let in_data = input.data();
-    let stride = band.stride;
-
-    // The im2col panel filler: writes B[k][j] = input value under filter
-    // tap k at output pixel j, for one k-slice and one column tile; what it
-    // does not write stays at the zero the driver pre-cleared.
-    let fill = move |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [f32]| {
-        let kc = k1 - k0;
-        band.im2col_runs(in_data, k0..k1, j0..j1, |kk, mut jj, mut src| {
-            if stride == 1 {
-                // Stride-1 fast path: both the source pixels (consecutive
-                // `ix`) and the destination lanes within one NR panel are
-                // contiguous, so the row copies in `memcpy`-sized runs —
-                // this is what lifts small-K layers (the stem's K=27)
-                // where the per-element scatter's div/mod dominated.
-                while !src.is_empty() {
-                    let (q, lane) = (jj / NR, jj % NR);
-                    let (run, rest) = src.split_at((NR - lane).min(src.len()));
-                    let dst = (q * kc + kk) * NR + lane;
-                    buf[dst..dst + run.len()].copy_from_slice(run);
-                    jj += run.len();
-                    src = rest;
-                }
-            } else {
-                for (jj, &v) in (jj..).zip(src.iter().step_by(stride)) {
-                    buf[((jj / NR) * kc + kk) * NR + (jj % NR)] = v;
+    for (ic, chan) in plane[..c_in * channel]
+        .chunks_exact_mut(channel)
+        .enumerate()
+    {
+        for y in 0..rows {
+            let iy = (out_start * s + y) as isize - p as isize;
+            if !(0..orig_h_in as isize).contains(&iy) {
+                continue; // zero padding: the plane starts zeroed
+            }
+            let row = (ic * band_h + iy as usize - in_row_offset) * w_in;
+            let src = &in_data[row..row + w_in];
+            if s == 1 {
+                chan[y * pitch + p..][..w_in].copy_from_slice(src);
+                continue;
+            }
+            let (py, yy) = (y % s, y / s);
+            for px in 0..s {
+                // Padded column `xx·s + px` is input column `xx·s + px − p`.
+                let lead = p.saturating_sub(px).div_ceil(s);
+                let dst = &mut chan[(py * s + px) * phase + yy * pitch..][lead..pitch];
+                let src = src.iter().skip(lead * s + px - p).step_by(s);
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = v;
                 }
             }
-        });
-    };
+        }
+    }
+    let taps: Vec<usize> = (0..f * f)
+        .map(|t| {
+            let (ky, kx) = (t / f, t % f);
+            ((ky % s) * s + kx % s) * phase + (ky / s) * pitch + kx / s
+        })
+        .collect();
+    let koff: Vec<usize> = (0..c_in)
+        .flat_map(|ic| taps.iter().map(move |&t| ic * channel + t))
+        .collect();
 
-    let mut data = vec![0.0f32; c_out * n];
-    gemm_bias_act_into(filter, bias, act, n, &fill, &mut data)?;
-    band.output(c_out, data)
+    let n = out_rows * out_w;
+    let plane = Plane::new(&plane, &koff, pitch, out_w);
+    let data = gemm_plane(filter, bias, act, n, plane)?;
+    band.output(filter.m(), data)
 }
 
 /// The **int8 quantized** im2col GEMM route: the band's activations are
@@ -516,10 +561,11 @@ fn conv2d_rows_q8(
     quantize_into(input.data(), scale_in, &mut bytes);
     let bytes = &bytes[..];
 
-    // The im2col filler over the byte plane, in two passes.  First the f32
-    // filler's walk and copies, with the k stride rounded up to whole
-    // quads: that lays each `NR × QK` block of the panel out tap-major
-    // (`l·NR + lane`), so a run of up to NR lanes is one contiguous copy.
+    // The im2col filler over the byte plane, in two passes.  First the walk
+    // and its run copies into `NR`-lane panels, with the k stride rounded
+    // up to whole quads: that lays each `NR × QK` block of the panel out
+    // tap-major (`l·NR + lane`), so a run of up to NR lanes is one
+    // contiguous copy.
     // Then each block is interleaved in place into the quad-major order
     // the kernels read (`lane·QK + l`).  Padding positions hold the 128
     // the driver pre-filled — exactly the quantization of zero under any
@@ -547,8 +593,7 @@ fn conv2d_rows_q8(
         }
     };
 
-    let mut data = vec![0.0f32; c_out * n];
-    qgemm_bias_act_into(filter, bias, act, scale_in, n, &fill, &mut data)?;
+    let data = qgemm_bias_act(filter, bias, act, scale_in, n, &fill)?;
     band.output(c_out, data)
 }
 
@@ -1091,8 +1136,8 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_packed_filter() {
-        // Filter packed for c_in=2 used on a 3-channel input, on both im2col
-        // routes (Winograd's case sits with its tests).
+        // Filter packed for c_in=2 used on a 3-channel input, on the GEMM
+        // and int8 routes (Winograd's case sits with its tests).
         let weights = det_weights(2, 4, 3);
         let input = det_input(3, 6, 6);
         for pin in [ConvRoute::Gemm, ConvRoute::Quant { scale_in: 0.05 }] {

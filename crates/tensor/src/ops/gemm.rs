@@ -1,49 +1,58 @@
 //! Cache-blocked, register-tiled GEMM with a fused epilogue — the compute
-//! core of the packed convolution paths (f32 im2col and Winograd here, int8
-//! im2col in [`super::qgemm`]).  Linear layers are matrix-vector products
-//! and run on the row-vectorised kernels in [`super::gemv`] instead, under
-//! the same numerical contracts.
+//! core of the packed convolution paths (f32 implicit GEMM and Winograd
+//! here, int8 im2col in [`super::qgemm`]).  Linear layers are
+//! matrix-vector products and run on the row-vectorised kernels in
+//! [`super::gemv`] instead, under the same numerical contracts.
 //!
 //! The f32 kernel computes `C[r][j] = act(bias[r] + Σ_k A[r][k] · B[k][j])`
 //! where `A` is a weight matrix prepacked into [`PackedFilter`] row panels
-//! (ideally once, at deploy time) and `B` is produced on the fly in column
-//! panels by a caller-supplied filler — the im2col lowering for
-//! convolutions.
+//! (ideally once, at deploy time) and `B` is either read in place from a
+//! `Plane` — the zero-padded input band of the implicit-GEMM convolution
+//! — or staged on the fly into column panels by a caller-supplied filler
+//! ([`PanelFill`]: Winograd's transformed tiles; the int8 im2col bytes go
+//! through [`super::qgemm`]'s own).
 //!
-//! **One driver for both number formats.**  The blocked driver below runs
-//! the f32 and the int8 GEMM alike; a `Format` supplies only what differs
-//! between them — the B element and the padding value panels are pre-filled
-//! with, the accumulator, how many K elements a panel groups together, each
-//! row's start value, the register-tile block and the per-row epilogue.
-//! The driver owns the rest, once: three levels of blocking,
+//! **One driver for both number formats and both B operands.**  The
+//! blocked driver below runs the f32 and the int8 GEMM alike; a `Format`
+//! supplies only what differs between them — the B element and the
+//! padding value staged panels are pre-filled with, the accumulator, how
+//! many K elements a panel groups together, the register-tile block (which
+//! starts each row at its start value) and the per-row epilogue.  An
+//! `Operand` says where B comes from.  The driver owns the rest, once:
+//! three levels of blocking,
 //!
 //! * **register tile** — the micro-kernel holds an `MR × NR` accumulator
-//!   block in registers and streams one A panel against one B panel (the
-//!   f32 AVX-512 arm: against two adjacent B panels, an `MR × 2·NR` block);
+//!   block in registers and streams one A panel against one `NR`-column B
+//!   vector per K step (the f32 AVX-512 arm: against two, an `MR × 2·NR`
+//!   block).  The f32 kernels load K step `i`'s vector from
+//!   `b[koff[i] + col]`: a staged panel steps `koff` by `NR`, a plane by
+//!   the filter taps' offsets, so one kernel per arm reads both;
 //! * **K blocking** — the shared dimension is processed in slices of at
-//!   most [`KC`], so one B slice (≤ `KC × tile` elements) stays cache-hot
-//!   while every A panel streams over it;
-//! * **parallel tiles** — wide outputs are split into *column tiles* (for
-//!   convolutions these are row bands of the output image) processed by
-//!   rayon tasks; narrow outputs (fewer than `4·NR` columns) share one B
-//!   across row-panel groups instead (see `MIN_COLS_FOR_TILING`),
+//!   most [`KC`], so the B a task reads per slice (≤ `KC × tile` elements)
+//!   stays cache-hot while every A panel streams over it;
+//! * **parallel tasks** — wide outputs are split into *column tiles* (for
+//!   convolutions these are row bands of the output image); narrow
+//!   outputs (fewer than `4·NR` columns) into row-panel groups that share
+//!   one B instead (see `MIN_COLS_FOR_TILING`),
 //!
-//! and the buffers: B panels are staged in a buffer pre-filled with
-//! padding, accumulators start at their row's start value in the first K
-//! slice and wait in a C tile between slices, and the last slice hands
-//! them to the epilogue, which writes `out` (a column tile's private
-//! output tile on the wide path, scattered into `out` at the end).
+//! and the buffers: a plane is read where it lies; staged B is written
+//! into a buffer pre-filled with padding, per K slice and column tile (all
+//! of `k` at once, shared, on narrow outputs).  Accumulators start at their
+//! row's start value in the first K slice and wait in a task-private C
+//! tile between slices, and the last slice hands them to the epilogue,
+//! which writes each task's own columns of `out` in place.
 //!
 //! Numerical contract (stated in full in [`super`]): for a given f32 output
 //! element the steps happen in exactly the order `bias, k=0, 1, …, K-1` —
 //! a single accumulator, never split across `k`, each step one fused
 //! multiply-add `acc = fma(a, b, acc)` — then `act` once, regardless of
 //! tile sizes, thread counts, whether the columns were computed in one call
-//! or many, or which micro-kernel arm ([`super::dispatch`]) executed it.
-//! This is what makes the packed path deterministic: a band computed on a
-//! provider is bit-identical to the same rows of a full-output call even
-//! across machines with different SIMD capability, so the runtime's
-//! bit-exactness guarantees survive the fast path.
+//! or many, where B was read from, or which micro-kernel arm
+//! ([`super::dispatch`]) executed it.  This is what makes the packed path
+//! deterministic: a band computed on a provider is bit-identical to the
+//! same rows of a full-output call even across machines with different
+//! SIMD capability, so the runtime's bit-exactness guarantees survive the
+//! fast path.
 
 use super::activation::Activation;
 #[cfg(target_arch = "x86_64")]
@@ -52,15 +61,17 @@ use super::dispatch::{kernel_arch, KernelArch};
 use crate::error::TensorError;
 use crate::Result;
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Rows per register tile (output channels / features per micro-kernel).
 /// Six rows × sixteen columns is twelve `ymm` accumulators on the AVX2 arm
-/// (plus two B-panel vectors and one broadcast: fifteen of its sixteen
+/// (plus two B vectors and one broadcast: fifteen of its sixteen
 /// registers) but only six `zmm` on the AVX-512 arm — too few independent
 /// chains to cover a 4-cycle FMA on two ports (that takes eight), which is
-/// why that arm runs two adjacent `NR` panels per call: twelve `zmm`
-/// accumulators, two B vectors and a broadcast of its thirty-two registers.
+/// why that arm runs two adjacent `NR`-column vectors per call: twelve
+/// `zmm` accumulators, two B vectors and a broadcast of its thirty-two
+/// registers.
 pub const MR: usize = 6;
 /// Columns per register tile (output pixels per micro-kernel).
 pub const NR: usize = 16;
@@ -152,17 +163,66 @@ where
     }
 }
 
-/// Outputs narrower than this take the narrow path: one whole-`k` B shared
-/// by row-panel groups, instead of column tiles that each lower their own
-/// B slice.  With several workers that is what keeps them all busy on a
-/// handful of columns; on one worker the two paths do the same arithmetic
-/// through the same micro-kernels and differ only in how B is staged (the
-/// row groups still pay there: a group's C rows and A slice stay cache-hot
-/// across the K blocks).  Callers that land here: conv bands of fewer than
-/// `4·NR` output pixels, and most of Winograd's per-position GEMMs — its
-/// chunks hold 21–84 tiles on VGG's c256/c512 layers, which measures as
-/// fast as any wider chunk once the AVX-512 arm runs panel pairs here too
-/// (see `SCRATCH_FLOATS` in [`super::winograd`]).
+/// A B operand read in place, never staged: K element `k` at column `j` is
+/// `data[koff[k] + j]`.  The columns run in rows of `pitch`, of which the
+/// first `width` are outputs: column `j` is output column
+/// `(j / pitch)·width + j % pitch` when `j % pitch < width`, and the others
+/// are computed and never stored.  This is the implicit-GEMM convolution's
+/// zero-padded band (`conv2d_rows_gemm` in [`super::conv`]): with the
+/// padded row as the pitch, every `NR`-column vector is one contiguous load
+/// whatever the output width.
+pub(super) struct Plane<'a, B> {
+    data: &'a [B],
+    koff: &'a [usize],
+    /// The largest `koff` entry: with a column, it bounds every read.
+    reach: usize,
+    pitch: usize,
+    width: usize,
+}
+
+impl<'a, B> Plane<'a, B> {
+    /// A plane over `data` with per-K offsets `koff`, in rows of `pitch`
+    /// columns whose first `width` are outputs.
+    pub(super) fn new(data: &'a [B], koff: &'a [usize], pitch: usize, width: usize) -> Self {
+        assert!(0 < width && width <= pitch, "a plane row holds its outputs");
+        let reach = koff.iter().copied().max().unwrap_or(0);
+        Self {
+            data,
+            koff,
+            reach,
+            pitch,
+            width,
+        }
+    }
+}
+
+/// A staged operand's filler: the [`PanelFill`] signature over the
+/// format's B element.
+pub(super) type Fill<'a, B> = dyn Fn(usize, usize, usize, usize, &mut [B]) + Sync + 'a;
+
+/// Where [`drive`] reads B from.
+pub(super) enum Operand<'a, B> {
+    /// Staged by a filler (the [`PanelFill`] layout, per K group of the
+    /// format's `KG` elements): per [`KC`] slice into each column tile's
+    /// private buffer on wide outputs, all of `k` at once into one shared
+    /// buffer on narrow ones.
+    Staged(&'a Fill<'a, B>),
+    /// Read in place (one K element per offset: `KG == 1` formats only).
+    Plane(Plane<'a, B>),
+}
+
+/// Outputs narrower than this take the narrow path: one B shared by
+/// row-panel groups, instead of column tiles that each read (and, when B is
+/// staged, stage) their own B slice.  With several workers that is what
+/// keeps them all busy on a handful of columns; on one worker the two
+/// paths do the same arithmetic through the same micro-kernels and differ
+/// only in how staged B is laid out (the row groups still pay there: a
+/// group's C rows and A slice stay cache-hot across the K blocks).  Callers
+/// that land here: conv bands of fewer than `4·NR` plane columns, and most
+/// of Winograd's per-position GEMMs — its chunks hold 21–84 tiles on VGG's
+/// c256/c512 layers, which measures as fast as any wider chunk once the
+/// AVX-512 arm runs vector pairs here too (see `SCRATCH_FLOATS` in
+/// [`super::winograd`]).
 const MIN_COLS_FOR_TILING: usize = 4 * NR;
 /// Parallel grain target: aim for this many tasks per available thread.
 const TASKS_PER_THREAD: usize = 3;
@@ -174,23 +234,43 @@ const TASKS_PER_THREAD: usize = 3;
 const MAX_TILE_COLS: usize = 256;
 
 /// The accumulators of one register-tile call: up to two adjacent `NR`
-/// panels of `MR` rows.
+/// column vectors of `MR` rows.
 pub(super) type AccTile<T> = [[[T; NR]; MR]; 2];
+
+/// The B of one register-tile call: its vector `h` reads K group `i` of the
+/// call at `data[koff[i] + cols[h] ..][..NR·KG]`.  Built by the driver
+/// only, which keeps every `koff` entry at most `reach` — so `reach + col +
+/// NR·KG ≤ data.len()`, checked once per call, bounds every read.
+pub(super) struct BTile<'a, B> {
+    data: &'a [B],
+    koff: &'a [usize],
+    reach: usize,
+    cols: &'a [usize],
+}
+
+impl<B> BTile<'_, B> {
+    /// Vector `h` as one contiguous staged panel of `group` elements per K
+    /// group — what the int8 kernels walk; their B is always staged.
+    pub(super) fn panel(&self, h: usize, group: usize) -> &[B] {
+        debug_assert_eq!(self.reach, (self.koff.len() - 1) * group, "staged B");
+        &self.data[self.cols[h]..][..self.koff.len() * group]
+    }
+}
 
 /// What a number format brings to the blocked [`drive`]r — and nothing
 /// else: the driver never asks which format it runs.
 pub(super) trait Format: Sync {
-    /// One B-panel element.
+    /// One B element.
     type B: Copy + Send + Sync;
     /// One accumulator.
     type Acc: Copy + Default + Send + Sync;
     /// The format's micro-kernel arm family.
     type Arch: Copy + Send + Sync;
-    /// The B value that stands for zero; panel buffers are pre-filled with
+    /// The B value that stands for zero; staged buffers are pre-filled with
     /// it, so padding costs fillers nothing.
     const PAD: Self::B;
-    /// K elements per panel group: a B panel holds `NR × KG` elements per
-    /// group, groups ascending in `k`.  Divides [`KC`].
+    /// K elements per panel group: a staged panel holds `NR × KG` elements
+    /// per group, groups ascending in `k`.  Divides [`KC`].
     const KG: usize;
     /// Output rows.
     fn m(&self) -> usize;
@@ -199,33 +279,126 @@ pub(super) trait Format: Sync {
     /// The arm this call runs on — read once per call and passed down, so
     /// every worker inside one call runs the same arm.
     fn arch() -> Self::Arch;
-    /// B panels one register-tile call takes on `arch`: 1 or 2.
+    /// B vectors one register-tile call takes on `arch`: 1 or 2.
     fn panels_per_call(arch: Self::Arch) -> usize;
-    /// The start value of row `r`'s accumulators.
-    fn start(&self, r: usize) -> Self::Acc;
-    /// The register-tile block: `acc[h] += A[row panel p, groups g] · b[h]`
-    /// for each of the (one or two) B panels in `b`.
+    /// The register-tile block: `acc[h] += A[row panel p, groups g] · B`
+    /// for each of the (one or two) B vectors of `b`.  On the first K
+    /// slice (`g.start == 0`) `acc` arrives zeroed and the block starts each
+    /// row at the format's start value itself — in registers, where the
+    /// kernel's wide loads never wait on the driver's narrow stores; later
+    /// slices find the partial sums in `acc`.
     fn block(
         &self,
         arch: Self::Arch,
         p: usize,
         g: Range<usize>,
-        b: &[&[Self::B]],
+        b: &BTile<'_, Self::B>,
         acc: &mut AccTile<Self::Acc>,
     );
     /// The epilogue: row `r`'s finished accumulators to output values.
-    fn finish(&self, r: usize, acc: &[Self::Acc], out: &mut [f32]);
+    fn finish(&self, r: usize, acc: &[Self::Acc], out: &mut [MaybeUninit<f32>]);
 }
 
-/// Checks the output geometry and runs `fmt` over `n` output columns into
-/// the row-major `[m][n]` buffer `out`, B produced by `fill` (laid out as
-/// [`PanelFill`] says, per K group of `F::KG` elements).
-pub(super) fn drive<F: Format>(
+/// The driver's columns against the output's: rows of `pitch` columns of
+/// which the first `width` are stored (see [`Plane`]).  Staged B has
+/// `pitch == width == n`: every column is its own output column.
+#[derive(Clone, Copy)]
+struct Pitch {
+    pitch: usize,
+    width: usize,
+}
+
+impl Pitch {
+    /// The first output column at or after column `j`.
+    fn out_col(self, j: usize) -> usize {
+        (j / self.pitch) * self.width + (j % self.pitch).min(self.width)
+    }
+
+    /// The runs of stored columns among `j .. j + len`, as `(lane, output
+    /// column, length)` in `runs[..count]` (lane `0` is column `j`).
+    fn runs(self, j: usize, len: usize) -> ([(usize, usize, usize); NR], usize) {
+        let (mut runs, mut count) = ([(0, 0, 0); NR], 0);
+        if self.pitch == self.width {
+            runs[0] = (0, j, len);
+            return (runs, 1);
+        }
+        let (mut y, mut x, mut lane) = (j / self.pitch, j % self.pitch, 0);
+        while lane < len {
+            let run = (len - lane).min(self.pitch - x);
+            if x < self.width {
+                runs[count] = (lane, y * self.width + x, run.min(self.width - x));
+                count += 1;
+            }
+            (y, x, lane) = (y + 1, 0, lane + run);
+        }
+        (runs, count)
+    }
+}
+
+/// One parallel task: rows `rows` (with `rows.start % MR == 0`) by driver
+/// columns `cols`, which own output columns `out0 ..` of each of those rows
+/// — `out` holds the task's segment of each row, written in place.
+struct Task<'s, 'o> {
+    rows: Range<usize>,
+    cols: Range<usize>,
+    out0: usize,
+    out: &'s mut [&'o mut [MaybeUninit<f32>]],
+}
+
+/// The B of one K slice as [`tile_block`] reads it: the task's column
+/// vector `q` reads K group `i` of the slice at `data[koff[i] + col0 +
+/// q·step ..]`, every `koff` entry at most `reach`.
+struct Stage<'a, B> {
+    data: &'a [B],
+    koff: &'a [usize],
+    reach: usize,
+    col0: usize,
+    step: usize,
+}
+
+/// [`drive`] into an initialised `[m][n]` buffer.
+pub(super) fn drive_into<F: Format>(
     fmt: &F,
     bias: &[f32],
     n: usize,
-    fill: &(impl Fn(usize, usize, usize, usize, &mut [F::B]) + Sync),
+    b: &Operand<'_, F::B>,
     out: &mut [f32],
+) -> Result<()> {
+    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and `drive` only
+    // ever writes initialised values through it, so `out` stays initialised.
+    let out = unsafe { &mut *(out as *mut [f32] as *mut [MaybeUninit<f32>]) };
+    drive(fmt, bias, n, b, out)
+}
+
+/// [`drive`] into a fresh `[m][n]` buffer, never zero-filled first: every
+/// element is written once, by its tile's epilogue.
+pub(super) fn drive_new<F: Format>(
+    fmt: &F,
+    bias: &[f32],
+    n: usize,
+    b: &Operand<'_, F::B>,
+) -> Result<Vec<f32>> {
+    let len = fmt.m() * n;
+    let mut out = Vec::with_capacity(len);
+    drive(fmt, bias, n, b, &mut out.spare_capacity_mut()[..len])?;
+    // SAFETY: `drive` returned `Ok` over these `len` elements, so it wrote
+    // every one of them (see its docs).
+    unsafe { out.set_len(len) };
+    Ok(out)
+}
+
+/// Checks the output geometry and runs `fmt` over `n` output columns into
+/// the row-major `[m][n]` buffer `out`, B read from `b`.  When it returns
+/// `Ok` it has written every element of `out` — [`drive_new`] rests on
+/// this: each row belongs to one task, a task's segments partition the
+/// output columns of its driver columns, and its last K slice stores every
+/// run [`Pitch::runs`] finds among them.
+fn drive<F: Format>(
+    fmt: &F,
+    bias: &[f32],
+    n: usize,
+    b: &Operand<'_, F::B>,
+    out: &mut [MaybeUninit<f32>],
 ) -> Result<()> {
     let (m, k) = (fmt.m(), fmt.k());
     if bias.len() != m {
@@ -244,8 +417,32 @@ pub(super) fn drive<F: Format>(
     if n == 0 || m == 0 {
         return Ok(());
     }
+    if k == 0 {
+        return Err(TensorError::KernelConfig(
+            "gemm needs a non-empty shared dimension".into(),
+        ));
+    }
+    let pitch = match b {
+        Operand::Staged(_) => Pitch { pitch: n, width: n },
+        Operand::Plane(plane) => {
+            assert_eq!(F::KG, 1, "a plane holds one K element per offset");
+            if !n.is_multiple_of(plane.width) || plane.koff.len() != k {
+                return Err(TensorError::KernelConfig(format!(
+                    "a plane of {} offsets and width {} cannot feed {k} x {n}",
+                    plane.koff.len(),
+                    plane.width
+                )));
+            }
+            Pitch {
+                pitch: plane.pitch,
+                width: plane.width,
+            }
+        }
+    };
+    let ncols = (n / pitch.width - 1) * pitch.pitch + pitch.width;
     let arch = F::arch();
     let group = NR * F::KG;
+    let kg = k.div_ceil(F::KG);
     // The K slices: the element range and the panel-group range of each.
     let slices = || {
         (0..k).step_by(KC).map(|k0| {
@@ -253,94 +450,124 @@ pub(super) fn drive<F: Format>(
             (k0..k1, k0 / F::KG..k1.div_ceil(F::KG))
         })
     };
-    // Partial sums between K slices; a single-slice product never needs them.
-    let partials = |len: usize| vec![F::Acc::default(); if k > KC { len } else { 0 }];
-    let tasks = TASKS_PER_THREAD * rayon::current_num_threads();
+    let workers = TASKS_PER_THREAD * rayon::current_num_threads();
 
-    if n >= MIN_COLS_FOR_TILING {
-        // Wide output: parallelise over column tiles (output row bands for
-        // the convolution callers).  Each task stages its own B slice per
-        // K block into a private tile; the tiles are scattered into `out`
-        // afterwards.
-        let tile = n
-            .div_ceil(tasks)
+    // Wide outputs split into column tiles (output row bands for the
+    // convolution callers), narrow ones (see `MIN_COLS_FOR_TILING`) into
+    // row-panel groups.
+    let (tile, group_rows) = if ncols >= MIN_COLS_FOR_TILING {
+        let tile = ncols
+            .div_ceil(workers)
             .next_multiple_of(NR)
             .clamp(NR, MAX_TILE_COLS);
-        let tiles: Vec<(Range<usize>, Vec<f32>)> = (0..n.div_ceil(tile))
-            .into_par_iter()
-            .map(|t| {
-                let cols = t * tile..((t + 1) * tile).min(n);
-                let tn = cols.len();
-                let panels = tn.div_ceil(NR);
-                let (mut c, mut done) = (partials(m * tn), vec![0.0f32; m * tn]);
-                let mut b = vec![F::PAD; panels * KC.min(k).div_ceil(F::KG) * group];
-                for (ks, g) in slices() {
-                    let slice = &mut b[..panels * g.len() * group];
-                    slice.fill(F::PAD);
-                    fill(ks.start, ks.end, cols.start, cols.end, slice);
-                    let stage = Panels {
-                        data: slice,
-                        groups: g.len(),
-                        g0: g.start,
-                        n: tn,
-                    };
-                    tile_block(fmt, arch, 0..m, g, &stage, &mut c, &mut done);
-                }
-                (cols, done)
-            })
-            .collect();
-        for (cols, done) in tiles {
-            for (r, row) in done.chunks_exact(cols.len()).enumerate() {
-                out[r * n + cols.start..r * n + cols.end].copy_from_slice(row);
-            }
-        }
+        (tile, m)
     } else {
-        // Narrow output (see `MIN_COLS_FOR_TILING`): one B over all of `k`,
-        // filled once and shared by row-panel groups that each write their
-        // own chunk of `out`.
-        let panels = n.div_ceil(NR);
-        let kg = k.div_ceil(F::KG);
-        let mut b = vec![F::PAD; panels * kg * group];
-        fill(0, k, 0, n, &mut b);
-        let whole = Panels {
-            data: &b,
-            groups: kg,
-            g0: 0,
-            n,
-        };
-        let group_rows = m
-            .div_ceil(tasks)
+        let rows = m
+            .div_ceil(workers)
             .next_multiple_of(MR)
             .min(m.next_multiple_of(MR));
-        out.par_chunks_mut(group_rows * n)
-            .enumerate()
-            .for_each(|(i, chunk)| {
-                let rows = i * group_rows..((i + 1) * group_rows).min(m);
-                let mut c = partials(chunk.len());
-                for (_, g) in slices() {
-                    tile_block(fmt, arch, rows.clone(), g, &whole, &mut c, chunk);
-                }
-            });
+        (ncols, rows)
+    };
+    let tiles = ncols.div_ceil(tile);
+    let groups = m.div_ceil(group_rows);
+    // Every task's row segments, task-major: row group, column tile, row.
+    let mut segs: Vec<&mut [MaybeUninit<f32>]> = Vec::with_capacity(groups * tiles * group_rows);
+    let mut spans = Vec::with_capacity(groups * tiles);
+    let mut tails = Vec::with_capacity(group_rows);
+    for (i, chunk) in out.chunks_mut(group_rows * n).enumerate() {
+        let rows = i * group_rows..i * group_rows + chunk.len() / n;
+        tails.clear();
+        tails.extend(chunk.chunks_exact_mut(n));
+        for t in 0..tiles {
+            let cols = t * tile..((t + 1) * tile).min(ncols);
+            let len = pitch.out_col(cols.end) - pitch.out_col(cols.start);
+            for tail in tails.iter_mut() {
+                let (mine, rest) = std::mem::take(tail).split_at_mut(len);
+                segs.push(mine);
+                *tail = rest;
+            }
+            spans.push((rows.clone(), cols));
+        }
     }
+    let mut rest = &mut segs[..];
+    let mut tasks = Vec::with_capacity(spans.len());
+    for (rows, cols) in spans {
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(rows.len());
+        rest = tail;
+        tasks.push(Task {
+            out0: pitch.out_col(cols.start),
+            rows,
+            cols,
+            out,
+        });
+    }
+
+    // Staged B on narrow outputs: filled once over all of `k`, shared.
+    let shared = match b {
+        Operand::Staged(fill) if tile == ncols => {
+            let mut whole = vec![F::PAD; n.div_ceil(NR) * kg * group];
+            fill(0, k, 0, n, &mut whole);
+            whole
+        }
+        _ => Vec::new(),
+    };
+    // Staged panels are contiguous: K group `i` sits `i` groups in.
+    let steps: Vec<usize> = match b {
+        Operand::Staged(_) => (0..KC / F::KG).map(|i| i * group).collect(),
+        Operand::Plane(_) => Vec::new(),
+    };
+    tasks.par_chunks_mut(1).for_each(|task| {
+        let task = &mut task[0];
+        let tn = task.cols.len();
+        // Partial sums between K slices; a single-slice product never needs them.
+        let mut c = vec![F::Acc::default(); if k > KC { task.rows.len() * tn } else { 0 }];
+        let mut private = match b {
+            Operand::Staged(_) if shared.is_empty() => {
+                vec![F::PAD; tn.div_ceil(NR) * KC.min(k).div_ceil(F::KG) * group]
+            }
+            _ => Vec::new(),
+        };
+        for (ks, g) in slices() {
+            let stage = match b {
+                Operand::Plane(plane) => Stage {
+                    data: plane.data,
+                    koff: &plane.koff[ks],
+                    reach: plane.reach,
+                    col0: task.cols.start,
+                    step: NR,
+                },
+                Operand::Staged(fill) => {
+                    // Narrow outputs read the shared whole-`k` panels;
+                    // column tiles stage this slice of their own.
+                    let (data, col0, step) = if shared.is_empty() {
+                        let slice = &mut private[..tn.div_ceil(NR) * g.len() * group];
+                        slice.fill(F::PAD);
+                        fill(ks.start, ks.end, task.cols.start, task.cols.end, slice);
+                        (&*slice, 0, g.len() * group)
+                    } else {
+                        (&shared[..], g.start * group, kg * group)
+                    };
+                    Stage {
+                        data,
+                        koff: &steps[..g.len()],
+                        reach: (g.len() - 1) * group,
+                        col0,
+                        step,
+                    }
+                }
+            };
+            tile_block(fmt, arch, g, &stage, pitch, task, &mut c);
+        }
+    });
     Ok(())
 }
 
-/// Staged B: `ceil(n/NR)` column panels of `groups` K groups each, holding
-/// groups `g0 ..` (a per-slice stage starts at its slice, the whole-`k`
-/// stage at 0).
-struct Panels<'a, T> {
-    data: &'a [T],
-    groups: usize,
-    g0: usize,
-    n: usize,
-}
-
-/// One K-slice update over rows `rows` (with `rows.start % MR == 0`):
-/// `C += A[rows, groups g] · B[groups g]`, one format block per row panel
-/// and B panel run.  The first slice starts each accumulator at its row's
-/// start value, the last hands the finished sums to the epilogue, which
-/// writes `out`; between slices they wait in `c`.  `c` and `out` hold rows
-/// `rows` at row stride `b.n`.
+/// One K-slice update of `task`: `C += A[rows, groups g] · B[groups g]`,
+/// one format block per row panel and B vector run.  The first slice's
+/// blocks start each accumulator at its row's start value, the last hands
+/// the finished sums to the epilogue, which writes the task's stored
+/// columns of `out`; between slices they wait in `c` (the task's rows by
+/// its columns).
 ///
 /// Always inlined: on small-K products the per-tile set-up is a large share
 /// of the work, and an out-of-line copy measured 5–20 % slower there.
@@ -348,46 +575,61 @@ struct Panels<'a, T> {
 fn tile_block<F: Format>(
     fmt: &F,
     arch: F::Arch,
-    rows: Range<usize>,
     g: Range<usize>,
-    b: &Panels<'_, F::B>,
+    b: &Stage<'_, F::B>,
+    pitch: Pitch,
+    task: &mut Task<'_, '_>,
     c: &mut [F::Acc],
-    out: &mut [f32],
 ) {
+    let rows = task.rows.clone();
     debug_assert_eq!(rows.start % MR, 0);
-    let n = b.n;
-    let group = NR * F::KG;
+    let tn = task.cols.len();
     let (first, last) = (g.start == 0, g.end == fmt.k().div_ceil(F::KG));
-    let panel = |q: usize| {
-        let start = (q * b.groups + g.start - b.g0) * group;
-        &b.data[start..start + g.len() * group]
-    };
-    let (panels, per_call) = (n.div_ceil(NR), F::panels_per_call(arch));
+    let (panels, per_call) = (tn.div_ceil(NR), F::panels_per_call(arch));
     let mut q = 0;
     while q < panels {
         let width = per_call.min(panels - q);
-        let bs = [panel(q), panel(q + width - 1)];
+        let cols = [b.col0 + q * b.step, b.col0 + (q + width - 1) * b.step];
+        let tile = BTile {
+            data: b.data,
+            koff: b.koff,
+            reach: b.reach,
+            cols: &cols[..width],
+        };
+        let mut runs = [([(0, 0, 0); NR], 0); 2];
+        if last {
+            for (h, runs) in runs.iter_mut().enumerate().take(width) {
+                let j = (q + h) * NR;
+                *runs = pitch.runs(task.cols.start + j, (tn - j).min(NR));
+            }
+        }
         for p in rows.start / MR..rows.end.div_ceil(MR) {
             let live = (rows.end - p * MR).min(MR);
-            let at = |r: usize, h: usize| (p * MR + r - rows.start) * n + (q + h) * NR;
+            let at = |r: usize, h: usize| (p * MR + r - rows.start) * tn + (q + h) * NR;
             let mut acc = [[[F::Acc::default(); NR]; MR]; 2];
-            for (h, acc) in acc.iter_mut().enumerate().take(width) {
-                let jn = (n - (q + h) * NR).min(NR);
-                for (r, row) in acc.iter_mut().enumerate().take(live) {
-                    if first {
-                        *row = [fmt.start(p * MR + r); NR];
-                    } else {
+            if !first {
+                for (h, acc) in acc.iter_mut().enumerate().take(width) {
+                    let jn = (tn - (q + h) * NR).min(NR);
+                    for (r, row) in acc.iter_mut().enumerate().take(live) {
                         row[..jn].copy_from_slice(&c[at(r, h)..][..jn]);
                     }
                 }
             }
-            fmt.block(arch, p, g.clone(), &bs[..width], &mut acc);
+            fmt.block(arch, p, g.clone(), &tile, &mut acc);
             for (h, acc) in acc.iter().enumerate().take(width) {
-                let jn = (n - (q + h) * NR).min(NR);
-                for (r, row) in acc.iter().enumerate().take(live) {
-                    if last {
-                        fmt.finish(p * MR + r, &row[..jn], &mut out[at(r, h)..][..jn]);
-                    } else {
+                if last {
+                    let out = &mut task.out[p * MR - rows.start..];
+                    let (runs, count) = &runs[h];
+                    for &(lane, col, run) in &runs[..*count] {
+                        let col = col - task.out0;
+                        for (r, row) in acc.iter().enumerate().take(live) {
+                            let dst = &mut out[r][col..col + run];
+                            fmt.finish(p * MR + r, &row[lane..lane + run], dst);
+                        }
+                    }
+                } else {
+                    let jn = (tn - (q + h) * NR).min(NR);
+                    for (r, row) in acc.iter().enumerate().take(live) {
                         c[at(r, h)..][..jn].copy_from_slice(&row[..jn]);
                     }
                 }
@@ -423,8 +665,8 @@ impl Format for F32Gemm<'_> {
         kernel_arch()
     }
 
-    /// Only the AVX-512 arm has a two-panel kernel; an odd last panel (and
-    /// every panel on the other arms) runs the single-panel one.  Which
+    /// Only the AVX-512 arm has a two-vector kernel; an odd last vector
+    /// (and every vector on the other arms) runs the single one.  Which
     /// kernel computes a column never changes its bits.
     fn panels_per_call(arch: KernelArch) -> usize {
         if arch == KernelArch::Avx512 {
@@ -435,31 +677,29 @@ impl Format for F32Gemm<'_> {
     }
 
     #[inline]
-    fn start(&self, r: usize) -> f32 {
-        self.bias[r]
-    }
-
-    #[inline]
     fn block(
         &self,
         arch: KernelArch,
         p: usize,
         g: Range<usize>,
-        b: &[&[f32]],
+        b: &BTile<'_, f32>,
         acc: &mut AccTile<f32>,
     ) {
         let a = self.a.panel(p, g.start, g.end);
-        match *b {
-            [b0, b1] => microkernel_pair(a, b0, b1, acc),
-            [b0] => microkernel(arch, a, b0, &mut acc[0]),
-            _ => unreachable!("one or two B panels per call"),
+        // Rows past `m` (a short last panel) start anywhere: never stored.
+        let start = (g.start == 0)
+            .then(|| std::array::from_fn(|r| self.bias.get(p * MR + r).copied().unwrap_or(0.0)));
+        if b.cols.len() == 2 {
+            microkernel_pair(a, b, start, acc)
+        } else {
+            microkernel(arch, a, b, start, &mut acc[0])
         }
     }
 
     #[inline]
-    fn finish(&self, _r: usize, acc: &[f32], out: &mut [f32]) {
+    fn finish(&self, _r: usize, acc: &[f32], out: &mut [MaybeUninit<f32>]) {
         for (dst, &v) in out.iter_mut().zip(acc) {
-            *dst = self.act.apply(v);
+            dst.write(self.act.apply(v));
         }
     }
 }
@@ -475,72 +715,108 @@ pub fn gemm_bias_act_into<F: PanelFill>(
     out: &mut [f32],
 ) -> Result<()> {
     let fmt = F32Gemm { a, bias, act };
-    drive(
-        &fmt,
-        bias,
-        n,
-        &|k0, k1, j0, j1, buf: &mut [f32]| fill.fill(k0, k1, j0, j1, buf),
-        out,
-    )
+    let fill = |k0, k1, j0, j1, buf: &mut [f32]| fill.fill(k0, k1, j0, j1, buf);
+    drive_into(&fmt, bias, n, &Operand::Staged(&fill), out)
 }
 
-/// The register tile: streams one A panel (`kc × MR`) against one B panel
-/// (`kc × NR`), accumulating `MR × NR` partial sums through the dispatched
-/// micro-kernel arm.  Every arm performs the identical per-element op
-/// sequence (`acc = fma(a, b, acc)`, `k` ascending), so the arms are
-/// bit-interchangeable — the order every caller relies on.
+/// Computes `act(bias + A·B)` as a fresh row-major `[m][n]` buffer, with
+/// `A` prepacked and `B` read in place from `plane` — the implicit-GEMM
+/// convolution's product.
+pub(super) fn gemm_plane(
+    a: &PackedFilter,
+    bias: &[f32],
+    act: Activation,
+    n: usize,
+    plane: Plane<'_, f32>,
+) -> Result<Vec<f32>> {
+    let fmt = F32Gemm { a, bias, act };
+    drive_new(&fmt, bias, n, &Operand::Plane(plane))
+}
+
+/// The register tile: streams one A panel (`kc × MR`) against one B vector
+/// per K step (`kc` steps of `NR` columns), accumulating `MR × NR` partial
+/// sums through the dispatched micro-kernel arm — started at `start[r]`
+/// per row when given, else at `acc`.  Every arm performs the identical
+/// per-element op sequence (`acc = fma(a, b, acc)`, `k` ascending), so the
+/// arms are bit-interchangeable — the order every caller relies on.
 #[inline]
-fn microkernel(arch: KernelArch, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    // The SIMD arms walk `a.len() / MR` steps of `a` and `b` through raw
-    // pointers on the strength of this.
-    assert_eq!(a.len() * NR, b.len() * MR, "micro-kernel panel sizes");
+fn microkernel(
+    arch: KernelArch,
+    a: &[f32],
+    b: &BTile<'_, f32>,
+    start: Option<[f32; MR]>,
+    acc: &mut [[f32; NR]; MR],
+) {
+    let col = b.cols[0];
+    // The SIMD arms read `b.data[koff[i] + col ..][..NR]` for every `i`
+    // through raw pointers on the strength of this (`koff[i] <= reach`).
+    assert!(
+        a.len() == b.koff.len() * MR && b.reach + col + NR <= b.data.len(),
+        "micro-kernel operand bounds"
+    );
     match arch {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `kernel_arch()` clamps to CPUID-detected capability, so
         // the required target features are present when these arms are
-        // selected; the panel lengths were asserted above.
-        KernelArch::Avx512 => unsafe { microkernel_avx512(a, b, acc) },
+        // selected; the operand bounds were asserted above.
+        KernelArch::Avx512 => unsafe { microkernel_avx512(a, b.data, b.koff, col, start, acc) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        KernelArch::Avx2 => unsafe { microkernel_avx2(a, b, acc) },
-        _ => microkernel_scalar(a, b, acc),
+        KernelArch::Avx2 => unsafe { microkernel_avx2(a, b.data, b.koff, col, start, acc) },
+        _ => microkernel_scalar(a, b.data, b.koff, col, start, acc),
     }
 }
 
-/// The AVX-512 arm's wide register tile: one A panel against two B panels
-/// of the same `kc`, `acc[0]` and `acc[1]` their `MR × NR` blocks.  Each
-/// column sees the op sequence of [`microkernel`]; the second panel only
-/// adds independent accumulator chains.
+/// The AVX-512 arm's wide register tile: one A panel against two B vectors
+/// per K step, `acc[0]` and `acc[1]` their `MR × NR` blocks.  Each column
+/// sees the op sequence of [`microkernel`]; the second vector only adds
+/// independent accumulator chains.
 #[inline]
-fn microkernel_pair(a: &[f32], b0: &[f32], b1: &[f32], acc: &mut [[[f32; NR]; MR]; 2]) {
+fn microkernel_pair(
+    a: &[f32],
+    b: &BTile<'_, f32>,
+    start: Option<[f32; MR]>,
+    acc: &mut [[[f32; NR]; MR]; 2],
+) {
+    let [c0, c1] = [b.cols[0], b.cols[1]];
     assert!(
-        a.len() * NR == b0.len() * MR && b1.len() == b0.len(),
-        "micro-kernel panel sizes"
+        a.len() == b.koff.len() * MR && b.reach + c0.max(c1) + NR <= b.data.len(),
+        "micro-kernel operand bounds"
     );
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `F32Gemm::block` takes this kernel only when `kernel_arch()`
     // returned `Avx512`, which is clamped to CPUID-detected capability; the
-    // panel lengths were asserted above.
+    // operand bounds were asserted above.
     unsafe {
-        microkernel_avx512_pair(a, b0, b1, acc)
+        microkernel_avx512_pair(a, b.data, b.koff, [c0, c1], start, acc)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = acc;
-        unreachable!("the two-panel kernel exists on the AVX-512 arm only");
+        let _ = (start, acc);
+        unreachable!("the two-vector kernel exists on the AVX-512 arm only");
     }
 }
 
 /// Portable micro-kernel — the always-available dispatch floor.  Runs the
 /// copy of its loop compiled with hardware FMA where the CPU has it.
 #[inline]
-fn microkernel_scalar(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel_scalar(
+    a: &[f32],
+    b: &[f32],
+    koff: &[usize],
+    col: usize,
+    start: Option<[f32; MR]>,
+    acc: &mut [[f32; NR]; MR],
+) {
+    if let Some(start) = start {
+        *acc = start.map(|v| [v; NR]);
+    }
     #[cfg(target_arch = "x86_64")]
     if hw_fma() {
         // SAFETY: CPUID reports FMA3.
-        return unsafe { microkernel_scalar_fma(a, b, acc) };
+        return unsafe { microkernel_scalar_fma(a, b, koff, col, acc) };
     }
-    microkernel_scalar_loop(a, b, acc)
+    microkernel_scalar_loop(a, b, koff, col, acc)
 }
 
 /// The scalar loop.  `f32::mul_add` is a correctly rounded fused
@@ -548,8 +824,15 @@ fn microkernel_scalar(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// `j` loop is over independent output elements, so the compiler may
 /// vectorise it without reordering the `k` accumulation.
 #[inline(always)]
-fn microkernel_scalar_loop(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+fn microkernel_scalar_loop(
+    a: &[f32],
+    b: &[f32],
+    koff: &[usize],
+    col: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    for (av, &o) in a.chunks_exact(MR).zip(koff) {
+        let bv = &b[o + col..][..NR];
         for r in 0..MR {
             let ar = av[r];
             for (c, &bj) in acc[r].iter_mut().zip(bv) {
@@ -565,8 +848,14 @@ fn microkernel_scalar_loop(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// Caller must ensure the CPU supports FMA3.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn microkernel_scalar_fma(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    microkernel_scalar_loop(a, b, acc)
+unsafe fn microkernel_scalar_fma(
+    a: &[f32],
+    b: &[f32],
+    koff: &[usize],
+    col: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    microkernel_scalar_loop(a, b, koff, col, acc)
 }
 
 /// 256-bit explicit micro-kernel: the whole `MR × NR` accumulator tile
@@ -574,33 +863,43 @@ unsafe fn microkernel_scalar_fma(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]
 /// two B vectors in flight — twelve independent FMA chains.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2 and FMA3, `a.len() == kc*MR`
-/// and `b.len() == kc*NR` for the same `kc`.
+/// Caller must ensure the CPU supports AVX2 and FMA3, `a.len() ==
+/// koff.len()*MR`, and `koff[i] + col + NR <= b.len()` for every `i`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn microkernel_avx2(
+    a: &[f32],
+    b: &[f32],
+    koff: &[usize],
+    col: usize,
+    start: Option<[f32; MR]>,
+    acc: &mut [[f32; NR]; MR],
+) {
     use std::arch::x86_64::*;
-    let kc = a.len() / MR;
     let cp = acc.as_mut_ptr() as *mut f32;
-    // Load the accumulator tile: rows r at lanes [0,8) and [8,16).
+    // The accumulator tile: rows r at lanes [0,8) and [8,16).
     let mut c0 = [_mm256_setzero_ps(); MR];
     let mut c1 = [_mm256_setzero_ps(); MR];
     for r in 0..MR {
-        c0[r] = _mm256_loadu_ps(cp.add(r * NR));
-        c1[r] = _mm256_loadu_ps(cp.add(r * NR + 8));
+        (c0[r], c1[r]) = match start {
+            Some(s) => (_mm256_set1_ps(s[r]), _mm256_set1_ps(s[r])),
+            None => (
+                _mm256_loadu_ps(cp.add(r * NR)),
+                _mm256_loadu_ps(cp.add(r * NR + 8)),
+            ),
+        };
     }
+    let pb = b.as_ptr().add(col);
     let mut pa = a.as_ptr();
-    let mut pb = b.as_ptr();
-    for _ in 0..kc {
-        let b0 = _mm256_loadu_ps(pb);
-        let b1 = _mm256_loadu_ps(pb.add(8));
+    for &o in koff {
+        let b0 = _mm256_loadu_ps(pb.add(o));
+        let b1 = _mm256_loadu_ps(pb.add(o + 8));
         for r in 0..MR {
             let ar = _mm256_set1_ps(*pa.add(r));
             c0[r] = _mm256_fmadd_ps(ar, b0, c0[r]);
             c1[r] = _mm256_fmadd_ps(ar, b1, c1[r]);
         }
         pa = pa.add(MR);
-        pb = pb.add(NR);
     }
     for r in 0..MR {
         _mm256_storeu_ps(cp.add(r * NR), c0[r]);
@@ -608,76 +907,91 @@ unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// 512-bit explicit micro-kernel over one B panel: one `zmm` register holds
-/// a whole `NR`-column accumulator row, six in flight.  Runs the odd last
-/// panel of a block; pairs go through [`microkernel_avx512_pair`].
+/// 512-bit explicit micro-kernel over one B vector per K step: one `zmm`
+/// register holds a whole `NR`-column accumulator row, six in flight.
+/// Runs the odd last vector of a block; pairs go through
+/// [`microkernel_avx512_pair`].
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX-512F, `a.len() == kc*MR` and
-/// `b.len() == kc*NR` for the same `kc`.
+/// Caller must ensure the CPU supports AVX-512F, `a.len() ==
+/// koff.len()*MR`, and `koff[i] + col + NR <= b.len()` for every `i`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn microkernel_avx512(
+    a: &[f32],
+    b: &[f32],
+    koff: &[usize],
+    col: usize,
+    start: Option<[f32; MR]>,
+    acc: &mut [[f32; NR]; MR],
+) {
     use std::arch::x86_64::*;
-    let kc = a.len() / MR;
     let cp = acc.as_mut_ptr() as *mut f32;
     let mut c = [_mm512_setzero_ps(); MR];
     for (r, cr) in c.iter_mut().enumerate() {
-        *cr = _mm512_loadu_ps(cp.add(r * NR));
+        *cr = match start {
+            Some(s) => _mm512_set1_ps(s[r]),
+            None => _mm512_loadu_ps(cp.add(r * NR)),
+        };
     }
+    let pb = b.as_ptr().add(col);
     let mut pa = a.as_ptr();
-    let mut pb = b.as_ptr();
-    for _ in 0..kc {
-        let bv = _mm512_loadu_ps(pb);
+    for &o in koff {
+        let bv = _mm512_loadu_ps(pb.add(o));
         for (r, cr) in c.iter_mut().enumerate() {
             let ar = _mm512_set1_ps(*pa.add(r));
             *cr = _mm512_fmadd_ps(ar, bv, *cr);
         }
         pa = pa.add(MR);
-        pb = pb.add(NR);
     }
     for (r, cr) in c.iter().enumerate() {
         _mm512_storeu_ps(cp.add(r * NR), *cr);
     }
 }
 
-/// 512-bit explicit micro-kernel over two B panels: an `MR × 2·NR` tile in
-/// twelve `zmm` accumulators — two B loads and six broadcasts per twelve
-/// FMAs, and enough independent chains to keep both FMA ports busy.
+/// 512-bit explicit micro-kernel over two B vectors per K step: an `MR ×
+/// 2·NR` tile in twelve `zmm` accumulators — two B loads and six
+/// broadcasts per twelve FMAs, and enough independent chains to keep both
+/// FMA ports busy.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX-512F, `a.len() == kc*MR` and
-/// `b0.len() == b1.len() == kc*NR` for the same `kc`.
+/// Caller must ensure the CPU supports AVX-512F, `a.len() ==
+/// koff.len()*MR`, and `koff[i] + col + NR <= b.len()` for every `i` and
+/// both `col` of `cols`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn microkernel_avx512_pair(
     a: &[f32],
-    b0: &[f32],
-    b1: &[f32],
+    b: &[f32],
+    koff: &[usize],
+    cols: [usize; 2],
+    start: Option<[f32; MR]>,
     acc: &mut [[[f32; NR]; MR]; 2],
 ) {
     use std::arch::x86_64::*;
-    let kc = a.len() / MR;
     let cp = acc.as_mut_ptr() as *mut f32;
     let mut c0 = [_mm512_setzero_ps(); MR];
     let mut c1 = [_mm512_setzero_ps(); MR];
     for r in 0..MR {
-        c0[r] = _mm512_loadu_ps(cp.add(r * NR));
-        c1[r] = _mm512_loadu_ps(cp.add((MR + r) * NR));
+        (c0[r], c1[r]) = match start {
+            Some(s) => (_mm512_set1_ps(s[r]), _mm512_set1_ps(s[r])),
+            None => (
+                _mm512_loadu_ps(cp.add(r * NR)),
+                _mm512_loadu_ps(cp.add((MR + r) * NR)),
+            ),
+        };
     }
+    let (pb0, pb1) = (b.as_ptr().add(cols[0]), b.as_ptr().add(cols[1]));
     let mut pa = a.as_ptr();
-    let (mut pb0, mut pb1) = (b0.as_ptr(), b1.as_ptr());
-    for _ in 0..kc {
-        let v0 = _mm512_loadu_ps(pb0);
-        let v1 = _mm512_loadu_ps(pb1);
+    for &o in koff {
+        let v0 = _mm512_loadu_ps(pb0.add(o));
+        let v1 = _mm512_loadu_ps(pb1.add(o));
         for r in 0..MR {
             let ar = _mm512_set1_ps(*pa.add(r));
             c0[r] = _mm512_fmadd_ps(ar, v0, c0[r]);
             c1[r] = _mm512_fmadd_ps(ar, v1, c1[r]);
         }
         pa = pa.add(MR);
-        pb0 = pb0.add(NR);
-        pb1 = pb1.add(NR);
     }
     for r in 0..MR {
         _mm512_storeu_ps(cp.add(r * NR), c0[r]);
@@ -761,8 +1075,9 @@ mod tests {
         let (a, b) = (inexact(det(kc * MR, 11)), inexact(det(kc * NR, 12)));
         let mut plain = [[0.25f32; NR]; MR];
         let mut dispatched = plain;
-        microkernel_scalar_loop(&a, &b, &mut plain);
-        microkernel_scalar(&a, &b, &mut dispatched);
+        let koff: Vec<usize> = (0..kc).map(|i| i * NR).collect();
+        microkernel_scalar_loop(&a, &b, &koff, 0, &mut plain);
+        microkernel_scalar(&a, &b, &koff, 0, None, &mut dispatched);
         assert_eq!(plain, dispatched);
     }
 
@@ -860,6 +1175,11 @@ mod tests {
         let mut wrong = vec![0.0f32; 3];
         assert!(
             gemm_bias_act_into(&packed, &[0.0; 2], Activation::None, 1, &fill, &mut wrong).is_err()
+        );
+        // An empty shared dimension has no K slice to write the output in.
+        let empty = PackedFilter::pack(&[], 2, 0).unwrap();
+        assert!(
+            gemm_bias_act_into(&empty, &[0.0; 2], Activation::None, 1, &fill, &mut out).is_err()
         );
     }
 }

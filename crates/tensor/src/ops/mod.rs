@@ -4,8 +4,8 @@
 //! layer is packed once ([`pack_conv_filter`], [`pack_linear_filter`],
 //! [`QuantizedLinearFilter::pack`]) and then run per frame
 //! ([`conv2d_rows_packed`], [`linear_packed`], [`linear_q8`]).  A conv pack
-//! fixes its kernel route ([`ConvRoute`]): the im2col + blocked GEMM path
-//! in [`gemm`], the Winograd F(2×2,3×3) shortcut in [`winograd`] for
+//! fixes its kernel route ([`ConvRoute`]): the implicit GEMM (the band
+//! read in place by the blocked GEMM in [`gemm`]), the Winograd F(2×2,3×3) shortcut in [`winograd`] for
 //! stride-1 3×3 layers with enough channels, or the int8 GEMM in
 //! [`qgemm`] — all three through the one blocked GEMM driver in [`gemm`],
 //! f32 and int8 differing only in their number format.  Linear layers run
@@ -19,8 +19,8 @@
 //!
 //! # The f32 numerical contract
 //!
-//! Every f32 kernel arm ([`gemm`], [`gemv`], and through them im2col,
-//! Winograd and the FC head) computes an output element as
+//! Every f32 kernel arm ([`gemm`], [`gemv`], and through them the implicit
+//! GEMM, Winograd and the FC head) computes an output element as
 //!
 //! ```text
 //! acc = bias;  for k in 0..K { acc = fma(a[k], b[k], acc) }

@@ -48,9 +48,10 @@
 
 use super::activation::Activation;
 use super::dispatch::{qkernel_arch, QKernelArch};
-use super::gemm::{drive, AccTile, Format, MR, NR};
+use super::gemm::{drive_into, drive_new, AccTile, BTile, Format, Operand, MR, NR};
 use crate::error::TensorError;
 use crate::Result;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Bytes per dot-product quad — the K granularity of every int8 arm.
@@ -331,27 +332,23 @@ impl Format for Int8Gemm<'_> {
     }
 
     #[inline]
-    fn start(&self, _r: usize) -> i32 {
-        0
-    }
-
-    #[inline]
     fn block(
         &self,
         arch: QKernelArch,
         p: usize,
         g: Range<usize>,
-        b: &[&[u8]],
+        b: &BTile<'_, u8>,
         acc: &mut AccTile<i32>,
     ) {
-        qmicrokernel(arch, self.a.panel(p, g.start, g.end), b[0], &mut acc[0]);
+        let a = self.a.panel(p, g.start, g.end);
+        qmicrokernel(arch, a, b.panel(0, NR * QK), &mut acc[0]);
     }
 
     #[inline]
-    fn finish(&self, r: usize, acc: &[i32], out: &mut [f32]) {
+    fn finish(&self, r: usize, acc: &[i32], out: &mut [MaybeUninit<f32>]) {
         let (bias, corr) = (self.bias[r], self.a.row_corr[r]);
         for (dst, &v) in out.iter_mut().zip(acc) {
-            *dst = self.act.apply(bias + ((v - corr) as f32) * self.s);
+            dst.write(self.act.apply(bias + ((v - corr) as f32) * self.s));
         }
     }
 }
@@ -379,13 +376,28 @@ pub fn qgemm_bias_act_into<F: QPanelFill>(
         act,
         s: scale_a * a.scale,
     };
-    drive(
-        &fmt,
+    let fill = |k0, k1, j0, j1, buf: &mut [u8]| fill.fill(k0, k1, j0, j1, buf);
+    drive_into(&fmt, bias, n, &Operand::Staged(&fill), out)
+}
+
+/// [`qgemm_bias_act_into`] into a fresh `[m][n]` buffer, never zero-filled
+/// first.
+pub(super) fn qgemm_bias_act<F: QPanelFill>(
+    a: &QuantizedFilter,
+    bias: &[f32],
+    act: Activation,
+    scale_a: f32,
+    n: usize,
+    fill: &F,
+) -> Result<Vec<f32>> {
+    let fmt = Int8Gemm {
+        a,
         bias,
-        n,
-        &|k0, k1, j0, j1, buf: &mut [u8]| fill.fill(k0, k1, j0, j1, buf),
-        out,
-    )
+        act,
+        s: scale_a * a.scale,
+    };
+    let fill = |k0, k1, j0, j1, buf: &mut [u8]| fill.fill(k0, k1, j0, j1, buf);
+    drive_new(&fmt, bias, n, &Operand::Staged(&fill))
 }
 
 /// The int8 register tile: streams one weight panel (`kcq` quads × `MR`

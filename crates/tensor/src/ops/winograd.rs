@@ -5,7 +5,7 @@
 //! multiplies per 2×2×(3×3) block where the direct form spends 36 — 2.25×
 //! fewer.  The element-wise products across channels are batched into 16
 //! GEMMs (one per tile position, `c_out × c_in × n_tiles`) that run through
-//! the same packed micro-kernel as the im2col path, so Winograd inherits
+//! the same packed micro-kernel as the GEMM route, so Winograd inherits
 //! the register tiling, K-blocking and runtime SIMD dispatch for free.
 //!
 //! The transform matrices (entries are 0, ±1, ±½ — every multiply exact in
@@ -35,7 +35,7 @@
 //! transforms), and chunking only groups whole tiles, so banding, tiling
 //! and threading are all invisible in the output bits.
 //!
-//! Winograd is *not* bit-identical to the im2col GEMM path (the summation
+//! Winograd is *not* bit-identical to the GEMM route (the summation
 //! order differs by construction), which is why the route is fixed when
 //! [`super::conv::pack_conv_filter`] packs the layer and depends only on
 //! layer geometry: every band of a layer takes the same path on every
@@ -59,7 +59,7 @@ pub const fn winograd_eligible(f: usize, stride: usize) -> bool {
 /// The 2.25× multiply saving has to amortise the input/inverse transforms,
 /// whose cost is linear in `c_in + c_out` while the GEMM stage scales with
 /// `c_in · c_out` — so thin layers (the RGB stem above all, where the
-/// GEMMs are K=3 slivers) run *slower* than im2col GEMM.  Channel counts
+/// GEMMs are K=3 slivers) run *slower* than the GEMM route.  Channel counts
 /// are layer geometry, never band shape, so routing on them preserves the
 /// band-stitch bit-exactness contract: every band of a layer takes the
 /// same path on every device — one static rule, never a per-device or
@@ -131,7 +131,7 @@ const SCRATCH_FLOATS: usize = 512 * 1024;
 /// Built once at deploy time (inside
 /// [`super::conv::pack_conv_filter`], for the layers the route sends
 /// here — it then is the layer's only resident form); ~16/9 the bytes of
-/// the im2col panels the same layer would otherwise hold.
+/// the GEMM panels the same layer would otherwise hold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WinogradFilter {
     c_in: usize,

@@ -4,13 +4,16 @@
 //! Invariants across random geometries (channels, filter, stride, padding,
 //! band splits):
 //!
-//! * **oracle agreement (GEMM)** — the im2col GEMM path matches the direct
+//! * **oracle agreement (GEMM)** — the implicit GEMM path matches the direct
 //!   kernel within `1e-4` (the paths sum in different orders only over the
 //!   zero-padding taps the direct kernel skips);
 //! * **oracle agreement (Winograd)** — the Winograd F(2×2,3×3) path matches
 //!   the direct kernel within a *relative* `1e-3` (its summation order
 //!   differs by construction), over full outputs and halo-overlapped row
 //!   bands alike;
+//! * **exact order (GEMM)** — the GEMM path equals, bit for bit, the
+//!   numerical contract's scalar fused multiply-add loop over the taps in
+//!   ascending `k`, on every f32 arm;
 //! * **band determinism** — on the routed packed path (GEMM or Winograd
 //!   per layer geometry), computing a band split and stitching is
 //!   *bit-exact* against the full-output call, for any cut points.  This
@@ -31,10 +34,10 @@ use proptest::prelude::*;
 use tensor::ops::gemv::{LANES, PANEL_ROWS};
 use tensor::ops::qgemm::QK;
 use tensor::ops::{
-    conv2d_direct, conv2d_rows_packed, im2col_weight_len, linear_direct, linear_packed,
-    pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch, quant_byte, quant_scale,
-    quantize_i8, winograd_eligible, winograd_preferred, Activation, ConvRoute, KernelArch,
-    QKernelArch, QuantizedLinearFilter,
+    conv2d_direct, conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_direct,
+    linear_packed, pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch, quant_byte,
+    quant_scale, quantize_i8, winograd_eligible, winograd_preferred, Activation, ConvRoute,
+    KernelArch, QKernelArch, QuantizedLinearFilter,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -98,6 +101,76 @@ proptest! {
         prop_assert_eq!(fast.shape(), oracle.shape());
         let diff = fast.max_abs_diff(&oracle).unwrap();
         prop_assert!(diff <= 1e-4, "GEMM vs direct diff {diff}");
+    }
+
+    /// The f32 GEMM route is *bit-equal* to the numerical contract's
+    /// scalar form built from public pieces: per output, `acc = bias`, then
+    /// `acc = w.mul_add(x, acc)` over the taps in ascending `k = (ic, ky,
+    /// kx)` — a padding tap multiplies a zero — then the activation.  Over
+    /// `f ∈ {1, 3, 5}`, stride 1–2, padding `0..f`, output widths below,
+    /// at and above `NR` (most not a multiple of it), K past one `KC`
+    /// slice, and halo-cut row bands, on every f32 arm.
+    #[test]
+    fn gemm_conv_equals_the_fused_reference_on_every_arm(
+        c_in in 1usize..13,
+        c_out in 1usize..14,
+        h in 3usize..18,
+        w in 1usize..40,
+        fi in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..5,
+        cut_a in 0.0f64..1.0,
+        cut_b in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let f = [1, 3, 5][fi];
+        prop_assume!(padding < f);
+        let Some(out_h) = conv_out_dim(h, f, stride, padding) else { return Ok(()) };
+        let Some(out_w) = conv_out_dim(w, f, stride, padding) else { return Ok(()) };
+        let input = pseudo_tensor(c_in, h, w, seed);
+        let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x5a5);
+        let bias = pseudo_weights(c_out, seed ^ 0xa5a);
+        let act = Activation::LeakyRelu;
+        let reference = |rows: std::ops::Range<usize>| {
+            Tensor::from_fn([c_out, rows.len(), out_w], |oc, oy, ox| {
+                let mut acc = bias[oc];
+                for ic in 0..c_in {
+                    for ky in 0..f {
+                        for kx in 0..f {
+                            let iy = ((rows.start + oy) * stride + ky) as isize - padding as isize;
+                            let ix = (ox * stride + kx) as isize - padding as isize;
+                            let inside =
+                                (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                            let x = if inside { input.get(ic, iy as usize, ix as usize) } else { 0.0 };
+                            acc = weights[((oc * c_in + ic) * f + ky) * f + kx].mul_add(x, acc);
+                        }
+                    }
+                }
+                act.apply(acc)
+            })
+        };
+        let filter =
+            pack_conv_filter(&weights, c_in, c_out, f, stride, Some(ConvRoute::Gemm)).unwrap();
+        let mut cuts = [cut_a, cut_b].map(|c| ((out_h as f64 * c) as usize).min(out_h - 1));
+        cuts.sort_unstable();
+        let (lo_out, hi_out) = (cuts[0], (cuts[1] + 1).min(out_h));
+        let (lo, hi) = input_rows_for_output(lo_out, hi_out, f, stride, padding, h);
+        let band_in = slice_rows(&input, lo, hi).unwrap();
+        let (want_full, want_band) = (reference(0..out_h), reference(lo_out..hi_out));
+        for level in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
+            let _pin = pin_kernels(level);
+            let full = conv2d_rows_packed(
+                &input, 0, h, 0, out_h, &filter, &bias, f, stride, padding, act,
+            ).unwrap();
+            prop_assert!(full == want_full, "full output ({})", kernel_arch().label());
+            let band = conv2d_rows_packed(
+                &band_in, lo, h, lo_out, hi_out, &filter, &bias, f, stride, padding, act,
+            ).unwrap();
+            prop_assert!(
+                band == want_band,
+                "band {}..{} ({})", lo_out, hi_out, kernel_arch().label()
+            );
+        }
     }
 
     /// On the packed path, banded execution with minimal halos stitches

@@ -131,7 +131,7 @@ fn fused_witness_survives_every_kernel_on_every_arm() {
     let fc = pack_linear_filter(&vec![WITNESS_OPERAND; rows], 1, rows).unwrap();
     let x = Tensor::from_vec([1, 1, 1], vec![WITNESS_OPERAND]).unwrap();
     // Routed conv: a 1×1 filter over one channel is the same single step
-    // per pixel, through im2col and the GEMM.
+    // per pixel, through the implicit GEMM.
     let image = Tensor::filled([1, 5, 7], WITNESS_OPERAND);
     let conv = pack_conv_filter(&[WITNESS_OPERAND; 3], 1, 3, 1, 1, None).unwrap();
 
