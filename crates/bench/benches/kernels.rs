@@ -5,7 +5,8 @@
 //!
 //! Emits `BENCH_kernels.json` at the workspace root with per-shape,
 //! per-variant timings (filters prepacked outside the timed region —
-//! packing is deploy-time work).  Convolutions are compute-bound and report
+//! packing is deploy-time work; the FC rows time it on its own, as
+//! `*pack_ns`).  Convolutions are compute-bound and report
 //! GFLOP/s; FC layers and pooling are bandwidth-bound and report GB/s — of
 //! weight bytes streamed for FC, of input plus output bytes for pooling.
 //! End-to-end numbers live in the `e2e/` benchmark (`vgg11_inproc`), not
@@ -22,14 +23,15 @@
 
 use serde::Serialize;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 use tensor::ops::gemm::{gemm_bias_act_into, NR};
 use tensor::ops::qgemm::{qgemm_bias_act_into, QK};
 use tensor::ops::{
     conv2d_rows_direct, conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_packed,
-    linear_q8, maxpool2d, pack_conv_filter, pack_linear_filter, pin_kernels, qkernel_arch,
-    quant_byte, quant_scale, winograd_eligible, winograd_preferred, Activation, ConvRoute,
-    KernelArch, PackedConvFilter, PackedFilter, QuantizedFilter, QuantizedLinearFilter,
+    linear_q8, maxpool2d, pack_conv_filter, pin_kernels, qkernel_arch, quant_byte, quant_scale,
+    winograd_eligible, winograd_preferred, Activation, ConvRoute, KernelArch, PackedConvFilter,
+    PackedFilter, PackedLinearFilter, QuantizedFilter, QuantizedLinearFilter,
 };
 use tensor::shape::input_rows_for_output;
 use tensor::slice::slice_rows;
@@ -79,9 +81,12 @@ struct ConvShape {
 }
 
 /// One FC layer: the `n = 1` GEMM path (one lane of sixteen) against the
-/// row-vectorised GEMV kernel, f32 and int8.  Rates are GB/s of packed
-/// weight bytes streamed (`in·out·4` for f32, `in·out` for int8) — an FC
-/// layer reads every weight once per frame and does two flops with it.
+/// row-vectorised GEMV kernel, f32 and int8.  Rates are GB/s of weight
+/// bytes streamed (`in·out·4` for f32, `in·out` for int8) — an FC layer
+/// reads every weight once per frame and does two flops with it.  The f32
+/// GEMV reads the caller's row-major weights in place; the `*pack_ns`
+/// columns are the deploy-time side: a refcount bump for f32, the
+/// quantizing quad pack for int8.
 #[derive(Serialize)]
 struct FcShape {
     label: String,
@@ -89,10 +94,12 @@ struct FcShape {
     out_features: usize,
     gemm_n1_ns: f64,
     gemm_n1_gbps: f64,
+    pack_ns: f64,
     gemv_ns: f64,
     gemv_gbps: f64,
     int8_gemm_n1_ns: f64,
     int8_gemm_n1_gbps: f64,
+    int8_pack_ns: f64,
     int8_gemv_ns: f64,
     int8_gemv_gbps: f64,
 }
@@ -319,7 +326,7 @@ fn bench_fc_paths() -> Vec<FcShape> {
     let mut out = Vec::new();
     for &(label, in_features, out_features) in shapes {
         let input = Tensor::from_fn([in_features, 1, 1], |c, _, _| (c % 13) as f32 * 0.1 - 0.6);
-        let weights: Vec<f32> = (0..in_features * out_features)
+        let weights: Arc<[f32]> = (0..in_features * out_features)
             .map(|i| ((i % 1013) as f32 - 506.0) * 1e-4)
             .collect();
         let bias = vec![0.01; out_features];
@@ -330,8 +337,11 @@ fn bench_fc_paths() -> Vec<FcShape> {
             let filter = PackedFilter::pack(&weights, out_features, in_features).unwrap();
             time_ns(5, || linear_via_gemm(x, &filter, &bias))
         };
+        let share =
+            || PackedLinearFilter::shared(Arc::clone(&weights), out_features, in_features).unwrap();
+        let pack_ns = time_ns(5, share);
         let gemv_ns = {
-            let filter = pack_linear_filter(&weights, in_features, out_features).unwrap();
+            let filter = share();
             time_ns(5, || {
                 linear_packed(&input, &filter, &bias, Activation::Relu).unwrap()
             })
@@ -340,8 +350,11 @@ fn bench_fc_paths() -> Vec<FcShape> {
             let filter = QuantizedFilter::pack(&weights, out_features, in_features).unwrap();
             time_ns(5, || linear_via_qgemm(x, &filter, scale_in, &bias))
         };
+        let int8_pack =
+            || QuantizedLinearFilter::pack(&weights, out_features, in_features).unwrap();
+        let int8_pack_ns = time_ns(2, int8_pack);
         let int8_gemv_ns = {
-            let filter = QuantizedLinearFilter::pack(&weights, out_features, in_features).unwrap();
+            let filter = int8_pack();
             time_ns(5, || {
                 linear_q8(&input, &filter, scale_in, &bias, Activation::Relu).unwrap()
             })
@@ -353,10 +366,12 @@ fn bench_fc_paths() -> Vec<FcShape> {
             out_features,
             gemm_n1_ns,
             gemm_n1_gbps: 4.0 * weight_count / gemm_n1_ns,
+            pack_ns,
             gemv_ns,
             gemv_gbps: 4.0 * weight_count / gemv_ns,
             int8_gemm_n1_ns,
             int8_gemm_n1_gbps: weight_count / int8_gemm_n1_ns,
+            int8_pack_ns,
             int8_gemv_ns,
             int8_gemv_gbps: weight_count / int8_gemv_ns,
         });
@@ -425,7 +440,7 @@ fn main() {
     }
     for s in &out.fc {
         println!(
-            "fc   {:<24} f32 gemm n=1 {:>5.1} -> gemv {:>5.1}   int8 gemm n=1 {:>5.1} -> gemv {:>5.1}  GB/s of weights ({:.2} / {:.2} ms)",
+            "fc   {:<24} f32 gemm n=1 {:>5.1} -> gemv {:>5.1}   int8 gemm n=1 {:>5.1} -> gemv {:>5.1}  GB/s of weights ({:.2} / {:.2} ms; pack {:.3} / {:.1} ms)",
             s.label,
             s.gemm_n1_gbps,
             s.gemv_gbps,
@@ -433,6 +448,8 @@ fn main() {
             s.int8_gemv_gbps,
             s.gemv_ns / 1e6,
             s.int8_gemv_ns / 1e6,
+            s.pack_ns / 1e6,
+            s.int8_pack_ns / 1e6,
         );
     }
     println!(

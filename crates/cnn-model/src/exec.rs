@@ -15,18 +15,22 @@
 //! executor over a whole volume input and a whole model.  The one function
 //! that takes raw [`ModelWeights`] is [`run_full`], the single-device
 //! reference: it packs a layer, runs it and drops the panels before the
-//! next layer packs, so the reference costs one layer's panels of memory,
-//! not a second copy of the model.
+//! next layer packs, so the reference costs one conv layer's panels of
+//! memory, not a second copy of the model.
 //!
-//! Every weight exists **once** between the caller and the kernel panels:
+//! Every weight exists **once** between the caller and the kernels:
 //! [`ModelWeights`] layers are shared immutable storage (`Arc<[f32]>`), so
 //! cloning a weight set, cutting a per-device [`ModelWeights::shard`] and
-//! the session's retained copy for swap deltas are refcount bumps, and
-//! [`PackedModelWeights::pack_owned`] releases each raw layer as soon as
-//! its panels exist.  Panels are shared the same way: each packed layer
-//! holds its filter and bias behind an `Arc`, so a deploy packs each layer
-//! once and [`PackedModelWeights::shard`] hands every device its layers of
-//! that one pack without copying a panel.
+//! the session's retained copy for swap deltas are refcount bumps.  A pack
+//! adds only what a kernel cannot read in place: the f32 FC kernel reads
+//! the caller's row-major `[out][in]` weights and every kernel reads its
+//! bias as given, so a packed FC layer *is* the raw layer (a refcount bump,
+//! or a move when the caller owns it alone) and only conv layers (and int8
+//! FC layers) are repacked — [`PackedModelWeights::pack_owned`] releases
+//! each of those raw layers as soon as its panels exist.  Packed layers are
+//! shared the same way: each holds its filter and bias behind an `Arc`, so
+//! a deploy packs each layer once and [`PackedModelWeights::shard`] hands
+//! every device its layers of that one pack without copying a panel.
 
 use crate::layer::{Layer, LayerOp};
 use crate::model::Model;
@@ -37,9 +41,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 use tensor::ops::{
-    conv2d_rows_packed, linear_packed, linear_q8, maxpool2d_rows, pack_conv_filter,
-    pack_linear_filter, quant_scale, Activation, ConvRoute, PackedConvFilter, PackedLinearFilter,
-    QuantizedLinearFilter,
+    conv2d_rows_packed, linear_packed, linear_q8, maxpool2d_rows, pack_conv_filter, quant_scale,
+    Activation, ConvRoute, PackedConvFilter, PackedLinearFilter, QuantizedLinearFilter,
 };
 use tensor::slice::slice_rows;
 use tensor::Tensor;
@@ -275,9 +278,9 @@ impl QuantSpec {
     }
 }
 
-/// One layer's weights in kernel-panel form — each layer's single resident
-/// copy.  Filters and biases are shared immutable storage: cloning a layer
-/// (or cutting a [`PackedModelWeights::shard`]) bumps refcounts.
+/// One layer's weights in the form its kernel reads — each layer's single
+/// resident copy.  Filters and biases are shared immutable storage: cloning
+/// a layer (or cutting a [`PackedModelWeights::shard`]) bumps refcounts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PackedLayerWeights {
     /// A conv layer packed in the one panel form its geometry routes to:
@@ -289,9 +292,11 @@ pub enum PackedLayerWeights {
         /// One bias entry per output channel.
         bias: Arc<[f32]>,
     },
-    /// An FC layer packed into `[out] × [in]` GEMV row panels.
+    /// An f32 FC layer: the raw row-major `[out][in]` weights, shared with
+    /// the [`ModelWeights`] they came from and read in place by the GEMV
+    /// kernel — no panel form exists.
     Fc {
-        /// Prepacked GEMV panels.
+        /// The raw weights, wrapped (not copied).
         filter: Arc<PackedLinearFilter>,
         /// One bias entry per output feature.
         bias: Arc<[f32]>,
@@ -311,8 +316,9 @@ pub enum PackedLayerWeights {
     Absent,
 }
 
-/// Deploy-time artifact: every resident layer's weights prepacked into GEMM
-/// panels, so the per-frame hot path ([`run_part_on_band_packed`] /
+/// Deploy-time artifact: every resident layer's weights in the form its
+/// kernel reads — conv panels, int8 FC quad panels, f32 FC weights as
+/// given — so the per-frame hot path ([`run_part_on_band_packed`] /
 /// [`run_head_packed`]) never repacks.
 ///
 /// Built once from (possibly sharded) [`ModelWeights`] at deploy and cut
@@ -348,7 +354,8 @@ impl PackedModelWeights {
     /// layer: a layer is packed, its raw handle dropped, then the next one
     /// starts — so a caller that solely owns its shard (a provider after
     /// deploy, a cluster node after bootstrap) peaks at *panels + the
-    /// largest raw layer*, not *panels + the whole shard*.
+    /// largest raw layer*, not *panels + the whole shard*.  An f32 FC layer
+    /// and every bias are moved into the pack as they are.
     ///
     /// Layers the optional quantization spec covers are packed
     /// **int8-only** (quad panels plus a per-layer weight scale — no f32
@@ -367,14 +374,9 @@ impl PackedModelWeights {
             .iter()
             .zip(weights.layers)
             .map(|(layer, (w, b))| {
-                // `w` and `b` die at the end of this call: the raw layer is
-                // released before the next one packs.
-                Self::pack_layer(
-                    layer,
-                    &w,
-                    &b,
-                    quant.and_then(|q| q.layer_scale(layer.index)),
-                )
+                // `w` and `b` move into this call: a conv layer's raw
+                // weights are released before the next layer packs.
+                Self::pack_layer(layer, w, b, quant.and_then(|q| q.layer_scale(layer.index)))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
@@ -383,10 +385,14 @@ impl PackedModelWeights {
         })
     }
 
+    /// Packs one layer.  Biases and f32 FC weights are kept as given —
+    /// the kernels read them in place — so the packed layer shares them
+    /// with whoever else holds `w` and `b`; conv and int8 FC weights are
+    /// packed from `w`, which is dropped on return.
     fn pack_layer(
         layer: &Layer,
-        w: &[f32],
-        b: &[f32],
+        w: Arc<[f32]>,
+        b: Arc<[f32]>,
         scale_in: Option<f32>,
     ) -> Result<PackedLayerWeights> {
         let geometry_err = |e: tensor::TensorError| crate::ModelError::InvalidGeometry {
@@ -402,11 +408,11 @@ impl PackedModelWeights {
                     PackedLayerWeights::Absent
                 } else {
                     let pin = scale_in.map(|scale_in| ConvRoute::Quant { scale_in });
-                    let filter = pack_conv_filter(w, layer.input.c, c_out, f, stride, pin)
+                    let filter = pack_conv_filter(&w, layer.input.c, c_out, f, stride, pin)
                         .map_err(geometry_err)?;
                     PackedLayerWeights::Conv {
                         filter: Arc::new(filter),
-                        bias: Arc::from(b),
+                        bias: b,
                     }
                 }
             }
@@ -414,19 +420,20 @@ impl PackedModelWeights {
                 if w.is_empty() && b.is_empty() {
                     PackedLayerWeights::Absent
                 } else if let Some(scale_in) = scale_in {
-                    let filter = QuantizedLinearFilter::pack(w, out_features, layer.input.volume())
-                        .map_err(geometry_err)?;
+                    let filter =
+                        QuantizedLinearFilter::pack(&w, out_features, layer.input.volume())
+                            .map_err(geometry_err)?;
                     PackedLayerWeights::QFc {
                         filter: Arc::new(filter),
                         scale_in,
-                        bias: Arc::from(b),
+                        bias: b,
                     }
                 } else {
-                    let filter = pack_linear_filter(w, layer.input.volume(), out_features)
+                    let filter = PackedLinearFilter::shared(w, out_features, layer.input.volume())
                         .map_err(geometry_err)?;
                     PackedLayerWeights::Fc {
                         filter: Arc::new(filter),
-                        bias: Arc::from(b),
+                        bias: b,
                     }
                 }
             }
@@ -437,13 +444,15 @@ impl PackedModelWeights {
     /// Packs and installs one layer's raw weights (a `Reconfigure` delta
     /// shard) — the only packing a running provider ever does after deploy.
     /// Honors the quantization spec the pack was built with, so a delta
-    /// shard lands on the same kernel path as a fresh deploy.
+    /// shard lands on the same kernel path as a fresh deploy; like
+    /// [`PackedModelWeights::pack_owned`], it keeps the bias and f32 FC
+    /// weights it is handed instead of copying them.
     pub fn install_layer(
         &mut self,
         model: &Model,
         index: usize,
-        w: &[f32],
-        b: &[f32],
+        w: Arc<[f32]>,
+        b: Arc<[f32]>,
     ) -> Result<()> {
         let layer =
             model
@@ -527,7 +536,8 @@ impl PackedModelWeights {
             .count()
     }
 
-    /// Bytes of packed panels plus biases resident on this device.
+    /// Bytes of weights and biases this pack holds resident — panels, and
+    /// the f32 FC weights it shares with the raw set.
     pub fn resident_bytes(&self) -> usize {
         self.layers
             .iter()
@@ -653,8 +663,8 @@ fn run_whole_layer(layer: &Layer, packed: &PackedLayerWeights, input: &Tensor) -
 
 /// The raw-weight loop: hands `run` each layer of `model` with its weights
 /// packed on the f32 routes.  A layer's panels are dropped before the next
-/// layer packs, so at most one layer's panels are alive — FC1 of a VGG is
-/// 411 MB of them.
+/// layer packs, so at most one conv layer's panels are alive; an FC layer
+/// runs on the raw weights themselves.
 fn each_layer_packed(
     model: &Model,
     weights: &ModelWeights,
@@ -662,7 +672,7 @@ fn each_layer_packed(
 ) -> Result<()> {
     check_layer_count(model, weights)?;
     for (layer, (w, b)) in model.layers().iter().zip(&weights.layers) {
-        let packed = PackedModelWeights::pack_layer(layer, w, b, None)?;
+        let packed = PackedModelWeights::pack_layer(layer, w.clone(), b.clone(), None)?;
         run(layer, &packed)?;
     }
     Ok(())
@@ -990,7 +1000,7 @@ mod tests {
         let mut packed = PackedModelWeights::pack(&m, &w.shard(&keep)).unwrap();
         assert!(!packed.is_resident(1));
         packed
-            .install_layer(&m, 1, &w.layers[1].0, &w.layers[1].1)
+            .install_layer(&m, 1, w.layers[1].0.clone(), w.layers[1].1.clone())
             .unwrap();
         assert!(packed.is_resident(1));
         assert_eq!(packed.packed_layer_count(), 2);
@@ -1007,7 +1017,7 @@ mod tests {
         // An FC layer installed from a delta shard is the full pack's layer
         // bit for bit: same panels, same head output.
         packed
-            .install_layer(&m, 4, &w.layers[4].0, &w.layers[4].1)
+            .install_layer(&m, 4, w.layers[4].0.clone(), w.layers[4].1.clone())
             .unwrap();
         match (&packed.layers()[4], &full_pack.layers()[4]) {
             (
@@ -1031,7 +1041,8 @@ mod tests {
             run_head_packed(&m, &full_pack, prefix_out).unwrap()
         );
         // Out-of-range installs are rejected.
-        assert!(packed.install_layer(&m, 99, &[], &[]).is_err());
+        let none = LayerWeights::default();
+        assert!(packed.install_layer(&m, 99, none.0, none.1).is_err());
     }
 
     fn quantizable_model() -> Model {
@@ -1128,11 +1139,49 @@ mod tests {
             let owned = PackedModelWeights::pack_owned(&m, owned_raw, spec.as_ref()).unwrap();
             assert_eq!(owned, borrowed, "one packing implementation, equal panels");
             assert_eq!(owned.resident_bytes(), borrowed.resident_bytes());
-            assert!(handles.iter().all(|h| h.upgrade().is_none()));
-            // `pack_with` left the caller's layers alive and untouched.
+            // Every raw layer that was packed is gone; an f32 FC layer is
+            // not packed — it *is* the filter.
+            for (h, packed) in handles.iter().zip(owned.layers()) {
+                match packed {
+                    PackedLayerWeights::Fc { filter, .. } => {
+                        let raw = h.upgrade().expect("the filter holds the raw FC layer");
+                        assert_eq!(filter.data().as_ptr(), raw.as_ptr());
+                    }
+                    _ => assert!(h.upgrade().is_none()),
+                }
+            }
+            // `pack_with` left the caller's layers alive and untouched; the
+            // borrowed pack shares its f32 FC layers.
             assert_eq!(w.layers.len(), m.len());
-            assert!(w.layers.iter().all(|(w, _)| Arc::strong_count(w) == 1));
+            for ((lw, _), packed) in w.layers.iter().zip(borrowed.layers()) {
+                let holders = matches!(packed, PackedLayerWeights::Fc { .. }) as usize + 1;
+                assert_eq!(Arc::strong_count(lw), holders);
+            }
         }
+    }
+
+    #[test]
+    fn pack_with_reads_the_callers_fc_weights_in_place() {
+        let m = small_model();
+        let w = ModelWeights::deterministic(&m, 41);
+        let packed = PackedModelWeights::pack_with(&m, &w, None).unwrap();
+        let mut fc = 0;
+        for (layer, (lw, lb)) in packed.layers().iter().zip(&w.layers) {
+            if let PackedLayerWeights::Fc { filter, bias } = layer {
+                assert_eq!(filter.data().as_ptr(), lw.as_ptr(), "FC weights copied");
+                assert!(Arc::ptr_eq(bias, lb), "FC bias copied");
+                fc += 1;
+            }
+        }
+        assert!(fc > 0, "the model has an f32 FC head");
+        // The pack's residency counts those shared bytes, as the caller's
+        // does: no padding, no second copy.
+        let fc_layers: Vec<usize> = (0..m.len())
+            .filter(|&l| matches!(packed.layers()[l], PackedLayerWeights::Fc { .. }))
+            .collect();
+        let keep = fc_layers.iter().copied().collect();
+        let fc_pack = PackedModelWeights::pack_with(&m, &w.shard(&keep), None).unwrap();
+        assert_eq!(fc_pack.resident_bytes(), w.resident_bytes_of(&fc_layers));
     }
 
     #[test]
@@ -1146,7 +1195,7 @@ mod tests {
                 PackedModelWeights::pack_owned(&m, w.shard(&HashSet::new()), spec.as_ref())
                     .unwrap();
             for (i, (lw, lb)) in w.layers.iter().enumerate() {
-                grown.install_layer(&m, i, lw, lb).unwrap();
+                grown.install_layer(&m, i, lw.clone(), lb.clone()).unwrap();
             }
             assert_eq!(grown, full);
         }
@@ -1209,7 +1258,7 @@ mod tests {
         // A Reconfigure delta repacks onto the same int8 path.
         let mut repacked = q_pack.clone();
         repacked
-            .install_layer(&m, 3, &w.layers[3].0, &w.layers[3].1)
+            .install_layer(&m, 3, w.layers[3].0.clone(), w.layers[3].1.clone())
             .unwrap();
         assert!(matches!(
             repacked.layers()[3],

@@ -463,13 +463,14 @@ impl ComputeState {
             }
             // Pack only what shipped: layers already resident were diffed
             // out by the requester and keep their panels untouched.
+            let shipped = !delta.weights.is_empty();
             self.weights.install_layer(
                 &self.shared.model,
                 delta.layer,
-                &delta.weights,
-                &delta.bias,
+                delta.weights,
+                delta.bias,
             )?;
-            if !delta.weights.is_empty() {
+            if shipped {
                 installed += 1;
             }
         }

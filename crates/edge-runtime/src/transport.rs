@@ -548,19 +548,19 @@ mod tests {
         use netsim::LinkConfig;
         // Device 0 fans out to devices 1 and 2 simultaneously.  Both flows
         // share device 0's bucket, so the two senders together must take
-        // about as long as all frames sent serially — not half of it.
+        // at least the air time of all their frames sent serially — not
+        // half of it.
+        let link = LinkConfig::constant(8.0); // 1000 bytes/ms
         let cluster = Cluster::uniform(
             vec![
                 DeviceSpec::new("a", DeviceType::Xavier),
                 DeviceSpec::new("b", DeviceType::Xavier),
                 DeviceSpec::new("c", DeviceType::Xavier),
             ],
-            LinkConfig::constant(8.0), // 1000 bytes/ms
+            link.clone(),
         );
         const FRAMES: u32 = 8;
-        // ~4 KB per frame gives each send ~4 ms of shaped wire time, so the
-        // measured ratio is dominated by pacing rather than by scheduler
-        // noise when the whole workspace's test binaries run in parallel.
+        // ~4 KB per frame: ~6 ms of shaped air time per send.
         let big_frame = |image: u32| {
             Frame::data(
                 FrameKind::Rows,
@@ -571,6 +571,13 @@ mod tests {
                 Tensor::filled([4, 16, 16], image as f32),
             )
         };
+        // The serial air time of all 2·FRAMES frames, computed rather than
+        // measured: a loaded host only lengthens the sleeps that pace the
+        // sends, so it can never make this bound fail.
+        let air_ms = |frame: &Frame| {
+            frame.encoded_len() as f64 / netsim::mbps_to_bytes_per_ms(8.0) + link.io_overhead_ms
+        };
+        let serial_ms: f64 = (0..FRAMES).map(|i| 2.0 * air_ms(&big_frame(i))).sum();
         let mut fabric = ShapedTransport::new(ChannelTransport::new(3), &cluster);
         let rx1 = fabric.inbox(Endpoint::Device(1)).unwrap();
         let rx2 = fabric.inbox(Endpoint::Device(2)).unwrap();
@@ -581,15 +588,7 @@ mod tests {
             .open(Endpoint::Device(0), Endpoint::Device(2))
             .unwrap();
 
-        // Serial reference: one flow alone.
         let t0 = Instant::now();
-        for i in 0..FRAMES {
-            tx1.send(&big_frame(i)).unwrap();
-        }
-        let single_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // Contended: both flows at once, same frame count each.
-        let t1 = Instant::now();
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for i in 0..FRAMES {
@@ -602,16 +601,15 @@ mod tests {
                 }
             });
         });
-        let contended_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let contended_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(
-            contended_ms >= 1.6 * single_ms,
-            "flows through one device must serialise: \
-             {contended_ms:.2} ms for 2x vs {single_ms:.2} ms for 1x"
+            contended_ms >= 0.95 * serial_ms,
+            "flows through one device must serialise: {contended_ms:.2} ms for {} frames \
+             whose serial air time is {serial_ms:.2} ms",
+            2 * FRAMES
         );
-        for _ in 0..2 * FRAMES {
-            rx1.recv_timeout(Duration::from_secs(5)).unwrap();
-        }
         for _ in 0..FRAMES {
+            rx1.recv_timeout(Duration::from_secs(5)).unwrap();
             rx2.recv_timeout(Duration::from_secs(5)).unwrap();
         }
     }

@@ -14,8 +14,10 @@
 //! via [`ops::pack_conv_filter`]), the micro-kernels read the input band in
 //! place from a zero-padded copy of it — no im2col matrix is built — and
 //! rayon parallelises over output row tiles.  Linear layers are bandwidth-bound matrix-vector
-//! products and stream weights prepacked by [`ops::pack_linear_filter`]
-//! through the row-vectorised kernels in [`ops::gemv`].  Every f32 kernel
+//! products: the kernels in [`ops::gemv`] read the caller's row-major
+//! weights in place ([`ops::PackedLinearFilter::shared`] wraps an
+//! `Arc<[f32]>`, never copying it), sixteen rows at a time, transposed in
+//! registers.  Every f32 kernel
 //! arm computes under one numerical contract — a single accumulator per
 //! output, `k` ascending, one fused multiply-add per step (see [`ops`]) —
 //! which is what makes split-and-stitch exact across tile sizes, threads,

@@ -119,6 +119,23 @@ impl PackedFilter {
         Ok(Self { m, k, data })
     }
 
+    /// An all-zero `[m][k]` filter, to be written element by element with
+    /// [`PackedFilter::set`] by a packer that produces its rows out of
+    /// order.
+    pub(super) fn zeroed(m: usize, k: usize) -> Self {
+        Self {
+            m,
+            k,
+            data: vec![0.0f32; m.div_ceil(MR) * k * MR],
+        }
+    }
+
+    /// Writes element `[row][kk]` at its panel position.
+    #[inline]
+    pub(super) fn set(&mut self, row: usize, kk: usize, v: f32) {
+        self.data[(row / MR) * self.k * MR + kk * MR + row % MR] = v;
+    }
+
     /// Number of output rows (channels / features).
     pub fn m(&self) -> usize {
         self.m

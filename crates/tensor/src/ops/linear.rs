@@ -4,9 +4,11 @@
 //! the weights per frame.  It runs on the row-vectorised GEMV kernels in
 //! [`super::gemv`], which keep the GEMM path's numerical contract — one
 //! fused multiply-add per step, `k` ascending (see [`super`]) — bit for
-//! bit.  [`linear_packed`] / [`linear_q8`] consume a filter prepacked at
-//! deploy time ([`pack_linear_filter`] /
-//! [`QuantizedLinearFilter::pack`]); nothing packs per call.
+//! bit.  [`linear_packed`] reads the row-major `[out][in]` weights in
+//! place ([`PackedLinearFilter::shared`] wraps the caller's `Arc<[f32]>`;
+//! [`pack_linear_filter`] copies a borrowed slice once); [`linear_q8`]
+//! consumes int8 quad panels packed at deploy time
+//! ([`QuantizedLinearFilter::pack`]).  Nothing packs per call.
 //! [`linear_direct`] is the serial oracle over raw weights: it rounds the
 //! product and the sum separately, so it is compared under a tolerance,
 //! never bitwise.
@@ -18,6 +20,7 @@ use super::gemv::{
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::{Result, Tensor};
+use std::sync::Arc;
 
 fn validate(in_features: usize, w_len: usize, bias_len: usize, out_features: usize) -> Result<()> {
     if w_len != in_features * out_features {
@@ -34,17 +37,18 @@ fn validate(in_features: usize, w_len: usize, bias_len: usize, out_features: usi
     Ok(())
 }
 
-/// Packs `[out][in]` linear weights into GEMV panels (the deploy-time half
-/// of the packed FC path).
+/// Copies borrowed `[out][in]` linear weights once into a filter of their
+/// own.  A caller that already holds the weights in an `Arc<[f32]>` wraps
+/// them without a copy instead ([`PackedLinearFilter::shared`]).
 pub fn pack_linear_filter(
     weights: &[f32],
     in_features: usize,
     out_features: usize,
 ) -> Result<PackedLinearFilter> {
-    PackedLinearFilter::pack(weights, out_features, in_features)
+    PackedLinearFilter::shared(Arc::from(weights), out_features, in_features)
 }
 
-/// Fully-connected layer over a prepacked filter — the per-frame hot path:
+/// Fully-connected layer over a row-major f32 filter — the per-frame hot path:
 /// `out[o] = act(bias[o] + sum_i w[o][i] * in[i])`.
 ///
 /// The input tensor is flattened in CHW order (its length must be the

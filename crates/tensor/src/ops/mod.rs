@@ -1,15 +1,18 @@
 //! Compute kernels: convolution, pooling, activation, and linear layers.
 //!
-//! Every fast path runs from **packed weights**, and only from them: a
-//! layer is packed once ([`pack_conv_filter`], [`pack_linear_filter`],
-//! [`QuantizedLinearFilter::pack`]) and then run per frame
+//! Every fast path runs from weights prepared once, and only from them: a
+//! conv or int8 FC layer is packed once ([`pack_conv_filter`],
+//! [`QuantizedLinearFilter::pack`]), an f32 FC layer's row-major weights
+//! are wrapped as they are ([`PackedLinearFilter::shared`], or copied once
+//! by [`pack_linear_filter`]), and then each runs per frame
 //! ([`conv2d_rows_packed`], [`linear_packed`], [`linear_q8`]).  A conv pack
 //! fixes its kernel route ([`ConvRoute`]): the implicit GEMM (the band
 //! read in place by the blocked GEMM in [`gemm`]), the Winograd F(2×2,3×3) shortcut in [`winograd`] for
 //! stride-1 3×3 layers with enough channels, or the int8 GEMM in
 //! [`qgemm`] — all three through the one blocked GEMM driver in [`gemm`],
 //! f32 and int8 differing only in their number format.  Linear layers run
-//! the bandwidth-bound row-vectorised GEMV kernels in [`gemv`].  All of it
+//! the bandwidth-bound row-vectorised GEMV kernels in [`gemv`], the f32
+//! one straight off the caller's rows.  All of it
 //! sits behind the runtime micro-kernel dispatch in [`dispatch`]: one
 //! request (`DISTREDGE_KERNEL`, or a [`pin_kernels`] guard in tests and
 //! benches) selects the arm of both kernel families.  The direct loop-nest

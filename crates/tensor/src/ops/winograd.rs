@@ -149,7 +149,9 @@ impl WinogradFilter {
                 c_out * c_in * 9
             )));
         }
-        let mut mats = vec![vec![0.0f32; c_out * c_in]; 16];
+        // Each transformed value goes straight to its panel slot: no
+        // unpacked copy of the sixteen matrices (16/9 of the layer) is held.
+        let mut u: Vec<PackedFilter> = (0..16).map(|_| PackedFilter::zeroed(c_out, c_in)).collect();
         for oc in 0..c_out {
             for ic in 0..c_in {
                 let g = &weights[(oc * c_in + ic) * 9..][..9];
@@ -165,17 +167,13 @@ impl WinogradFilter {
                 // U = t·Gᵀ (4×4): the same pattern across each row's columns.
                 for r in 0..4 {
                     let (t0, t1, t2) = (t[r][0], t[r][1], t[r][2]);
-                    let u = [t0, 0.5 * (t0 + t1 + t2), 0.5 * (t0 - t1 + t2), t2];
-                    for (c, &v) in u.iter().enumerate() {
-                        mats[r * 4 + c][oc * c_in + ic] = v;
+                    let row = [t0, 0.5 * (t0 + t1 + t2), 0.5 * (t0 - t1 + t2), t2];
+                    for (c, &v) in row.iter().enumerate() {
+                        u[r * 4 + c].set(oc, ic, v);
                     }
                 }
             }
         }
-        let u = mats
-            .iter()
-            .map(|m| PackedFilter::pack(m, c_out, c_in))
-            .collect::<Result<Vec<_>>>()?;
         Ok(Self { c_in, u })
     }
 

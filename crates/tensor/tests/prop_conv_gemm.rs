@@ -26,12 +26,17 @@
 //! * **integer reference (int8)** — the int8 conv equals, bit for bit, an
 //!   integer im2col reference built from the per-element quantizers, on
 //!   every int8 arm;
-//! * **FC packing** — the k-blocked transposing pack of the GEMV filters
-//!   (f32 and int8) lays out exactly what the naive element-by-element
-//!   pack of the documented layout does.
+//! * **exact order (GEMV)** — the f32 FC kernel, which reads the row-major
+//!   weights in place and transposes them in registers, equals the scalar
+//!   fused multiply-add loop bit for bit on every f32 arm, across row and
+//!   `k` tails;
+//! * **FC packing** — the k-blocked quantizing pack of the int8 GEMV
+//!   filter lays out exactly what the naive element-by-element pack of the
+//!   documented layout does, and the f32 filter is the row-major weights
+//!   themselves.
 
 use proptest::prelude::*;
-use tensor::ops::gemv::{LANES, PANEL_ROWS};
+use tensor::ops::gemv::PANEL_ROWS;
 use tensor::ops::qgemm::QK;
 use tensor::ops::{
     conv2d_direct, conv2d_rows_packed, im2col_weight_len, kernel_arch, linear_direct,
@@ -499,10 +504,11 @@ proptest! {
         prop_assert!(diff <= 1e-4, "linear GEMV vs direct diff {diff}");
     }
 
-    /// The blocked FC packs equal the naive pack of the documented layout:
-    /// full `PANEL_ROWS` panels, a last panel padded to `LANES`, k-major
-    /// (int8: quad-major), zero padding.  `k` reaches past the pack's K
-    /// block so blocks and quads meet every edge.
+    /// The blocked int8 FC pack equals the naive pack of the documented
+    /// layout: full `PANEL_ROWS` panels, a last panel of exactly the rows
+    /// left, quad-major, zero past `k`.  `k` reaches past the pack's K block so
+    /// blocks and quads meet every edge.  The f32 filter has no layout of
+    /// its own: it is the row-major weights.
     #[test]
     fn blocked_fc_pack_equals_naive_pack(
         m in 1usize..150,
@@ -512,24 +518,17 @@ proptest! {
         let weights = pseudo_weights(m * k, seed);
         let panel_of = |r: usize| {
             let p = r / PANEL_ROWS;
-            let h = (m.next_multiple_of(LANES) - p * PANEL_ROWS).min(PANEL_ROWS);
+            let h = (m - p * PANEL_ROWS).min(PANEL_ROWS);
             (p, h, r % PANEL_ROWS)
         };
 
-        let packed = pack_linear_filter(&weights, k, m).unwrap();
-        let mut naive = vec![0.0f32; m.next_multiple_of(LANES) * k];
-        for r in 0..m {
-            let (p, h, rr) = panel_of(r);
-            for kk in 0..k {
-                naive[p * PANEL_ROWS * k + kk * h + rr] = weights[r * k + kk];
-            }
-        }
-        prop_assert!(packed.data() == naive.as_slice(), "f32 pack differs ({m}x{k})");
+        let filter = pack_linear_filter(&weights, k, m).unwrap();
+        prop_assert!(filter.data() == weights.as_slice(), "f32 filter differs ({m}x{k})");
 
         let qpacked = QuantizedLinearFilter::pack(&weights, m, k).unwrap();
         let scale = quant_scale(&weights);
         let kq = k.div_ceil(QK);
-        let mut qnaive = vec![0i8; m.next_multiple_of(LANES) * kq * QK];
+        let mut qnaive = vec![0i8; m * kq * QK];
         let mut corr = vec![0i32; m];
         for r in 0..m {
             let (p, h, rr) = panel_of(r);
@@ -542,6 +541,45 @@ proptest! {
         prop_assert_eq!(qpacked.scale(), scale);
         prop_assert!(qpacked.data() == qnaive.as_slice(), "int8 pack differs ({m}x{k})");
         prop_assert!(qpacked.row_corr() == corr.as_slice(), "row corrections differ");
+    }
+}
+
+/// The f32 FC kernel is *bit-equal* to the numerical contract's scalar
+/// form built from public pieces: per output, `acc = bias`, then
+/// `acc = w.mul_add(x, acc)` over `k` ascending, then the activation.  Row
+/// counts below, at and past one 16-row block (and VGG's 1000 classes),
+/// `k` below, at and past one 16-wide block (and a long odd tail), on
+/// every f32 arm.
+#[test]
+fn gemv_equals_the_fused_reference_on_every_arm() {
+    let act = Activation::LeakyRelu;
+    for m in [1usize, 10, 15, 16, 17, 1000] {
+        for k in [1usize, 7, 15, 16, 17, 100, 4099] {
+            let seed = (m * 7919 + k) as u64;
+            let input = Tensor::from_vec([k, 1, 1], pseudo_weights(k, seed)).unwrap();
+            let weights = pseudo_weights(m * k, seed ^ 0x5a5);
+            let bias = pseudo_weights(m, seed ^ 0xa5a);
+            let want: Vec<f32> = (0..m)
+                .map(|r| {
+                    let row = &weights[r * k..(r + 1) * k];
+                    let acc = row
+                        .iter()
+                        .zip(input.data())
+                        .fold(bias[r], |acc, (w, x)| w.mul_add(*x, acc));
+                    act.apply(acc)
+                })
+                .collect();
+            let filter = pack_linear_filter(&weights, k, m).unwrap();
+            for level in [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Avx512] {
+                let _pin = pin_kernels(level);
+                let got = linear_packed(&input, &filter, &bias, act).unwrap();
+                assert!(
+                    got.data() == want.as_slice(),
+                    "{m}x{k} on the {} arm differs from the fused reference",
+                    kernel_arch().label()
+                );
+            }
+        }
     }
 }
 

@@ -16,7 +16,8 @@
 //!
 //! It also prints the deploy-memory account — the caller's raw weights,
 //! each device's share of them (`Session::resident_weight_bytes`, held as
-//! shards of one set of kernel panels) and the process's peak RSS
+//! shards of one pack: conv panels, and the caller's FC weights in place)
+//! and the process's peak RSS
 //! (`VmHWM`) — so "one copy of every weight" is visible outside the
 //! benchmark, and a per-layer table of the conv kernels' rates on the
 //! packed path (route, ms, effective GFLOP/s against the direct flop count,
@@ -143,9 +144,10 @@ fn main() {
         .collect();
     let plan = ExecutionPlan::from_splits(&model, &scheme, &splits, devices).unwrap();
 
-    // Deploy: every layer some device runs is packed into kernel panels
-    // once, before the first frame, and each device holds its shard of
-    // that one pack (handles on shared panels, no copy).
+    // Deploy: every conv layer some device runs is packed into kernel
+    // panels once, before the first frame, the FC head is the caller's
+    // weights read in place, and each device holds its shard of that one
+    // pack (handles on shared storage, no copy).
     let t0 = Instant::now();
     let session = Deploy::new(&model, &plan, &weights)
         .options(RuntimeOptions::default().with_max_in_flight(2))
@@ -155,7 +157,7 @@ fn main() {
     let resident = session.resident_weight_bytes();
     println!(
         "memory: caller holds {:.0} MiB of raw weights; devices run {:?} MiB of them \
-         (packed once, panels shared); peak RSS (VmHWM) {} MiB",
+         (convs packed once, FC read in place, all shared); peak RSS (VmHWM) {} MiB",
         mib(weights.resident_bytes()),
         resident.iter().map(|&b| mib(b).round()).collect::<Vec<_>>(),
         peak_rss_mib().map_or("n/a".to_string(), |m| format!("{m:.0}")),

@@ -8,17 +8,21 @@
 //! * the caller's `ModelWeights` — one raw copy per process;
 //! * the session's retained set and the per-device shards — refcount bumps
 //!   on that same storage, zero bytes;
-//! * the deploy's kernel panels — one form per layer, packed once for every
+//! * the f32 FC layers and every bias — read by the kernels in place, so
+//!   the pack holds the caller's storage: zero bytes;
+//! * the deploy's conv panels — one form per layer, packed once for every
 //!   device that runs it;
-//! * transiently, packing scratch bounded by the largest raw layer.
+//! * transiently, packing scratch bounded by the largest raw conv layer.
 //!
 //! The single-device reference (`exec::run_full`, which every deploy's
-//! caller runs first) keeps its own: one layer's panels at a time, nothing
-//! once it has returned.
+//! caller runs first) keeps its own: one conv layer's panels at a time,
+//! nothing once it has returned.
 //!
 //! The tests take a lock: the counters are process-wide.
 
-use cnn_model::exec::{self, deterministic_input, LayerWeights, ModelWeights, PackedModelWeights};
+use cnn_model::exec::{
+    self, deterministic_input, LayerWeights, ModelWeights, PackedLayerWeights, PackedModelWeights,
+};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_runtime::provider::{spawn_provider, ProviderHandle, Shared};
 use edge_runtime::transport::FrameTx;
@@ -30,7 +34,7 @@ use edgesim::{Endpoint, ExecutionPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tensor::Shape;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -135,18 +139,44 @@ fn split_plan(m: &Model) -> ExecutionPlan {
     ExecutionPlan::from_splits(m, &scheme, &[split], DEVICES).unwrap()
 }
 
-fn largest_raw_layer_bytes(w: &ModelWeights) -> usize {
-    (0..w.layers.len())
-        .map(|l| w.resident_bytes_of(&[l]))
-        .max()
-        .unwrap()
+fn is_conv(m: &Model, l: usize) -> bool {
+    matches!(m.layers()[l].op, LayerOp::Conv { .. })
 }
 
-/// Kernel-panel bytes of packing `layers` once.
+/// Bytes of the raw weight tensors (no biases) of the conv layers of `w`:
+/// all of them, and the largest.
+fn raw_conv_bytes(m: &Model, w: &ModelWeights) -> (usize, usize) {
+    let conv = w
+        .layers
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| is_conv(m, l))
+        .map(|(_, (lw, _))| std::mem::size_of_val(&**lw));
+    conv.fold((0, 0), |(all, max), b| (all + b, max.max(b)))
+}
+
+/// Bytes of the raw FC weight tensors of `w`.
+fn raw_fc_bytes(m: &Model, w: &ModelWeights) -> usize {
+    w.layers
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| matches!(m.layers()[l].op, LayerOp::Fc { .. }))
+        .map(|(_, (lw, _))| std::mem::size_of_val(&**lw))
+        .sum()
+}
+
+/// The bytes packing `layers` once adds to the caller's: the conv panels.
+/// An f32 FC filter and every bias are the raw storage itself.
 fn panel_bytes(m: &Model, w: &ModelWeights, layers: &HashSet<usize>) -> usize {
     PackedModelWeights::pack_owned(m, w.shard(layers), None)
         .unwrap()
-        .resident_bytes()
+        .layers()
+        .iter()
+        .map(|l| match l {
+            PackedLayerWeights::Conv { filter, .. } => filter.bytes(),
+            _ => 0,
+        })
+        .sum()
 }
 
 #[test]
@@ -168,7 +198,8 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
         .map(|d| panel_bytes(&m, &weights, &route.keep_layers(&m, d)))
         .sum();
     assert!(per_device > panels + 8 * MB, "the devices share convs");
-    let largest = largest_raw_layer_bytes(&weights);
+    let (_, largest) = raw_conv_bytes(&m, &weights);
+    let fc = raw_fc_bytes(&m, &weights);
     let options = RuntimeOptions::default();
 
     // One throw-away deploy first: lazily initialised process state (thread
@@ -189,21 +220,24 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
     let deploy_peak = PEAK.load(Ordering::Relaxed) - before;
     let deployed = live() - before;
 
-    // During deploy: panels, plus packing scratch no larger than the largest
-    // raw layer, plus 1 MB of slack for fabric, threads' bookkeeping and
-    // routing tables.  No second raw copy fits under this bound: a
-    // deep-copied session set alone is 27.6 MB, deep-copied shards 49 MB.
+    // During deploy: conv panels, plus packing scratch no larger than the
+    // largest raw conv layer, plus 1 MB of slack for fabric, threads'
+    // bookkeeping and routing tables.  No second raw copy fits under this
+    // bound: a deep-copied session set alone is 27.6 MB, deep-copied shards
+    // 49 MB — and no copy of the FC head (17 MB) either.
     assert!(weights.resident_bytes() > largest + 8 * MB);
+    assert!(fc > 8 * MB, "the head is {fc} B");
     assert!(
         deploy_peak <= panels + largest + MB,
-        "deploy peaked {deploy_peak} B over the caller's weights; panels {panels} B, \
-         largest raw layer {largest} B"
+        "deploy peaked {deploy_peak} B over the caller's weights; conv panels {panels} B, \
+         largest raw conv layer {largest} B"
     );
-    // Once deployed: panels and bookkeeping only — the session's weight set
-    // and every raw and packed shard are handles on shared storage.
+    // Once deployed: conv panels and bookkeeping only — the session's
+    // weight set, every raw and packed shard and every FC filter are
+    // handles on shared storage.
     assert!(
         deployed <= panels + MB,
-        "a deployed session holds {deployed} B; its panels are {panels} B"
+        "a deployed session holds {deployed} B; its conv panels are {panels} B"
     );
     assert!(deployed >= panels, "panels must be resident: {deployed} B");
 
@@ -224,14 +258,10 @@ fn run_full_holds_one_layers_panels_at_a_time_and_keeps_nothing() {
     let m = model();
     let weights = ModelWeights::deterministic(&m, 11);
     let img = deterministic_input(&m, 11);
-    // Each layer's panels, packed alone.  FC1's are the largest by far, and
-    // all of them together are what a packed model holds.
+    // Each layer's panels, packed alone (an FC layer packs into none), and
+    // all of them together: what a packed model adds.
     let panels: Vec<usize> = (0..m.len())
-        .map(|l| {
-            PackedModelWeights::pack_owned(&m, weights.shard(&[l].into()), None)
-                .unwrap()
-                .resident_bytes()
-        })
+        .map(|l| panel_bytes(&m, &weights, &[l].into()))
         .collect();
     let largest = *panels.iter().max().unwrap();
     let all: usize = panels.iter().sum();
@@ -254,10 +284,10 @@ fn run_full_holds_one_layers_panels_at_a_time_and_keeps_nothing() {
     let outputs = exec::run_full(&m, &weights, &img).unwrap();
     let peak = PEAK.load(Ordering::Relaxed) - before;
     let returned = live() - before;
-    // While running: the layer outputs so far, one layer's panels (packing
-    // scratch included — a Winograd layer's is well under FC1's panels) and
-    // kernel scratch.  Two layers' panels alive together do not fit, let
-    // alone the model's.
+    // While running: the layer outputs so far, one conv layer's panels
+    // (packing scratch included) and kernel scratch.  Two layers' panels
+    // alive together do not fit, let alone the model's, nor a copy of the
+    // FC head.
     assert!(
         peak <= largest + activations + MB,
         "run_full peaked {peak} B over the raw weights; the largest layer's panels are \
@@ -289,7 +319,7 @@ fn solely_owned_shard(m: &Model, route: &RouteTable, d: usize) -> ModelWeights {
 }
 
 /// Brings device `d` up the way a cluster node bootstraps: packs `shard`
-/// (consuming it), then spawns the provider over the panels.  Returns what
+/// (consuming it), then spawns the provider over the pack.  Returns what
 /// stopping it needs.
 fn ready_provider(
     m: &Model,
@@ -336,46 +366,54 @@ fn a_provider_that_solely_owns_its_shard_frees_every_raw_layer_by_ready() {
         &route.keep_layers(&m, d),
     );
 
-    // By the handles: no raw layer has an owner left once the provider is
-    // up.
+    // By the handles: once the provider is up, every raw conv layer has no
+    // owner left, and every raw FC layer and bias has exactly one — the
+    // provider, whose kernels read it in place.
     let shard = solely_owned_shard(&m, &route, d);
-    let raw_layers: Vec<Weak<[f32]>> = shard
+    let raw_layers: Vec<_> = shard
         .layers
         .iter()
-        .flat_map(|(w, b)| [Arc::downgrade(w), Arc::downgrade(b)])
+        .enumerate()
+        .filter(|(_, (w, _))| !w.is_empty())
+        .map(|(l, (w, b))| (l, Arc::downgrade(w), Arc::downgrade(b)))
         .collect();
+    assert!(raw_layers.iter().any(|&(l, ..)| !is_conv(&m, l)));
     let (provider, halt, _transport) = ready_provider(&m, &plan, d, shard);
-    assert!(
-        raw_layers.iter().all(|l| l.upgrade().is_none()),
-        "a raw layer outlived the packing pass"
-    );
+    for (l, w, b) in &raw_layers {
+        let kept = w.upgrade().map(|w| Arc::strong_count(&w) - 1);
+        let want = (!is_conv(&m, *l)).then_some(1);
+        assert_eq!(kept, want, "layer {l}: raw weights' owners once ready");
+        let bias = b.upgrade().map(|b| Arc::strong_count(&b) - 1);
+        assert_eq!(bias, Some(1), "layer {l}: the provider holds its bias");
+    }
     halt_and_join(provider, halt);
     // (A `Weak` keeps its allocation mapped, so the byte account below runs
     // without any.)
     drop(raw_layers);
 
     // By the bytes: `before` includes the shard; by the time the provider
-    // is up, all of it has turned into panels.
+    // is up, its raw convs have turned into panels and the rest of it —
+    // FC weights and biases — is the provider's own.
     let shard = solely_owned_shard(&m, &route, d);
-    let shard_bytes = shard.resident_bytes();
-    let largest = largest_raw_layer_bytes(&shard);
+    let (convs, largest) = raw_conv_bytes(&m, &shard);
     let before = reset_peak();
     let (provider, halt, _transport) = ready_provider(&m, &plan, d, shard);
     let now = live();
     assert!(
-        now + shard_bytes <= before + panels + MB,
-        "a provider that is up holds {} B beyond its panels",
-        (now + shard_bytes).saturating_sub(before + panels)
+        now + convs <= before + panels + MB,
+        "a provider that is up holds {} B beyond its conv panels and its shard's FC \
+         weights and biases",
+        (now + convs).saturating_sub(before + panels)
     );
-    // And packing streamed: the raw convs were gone before the head packed,
-    // so the peak was panels + the largest raw layer — not panels + the
-    // whole shard, 10 MB more.
-    assert!(shard_bytes > largest + 8 * MB);
-    let peak = PEAK.load(Ordering::Relaxed) - before + shard_bytes;
+    // And packing streamed: each raw conv was gone before the next packed,
+    // so the peak was the kept storage + conv panels + the largest raw conv
+    // — not + every raw conv, 8 MB more.
+    assert!(convs > largest + 8 * MB);
+    let peak = PEAK.load(Ordering::Relaxed) - before + convs;
     assert!(
         peak <= panels + largest + MB,
-        "packing a {shard_bytes} B shard peaked at {peak} B (panels {panels} B, \
-         largest raw layer {largest} B)"
+        "packing {convs} B of raw convs peaked at {peak} B over the kept storage \
+         (conv panels {panels} B, largest raw conv {largest} B)"
     );
     halt_and_join(provider, halt);
 }

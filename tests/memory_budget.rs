@@ -104,11 +104,13 @@ fn quantized_pack_shrinks_resident_weights_about_4x() {
     );
 }
 
-/// Resident bytes of an f32 pack of the layers of `model` that `keep`
-/// selects over the raw bytes of the same layers: what the panel forms'
-/// padding (and, for Winograd layers, the transformed form) cost.
-fn pack_inflation(model: &cnn_model::Model, keep: impl Fn(&cnn_model::LayerOp) -> bool) -> f64 {
-    use cnn_model::exec::{LayerWeights, ModelWeights, PackedModelWeights};
+/// Raw weights for the layers of `model` that `keep` selects (the rest
+/// empty), every value 0.01.
+fn uniform_weights(
+    model: &cnn_model::Model,
+    keep: impl Fn(&cnn_model::LayerOp) -> bool,
+) -> cnn_model::exec::ModelWeights {
+    use cnn_model::exec::{LayerWeights, ModelWeights};
     use cnn_model::LayerOp;
     let layers = model
         .layers()
@@ -127,25 +129,45 @@ fn pack_inflation(model: &cnn_model::Model, keep: impl Fn(&cnn_model::LayerOp) -
             )
         })
         .collect::<Vec<LayerWeights>>();
-    let raw = ModelWeights { layers };
+    ModelWeights { layers }
+}
+
+/// Resident bytes of an f32 pack of the layers of `model` that `keep`
+/// selects over the raw bytes of the same layers: what the panel forms'
+/// padding (and, for Winograd layers, the transformed form) cost.
+fn pack_inflation(model: &cnn_model::Model, keep: impl Fn(&cnn_model::LayerOp) -> bool) -> f64 {
+    use cnn_model::exec::PackedModelWeights;
+    let raw = uniform_weights(model, keep);
     let raw_bytes = raw.resident_bytes();
     let pack = PackedModelWeights::pack_owned(model, raw, None).unwrap();
     pack.resident_bytes() as f64 / raw_bytes as f64
 }
 
 #[test]
-fn fc_row_panels_inflate_resident_weights_by_less_than_1_percent() {
-    // Panels are 64 rows tall, but the last one only as tall as it needs to
-    // be (a multiple of 16): tiny-vgg's ten-class head from 64 inputs would
-    // grow 1.3 % if it were padded to a whole panel, VGG-11's 1000-class one
-    // not at all either way.
+fn an_fc_layer_adds_no_bytes_the_pack_shares_the_raw_storage() {
+    use cnn_model::exec::{PackedLayerWeights, PackedModelWeights};
+    // The f32 FC kernel reads the caller's row-major weights in place, so
+    // a pack of the head is the raw allocations themselves: no padding
+    // rows (tiny-vgg's ten classes, VGG-11's 1000), no transposed copy.
     for model in [cnn_model::zoo::tiny_vgg(), cnn_model::zoo::vgg11()] {
-        let inflation = pack_inflation(&model, |op| matches!(op, cnn_model::LayerOp::Fc { .. }));
-        assert!(
-            (1.0..1.01).contains(&inflation),
-            "{}: FC pack is {inflation:.4}x the raw weights",
-            model.name()
-        );
+        let raw = uniform_weights(&model, |op| matches!(op, cnn_model::LayerOp::Fc { .. }));
+        let raw_bytes = raw.resident_bytes();
+        let at: Vec<*const f32> = raw.layers.iter().map(|(w, _)| w.as_ptr()).collect();
+        let pack = PackedModelWeights::pack_owned(&model, raw, None).unwrap();
+        assert_eq!(pack.resident_bytes(), raw_bytes, "{}", model.name());
+        let mut fc = 0;
+        for (layer, &ptr) in pack.layers().iter().zip(&at) {
+            if let PackedLayerWeights::Fc { filter, .. } = layer {
+                assert_eq!(
+                    filter.data().as_ptr(),
+                    ptr,
+                    "{}: FC weights copied",
+                    model.name()
+                );
+                fc += 1;
+            }
+        }
+        assert!(fc >= 2, "{}: {fc} FC layers", model.name());
     }
 }
 
