@@ -1,7 +1,7 @@
 //! Kernel benchmarks: every conv variant (direct oracle, packed GEMM on the
 //! scalar and SIMD micro-kernel arms, Winograd F(2×2,3×3), int8), the FC
-//! head's GEMV kernels against the `n = 1` GEMM path they replaced, and
-//! max-pooling.
+//! head's GEMV kernels against the `n = 1` GEMM path they replaced,
+//! max-pooling, and the planner's DDPG update (`neuro`'s `f32` kernels).
 //!
 //! Emits `BENCH_kernels.json` at the workspace root with per-shape,
 //! per-variant timings (filters prepacked outside the timed region —
@@ -21,6 +21,7 @@
 //! packed-SIMD rate ≥ 2× the scalar baseline this ladder started from
 //! (18 GFLOP/s).
 
+use neuro::{DdpgAgent, DdpgConfig, Transition};
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -117,6 +118,25 @@ struct PoolShape {
     gbps: f64,
 }
 
+/// One DDPG update (`DdpgAgent::update`) at a planner's network sizes.
+/// The rate counts the update's dense products (two flops per
+/// multiply-add) over the whole update's time, Adam, activations and soft
+/// updates included.
+#[derive(Serialize)]
+struct DdpgShape {
+    label: String,
+    state_dim: usize,
+    action_dim: usize,
+    actor_hidden: [usize; 3],
+    critic_hidden: [usize; 4],
+    batch: usize,
+    /// Non-terminal transitions of the batch: the target networks run over
+    /// these only.
+    live: usize,
+    update_us: f64,
+    gflops: f64,
+}
+
 #[derive(Serialize)]
 struct KernelBench {
     /// The micro-kernel arm auto-dispatch selected on this machine.
@@ -129,6 +149,9 @@ struct KernelBench {
     fc: Vec<FcShape>,
     /// VGG-11's first (largest) pool (bandwidth-bound).
     pool: PoolShape,
+    /// The planner's DDPG update: the 4- and 16-device agents of
+    /// `OsdsConfig::fast` and the paper's networks.
+    ddpg: Vec<DdpgShape>,
     /// The acceptance shape's direct→packed-SIMD speedup.
     vgg_3x3_c64_speedup: f64,
     /// Int8 acceptance: effective int8 GOP/s over f32 SIMD GFLOP/s on the
@@ -396,10 +419,78 @@ fn bench_pool() -> PoolShape {
     }
 }
 
+/// Multiply-adds of one update's dense products over `batch` transitions,
+/// `live` of them non-terminal.
+fn ddpg_update_macs(actor: &[usize], critic: &[usize], batch: usize, live: usize) -> usize {
+    let forward = |dims: &[usize]| dims.windows(2).map(|io| io[0] * io[1]).sum::<usize>();
+    // The input gradient skips the first layer, but for the critic's
+    // action rows when the actor's gradient is formed through it.
+    let below_first = |dims: &[usize]| forward(dims) - dims[0] * dims[1];
+    let action_rows = actor[actor.len() - 1] * critic[1];
+    live * (forward(actor) + forward(critic))
+        + batch * 3 * forward(critic)
+        + batch * (2 * below_first(critic) + action_rows)
+        + batch * (2 * forward(actor) + below_first(actor))
+}
+
+fn bench_ddpg() -> Vec<DdpgShape> {
+    let fast = DdpgConfig {
+        actor_hidden: [64, 48, 32],
+        critic_hidden: [64, 48, 32, 32],
+        ..DdpgConfig::default()
+    };
+    let cases = [
+        ("fast_4_devices", 8, 3, fast, 32, 300),
+        ("fast_16_devices", 20, 15, fast, 32, 300),
+        ("paper_4_devices", 8, 3, DdpgConfig::default(), 64, 20),
+    ];
+    cases
+        .into_iter()
+        .map(|(label, state_dim, action_dim, config, batch, samples)| {
+            let mut agent = DdpgAgent::new(state_dim, action_dim, config);
+            // About a third of the transitions end an episode, as in a
+            // 4-device plan's replay.
+            let transitions: Vec<Transition> = (0..batch)
+                .map(|s| Transition {
+                    state: (0..state_dim)
+                        .map(|f| ((s * 7 + f) % 11) as f64 / 11.0)
+                        .collect(),
+                    action: (0..action_dim)
+                        .map(|f| ((s + f) % 5) as f64 / 2.5 - 1.0)
+                        .collect(),
+                    reward: (s % 7) as f64 / 7.0,
+                    next_state: (0..state_dim)
+                        .map(|f| ((s * 5 + f) % 13) as f64 / 13.0)
+                        .collect(),
+                    done: s % 3 == 0,
+                })
+                .collect();
+            let live = transitions.iter().filter(|t| !t.done).count();
+            let ns = time_ns(samples, || agent.update(black_box(&transitions)));
+            let (a, c) = (config.actor_hidden, config.critic_hidden);
+            let actor = [state_dim, a[0], a[1], a[2], action_dim];
+            let critic = [state_dim + action_dim, c[0], c[1], c[2], c[3], 1];
+            let flops = 2 * ddpg_update_macs(&actor, &critic, batch, live);
+            DdpgShape {
+                label: label.to_string(),
+                state_dim,
+                action_dim,
+                actor_hidden: a,
+                critic_hidden: c,
+                batch,
+                live,
+                update_us: ns / 1e3,
+                gflops: flops as f64 / ns,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let conv = bench_conv_paths();
     let fc = bench_fc_paths();
     let pool = bench_pool();
+    let ddpg = bench_ddpg();
 
     let vgg_3x3_c64_speedup = conv
         .iter()
@@ -417,6 +508,7 @@ fn main() {
         conv,
         fc,
         pool,
+        ddpg,
         vgg_3x3_c64_speedup,
         deep_3x3_c512_int8_vs_f32,
     };
@@ -458,6 +550,12 @@ fn main() {
         out.pool.ns / 1e6,
         out.pool.gbps
     );
+    for s in &out.ddpg {
+        println!(
+            "ddpg {:<24} {:>8.1} us per update (batch {}, {} live)  {:.1} GFLOP/s of dense products",
+            s.label, s.update_us, s.batch, s.live, s.gflops,
+        );
+    }
     let json = serde_json::to_string(&out).unwrap();
     // Anchor at the workspace root so the artifact lands in one place no
     // matter what cwd cargo runs the bench with.

@@ -2,14 +2,15 @@
 //! action-space actor-critic algorithm the OSDS splitter trains.  One
 //! update is one batched pass per network phase through the fused dense
 //! kernel, then one one-division Adam step per trained network and a soft
-//! update of each target (numerics: the crate docs' contract).
+//! update of each target (numerics: the crate docs' contract).  The agent
+//! computes in `f32` and speaks `f64`: states, actions and rewards are
+//! rounded once on the way in, and values leave widened exactly.
 
 use crate::adam::Adam;
 use crate::kernels::Arm;
 use crate::mlp::{ActKind, Mlp};
-use crate::replay::Transition;
+use crate::replay::{Batch, Transition};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 
 /// Hyper-parameters of a DDPG agent.  The defaults follow §V of the paper:
 /// actor hidden layers {400, 200, 100}, critic hidden layers
@@ -67,24 +68,43 @@ pub struct DdpgAgent {
     critic_opt: Adam,
 }
 
-/// Writes one field of every transition into `dst`, feature-major
-/// (`dst[f * batch + s]`).
-fn gather<T: Borrow<Transition>>(
-    dst: &mut [f64],
-    batch: &[T],
+/// Writes one field of the `batch` transitions `picks` into `dst`, rounded
+/// to `f32`, feature-major (`dst[f * batch + s]`).
+fn gather<'a>(
+    dst: &mut [f32],
+    batch: usize,
+    picks: impl Iterator<Item = &'a Transition>,
     field: impl Fn(&Transition) -> &[f64],
 ) {
-    for (s, t) in batch.iter().enumerate() {
-        let values = field(t.borrow());
+    for (s, t) in picks.enumerate() {
+        let values = field(t);
         assert_eq!(
-            values.len() * batch.len(),
+            values.len() * batch,
             dst.len(),
             "transition of another dimensionality"
         );
         for (f, &v) in values.iter().enumerate() {
-            dst[f * batch.len() + s] = v;
+            dst[f * batch + s] = v as f32;
         }
     }
+}
+
+/// The transitions of a batch, in order.
+fn transitions<B: Batch + ?Sized>(batch: &B) -> impl Iterator<Item = &Transition> {
+    (0..batch.len()).map(move |i| batch.get(i))
+}
+
+/// `dst[i] = src[i]` rounded to `f32`.
+fn narrow(dst: &mut [f32], src: &[f64]) {
+    assert_eq!(dst.len(), src.len(), "a vector of another dimensionality");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s as f32;
+    }
+}
+
+/// `src`, each value widened to `f64` (exactly).
+fn widened(src: &[f32]) -> Vec<f64> {
+    src.iter().map(|&v| f64::from(v)).collect()
 }
 
 impl DdpgAgent {
@@ -120,63 +140,77 @@ impl DdpgAgent {
 
     /// Deterministic policy: actor output in `[-1, 1]^action_dim`.
     pub fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        self.actor.forward(state)
+        narrow(self.actor.input_mut(1), state);
+        widened(self.actor.forward_batch(Arm::detected()))
     }
 
     /// Critic value `Q(s, a)`.
     pub fn q_value(&mut self, state: &[f64], action: &[f64]) -> f64 {
         let (s, a) = self.critic.input_mut(1).split_at_mut(self.state_dim);
-        s.copy_from_slice(state);
-        a.copy_from_slice(action);
-        self.critic.forward_batch(Arm::detected())[0]
+        narrow(s, state);
+        narrow(a, action);
+        f64::from(self.critic.forward_batch(Arm::detected())[0])
     }
 
-    /// One DDPG update over a mini-batch (of transitions or of borrows of
-    /// them).  Returns `(critic_loss, actor_loss)` for monitoring.
-    pub fn update<T: Borrow<Transition>>(&mut self, batch: &[T]) -> (f64, f64) {
+    /// One DDPG update over a mini-batch: a slice or `Vec` of transitions
+    /// or of borrows of them, or a replay [`crate::replay::Sample`].
+    /// Returns `(critic_loss, actor_loss)` for monitoring.
+    pub fn update<B: Batch + ?Sized>(&mut self, batch: &B) -> (f64, f64) {
         self.update_on(Arm::detected(), batch)
     }
 
-    /// [`DdpgAgent::update`] on a given arm of the dense kernels.
-    pub(crate) fn update_on<T: Borrow<Transition>>(&mut self, arm: Arm, batch: &[T]) -> (f64, f64) {
+    /// [`DdpgAgent::update`] on a given arm of the vector loops.
+    pub(crate) fn update_on<B: Batch + ?Sized>(&mut self, arm: Arm, batch: &B) -> (f64, f64) {
         if batch.is_empty() {
             return (0.0, 0.0);
         }
         let b = batch.len();
-        let n = b as f64;
-        let gamma = self.config.gamma;
+        let n = b as f32;
+        let gamma = self.config.gamma as f32;
         let states = self.state_dim * b;
 
         // --- Critic update: minimise (Q(s,a) - y)² with
         //     y = r + γ (1-done) Q'(s', μ'(s')).  The target networks run
-        //     over every next state; a terminal transition ignores theirs.
-        gather(self.actor_target.input_mut(b), batch, |t| &t.next_state);
-        self.actor_target.forward_batch(arm);
-        let (s, a) = self.critic_target.input_mut(b).split_at_mut(states);
-        s.copy_from_slice(self.actor_target.input());
-        a.copy_from_slice(self.actor_target.output());
-        self.critic_target.forward_batch(arm);
+        //     over the next states of the non-terminal transitions only,
+        //     packed in batch order; a terminal transition's `y` is `r`.
+        let live = transitions(batch).filter(|t| !t.done).count();
+        if live > 0 {
+            let next = transitions(batch).filter(|t| !t.done);
+            gather(self.actor_target.input_mut(live), live, next, |t| {
+                &t.next_state
+            });
+            self.actor_target.forward_batch(arm);
+            let live_states = self.state_dim * live;
+            let (s, a) = self.critic_target.input_mut(live).split_at_mut(live_states);
+            s.copy_from_slice(self.actor_target.input());
+            a.copy_from_slice(self.actor_target.output());
+            self.critic_target.forward_batch(arm);
+        }
 
         let (s, a) = self.critic.input_mut(b).split_at_mut(states);
-        gather(s, batch, |t| &t.state);
-        gather(a, batch, |t| &t.action);
+        gather(s, b, transitions(batch), |t| &t.state);
+        gather(a, b, transitions(batch), |t| &t.action);
         self.critic.forward_batch(arm);
         let (q, grad) = self.critic.output_and_grad_mut();
-        let next_q = self.critic_target.output();
-        let mut critic_loss = 0.0;
-        for (((t, &next_q), &q), grad) in batch.iter().zip(next_q).zip(q).zip(grad) {
-            let t = t.borrow();
+        let mut next_q = match live {
+            0 => [].iter(),
+            _ => self.critic_target.output().iter(),
+        };
+        let mut critic_loss = 0.0f32;
+        for ((t, &q), grad) in transitions(batch).zip(q).zip(grad) {
+            let reward = t.reward as f32;
             let y = if t.done {
-                t.reward
+                reward
             } else {
-                t.reward + gamma * next_q
+                let next_q = next_q.next().expect("one target value per live transition");
+                reward + gamma * next_q
             };
             let err = q - y;
             critic_loss += err * err / n;
             *grad = 2.0 * err / n;
         }
         self.critic.backward_batch(arm, true, 0..0);
-        self.critic_opt.step(&mut self.critic);
+        self.critic_opt.step_on(arm, &mut self.critic);
 
         // --- Actor update: maximise Q(s, μ(s)), i.e. minimise -Q.  The
         //     critic's input still holds the states; only dL/d(action)
@@ -187,7 +221,7 @@ impl DdpgAgent {
         let action = self.actor.forward_batch(arm);
         self.critic.input_mut(b)[states..].copy_from_slice(action);
         let q = self.critic.forward_batch(arm);
-        let mut actor_loss = 0.0;
+        let mut actor_loss = 0.0f32;
         for q in q {
             actor_loss += -q / n;
         }
@@ -197,31 +231,33 @@ impl DdpgAgent {
         let grad_action = self.critic.backward_batch(arm, false, action_rows);
         self.actor.output_grad_mut().copy_from_slice(grad_action);
         self.actor.backward_batch(arm, true, 0..0);
-        self.actor_opt.step(&mut self.actor);
+        self.actor_opt.step_on(arm, &mut self.actor);
 
         // --- Soft-update target networks.
-        self.actor_target
-            .soft_update_from(&self.actor, self.config.tau);
-        self.critic_target
-            .soft_update_from(&self.critic, self.config.tau);
+        let tau = self.config.tau as f32;
+        self.actor_target.soft_update_from(&self.actor, tau);
+        self.critic_target.soft_update_from(&self.critic, tau);
 
-        (critic_loss, actor_loss)
+        (f64::from(critic_loss), f64::from(actor_loss))
     }
 
     /// Snapshot of the current actor parameters (used to store `Actor*` in
-    /// Algorithm 2).
+    /// Algorithm 2), widened exactly from `f32`.
     pub fn actor_params(&self) -> Vec<f64> {
-        self.actor.params_flat()
+        widened(&self.actor.params_flat())
     }
 
-    /// Restores actor parameters from a snapshot.
+    /// Restores actor parameters from a snapshot, rounding each to `f32` (a
+    /// snapshot taken by [`DdpgAgent::actor_params`] comes back exactly).
     pub fn set_actor_params(&mut self, params: &[f64]) {
-        self.actor.set_params_flat(params);
+        let narrowed: Vec<f32> = params.iter().map(|&p| p as f32).collect();
+        self.actor.set_params_flat(&narrowed);
     }
 
-    /// Snapshot of the current critic parameters (Algorithm 2's `Critic*`).
+    /// Snapshot of the current critic parameters (Algorithm 2's `Critic*`),
+    /// widened exactly from `f32`.
     pub fn critic_params(&self) -> Vec<f64> {
-        self.critic.params_flat()
+        widened(&self.critic.params_flat())
     }
 
     /// Actor, critic, actor target, critic target.
@@ -255,8 +291,21 @@ mod tests {
         }
     }
 
-    fn bits(values: &[f64]) -> Vec<u64> {
+    fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn wide_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Which transitions of a batch are terminal.
+    #[derive(Debug, Clone, Copy)]
+    enum Done {
+        /// Every third, shifting with the update.
+        Mixed,
+        All,
+        None,
     }
 
     /// The batched update against the per-sample one it replaced: every
@@ -266,21 +315,33 @@ mod tests {
     #[test]
     fn batched_update_matches_the_per_sample_oracle_on_every_arm() {
         // The benchmark's two agents (4 and 16 devices, `OsdsConfig::fast`
-        // networks), then batches on both sides of every tile width.
+        // networks), batches on both sides of every tile width, batches
+        // with no and with every transition terminal (the target networks
+        // run over the live ones only), and the paper's networks.
         let fast = DdpgConfig {
             actor_hidden: [64, 48, 32],
             critic_hidden: [64, 48, 32, 32],
             ..small_config(0)
         };
+        let paper = DdpgConfig {
+            actor_lr: 1e-3,
+            critic_lr: 3e-3,
+            ..DdpgConfig::default()
+        };
         let cases = [
-            (8, 3, 32, fast),
-            (20, 15, 32, fast),
-            (5, 2, 7, small_config(0)),
-            (6, 1, 64, small_config(0)),
-            (4, 3, 1, small_config(0)),
-            (9, 4, 33, small_config(0)),
+            (8, 3, 32, fast, Done::Mixed, 20),
+            (20, 15, 32, fast, Done::Mixed, 20),
+            (5, 2, 7, small_config(0), Done::Mixed, 20),
+            (6, 1, 64, small_config(0), Done::Mixed, 20),
+            (4, 3, 1, small_config(0), Done::Mixed, 20),
+            (9, 4, 33, small_config(0), Done::Mixed, 20),
+            (8, 3, 17, small_config(0), Done::All, 20),
+            (8, 3, 17, small_config(0), Done::None, 20),
+            (8, 3, 64, paper, Done::Mixed, 3),
         ];
-        for (case, &(state_dim, action_dim, batch, config)) in cases.iter().enumerate() {
+        for (case, &(state_dim, action_dim, batch, config, done, updates)) in
+            cases.iter().enumerate()
+        {
             for arm in Arm::available() {
                 let config = DdpgConfig {
                     seed: 40 + case as u64,
@@ -291,14 +352,18 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(case as u64);
                 let mut draw =
                     |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
-                for update in 0..20 {
+                for update in 0..updates {
                     let transitions: Vec<Transition> = (0..batch)
                         .map(|s| Transition {
                             state: draw(state_dim),
                             action: draw(action_dim),
                             reward: draw(1)[0],
                             next_state: draw(state_dim),
-                            done: (s + update) % 3 == 0,
+                            done: match done {
+                                Done::Mixed => (s + update) % 3 == 0,
+                                Done::All => true,
+                                Done::None => false,
+                            },
                         })
                         .collect();
                     let context = format!("case {case} {arm:?} update {update}");
@@ -332,7 +397,10 @@ mod tests {
                         assert_eq!(bits(v), bits(&want.v), "second moments, {context}");
                     }
                     let (state, action) = (draw(state_dim), draw(action_dim));
-                    assert_eq!(bits(&agent.act(&state)), bits(&oracle.act(&state)));
+                    assert_eq!(
+                        wide_bits(&agent.act(&state)),
+                        wide_bits(&oracle.act(&state))
+                    );
                     assert_eq!(
                         agent.q_value(&state, &action).to_bits(),
                         oracle.q_value(&state, &action).to_bits()
@@ -355,8 +423,8 @@ mod tests {
         mlp.zero_grad();
         net.zero_grad();
         for _ in 0..2 {
-            let x: Vec<f64> = (0..7).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let g: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let x: Vec<f32> = (0..7).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let g: Vec<f32> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
             assert_eq!(bits(&mlp.forward(&x)), bits(&net.forward(&x)));
             assert_eq!(bits(&mlp.backward(&g)), bits(&net.backward(&g)));
             assert_eq!(bits(&mlp.grads_flat()), bits(&net.grads_flat()));
@@ -375,7 +443,7 @@ mod tests {
     fn update_on_empty_batch_is_noop() {
         let mut agent = DdpgAgent::new(3, 2, small_config(2));
         let before = agent.actor_params();
-        let (cl, al) = agent.update::<Transition>(&[]);
+        let (cl, al) = agent.update(&Vec::<Transition>::new());
         assert_eq!((cl, al), (0.0, 0.0));
         assert_eq!(agent.actor_params(), before);
     }

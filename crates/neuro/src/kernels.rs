@@ -1,5 +1,6 @@
-//! The one dense product every batched pass is made of, compiled once per
-//! instruction-set arm.
+//! The crate's vector loops, compiled once per instruction-set arm: the one
+//! dense product every batched pass is made of, and Adam's per-parameter
+//! step.
 //!
 //! [`mac`] computes `c[r][j] = init + Σ_k a[r][k] · x[k][j]` with the sum
 //! taken in ascending `k`, one fused multiply-add per step (one rounding
@@ -7,10 +8,15 @@
 //! forward pass, an input gradient and a weight gradient are all this
 //! product over differently strided operands, so there is one body.  Its
 //! vector lanes are the `j` (and `r`) of *different* outputs; no sum is ever
-//! split across lanes, and `f64::mul_add` is correctly rounded wherever it
-//! runs (an FMA instruction on the vector arms, libm's `fma` on a baseline
+//! split across lanes, and `f32::mul_add` is correctly rounded wherever it
+//! runs (an FMA instruction on the vector arms, libm's `fmaf` on a baseline
 //! without one), which is why every arm, every tile shape and the
 //! per-sample loops the tests keep as an oracle agree bit for bit.
+//!
+//! [`adam`] is elementwise: plain multiplies, adds, one square root and one
+//! division per parameter, each correctly rounded on every arm, and the
+//! subnormal flush is a compare-and-select in code — never the MXCSR
+//! flush-to-zero mode, which is thread-global and would reach libm too.
 
 use std::sync::OnceLock;
 
@@ -57,7 +63,7 @@ pub(crate) enum Init<'a> {
     /// `0.0`.
     Zero,
     /// One value per row (a layer's bias).
-    Rows(&'a [f64]),
+    Rows(&'a [f32]),
     /// What `c` already holds.
     Accumulate,
 }
@@ -66,7 +72,7 @@ pub(crate) enum Init<'a> {
 /// larger matrix: element `(r, k)` is `a[r * row_stride + k * k_stride]`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Coef<'a> {
-    pub a: &'a [f64],
+    pub a: &'a [f32],
     pub row_stride: usize,
     pub k_stride: usize,
     pub rows: usize,
@@ -76,7 +82,7 @@ pub(crate) struct Coef<'a> {
 /// `c[r * l + j] = init + Σ_k↑ coef(r, k) · x[k * l + j]` for every row `r`
 /// and lane `j < l`: `x` is `depth × l` and `c` is `rows × l`, both
 /// row-major.
-pub(crate) fn mac(arm: Arm, init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mut [f64]) {
+pub(crate) fn mac(arm: Arm, init: Init<'_>, coef: Coef<'_>, x: &[f32], l: usize, c: &mut [f32]) {
     match arm {
         Arm::Baseline => mac_body::<2, 8>(init, coef, x, l, c),
         // SAFETY: `Arm::available` lists an arm only when CPUID reports its
@@ -89,27 +95,116 @@ pub(crate) fn mac(arm: Arm, init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize,
     }
 }
 
-/// [`mac_body`] compiled with 256-bit vectors and FMA: four rows of one
-/// `ymm` each are eight independent FMA chains, and one load of `x` serves
-/// all four.
+/// [`mac_body`] compiled with 256-bit vectors and FMA: a 4 × 16 tile is
+/// eight independent `ymm` FMA chains, and one load of `x` serves all four
+/// rows.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn mac_avx2(init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mut [f64]) {
-    mac_body::<4, 8>(init, coef, x, l, c)
+unsafe fn mac_avx2(init: Init<'_>, coef: Coef<'_>, x: &[f32], l: usize, c: &mut [f32]) {
+    mac_body::<4, 16>(init, coef, x, l, c)
 }
 
-/// [`mac_body`] compiled with 512-bit vectors and FMA: a 4 × 32 tile is
+/// [`mac_body`] compiled with 512-bit vectors and FMA: an 8 × 32 tile is
 /// sixteen `zmm` accumulators.
 ///
 /// # Safety
 /// The CPU must support AVX-512F and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-unsafe fn mac_avx512(init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mut [f64]) {
-    mac_body::<4, 32>(init, coef, x, l, c)
+unsafe fn mac_avx512(init: Init<'_>, coef: Coef<'_>, x: &[f32], l: usize, c: &mut [f32]) {
+    mac_body::<8, 32>(init, coef, x, l, c)
+}
+
+/// The per-step scalars of one Adam step (Kingma & Ba's efficient form; see
+/// [`crate::adam::Adam::step`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    pub beta1: f32,
+    pub beta2: f32,
+    /// `α_t = lr·√(1−β₂ᵗ)/(1−β₁ᵗ)`.
+    pub alpha: f32,
+    /// `ε̂ = ε·√(1−β₂ᵗ)`.
+    pub eps: f32,
+}
+
+/// One Adam step over every parameter, in place: each moment (`m`, `v`,
+/// laid out like `params` and `grads`) takes its textbook update and is
+/// [`flushed`], then `p -= α_t·m / (√v + ε̂)`, and the gradient is cleared.
+pub(crate) fn adam(
+    arm: Arm,
+    step: AdamStep,
+    params: &mut [f32],
+    grads: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+) {
+    match arm {
+        Arm::Baseline => adam_body(step, params, grads, m, v),
+        // SAFETY: as in `mac`.
+        #[cfg(target_arch = "x86_64")]
+        Arm::Avx2 => unsafe { adam_avx2(step, params, grads, m, v) },
+        // SAFETY: as in `mac`.
+        #[cfg(target_arch = "x86_64")]
+        Arm::Avx512 => unsafe { adam_avx512(step, params, grads, m, v) },
+    }
+}
+
+/// [`adam_body`] with 256-bit vectors.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn adam_avx2(step: AdamStep, p: &mut [f32], g: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+    adam_body(step, p, g, m, v)
+}
+
+/// [`adam_body`] with 512-bit vectors: sixteen square roots and divisions
+/// per instruction.
+///
+/// # Safety
+/// The CPU must support AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn adam_avx512(step: AdamStep, p: &mut [f32], g: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+    adam_body(step, p, g, m, v)
+}
+
+/// `x`, or `+0.0` where its magnitude is below the smallest normal `f32`.
+/// A moment of a parameter whose gradient stays zero (a dead ReLU unit)
+/// decays geometrically; left alone it becomes subnormal within about a
+/// thousand steps, and every vector instruction that touches a subnormal
+/// takes a microcode assist.
+#[inline(always)]
+pub(crate) fn flushed(x: f32) -> f32 {
+    if x.abs() < f32::MIN_POSITIVE {
+        0.0
+    } else {
+        x
+    }
+}
+
+#[inline(always)]
+fn adam_body(step: AdamStep, p: &mut [f32], g: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+    let AdamStep {
+        beta1,
+        beta2,
+        alpha,
+        eps,
+    } = step;
+    assert!(
+        g.len() == p.len() && m.len() == p.len() && v.len() == p.len(),
+        "parameters, gradients and moments differ in length"
+    );
+    for (((p, g), m), v) in p.iter_mut().zip(g).zip(m).zip(v) {
+        *m = flushed(beta1 * *m + (1.0 - beta1) * *g);
+        *v = flushed(beta2 * *v + (1.0 - beta2) * *g * *g);
+        *p -= alpha * *m / (v.sqrt() + eps);
+        *g = 0.0;
+    }
 }
 
 /// The product, tiled `R` rows by `T` lanes.  The tile shape decides only
@@ -119,9 +214,9 @@ unsafe fn mac_avx512(init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mu
 fn mac_body<const R: usize, const T: usize>(
     init: Init<'_>,
     coef: Coef<'_>,
-    x: &[f64],
+    x: &[f32],
     l: usize,
-    c: &mut [f64],
+    c: &mut [f32],
 ) {
     if coef.rows == 0 || l == 0 {
         return;
@@ -159,10 +254,10 @@ fn mac_body<const R: usize, const T: usize>(
 unsafe fn lanes<const R: usize, const T: usize>(
     init: Init<'_>,
     coef: Coef<'_>,
-    x: &[f64],
+    x: &[f32],
     l: usize,
     r0: usize,
-    c: &mut [f64],
+    c: &mut [f32],
 ) {
     let mut j = 0;
     while j + T <= l {
@@ -191,16 +286,16 @@ unsafe fn lanes<const R: usize, const T: usize>(
 unsafe fn tile<const R: usize, const T: usize>(
     init: Init<'_>,
     coef: Coef<'_>,
-    x: &[f64],
+    x: &[f32],
     l: usize,
     r0: usize,
     j0: usize,
-    c: &mut [f64],
+    c: &mut [f32],
 ) {
     // This tile's share of row `r0 + r` of `c`; it ends at or before
     // `rows * l <= c.len()`.
     let in_c = |r: usize| (r0 + r) * l + j0..(r0 + r) * l + j0 + T;
-    let mut acc = [[0.0f64; T]; R];
+    let mut acc = [[0.0f32; T]; R];
     for (r, acc) in acc.iter_mut().enumerate() {
         match init {
             Init::Zero => {}
@@ -232,7 +327,7 @@ unsafe fn tile<const R: usize, const T: usize>(
 
 /// `dst` (`cols × rows`, row-major) becomes the transpose of `src`
 /// (`rows × cols`, row-major).
-pub(crate) fn transpose(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+pub(crate) fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), rows * cols);
     for (r, row) in src.chunks_exact(cols).enumerate() {
         for (col, &v) in row.iter().enumerate() {
@@ -249,7 +344,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// The contract, written as plainly as it can be.
-    fn mac_plain(init: Init<'_>, coef: Coef<'_>, x: &[f64], l: usize, c: &mut [f64]) {
+    fn mac_plain(init: Init<'_>, coef: Coef<'_>, x: &[f32], l: usize, c: &mut [f32]) {
         for r in 0..coef.rows {
             for j in 0..l {
                 let mut acc = match init {
@@ -270,12 +365,12 @@ mod tests {
     fn every_arm_and_tile_edge_matches_the_plain_loop() {
         let mut rng = StdRng::seed_from_u64(17);
         let mut draw =
-            |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
         // Rows and lanes on both sides of every tile width in use
-        // (R ∈ {1, 2, 4}, T ∈ {1, 8, 32}); coefficients row-major and
+        // (R ∈ {1, 2, 4, 8}, T ∈ {1, 8, 16, 32}); coefficients row-major and
         // column-major, the latter from an offset inside a wider matrix.
-        for &rows in &[1usize, 2, 3, 4, 5, 7, 9] {
-            for &l in &[1usize, 7, 8, 9, 31, 32, 33, 41, 64, 71] {
+        for &rows in &[1usize, 2, 3, 4, 5, 7, 8, 9, 15, 17] {
+            for &l in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 41, 64, 71] {
                 for &depth in &[0usize, 1, 5, 13] {
                     let wide = depth + 3;
                     let a = draw(rows.max(depth) * (rows + wide) + 1);
@@ -318,12 +413,12 @@ mod tests {
     }
 
     /// Operands on which a fused and an unfused step differ: the exact
-    /// product `(1 + 2⁻³⁰)² = 1 + 2⁻²⁹ + 2⁻⁶⁰` rounds to `1 + 2⁻²⁹`, so
-    /// multiply-then-add against `−(1 + 2⁻²⁹)` gives `0` while one fused step
-    /// keeps the `2⁻⁶⁰`.
-    const WITNESS_OPERAND: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
-    const WITNESS_INIT: f64 = -(1.0 + 1.0 / (1u64 << 29) as f64);
-    const WITNESS_FUSED: f64 = 1.0 / (1u64 << 60) as f64;
+    /// product `(1 + 2⁻¹²)² = 1 + 2⁻¹¹ + 2⁻²⁴` is a tie between two `f32`s
+    /// and rounds to the even `1 + 2⁻¹¹`, so multiply-then-add against
+    /// `−(1 + 2⁻¹¹)` gives `0` while one fused step keeps the `2⁻²⁴`.
+    const WITNESS_OPERAND: f32 = 1.0 + 1.0 / (1u32 << 12) as f32;
+    const WITNESS_INIT: f32 = -(1.0 + 1.0 / (1u32 << 11) as f32);
+    const WITNESS_FUSED: f32 = 1.0 / (1u32 << 24) as f32;
 
     #[test]
     fn fused_witness_survives_every_arm_and_the_forward_pass() {
@@ -332,9 +427,9 @@ mod tests {
             WITNESS_OPERAND.mul_add(WITNESS_OPERAND, WITNESS_INIT),
             WITNESS_FUSED
         );
-        // Rows and lanes that reach every tile width in use: R ∈ {1, 2, 4},
-        // T ∈ {1, 8, 32}.
-        let (rows, l) = (5, 41);
+        // Rows and lanes that reach every tile width in use:
+        // R ∈ {1, 2, 4, 8}, T ∈ {1, 8, 16, 32}.
+        let (rows, l) = (9, 57);
         let a = vec![WITNESS_OPERAND; rows];
         let x = vec![WITNESS_OPERAND; l];
         let init = vec![WITNESS_INIT; rows];
@@ -383,7 +478,7 @@ mod tests {
 
     #[test]
     fn transpose_roundtrip() {
-        let src: Vec<f64> = (0..12).map(f64::from).collect();
+        let src: Vec<f32> = (0..12u16).map(f32::from).collect();
         let mut t = vec![0.0; 12];
         transpose(&src, 3, 4, &mut t);
         assert_eq!(t[..3], [0.0, 4.0, 8.0]);

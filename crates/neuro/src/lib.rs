@@ -9,7 +9,8 @@
 //!
 //! * [`mlp`] — dense layers with manual, batched forward/backward passes,
 //! * [`adam`] — the Adam optimiser (one division per parameter),
-//! * [`replay`] — a uniform-sampling replay buffer,
+//! * [`replay`] — a uniform-sampling replay buffer that samples without
+//!   allocating,
 //! * [`noise`] — Gaussian exploration noise,
 //! * [`ddpg`] — the actor-critic agent with target networks and soft
 //!   updates (Lillicrap et al., the algorithm the paper cites).
@@ -19,7 +20,11 @@
 //! Planning time is `updates × time per update`, so the update runs as
 //! vector code — and every plan of every seed is a function of every bit of
 //! every update, so the vector code computes exactly what a plain scalar
-//! loop would.  Everything is `f64`, and:
+//! loop would.  Parameters, activations, gradients, Adam moments and the
+//! target networks are `f32` (twice the lanes of `f64` per vector
+//! instruction); [`DdpgAgent`] speaks `f64` at its boundary, rounding
+//! states, actions and rewards to `f32` once on the way in and widening
+//! what it returns exactly.  Within the `f32` code:
 //!
 //! * a dense output is `act(b + Σ_k w_k·x_k)`, bias first, `k` ascending,
 //!   one fused multiply-add per step (`acc = w.mul_add(x, acc)`, one
@@ -29,19 +34,29 @@
 //!   value in batch order, one fused multiply-add each; a bias gradient
 //!   adds its samples' `dz` the same way, with plain adds;
 //! * Adam is Kingma & Ba's efficient form: `α_t = lr·√(1−β₂ᵗ)/(1−β₁ᵗ)` and
-//!   `ε̂ = ε·√(1−β₂ᵗ)` once per step, then `p -= α_t·m / (√v + ε̂)` per
-//!   element — one division and one square root per parameter;
+//!   `ε̂ = ε·√(1−β₂ᵗ)` once per step (in `f64`, rounded to `f32` once),
+//!   then `p -= α_t·m / (√v + ε̂)` per element — one division and one
+//!   square root per parameter;
 //! * the moment updates and the soft update evaluate their textbook
-//!   expressions per element as written, unfused.
+//!   expressions per element as written, unfused;
+//! * an Adam moment whose magnitude falls below `f32::MIN_POSITIVE` is
+//!   stored as `+0.0`.  The moments of a parameter whose gradient stays
+//!   zero (a dead ReLU unit) decay geometrically into the subnormals within
+//!   about a thousand updates, where every vector instruction touching them
+//!   takes a microcode assist.  The flush is a compare-and-select in code,
+//!   the same on every arm; the MXCSR flush-to-zero mode is never set, as
+//!   it is thread-global and would change libm's `tanhf` and `fmaf` too.
 //!
 //! Vector lanes are always *different outputs* — the samples of a batch, or
-//! the inputs of a weight row — so no sum is ever split or reordered.  A
+//! the inputs of a weight row — so no sum is ever split or reordered; nor
+//! does a batch's size, so the target networks run over the non-terminal
+//! transitions alone and each column comes out as in the full batch.  A
 //! fused multiply-add is correctly rounded wherever it runs: the vector
 //! arms use the FMA instruction (an arm is offered only where CPUID reports
-//! it), and the baseline arm's `f64::mul_add` is libm's `fma` where the
-//! hardware has none.  So every instruction-set arm of the dense kernel,
-//! every tile shape and the per-sample loops kept under `#[cfg(test)]`
-//! agree bit for bit on every machine.
+//! it), and the baseline arm's `f32::mul_add` is libm's `fmaf` where the
+//! hardware has none.  So every instruction-set arm of the dense kernel and
+//! of the Adam step, every tile shape and the per-sample loops kept under
+//! `#[cfg(test)]` agree bit for bit on every machine.
 
 pub mod adam;
 pub mod ddpg;
@@ -56,4 +71,4 @@ pub use adam::Adam;
 pub use ddpg::{DdpgAgent, DdpgConfig};
 pub use mlp::{ActKind, Mlp};
 pub use noise::GaussianNoise;
-pub use replay::{ReplayBuffer, Transition};
+pub use replay::{Batch, ReplayBuffer, Sample, Transition};

@@ -22,7 +22,7 @@ pub enum ActKind {
 }
 
 impl ActKind {
-    fn forward(self, x: f64) -> f64 {
+    fn forward(self, x: f32) -> f32 {
         match self {
             ActKind::Identity => x,
             ActKind::Relu => x.max(0.0),
@@ -31,7 +31,7 @@ impl ActKind {
     }
 
     /// Derivative expressed in terms of the activation *output* `y`.
-    fn backward_from_output(self, y: f64) -> f64 {
+    fn backward_from_output(self, y: f32) -> f32 {
         match self {
             ActKind::Identity => 1.0,
             ActKind::Relu => {
@@ -60,12 +60,12 @@ struct Dense {
 impl Dense {
     /// This layer's `(W, b)` inside a flat vector laid out like the
     /// parameters.
-    fn split<'a>(&self, flat: &'a [f64]) -> (&'a [f64], &'a [f64]) {
+    fn split<'a>(&self, flat: &'a [f32]) -> (&'a [f32], &'a [f32]) {
         let weights = self.in_dim * self.out_dim;
         flat[self.offset..self.offset + weights + self.out_dim].split_at(weights)
     }
 
-    fn split_mut<'a>(&self, flat: &'a mut [f64]) -> (&'a mut [f64], &'a mut [f64]) {
+    fn split_mut<'a>(&self, flat: &'a mut [f32]) -> (&'a mut [f32], &'a mut [f32]) {
         let weights = self.in_dim * self.out_dim;
         flat[self.offset..self.offset + weights + self.out_dim].split_at_mut(weights)
     }
@@ -82,18 +82,18 @@ impl Dense {
 struct Pass {
     batch: usize,
     /// `acts[0]` is the input, `acts[i + 1]` the output of layer `i`.
-    acts: Vec<Vec<f64>>,
+    acts: Vec<Vec<f32>>,
     /// `deltas[i]` is the gradient with respect to `acts[i]`.
-    deltas: Vec<Vec<f64>>,
+    deltas: Vec<Vec<f32>>,
     /// Sample-major copy of one layer's input, for its weight gradient.
-    transposed: Vec<f64>,
+    transposed: Vec<f32>,
     /// Accumulated parameter gradients, laid out like the parameters; empty
     /// until the first backward pass, which reads as all zero.
-    grads: Vec<f64>,
+    grads: Vec<f32>,
 }
 
 /// The first `len` values of `buf`, grown (never shrunk) to hold them.
-fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
@@ -108,7 +108,7 @@ fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
 pub struct Mlp {
     layers: Vec<Dense>,
     /// Every parameter, layer by layer, weights then biases.
-    params: Vec<f64>,
+    params: Vec<f32>,
     pass: Pass,
 }
 
@@ -148,9 +148,10 @@ impl Mlp {
                 act,
                 offset: params.len(),
             });
-            // He/Xavier-style scaling keeps tiny MLPs well-conditioned.
+            // He/Xavier-style scaling keeps tiny MLPs well-conditioned; each
+            // weight is an `f64` draw rounded to the nearest `f32`.
             let scale = (2.0 / (in_dim + out_dim) as f64).sqrt();
-            params.extend((0..in_dim * out_dim).map(|_| rng.gen_range(-scale..scale)));
+            params.extend((0..in_dim * out_dim).map(|_| rng.gen_range(-scale..scale) as f32));
             params.resize(params.len() + out_dim, 0.0);
         }
         Self {
@@ -171,7 +172,7 @@ impl Mlp {
     }
 
     /// Forward pass of one sample (kept for a subsequent backward pass).
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
+    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
         self.input_mut(1).copy_from_slice(x);
         self.forward_batch(Arm::detected()).to_vec()
     }
@@ -179,7 +180,7 @@ impl Mlp {
     /// Backward pass from an output gradient of the most recent forward
     /// pass; accumulates parameter gradients and returns the gradient with
     /// respect to the input.
-    pub fn backward(&mut self, grad_out: &[f64]) -> Vec<f64> {
+    pub fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
         self.output_grad_mut().copy_from_slice(grad_out);
         let inputs = 0..self.input_dim();
         self.backward_batch(Arm::detected(), true, inputs).to_vec()
@@ -189,20 +190,20 @@ impl Mlp {
     /// feature-major, for the caller to fill before
     /// [`Mlp::forward_batch`].  What it held for the same batch size is
     /// still there.
-    pub(crate) fn input_mut(&mut self, batch: usize) -> &mut [f64] {
+    pub(crate) fn input_mut(&mut self, batch: usize) -> &mut [f32] {
         self.pass.batch = batch;
         self.pass.acts.resize_with(self.layers.len() + 1, Vec::new);
         grown(&mut self.pass.acts[0], self.layers[0].in_dim * batch)
     }
 
     /// The input of the current pass.
-    pub(crate) fn input(&self) -> &[f64] {
+    pub(crate) fn input(&self) -> &[f32] {
         &self.pass.acts[0][..self.layers[0].in_dim * self.pass.batch]
     }
 
     /// Runs every layer over the batch in [`Mlp::input_mut`]; returns the
     /// `output_dim × batch` output.
-    pub(crate) fn forward_batch(&mut self, arm: Arm) -> &[f64] {
+    pub(crate) fn forward_batch(&mut self, arm: Arm) -> &[f32] {
         let batch = self.pass.batch;
         for (i, layer) in self.layers.iter().enumerate() {
             let (x, y) = self.pass.acts.split_at_mut(i + 1);
@@ -223,14 +224,14 @@ impl Mlp {
     }
 
     /// The output of the most recent forward pass.
-    pub(crate) fn output(&self) -> &[f64] {
+    pub(crate) fn output(&self) -> &[f32] {
         &self.pass.acts[self.layers.len()][..self.output_dim() * self.pass.batch]
     }
 
     /// The output of the most recent forward pass, and the
     /// `output_dim × batch` gradient with respect to it for the caller to
     /// fill before [`Mlp::backward_batch`].
-    pub(crate) fn output_and_grad_mut(&mut self) -> (&[f64], &mut [f64]) {
+    pub(crate) fn output_and_grad_mut(&mut self) -> (&[f32], &mut [f32]) {
         let len = self.output_dim() * self.pass.batch;
         self.pass
             .deltas
@@ -242,7 +243,7 @@ impl Mlp {
     }
 
     /// The gradient half of [`Mlp::output_and_grad_mut`].
-    pub(crate) fn output_grad_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn output_grad_mut(&mut self) -> &mut [f32] {
         self.output_and_grad_mut().1
     }
 
@@ -258,7 +259,7 @@ impl Mlp {
         arm: Arm,
         params: bool,
         input_rows: Range<usize>,
-    ) -> &[f64] {
+    ) -> &[f32] {
         let batch = self.pass.batch;
         let pass = &mut self.pass;
         if params {
@@ -324,35 +325,35 @@ impl Mlp {
 
     /// Copies all parameters into a flat vector (weights then biases, layer
     /// by layer).
-    pub fn params_flat(&self) -> Vec<f64> {
+    pub fn params_flat(&self) -> Vec<f32> {
         self.params.clone()
     }
 
     /// Copies the accumulated gradients into a flat vector (same layout as
     /// [`Mlp::params_flat`]).
     #[cfg(test)]
-    pub fn grads_flat(&self) -> Vec<f64> {
+    pub fn grads_flat(&self) -> Vec<f32> {
         let mut grads = self.pass.grads.clone();
         grads.resize(self.params.len(), 0.0);
         grads
     }
 
     /// Overwrites the parameters from a flat vector.
-    pub fn set_params_flat(&mut self, params: &[f64]) {
+    pub fn set_params_flat(&mut self, params: &[f32]) {
         assert_eq!(params.len(), self.num_params());
         self.params.copy_from_slice(params);
     }
 
     /// The parameters and their accumulated gradients, in the layout of
     /// [`Mlp::params_flat`], for an optimiser to step in place.
-    pub(crate) fn params_and_grads_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+    pub(crate) fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
         let grads = grown(&mut self.pass.grads, self.params.len());
         (&mut self.params, grads)
     }
 
     /// Soft-updates this network towards `source`:
     /// `θ ← τ·θ_source + (1 − τ)·θ`.
-    pub fn soft_update_from(&mut self, source: &Mlp, tau: f64) {
+    pub fn soft_update_from(&mut self, source: &Mlp, tau: f32) {
         assert_eq!(self.params.len(), source.params.len());
         for (d, s) in self.params.iter_mut().zip(&source.params) {
             *d = tau * s + (1.0 - tau) * *d;
@@ -401,12 +402,13 @@ mod tests {
 
     #[test]
     fn numerical_gradient_check() {
-        // Finite-difference check of dL/dθ for L = 0.5 * ||y||².
+        // Finite-difference check of dL/dθ for L = 0.5 * ||y||².  In `f32`
+        // a central difference over ±1e-3 resolves about four digits.
         let mut mlp = Mlp::new(&[3, 6, 2], ActKind::Tanh, 7);
         let x = [0.3, -0.7, 0.5];
-        let loss = |m: &mut Mlp| -> f64 {
+        let loss = |m: &mut Mlp| -> f32 {
             let y = m.forward(&x);
-            0.5 * y.iter().map(|v| v * v).sum::<f64>()
+            0.5 * y.iter().map(|v| v * v).sum::<f32>()
         };
         // Analytic gradients.
         mlp.zero_grad();
@@ -415,7 +417,7 @@ mod tests {
         let analytic = mlp.grads_flat();
         // Numeric gradients for a handful of parameters.
         let params = mlp.params_flat();
-        let eps = 1e-6;
+        let eps = 1e-3;
         for idx in [0usize, 5, 11, params.len() - 1] {
             let mut plus = params.clone();
             plus[idx] += eps;
@@ -428,7 +430,7 @@ mod tests {
             mlp.set_params_flat(&params);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
-                (numeric - analytic[idx]).abs() < 1e-5,
+                (numeric - analytic[idx]).abs() < 1e-3,
                 "param {idx}: numeric {numeric} vs analytic {}",
                 analytic[idx]
             );
@@ -440,18 +442,18 @@ mod tests {
         // Finite-difference check of dL/dx.
         let mut mlp = Mlp::new(&[3, 5, 1], ActKind::Identity, 9);
         let x = [0.2, 0.4, -0.1];
-        let forward_loss = |m: &mut Mlp, x: &[f64]| -> f64 { m.forward(x)[0] };
+        let forward_loss = |m: &mut Mlp, x: &[f32]| -> f32 { m.forward(x)[0] };
         mlp.zero_grad();
         let _ = mlp.forward(&x);
         let grad_in = mlp.backward(&[1.0]);
-        let eps = 1e-6;
+        let eps = 1e-3;
         for i in 0..3 {
             let mut xp = x;
             xp[i] += eps;
             let mut xm = x;
             xm[i] -= eps;
             let numeric = (forward_loss(&mut mlp, &xp) - forward_loss(&mut mlp, &xm)) / (2.0 * eps);
-            assert!((numeric - grad_in[i]).abs() < 1e-5);
+            assert!((numeric - grad_in[i]).abs() < 1e-3);
         }
     }
 
@@ -477,8 +479,10 @@ mod tests {
             .iter()
             .zip(source.params_flat())
             .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_diff < 1e-6, "max diff {max_diff}");
+            .fold(0.0f32, f32::max);
+        // Within a few dozen ulps: a step that moves less than half an ulp
+        // leaves the target where it is.
+        assert!(max_diff < 1e-5, "max diff {max_diff}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The per-sample DDPG update the batched passes replaced, kept as the
 //! oracle they are tested against: one sample at a time through
-//! `acc = w.mul_add(x, acc)` chains, every parameter round-tripped through
-//! flat copies.
+//! `acc = w.mul_add(x, acc)` chains in `f32`, every parameter
+//! round-tripped through flat copies, the target networks run only for
+//! non-terminal transitions.
 //! Slow and allocation-heavy on purpose — it is the plainest statement of
 //! the numerical contract, and the batched code must match it bit for bit.
 
@@ -9,7 +10,7 @@ use crate::ddpg::{DdpgAgent, DdpgConfig};
 use crate::mlp::{ActKind, Mlp};
 use crate::replay::Transition;
 
-fn activate(act: ActKind, x: f64) -> f64 {
+fn activate(act: ActKind, x: f32) -> f32 {
     match act {
         ActKind::Identity => x,
         ActKind::Relu => x.max(0.0),
@@ -17,7 +18,7 @@ fn activate(act: ActKind, x: f64) -> f64 {
     }
 }
 
-fn derivative_from_output(act: ActKind, y: f64) -> f64 {
+fn derivative_from_output(act: ActKind, y: f32) -> f32 {
     match act {
         ActKind::Identity => 1.0,
         ActKind::Relu => {
@@ -36,16 +37,16 @@ struct Dense {
     out_dim: usize,
     act: ActKind,
     /// Row-major `[out][in]`.
-    w: Vec<f64>,
-    b: Vec<f64>,
-    grad_w: Vec<f64>,
-    grad_b: Vec<f64>,
-    last_input: Vec<f64>,
-    last_output: Vec<f64>,
+    w: Vec<f32>,
+    b: Vec<f32>,
+    grad_w: Vec<f32>,
+    grad_b: Vec<f32>,
+    last_input: Vec<f32>,
+    last_output: Vec<f32>,
 }
 
 impl Dense {
-    fn forward(&mut self, x: &[f64]) -> Vec<f64> {
+    fn forward(&mut self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.in_dim);
         let mut y = Vec::with_capacity(self.out_dim);
         for o in 0..self.out_dim {
@@ -61,7 +62,7 @@ impl Dense {
         y
     }
 
-    fn backward(&mut self, grad_out: &[f64]) -> Vec<f64> {
+    fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
         assert_eq!(grad_out.len(), self.out_dim);
         let mut grad_in = vec![0.0; self.in_dim];
         for (o, g) in grad_out.iter().enumerate() {
@@ -110,7 +111,7 @@ impl Net {
         net
     }
 
-    pub(crate) fn forward(&mut self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&mut self, x: &[f32]) -> Vec<f32> {
         let mut cur = x.to_vec();
         for layer in &mut self.layers {
             cur = layer.forward(&cur);
@@ -118,7 +119,7 @@ impl Net {
         cur
     }
 
-    pub(crate) fn backward(&mut self, grad_out: &[f64]) -> Vec<f64> {
+    pub(crate) fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
         let mut grad = grad_out.to_vec();
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
@@ -133,7 +134,7 @@ impl Net {
         }
     }
 
-    pub(crate) fn params_flat(&self) -> Vec<f64> {
+    pub(crate) fn params_flat(&self) -> Vec<f32> {
         let mut out = Vec::new();
         for l in &self.layers {
             out.extend_from_slice(&l.w);
@@ -142,7 +143,7 @@ impl Net {
         out
     }
 
-    pub(crate) fn grads_flat(&self) -> Vec<f64> {
+    pub(crate) fn grads_flat(&self) -> Vec<f32> {
         let mut out = Vec::new();
         for l in &self.layers {
             out.extend_from_slice(&l.grad_w);
@@ -151,7 +152,7 @@ impl Net {
         out
     }
 
-    fn set_params_flat(&mut self, params: &[f64]) {
+    fn set_params_flat(&mut self, params: &[f32]) {
         let mut rest = params;
         for l in &mut self.layers {
             let (w, tail) = rest.split_at(l.w.len());
@@ -163,7 +164,7 @@ impl Net {
         assert!(rest.is_empty());
     }
 
-    fn soft_update_from(&mut self, source: &Net, tau: f64) {
+    fn soft_update_from(&mut self, source: &Net, tau: f32) {
         let src = source.params_flat();
         let mut dst = self.params_flat();
         for (d, s) in dst.iter_mut().zip(&src) {
@@ -176,8 +177,8 @@ impl Net {
 /// Adam over flat copies of a [`Net`]'s parameters and gradients.
 pub(crate) struct FlatAdam {
     lr: f64,
-    pub(crate) m: Vec<f64>,
-    pub(crate) v: Vec<f64>,
+    pub(crate) m: Vec<f32>,
+    pub(crate) v: Vec<f32>,
     t: u64,
 }
 
@@ -192,18 +193,20 @@ impl FlatAdam {
     }
 
     fn step(&mut self, net: &mut Net) {
-        let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
+        let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8f64);
         let grads = net.grads_flat();
         let mut params = net.params_flat();
         self.t += 1;
         let bc1 = 1.0 - f64::powi(beta1, self.t as i32);
         let root_bc2 = (1.0 - f64::powi(beta2, self.t as i32)).sqrt();
-        let alpha = self.lr * root_bc2 / bc1;
-        let eps_hat = eps * root_bc2;
+        let alpha = (self.lr * root_bc2 / bc1) as f32;
+        let eps_hat = (eps * root_bc2) as f32;
+        let (beta1, beta2) = (beta1 as f32, beta2 as f32);
+        let flush = |x: f32| if x.abs() < f32::MIN_POSITIVE { 0.0 } else { x };
         for i in 0..params.len() {
             let g = grads[i];
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
+            self.m[i] = flush(beta1 * self.m[i] + (1.0 - beta1) * g);
+            self.v[i] = flush(beta2 * self.v[i] + (1.0 - beta2) * g * g);
             params[i] -= alpha * self.m[i] / (self.v[i].sqrt() + eps_hat);
         }
         net.set_params_flat(&params);
@@ -252,37 +255,40 @@ impl PerSampleAgent {
     }
 
     pub(crate) fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        self.actor.forward(state)
+        let action = self.actor.forward(&narrow(state));
+        action.iter().map(|&v| f64::from(v)).collect()
     }
 
     pub(crate) fn q_value(&mut self, state: &[f64], action: &[f64]) -> f64 {
-        self.critic.forward(&[state, action].concat())[0]
+        let input = narrow(&[state, action].concat());
+        f64::from(self.critic.forward(&input)[0])
     }
 
     pub(crate) fn update(&mut self, batch: &[Transition]) -> (f64, f64) {
         if batch.is_empty() {
             return (0.0, 0.0);
         }
-        let n = batch.len() as f64;
-        let gamma = self.config.gamma;
+        let n = batch.len() as f32;
+        let gamma = self.config.gamma as f32;
 
         let mut targets = Vec::with_capacity(batch.len());
         for t in batch {
+            let reward = t.reward as f32;
             let y = if t.done {
-                t.reward
+                reward
             } else {
-                let next_action = self.actor_target.forward(&t.next_state);
-                let mut input = t.next_state.clone();
+                let next_state = narrow(&t.next_state);
+                let next_action = self.actor_target.forward(&next_state);
+                let mut input = next_state;
                 input.extend_from_slice(&next_action);
-                t.reward + gamma * self.critic_target.forward(&input)[0]
+                reward + gamma * self.critic_target.forward(&input)[0]
             };
             targets.push(y);
         }
         self.critic.zero_grad();
-        let mut critic_loss = 0.0;
+        let mut critic_loss = 0.0f32;
         for (t, &y) in batch.iter().zip(&targets) {
-            let mut input = t.state.clone();
-            input.extend_from_slice(&t.action);
+            let input = narrow(&[&t.state[..], &t.action[..]].concat());
             let q = self.critic.forward(&input)[0];
             let err = q - y;
             critic_loss += err * err / n;
@@ -291,10 +297,11 @@ impl PerSampleAgent {
         self.critic_opt.step(&mut self.critic);
 
         self.actor.zero_grad();
-        let mut actor_loss = 0.0;
+        let mut actor_loss = 0.0f32;
         for t in batch {
-            let action = self.actor.forward(&t.state);
-            let mut input = t.state.clone();
+            let state = narrow(&t.state);
+            let action = self.actor.forward(&state);
+            let mut input = state;
             input.extend_from_slice(&action);
             self.critic.zero_grad();
             let q = self.critic.forward(&input)[0];
@@ -306,11 +313,15 @@ impl PerSampleAgent {
         self.critic.zero_grad();
         self.actor_opt.step(&mut self.actor);
 
-        self.actor_target
-            .soft_update_from(&self.actor, self.config.tau);
-        self.critic_target
-            .soft_update_from(&self.critic, self.config.tau);
+        let tau = self.config.tau as f32;
+        self.actor_target.soft_update_from(&self.actor, tau);
+        self.critic_target.soft_update_from(&self.critic, tau);
 
-        (critic_loss, actor_loss)
+        (f64::from(critic_loss), f64::from(actor_loss))
     }
+}
+
+/// `values`, each rounded to `f32`.
+fn narrow(values: &[f64]) -> Vec<f32> {
+    values.iter().map(|&v| v as f32).collect()
 }

@@ -1,8 +1,9 @@
 //! Uniform-sampling replay buffer.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 
 /// One transition of the OSDS MDP.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -20,12 +21,71 @@ pub struct Transition {
     pub done: bool,
 }
 
+/// A mini-batch of transitions: a slice or `Vec` of them (or of borrows of
+/// them), or a [`Sample`] drawn from a [`ReplayBuffer`].
+pub trait Batch {
+    /// Number of transitions.
+    fn len(&self) -> usize;
+
+    /// Transition `i`; panics unless `i < len()`.
+    fn get(&self, i: usize) -> &Transition;
+
+    /// Whether the batch holds no transition.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T: Borrow<Transition>> Batch for [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> &Transition {
+        self[i].borrow()
+    }
+}
+
+impl<T: Borrow<Transition>> Batch for Vec<T> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn get(&self, i: usize) -> &Transition {
+        self[i].borrow()
+    }
+}
+
+/// Transitions drawn by [`ReplayBuffer::sample`], borrowed from the buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample<'a> {
+    data: &'a [Transition],
+    picks: &'a [usize],
+}
+
+impl Batch for Sample<'_> {
+    fn len(&self) -> usize {
+        self.picks.len()
+    }
+
+    fn get(&self, i: usize) -> &Transition {
+        &self.data[self.picks[i]]
+    }
+}
+
 /// A fixed-capacity ring-buffer replay memory with uniform sampling.
+///
+/// Sampling reuses the buffer's own index storage, so a steady-state
+/// [`ReplayBuffer::sample`] allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     capacity: usize,
     data: Vec<Transition>,
     next: usize,
+    /// The indices of the last sample.
+    picks: Vec<usize>,
+    /// The displaced entries of the partial Fisher–Yates index table.
+    displaced: HashMap<usize, usize>,
 }
 
 impl ReplayBuffer {
@@ -36,6 +96,8 @@ impl ReplayBuffer {
             capacity,
             data: Vec::with_capacity(capacity.min(4096)),
             next: 0,
+            picks: Vec::new(),
+            displaced: HashMap::new(),
         }
     }
 
@@ -61,16 +123,35 @@ impl ReplayBuffer {
 
     /// Samples `n` transitions uniformly at random (with replacement if the
     /// buffer holds fewer than `n`), borrowed from the buffer.
-    pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<&Transition> {
-        if self.data.is_empty() {
-            return Vec::new();
+    ///
+    /// Without replacement it is a partial Fisher–Yates shuffle of the
+    /// index table `0..len`, of which only the displaced entries are
+    /// stored: step `i` reads slots `i` and `j ≥ i` and never looks at slot
+    /// `i` again, so the map holds at most `n` entries however long the
+    /// buffer.  One draw per pick — the draws and picks of the `rand`
+    /// shim's `choose_multiple`, in the same order.
+    pub fn sample<R: Rng>(&mut self, n: usize, rng: &mut R) -> Sample<'_> {
+        let len = self.data.len();
+        self.picks.clear();
+        if len >= n {
+            self.displaced.clear();
+            self.displaced.reserve(n);
+            for i in 0..n {
+                let j = i + (rng.next_u64() as usize) % (len - i);
+                let at_i = self.displaced.remove(&i).unwrap_or(i);
+                let at_j = if j == i {
+                    at_i
+                } else {
+                    self.displaced.insert(j, at_i).unwrap_or(j)
+                };
+                self.picks.push(at_j);
+            }
+        } else if len > 0 {
+            self.picks.extend((0..n).map(|_| rng.gen_range(0..len)));
         }
-        if self.data.len() >= n {
-            self.data.choose_multiple(rng, n).collect()
-        } else {
-            (0..n)
-                .map(|_| &self.data[rng.gen_range(0..self.data.len())])
-                .collect()
+        Sample {
+            data: &self.data,
+            picks: &self.picks,
         }
     }
 }
@@ -79,6 +160,7 @@ impl ReplayBuffer {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     fn t(v: f64) -> Transition {
@@ -124,9 +206,40 @@ mod tests {
         assert_eq!(b.sample(64, &mut rng).len(), 64);
     }
 
+    /// The same picks, in the same order, from the same draws as
+    /// `choose_multiple` (and `gen_range` when the buffer is short), sample
+    /// after sample, with the buffer filling up and wrapping in between.
+    #[test]
+    fn sample_draws_as_choose_multiple_does() {
+        let mut b = ReplayBuffer::new(50);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut reference = rng.clone();
+        for round in 0..120 {
+            b.push(t(round as f64));
+            for n in [0usize, 1, 7, 32] {
+                let got: Vec<f64> = {
+                    let sample = b.sample(n, &mut rng);
+                    (0..sample.len()).map(|i| sample.get(i).reward).collect()
+                };
+                let want: Vec<f64> = if b.data.len() >= n {
+                    b.data
+                        .choose_multiple(&mut reference, n)
+                        .map(|t| t.reward)
+                        .collect()
+                } else {
+                    (0..n)
+                        .map(|_| b.data[reference.gen_range(0..b.data.len())].reward)
+                        .collect()
+                };
+                assert_eq!(got, want, "round {round}, n {n}");
+            }
+        }
+        assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "draw count");
+    }
+
     #[test]
     fn sample_from_empty_is_empty() {
-        let b = ReplayBuffer::new(10);
+        let mut b = ReplayBuffer::new(10);
         let mut rng = StdRng::seed_from_u64(1);
         assert!(b.sample(5, &mut rng).is_empty());
     }

@@ -1,11 +1,14 @@
 //! A steady-state DDPG update stays off the allocator: every activation,
-//! gradient and transpose buffer lives in the agent and is reused.
+//! gradient and transpose buffer lives in the agent and is reused, and so
+//! does a replay sample's index storage in the buffer.
 //!
 //! A counting `#[global_allocator]` (which is why this is a test binary of
 //! its own) counts the calls made by the calling thread only, so the test
 //! harness's own threads cannot disturb the count.
 
-use neuro::{DdpgAgent, DdpgConfig, Transition};
+use neuro::{DdpgAgent, DdpgConfig, ReplayBuffer, Transition};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -99,5 +102,23 @@ fn a_steady_state_update_allocates_nothing() {
         }),
         100,
         "act + update on a borrowed batch"
+    );
+    // Sampling from a replay buffer, as `osds_train` does every step,
+    // reuses the buffer's pick list and Fisher–Yates map.
+    let mut replay = ReplayBuffer::new(1_000);
+    for t in transitions.iter().cycle().take(200) {
+        replay.push(t.clone());
+    }
+    let mut rng = StdRng::seed_from_u64(3);
+    agent.update(&replay.sample(batch, &mut rng));
+    assert_eq!(
+        allocations(|| {
+            for _ in 0..100 {
+                let sample = replay.sample(batch, &mut rng);
+                agent.update(&sample);
+            }
+        }),
+        0,
+        "sample + update"
     );
 }
