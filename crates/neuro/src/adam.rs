@@ -42,8 +42,9 @@ impl Adam {
     /// `ε̂ = ε·√(1−β₂ᵗ)`, which is the textbook
     /// `lr·m̂ / (√v̂ + ε)` with the bias corrections moved out of the loop.
     /// `α_t` and `ε̂` are worked out in `f64` and rounded to `f32` once per
-    /// step; a moment whose magnitude falls below `f32::MIN_POSITIVE` is
-    /// stored as `+0.0`.
+    /// step; a moment whose magnitude falls below `2⁻¹⁰⁰` (so below
+    /// `f32::MIN_POSITIVE` too) is stored as `+0.0`, which keeps the step
+    /// off the subnormals (`kernels::MOMENT_FLOOR`).
     pub fn step(&mut self, net: &mut Mlp) {
         self.step_on(Arm::detected(), net)
     }
@@ -177,10 +178,12 @@ mod tests {
     }
 
     /// A parameter whose gradient goes to zero keeps a first moment that
-    /// decays ×0.9 per step, through the subnormals after ~800 steps from
-    /// 1e-3; the flush stores it as `+0.0` instead, on every arm.  Hidden
-    /// unit 0 is killed after 50 live steps (bias −1, input weight 0), and
-    /// 1 200 steps later every moment has been `0.0` or normal throughout.
+    /// decays ×0.9 per step, past `2⁻¹⁰⁰` and into the subnormals after
+    /// ~600 and ~760 steps from 1e-3; the flush stores it as `+0.0`
+    /// instead, on every arm.  Hidden unit 0 is killed after 50 live steps
+    /// (bias −1, input weight 0), and over 1 200 steps after that every
+    /// moment is `0.0` or normal — at least `2⁻¹⁰⁰`, so that `α_t·m` is
+    /// normal too — after every step.
     #[test]
     fn moments_of_a_dead_relu_unit_never_go_subnormal() {
         for arm in Arm::available() {
@@ -204,6 +207,12 @@ mod tests {
                 assert!(
                     m.iter().chain(v).all(|x| *x == 0.0 || x.is_normal()),
                     "{arm:?} step {step}: a subnormal moment"
+                );
+                assert!(
+                    m.iter()
+                        .chain(v)
+                        .all(|x| *x == 0.0 || x.abs() >= kernels::MOMENT_FLOOR),
+                    "{arm:?} step {step}: a moment below the floor"
                 );
                 if step == 50 {
                     assert!(dead.iter().all(|&i| m[i] != 0.0), "unit 0 was live");

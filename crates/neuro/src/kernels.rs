@@ -15,8 +15,9 @@
 //!
 //! [`adam`] is elementwise: plain multiplies, adds, one square root and one
 //! division per parameter, each correctly rounded on every arm, and the
-//! subnormal flush is a compare-and-select in code — never the MXCSR
-//! flush-to-zero mode, which is thread-global and would reach libm too.
+//! moment flush ([`MOMENT_FLOOR`]) is a compare-and-select in code — never
+//! the MXCSR flush-to-zero mode, which is thread-global and would reach
+//! libm too.
 
 use std::sync::OnceLock;
 
@@ -173,14 +174,24 @@ unsafe fn adam_avx512(step: AdamStep, p: &mut [f32], g: &mut [f32], m: &mut [f32
     adam_body(step, p, g, m, v)
 }
 
-/// `x`, or `+0.0` where its magnitude is below the smallest normal `f32`.
+/// The magnitude below which an Adam moment is stored as `+0.0`: `2⁻¹⁰⁰`.
+///
 /// A moment of a parameter whose gradient stays zero (a dead ReLU unit)
-/// decays geometrically; left alone it becomes subnormal within about a
-/// thousand steps, and every vector instruction that touches a subnormal
-/// takes a microcode assist.
+/// decays ×β₁ per step, and every vector instruction that reads or yields
+/// a subnormal takes a microcode assist.  Flushing only below
+/// `f32::MIN_POSITIVE` keeps the moments normal but not the step: `α_t·m`
+/// turns subnormal once `|m| < f32::MIN_POSITIVE / α_t` (about 1e-34 at
+/// `α_t = 1e-4`), tens of steps earlier, and an Adam step over moments in
+/// that band measured 14× slower.  At `2⁻¹⁰⁰` the step's intermediates
+/// stay normal while `α_t / (√v + ε̂) ≥ 2⁻²⁶`, and the step it drops,
+/// at most `α_t·2⁻¹⁰⁰ / ε̂` (under 1e-23 for learning rates up to 1e-2),
+/// is below half an ulp of any parameter larger than about 1e-15.
+pub(crate) const MOMENT_FLOOR: f32 = 1.0 / (1u128 << 100) as f32;
+
+/// `x`, or `+0.0` where its magnitude is below [`MOMENT_FLOOR`].
 #[inline(always)]
 pub(crate) fn flushed(x: f32) -> f32 {
-    if x.abs() < f32::MIN_POSITIVE {
+    if x.abs() < MOMENT_FLOOR {
         0.0
     } else {
         x

@@ -39,13 +39,15 @@
 //!   square root per parameter;
 //! * the moment updates and the soft update evaluate their textbook
 //!   expressions per element as written, unfused;
-//! * an Adam moment whose magnitude falls below `f32::MIN_POSITIVE` is
-//!   stored as `+0.0`.  The moments of a parameter whose gradient stays
-//!   zero (a dead ReLU unit) decay geometrically into the subnormals within
-//!   about a thousand updates, where every vector instruction touching them
-//!   takes a microcode assist.  The flush is a compare-and-select in code,
-//!   the same on every arm; the MXCSR flush-to-zero mode is never set, as
-//!   it is thread-global and would change libm's `tanhf` and `fmaf` too.
+//! * an Adam moment whose magnitude falls below `2⁻¹⁰⁰` is stored as
+//!   `+0.0` (so no moment is ever subnormal).  The moments of a parameter
+//!   whose gradient stays zero (a dead ReLU unit) decay geometrically, and
+//!   every vector instruction that reads or yields a subnormal takes a
+//!   microcode assist; the floor sits high enough that the step
+//!   `α_t·m / (√v + ε̂)` stays normal too (`kernels::MOMENT_FLOOR`).  The
+//!   flush is a compare-and-select in code, the same on every arm; the
+//!   MXCSR flush-to-zero mode is never set, as it is thread-global and
+//!   would change libm's `tanhf` and `fmaf` too.
 //!
 //! Vector lanes are always *different outputs* — the samples of a batch, or
 //! the inputs of a weight row — so no sum is ever split or reordered; nor

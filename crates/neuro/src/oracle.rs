@@ -202,7 +202,8 @@ impl FlatAdam {
         let alpha = (self.lr * root_bc2 / bc1) as f32;
         let eps_hat = (eps * root_bc2) as f32;
         let (beta1, beta2) = (beta1 as f32, beta2 as f32);
-        let flush = |x: f32| if x.abs() < f32::MIN_POSITIVE { 0.0 } else { x };
+        let floor = 1.0 / (1u128 << 100) as f32;
+        let flush = |x: f32| if x.abs() < floor { 0.0 } else { x };
         for i in 0..params.len() {
             let g = grads[i];
             self.m[i] = flush(beta1 * self.m[i] + (1.0 - beta1) * g);
