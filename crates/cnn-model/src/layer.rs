@@ -22,7 +22,9 @@ pub enum LayerOp {
         f: usize,
         /// Stride.
         stride: usize,
-        /// Zero padding on each border.
+        /// Zero padding on each border, at most `⌊f/2⌋`: a wider border
+        /// gives output rows that read padding alone, which no input band
+        /// feeds ([`Layer::resolve`] refuses it).
         padding: usize,
         /// Activation applied in-place after the convolution.
         act: Activation,
@@ -95,7 +97,9 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// Resolves a layer's output shape from its op and input shape.
+    /// Resolves a layer's output shape from its op and input shape.  A conv
+    /// whose padding exceeds `⌊f/2⌋`, or any layer that does not fit its
+    /// input, is [`ModelError::InvalidGeometry`].
     pub fn resolve(index: usize, op: LayerOp, input: Shape) -> Result<Self> {
         let output = match op {
             LayerOp::Conv {
@@ -105,6 +109,12 @@ impl Layer {
                 padding,
                 ..
             } => {
+                if padding > f / 2 {
+                    return Err(ModelError::InvalidGeometry {
+                        layer: index,
+                        reason: format!("conv f={f} padding {padding} exceeds ⌊f/2⌋ = {}", f / 2),
+                    });
+                }
                 let (h, w) = input.conv_output(f, stride, padding).ok_or_else(|| {
                     ModelError::InvalidGeometry {
                         layer: index,

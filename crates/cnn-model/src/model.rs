@@ -159,6 +159,27 @@ mod tests {
     }
 
     #[test]
+    fn padding_beyond_half_the_filter_is_refused() {
+        // A 1×1 conv with padding 1 has output rows that read padding alone;
+        // a split part holding only such rows would wait for input that no
+        // device ever sends.
+        let err = Model::new(
+            "wide-padding",
+            Shape::new(3, 19, 34),
+            &[
+                LayerOp::pool(2, 2),
+                LayerOp::conv(4, 1, 1, 1),
+                LayerOp::fc(10),
+            ],
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, ModelError::InvalidGeometry { layer: 1, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn shapes_propagate() {
         let m = tiny();
         assert_eq!(m.len(), 5);

@@ -19,7 +19,7 @@
 use crate::{DistrError, Result};
 use cnn_model::{LayerVolume, Model, PartitionScheme, VolumeSplit};
 use edgesim::{
-    advance_volume, finish_image, Cluster, ClusterState, DataLocation, ExecutionPlan, PartCompute,
+    advance_volume, finish_image, Cluster, ClusterState, ExecutionPlan, PartCompute,
     VolumeAssignment,
 };
 use serde::{Deserialize, Serialize};
@@ -47,7 +47,7 @@ pub struct SplitEnv<'a> {
     head_needed: bool,
     // Per-episode runtime state.
     state: ClusterState,
-    location: DataLocation,
+    prev: Option<VolumeAssignment>, // `None`: the image is on the requester.
     current: usize,
     splits: Vec<VolumeSplit>,
     last_latency_ms: Option<f64>,
@@ -71,7 +71,7 @@ impl<'a> SplitEnv<'a> {
             volumes,
             head_needed: !model.head_layers().is_empty(),
             state: ClusterState::new(0.0, n),
-            location: DataLocation::Requester,
+            prev: None,
             current: 0,
             splits: Vec::new(),
             last_latency_ms: None,
@@ -101,7 +101,7 @@ impl<'a> SplitEnv<'a> {
     /// Resets the episode and returns the initial observation `s_1`.
     pub fn reset(&mut self) -> Vec<f64> {
         self.state = ClusterState::new(0.0, self.num_devices());
-        self.location = DataLocation::Requester;
+        self.prev = None;
         self.current = 0;
         self.splits.clear();
         self.last_latency_ms = None;
@@ -166,7 +166,7 @@ impl<'a> SplitEnv<'a> {
             self.cluster,
             self.compute,
             &assignment,
-            &mut self.location,
+            self.prev.as_ref(),
             &mut self.state,
         );
         self.splits.push(split);
@@ -191,6 +191,7 @@ impl<'a> SplitEnv<'a> {
         } else {
             0.0
         };
+        self.prev = Some(assignment);
         Ok(StepOutcome {
             next_state: self.observe(),
             reward,

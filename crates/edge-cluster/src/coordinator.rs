@@ -26,7 +26,6 @@ use crate::proto::{self, Hello};
 use crate::{ClusterError, Result};
 use cnn_model::exec::{ModelWeights, QuantSpec};
 use cnn_model::Model;
-use edge_runtime::routing::RouteTable;
 use edge_runtime::transport::{FrameTx, Transport};
 use edge_runtime::{
     Deploy, ReconfigurePayload, ResyncReport, RuntimeError, RuntimeOptions, RuntimeReport, Session,
@@ -84,9 +83,8 @@ impl ClusterShared {
     }
 
     /// Device `d`'s full shard of `plan` as a [`Hello`] at `epoch`.
-    fn hello_for(&self, d: usize, epoch: u64, plan: ExecutionPlan) -> Result<Hello> {
-        let route = RouteTable::new(&self.model, &plan).map_err(ClusterError::Runtime)?;
-        let mut layers: Vec<usize> = route.keep_layers(&self.model, d).into_iter().collect();
+    fn hello_for(&self, d: usize, epoch: u64, plan: ExecutionPlan) -> Hello {
+        let mut layers: Vec<usize> = plan.keep_layers(&self.model, d).into_iter().collect();
         layers.sort_unstable();
         let delta: Vec<WeightDelta> = layers
             .into_iter()
@@ -96,7 +94,7 @@ impl ClusterShared {
                 bias: Arc::clone(&self.weights.layers[layer].1),
             })
             .collect();
-        Ok(Hello {
+        Hello {
             numerics: NUMERICS_CONTRACT,
             device: d,
             epoch,
@@ -107,7 +105,7 @@ impl ClusterShared {
                 delta,
                 quant: self.quant.clone(),
             },
-        })
+        }
     }
 
     /// Dials device `d`, ships its [`Hello`] at `(epoch, plan)`, and waits
@@ -139,9 +137,7 @@ impl ClusterShared {
         }
 
         let t0 = rec.start();
-        let hello = self
-            .hello_for(d, epoch, plan)
-            .map_err(|e| RuntimeError::Execution(e.to_string()))?;
+        let hello = self.hello_for(d, epoch, plan);
         let sent = proto::write_hello(&mut stream, &hello)?;
         let welcome = proto::read_welcome(&mut stream, hello.numerics).map_err(|e| match e {
             RuntimeError::Transport(t) => RuntimeError::Transport(t.at(Endpoint::Device(d))),
@@ -297,8 +293,9 @@ impl ClusterSession {
         telemetry: &Telemetry,
     ) -> Result<Self> {
         config.validate()?;
-        let route = RouteTable::new(model, plan).map_err(ClusterError::Runtime)?;
-        let n = route.num_devices;
+        plan.validate(model)
+            .map_err(|e| ClusterError::Runtime(RuntimeError::from(e)))?;
+        let n = plan.num_devices();
         if config.nodes.len() != n {
             return Err(ClusterError::Config(format!(
                 "plan uses {n} devices but the cluster config has {} nodes",

@@ -15,9 +15,10 @@
 //! * [`transport`] — the transport abstraction with an in-process channel
 //!   fabric (default), a loopback-TCP fabric, and a token-bucket bandwidth
 //!   shaper driven by `netsim` traces,
-//! * [`routing`] — the per-epoch routing table derived from an
-//!   [`edgesim::ExecutionPlan`] ([`routing::PlanEpoch`]), published to the
-//!   workers through an `ArcSwap`-style [`routing::EpochSlot`],
+//! * [`routing`] — the per-epoch plan ([`routing::PlanEpoch`]), published
+//!   to the workers through an `ArcSwap`-style [`routing::EpochSlot`]; the
+//!   workers walk the plan's own routing ([`edgesim::ExecutionPlan::sends`]),
+//!   the one the simulator prices,
 //! * [`provider`] — the provider worker (compute and send threads over the
 //!   transport's inbox),
 //! * [`session`] — the serving API: the [`Deploy`] builder wires the
@@ -81,7 +82,7 @@ pub mod transport;
 pub mod wire;
 
 pub use report::{DeviceMetrics, MeasuredCompute, RuntimeReport};
-pub use routing::{EpochSlot, PlanEpoch, RouteTable};
+pub use routing::{EpochSlot, PlanEpoch};
 pub use runtime::{RuntimeOptions, RuntimeOutcome};
 pub use session::{
     Deploy, ResyncReport, Runtime, Session, SessionLoad, SwapReport, Ticket, WeightSource,

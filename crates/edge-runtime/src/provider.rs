@@ -18,8 +18,8 @@
 //! the current [`PlanEpoch`] through the shared [`EpochSlot`] on every
 //! frame.  A [`FrameKind::Reconfigure`] frame installs the next epoch in
 //! place — it applies the delta weight shard (only the layers this device
-//! does not already hold resident), rebuilds the routing table, publishes it
-//! through the slot, and acks back to the requester — so a plan swap never
+//! does not already hold resident), publishes the new plan through the
+//! slot, and acks back to the requester — so a plan swap never
 //! tears the worker down.  The swap protocol drains the old epoch before
 //! reconfiguring and resumes admission only after every device has acked,
 //! so a data frame whose epoch differs from this device's installed epoch
@@ -39,7 +39,7 @@
 //! proof: it moves at deploy and swap time only).
 
 use crate::report::DeviceMetrics;
-use crate::routing::{overlap, EpochSlot, PlanEpoch};
+use crate::routing::{stage_input, EpochSlot, PlanEpoch};
 use crate::transport::FrameTx;
 use crate::wire::{Frame, FrameKind, ReconfigurePayload};
 use crate::{Result, RuntimeError, TransportError, TransportErrorKind};
@@ -263,7 +263,7 @@ impl ProviderHandle {
 enum OutMsg {
     /// A computed volume-output band to distribute (stage = the volume).
     /// Carries the epoch it was computed under so the send thread routes it
-    /// by the matching table even if the slot flips concurrently.
+    /// by the matching plan even if the slot flips concurrently.
     Band {
         image: u32,
         stage: usize,
@@ -304,7 +304,7 @@ pub fn spawn_provider(
     // see full-length vectors (reconfigures grow them if a later epoch has
     // more volumes).
     {
-        let num_volumes = shared.slot.load().route.num_volumes;
+        let num_volumes = shared.slot.load().plan.num_volumes();
         let mut comp = stats.comp.lock().expect("comp stats poisoned");
         comp.per_volume_ms = vec![0.0; num_volumes];
         comp.per_volume_images = vec![0; num_volumes];
@@ -438,9 +438,8 @@ impl ComputeState {
         Ok(())
     }
 
-    /// Installs the next epoch: applies the delta weight shard, rebuilds
-    /// the routing table, publishes it through the slot, and acks to the
-    /// requester.
+    /// Installs the next epoch: applies the delta weight shard, publishes
+    /// the new plan through the slot, and acks to the requester.
     fn handle_reconfigure(&mut self, frame: Frame) -> Result<()> {
         let current = self.shared.slot.load();
         if frame.epoch != current.id + 1 {
@@ -480,9 +479,10 @@ impl ComputeState {
             .with_wire_q8(payload.quant.is_some());
         {
             let mut comp = self.stats.comp.lock().expect("comp stats poisoned");
-            if epoch.route.num_volumes > comp.per_volume_ms.len() {
-                comp.per_volume_ms.resize(epoch.route.num_volumes, 0.0);
-                comp.per_volume_images.resize(epoch.route.num_volumes, 0);
+            let num_volumes = epoch.plan.num_volumes();
+            if num_volumes > comp.per_volume_ms.len() {
+                comp.per_volume_ms.resize(num_volumes, 0.0);
+                comp.per_volume_images.resize(num_volumes, 0);
             }
             comp.layers_packed += installed;
         }
@@ -519,13 +519,13 @@ impl ComputeState {
         row_lo: usize,
         rows: &Tensor,
     ) -> Result<Option<Tensor>> {
-        let needed = epoch.route.stage_needs(stage, self.d).ok_or_else(|| {
+        let needed = epoch.plan.needs(stage, self.d).ok_or_else(|| {
             RuntimeError::Execution(format!(
                 "device {} received rows for stage {stage} it does not participate in",
                 self.d
             ))
         })?;
-        let (c, w) = epoch.route.stage_geom(stage);
+        let shape = stage_input(&self.shared.model, &epoch.plan, stage);
         let key = (image, stage as u32);
         let asm = match self.assemblies.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -534,7 +534,7 @@ impl ComputeState {
                 let mut comp = self.stats.comp.lock().expect("comp stats poisoned");
                 comp.max_concurrent_images = comp.max_concurrent_images.max(self.open_images.len());
                 drop(comp);
-                e.insert(Assembly::new(c, w, needed))
+                e.insert(Assembly::new(shape.c, shape.w, needed))
             }
         };
         asm.insert(row_lo, rows)?;
@@ -572,8 +572,8 @@ impl ComputeState {
         mut stage: usize,
         mut band: Tensor,
     ) -> Result<()> {
-        let route = &epoch.route;
-        let finish = route.num_volumes;
+        let plan = &epoch.plan;
+        let finish = plan.finish_stage();
         loop {
             if stage == finish {
                 // Head gather complete: run the FC head, return the result.
@@ -606,7 +606,7 @@ impl ComputeState {
                 return Ok(());
             }
 
-            let part = &route.parts[stage][self.d];
+            let part = &plan.volumes[stage].parts[self.d];
             let t0 = Instant::now();
             let out = exec::run_part_on_band_packed(&self.shared.model, &self.weights, part, band)?;
             let t1 = Instant::now();
@@ -641,17 +641,14 @@ impl ComputeState {
                 .map_err(|_| RuntimeError::transport_disconnected("send thread is gone"))?;
 
             // Keep whatever the next stage needs from us locally.
-            let next = stage + 1;
-            let Some(need) = route.stage_needs(next, self.d) else {
+            let Some(kept) = plan.sends(stage, self.d).find(|t| t.is_local()) else {
                 return Ok(());
             };
-            let Some((lo, hi)) = overlap(out_range, need) else {
-                return Ok(());
-            };
+            let (lo, hi) = kept.rows;
             let local = slice_rows(&out, lo - out_range.0, hi - out_range.0)?;
-            match self.insert(epoch, image, next, lo, &local)? {
+            match self.insert(epoch, image, stage + 1, lo, &local)? {
                 Some(next_band) => {
-                    stage = next;
+                    stage += 1;
                     band = next_band;
                 }
                 None => return Ok(()),
@@ -706,16 +703,21 @@ fn send_loop(
                 band,
                 epoch,
             } => {
-                let out_lo = epoch.route.out_ranges[stage][d].0;
-                for target in epoch.route.send_targets(stage, d) {
+                let out_lo = epoch.plan.volumes[stage].parts[d].output_rows.0;
+                let next = (stage + 1) as u32;
+                for target in epoch.plan.sends(stage, d).filter(|t| !t.is_local()) {
                     let (lo, hi) = target.rows;
                     let rows = slice_rows(&band, lo - out_lo, hi - out_lo)?;
-                    // Inter-device activations travel as q8 slabs on
-                    // quantized epochs; head/requester results stay f32.
-                    let frame = if epoch.wire_q8 && target.kind == FrameKind::Rows {
-                        Frame::rows_q8(epoch.id, image, target.stage, lo as u32, &rows)
+                    // Rows to a device travel as q8 slabs on quantized
+                    // epochs; results to the requester stay f32.
+                    let kind = match target.to {
+                        Endpoint::Requester => FrameKind::Result,
+                        Endpoint::Device(_) => FrameKind::Rows,
+                    };
+                    let frame = if epoch.wire_q8 && kind == FrameKind::Rows {
+                        Frame::rows_q8(epoch.id, image, next, lo as u32, &rows)
                     } else {
-                        Frame::data(target.kind, epoch.id, image, target.stage, lo as u32, rows)
+                        Frame::data(kind, epoch.id, image, next, lo as u32, rows)
                     };
                     let trace = TraceId {
                         epoch: epoch.id,
@@ -733,7 +735,7 @@ fn send_loop(
                     FrameKind::Result,
                     epoch.id,
                     image,
-                    epoch.route.finish_stage(),
+                    epoch.plan.finish_stage() as u32,
                     0,
                     tensor,
                 );

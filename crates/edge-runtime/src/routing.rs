@@ -1,228 +1,47 @@
-//! Per-epoch routing: which rows of which volume each endpoint needs,
-//! produces and forwards — versioned so the plan can be swapped while the
-//! cluster serves.
+//! Per-epoch routing: the plan a device serves, versioned so it can be
+//! swapped while the cluster serves.
 //!
-//! A [`RouteTable`] is derived once from an [`edgesim::ExecutionPlan`]; at
-//! run time providers only look rows up, never plan.  Stages are numbered
-//! `0..num_volumes` for the layer-volumes, and stage `num_volumes` is the
-//! finish stage: the head gather (models with an FC head) or the result
-//! return to the requester (models without).
+//! Who sends which rows to whom is the plan's own derivation
+//! ([`ExecutionPlan::needs`], [`ExecutionPlan::sends`],
+//! [`ExecutionPlan::transfers`]), the one the simulator prices; at run time
+//! providers walk it, never plan.  Stages are numbered `0..num_volumes` for
+//! the layer-volumes, and stage `num_volumes` is the finish stage: the head
+//! gather (models with an FC head) or the result return to the requester
+//! (models without).  A transfer to a device travels as a `Rows` frame, one
+//! to the requester as a `Result` frame.
 //!
-//! Since the plan is no longer a deploy-time constant, the table is wrapped
-//! in a [`PlanEpoch`] — the plan, its routing, and a monotonically
+//! Since the plan is no longer a deploy-time constant, it is wrapped in a
+//! [`PlanEpoch`] — the plan, its wire precision, and a monotonically
 //! increasing epoch id — and published through an [`EpochSlot`], an
 //! `ArcSwap`-style shared slot the provider worker threads read on every
 //! frame instead of owning a clone.  [`crate::Session::apply_plan`] builds
 //! the next epoch, drains the in-flight window, broadcasts it, and stores
 //! it into each worker's slot.
 
-use crate::wire::FrameKind;
 use crate::{Result, RuntimeError};
-use cnn_model::{Model, PartPlan};
-use edgesim::{Endpoint, ExecutionPlan};
-use std::collections::HashSet;
+use cnn_model::Model;
+use edgesim::ExecutionPlan;
 use std::sync::{Arc, RwLock};
+use tensor::Shape;
 
-/// Overlap of two half-open row ranges, if non-empty.
-pub fn overlap(a: (usize, usize), b: (usize, usize)) -> Option<(usize, usize)> {
-    let lo = a.0.max(b.0);
-    let hi = a.1.min(b.1);
-    (lo < hi).then_some((lo, hi))
-}
-
-/// One outgoing transfer of a provider's volume output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendTarget {
-    /// Destination endpoint.
-    pub to: Endpoint,
-    /// Rows to carry, in full-feature-map coordinates of the volume output.
-    pub rows: (usize, usize),
-    /// Stage the rows feed at the destination.
-    pub stage: u32,
-    /// Frame kind (`Rows` between providers, `Result` back to the
-    /// requester).
-    pub kind: FrameKind,
-}
-
-/// The precomputed routing of one execution plan.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    /// Split-part plans, `[volume][device]`.
-    pub parts: Vec<Vec<PartPlan>>,
-    /// Input rows each device needs per volume (`None` for empty parts).
-    pub needs: Vec<Vec<Option<(usize, usize)>>>,
-    /// Output rows each device produces per volume.
-    pub out_ranges: Vec<Vec<(usize, usize)>>,
-    /// `(channels, width)` of each volume's input feature map.
-    pub in_geom: Vec<(usize, usize)>,
-    /// `(channels, width)` of each volume's output feature map.
-    pub out_geom: Vec<(usize, usize)>,
-    /// The FC-head device, if the model has a head.
-    pub head_device: Option<usize>,
-    /// Number of layer-volumes.
-    pub num_volumes: usize,
-    /// Output height of the last volume.
-    pub last_height: usize,
-    /// Number of provider devices.
-    pub num_devices: usize,
-}
-
-impl RouteTable {
-    /// Builds the routing table for `plan` on `model`.
-    pub fn new(model: &Model, plan: &ExecutionPlan) -> Result<Self> {
-        plan.validate(model).map_err(RuntimeError::from)?;
-        let num_volumes = plan.num_volumes();
-        let num_devices = plan
-            .volumes
-            .first()
-            .map(|v| v.parts.len())
-            .ok_or_else(|| RuntimeError::Execution("plan has no volumes".into()))?;
-
-        let mut parts = Vec::with_capacity(num_volumes);
-        let mut needs = Vec::with_capacity(num_volumes);
-        let mut out_ranges = Vec::with_capacity(num_volumes);
-        let mut in_geom = Vec::with_capacity(num_volumes);
-        let mut out_geom = Vec::with_capacity(num_volumes);
-
-        for assignment in &plan.volumes {
-            let volume = assignment.parts[0].volume;
-            let first = &model.layers()[volume.start];
-            let last = &model.layers()[volume.end - 1];
-            in_geom.push((first.input.c, first.input.w));
-            out_geom.push((last.output.c, last.output.w));
-            needs.push(
-                assignment
-                    .parts
-                    .iter()
-                    .map(|p| (!p.is_empty()).then_some(p.input_rows))
-                    .collect(),
-            );
-            out_ranges.push(assignment.parts.iter().map(|p| p.output_rows).collect());
-            parts.push(assignment.parts.clone());
-        }
-
-        let last_volume = plan.volumes.last().expect("validated plan").parts[0].volume;
-        let last_height = last_volume.last_output_height(model);
-
-        Ok(Self {
-            parts,
-            needs,
-            out_ranges,
-            in_geom,
-            out_geom,
-            head_device: plan.head_device,
-            num_volumes,
-            last_height,
-            num_devices,
-        })
-    }
-
-    /// The finish stage index (head gather / result return).
-    pub fn finish_stage(&self) -> u32 {
-        self.num_volumes as u32
-    }
-
-    /// Rows device `d` must assemble for `stage` before it can compute
-    /// (`None`: nothing to do at that stage).
-    pub fn stage_needs(&self, stage: usize, d: usize) -> Option<(usize, usize)> {
-        if stage < self.num_volumes {
-            self.needs[stage][d]
-        } else if self.head_device == Some(d) {
-            Some((0, self.last_height))
-        } else {
-            None
-        }
-    }
-
-    /// `(channels, width)` of the band assembled at `stage`.
-    pub fn stage_geom(&self, stage: usize) -> (usize, usize) {
-        if stage < self.num_volumes {
-            self.in_geom[stage]
-        } else {
-            self.out_geom[self.num_volumes - 1]
-        }
-    }
-
-    /// Where device `d` sends its output of volume `v`, excluding rows it
-    /// keeps locally.
-    pub fn send_targets(&self, v: usize, d: usize) -> Vec<SendTarget> {
-        let mine = self.out_ranges[v][d];
-        if mine.0 == mine.1 {
-            return Vec::new();
-        }
-        let mut targets = Vec::new();
-        if v + 1 < self.num_volumes {
-            for (j, need) in self.needs[v + 1].iter().enumerate() {
-                if j == d {
-                    continue;
-                }
-                if let Some(rows) = need.and_then(|n| overlap(mine, n)) {
-                    targets.push(SendTarget {
-                        to: Endpoint::Device(j),
-                        rows,
-                        stage: (v + 1) as u32,
-                        kind: FrameKind::Rows,
-                    });
-                }
-            }
-        } else {
-            match self.head_device {
-                Some(h) if h != d => targets.push(SendTarget {
-                    to: Endpoint::Device(h),
-                    rows: mine,
-                    stage: self.finish_stage(),
-                    kind: FrameKind::Rows,
-                }),
-                Some(_) => {} // Head device keeps its own rows locally.
-                None => targets.push(SendTarget {
-                    to: Endpoint::Requester,
-                    rows: mine,
-                    stage: self.finish_stage(),
-                    kind: FrameKind::Result,
-                }),
-            }
-        }
-        targets
-    }
-
-    /// The requester's scatter list for one image: per device, the rows of
-    /// the model input to send for volume 0.
-    pub fn scatter_targets(&self) -> Vec<(usize, (usize, usize))> {
-        self.needs[0]
-            .iter()
-            .enumerate()
-            .filter_map(|(d, need)| need.map(|rows| (d, rows)))
-            .collect()
-    }
-
-    /// The weight layers device `d` must hold resident to execute this
-    /// routing: every layer of its non-empty parts, plus the FC head on the
-    /// head device.  This is the sharding key of [`crate::Deploy::start`]
-    /// and the diff basis of [`crate::Session::apply_plan`]'s delta shards.
-    pub fn keep_layers(&self, model: &Model, d: usize) -> HashSet<usize> {
-        let mut keep: HashSet<usize> = self
-            .parts
-            .iter()
-            .filter(|volume| !volume[d].is_empty())
-            .flat_map(|volume| volume[d].layers.iter().map(|lr| lr.layer))
-            .collect();
-        if self.head_device == Some(d) {
-            keep.extend(model.head_layers().iter().map(|l| l.index));
-        }
-        keep
+/// The full feature map a device assembles bands of at `stage` of `plan`:
+/// the input of the stage's volume, or the last volume's output at the
+/// finish stage.
+pub(crate) fn stage_input(model: &Model, plan: &ExecutionPlan, stage: usize) -> Shape {
+    match plan.volumes.get(stage) {
+        Some(assignment) => model.layers()[assignment.parts[0].volume.start].input,
+        None => model.layers()[plan.volumes[stage - 1].parts[0].volume.end - 1].output,
     }
 }
 
-/// One version of the execution plan: the plan itself, its precomputed
-/// routing, and the epoch id that orders it against past and future plans.
+/// One version of the execution plan: the plan itself, its wire precision,
+/// and the epoch id that orders it against past and future plans.
 #[derive(Debug, Clone)]
 pub struct PlanEpoch {
     /// Monotonically increasing epoch id (`0` at deploy).
     pub id: u64,
     /// The execution plan serving in this epoch.
     pub plan: ExecutionPlan,
-    /// The routing derived from the plan.
-    pub route: RouteTable,
     /// Whether inter-device `Rows` frames travel as int8 (q8 slabs) this
     /// epoch.  Negotiated at deploy/reconfigure time: every participant of
     /// an epoch agrees, so a band producer quantizes exactly when its
@@ -231,12 +50,13 @@ pub struct PlanEpoch {
 }
 
 impl PlanEpoch {
-    /// Builds epoch `id` for `plan` on `model` (f32 activation transfer).
+    /// Builds epoch `id` for `plan`, validated against `model` (f32
+    /// activation transfer).
     pub fn new(id: u64, model: &Model, plan: &ExecutionPlan) -> Result<Self> {
+        plan.validate(model).map_err(RuntimeError::from)?;
         Ok(Self {
             id,
             plan: plan.clone(),
-            route: RouteTable::new(model, plan)?,
             wire_q8: false,
         })
     }
@@ -285,7 +105,8 @@ impl EpochSlot {
 mod tests {
     use super::*;
     use cnn_model::{LayerOp, PartitionScheme, VolumeSplit};
-    use tensor::Shape;
+    use edgesim::plan::overlap;
+    use edgesim::{Endpoint, Transfer};
 
     fn model() -> Model {
         Model::new(
@@ -311,35 +132,43 @@ mod tests {
         ExecutionPlan::from_splits(model, &scheme, &splits, n).unwrap()
     }
 
+    /// `(channels, width)` of the band assembled at `stage`.
+    fn geom(model: &Model, plan: &ExecutionPlan, stage: usize) -> (usize, usize) {
+        let shape = stage_input(model, plan, stage);
+        (shape.c, shape.w)
+    }
+
+    /// What device `d` ships of its volume-`v` output (its local piece
+    /// stays).
+    fn shipped(plan: &ExecutionPlan, v: usize, d: usize) -> Vec<Transfer> {
+        plan.sends(v, d).filter(|t| !t.is_local()).collect()
+    }
+
     #[test]
     fn needs_and_geometry() {
         let m = model();
         let plan = two_volume_plan(&m, 2);
-        let route = RouteTable::new(&m, &plan).unwrap();
-        assert_eq!(route.num_volumes, 2);
-        assert_eq!(route.num_devices, 2);
-        assert_eq!(route.in_geom[0], (3, 32));
+        assert_eq!(plan.num_volumes(), 2);
+        assert_eq!(plan.num_devices(), 2);
+        assert_eq!(geom(&m, &plan, 0), (3, 32));
         // Second volume consumes the pooled 8-channel 16-wide map.
-        assert_eq!(route.in_geom[1], (8, 16));
-        assert_eq!(route.out_geom[1], (16, 16));
-        assert_eq!(route.last_height, 16);
+        assert_eq!(geom(&m, &plan, 1), (8, 16));
+        assert_eq!(geom(&m, &plan, 2), (16, 16));
+        assert_eq!(stage_input(&m, &plan, plan.finish_stage()).h, 16);
         // Both devices need a slice of the input image.
-        assert!(route.needs[0].iter().all(|n| n.is_some()));
+        assert!((0..2).all(|d| plan.needs(0, d).is_some()));
     }
 
     #[test]
     fn interior_volume_routes_halo_to_peers() {
         let m = model();
         let plan = two_volume_plan(&m, 2);
-        let route = RouteTable::new(&m, &plan).unwrap();
         // Device 0 produces the top half of volume 0's output; device 1's
         // part of volume 1 needs a halo band reaching into it.
-        let targets = route.send_targets(0, 0);
-        assert!(targets
-            .iter()
-            .any(|t| t.to == Endpoint::Device(1) && t.kind == FrameKind::Rows && t.stage == 1));
+        let targets = shipped(&plan, 0, 0);
+        assert!(targets.iter().any(|t| t.to == Endpoint::Device(1)));
         // Rows sent must be inside device 0's own output.
-        let mine = route.out_ranges[0][0];
+        let mine = plan.volumes[0].parts[0].output_rows;
         for t in &targets {
             assert!(t.rows.0 >= mine.0 && t.rows.1 <= mine.1);
         }
@@ -349,23 +178,15 @@ mod tests {
     fn last_volume_routes_to_head() {
         let m = model();
         let plan = two_volume_plan(&m, 2);
-        let route = RouteTable::new(&m, &plan).unwrap();
-        let head = route.head_device.unwrap();
+        let head = plan.head_device.unwrap();
         let other = 1 - head;
-        let targets = route.send_targets(1, other);
+        let targets = shipped(&plan, 1, other);
         assert_eq!(targets.len(), 1);
         assert_eq!(targets[0].to, Endpoint::Device(head));
-        assert_eq!(targets[0].stage, route.finish_stage());
         // The head keeps its own rows local.
-        assert!(route.send_targets(1, head).is_empty());
-        assert_eq!(
-            route.stage_needs(route.finish_stage() as usize, head),
-            Some((0, 16))
-        );
-        assert_eq!(
-            route.stage_needs(route.finish_stage() as usize, other),
-            None
-        );
+        assert!(shipped(&plan, 1, head).is_empty());
+        assert_eq!(plan.needs(plan.finish_stage(), head), Some((0, 16)));
+        assert_eq!(plan.needs(plan.finish_stage(), other), None);
     }
 
     #[test]
@@ -379,12 +200,10 @@ mod tests {
         let scheme = PartitionScheme::single_volume(&m);
         let split = VolumeSplit::equal(2, m.prefix_output().h);
         let plan = ExecutionPlan::from_splits(&m, &scheme, &[split], 2).unwrap();
-        let route = RouteTable::new(&m, &plan).unwrap();
         for d in 0..2 {
-            let targets = route.send_targets(0, d);
+            let targets = shipped(&plan, 0, d);
             assert_eq!(targets.len(), 1);
             assert_eq!(targets[0].to, Endpoint::Requester);
-            assert_eq!(targets[0].kind, FrameKind::Result);
         }
     }
 
@@ -392,12 +211,12 @@ mod tests {
     fn empty_parts_are_skipped() {
         let m = model();
         let plan = ExecutionPlan::offload(&m, 1, 3).unwrap();
-        let route = RouteTable::new(&m, &plan).unwrap();
-        assert_eq!(route.scatter_targets().len(), 1);
-        assert_eq!(route.scatter_targets()[0].0, 1);
-        assert!(route.send_targets(0, 0).is_empty());
-        assert_eq!(route.stage_needs(0, 0), None);
-        assert_eq!(route.stage_needs(0, 2), None);
+        let scatter: Vec<Transfer> = plan.transfers(0).collect();
+        assert_eq!(scatter.len(), 1);
+        assert_eq!(scatter[0].to, Endpoint::Device(1));
+        assert!(plan.sends(0, 0).next().is_none());
+        assert_eq!(plan.needs(0, 0), None);
+        assert_eq!(plan.needs(0, 2), None);
     }
 
     #[test]
@@ -411,17 +230,15 @@ mod tests {
     fn keep_layers_covers_parts_and_head() {
         let m = model();
         let offload = ExecutionPlan::offload(&m, 1, 3).unwrap();
-        let route = RouteTable::new(&m, &offload).unwrap();
         // The offload target holds every layer (prefix + head); idle
         // devices hold nothing.
-        assert_eq!(route.keep_layers(&m, 1).len(), m.layers().len());
-        assert!(route.keep_layers(&m, 0).is_empty());
-        assert!(route.keep_layers(&m, 2).is_empty());
+        assert_eq!(offload.keep_layers(&m, 1).len(), m.layers().len());
+        assert!(offload.keep_layers(&m, 0).is_empty());
+        assert!(offload.keep_layers(&m, 2).is_empty());
 
         let split = two_volume_plan(&m, 2);
-        let route = RouteTable::new(&m, &split).unwrap();
-        let head = route.head_device.unwrap();
-        assert!(route.keep_layers(&m, head).len() > route.keep_layers(&m, 1 - head).len());
+        let head = split.head_device.unwrap();
+        assert!(split.keep_layers(&m, head).len() > split.keep_layers(&m, 1 - head).len());
     }
 
     #[test]
@@ -437,6 +254,6 @@ mod tests {
         // still routed by it.
         assert_eq!(slot.load().id, 1);
         assert_eq!(held.id, 0);
-        assert_eq!(held.route.num_volumes, 2);
+        assert_eq!(held.plan.num_volumes(), 2);
     }
 }

@@ -208,8 +208,7 @@ impl<'a> Deploy<'a> {
             })?),
         };
         let epoch0 = PlanEpoch::new(0, model, plan)?.with_wire_q8(quant.is_some());
-        let route = &epoch0.route;
-        let n = route.num_devices;
+        let n = plan.num_devices();
 
         // Weight residency per device: the layers a device's parts run
         // (exactly what `cnn_model::memory::part_footprint` accounts), or
@@ -217,7 +216,7 @@ impl<'a> Deploy<'a> {
         // `apply_plan` uses to ship only delta shards on a swap.
         let keep_sets: Vec<HashSet<usize>> = match &packed {
             Some(_) => vec![(0..model.len()).collect(); n],
-            None => (0..n).map(|d| route.keep_layers(model, d)).collect(),
+            None => (0..n).map(|d| plan.keep_layers(model, d)).collect(),
         };
         let resident_bytes: Vec<usize> = match &packed {
             Some(packed) => vec![packed.resident_bytes(); n],
@@ -268,7 +267,7 @@ impl<'a> Deploy<'a> {
             Arc::clone(&shared),
             Arc::clone(&stop),
             model,
-            route,
+            plan,
             options.recv_timeout,
             &telemetry,
         );
@@ -277,7 +276,7 @@ impl<'a> Deploy<'a> {
             scatter: Mutex::new(ScatterState {
                 txs: requester_txs,
                 scatter_ms: vec![0.0; n],
-                targets: route.scatter_targets(),
+                plan: plan.clone(),
                 rec: telemetry.recorder("requester.submit", REQUESTER),
             }),
             plan_state: Mutex::new(PlanState {

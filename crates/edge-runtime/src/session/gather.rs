@@ -2,47 +2,45 @@
 
 use super::{SessionShared, GATHER_TICK};
 use crate::provider::Assembly;
-use crate::routing::RouteTable;
+use crate::routing::stage_input;
 use crate::wire::{Frame, FrameKind};
 use crate::{Result, RuntimeError};
 use cnn_model::Model;
 use edge_telemetry::{Recorder, Stage, Telemetry, TraceId, REQUESTER};
+use edgesim::ExecutionPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tensor::Shape;
 
 struct GatherConfig {
     /// The model's output shape when an FC-head device returns it whole;
     /// `None` when the requester stitches the result from row bands.
     head_shape: Option<[usize; 3]>,
-    result_c: usize,
-    result_w: usize,
-    last_height: usize,
+    /// The last volume's output, which headless results stitch into.
+    stitched: Shape,
     recv_timeout: Duration,
 }
 
 /// Spawns the gather thread over the requester `inbox`; the result
-/// geometry is that of `route`'s finishing stage, or `model`'s output when
-/// the route has a head device.
+/// geometry is that of `plan`'s finish stage, or `model`'s output when the
+/// plan has a head device.
 pub(super) fn spawn(
     inbox: Receiver<Vec<u8>>,
     shared: Arc<SessionShared>,
     stop: Arc<AtomicBool>,
     model: &Model,
-    route: &RouteTable,
+    plan: &ExecutionPlan,
     recv_timeout: Duration,
     telemetry: &Telemetry,
 ) -> JoinHandle<Receiver<Vec<u8>>> {
-    let (result_c, result_w) = route.stage_geom(route.finish_stage() as usize);
     let output = model.layers().last().map(|l| l.output.as_array());
     let cfg = GatherConfig {
-        head_shape: route.head_device.and(output),
-        result_c,
-        result_w,
-        last_height: route.last_height,
+        head_shape: plan.head_device.and(output),
+        stitched: stage_input(model, plan, plan.finish_stage()),
         recv_timeout,
     };
     // The gather thread's own ring: merge spans for headless stitching.
@@ -158,9 +156,10 @@ fn handle_requester_frame(
         // and rows from two different epochs must never stitch into one
         // output.
         let key = (image, frame.epoch);
+        let Shape { c, h, w } = cfg.stitched;
         let asm = assemblies
             .entry(key)
-            .or_insert_with(|| Assembly::new(cfg.result_c, cfg.result_w, (0, cfg.last_height)));
+            .or_insert_with(|| Assembly::new(c, w, (0, h)));
         asm.insert(frame.row_lo as usize, &frame.tensor)?;
         if asm.complete() {
             let asm = assemblies.remove(&key).expect("present");

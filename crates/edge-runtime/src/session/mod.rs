@@ -201,9 +201,9 @@ impl SessionShared {
 struct ScatterState {
     txs: Vec<Box<dyn FrameTx>>,
     scatter_ms: Vec<f64>,
-    /// Per device, the rows of the model input to send for volume 0 —
+    /// The plan whose first volume the next image is scattered onto —
     /// per-epoch state, replaced by `apply_plan`.
-    targets: Vec<(usize, (usize, usize))>,
+    plan: ExecutionPlan,
     /// Submit-path spans (whole-submit + per-device scatter); single-writer
     /// by virtue of living under the scatter lock.
     rec: Recorder,

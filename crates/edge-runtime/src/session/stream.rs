@@ -6,6 +6,7 @@ use crate::runtime::RuntimeOutcome;
 use crate::wire::{Frame, FrameKind};
 use crate::{Result, RuntimeError};
 use edge_telemetry::{Stage, TraceId};
+use edgesim::Endpoint;
 use std::time::{Duration, Instant};
 use tensor::slice::slice_rows;
 use tensor::Tensor;
@@ -25,10 +26,14 @@ impl ScatterState {
         let Self {
             txs,
             scatter_ms,
-            targets,
+            plan,
             rec,
         } = self;
-        for &(d, (lo, hi)) in targets.iter() {
+        for transfer in plan.transfers(0) {
+            let Endpoint::Device(d) = transfer.to else {
+                continue;
+            };
+            let (lo, hi) = transfer.rows;
             let rows = slice_rows(image, lo, hi)?;
             let frame = if quantized {
                 Frame::rows_q8(trace.epoch, trace.image, 0, lo as u32, &rows)

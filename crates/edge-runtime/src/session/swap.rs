@@ -11,7 +11,6 @@
 //! nothing, ships nothing and replays the window afterwards.
 
 use super::{Session, GATHER_TICK};
-use crate::routing::RouteTable;
 use crate::wire::{Frame, ReconfigurePayload, WeightDelta};
 use crate::{Result, RuntimeError};
 use edge_telemetry::{Stage, TraceId, REQUESTER};
@@ -91,12 +90,11 @@ impl Session {
     pub fn apply_plan(&self, plan: &ExecutionPlan) -> Result<SwapReport> {
         let t_total = Instant::now();
         plan.validate(&self.model).map_err(RuntimeError::from)?;
-        let route = RouteTable::new(&self.model, plan)?;
         let n = self.num_devices();
-        if route.num_devices != n {
+        if plan.num_devices() != n {
             return Err(RuntimeError::Execution(format!(
                 "new plan addresses {} devices, session has {n}",
-                route.num_devices
+                plan.num_devices()
             )));
         }
 
@@ -137,7 +135,7 @@ impl Session {
             let mut payloads = Vec::with_capacity(n);
             let mut keeps: Vec<HashSet<usize>> = Vec::with_capacity(n);
             for d in 0..n {
-                let needed = route.keep_layers(&self.model, d);
+                let needed = plan.keep_layers(&self.model, d);
                 let mut missing: Vec<usize> = needed.difference(&ps.keep[d]).copied().collect();
                 missing.sort_unstable();
                 let delta: Vec<WeightDelta> = missing
@@ -169,14 +167,8 @@ impl Session {
             payloads
         };
         // No scatter can interleave while admission is paused, so the new
-        // targets are installed before any new-epoch image.
-        self.reconfigure_and_flip(
-            "acks",
-            new_epoch,
-            &payloads,
-            Some(route.scatter_targets()),
-            t_reconf,
-        )?;
+        // plan is installed before any new-epoch image.
+        self.reconfigure_and_flip("acks", new_epoch, &payloads, Some(plan), t_reconf)?;
         let reconfigure_ms = t_reconf.elapsed().as_secs_f64() * 1e3;
         self.end_swap();
 
@@ -228,15 +220,8 @@ impl Session {
         // no weight delta.
         let payload = {
             let mut ps = self.plan_state.lock().expect("plan state poisoned");
-            let route = match RouteTable::new(&self.model, &ps.plan) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.shared.lock().swapping = false;
-                    return Err(e);
-                }
-            };
             for &d in rejoined {
-                let keep = route.keep_layers(&self.model, d);
+                let keep = ps.plan.keep_layers(&self.model, d);
                 ps.resident_bytes[d] = self.weights.resident_bytes_of(&keep);
                 ps.keep[d] = keep;
             }
@@ -248,7 +233,7 @@ impl Session {
         };
 
         // 3. Broadcast the epoch bump, wait for every ack, flip.  The plan
-        // is unchanged, so the scatter targets stay.
+        // is unchanged, so the scatter keeps it.
         self.reconfigure_and_flip(
             "re-sync acks",
             new_epoch,
@@ -324,8 +309,8 @@ impl Session {
     }
 
     /// The middle of every epoch change: sends device `d` its
-    /// `Reconfigure` frame (`payloads[d]`), installs `targets` if the plan
-    /// changed, waits until every device has acked `new_epoch` or
+    /// `Reconfigure` frame (`payloads[d]`), installs `plan` for the scatter
+    /// if the plan changed, waits until every device has acked `new_epoch` or
     /// `recv_timeout` runs out (the error then says which `acks` were
     /// missing), flips the epoch and records it.
     ///
@@ -336,7 +321,7 @@ impl Session {
         acks: &str,
         new_epoch: u64,
         payloads: &[ReconfigurePayload],
-        targets: Option<Vec<(usize, (usize, usize))>>,
+        plan: Option<&ExecutionPlan>,
         t_reconf: Instant,
     ) -> Result<()> {
         let n = payloads.len();
@@ -350,8 +335,8 @@ impl Session {
                     return Err(e);
                 }
             }
-            if let Some(targets) = targets {
-                sc.targets = targets;
+            if let Some(plan) = plan {
+                sc.plan = plan.clone();
             }
         }
 
@@ -362,7 +347,7 @@ impl Session {
                 let now = Instant::now();
                 if now >= deadline {
                     // The Reconfigure broadcast is out (and a swap's scatter
-                    // targets are replaced): the cluster is half-swapped and
+                    // plan is replaced): the cluster is half-swapped and
                     // cannot safely serve either epoch.  Fail the session
                     // rather than reopening admission into the wreckage.
                     let acked = st.acked.iter().filter(|&&a| a).count();

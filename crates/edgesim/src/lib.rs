@@ -23,6 +23,12 @@
 //! publicly ([`stepper`]) because the OSDS MDP observes exactly its
 //! intermediate state: the accumulated latencies of the devices after each
 //! layer-volume.
+//!
+//! The routing — which rows each device needs, and who sends which rows to
+//! whom at each stage — is derived once, from the [`ExecutionPlan`]
+//! ([`plan`]: [`ExecutionPlan::transfers`], [`ExecutionPlan::sends`]).
+//! The stepper prices those transfers and `edge-runtime` ships them, so a
+//! plan the runtime serves moves exactly the rows the planner priced.
 
 pub mod cluster;
 pub mod metrics;
@@ -32,6 +38,6 @@ pub mod stepper;
 
 pub use cluster::{Cluster, Endpoint, PartCompute};
 pub use metrics::SimReport;
-pub use plan::{ExecutionPlan, VolumeAssignment};
+pub use plan::{ExecutionPlan, Transfer, VolumeAssignment};
 pub use sim::{simulate, SimOptions};
-pub use stepper::{advance_volume, finish_image, ClusterState, DataLocation, VolumeStats};
+pub use stepper::{advance_volume, finish_image, ClusterState, VolumeStats};

@@ -62,17 +62,6 @@ impl SimReport {
             .cloned()
             .fold(0.0, f64::max)
     }
-
-    /// Latency at a given percentile (0–100) over the streamed images.
-    pub fn latency_percentile(&self, pct: f64) -> f64 {
-        if self.per_image_latency_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.per_image_latency_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let idx = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    }
 }
 
 #[cfg(test)]
@@ -100,19 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn percentiles() {
-        let lat: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let r = SimReport::from_raw(lat, vec![0.0], vec![0.0]);
-        assert_eq!(r.latency_percentile(0.0), 1.0);
-        assert_eq!(r.latency_percentile(100.0), 100.0);
-        assert!((r.latency_percentile(50.0) - 50.0).abs() <= 1.0);
-    }
-
-    #[test]
     fn empty_report_is_safe() {
         let r = SimReport::from_raw(vec![], vec![], vec![]);
         assert_eq!(r.ips, 0.0);
-        assert_eq!(r.latency_percentile(50.0), 0.0);
         assert_eq!(r.max_compute_ms(), 0.0);
     }
 }

@@ -1,8 +1,52 @@
 //! Execution plans: which device computes which split-part of which
-//! layer-volume, and where the FC head (if any) runs.
+//! layer-volume, and where the FC head (if any) runs — and the routing
+//! that follows from it: who sends which rows to whom.
+//!
+//! Stages are numbered `0..num_volumes` for the layer-volumes, and stage
+//! `num_volumes` is the finish stage: the head gather (models with an FC
+//! head) or the result return to the requester (models without).  The
+//! requester scatters each part's input rows into stage 0; each holder of a
+//! volume's output sends every device the rows it needs of the next; the
+//! last volume's holders send their rows to the head device, which returns
+//! the head's output to the requester, or, without a head, straight to the
+//! requester.  The simulator prices these transfers and the runtime ships
+//! them; neither derives them on its own.
 
+use crate::cluster::Endpoint;
 use cnn_model::{Model, ModelError, PartPlan, PartitionScheme, VolumeSplit};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+
+/// Overlap of two half-open row ranges, if non-empty.
+pub fn overlap(a: (usize, usize), b: (usize, usize)) -> Option<(usize, usize)> {
+    let lo = a.0.max(b.0);
+    let hi = a.1.min(b.1);
+    (lo < hi).then_some((lo, hi))
+}
+
+/// One transfer of a plan's data flow: `rows` of the receiving stage's
+/// input feature map (full-map coordinates) move from `from` to `to`.  A
+/// transfer whose two ends are the same device is that device's local
+/// piece: it keeps those rows and nothing crosses a link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfer {
+    /// The endpoint holding the rows.
+    pub from: Endpoint,
+    /// The endpoint that needs them.
+    pub to: Endpoint,
+    /// The rows carried.
+    pub rows: (usize, usize),
+}
+
+impl Transfer {
+    /// Whether the rows stay on their device.
+    pub fn is_local(&self) -> bool {
+        self.from == self.to
+    }
+}
+
+/// The head's output on its way to the requester: one `[out, 1, 1]` row.
+const HEAD_RESULT_ROWS: (usize, usize) = (0, 1);
 
 /// The assignment of one layer-volume's split-parts to devices.
 ///
@@ -14,19 +58,63 @@ pub struct VolumeAssignment {
 }
 
 impl VolumeAssignment {
-    /// Output row range of the volume's last layer held by device `i`.
-    pub fn output_range(&self, device: usize) -> (usize, usize) {
-        self.parts[device].output_rows
+    /// Input rows device `d` needs for this volume (`None` for an empty
+    /// part).
+    pub fn needs(&self, d: usize) -> Option<(usize, usize)> {
+        let part = &self.parts[d];
+        (!part.is_empty()).then_some(part.input_rows)
     }
 
-    /// Devices that actually hold output rows of this volume.
-    pub fn holders(&self) -> Vec<usize> {
+    /// The rows device `from` holds of `prev`'s output that device `to`
+    /// needs for this volume.
+    fn piece(&self, prev: &VolumeAssignment, from: usize, to: usize) -> Option<Transfer> {
+        let rows = overlap(self.needs(to)?, prev.parts[from].output_rows)?;
+        Some(Transfer {
+            from: Endpoint::Device(from),
+            to: Endpoint::Device(to),
+            rows,
+        })
+    }
+
+    /// The transfers that bring device `d` its input rows of this volume:
+    /// its slice of the image from the requester when `prev` is `None`
+    /// (this is the first volume), otherwise one piece from each holder of
+    /// `prev`'s output, in device order, `d`'s own slice as its local
+    /// piece.  Nothing for an empty part.
+    pub fn transfers_into<'a>(
+        &'a self,
+        prev: Option<&'a VolumeAssignment>,
+        d: usize,
+    ) -> impl Iterator<Item = Transfer> + 'a {
+        let scatter = self
+            .needs(d)
+            .filter(|_| prev.is_none())
+            .map(|rows| Transfer {
+                from: Endpoint::Requester,
+                to: Endpoint::Device(d),
+                rows,
+            });
+        let halo = prev.into_iter().flat_map(move |prev| {
+            (0..prev.parts.len()).filter_map(move |from| self.piece(prev, from, d))
+        });
+        scatter.into_iter().chain(halo)
+    }
+
+    /// The gather after this, the last, volume: each holder sends its
+    /// output rows to the `head` device (the head's own rows are its local
+    /// piece) or, without a head, to the requester.  The head's output then
+    /// goes to the requester ([`ExecutionPlan::transfers`] lists it).
+    pub fn gather(&self, head: Option<usize>) -> impl Iterator<Item = Transfer> + '_ {
+        let to = head.map_or(Endpoint::Requester, Endpoint::Device);
         self.parts
             .iter()
             .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(i, _)| i)
-            .collect()
+            .filter(|(_, part)| !part.is_empty())
+            .map(move |(d, part)| Transfer {
+                from: Endpoint::Device(d),
+                to,
+                rows: part.output_rows,
+            })
     }
 
     /// The device that runs the FC head when this is the last volume: the
@@ -115,8 +203,98 @@ impl ExecutionPlan {
         self.volumes.len()
     }
 
-    /// Validates that every volume's parts exactly tile its output height.
+    /// Number of devices the plan addresses.
+    pub fn num_devices(&self) -> usize {
+        self.volumes.first().map_or(0, |v| v.parts.len())
+    }
+
+    /// The finish stage: the head gather, or the result return.
+    pub fn finish_stage(&self) -> usize {
+        self.volumes.len()
+    }
+
+    /// Rows device `d` assembles before it computes at `stage`: its part's
+    /// input rows, or, at the finish stage, the last volume's whole output
+    /// on the head device.  `None`: `d` has nothing to do at `stage`.
+    pub fn needs(&self, stage: usize, d: usize) -> Option<(usize, usize)> {
+        match self.volumes.get(stage) {
+            Some(assignment) => assignment.needs(d),
+            None => {
+                let last = self.volumes.last()?;
+                let height = last.parts.iter().map(|p| p.output_rows.1).max()?;
+                (self.head_device == Some(d)).then_some((0, height))
+            }
+        }
+    }
+
+    /// Every transfer into `stage`, local pieces included: per device, in
+    /// device order, [`VolumeAssignment::transfers_into`] for a volume; at
+    /// the finish stage the last volume's gather, then the head's output to
+    /// the requester.
+    pub fn transfers(&self, stage: usize) -> impl Iterator<Item = Transfer> + '_ {
+        let prev = stage.checked_sub(1).and_then(|s| self.volumes.get(s));
+        let into_volume = self.volumes.get(stage).into_iter().flat_map(move |next| {
+            (0..next.parts.len()).flat_map(move |d| next.transfers_into(prev, d))
+        });
+        let finish = (stage == self.finish_stage()).then_some(prev).flatten();
+        let gather = finish
+            .into_iter()
+            .flat_map(|last| last.gather(self.head_device));
+        let result = self
+            .head_device
+            .filter(|_| finish.is_some())
+            .map(|h| Transfer {
+                from: Endpoint::Device(h),
+                to: Endpoint::Requester,
+                rows: HEAD_RESULT_ROWS,
+            });
+        into_volume.chain(gather).chain(result)
+    }
+
+    /// Where device `d`'s output of volume `v` goes: a piece to each device
+    /// that needs rows of it at the next volume, in device order, or, after
+    /// the last volume, its gather transfer.  `d`'s own piece is the local
+    /// one.
+    pub fn sends(&self, v: usize, d: usize) -> impl Iterator<Item = Transfer> + '_ {
+        let held = &self.volumes[v];
+        let next = self.volumes.get(v + 1);
+        let halo = next.into_iter().flat_map(move |next| {
+            (0..next.parts.len()).filter_map(move |to| next.piece(held, d, to))
+        });
+        let gather = next
+            .is_none()
+            .then(|| {
+                held.gather(self.head_device)
+                    .find(|t| t.from == Endpoint::Device(d))
+            })
+            .flatten();
+        halo.chain(gather)
+    }
+
+    /// The weight layers device `d` must hold resident to run this plan:
+    /// every layer of its non-empty parts, plus the FC head on the head
+    /// device.  The runtime shards weights by it at deploy and ships deltas
+    /// of it on a plan swap.
+    pub fn keep_layers(&self, model: &Model, d: usize) -> HashSet<usize> {
+        let mut keep: HashSet<usize> = self
+            .volumes
+            .iter()
+            .map(|assignment| &assignment.parts[d])
+            .filter(|part| !part.is_empty())
+            .flat_map(|part| part.layers.iter().map(|lr| lr.layer))
+            .collect();
+        if self.head_device == Some(d) {
+            keep.extend(model.head_layers().iter().map(|l| l.index));
+        }
+        keep
+    }
+
+    /// Validates that the plan has a volume and that every volume's parts
+    /// exactly tile its output height.
     pub fn validate(&self, model: &Model) -> Result<(), ModelError> {
+        if self.volumes.is_empty() {
+            return Err(ModelError::InvalidSplit("plan has no volumes".into()));
+        }
         for assignment in &self.volumes {
             let Some(first) = assignment.parts.first() else {
                 return Err(ModelError::InvalidSplit("volume with no parts".into()));
@@ -209,8 +387,9 @@ mod tests {
             let plan = ExecutionPlan::offload(&m, target, 3).unwrap();
             plan.validate(&m).unwrap();
             assert_eq!(plan.head_device, Some(target));
-            let holders = plan.volumes[0].holders();
-            assert_eq!(holders, vec![target]);
+            for (d, part) in plan.volumes[0].parts.iter().enumerate() {
+                assert_eq!(part.is_empty(), d != target);
+            }
         }
     }
 
@@ -251,8 +430,8 @@ mod tests {
         let split = VolumeSplit::new(vec![0, 8], h);
         let plan = ExecutionPlan::from_splits(&m, &scheme, &[split], 3).unwrap();
         let va = &plan.volumes[0];
-        assert_eq!(va.holders(), vec![1, 2]);
-        assert_eq!(va.output_range(1), (0, 8));
-        assert_eq!(va.output_range(2), (8, h));
+        assert!(va.parts[0].is_empty());
+        assert_eq!(va.parts[1].output_rows, (0, 8));
+        assert_eq!(va.parts[2].output_rows, (8, h));
     }
 }

@@ -3,7 +3,7 @@
 use crate::cluster::{Cluster, PartCompute};
 use crate::metrics::SimReport;
 use crate::plan::ExecutionPlan;
-use crate::stepper::{advance_volume, finish_image, ClusterState, DataLocation};
+use crate::stepper::{advance_volume, finish_image, ClusterState};
 use cnn_model::Model;
 use serde::{Deserialize, Serialize};
 
@@ -47,16 +47,10 @@ pub fn simulate(
 
     for _ in 0..options.num_images {
         let mut state = ClusterState::new(now, n);
-        let mut location = DataLocation::Requester;
+        let mut prev = None;
         for assignment in &plan.volumes {
-            let stats = advance_volume(
-                model,
-                cluster,
-                compute,
-                assignment,
-                &mut location,
-                &mut state,
-            );
+            let stats = advance_volume(model, cluster, compute, assignment, prev, &mut state);
+            prev = Some(assignment);
             for d in 0..n {
                 compute_totals[d] += stats.compute_ms[d];
                 transmission_totals[d] += stats.transmission_ms[d];

@@ -3,21 +3,14 @@
 //! The state after layer-volume `l` — one "ready time" per device — is
 //! exactly the vector of accumulated latencies `T_l` that the OSDS MDP uses
 //! as (part of) its observation, so the stepper is shared between the
-//! simulator and the reinforcement-learning environment.
+//! simulator and the reinforcement-learning environment.  It prices the
+//! plan's own transfers ([`VolumeAssignment::transfers_into`] and
+//! [`VolumeAssignment::gather`]), the same ones the runtime ships.
 
 use crate::cluster::{Cluster, Endpoint, PartCompute};
 use crate::plan::VolumeAssignment;
 use cnn_model::Model;
 use serde::{Deserialize, Serialize};
-
-/// Where the current feature map (the input of the next layer-volume) lives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum DataLocation {
-    /// The full input image is still on the service requester.
-    Requester,
-    /// Row range `[lo, hi)` of the feature map held by each device.
-    Devices(Vec<(usize, usize)>),
-}
 
 /// Per-device timing state while an image flows through the volumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,24 +50,18 @@ pub struct VolumeStats {
     pub transmission_ms: Vec<f64>,
 }
 
-fn overlap(a: (usize, usize), b: (usize, usize)) -> usize {
-    let lo = a.0.max(b.0);
-    let hi = a.1.min(b.1);
-    hi.saturating_sub(lo)
-}
-
 /// Advances the image through one layer-volume.
 ///
-/// Each device first gathers the input rows its part needs (from the
-/// requester or from whichever devices hold them), then computes its part.
-/// Returns the per-device timing breakdown and updates `location` to the
-/// output row distribution of this volume.
+/// Each device first gathers the input rows its part needs — from the
+/// requester when `prev` is `None`, otherwise from the holders of `prev`,
+/// the previous volume — then computes its part.  Returns the per-device
+/// timing breakdown.
 pub fn advance_volume(
     model: &Model,
     cluster: &Cluster,
     compute: &dyn PartCompute,
     assignment: &VolumeAssignment,
-    location: &mut DataLocation,
+    prev: Option<&VolumeAssignment>,
     state: &mut ClusterState,
 ) -> VolumeStats {
     let n = cluster.len();
@@ -92,39 +79,19 @@ pub fn advance_volume(
         if part.is_empty() {
             continue;
         }
-        let needed = part.input_rows;
         // When does device i have all its input rows?
         let mut data_ready = state.image_start_ms;
         let mut max_transfer = 0.0f64;
-        match location {
-            DataLocation::Requester => {
-                let bytes = first.input_bytes_for_rows(needed.1 - needed.0);
-                let t = cluster.transfer_ms(
-                    Endpoint::Requester,
-                    Endpoint::Device(i),
-                    bytes,
-                    state.image_start_ms,
-                );
-                data_ready = state.image_start_ms + t;
-                max_transfer = t;
-            }
-            DataLocation::Devices(ranges) => {
-                for (j, &range) in ranges.iter().enumerate() {
-                    let rows = overlap(needed, range);
-                    if rows == 0 {
-                        continue;
-                    }
-                    let bytes = first.input_bytes_for_rows(rows);
-                    let depart = state.ready_ms[j];
-                    let t = if j == i {
-                        0.0
-                    } else {
-                        cluster.transfer_ms(Endpoint::Device(j), Endpoint::Device(i), bytes, depart)
-                    };
-                    data_ready = data_ready.max(depart + t);
-                    max_transfer = max_transfer.max(t);
-                }
-            }
+        for transfer in assignment.transfers_into(prev, i) {
+            let bytes = first.input_bytes_for_rows(transfer.rows.1 - transfer.rows.0);
+            let depart = match transfer.from {
+                Endpoint::Requester => state.image_start_ms,
+                Endpoint::Device(j) => state.ready_ms[j],
+            };
+            // A local piece costs nothing: `transfer_ms` is zero on one device.
+            let t = cluster.transfer_ms(transfer.from, transfer.to, bytes, depart);
+            data_ready = data_ready.max(depart + t);
+            max_transfer = max_transfer.max(t);
         }
         // The device must also have finished whatever it was doing before.
         let start_compute = data_ready.max(state.ready_ms[i]);
@@ -135,7 +102,6 @@ pub fn advance_volume(
     }
 
     state.ready_ms = new_ready;
-    *location = DataLocation::Devices(assignment.parts.iter().map(|p| p.output_rows).collect());
     stats
 }
 
@@ -167,62 +133,37 @@ pub fn finish_image(
     let last = &model.layers()[volume.end - 1];
     let mut transmission_ms = vec![0.0; n];
 
-    let finish_ms = if let Some(h) = head_device {
-        // Gather every holder's rows onto the head device.
-        let mut head_ready = state.ready_ms[h];
-        for (j, part) in last_assignment.parts.iter().enumerate() {
-            if part.is_empty() || j == h {
-                continue;
-            }
-            let rows = part.output_rows.1 - part.output_rows.0;
-            let bytes = last.output_bytes_for_rows(rows);
-            let t = cluster.transfer_ms(
-                Endpoint::Device(j),
-                Endpoint::Device(h),
-                bytes,
-                state.ready_ms[j],
-            );
-            transmission_ms[j] += t;
-            head_ready = head_ready.max(state.ready_ms[j] + t);
-        }
-        let head_ms = compute.head_compute_ms(h, model);
-        let head_done = head_ready + head_ms;
-        let back = cluster.transfer_ms(
-            Endpoint::Device(h),
-            Endpoint::Requester,
-            model.final_output_bytes(),
-            head_done,
-        );
-        transmission_ms[h] += back;
-        return FinishStats {
-            finish_ms: head_done + back,
-            transmission_ms,
-            head_compute_ms: head_ms,
+    // Every holder's rows reach the head device, or the requester.
+    let mut gathered = head_device.map_or(state.image_start_ms, |h| state.ready_ms[h]);
+    for transfer in last_assignment.gather(head_device) {
+        let Endpoint::Device(j) = transfer.from else {
+            continue;
         };
-    } else {
-        // No head: every holder returns its rows to the requester directly.
-        let mut finish = state.image_start_ms;
-        for (j, part) in last_assignment.parts.iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let rows = part.output_rows.1 - part.output_rows.0;
-            let bytes = last.output_bytes_for_rows(rows);
-            let t = cluster.transfer_ms(
-                Endpoint::Device(j),
-                Endpoint::Requester,
-                bytes,
-                state.ready_ms[j],
-            );
-            transmission_ms[j] += t;
-            finish = finish.max(state.ready_ms[j] + t);
-        }
-        finish
+        let bytes = last.output_bytes_for_rows(transfer.rows.1 - transfer.rows.0);
+        let t = cluster.transfer_ms(transfer.from, transfer.to, bytes, state.ready_ms[j]);
+        transmission_ms[j] += t;
+        gathered = gathered.max(state.ready_ms[j] + t);
+    }
+    let Some(h) = head_device else {
+        return FinishStats {
+            finish_ms: gathered,
+            transmission_ms,
+            head_compute_ms: 0.0,
+        };
     };
+    let head_ms = compute.head_compute_ms(h, model);
+    let head_done = gathered + head_ms;
+    let back = cluster.transfer_ms(
+        Endpoint::Device(h),
+        Endpoint::Requester,
+        model.final_output_bytes(),
+        head_done,
+    );
+    transmission_ms[h] += back;
     FinishStats {
-        finish_ms,
+        finish_ms: head_done + back,
         transmission_ms,
-        head_compute_ms: 0.0,
+        head_compute_ms: head_ms,
     }
 }
 
@@ -278,25 +219,10 @@ mod tests {
         let compute = c.ground_truth_compute();
         let plan = plan(&m, 2);
         let mut state = ClusterState::new(0.0, 2);
-        let mut location = DataLocation::Requester;
-        let stats = advance_volume(
-            &m,
-            &c,
-            &compute,
-            &plan.volumes[0],
-            &mut location,
-            &mut state,
-        );
+        let stats = advance_volume(&m, &c, &compute, &plan.volumes[0], None, &mut state);
         assert!(state.ready_ms.iter().all(|&r| r > 0.0));
         assert!(stats.compute_ms.iter().all(|&v| v > 0.0));
         assert!(stats.transmission_ms.iter().all(|&v| v > 0.0));
-        match location {
-            DataLocation::Devices(ranges) => {
-                assert_eq!(ranges.len(), 2);
-                assert_eq!(ranges[0].0, 0);
-            }
-            _ => panic!("location should now be on devices"),
-        }
     }
 
     #[test]
@@ -306,15 +232,7 @@ mod tests {
         let compute = c.ground_truth_compute();
         let plan = plan(&m, 2);
         let mut state = ClusterState::new(0.0, 2);
-        let mut location = DataLocation::Requester;
-        advance_volume(
-            &m,
-            &c,
-            &compute,
-            &plan.volumes[0],
-            &mut location,
-            &mut state,
-        );
+        advance_volume(&m, &c, &compute, &plan.volumes[0], None, &mut state);
         // Device 1 is a Nano, device 0 a Xavier: equal split leaves the Nano behind.
         assert!(state.ready_ms[1] > state.ready_ms[0]);
     }
@@ -330,15 +248,7 @@ mod tests {
         let split = VolumeSplit::new(vec![h], h);
         let plan = ExecutionPlan::from_splits(&m, &scheme, &[split], 2).unwrap();
         let mut state = ClusterState::new(5.0, 2);
-        let mut location = DataLocation::Requester;
-        let stats = advance_volume(
-            &m,
-            &c,
-            &compute,
-            &plan.volumes[0],
-            &mut location,
-            &mut state,
-        );
+        let stats = advance_volume(&m, &c, &compute, &plan.volumes[0], None, &mut state);
         assert_eq!(state.ready_ms[1], 5.0);
         assert_eq!(stats.compute_ms[1], 0.0);
     }
@@ -350,15 +260,7 @@ mod tests {
         let compute = c.ground_truth_compute();
         let plan = plan(&m, 2);
         let mut state = ClusterState::new(0.0, 2);
-        let mut location = DataLocation::Requester;
-        advance_volume(
-            &m,
-            &c,
-            &compute,
-            &plan.volumes[0],
-            &mut location,
-            &mut state,
-        );
+        advance_volume(&m, &c, &compute, &plan.volumes[0], None, &mut state);
         let fin = finish_image(&m, &c, &compute, &plan.volumes[0], &state, plan.head_device);
         assert!(fin.finish_ms > state.ready_ms.iter().cloned().fold(0.0, f64::max));
         assert!(fin.head_compute_ms > 0.0);
@@ -377,15 +279,7 @@ mod tests {
         let plan = plan(&m, 2);
         assert!(plan.head_device.is_none());
         let mut state = ClusterState::new(0.0, 2);
-        let mut location = DataLocation::Requester;
-        advance_volume(
-            &m,
-            &c,
-            &compute,
-            &plan.volumes[0],
-            &mut location,
-            &mut state,
-        );
+        advance_volume(&m, &c, &compute, &plan.volumes[0], None, &mut state);
         let fin = finish_image(&m, &c, &compute, &plan.volumes[0], &state, None);
         assert!(fin.finish_ms > 0.0);
         assert_eq!(fin.head_compute_ms, 0.0);
@@ -407,23 +301,91 @@ mod tests {
             .collect();
         let plan = ExecutionPlan::from_splits(&m, &scheme, &splits, 2).unwrap();
         let mut state = ClusterState::new(0.0, 2);
-        let mut location = DataLocation::Requester;
-        let s0 = advance_volume(
-            &m,
-            &c,
-            &compute,
-            &plan.volumes[0],
-            &mut location,
-            &mut state,
-        );
+        let s0 = advance_volume(&m, &c, &compute, &plan.volumes[0], None, &mut state);
         let s1 = advance_volume(
             &m,
             &c,
             &compute,
             &plan.volumes[1],
-            &mut location,
+            Some(&plan.volumes[0]),
             &mut state,
         );
         assert!(s1.transmission_ms[0] < s0.transmission_ms[0]);
+    }
+
+    #[test]
+    fn charges_exactly_the_transfers_the_plan_lists() {
+        // Three volumes on three devices; device 1 sits the middle one out.
+        let m = Model::new(
+            "t3",
+            Shape::new(3, 48, 48),
+            &[
+                LayerOp::conv(8, 3, 1, 1),
+                LayerOp::pool(2, 2),
+                LayerOp::conv(8, 3, 1, 1),
+                LayerOp::pool(2, 2),
+                LayerOp::conv(16, 3, 1, 1),
+                LayerOp::fc(10),
+            ],
+        )
+        .unwrap();
+        let c = Cluster::uniform(
+            vec![
+                DeviceSpec::new("xavier-0", DeviceType::Xavier),
+                DeviceSpec::new("nano-0", DeviceType::Nano),
+                DeviceSpec::new("xavier-1", DeviceType::Xavier),
+            ],
+            LinkConfig::constant(100.0),
+        );
+        let compute = c.ground_truth_compute();
+        let scheme = PartitionScheme::new(&m, vec![0, 2, 4, 5]).unwrap();
+        let splits = [
+            VolumeSplit::equal(3, 24),
+            VolumeSplit::new(vec![5, 5], 12),
+            VolumeSplit::new(vec![4, 7], 12),
+        ];
+        let plan = ExecutionPlan::from_splits(&m, &scheme, &splits, 3).unwrap();
+        assert!(plan.volumes[1].parts[1].is_empty());
+
+        // Per volume, each device waits for the slowest transfer the plan
+        // sends it; a constant link prices a transfer by its bytes alone.
+        let mut state = ClusterState::new(0.0, 3);
+        let mut prev = None;
+        for (stage, assignment) in plan.volumes.iter().enumerate() {
+            let stats = advance_volume(&m, &c, &compute, assignment, prev, &mut state);
+            let first = &m.layers()[assignment.parts[0].volume.start];
+            let mut expected = vec![0.0f64; 3];
+            for t in plan.transfers(stage).filter(|t| !t.is_local()) {
+                let Endpoint::Device(to) = t.to else {
+                    panic!("stage {stage} sends to the requester");
+                };
+                let bytes = first.input_bytes_for_rows(t.rows.1 - t.rows.0);
+                expected[to] = expected[to].max(c.transfer_ms(t.from, t.to, bytes, 0.0));
+            }
+            assert_eq!(stats.transmission_ms, expected, "stage {stage}");
+            prev = Some(assignment);
+        }
+
+        // The finish charges each sender for what it sends: the gather to
+        // the head, and the head's result to the requester.
+        let last = plan.volumes.last().unwrap();
+        let fin = finish_image(&m, &c, &compute, last, &state, plan.head_device);
+        let last_layer = &m.layers()[last.parts[0].volume.end - 1];
+        let mut expected = vec![0.0f64; 3];
+        for t in plan
+            .transfers(plan.finish_stage())
+            .filter(|t| !t.is_local())
+        {
+            let Endpoint::Device(from) = t.from else {
+                panic!("the requester sends nothing at the finish");
+            };
+            let bytes = if t.to == Endpoint::Requester {
+                m.final_output_bytes()
+            } else {
+                last_layer.output_bytes_for_rows(t.rows.1 - t.rows.0)
+            };
+            expected[from] += c.transfer_ms(t.from, t.to, bytes, 0.0);
+        }
+        assert_eq!(fin.transmission_ms, expected);
     }
 }

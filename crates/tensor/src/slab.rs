@@ -3,7 +3,7 @@
 //!
 //! A slab is `[c: u32][h: u32][w: u32][data: c*h*w little-endian f32]`.
 //! The format is deliberately trivial: receivers know the expected geometry
-//! from their routing tables, so the header exists only as a cheap
+//! from the plan's routing, so the header exists only as a cheap
 //! consistency check.
 //!
 //! A **q8 slab** is the quantized variant used by int8 activation

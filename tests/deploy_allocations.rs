@@ -27,7 +27,7 @@ use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_runtime::provider::{spawn_provider, ProviderHandle, Shared};
 use edge_runtime::transport::FrameTx;
 use edge_runtime::{
-    ChannelTransport, Deploy, EpochSlot, Frame, PlanEpoch, RouteTable, RuntimeOptions, Transport,
+    ChannelTransport, Deploy, EpochSlot, Frame, PlanEpoch, RuntimeOptions, Transport,
 };
 use edge_telemetry::Telemetry;
 use edgesim::{Endpoint, ExecutionPlan};
@@ -189,13 +189,10 @@ fn deploy_peaks_at_one_raw_copy_plus_panels_and_shutdown_returns_it_all() {
     let reference = exec::run_full(&m, &weights, &img).unwrap().pop().unwrap();
     // One pack of every layer some device runs: the convs every device
     // runs are resident once, not once per device.
-    let route = RouteTable::new(&m, &plan).unwrap();
-    let union: HashSet<usize> = (0..DEVICES)
-        .flat_map(|d| route.keep_layers(&m, d))
-        .collect();
+    let union: HashSet<usize> = (0..DEVICES).flat_map(|d| plan.keep_layers(&m, d)).collect();
     let panels = panel_bytes(&m, &weights, &union);
     let per_device: usize = (0..DEVICES)
-        .map(|d| panel_bytes(&m, &weights, &route.keep_layers(&m, d)))
+        .map(|d| panel_bytes(&m, &weights, &plan.keep_layers(&m, d)))
         .sum();
     assert!(per_device > panels + 8 * MB, "the devices share convs");
     let (_, largest) = raw_conv_bytes(&m, &weights);
@@ -308,9 +305,9 @@ fn run_full_holds_one_layers_panels_at_a_time_and_keeps_nothing() {
 
 /// What a cluster node holds after decoding its `Hello`: device `d`'s shard
 /// in storage nobody else references.
-fn solely_owned_shard(m: &Model, route: &RouteTable, d: usize) -> ModelWeights {
+fn solely_owned_shard(m: &Model, plan: &ExecutionPlan, d: usize) -> ModelWeights {
     let layers: Vec<LayerWeights> = ModelWeights::deterministic(m, 9)
-        .shard(&route.keep_layers(m, d))
+        .shard(&plan.keep_layers(m, d))
         .layers
         .iter()
         .map(|(w, b)| (Arc::from(&w[..]), Arc::from(&b[..])))
@@ -358,18 +355,17 @@ fn a_provider_that_solely_owns_its_shard_frees_every_raw_layer_by_ready() {
     let _guard = serial();
     let m = model();
     let plan = split_plan(&m);
-    let route = RouteTable::new(&m, &plan).unwrap();
-    let d = route.head_device.expect("the model has an FC head");
+    let d = plan.head_device.expect("the model has an FC head");
     let panels = panel_bytes(
         &m,
         &ModelWeights::deterministic(&m, 9),
-        &route.keep_layers(&m, d),
+        &plan.keep_layers(&m, d),
     );
 
     // By the handles: once the provider is up, every raw conv layer has no
     // owner left, and every raw FC layer and bias has exactly one — the
     // provider, whose kernels read it in place.
-    let shard = solely_owned_shard(&m, &route, d);
+    let shard = solely_owned_shard(&m, &plan, d);
     let raw_layers: Vec<_> = shard
         .layers
         .iter()
@@ -394,7 +390,7 @@ fn a_provider_that_solely_owns_its_shard_frees_every_raw_layer_by_ready() {
     // By the bytes: `before` includes the shard; by the time the provider
     // is up, its raw convs have turned into panels and the rest of it —
     // FC weights and biases — is the provider's own.
-    let shard = solely_owned_shard(&m, &route, d);
+    let shard = solely_owned_shard(&m, &plan, d);
     let (convs, largest) = raw_conv_bytes(&m, &shard);
     let before = reset_peak();
     let (provider, halt, _transport) = ready_provider(&m, &plan, d, shard);

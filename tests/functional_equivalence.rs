@@ -102,5 +102,8 @@ fn offload_plan_runs_whole_model_on_one_device() {
     let distributed = run_distributed(&model, &plan, &weights, &input);
     assert!(distributed.approx_eq(&reference[model.distributable_len() - 1], 1e-4));
     // Only device 1 holds any rows.
-    assert_eq!(plan.volumes[0].holders(), vec![1]);
+    let holders: Vec<usize> = (0..3)
+        .filter(|&d| !plan.volumes[0].parts[d].is_empty())
+        .collect();
+    assert_eq!(holders, vec![1]);
 }

@@ -207,71 +207,19 @@ impl Transport for Counting {
     }
 }
 
-/// Overlap of two half-open row ranges, if non-empty.
-fn overlap(a: (usize, usize), b: (usize, usize)) -> Option<(usize, usize)> {
-    let (lo, hi) = (a.0.max(b.0), a.1.min(b.1));
-    (lo < hi).then_some((lo, hi))
-}
-
-/// The non-local transfers one image makes under `plan`, sorted: the
-/// requester scatters each part's input rows, each volume's holders send
-/// peers the rows they need of the next, and the last volume's holders send
-/// their rows to the head device (which returns the head's one-row output)
-/// or, without a head, to the requester.
+/// The plan's non-local transfers over every stage: what one image ships.
 fn expected_hops(plan: &ExecutionPlan) -> Vec<Hop> {
-    let mut hops = Vec::new();
-    let finish = plan.volumes.len();
-    for (d, p) in plan.volumes[0].parts.iter().enumerate() {
-        if !p.is_empty() {
-            hops.push(Hop {
-                from: Endpoint::Requester,
-                to: Endpoint::Device(d),
-                stage: 0,
-                rows: p.input_rows,
-            });
-        }
-    }
-    for stage in 1..finish {
-        let prev = &plan.volumes[stage - 1].parts;
-        for (j, p) in plan.volumes[stage].parts.iter().enumerate() {
-            for (i, q) in prev.iter().enumerate() {
-                if i == j || p.is_empty() {
-                    continue;
-                }
-                if let Some(rows) = overlap(p.input_rows, q.output_rows) {
-                    hops.push(Hop {
-                        from: Endpoint::Device(i),
-                        to: Endpoint::Device(j),
-                        stage,
-                        rows,
-                    });
-                }
-            }
-        }
-    }
-    let last = &plan.volumes[finish - 1].parts;
-    let sink = plan
-        .head_device
-        .map_or(Endpoint::Requester, Endpoint::Device);
-    for (i, q) in last.iter().enumerate() {
-        if !q.is_empty() && Endpoint::Device(i) != sink {
-            hops.push(Hop {
-                from: Endpoint::Device(i),
-                to: sink,
-                stage: finish,
-                rows: q.output_rows,
-            });
-        }
-    }
-    if let Some(h) = plan.head_device {
-        hops.push(Hop {
-            from: Endpoint::Device(h),
-            to: Endpoint::Requester,
-            stage: finish,
-            rows: (0, 1),
-        });
-    }
-    sorted(hops)
+    let hops = (0..=plan.finish_stage()).flat_map(|stage| {
+        plan.transfers(stage)
+            .filter(|t| !t.is_local())
+            .map(move |t| Hop {
+                from: t.from,
+                to: t.to,
+                stage,
+                rows: t.rows,
+            })
+    });
+    sorted(hops.collect())
 }
 
 /// Serves one case; an `Err` names what went wrong.

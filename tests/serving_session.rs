@@ -9,8 +9,8 @@ use cnn_model::exec::{self, deterministic_input, ModelWeights, PackedModelWeight
 use cnn_model::{zoo, Model, PartitionScheme, VolumeSplit};
 use device_profile::{DeviceSpec, DeviceType};
 use edge_runtime::{
-    ChannelTransport, Deploy, RouteTable, Runtime, RuntimeOptions, Session, ShapedTransport,
-    TcpTransport, Transport, WeightSource,
+    ChannelTransport, Deploy, Runtime, RuntimeOptions, Session, ShapedTransport, TcpTransport,
+    Transport, WeightSource,
 };
 use edge_telemetry::Telemetry;
 use edgesim::{Cluster, ExecutionPlan};
@@ -236,7 +236,6 @@ fn every_builder_axis_combination_is_one_wiring_path() {
     let model = zoo::tiny_vgg();
     let weights = ModelWeights::deterministic(&model, 53);
     let plan = two_device_plan(&model);
-    let route = RouteTable::new(&model, &plan).unwrap();
     let images: Vec<_> = (0..2)
         .map(|i| deterministic_input(&model, 700 + i))
         .collect();
@@ -313,7 +312,7 @@ fn every_builder_axis_combination_is_one_wiring_path() {
                     assert_eq!(seen.outputs, reference, "{cell}");
                 }
                 for d in 0..DEVICES {
-                    let keep = route.keep_layers(&model, d);
+                    let keep = plan.keep_layers(&model, d);
                     let (resident, layers_packed) = if shared {
                         (packed.resident_bytes(), 0)
                     } else {
