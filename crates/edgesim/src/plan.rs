@@ -60,7 +60,7 @@ pub struct VolumeAssignment {
 impl VolumeAssignment {
     /// Input rows device `d` needs for this volume (`None` for an empty
     /// part).
-    pub fn needs(&self, d: usize) -> Option<(usize, usize)> {
+    fn needs(&self, d: usize) -> Option<(usize, usize)> {
         let part = &self.parts[d];
         (!part.is_empty()).then_some(part.input_rows)
     }
@@ -81,7 +81,7 @@ impl VolumeAssignment {
     /// (this is the first volume), otherwise one piece from each holder of
     /// `prev`'s output, in device order, `d`'s own slice as its local
     /// piece.  Nothing for an empty part.
-    pub fn transfers_into<'a>(
+    pub(crate) fn transfers_into<'a>(
         &'a self,
         prev: Option<&'a VolumeAssignment>,
         d: usize,
@@ -104,7 +104,7 @@ impl VolumeAssignment {
     /// output rows to the `head` device (the head's own rows are its local
     /// piece) or, without a head, to the requester.  The head's output then
     /// goes to the requester ([`ExecutionPlan::transfers`] lists it).
-    pub fn gather(&self, head: Option<usize>) -> impl Iterator<Item = Transfer> + '_ {
+    pub(crate) fn gather(&self, head: Option<usize>) -> impl Iterator<Item = Transfer> + '_ {
         let to = head.map_or(Endpoint::Requester, Endpoint::Device);
         self.parts
             .iter()
@@ -227,10 +227,11 @@ impl ExecutionPlan {
         }
     }
 
-    /// Every transfer into `stage`, local pieces included: per device, in
-    /// device order, [`VolumeAssignment::transfers_into`] for a volume; at
-    /// the finish stage the last volume's gather, then the head's output to
-    /// the requester.
+    /// Every transfer into `stage`, local pieces included: for a volume, per
+    /// receiving device in device order, its slice of the image from the
+    /// requester (stage 0) or a piece from each holder of the previous
+    /// volume; at the finish stage the last volume's gather, then the
+    /// head's output to the requester.
     pub fn transfers(&self, stage: usize) -> impl Iterator<Item = Transfer> + '_ {
         let prev = stage.checked_sub(1).and_then(|s| self.volumes.get(s));
         let into_volume = self.volumes.get(stage).into_iter().flat_map(move |next| {

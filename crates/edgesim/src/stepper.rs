@@ -4,8 +4,8 @@
 //! exactly the vector of accumulated latencies `T_l` that the OSDS MDP uses
 //! as (part of) its observation, so the stepper is shared between the
 //! simulator and the reinforcement-learning environment.  It prices the
-//! plan's own transfers ([`VolumeAssignment::transfers_into`] and
-//! [`VolumeAssignment::gather`]), the same ones the runtime ships.
+//! plan's own transfers ([`crate::ExecutionPlan::transfers`]), the same
+//! ones the runtime ships.
 
 use crate::cluster::{Cluster, Endpoint, PartCompute};
 use crate::plan::VolumeAssignment;
