@@ -135,7 +135,10 @@ fn layer_bytes((w, b): &LayerWeights) -> usize {
 /// computed once at deploy on the device that holds the full weights
 /// ([`QuantSpec::calibrate`]) and shipped to providers alongside their
 /// weight shards — every device quantizing a layer against the *same*
-/// static scale is what keeps band outputs bitwise stitchable.
+/// static scale is what keeps band outputs bitwise stitchable.  The
+/// runtime's q8 frames into an int8 layer travel at that layer's scale too,
+/// so each activation is quantized at one scale wherever it was computed,
+/// and a distributed quantized output equals the one-device one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantSpec {
     scales: Vec<f32>,

@@ -285,13 +285,14 @@ fn bootstrap(
     let weights = ModelWeights { layers };
 
     // A Hello carrying a quant spec bootstraps quantized serving: the
-    // shard packs int8 panels and inter-device rows travel as q8 slabs.
-    let epoch = PlanEpoch::new(hello.epoch, &model, &hello.payload.plan)
-        .map_err(ClusterError::Runtime)?
-        .with_wire_q8(hello.payload.quant.is_some());
+    // shard packs int8 panels and rows into an int8 layer travel as q8
+    // slabs at its scale.
+    let quant = hello.payload.quant.as_ref();
+    let epoch = PlanEpoch::new(hello.epoch, &model, &hello.payload.plan, quant)
+        .map_err(ClusterError::Runtime)?;
     // Packed before the provider exists and before `Welcome`: the requester
     // treats `Welcome` as "this node serves its first frame at full speed".
-    let packed = PackedModelWeights::pack_owned(&model, weights, hello.payload.quant.as_ref())
+    let packed = PackedModelWeights::pack_owned(&model, weights, quant)
         .map_err(|e| ClusterError::Runtime(e.into()))?;
     let shared = Arc::new(Shared {
         model,

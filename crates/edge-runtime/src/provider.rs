@@ -473,10 +473,8 @@ impl ComputeState {
                 installed += 1;
             }
         }
-        // The epoch's wire precision is re-negotiated on every reconfigure:
-        // a payload carrying a quant spec keeps serving q8 activations.
-        let epoch = PlanEpoch::new(frame.epoch, &self.shared.model, &payload.plan)?
-            .with_wire_q8(payload.quant.is_some());
+        let quant = payload.quant.as_ref();
+        let epoch = PlanEpoch::new(frame.epoch, &self.shared.model, &payload.plan, quant)?;
         {
             let mut comp = self.stats.comp.lock().expect("comp stats poisoned");
             let num_volumes = epoch.plan.num_volumes();
@@ -708,17 +706,14 @@ fn send_loop(
                 for target in epoch.plan.sends(stage, d).filter(|t| !t.is_local()) {
                     let (lo, hi) = target.rows;
                     let rows = slice_rows(&band, lo - out_lo, hi - out_lo)?;
-                    // Rows to a device travel as q8 slabs on quantized
-                    // epochs; results to the requester stay f32.
-                    let kind = match target.to {
-                        Endpoint::Requester => FrameKind::Result,
-                        Endpoint::Device(_) => FrameKind::Rows,
+                    // Rows to a device travel at the epoch's precision for
+                    // their stage; results to the requester stay f32.
+                    let (kind, scale) = match target.to {
+                        Endpoint::Requester => (FrameKind::Result, None),
+                        Endpoint::Device(_) => (FrameKind::Rows, epoch.rows_scale(stage + 1, None)),
                     };
-                    let frame = if epoch.wire_q8 && kind == FrameKind::Rows {
-                        Frame::rows_q8(epoch.id, image, next, lo as u32, &rows)
-                    } else {
-                        Frame::data(kind, epoch.id, image, next, lo as u32, rows)
-                    };
+                    let frame =
+                        Frame::data(kind, epoch.id, image, next, lo as u32, rows).at_scale(scale);
                     let trace = TraceId {
                         epoch: epoch.id,
                         image,
@@ -762,6 +757,8 @@ fn send_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnn_model::{LayerOp, PartitionScheme, VolumeSplit};
+    use edgesim::ExecutionPlan;
 
     #[test]
     fn assembly_stitches_disjoint_spans() {
@@ -807,28 +804,39 @@ mod tests {
     /// The provider's inbox sender, the requester's inbox, the provider.
     type LoneProvider = (Sender<Vec<u8>>, Receiver<Vec<u8>>, ProviderHandle);
 
-    /// Spawns provider 0 of a one-device conv + FC model serving plan epoch
+    /// Spawns provider `d` alone, serving `plan` of `model` as epoch
     /// `epoch`.  Its link is the requester inbox's only sender, so that
     /// inbox disconnects exactly when the send thread exits.
-    fn lone_provider(epoch: u64) -> Result<LoneProvider> {
+    fn spawn_alone(
+        model: Model,
+        plan: &ExecutionPlan,
+        d: usize,
+        epoch: u64,
+    ) -> Result<LoneProvider> {
         use crate::transport::{ChannelTransport, Transport};
-        use cnn_model::{exec::ModelWeights, LayerOp};
+        use cnn_model::exec::ModelWeights;
 
-        let layers = [LayerOp::conv(2, 3, 1, 1), LayerOp::fc(2)];
-        let model = Model::new("lone", Shape::new(1, 4, 4), &layers)?;
-        let plan = edgesim::ExecutionPlan::offload(&model, 0, 1)?;
         let raw = ModelWeights::deterministic(&model, 1);
         let weights = PackedModelWeights::pack(&model, &raw)?;
-        let slot = EpochSlot::new(PlanEpoch::new(epoch, &model, &plan)?);
-        let mut fabric = ChannelTransport::new(1);
+        let slot = EpochSlot::new(PlanEpoch::new(epoch, &model, plan, None)?);
+        let mut fabric = ChannelTransport::new(plan.num_devices());
         let requester = fabric.inbox(Endpoint::Requester)?;
-        let link = fabric.open(Endpoint::Device(0), Endpoint::Requester)?;
+        let link = fabric.open(Endpoint::Device(d), Endpoint::Requester)?;
         let txs = HashMap::from([(Endpoint::Requester, link)]);
         drop(fabric);
         let (to_provider, inbox) = channel();
         let shared = Arc::new(Shared { model, slot });
-        let handle = spawn_provider(0, shared, weights, inbox, txs, &Telemetry::disabled());
+        let handle = spawn_provider(d, shared, weights, inbox, txs, &Telemetry::disabled());
         Ok((to_provider, requester, handle))
+    }
+
+    /// Spawns provider 0 of a one-device conv + FC model serving plan epoch
+    /// `epoch`.
+    fn lone_provider(epoch: u64) -> Result<LoneProvider> {
+        let layers = [LayerOp::conv(2, 3, 1, 1), LayerOp::fc(2)];
+        let model = Model::new("lone", Shape::new(1, 4, 4), &layers)?;
+        let plan = ExecutionPlan::offload(&model, 0, 1)?;
+        spawn_alone(model, &plan, 0, epoch)
     }
 
     #[test]
@@ -856,6 +864,44 @@ mod tests {
         let stats = Arc::clone(&handle.stats);
         handle.join()?;
         assert_eq!(stats.snapshot(0.0).stale_frames, 1);
+        Ok(())
+    }
+
+    #[test]
+    fn a_reconfigure_plan_missing_a_part_ends_the_provider_with_a_typed_error() -> Result<()> {
+        use crate::wire::ReconfigurePayload;
+
+        let layers = [
+            LayerOp::conv(2, 3, 1, 1),
+            LayerOp::conv(2, 3, 1, 1),
+            LayerOp::fc(2),
+        ];
+        let model = Model::new("two-volume", Shape::new(1, 8, 4), &layers)?;
+        let scheme = PartitionScheme::new(&model, vec![0, 1, 2])?;
+        let splits = [VolumeSplit::equal(2, 8), VolumeSplit::equal(2, 8)];
+        let plan = ExecutionPlan::from_splits(&model, &scheme, &splits, 2)?;
+        // The second volume keeps only device 0's part, covering every row.
+        let mut short = plan.clone();
+        let volume = short.volumes[1].parts[0].volume;
+        short.volumes[1].parts = vec![cnn_model::PartPlan::plan(&model, volume, 0, 8)?];
+        let payload = ReconfigurePayload {
+            plan: short,
+            delta: Vec::new(),
+            quant: None,
+        };
+
+        let (to_provider, _requester, handle) = spawn_alone(model, &plan, 1, 0)?;
+        // Were the plan installed, device 1 would look up its part of the
+        // second volume for these rows.
+        let rows = Frame::data(FrameKind::Rows, 1, 0, 1, 0, Tensor::zeros([2, 8, 4]));
+        for frame in [
+            Frame::reconfigure(1, payload.encode()?),
+            rows,
+            Frame::halt(),
+        ] {
+            assert!(to_provider.send(frame.encode()).is_ok());
+        }
+        assert!(matches!(handle.join(), Err(RuntimeError::Execution(_))));
         Ok(())
     }
 }

@@ -11,18 +11,20 @@
 //! to the requester as a `Result` frame.
 //!
 //! Since the plan is no longer a deploy-time constant, it is wrapped in a
-//! [`PlanEpoch`] — the plan, its wire precision, and a monotonically
-//! increasing epoch id — and published through an [`EpochSlot`], an
-//! `ArcSwap`-style shared slot the provider worker threads read on every
-//! frame instead of owning a clone.  [`crate::Session::apply_plan`] builds
-//! the next epoch, drains the in-flight window, broadcasts it, and stores
-//! it into each worker's slot.
+//! [`PlanEpoch`] — the plan, how the `Rows` frames into each stage travel,
+//! and a monotonically increasing epoch id — and published through an
+//! [`EpochSlot`], an `ArcSwap`-style shared slot the provider worker
+//! threads read on every frame instead of owning a clone.
+//! [`crate::Session::apply_plan`] builds the next epoch, drains the
+//! in-flight window, broadcasts it, and stores it into each worker's slot.
 
 use crate::{Result, RuntimeError};
-use cnn_model::Model;
+use cnn_model::exec::QuantSpec;
+use cnn_model::{LayerOp, Model};
 use edgesim::ExecutionPlan;
 use std::sync::{Arc, RwLock};
-use tensor::Shape;
+use tensor::ops::quant_scale;
+use tensor::{Shape, Tensor};
 
 /// The full feature map a device assembles bands of at `stage` of `plan`:
 /// the input of the stage's volume, or the last volume's output at the
@@ -34,37 +36,76 @@ pub(crate) fn stage_input(model: &Model, plan: &ExecutionPlan, stage: usize) -> 
     }
 }
 
-/// One version of the execution plan: the plan itself, its wire precision,
-/// and the epoch id that orders it against past and future plans.
+/// How the `Rows` frames into one stage travel: f32, q8 at a calibrated
+/// scale, or q8 at the image's own max-abs scale.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Precision {
+    F32,
+    Q8(f32),
+    Q8PerImage,
+}
+
+/// The one rule for a `Rows` frame's precision on a quantized epoch.  If
+/// the first non-pool layer the rows into `stage` feed runs int8, they
+/// travel at its calibrated input scale, so it re-quantizes them to exactly
+/// the wire's codes (max-pool commutes with the quantizer): one scale per
+/// activation, so where a plan cuts never changes the output.  The scatter
+/// into an f32 stem uses one scale per image; all else travels f32.
+fn precision(model: &Model, plan: &ExecutionPlan, quant: &QuantSpec, stage: usize) -> Precision {
+    let first = plan
+        .volumes
+        .get(stage)
+        .map_or(model.distributable_len(), |a| a.parts[0].volume.start);
+    let consumer = model.layers()[first..]
+        .iter()
+        .find(|layer| !matches!(layer.op, LayerOp::MaxPool { .. }));
+    match consumer.and_then(|layer| quant.layer_scale(layer.index)) {
+        Some(scale) => Precision::Q8(scale),
+        None if stage == 0 => Precision::Q8PerImage,
+        None => Precision::F32,
+    }
+}
+
+/// One version of the execution plan: the plan, how its `Rows` frames
+/// travel, and the epoch id that orders it against past and future plans.
 #[derive(Debug, Clone)]
 pub struct PlanEpoch {
     /// Monotonically increasing epoch id (`0` at deploy).
     pub id: u64,
     /// The execution plan serving in this epoch.
     pub plan: ExecutionPlan,
-    /// Whether inter-device `Rows` frames travel as int8 (q8 slabs) this
-    /// epoch.  Negotiated at deploy/reconfigure time: every participant of
-    /// an epoch agrees, so a band producer quantizes exactly when its
-    /// consumers expect quantized frames.  `Result` frames stay f32.
-    pub wire_q8: bool,
+    /// The precision of the `Rows` frames into each stage.
+    rows: Vec<Precision>,
 }
 
 impl PlanEpoch {
-    /// Builds epoch `id` for `plan`, validated against `model` (f32
-    /// activation transfer).
-    pub fn new(id: u64, model: &Model, plan: &ExecutionPlan) -> Result<Self> {
+    /// Builds epoch `id` for `plan`, validated against `model`, and works
+    /// out once how its `Rows` frames travel under `quant` (`None`: f32).
+    pub fn new(
+        id: u64,
+        model: &Model,
+        plan: &ExecutionPlan,
+        quant: Option<&QuantSpec>,
+    ) -> Result<Self> {
         plan.validate(model).map_err(RuntimeError::from)?;
+        let rows = (0..=plan.finish_stage())
+            .map(|stage| quant.map_or(Precision::F32, |q| precision(model, plan, q, stage)));
         Ok(Self {
             id,
             plan: plan.clone(),
-            wire_q8: false,
+            rows: rows.collect(),
         })
     }
 
-    /// Switches this epoch's inter-device activation transfer to int8.
-    pub fn with_wire_q8(mut self, on: bool) -> Self {
-        self.wire_q8 = on;
-        self
+    /// The scale the `Rows` frames into `stage` travel at (`None`: f32).
+    /// `image` is the whole input, which sets the scatter's per-image
+    /// scale: an image holding an infinity gets one its receivers refuse.
+    pub(crate) fn rows_scale(&self, stage: usize, image: Option<&Tensor>) -> Option<f32> {
+        match self.rows[stage] {
+            Precision::F32 => None,
+            Precision::Q8(scale) => Some(scale),
+            Precision::Q8PerImage => image.map(|image| quant_scale(image.data())),
+        }
     }
 }
 
@@ -242,18 +283,52 @@ mod tests {
     }
 
     #[test]
-    fn epoch_slot_publishes_new_epochs() {
+    fn rows_travel_at_the_scale_of_the_int8_layer_they_feed() -> Result<()> {
         let m = model();
-        let a = PlanEpoch::new(0, &m, &two_volume_plan(&m, 2)).unwrap();
+        // The 27-deep stem runs f32; the second conv and the FC run int8.
+        let spec = QuantSpec::new(vec![0.0, 0.0, 0.25, 0.5])?;
+        let image = Tensor::from_fn([3, 32, 32], |c, y, x| (c + y + x) as f32 - 40.0);
+        let epoch = PlanEpoch::new(0, &m, &two_volume_plan(&m, 2), Some(&spec))?;
+        assert_eq!(
+            epoch.rows_scale(0, Some(&image)),
+            Some(quant_scale(image.data()))
+        );
+        assert_eq!(epoch.rows_scale(1, None), Some(0.25));
+        assert_eq!(epoch.rows_scale(2, None), Some(0.5));
+        // Rows into a pool travel at the scale of the conv past it.
+        let scheme = PartitionScheme::new(&m, vec![0, 1, 3])?;
+        let splits = [VolumeSplit::equal(2, 32), VolumeSplit::equal(2, 16)];
+        let pooled = ExecutionPlan::from_splits(&m, &scheme, &splits, 2)?;
+        let epoch = PlanEpoch::new(0, &m, &pooled, Some(&spec))?;
+        assert_eq!(epoch.rows_scale(1, None), Some(0.25));
+        // An int8 stem sets the scatter's scale; f32 layers take f32 rows.
+        let spec = QuantSpec::new(vec![0.125, 0.0, 0.0, 0.0])?;
+        let epoch = PlanEpoch::new(0, &m, &pooled, Some(&spec))?;
+        assert_eq!(epoch.rows_scale(0, Some(&image)), Some(0.125));
+        assert_eq!(
+            (epoch.rows_scale(1, None), epoch.rows_scale(2, None)),
+            (None, None)
+        );
+        // An f32 epoch ships everything f32.
+        let epoch = PlanEpoch::new(0, &m, &pooled, None)?;
+        assert!((0..=2).all(|stage| epoch.rows_scale(stage, Some(&image)).is_none()));
+        Ok(())
+    }
+
+    #[test]
+    fn epoch_slot_publishes_new_epochs() -> Result<()> {
+        let m = model();
+        let a = PlanEpoch::new(0, &m, &two_volume_plan(&m, 2), None)?;
         let slot = EpochSlot::new(a);
         assert_eq!(slot.load().id, 0);
         let held = slot.load();
-        let b = PlanEpoch::new(1, &m, &ExecutionPlan::offload(&m, 0, 2).unwrap()).unwrap();
+        let b = PlanEpoch::new(1, &m, &ExecutionPlan::offload(&m, 0, 2)?, None)?;
         slot.store(b);
         // New loads see the new epoch; the old Arc stays valid for frames
         // still routed by it.
         assert_eq!(slot.load().id, 1);
         assert_eq!(held.id, 0);
         assert_eq!(held.plan.num_volumes(), 2);
+        Ok(())
     }
 }

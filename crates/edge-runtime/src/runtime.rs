@@ -26,9 +26,10 @@ pub struct RuntimeOptions {
     /// Serve with int8 quantized inference: eligible layers run the
     /// int8×int8→i32 GEMM kernels from per-layer calibrated activation
     /// scales, quantized layers keep int8-only weight panels resident
-    /// (~4× smaller), and inter-device `Rows` activations travel as q8
-    /// slabs (~4× fewer wire bytes).  Outputs track the f32 reference
-    /// within the quantization tolerance instead of bit-exactly.
+    /// (~4× smaller), and `Rows` activations into int8 layers travel as q8
+    /// slabs at those layers' scales (~4× fewer wire bytes).  Outputs track
+    /// the f32 reference within the quantization tolerance, and equal the
+    /// one-device quantized output bit for bit under every plan.
     #[serde(default)]
     pub quantized: bool,
 }

@@ -183,7 +183,7 @@ impl<'a> Deploy<'a> {
         // and so must remote nodes, which packed against the spec their
         // handshake shipped.  The spec reaches every local provider inside
         // its packed shard, every later epoch through the `Reconfigure`
-        // payloads, and flips the epoch's wire precision to q8.
+        // payloads, and sets the scale each epoch's `Rows` frames travel at.
         let quant: Option<QuantSpec> = match (remote, &packed, options.quantized) {
             (Some(Some(_)), _, false) => {
                 return Err(RuntimeError::Execution(
@@ -207,7 +207,7 @@ impl<'a> Deploy<'a> {
                 )
             })?),
         };
-        let epoch0 = PlanEpoch::new(0, model, plan)?.with_wire_q8(quant.is_some());
+        let epoch0 = PlanEpoch::new(0, model, plan, quant.as_ref())?;
         let n = plan.num_devices();
 
         // Weight residency per device: the layers a device's parts run
@@ -276,7 +276,7 @@ impl<'a> Deploy<'a> {
             scatter: Mutex::new(ScatterState {
                 txs: requester_txs,
                 scatter_ms: vec![0.0; n],
-                plan: plan.clone(),
+                epoch: epoch0.clone(),
                 rec: telemetry.recorder("requester.submit", REQUESTER),
             }),
             plan_state: Mutex::new(PlanState {

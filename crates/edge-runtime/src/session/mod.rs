@@ -48,6 +48,7 @@ pub use swap::{ResyncReport, SwapReport};
 
 use crate::provider::ProviderHandle;
 use crate::report::{DeviceMetrics, RuntimeReport};
+use crate::routing::PlanEpoch;
 use crate::runtime::RuntimeOptions;
 use crate::transport::FrameTx;
 use crate::wire::Frame;
@@ -201,9 +202,9 @@ impl SessionShared {
 struct ScatterState {
     txs: Vec<Box<dyn FrameTx>>,
     scatter_ms: Vec<f64>,
-    /// The plan whose first volume the next image is scattered onto —
-    /// per-epoch state, replaced by `apply_plan`.
-    plan: ExecutionPlan,
+    /// The epoch whose first volume, at its scatter precision, the next
+    /// image is scattered onto — replaced by `apply_plan`.
+    epoch: PlanEpoch,
     /// Submit-path spans (whole-submit + per-device scatter); single-writer
     /// by virtue of living under the scatter lock.
     rec: Recorder,
@@ -230,9 +231,9 @@ pub struct Session {
     /// The full weight set, kept for delta-shard computation on swaps.
     weights: Arc<ModelWeights>,
     /// The quantization spec the session serves with (`None` = f32).  It
-    /// rides every `Reconfigure` payload so each new epoch re-negotiates
-    /// the same kernel routing and q8 wire precision, and switches the
-    /// scatter path to q8 input frames.
+    /// rides every `Reconfigure` payload so each new epoch re-derives the
+    /// same kernel routing and wire precision on every device, and sets
+    /// the scatter's.
     quant: Option<QuantSpec>,
     input_shape: [usize; 3],
     options: RuntimeOptions,

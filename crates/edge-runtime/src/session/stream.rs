@@ -13,40 +13,33 @@ use tensor::Tensor;
 
 impl ScatterState {
     /// Scatters one image's input rows to every device of the current plan,
-    /// tagged `trace.epoch` — the one place an image becomes wire frames
-    /// (q8 slabs on a quantized session, f32 rows otherwise), for a first
+    /// tagged `trace.epoch` — the one place an image becomes wire frames,
+    /// every band at the one scale the epoch gives the image, for a first
     /// submission and for a re-sync replay alike.  Runs under the scatter
     /// lock, which serialises concurrent submitters on the wire.
-    pub(super) fn scatter_image(
-        &mut self,
-        image: &Tensor,
-        trace: TraceId,
-        quantized: bool,
-    ) -> Result<()> {
+    pub(super) fn scatter_image(&mut self, image: &Tensor, trace: TraceId) -> Result<()> {
         let Self {
             txs,
             scatter_ms,
-            plan,
+            epoch,
             rec,
         } = self;
-        for transfer in plan.transfers(0) {
+        let scale = epoch.rows_scale(0, Some(image));
+        for transfer in epoch.plan.transfers(0) {
             let Endpoint::Device(d) = transfer.to else {
                 continue;
             };
             let (lo, hi) = transfer.rows;
             let rows = slice_rows(image, lo, hi)?;
-            let frame = if quantized {
-                Frame::rows_q8(trace.epoch, trace.image, 0, lo as u32, &rows)
-            } else {
-                Frame::data(
-                    FrameKind::Rows,
-                    trace.epoch,
-                    trace.image,
-                    0,
-                    lo as u32,
-                    rows,
-                )
-            };
+            let frame = Frame::data(
+                FrameKind::Rows,
+                trace.epoch,
+                trace.image,
+                0,
+                lo as u32,
+                rows,
+            )
+            .at_scale(scale);
             let t0 = Instant::now();
             let n = txs[d].send(&frame)?;
             let t1 = Instant::now();
@@ -197,7 +190,7 @@ impl Session {
         // Scatter outside the state lock so slow links never block
         // completions.
         let mut sc = self.scatter.lock().expect("scatter state poisoned");
-        if let Err(e) = sc.scatter_image(image, trace, self.quant.is_some()) {
+        if let Err(e) = sc.scatter_image(image, trace) {
             drop(sc);
             self.shared.fail(&e);
             return Err(e);

@@ -11,6 +11,7 @@
 //! nothing, ships nothing and replays the window afterwards.
 
 use super::{Session, GATHER_TICK};
+use crate::routing::PlanEpoch;
 use crate::wire::{Frame, ReconfigurePayload, WeightDelta};
 use crate::{Result, RuntimeError};
 use edge_telemetry::{Stage, TraceId, REQUESTER};
@@ -89,7 +90,8 @@ impl Session {
     /// delta bytes shipped vs reused.
     pub fn apply_plan(&self, plan: &ExecutionPlan) -> Result<SwapReport> {
         let t_total = Instant::now();
-        plan.validate(&self.model).map_err(RuntimeError::from)?;
+        // Validated before anything stops; the id is set once the swap has one.
+        let mut next = PlanEpoch::new(0, &self.model, plan, self.quant.as_ref())?;
         let n = self.num_devices();
         if plan.num_devices() != n {
             return Err(RuntimeError::Execution(format!(
@@ -102,6 +104,7 @@ impl Session {
         let (old_epoch, drained_images) =
             self.begin_swap("session is shutting down; cannot swap plans")?;
         let new_epoch = old_epoch + 1;
+        next.id = new_epoch;
 
         // 2. Drain the in-flight window.
         let t_drain = Instant::now();
@@ -168,7 +171,7 @@ impl Session {
         };
         // No scatter can interleave while admission is paused, so the new
         // plan is installed before any new-epoch image.
-        self.reconfigure_and_flip("acks", new_epoch, &payloads, Some(plan), t_reconf)?;
+        self.reconfigure_and_flip("acks", new_epoch, &payloads, Some(next), t_reconf)?;
         let reconfigure_ms = t_reconf.elapsed().as_secs_f64() * 1e3;
         self.end_swap();
 
@@ -233,7 +236,7 @@ impl Session {
         };
 
         // 3. Broadcast the epoch bump, wait for every ack, flip.  The plan
-        // is unchanged, so the scatter keeps it.
+        // is unchanged, so the scatter keeps its epoch.
         self.reconfigure_and_flip(
             "re-sync acks",
             new_epoch,
@@ -260,7 +263,7 @@ impl Session {
                     epoch: new_epoch,
                     image: *image,
                 };
-                if let Err(e) = sc.scatter_image(tensor, trace, self.quant.is_some()) {
+                if let Err(e) = sc.scatter_image(tensor, trace) {
                     drop(sc);
                     self.shared.fail(&e);
                     return Err(e);
@@ -309,7 +312,7 @@ impl Session {
     }
 
     /// The middle of every epoch change: sends device `d` its
-    /// `Reconfigure` frame (`payloads[d]`), installs `plan` for the scatter
+    /// `Reconfigure` frame (`payloads[d]`), installs `next` for the scatter
     /// if the plan changed, waits until every device has acked `new_epoch` or
     /// `recv_timeout` runs out (the error then says which `acks` were
     /// missing), flips the epoch and records it.
@@ -321,7 +324,7 @@ impl Session {
         acks: &str,
         new_epoch: u64,
         payloads: &[ReconfigurePayload],
-        plan: Option<&ExecutionPlan>,
+        next: Option<PlanEpoch>,
         t_reconf: Instant,
     ) -> Result<()> {
         let n = payloads.len();
@@ -335,8 +338,8 @@ impl Session {
                     return Err(e);
                 }
             }
-            if let Some(plan) = plan {
-                sc.plan = plan.clone();
+            if let Some(next) = next {
+                sc.epoch = next;
             }
         }
 

@@ -26,22 +26,20 @@
 //! shard), so a hot plan swap never re-ships weights a device kept from an
 //! earlier epoch.
 //!
-//! When a deployment negotiates **quantized activation transfer**, `Rows`
-//! frames ship their band as a q8 slab (one i8 code per element plus one
-//! f32 scale, ~4× smaller) under the dedicated wire kind byte
-//! [`KIND_ROWS_Q8`].  The kind byte — not a flag on [`FrameKind`] — marks
-//! the quantized body, so an f32 session decoding a q8 frame (or vice
-//! versa) still sees a plain `Rows` frame with a usable f32 tensor: the
-//! decoder dequantizes into [`Frame::tensor`] and keeps the raw codes in
-//! [`Frame::quant`] so re-encoding is byte-exact.  `Result` frames always
-//! stay f32 — the requester gets full-precision outputs back.
+//! A `Rows` frame with a [`Frame::scale`] (the plan epoch's decision,
+//! [`crate::PlanEpoch`]) ships its band as a q8 slab — one i8 code per
+//! element plus the scale, ~4× smaller — under the wire kind byte
+//! [`KIND_ROWS_Q8`], not a flag on [`FrameKind`]: every decoder sees a
+//! plain `Rows` frame.  Encoding quantizes the band straight into the
+//! output; decoding dequantizes straight into [`Frame::tensor`], onto the
+//! scale's grid.  `Result` frames always stay f32.
 
 use crate::{Result, RuntimeError};
 use cnn_model::exec::QuantSpec;
 use cnn_model::Model;
 use edgesim::ExecutionPlan;
 use std::sync::Arc;
-use tensor::ops::{dequantize_slice, quant_scale, quantize_slice};
+use tensor::ops::quant_scale;
 use tensor::{slab, Tensor};
 
 /// Frame magic (sanity check against stream desync).
@@ -112,19 +110,8 @@ impl FrameKind {
 
 /// Wire kind byte of a `Rows` frame whose body is a q8 slab.  Maps back to
 /// [`FrameKind::Rows`] at decode; the quantized body is visible only via
-/// [`Frame::quant`].
+/// [`Frame::scale`].
 pub const KIND_ROWS_Q8: u8 = 5;
-
-/// The int8 codes of a quantized `Rows` frame, kept alongside the
-/// dequantized [`Frame::tensor`] so consumers stay precision-agnostic and
-/// re-encoding reproduces the received bytes exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantBand {
-    /// Symmetric dequantization step of the codes.
-    pub scale: f32,
-    /// One i8 code per tensor element, CHW order.
-    pub data: Vec<i8>,
-}
 
 /// One wire message.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,13 +130,14 @@ pub struct Frame {
     pub stage: u32,
     /// First carried row in full-feature-map coordinates.
     pub row_lo: u32,
-    /// The row band, `[c, rows, w]` (empty for control frames).  For a
-    /// quantized frame this is the *dequantized* view of [`Frame::quant`].
+    /// The row band, `[c, rows, w]` (empty for control frames).  A decoded
+    /// q8 frame's band is its dequantized codes.
     pub tensor: Tensor,
     /// Raw payload of `Reconfigure` frames (empty for every other kind).
     pub payload: Vec<u8>,
-    /// The int8 codes when the frame travels quantized (`Rows` only).
-    pub quant: Option<QuantBand>,
+    /// The step a `Rows` frame's band travels quantized at; `None` ships
+    /// it f32 (every other kind always does).
+    pub scale: Option<f32>,
 }
 
 impl Frame {
@@ -170,33 +158,21 @@ impl Frame {
             row_lo,
             tensor,
             payload: Vec::new(),
-            quant: None,
+            scale: None,
         }
     }
 
-    /// A `Rows` frame that travels as int8: the band is quantized against
-    /// its own max-abs scale here, and `tensor` becomes the dequantized
-    /// view — so the sender's local picture of the band matches what every
-    /// receiver reconstructs, and `decode(encode(f)) == f` holds bitwise.
-    ///
-    /// A band holding an infinite activation gets an infinite scale, and
-    /// its receiver refuses the frame with [`RuntimeError::Wire`]: a
-    /// decoder accepts only scales that are finite and positive.
+    /// The frame with its band travelling quantized at `scale` (`None`:
+    /// f32).  Only a `Rows` frame travels quantized; encoding quantizes.
+    pub fn at_scale(self, scale: Option<f32>) -> Self {
+        Self { scale, ..self }
+    }
+
+    /// A `Rows` frame at the band's own max-abs scale, which serving never
+    /// uses (a cut would change the answer); `e2e`'s codec timing calls it.
     pub fn rows_q8(epoch: u64, image: u32, stage: u32, row_lo: u32, tensor: &Tensor) -> Self {
-        let scale = quant_scale(tensor.data());
-        let data = quantize_slice(tensor.data(), scale);
-        let deq = Tensor::from_vec(tensor.shape(), dequantize_slice(&data, scale))
-            .expect("dequantized band keeps its shape");
-        Frame {
-            kind: FrameKind::Rows,
-            epoch,
-            image,
-            stage,
-            row_lo,
-            tensor: deq,
-            payload: Vec::new(),
-            quant: Some(QuantBand { scale, data }),
-        }
+        let scale = Some(quant_scale(tensor.data()));
+        Self::data(FrameKind::Rows, epoch, image, stage, row_lo, tensor.clone()).at_scale(scale)
     }
 
     /// The halt marker.
@@ -214,7 +190,7 @@ impl Frame {
             row_lo: 0,
             tensor: Tensor::zeros([0, 0, 0]),
             payload,
-            quant: None,
+            scale: None,
         }
     }
 
@@ -239,7 +215,7 @@ impl Frame {
         let [c, h, w] = self.tensor.shape();
         let tail = if self.kind == FrameKind::Reconfigure {
             self.payload.len()
-        } else if self.kind == FrameKind::Rows && self.quant.is_some() {
+        } else if self.kind == FrameKind::Rows && self.scale.is_some() {
             slab::q8_slab_len(c, h, w)
         } else {
             slab::slab_len(c, h, w)
@@ -252,17 +228,15 @@ impl Frame {
         4 + self.body_len()
     }
 
-    /// Encodes the frame, length prefix included.
+    /// Encodes the frame, length prefix included; a q8 band is quantized
+    /// straight into the output.
     pub fn encode(&self) -> Vec<u8> {
         let body_len = self.body_len();
-        let quant = match &self.quant {
-            Some(q) if self.kind == FrameKind::Rows => Some(q),
-            _ => None,
-        };
+        let scale = self.scale.filter(|_| self.kind == FrameKind::Rows);
         let mut out = Vec::with_capacity(4 + body_len);
         out.extend_from_slice(&(body_len as u32).to_le_bytes());
         out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(if quant.is_some() {
+        out.push(if scale.is_some() {
             KIND_ROWS_Q8
         } else {
             self.kind.to_u8()
@@ -273,9 +247,8 @@ impl Frame {
         out.extend_from_slice(&self.row_lo.to_le_bytes());
         if self.kind == FrameKind::Reconfigure {
             out.extend_from_slice(&self.payload);
-        } else if let Some(q) = quant {
-            slab::write_q8_slab(self.tensor.shape().into(), q.scale, &q.data, &mut out)
-                .expect("quant codes match the tensor shape");
+        } else if let Some(scale) = scale {
+            slab::write_q8_slab(&self.tensor, scale, &mut out);
         } else {
             slab::write_slab(&self.tensor, &mut out);
         }
@@ -308,20 +281,12 @@ impl Frame {
         let image = u32_at(11);
         let stage = u32_at(15);
         let row_lo = u32_at(19);
-        let (tensor, payload, quant) = if kind == FrameKind::Reconfigure {
+        let (tensor, payload, scale) = if kind == FrameKind::Reconfigure {
             (Tensor::zeros([0, 0, 0]), body[HEADER_LEN..].to_vec(), None)
         } else if quantized {
-            let (shape, scale, data, used) = slab::read_q8_slab(&body[HEADER_LEN..])
+            let (tensor, scale) = slab::from_q8_slab(&body[HEADER_LEN..])
                 .map_err(|e| RuntimeError::Wire(format!("bad q8 slab: {e}")))?;
-            if used != body.len() - HEADER_LEN {
-                return Err(RuntimeError::Wire(format!(
-                    "q8 slab has {} trailing bytes",
-                    body.len() - HEADER_LEN - used
-                )));
-            }
-            let tensor = Tensor::from_vec(shape, dequantize_slice(&data, scale))
-                .map_err(|e| RuntimeError::Wire(format!("bad q8 slab: {e}")))?;
-            (tensor, Vec::new(), Some(QuantBand { scale, data }))
+            (tensor, Vec::new(), Some(scale))
         } else {
             let tensor = slab::from_slab(&body[HEADER_LEN..])
                 .map_err(|e| RuntimeError::Wire(format!("bad slab: {e}")))?;
@@ -335,7 +300,7 @@ impl Frame {
             row_lo,
             tensor,
             payload,
-            quant,
+            scale,
         })
     }
 
@@ -397,8 +362,8 @@ pub struct ReconfigurePayload {
     /// Weight layers the receiving device must add to its resident set.
     pub delta: Vec<WeightDelta>,
     /// Per-layer activation scales when the epoch serves quantized; the
-    /// receiver packs its shard against these and ships `Rows` frames as
-    /// q8 slabs.
+    /// receiver packs its shard against these, and its `Rows` frames into
+    /// an int8 layer travel at that layer's scale.
     pub quant: Option<QuantSpec>,
 }
 
@@ -642,27 +607,45 @@ mod tests {
     }
 
     #[test]
-    fn q8_frame_roundtrips_byte_exact_and_shrinks() {
+    fn q8_frame_roundtrips_byte_exact_and_shrinks() -> Result<()> {
         let t = Tensor::from_fn([8, 16, 12], |c, y, x| {
             ((c + 2 * y) as f32 - x as f32) * 0.17
         });
         let f32_frame = Frame::data(FrameKind::Rows, 2, 9, 1, 4, t.clone());
-        let q = Frame::rows_q8(2, 9, 1, 4, &t);
-        assert_eq!(q.kind, FrameKind::Rows);
+        let step = 0.05;
+        let q = Frame::data(FrameKind::Rows, 2, 9, 1, 4, t.clone()).at_scale(Some(step));
         assert_eq!(q.row_hi(), 20);
         // The q8 body is ~4× smaller than the f32 slab.
         assert!(q.encoded_len() * 3 < f32_frame.encoded_len());
         let bytes = q.encode();
         assert_eq!(bytes.len(), q.encoded_len());
-        let back = Frame::decode(&bytes).unwrap();
-        assert_eq!(back, q);
+        let back = Frame::decode(&bytes)?;
+        assert_eq!(
+            (back.kind, back.row_lo, back.scale),
+            (FrameKind::Rows, 4, Some(step))
+        );
         assert_eq!(back.encode(), bytes, "re-encode must be byte-exact");
-        // The carried view is the dequantized band — within half a step of
-        // the original, and identical on sender and receiver.
-        let step = back.quant.as_ref().unwrap().scale;
-        assert!(back.tensor.max_abs_diff(&t).unwrap() <= 0.5 * step + 1e-6);
+        // The decoded band is within half a step of the original, on the
+        // step's grid.
+        assert!(back.tensor.max_abs_diff(&t)? <= 0.5 * step + 1e-6);
+        for &v in back.tensor.data() {
+            assert_eq!(v, (v / step).round() * step);
+        }
         // Truncated q8 bodies are rejected.
         assert!(Frame::decode(&bytes[..bytes.len() - 1]).is_err());
+        Ok(())
+    }
+
+    #[test]
+    fn a_q8_frame_clamps_an_infinite_activation() -> Result<()> {
+        let t = Tensor::from_vec([1, 1, 2], vec![f32::INFINITY, -1.0])?;
+        let back = Frame::decode(
+            &Frame::data(FrameKind::Rows, 0, 0, 1, 0, t)
+                .at_scale(Some(0.5))
+                .encode(),
+        )?;
+        assert_eq!(back.tensor.data(), [63.5, -1.0]);
+        Ok(())
     }
 
     #[test]
@@ -671,7 +654,9 @@ mod tests {
         // decode to FrameKind::Rows with a usable f32 tensor.
         let t = Tensor::from_fn([2, 3, 4], |c, y, x| (c + y + x) as f32 * 0.25 - 0.9);
         let buf = [
-            Frame::rows_q8(1, 0, 0, 0, &t).encode(),
+            Frame::data(FrameKind::Rows, 1, 0, 0, 0, t.clone())
+                .at_scale(Some(0.01))
+                .encode(),
             Frame::data(FrameKind::Rows, 1, 1, 0, 0, t.clone()).encode(),
         ]
         .concat();
@@ -679,10 +664,10 @@ mod tests {
         let a = read_frame(&mut cursor).unwrap().unwrap();
         let b = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(a.kind, FrameKind::Rows);
-        assert!(a.quant.is_some());
+        assert_eq!(a.scale, Some(0.01));
         assert_eq!(a.tensor.shape(), t.shape());
         assert_eq!(b.kind, FrameKind::Rows);
-        assert!(b.quant.is_none());
+        assert_eq!(b.scale, None);
         assert_eq!(b.tensor, t);
     }
 

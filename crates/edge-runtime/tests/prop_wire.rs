@@ -1,5 +1,6 @@
-//! Property tests for the wire codecs: arbitrary frames and reconfigure
-//! payloads round-trip bit-exactly, and corrupt or truncated inputs — slab
+//! Property tests for the wire codecs: arbitrary f32 frames and reconfigure
+//! payloads round-trip bit-exactly, a q8 frame decodes onto its scale's
+//! grid and re-encodes to the same bytes, and corrupt or truncated inputs — slab
 //! dims or a delta count no byte string could back, a quantization scale
 //! no calibration could produce, a spec that does not cover the model —
 //! are rejected with typed errors instead of panics, unbounded allocation
@@ -45,7 +46,7 @@ const SLAB_AT: usize = 4 + 23;
 /// Returns the bytes and how many data bytes they carry.
 fn with_slab_dims(frame: &Frame, dims: [u32; 3], keep: usize) -> (Vec<u8>, usize) {
     let mut bytes = frame.encode();
-    let data_at = SLAB_AT + if frame.quant.is_some() { 16 } else { 12 };
+    let data_at = SLAB_AT + if frame.scale.is_some() { 16 } else { 12 };
     bytes.truncate(data_at + keep);
     for (i, d) in dims.iter().enumerate() {
         bytes[SLAB_AT + 4 * i..][..4].copy_from_slice(&d.to_le_bytes());
@@ -77,6 +78,38 @@ proptest! {
         prop_assert_eq!(bytes.len(), frame.encoded_len());
         let back = Frame::decode(&bytes).unwrap();
         prop_assert_eq!(back, frame);
+    }
+
+    /// A q8 frame built at a given scale decodes onto that scale's grid:
+    /// every element is its code times the scale, within half a step of the
+    /// band where the band is in range, and clamped to `±127` steps beyond.
+    /// Decoding, then re-encoding, gives the same bytes.
+    #[test]
+    fn q8_frames_decode_onto_their_scales_grid(
+        c in 1usize..4,
+        rows in 1usize..6,
+        w in 1usize..8,
+        fill in -100.0f32..100.0,
+        spread in 0.0f32..20.0,
+        scale in 0.001f32..2.0,
+    ) {
+        let band = Tensor::from_fn([c, rows, w], |ci, ri, wi| {
+            fill + ((ci * 31 + ri * 7 + wi) % 13) as f32 * spread - 6.0 * spread
+        });
+        let frame = Frame::data(FrameKind::Rows, 1, 2, 3, 4, band.clone()).at_scale(Some(scale));
+        let bytes = frame.encode();
+        prop_assert_eq!(bytes.len(), frame.encoded_len());
+        let back = Frame::decode(&bytes).unwrap();
+        prop_assert_eq!((back.kind, back.scale), (FrameKind::Rows, Some(scale)));
+        prop_assert_eq!(back.tensor.shape(), band.shape());
+        for (&x, &y) in band.data().iter().zip(back.tensor.data()) {
+            let code = (x / scale).round().clamp(-127.0, 127.0);
+            prop_assert_eq!(y, code * scale);
+            if x.abs() <= 127.0 * scale {
+                prop_assert!((y - x).abs() <= 0.5 * scale * (1.0 + 1e-4), "{} -> {}", x, y);
+            }
+        }
+        prop_assert_eq!(back.encode(), bytes);
     }
 
     /// Any truncation of a valid encoding is rejected — never a panic,
@@ -200,8 +233,8 @@ proptest! {
         });
         let frame = Frame::rows_q8(1, 2, 0, 0, &tensor);
         let mut bytes = frame.encode();
-        prop_assert_eq!(Frame::decode(&bytes).unwrap(), frame.clone());
-        let scale = frame.quant.as_ref().unwrap().scale;
+        prop_assert_eq!(Frame::decode(&bytes).unwrap().encode(), bytes.clone());
+        let scale = frame.scale.unwrap();
         let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, -scale][pick];
         bytes[SLAB_AT + 12..][..4].copy_from_slice(&bad.to_le_bytes());
         match Frame::decode(&bytes) {

@@ -290,49 +290,80 @@ impl ExecutionPlan {
         keep
     }
 
-    /// Validates that the plan has a volume and that every volume's parts
-    /// exactly tile its output height.
+    /// Validates everything the runtime indexes by without checking again,
+    /// so a plan off the wire is refused here rather than panicking a
+    /// serving thread:
+    /// * every volume has one part per device, and there is a device;
+    /// * the volumes tile the distributable layers `0..distributable_len`
+    ///   in order;
+    /// * every part is exactly `PartPlan::plan` of its volume and output
+    ///   rows, and a volume's parts tile its output height in device order;
+    /// * `head_device` names a device exactly when the model has a head.
     pub fn validate(&self, model: &Model) -> Result<(), ModelError> {
-        if self.volumes.is_empty() {
-            return Err(ModelError::InvalidSplit("plan has no volumes".into()));
+        let invalid = |reason: String| Err(ModelError::InvalidSplit(reason));
+        let n = self.num_devices();
+        if n == 0 {
+            return invalid("plan has no volumes or no devices".into());
         }
+        let mut start = 0usize;
         for assignment in &self.volumes {
-            let Some(first) = assignment.parts.first() else {
-                return Err(ModelError::InvalidSplit("volume with no parts".into()));
-            };
-            let volume = first.volume;
+            if assignment.parts.len() != n {
+                return invalid(format!(
+                    "volume with {} parts in a plan for {n} devices",
+                    assignment.parts.len()
+                ));
+            }
+            let volume = assignment.parts[0].volume;
+            if volume.start != start || volume.is_empty() || volume.end > model.distributable_len()
+            {
+                return invalid(format!(
+                    "volume {}..{} does not continue the tiling at layer {start}",
+                    volume.start, volume.end
+                ));
+            }
+            start = volume.end;
             let h = volume.last_output_height(model);
             let mut covered = 0usize;
             let mut cursor = 0usize;
             for part in &assignment.parts {
-                if part.volume != volume {
-                    return Err(ModelError::InvalidSplit(
-                        "parts of one assignment must reference the same volume".into(),
+                let (lo, hi) = part.output_rows;
+                if *part != PartPlan::plan(model, volume, lo, hi)? {
+                    return invalid(format!(
+                        "part for output rows {lo}..{hi} of volume {}..{} is not its plan",
+                        volume.start, volume.end
                     ));
                 }
-                let (lo, hi) = part.output_rows;
                 if lo < cursor {
-                    return Err(ModelError::InvalidSplit(format!(
-                        "overlapping output rows at {lo} (cursor {cursor})"
-                    )));
+                    return invalid(format!("overlapping output rows at {lo} (cursor {cursor})"));
                 }
                 if lo != hi {
                     if lo != cursor {
-                        return Err(ModelError::InvalidSplit(format!(
-                            "gap in output rows: expected {cursor}, got {lo}"
-                        )));
+                        return invalid(format!("gap in output rows: expected {cursor}, got {lo}"));
                     }
                     covered += hi - lo;
                     cursor = hi;
                 }
             }
             if covered != h {
-                return Err(ModelError::InvalidSplit(format!(
-                    "parts cover {covered} of {h} output rows"
-                )));
+                return invalid(format!("parts cover {covered} of {h} output rows"));
             }
         }
-        Ok(())
+        if start != model.distributable_len() {
+            return invalid(format!(
+                "volumes end at layer {start} of {} distributable layers",
+                model.distributable_len()
+            ));
+        }
+        match self.head_device {
+            Some(d) if model.head_layers().is_empty() => {
+                invalid(format!("head device {d} for a model without a head"))
+            }
+            None if !model.head_layers().is_empty() => {
+                invalid("the model has a head but the plan names no head device".into())
+            }
+            Some(d) if d >= n => invalid(format!("head device {d} of {n} devices")),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -421,6 +452,71 @@ mod tests {
         plan.volumes[0].parts[0] =
             PartPlan::plan(&m, plan.volumes[0].parts[0].volume, 0, 0).unwrap();
         assert!(plan.validate(&m).is_err());
+    }
+
+    /// A two-volume plan on two devices.
+    fn split_plan(m: &Model) -> ExecutionPlan {
+        let scheme = PartitionScheme::new(m, vec![0, 2, 3]).unwrap();
+        let splits: Vec<VolumeSplit> = scheme
+            .volumes()
+            .iter()
+            .map(|v| VolumeSplit::equal(2, v.last_output_height(m)))
+            .collect();
+        ExecutionPlan::from_splits(m, &scheme, &splits, 2).unwrap()
+    }
+
+    #[test]
+    fn validate_refuses_a_volume_without_a_part_per_device() {
+        let m = model();
+        let mut plan = split_plan(&m);
+        // Device 0's part now covers the whole second volume alone.
+        let volume = plan.volumes[1].parts[0].volume;
+        let h = volume.last_output_height(&m);
+        plan.volumes[1].parts = vec![PartPlan::plan(&m, volume, 0, h).unwrap()];
+        assert!(plan.validate(&m).is_err());
+    }
+
+    #[test]
+    fn validate_refuses_volumes_that_do_not_tile_the_prefix() {
+        let m = model();
+        let plan = split_plan(&m);
+        let mut late_start = plan.clone();
+        late_start.volumes.remove(0);
+        assert!(late_start.validate(&m).is_err());
+        let mut early_end = plan;
+        early_end.volumes.pop();
+        assert!(early_end.validate(&m).is_err());
+    }
+
+    #[test]
+    fn validate_refuses_a_part_that_is_not_its_plan() {
+        let m = model();
+        let mut plan = split_plan(&m);
+        plan.volumes[1].parts[1].input_rows.0 += 1;
+        assert!(plan.validate(&m).is_err());
+    }
+
+    #[test]
+    fn validate_refuses_a_head_device_that_does_not_match_the_model() {
+        let m = model();
+        let plan = split_plan(&m);
+        for head in [None, Some(2)] {
+            let bad = ExecutionPlan {
+                head_device: head,
+                ..plan.clone()
+            };
+            assert!(bad.validate(&m).is_err(), "{head:?}");
+        }
+        let headless = Model::new(
+            "nohead",
+            Shape::new(3, 16, 16),
+            &[LayerOp::conv(4, 3, 1, 1), LayerOp::pool(2, 2)],
+        )
+        .unwrap();
+        let mut plan = ExecutionPlan::offload(&headless, 0, 2).unwrap();
+        plan.validate(&headless).unwrap();
+        plan.head_device = Some(0);
+        assert!(plan.validate(&headless).is_err());
     }
 
     #[test]

@@ -70,7 +70,5 @@ pub use gemm::PackedFilter;
 pub use gemv::{PackedLinearFilter, QuantizedLinearFilter};
 pub use linear::{linear_direct, linear_packed, linear_q8, pack_linear_filter};
 pub use pool::{maxpool2d, maxpool2d_rows};
-pub use qgemm::{
-    dequantize_slice, quant_byte, quant_scale, quantize_i8, quantize_slice, QuantizedFilter,
-};
+pub use qgemm::{quant_byte, quant_scale, quantize_i8, quantize_slice, QuantizedFilter};
 pub use winograd::{winograd_eligible, winograd_preferred, WinogradFilter};

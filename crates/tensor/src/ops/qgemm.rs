@@ -179,11 +179,6 @@ pub fn quantize_slice(src: &[f32], scale: f32) -> Vec<i8> {
     out
 }
 
-/// Dequantizes a slice: `q · scale`.
-pub fn dequantize_slice(q: &[i8], scale: f32) -> Vec<f32> {
-    q.iter().map(|&v| v as f32 * scale).collect()
-}
-
 /// A weight matrix `[m][k]` quantized to i8 and repacked into `MR`-row,
 /// quad-major panels for the int8 micro-kernel: panel `p` holds rows
 /// `p*MR ..`, with `data[((p*kq + qd)*MR + r)*QK + l] = qw[p*MR+r][qd*QK+l]`

@@ -11,6 +11,7 @@
 //! one byte per element plus one scale, ~4× smaller than the f32 slab.
 
 use crate::error::TensorError;
+use crate::ops::qgemm::quantize_into;
 use crate::shape::Shape;
 use crate::{Result, Tensor};
 
@@ -95,35 +96,32 @@ pub fn q8_slab_len(c: usize, h: usize, w: usize) -> usize {
     16 + c * h * w
 }
 
-/// Appends the q8 slab encoding of an already-quantized tensor to `out`.
-///
-/// `data` holds the symmetric int8 codes (one per element, CHW order) and
-/// `scale` the dequantization step; callers produce both via
-/// `ops::quant_scale` / `ops::quantize_slice`.
-pub fn write_q8_slab(shape: Shape, scale: f32, data: &[i8], out: &mut Vec<u8>) -> Result<()> {
-    let (c, h, w) = (shape.c, shape.h, shape.w);
-    if data.len() != c * h * w {
-        return Err(TensorError::KernelConfig(format!(
-            "q8 slab data length {} != c*h*w = {}",
-            data.len(),
-            c * h * w
-        )));
-    }
+/// Appends the q8 slab of `t` quantized against `scale` to `out`.  Each
+/// code is what the int8 kernels' quantizer gives the element
+/// (`ops::quantize_i8`: `round(x / scale)` clamped to `[-127, 127]`, NaN to
+/// `0`), written straight into `out`.
+pub fn write_q8_slab(t: &Tensor, scale: f32, out: &mut Vec<u8>) {
+    let [c, h, w] = t.shape();
     out.reserve(q8_slab_len(c, h, w));
     out.extend_from_slice(&(c as u32).to_le_bytes());
     out.extend_from_slice(&(h as u32).to_le_bytes());
     out.extend_from_slice(&(w as u32).to_le_bytes());
     out.extend_from_slice(&scale.to_le_bytes());
-    out.extend(data.iter().map(|&q| q as u8));
-    Ok(())
+    let at = out.len();
+    out.resize(at + t.len(), 0);
+    // The quantizer's offset byte `q + 128` is `q`'s own byte with the top
+    // bit flipped.
+    quantize_into::<u8>(t.data(), scale, &mut out[at..]);
+    out[at..].iter_mut().for_each(|b| *b ^= 0x80);
 }
 
-/// Decodes a q8 slab produced by [`write_q8_slab`], returning the shape,
-/// scale, int8 codes, and the number of bytes consumed.  A scale that is
-/// not finite and positive is refused: no max-abs scale of finite values
-/// is one, and it would dequantize every code to NaN, an infinity, a zero
-/// or a sign-flipped value.
-pub fn read_q8_slab(bytes: &[u8]) -> Result<(Shape, f32, Vec<i8>, usize)> {
+/// Decodes a q8 slab produced by [`write_q8_slab`] that spans `bytes`
+/// exactly, dequantizing each code straight into the returned tensor
+/// (`code · scale`, so every element lies on the scale's grid); returns the
+/// tensor and the scale.  A scale that is not finite and positive is
+/// refused: it would dequantize every code to NaN, an infinity, a zero or a
+/// sign-flipped value.
+pub fn from_q8_slab(bytes: &[u8]) -> Result<(Tensor, f32)> {
     let scale = f32::from_le_bytes(read_u32(bytes, 12)?.to_le_bytes());
     if !(scale.is_finite() && scale > 0.0) {
         return Err(TensorError::KernelConfig(format!(
@@ -131,8 +129,17 @@ pub fn read_q8_slab(bytes: &[u8]) -> Result<(Shape, f32, Vec<i8>, usize)> {
         )));
     }
     let (shape, len) = read_header(bytes, 16, 1)?;
-    let data = bytes[16..len].iter().map(|&b| b as i8).collect();
-    Ok((shape, scale, data, len))
+    if len != bytes.len() {
+        return Err(TensorError::KernelConfig(format!(
+            "q8 slab has {} trailing bytes",
+            bytes.len() - len
+        )));
+    }
+    let data = bytes[16..]
+        .iter()
+        .map(|&b| f32::from(b as i8) * scale)
+        .collect();
+    Ok((Tensor::from_vec(shape, data)?, scale))
 }
 
 /// Decodes a slab that must span the whole input exactly.
@@ -196,35 +203,51 @@ mod tests {
 
     #[test]
     fn q8_slab_roundtrips_and_rejects_truncation() {
-        let shape = Shape::new(2, 3, 4);
-        let data: Vec<i8> = (0..24).map(|i| (i * 11 % 255) as i8).collect();
+        let t = Tensor::from_fn([2, 3, 4], |c, y, x| {
+            (c * 12 + y * 4 + x) as f32 * 0.37 - 4.0
+        });
+        let scale = 0.042;
         let mut bytes = Vec::new();
-        write_q8_slab(shape, 0.042, &data, &mut bytes).unwrap();
+        write_q8_slab(&t, scale, &mut bytes);
         assert_eq!(bytes.len(), q8_slab_len(2, 3, 4));
-        let (s, scale, back, used) = read_q8_slab(&bytes).unwrap();
-        assert_eq!(s.as_array(), [2, 3, 4]);
-        assert_eq!(scale, 0.042);
-        assert_eq!(back, data);
-        assert_eq!(used, bytes.len());
-        assert!(read_q8_slab(&bytes[..bytes.len() - 1]).is_err());
-        assert!(read_q8_slab(&bytes[..10]).is_err());
-        // Mismatched data length is rejected at encode time.
-        let mut out = Vec::new();
-        assert!(write_q8_slab(shape, 1.0, &data[..23], &mut out).is_err());
+        let (back, s) = from_q8_slab(&bytes).unwrap();
+        assert_eq!(back.shape(), [2, 3, 4]);
+        assert_eq!(s, scale);
+        for (&x, &y) in t.data().iter().zip(back.data()) {
+            let code = crate::ops::quantize_i8(x, scale);
+            assert_eq!(y, f32::from(code) * scale);
+        }
+        // The decoded grid values re-encode to the same bytes.
+        let mut again = Vec::new();
+        write_q8_slab(&back, scale, &mut again);
+        assert_eq!(again, bytes);
+        assert!(from_q8_slab(&bytes[..bytes.len() - 1]).is_err());
+        assert!(from_q8_slab(&bytes[..10]).is_err());
+        bytes.push(0);
+        assert!(from_q8_slab(&bytes).is_err(), "trailing bytes");
+    }
+
+    #[test]
+    fn q8_slab_clamps_infinities_like_the_kernel() {
+        let t =
+            Tensor::from_vec([1, 1, 3], vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN]).unwrap();
+        let mut bytes = Vec::new();
+        write_q8_slab(&t, 0.5, &mut bytes);
+        assert_eq!(bytes[16..], [127, (-127i8) as u8, 0]);
     }
 
     #[test]
     fn q8_slab_refuses_a_scale_that_is_not_finite_and_positive() {
-        let shape = Shape::new(1, 1, 2);
+        let t = Tensor::from_vec([1, 1, 2], vec![1.5, -1.5]).unwrap();
         for scale in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, -0.5] {
             let mut bytes = Vec::new();
-            write_q8_slab(shape, scale, &[3, -3], &mut bytes).unwrap();
-            assert!(read_q8_slab(&bytes).is_err(), "scale {scale}");
+            write_q8_slab(&t, scale, &mut bytes);
+            assert!(from_q8_slab(&bytes).is_err(), "scale {scale}");
         }
         let mut bytes = Vec::new();
-        write_q8_slab(shape, f32::from_bits(1), &[3, -3], &mut bytes).unwrap();
+        write_q8_slab(&t, f32::from_bits(1), &mut bytes);
         assert!(
-            read_q8_slab(&bytes).is_ok(),
+            from_q8_slab(&bytes).is_ok(),
             "a subnormal scale is positive"
         );
     }
@@ -241,7 +264,7 @@ mod tests {
             let mut bytes: Vec<u8> = dims.iter().flat_map(|d| d.to_le_bytes()).collect();
             bytes.extend_from_slice(&[0; 8]);
             assert!(read_slab(&bytes).is_err(), "{dims:?}");
-            assert!(read_q8_slab(&bytes).is_err(), "{dims:?}");
+            assert!(from_q8_slab(&bytes).is_err(), "{dims:?}");
         }
     }
 

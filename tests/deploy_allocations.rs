@@ -339,7 +339,7 @@ fn ready_provider(
     );
     let shared = Arc::new(Shared {
         model: m.clone(),
-        slot: EpochSlot::new(PlanEpoch::new(0, m, plan).unwrap()),
+        slot: EpochSlot::new(PlanEpoch::new(0, m, plan, None).unwrap()),
     });
     let provider = spawn_provider(d, shared, packed, inbox, txs, &Telemetry::disabled());
     (provider, halt, transport)

@@ -12,6 +12,11 @@
 //!   non-local transfers — same (from, to, stage, rows), none missing,
 //!   none extra.
 //!
+//! Then it serves the same images and swap in int8 (`quantized`), over
+//! loopback TCP in a quarter of the cases, with the same frame check, and
+//! checks every output bit for bit against a one-device int8 session: where
+//! a plan cuts must not change a quantized answer either.
+//!
 //! A failing case panics with its seed and a one-line plan; the generator
 //! is a fixed-seed SplitMix64, so the seed alone replays the case.
 
@@ -19,13 +24,14 @@ use cnn_model::exec::{self, deterministic_input, ModelWeights};
 use cnn_model::{LayerOp, Model, PartitionScheme, VolumeSplit};
 use edge_runtime::transport::FrameTx;
 use edge_runtime::{
-    ChannelTransport, Deploy, Frame, FrameKind, Result as RtResult, RuntimeOptions, Transport,
+    ChannelTransport, Deploy, Frame, FrameKind, Result as RtResult, RuntimeOptions, TcpTransport,
+    Transport,
 };
 use edgesim::{Endpoint, ExecutionPlan};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tensor::Shape;
+use tensor::{Shape, Tensor};
 
 /// Images served under each of the two plans.
 const IMAGES_PER_PLAN: u64 = 3;
@@ -163,9 +169,9 @@ fn sorted(mut hops: Vec<Hop>) -> Vec<Hop> {
 type Sent = (u64, u32, Hop);
 
 /// A fabric that logs every data frame sent over it, then delivers it
-/// through an in-process channel fabric.
+/// through another fabric.
 struct Counting {
-    inner: ChannelTransport,
+    inner: Box<dyn Transport>,
     log: Arc<Mutex<Vec<Sent>>>,
 }
 
@@ -222,85 +228,167 @@ fn expected_hops(plan: &ExecutionPlan) -> Vec<Hop> {
     sorted(hops.collect())
 }
 
+/// One drawn case: a model and its weights, two plans on the same devices,
+/// an in-flight window, and whether the int8 arm runs over TCP.
+struct Case {
+    seed: u64,
+    model: Model,
+    weights: ModelWeights,
+    plans: [ExecutionPlan; 2],
+    window: usize,
+    tcp: bool,
+}
+
+impl Case {
+    fn draw(seed: u64) -> Self {
+        let mut g = Gen(seed);
+        let model = random_model(&mut g);
+        let devices = g.range(1, 5);
+        let plans = [
+            random_plan(&mut g, &model, devices),
+            random_plan(&mut g, &model, devices),
+        ];
+        let window = g.pick(&[1, 4]);
+        let tcp = g.range(0, 3) == 0;
+        let weights = ModelWeights::deterministic(&model, seed);
+        Self {
+            seed,
+            model,
+            weights,
+            plans,
+            window,
+            tcp,
+        }
+    }
+
+    /// The images served under plan `epoch`.
+    fn images(&self, epoch: usize) -> Vec<Tensor> {
+        let first = epoch as u64 * IMAGES_PER_PLAN;
+        (first..first + IMAGES_PER_PLAN)
+            .map(|i| deterministic_input(&self.model, self.seed ^ i))
+            .collect()
+    }
+
+    fn options(&self, quantized: bool) -> RuntimeOptions {
+        RuntimeOptions::default()
+            .with_max_in_flight(self.window)
+            .with_recv_timeout(Duration::from_secs(20))
+            .with_quantized(quantized)
+    }
+
+    /// `what`, with the case's window, transport and plans.
+    fn context(&self, what: String) -> String {
+        format!(
+            "{what}\n  window {}, tcp {}, plan 0: {}\n  plan 1: {}",
+            self.window,
+            self.tcp,
+            describe(&self.model, &self.plans[0]),
+            describe(&self.model, &self.plans[1])
+        )
+    }
+
+    /// Serves plan 0's images over `inner`, swaps to plan 1 with
+    /// `apply_plan`, serves its images, and checks every image's frames
+    /// against its plan.  Returns the outputs per plan.
+    fn serve(
+        &self,
+        quantized: bool,
+        inner: Box<dyn Transport>,
+    ) -> Result<[Vec<Tensor>; 2], String> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut fabric = Counting {
+            inner,
+            log: Arc::clone(&log),
+        };
+        let session = Deploy::new(&self.model, &self.plans[0], &self.weights)
+            .over(&mut fabric)
+            .options(self.options(quantized))
+            .start()
+            .map_err(|e| self.context(format!("deploy: {e}")))?;
+        let mut outputs = [Vec::new(), Vec::new()];
+        for (epoch, plan) in self.plans.iter().enumerate() {
+            if epoch > 0 {
+                session
+                    .apply_plan(plan)
+                    .map_err(|e| self.context(format!("apply_plan: {e}")))?;
+            }
+            let tickets = self
+                .images(epoch)
+                .iter()
+                .map(|img| session.submit(img))
+                .collect::<RtResult<Vec<_>>>()
+                .map_err(|e| self.context(format!("submit: {e}")))?;
+            for ticket in tickets {
+                let out = session
+                    .wait(ticket)
+                    .map_err(|e| self.context(format!("wait: {e}")))?;
+                outputs[epoch].push(out);
+            }
+        }
+        session
+            .shutdown()
+            .map_err(|e| self.context(format!("shutdown: {e}")))?;
+
+        let log = log.lock().expect("frame log poisoned");
+        for (epoch, plan) in self.plans.iter().enumerate() {
+            let expected = expected_hops(plan);
+            let first = epoch as u64 * IMAGES_PER_PLAN;
+            for image in first..first + IMAGES_PER_PLAN {
+                let shipped = sorted(
+                    log.iter()
+                        .filter(|(e, i, _)| *e == epoch as u64 && u64::from(*i) == image)
+                        .map(|&(_, _, hop)| hop)
+                        .collect(),
+                );
+                if shipped != expected {
+                    return Err(self.context(format!(
+                        "image {image}: frames shipped {shipped:?}\n  plan lists {expected:?}"
+                    )));
+                }
+            }
+        }
+        Ok(outputs)
+    }
+}
+
 /// Serves one case; an `Err` names what went wrong.
 fn run_case(seed: u64) -> Result<(), String> {
-    let mut g = Gen(seed);
-    let model = random_model(&mut g);
-    let devices = g.range(1, 5);
-    let plans = [
-        random_plan(&mut g, &model, devices),
-        random_plan(&mut g, &model, devices),
-    ];
-    let window = g.pick(&[1, 4]);
-    let weights = ModelWeights::deterministic(&model, seed);
-    let context = |what: String| {
-        format!(
-            "{what}\n  window {window}, plan 0: {}\n  plan 1: {}",
-            describe(&model, &plans[0]),
-            describe(&model, &plans[1])
-        )
-    };
+    let case = Case::draw(seed);
+    let devices = case.plans[0].num_devices();
 
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let mut fabric = Counting {
-        inner: ChannelTransport::new(devices),
-        log: Arc::clone(&log),
-    };
-    let options = RuntimeOptions::default()
-        .with_max_in_flight(window)
-        .with_recv_timeout(Duration::from_secs(20));
-    let session = Deploy::new(&model, &plans[0], &weights)
-        .over(&mut fabric)
-        .options(options)
-        .start()
-        .map_err(|e| context(format!("deploy: {e}")))?;
-    for (epoch, plan) in plans.iter().enumerate() {
-        if epoch > 0 {
-            session
-                .apply_plan(plan)
-                .map_err(|e| context(format!("apply_plan: {e}")))?;
-        }
-        let first = epoch as u64 * IMAGES_PER_PLAN;
-        let images: Vec<_> = (first..first + IMAGES_PER_PLAN)
-            .map(|i| deterministic_input(&model, seed ^ i))
-            .collect();
-        let tickets = images
-            .iter()
-            .map(|img| session.submit(img))
-            .collect::<RtResult<Vec<_>>>()
-            .map_err(|e| context(format!("submit: {e}")))?;
-        for (img, ticket) in images.iter().zip(tickets) {
-            let out = session
-                .wait(ticket)
-                .map_err(|e| context(format!("wait: {e}")))?;
-            let reference = exec::run_full(&model, &weights, img).map_err(|e| e.to_string())?;
-            if Some(&out) != reference.last() {
-                return Err(context(format!(
-                    "epoch {epoch}: output differs from run_full"
-                )));
+    // f32: every output bit-equal to single-device `run_full`.
+    let outputs = case.serve(false, Box::new(ChannelTransport::new(devices)))?;
+    for (epoch, outs) in outputs.iter().enumerate() {
+        for (img, out) in case.images(epoch).iter().zip(outs) {
+            let reference =
+                exec::run_full(&case.model, &case.weights, img).map_err(|e| e.to_string())?;
+            if Some(out) != reference.last() {
+                return Err(case.context(format!("epoch {epoch}: output differs from run_full")));
             }
         }
     }
-    session
-        .shutdown()
-        .map_err(|e| context(format!("shutdown: {e}")))?;
 
-    let log = log.lock().expect("frame log poisoned");
-    for (epoch, plan) in plans.iter().enumerate() {
-        let expected = expected_hops(plan);
-        let first = epoch as u64 * IMAGES_PER_PLAN;
-        for image in first..first + IMAGES_PER_PLAN {
-            let shipped = sorted(
-                log.iter()
-                    .filter(|(e, i, _)| *e == epoch as u64 && u64::from(*i) == image)
-                    .map(|&(_, _, hop)| hop)
-                    .collect(),
-            );
-            if shipped != expected {
-                return Err(context(format!(
-                    "image {image}: frames shipped {shipped:?}\n  plan lists {expected:?}"
-                )));
-            }
+    // int8: every output bit-equal to a one-device int8 session.
+    let inner: Box<dyn Transport> = if case.tcp {
+        Box::new(TcpTransport::new(devices).map_err(|e| e.to_string())?)
+    } else {
+        Box::new(ChannelTransport::new(devices))
+    };
+    let outputs = case.serve(true, inner)?;
+    let images: Vec<Tensor> = (0..2).flat_map(|epoch| case.images(epoch)).collect();
+    let one_device = ExecutionPlan::offload(&case.model, 0, 1).map_err(|e| e.to_string())?;
+    let reference = Deploy::new(&case.model, &one_device, &case.weights)
+        .options(case.options(true))
+        .start()
+        .and_then(|session| session.run_batch(&images))
+        .map_err(|e| case.context(format!("one-device int8 session: {e}")))?
+        .outputs;
+    for (i, (out, want)) in outputs.iter().flatten().zip(&reference).enumerate() {
+        if out != want {
+            return Err(case.context(format!(
+                "int8 image {i}: output differs from the one-device int8 session by {:?}",
+                out.max_abs_diff(want).ok()
+            )));
         }
     }
     Ok(())
